@@ -16,16 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exterior import AltForm, MixedTorsion, alternate5, contract12, wedge, wedge1, wedge_power
-from .projectors import ComponentLabel, profile as component_profile
+from .projectors import ComponentLabel, lcal_coords, profile as component_profile
 from .structure import AXES, QuatStructure
 from .threeform import (
     OneFormTriple,
     hook_omega_matrix,
     r_matrix,
     se_matrix,
-            xi_triple,
+    xi_triple,
 )
-from .torsion import MembershipError, is_in_W
+from .torsion import require_in_W, w_coords, w_matrix
 
 CANONICAL_ORDER = (
     ComponentLabel.L3EH,
@@ -104,11 +104,7 @@ class ClassLabel:
 
 def classify(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8):
     """Smallest component subset containing a, with the component profile."""
-    ok, resid = is_in_W(a, s, tol)
-    if not ok:
-        raise MembershipError(
-            f"tensor is not in the torsion space (residual {resid:.2e})")
-    prof = component_profile(a, s, check=False)
+    prof = component_profile(a, s, tol)
     if prof.total < 1e-14:
         return ClassLabel(frozenset()), prof
     comps = frozenset(
@@ -181,10 +177,17 @@ def ae_matrix(s: QuatStructure) -> np.ndarray:
     return s.cache("ae_matrix", build)
 
 
+def _w_column_matrices(s: QuatStructure) -> tuple[np.ndarray, np.ndarray]:
+    """se_matrix and r_matrix in W coordinates; both images lie in W."""
+    return s.cache("w_column", lambda: (w_matrix(se_matrix(s), s),
+                                        w_matrix(r_matrix(s), s)))
+
+
 class _Ctx:
     """Precomputed vectors entering the row conditions, with a common scale.
 
-    W-column fields (5-slot vectors): a, La, SEd, SELd, Q, R.
+    W-column fields (W coordinates, dim*r): a, La, SEd, SELd, Q, R.  All of
+    them lie in W, so their norms are those of the 5-slot tensors.
     dOmega-column fields (5-forms): dOm, LdOm, AEd, AELd, Q5, xiOm.
     Shared 3-form / one-form fields: dstar, Ldstar, xiC, m, xi, xiA.
     """
@@ -230,14 +233,13 @@ def ctx_from_torsion(a: MixedTorsion, s: QuatStructure) -> _Ctx:
     ds = contract12(a)
     tri = xi_triple(ds, s)
     ctx.fill_shared(ds.coeffs, tri.xi, {ax: tri[ax] for ax in AXES})
-    flat = a.flat()
-    SE = se_matrix(s)
-    ctx.w["a"] = flat
-    ctx.w["La"] = s.lcal_raw(a).flat()
-    ctx.w["SEd"] = SE @ ds.coeffs
-    ctx.w["SELd"] = SE @ ctx.f3["Ldstar"]
-    ctx.w["Q"] = SE @ ctx.f3["m"]
-    ctx.w["R"] = r_matrix(s) @ tri.xi
+    C = w_coords(a, s, check=False)
+    SE_W, R_W = _w_column_matrices(s)
+    ctx.w["a"] = C.reshape(-1)
+    ctx.w["La"] = lcal_coords(C, s).reshape(-1)
+    three = np.stack([ds.coeffs, ctx.f3["Ldstar"], ctx.f3["m"]])
+    ctx.w["SEd"], ctx.w["SELd"], ctx.w["Q"] = three @ SE_W.T
+    ctx.w["R"] = R_W @ tri.xi
     ctx.dOm = alternate5(a)
     return ctx
 
@@ -302,6 +304,10 @@ class RowResult:
     row: "Table2Row"
     residuals: list[float]
     scale: float
+
+    @classmethod
+    def evaluate(cls, row: "Table2Row", conds, ctx: _Ctx) -> "RowResult":
+        return cls(row, [_eval_cond(c, ctx) for c in conds], ctx.scale)
 
     @property
     def value(self) -> float:
@@ -497,13 +503,9 @@ def _find_row(rows, row_id) -> Table2Row:
 def table2_residual(a: MixedTorsion, s: QuatStructure, row_id,
                     tol: float = 1e-8) -> RowResult:
     """Residuals of the covariant-derivative column for one row."""
-    ok, resid = is_in_W(a, s, tol)
-    if not ok:
-        raise MembershipError(
-            f"tensor is not in the torsion space (residual {resid:.2e})")
+    require_in_W(a, s, tol)
     row = _find_row(table2_rows(s), row_id)
-    ctx = ctx_from_torsion(a, s)
-    return RowResult(row, [_eval_cond(c, ctx) for c in row.col2], ctx.scale)
+    return RowResult.evaluate(row, row.col2, ctx_from_torsion(a, s))
 
 
 def table2_residual_dOmega(d: DerivedFromDOmega, s: QuatStructure,
@@ -514,8 +516,7 @@ def table2_residual_dOmega(d: DerivedFromDOmega, s: QuatStructure,
             "in dimension 8 the 5-form carries only partial information; "
             "use table3_residual")
     row = _find_row(table2_rows(s), row_id)
-    ctx = ctx_from_derived(d, s)
-    return RowResult(row, [_eval_cond(c, ctx) for c in row.col3], ctx.scale)
+    return RowResult.evaluate(row, row.col3, ctx_from_derived(d, s))
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +555,7 @@ def table3_residual(d: DerivedFromDOmega, s: QuatStructure,
     if s.n != 2:
         raise ValueError("the partial table applies to dimension 8 only")
     row = _find_row(table3_rows(s), row_id)
-    ctx = ctx_from_derived(d, s)
-    return RowResult(row, [_eval_cond(c, ctx) for c in row.col3], ctx.scale)
+    return RowResult.evaluate(row, row.col3, ctx_from_derived(d, s))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +597,7 @@ def perp_EH5_test(phi: AltForm, s: QuatStructure, tol: float = 1e-8) -> bool:
 
 def classification_report(a: MixedTorsion, s: QuatStructure,
                           tol: float = 1e-8) -> dict:
-    label, prof = classify(a, s, tol)
+    label, prof = classify(a, s, tol)      # the one membership test
     out = {
         "class": label.display,
         "key": label.key,
@@ -605,8 +605,9 @@ def classification_report(a: MixedTorsion, s: QuatStructure,
         "profile": prof.to_json(),
         "tolerance": tol,
     }
-    row2 = table2_residual(a, s, label.components, tol)
-    out["table2"] = row2.to_json()
+    row2 = _find_row(table2_rows(s), label.components)
+    out["table2"] = RowResult.evaluate(
+        row2, row2.col2, ctx_from_torsion(a, s)).to_json()
     d = DerivedFromDOmega.from_torsion(a, s)
     if s.n >= 3:
         out["table2_dOmega"] = table2_residual_dOmega(d, s,

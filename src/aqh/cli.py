@@ -94,8 +94,7 @@ def cmd_classify(args) -> int:
     if kind == "algebra":
         report = classify_algebra(payload, tol=args.tol)
     else:
-        keys = next(iter(payload.get("coeffs", {"0,0,1,2,3": 0})))
-        if len(keys.split(",")) != 5:
+        if any(len(key.split(",")) != 5 for key in payload["coeffs"]):
             raise InputError("classify expects a mixed tensor "
                              "(row + 4-form keys) or a Lie algebra")
         a = mixed_from_json(payload)

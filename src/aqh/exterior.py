@@ -46,6 +46,7 @@ class FormTables:
         self.dim = dim
         self._tuples: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._index: dict[int, dict[tuple[int, ...], int]] = {}
+        self._columns: dict[int, np.ndarray] = {}
         self._exp: dict[int, tuple[np.ndarray, ...]] = {}
         self._wedge: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
         self._hodge: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -61,6 +62,17 @@ class FormTables:
         if p not in self._tuples:
             self._tuples[p] = tuple(itertools.combinations(range(self.dim), p))
         return self._tuples[p]
+
+    def columns(self, p: int) -> np.ndarray:
+        """The p-tuples as a read-only (p, N_p) integer array: row k holds
+        the k-th entry of every tuple."""
+        if p not in self._columns:
+            cols = np.asarray(self.tuples(p), dtype=np.int64).reshape(
+                self.nforms(p), p).T
+            cols = np.ascontiguousarray(cols)
+            cols.flags.writeable = False
+            self._columns[p] = cols
+        return self._columns[p]
 
     def index(self, p: int):
         if p not in self._index:
@@ -156,7 +168,6 @@ class FormTables:
         """(flat, sign): flat[k] are the raveled positions of the k-th
         permutation image of every increasing tuple, sign[k] its parity."""
         if p not in self._dense:
-            T = np.asarray(self.tuples(p), dtype=np.int64)
             if p == 0:
                 self._dense[p] = (np.zeros((1, 1), dtype=np.int64),
                                   np.ones(1))
@@ -169,10 +180,10 @@ class FormTables:
                     for j in range(i + 1, p)
                     if perm[i] > perm[j]
                 )
-                cols = T[:, list(perm)]
-                flat = np.zeros(len(T), dtype=np.int64)
+                cols = self.columns(p)[list(perm)]
+                flat = np.zeros(self.nforms(p), dtype=np.int64)
                 for k in range(p):
-                    flat = flat * self.dim + cols[:, k]
+                    flat = flat * self.dim + cols[k]
                 flats.append(flat)
                 signs.append((-1.0) ** inv)
             self._dense[p] = (np.stack(flats), np.asarray(signs))
@@ -251,9 +262,7 @@ class AltForm:
         dim = dense.shape[0] if p else 1
         if p == 0:
             raise DegreeError("scalars are not stored as AltForm")
-        tab = tables(dim)
-        T = np.asarray(tab.tuples(p), dtype=np.int64)
-        return cls(dim, p, dense[tuple(T[:, k] for k in range(p))])
+        return cls(dim, p, dense[tuple(tables(dim).columns(p))])
 
     def dense(self) -> np.ndarray:
         """Full (0,p) tensor with all permutation images filled in."""
@@ -426,18 +435,9 @@ class MixedTwoFormFamily:
     def zero(cls, dim: int) -> "MixedTwoFormFamily":
         return cls(dim, np.zeros((dim, dim, dim)))
 
-    @classmethod
-    def from_coeff_rows(cls, dim: int, rows: np.ndarray) -> "MixedTwoFormFamily":
-        tab = tables(dim)
-        pairs = np.asarray(tab.tuples(2), dtype=np.int64)
-        mats = np.zeros((dim, dim, dim))
-        mats[:, pairs[:, 0], pairs[:, 1]] = rows
-        mats[:, pairs[:, 1], pairs[:, 0]] = -rows
-        return cls(dim, mats)
-
     def coeff_rows(self) -> np.ndarray:
-        pairs = np.asarray(tables(self.dim).tuples(2), dtype=np.int64)
-        return self.mats[:, pairs[:, 0], pairs[:, 1]]
+        i, j = tables(self.dim).columns(2)
+        return self.mats[:, i, j]
 
     def row(self, x: int) -> AltForm:
         return AltForm.from_dense(self.mats[x])
@@ -479,15 +479,14 @@ def alternate5(a: MixedTorsion) -> AltForm:
 
 
 def wedge22_rows(mats: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Row-wise wedge of antisymmetric-matrix 2-forms with a fixed 2-form,
-    returning 4-form coefficient rows."""
-    dim = omega.shape[0]
-    quad = np.asarray(tables(dim).tuples(4), dtype=np.int64)
-    a, b, c, d = quad[:, 0], quad[:, 1], quad[:, 2], quad[:, 3]
+    """Row-wise wedge of a stack (..., dim, dim) of antisymmetric-matrix
+    2-forms with a fixed 2-form, returning (..., N4) 4-form coefficient rows."""
+    a, b, c, d = tables(omega.shape[0]).columns(4)
     M, N = mats, omega
     return (
-        M[:, a, b] * N[c, d] - M[:, a, c] * N[b, d] + M[:, a, d] * N[b, c]
-        + M[:, b, c] * N[a, d] - M[:, b, d] * N[a, c] + M[:, c, d] * N[a, b]
+        M[..., a, b] * N[c, d] - M[..., a, c] * N[b, d]
+        + M[..., a, d] * N[b, c] + M[..., b, c] * N[a, d]
+        - M[..., b, d] * N[a, c] + M[..., c, d] * N[a, b]
     )
 
 

@@ -1,30 +1,41 @@
 """The six orthogonal components of the intrinsic-torsion space W.
 
-W splits into (L3E + K + E)(H + S3H) with multiplicity one each.  The H /
-S3H halves are the 4 and -2 eigenspaces of the five-slot operator Lcal, so
+Everything here works on W coordinates.  W = V* (x) W4, and
+``fiber_basis_matrix`` gives an orthonormal basis Q (N4 x r) of W4, so a
+tensor a has coordinates C = aQ (dim x r).  Membership is a distance: a lies
+in W exactly when a = C Q^T, and ``is_in_W`` reports |a - C Q^T| / |a|.
 
-    hpart   = (Lcal + 2)/6,      s3hpart = (4 - Lcal)/6.
+W splits into (L3E + K + E)(H + S3H) with multiplicity one each.
 
-Since the contraction d* kills exactly L3EH + KS3H and hat_dstar is a right
-inverse landing in W, the four components visible to d* are recovered as
-hat_dstar of the matching 3-form projector of d*a; the invisible two are the
-eigenspace remainders:
+* The contraction d* kills exactly L3EH + KS3H, and hat_dstar is a right
+  inverse landing in W, so the four components visible to d* are
+  hat_dstar(proj3(d* a)).  On coordinates that is one product of the stacked
+  proj3 parts of d* a with HAT_W, the hat_dstar matrix pushed through Q.
+* The H / S3H halves are the 4 and -2 eigenspaces of the five-slot operator
+  Lcal.  On coordinates Lcal C = -sum_A A C D_A^T with D_A = Q^T deriv(A, 4) Q
+  (r x r), and
 
-    KH, EH, ES3H, L3ES3H : a -> hat_dstar(proj3(d* a))
-    L3EH  = hpart(a)  - KH - EH
-    KS3H  = s3hpart(a) - ES3H - L3ES3H.
+      hpart = (Lcal + 2)/6,          s3hpart = (4 - Lcal)/6,
+      L3EH  = hpart - KH - EH,       KS3H = s3hpart - ES3H - L3ES3H.
+
+Component norms are the norms of the coordinate arrays, which equal those of
+the embedded tensors because Q is orthonormal.  The paper's route on full
+rows (hat_dstar o proj3 o d* and the dense Lcal eigen-split) is kept in
+``verify`` as the independent cross-check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
 
 from .exterior import MixedTorsion, contract12
-from .structure import QuatStructure
+from .structure import AXES, QuatStructure
 from .threeform import hat_matrix, proj3_matrix
-from .torsion import MembershipError, is_in_W
+from .torsion import fiber_basis_matrix, w_coords, w_embed, w_matrix
 
 
 class ComponentLabel(Enum):
@@ -53,80 +64,100 @@ _DISPLAY = {
     ComponentLabel.ES3H: "ES³H",
 }
 
+
+def _l3e_dim(n: int) -> int:
+    return math.comb(2 * n, 3) - 2 * n
+
+
+def _k_dim(n: int) -> int:
+    return 2 * n * n * (2 * n + 1) - math.comb(2 * n + 2, 3) - 2 * n
+
+
+# dim X = dim(Sp(n) module) * dim(Sp(1) module); H has dimension 2, S3H 4
 COMPONENT_DIMS = {
-    ComponentLabel.L3EH: lambda n: 0 if n == 2 else 28,
-    ComponentLabel.KH: lambda n: 32 if n == 2 else 128,
-    ComponentLabel.EH: lambda n: 4 * n,
-    ComponentLabel.L3ES3H: lambda n: 0 if n == 2 else 56,
-    ComponentLabel.KS3H: lambda n: 64 if n == 2 else 256,
-    ComponentLabel.ES3H: lambda n: 8 * n,
+    ComponentLabel.L3EH: lambda n: 2 * _l3e_dim(n),
+    ComponentLabel.KH: lambda n: 2 * _k_dim(n),
+    ComponentLabel.EH: lambda n: 2 * (2 * n),
+    ComponentLabel.L3ES3H: lambda n: 4 * _l3e_dim(n),
+    ComponentLabel.KS3H: lambda n: 4 * _k_dim(n),
+    ComponentLabel.ES3H: lambda n: 4 * (2 * n),
 }
 
-_PROJ3_OF = {
-    ComponentLabel.KH: "KH",
-    ComponentLabel.EH: "EH",
-    ComponentLabel.ES3H: "ES3H",
-    ComponentLabel.L3ES3H: "L3ES3H",
-}
+# the four components seen by d*, in the order of the profile
+VISIBLE = (ComponentLabel.KH, ComponentLabel.EH, ComponentLabel.ES3H,
+           ComponentLabel.L3ES3H)
 
 
-def _check(a: MixedTorsion, s: QuatStructure, tol: float):
-    ok, resid = is_in_W(a, s, tol)
-    if not ok:
-        raise MembershipError(
-            f"tensor is not in the torsion space (residual {resid:.2e})")
+def _w_core(s: QuatStructure) -> dict:
+    """Cached operators on W coordinates: the stacked proj3 matrices of the
+    visible components (4 N3 x N3), HAT_W (dim r x N3) and D_A (3, r, r)."""
+
+    def build():
+        Q = fiber_basis_matrix(s)
+        return {
+            "proj3": np.concatenate([proj3_matrix(s, X.value)
+                                     for X in VISIBLE]),
+            "hat_w": w_matrix(hat_matrix(s), s),
+            "deriv": np.stack([Q.T @ s.deriv(ax, 4) @ Q for ax in AXES]),
+        }
+
+    return s.cache("w_core", build)
+
+
+def lcal_coords(C: np.ndarray, s: QuatStructure) -> np.ndarray:
+    """Lcal on W coordinates (..., dim, r): C -> -sum_A A C D_A^T."""
+    D = _w_core(s)["deriv"]
+    return -sum(s.mats[ax] @ C @ D[k].T for k, ax in enumerate(AXES))
+
+
+def lcal_halves(C: np.ndarray, s: QuatStructure) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of the H and S3H halves: (Lcal + 2)/6 and (4 - Lcal)/6."""
+    LC = lcal_coords(C, s)
+    return (LC + 2.0 * C) / 6.0, (4.0 * C - LC) / 6.0
+
+
+def split_coords(C: np.ndarray, ds: np.ndarray,
+                 s: QuatStructure) -> dict[ComponentLabel, np.ndarray]:
+    """Coordinates of the six components, from W coordinates C (..., dim, r)
+    and the contraction ds = d* a (..., N3) of the same tensors."""
+    core = _w_core(s)
+    lead = C.shape[:-2]
+    parts = (ds @ core["proj3"].T).reshape(*lead, len(VISIBLE), -1)
+    vis = (parts @ core["hat_w"].T).reshape(*lead, len(VISIBLE),
+                                            *C.shape[-2:])
+    out = {X: vis[..., k, :, :] for k, X in enumerate(VISIBLE)}
+    h, s3h = lcal_halves(C, s)
+    out[ComponentLabel.L3EH] = (h - out[ComponentLabel.KH]
+                                - out[ComponentLabel.EH])
+    out[ComponentLabel.KS3H] = (s3h - out[ComponentLabel.ES3H]
+                                - out[ComponentLabel.L3ES3H])
+    return out
+
+
+def _split(a: MixedTorsion, s: QuatStructure, tol: float,
+           check: bool) -> dict[ComponentLabel, np.ndarray]:
+    return split_coords(w_coords(a, s, tol, check), contract12(a).coeffs, s)
 
 
 def proj_hpart(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
                check: bool = True) -> MixedTorsion:
-    if check:
-        _check(a, s, tol)
-    La = s.lcal_raw(a)
-    return MixedTorsion(a.dim, (La.rows + 2.0 * a.rows) / 6.0)
+    return w_embed(lcal_halves(w_coords(a, s, tol, check), s)[0], s)
 
 
 def proj_s3hpart(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
                  check: bool = True) -> MixedTorsion:
-    if check:
-        _check(a, s, tol)
-    La = s.lcal_raw(a)
-    return MixedTorsion(a.dim, (4.0 * a.rows - La.rows) / 6.0)
+    return w_embed(lcal_halves(w_coords(a, s, tol, check), s)[1], s)
 
 
 def component(a: MixedTorsion, X: ComponentLabel, s: QuatStructure,
               tol: float = 1e-8, check: bool = True) -> MixedTorsion:
-    if check:
-        _check(a, s, tol)
-    if X in _PROJ3_OF:
-        ds = contract12(a)
-        part = proj3_matrix(s, _PROJ3_OF[X]) @ ds.coeffs
-        return MixedTorsion.from_flat(a.dim, hat_matrix(s) @ part)
-    if X is ComponentLabel.L3EH:
-        h = proj_hpart(a, s, check=False)
-        return (h - component(a, ComponentLabel.KH, s, check=False)
-                - component(a, ComponentLabel.EH, s, check=False))
-    h = proj_s3hpart(a, s, check=False)
-    return (h - component(a, ComponentLabel.ES3H, s, check=False)
-            - component(a, ComponentLabel.L3ES3H, s, check=False))
+    return components(a, s, tol, check)[X]
 
 
 def components(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
                check: bool = True) -> dict[ComponentLabel, MixedTorsion]:
-    """All six components (shares the d*/eigen work across labels)."""
-    if check:
-        _check(a, s, tol)
-    ds = contract12(a)
-    out = {}
-    for X, lab3 in _PROJ3_OF.items():
-        part = proj3_matrix(s, lab3) @ ds.coeffs
-        out[X] = MixedTorsion.from_flat(a.dim, hat_matrix(s) @ part)
-    out[ComponentLabel.L3EH] = (proj_hpart(a, s, check=False)
-                                - out[ComponentLabel.KH]
-                                - out[ComponentLabel.EH])
-    out[ComponentLabel.KS3H] = (proj_s3hpart(a, s, check=False)
-                                - out[ComponentLabel.ES3H]
-                                - out[ComponentLabel.L3ES3H])
-    return out
+    """All six components, embedded back into V* (x) Lambda^4."""
+    return {X: w_embed(c, s) for X, c in _split(a, s, tol, check).items()}
 
 
 @dataclass
@@ -152,8 +183,8 @@ class ComponentProfile:
 
 def profile(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
             check: bool = True) -> ComponentProfile:
-    comps = components(a, s, tol=tol, check=check)
     return ComponentProfile(
-        norms={X: c.norm() for X, c in comps.items()},
+        norms={X: float(np.linalg.norm(c))
+               for X, c in _split(a, s, tol, check).items()},
         total=a.norm(),
     )

@@ -57,22 +57,6 @@ def slot_sum(A: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def act_form(A: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The tensor action A b(X_1..X_s) = (-1)^s b(A X_1, .., A X_s), dense."""
-    t = np.asarray(t, dtype=float)
-    out = t
-    for i in range(t.ndim):
-        out = np.moveaxis(
-            np.tensordot(out, np.asarray(A, dtype=float), axes=(i, 0)), -1, i
-        )
-    return ((-1.0) ** t.ndim) * out
-
-
-def act_oneform(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A on a one-form: (A z)(x) = -z(Ax); with A antisymmetric this is A @ z."""
-    return np.asarray(A, dtype=float) @ np.asarray(v, dtype=float)
-
-
 class QuatStructure:
     """Immutable triple (I, J, K) with derived forms and cached operators."""
 
@@ -228,26 +212,12 @@ class QuatStructure:
 
         return self.cache(("wedge_omega", axis, p), build)
 
-    def wedge_fixed_matrix(self, b: AltForm, p: int, key=None) -> np.ndarray:
-        """Matrix of a -> a ^ b for degree-p a and the fixed form b."""
-
-        def build():
-            q = b.degree
-            o, ai, bi, sign = self.tab.wedge_table(p, q)
-            W = np.zeros((self.tab.nforms(p + q), self.tab.nforms(p)))
-            np.add.at(W, (o, ai), sign * b.coeffs[bi])
-            return W
-
-        if key is None:
-            return build()
-        return self.cache(("wedge_fixed", key, p), build)
-
     def pullback_matrix(self, axis: str, p: int) -> np.ndarray:
         """Matrix of b -> b(A ., .., A .) on degree-p coefficients (minors);
         the tensor action A b carries an extra (-1)^p on top of it."""
 
         def build():
-            T = np.asarray(self.tab.tuples(p), dtype=np.int64)
+            T = self.tab.columns(p).T
             A = self.mats[axis]
             sub = A[T[:, None, :, None], T[None, :, None, :]]
             # sub[s, t] = A[rows S, cols T];  P[t, s] = det(A[S, T])

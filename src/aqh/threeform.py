@@ -31,8 +31,6 @@ import numpy as np
 from .exterior import AltForm, DegreeError, MixedTorsion, interior
 from .structure import AXES, QuatStructure
 
-K2_FACTOR = 12  # xi normalisation 1/(12 k2)
-
 
 @dataclass
 class OneFormTriple:
@@ -47,14 +45,6 @@ class OneFormTriple:
 
     def __getitem__(self, axis: str) -> np.ndarray:
         return {"I": self.xi_I, "J": self.xi_J, "K": self.xi_K}[axis]
-
-    def as_dict(self) -> dict[str, list[float]]:
-        return {
-            "xi_I": self.xi_I.tolist(),
-            "xi_J": self.xi_J.tolist(),
-            "xi_K": self.xi_K.tolist(),
-            "xi": self.xi.tolist(),
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ where the fiber consists of the c whose rows satisfy
     i)*   c_x + sum_A c_x(A., A.) = 0
     ii)*  <c_x, w_A> = 0           for A = I, J, K.
 
-Because F acts row by row, W = V* (x) W4 for a fixed subspace W4 of 4-forms;
-every row of a W element satisfies L(row) = 2 row, and the inverse of F is
+Because F acts row by row, W = V* (x) W4 for a fixed subspace W4 of 4-forms.
+``fiber_basis_matrix`` gives an orthonormal basis Q of W4, so a tensor a has
+W coordinates C = aQ, and its relative distance |a - C Q^T| / |a| from W is
+the membership residual.  The inverse of F is
 
     -8n c(x, y, z) = <x hook a, y ^ (z hook Omega) - z ^ (y hook Omega)>.
 """
@@ -23,13 +25,13 @@ import math
 import numpy as np
 
 from .exterior import (
-        MixedTorsion,
+    MixedTorsion,
     MixedTwoFormFamily,
-    interior,
     tables,
     wedge22_rows,
 )
 from .structure import AXES, QuatStructure
+from .threeform import hook_omega_matrix
 
 
 class MembershipError(ValueError):
@@ -52,16 +54,30 @@ def fiber_residuals(c: MixedTwoFormFamily, s: QuatStructure) -> tuple[float, flo
     return res_i, math.sqrt(res_ii)
 
 
+def _fiber_project(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
+    """fiber_project on a stack (..., dim, dim) of antisymmetric matrices."""
+    T = sum(s.mats[a].T @ mats @ s.mats[a] for a in AXES)
+    out = (3.0 * mats - T) / 4.0
+    for a in AXES:
+        A = s.mats[a]
+        tr = 0.5 * np.einsum("...ij,ij->...", out, A)
+        out = out - tr[..., None, None] / (2 * s.n) * A
+    return out
+
+
+def _embed_rows(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
+    """F on a stack (..., dim, dim) of 2-forms, giving (..., N4) 4-forms."""
+    rows = 0.0
+    for a in AXES:
+        A = s.mats[a]
+        rows = rows + 0.25 * wedge22_rows(-(A.T @ mats + mats @ A), A)
+    return rows
+
+
 def fiber_project(c: MixedTwoFormFamily, s: QuatStructure) -> MixedTwoFormFamily:
     """Row-wise orthogonal projection onto the fiber: with T = sum_A c(A., A.)
     take (3c - Tc)/4, then remove the w_A traces."""
-    T = sum(s.mats[a].T @ c.mats @ s.mats[a] for a in AXES)
-    out = (3.0 * c.mats - T) / 4.0
-    for a in AXES:
-        A = s.mats[a]
-        tr = 0.5 * np.einsum("xij,ij->x", out, A)
-        out = out - tr[:, None, None] / (2 * s.n) * A
-    return MixedTwoFormFamily(c.dim, out)
+    return MixedTwoFormFamily(c.dim, _fiber_project(c.mats, s))
 
 
 def F_map(c: MixedTwoFormFamily, s: QuatStructure, check: bool = True,
@@ -73,28 +89,16 @@ def F_map(c: MixedTwoFormFamily, s: QuatStructure, check: bool = True,
             raise MembershipError(
                 f"input is outside the fiber: residuals "
                 f"{r1 / scale:.2e}, {r2 / scale:.2e}")
-    rows = np.zeros((c.dim, math.comb(c.dim, 4)))
-    for a in AXES:
-        A = s.mats[a]
-        iA = -(A.T @ c.mats + c.mats @ A)
-        rows += 0.25 * wedge22_rows(iA, A)
-    return MixedTorsion(c.dim, rows)
+    return MixedTorsion(c.dim, _embed_rows(c.mats, s))
 
 
 def _hook_omega_table(s: QuatStructure) -> np.ndarray:
-    """G[y, z] = coefficients of y ^ (z hook Omega) for basis vectors y, z."""
+    """G[y, u, z] = coefficient u of e_y ^ (e_z hook Omega)."""
 
     def build():
-        dim = s.dim
-        N4 = math.comb(dim, 4)
-        G = np.zeros((dim, dim, N4))
-        eye = np.eye(dim)
-        for z in range(dim):
-            zo = interior(eye[z], s.Omega)
-            for y in range(dim):
-                u, _m, r, t, sign = tables(dim).exp_table(4)
-                vals = sign * eye[y][r] * zo.coeffs[t]
-                G[y, z] = np.bincount(u, weights=vals, minlength=N4)
+        u, _m, r, t, sign = s.tab.exp_table(4)
+        G = np.zeros((s.dim, s.tab.nforms(4), s.dim))
+        G[r, u] = sign[:, None] * hook_omega_matrix(s)[t]
         return G
 
     return s.cache("hook_omega_table", build)
@@ -102,40 +106,60 @@ def _hook_omega_table(s: QuatStructure) -> np.ndarray:
 
 def f_inverse_raw(a: MixedTorsion, s: QuatStructure) -> MixedTwoFormFamily:
     """The contraction inverse of F, valid on W (no membership check)."""
-    G = _hook_omega_table(s)
-    c = np.einsum("xc,yzc->xyz", a.rows, G)
+    c = np.einsum("xu,yuz->xyz", a.rows, _hook_omega_table(s))
     c = c - c.transpose(0, 2, 1)
     return MixedTwoFormFamily(a.dim, -c / (8 * s.n))
 
 
 def F_inverse(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8) -> MixedTwoFormFamily:
-    ok, resid = is_in_W(a, s, tol)
-    if not ok:
-        raise MembershipError(
-            f"tensor is not in the torsion space (residual {resid:.2e})")
+    require_in_W(a, s, tol)
     return f_inverse_raw(a, s)
 
 
 def is_in_W(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8) -> tuple[bool, float]:
-    """Membership test: every row in the L = 2 eigenspace of L on 4-forms,
-    and the F round trip reproduces the tensor."""
-    scale = max(a.norm(), 1e-300)
-    L4 = s.L_matrix(4)
-    row_resid = float(np.linalg.norm(a.rows @ L4.T - 2.0 * a.rows)) / scale
-    back = F_map(f_inverse_raw(a, s), s, check=False)
-    rt_resid = float(np.linalg.norm(back.rows - a.rows)) / scale
-    resid = max(row_resid, rt_resid)
+    """Membership as distance: the residual is |a - (aQ)Q^T| / |a|, the
+    relative distance of a from W = V* (x) span(Q)."""
+    Q = fiber_basis_matrix(s)
+    resid = float(np.linalg.norm(a.rows - (a.rows @ Q) @ Q.T))
+    resid /= max(a.norm(), 1e-300)
     return resid <= tol, resid
+
+
+def require_in_W(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8):
+    """Raise MembershipError unless a lies within tol*|a| of W."""
+    ok, resid = is_in_W(a, s, tol)
+    if not ok:
+        raise MembershipError(
+            f"tensor is not in the torsion space (residual {resid:.2e})")
+
+
+def w_coords(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
+             check: bool = True) -> np.ndarray:
+    """Coordinates C = aQ (dim x r) of a in the orthonormal W basis, after
+    require_in_W when check is set."""
+    if check:
+        require_in_W(a, s, tol)
+    return a.rows @ fiber_basis_matrix(s)
+
+
+def w_matrix(M: np.ndarray, s: QuatStructure) -> np.ndarray:
+    """W coordinates (dim*r x k) of a matrix (dim*N4 x k) whose columns are
+    tensors in W."""
+    Q = fiber_basis_matrix(s)
+    M = np.swapaxes(M.reshape(s.dim, Q.shape[0], -1), 1, 2) @ Q
+    return np.swapaxes(M, 1, 2).reshape(s.dim * Q.shape[1], -1)
+
+
+def w_embed(C: np.ndarray, s: QuatStructure) -> MixedTorsion:
+    """The tensor with W coordinates C (dim x r): rows C Q^T."""
+    return MixedTorsion(s.dim, C @ fiber_basis_matrix(s).T)
 
 
 def extract_cA(a: MixedTorsion, s: QuatStructure,
                tol: float = 1e-8) -> dict[str, MixedTwoFormFamily]:
     """The unique triple with a = sum_A c_A ^ w_A:
     -4n c_A(x; y, z) = sum_r a(x; y, z, e_r, A e_r)."""
-    ok, resid = is_in_W(a, s, tol)
-    if not ok:
-        raise MembershipError(
-            f"tensor is not in the torsion space (residual {resid:.2e})")
+    require_in_W(a, s, tol)
     dim = a.dim
     flat, sign = tables(dim).dense_table(4)
     out = {}
@@ -210,16 +234,13 @@ def fiber_basis_matrix(s: QuatStructure) -> np.ndarray:
     W = V* (x) span(Q)."""
 
     def build():
-        dim, tab = s.dim, s.tab
-        N2 = tab.nforms(2)
-        cols = []
-        for k in range(N2):
-            rows = np.zeros((dim, N2))
-            rows[0, k] = 1.0
-            fam = MixedTwoFormFamily.from_coeff_rows(dim, rows)
-            img = F_map(fiber_project(fam, s), s, check=False)
-            cols.append(img.rows[0])
-        M = np.stack(cols, axis=1)
+        dim, N2 = s.dim, s.tab.nforms(2)
+        i, j = s.tab.columns(2)
+        k = np.arange(N2)
+        basis = np.zeros((N2, dim, dim))
+        basis[k, i, j] = 1.0
+        basis[k, j, i] = -1.0
+        M = _embed_rows(_fiber_project(basis, s), s).T
         u, sv, _ = np.linalg.svd(M, full_matrices=False)
         r = w_dim(s.n) // dim
         if not (sv[r - 1] > 1e-10 and (len(sv) <= r or sv[r] < 1e-10)):
@@ -227,31 +248,6 @@ def fiber_basis_matrix(s: QuatStructure) -> np.ndarray:
         return u[:, :r]
 
     return s.cache("fiber_basis", build)
-
-
-def w_coords(a: MixedTorsion, s: QuatStructure) -> np.ndarray:
-    """Coordinates of a in the orthonormal W basis (dim x r, flattened)."""
-    Q = fiber_basis_matrix(s)
-    return (a.rows @ Q).reshape(-1)
-
-
-def w_embed(coords: np.ndarray, s: QuatStructure) -> MixedTorsion:
-    Q = fiber_basis_matrix(s)
-    rows = coords.reshape(s.dim, Q.shape[1]) @ Q.T
-    return MixedTorsion(s.dim, rows)
-
-
-def w_operator_matrix(op, s: QuatStructure) -> np.ndarray:
-    """Matrix of a W-preserving operator in the orthonormal W basis."""
-    Q = fiber_basis_matrix(s)
-    r = Q.shape[1]
-    D = s.dim * r
-    M = np.zeros((D, D))
-    for k in range(D):
-        e = np.zeros(D)
-        e[k] = 1.0
-        M[:, k] = w_coords(op(w_embed(e, s)), s)
-    return M
 
 
 def random_W_element(s: QuatStructure, seed: int) -> MixedTorsion:

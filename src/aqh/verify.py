@@ -21,7 +21,7 @@ from .exterior import (
     contract12,
     inner,
     interior,
-        wedge,
+    wedge,
     wedge1,
     wedge_power,
 )
@@ -31,7 +31,7 @@ from .structure import (
     insert,
     random_rotation,
     rotate_adapted,
-        standard_structure,
+    standard_structure,
 )
 from . import torsion as T
 from . import threeform as TF
@@ -319,8 +319,8 @@ def check_threeforms(s: QuatStructure, rng) -> list[CheckResult]:
     out.append(CheckResult("right-inverse-lands-in-torsion-space",
                            resid, 1e-8))
 
-    expected = {"KH": 32 if s.n == 2 else 128, "EH": 4 * s.n,
-                "L3ES3H": 0 if s.n == 2 else 56, "ES3H": 8 * s.n}
+    expected = {lab: PR.COMPONENT_DIMS[PR.ComponentLabel(lab)](s.n)
+                for lab in ("KH", "EH", "L3ES3H", "ES3H")}
     worst = 0.0
     detail = []
     for lab, want in expected.items():
@@ -394,40 +394,49 @@ def check_threeforms(s: QuatStructure, rng) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def dstar_on_W(s: QuatStructure) -> np.ndarray:
+    """The contraction d* as a matrix (N3 x dim*r) on W coordinates."""
+    Q = T.fiber_basis_matrix(s)
+    N3, N4 = s.tab.nforms(3), s.tab.nforms(4)
+    DST = TF.dstar_matrix(s).reshape(N3, s.dim, N4)
+    return (DST @ Q).reshape(N3, -1)
+
+
 def component_matrices_on_W(s: QuatStructure) -> dict:
-    """Matrices of the six component projectors in the orthonormal W basis."""
+    """Matrices (dim*r x dim*r) of the library's six component projectors
+    and of the two Lcal halves, in the orthonormal W basis."""
 
     def build():
-        Q = T.fiber_basis_matrix(s)
-        dim, r = s.dim, Q.shape[1]
-        N3, N4 = s.tab.nforms(3), s.tab.nforms(4)
-        DST = TF.dstar_matrix(s).reshape(N3, dim, N4)
-        DST_W = np.einsum("tdn,nr->tdr", DST, Q).reshape(N3, dim * r)
-        HATm = TF.hat_matrix(s).reshape(dim, N4, N3)
-        HAT_W = np.einsum("dnt,nr->drt", HATm, Q).reshape(dim * r, N3)
-        mats = {}
-        for X, lab in {PR.ComponentLabel.KH: "KH", PR.ComponentLabel.EH: "EH",
-                       PR.ComponentLabel.ES3H: "ES3H",
-                       PR.ComponentLabel.L3ES3H: "L3ES3H"}.items():
-            mats[X] = HAT_W @ TF.proj3_matrix(s, lab) @ DST_W
-        # Lcal on W coordinates: C -> -sum_A A C D'_A^T, D' = Q^T D Q
-        Lc = np.zeros((dim * r, dim * r))
-        for ax in AXES:
-            Dp = Q.T @ s.deriv(ax, 4) @ Q
-            Lc -= np.kron(s.mats[ax], Dp)
-        eye = np.eye(dim * r)
-        hpart = (Lc + 2 * eye) / 6.0
-        s3hpart = (4 * eye - Lc) / 6.0
-        mats[PR.ComponentLabel.L3EH] = (hpart - mats[PR.ComponentLabel.KH]
-                                        - mats[PR.ComponentLabel.EH])
-        mats[PR.ComponentLabel.KS3H] = (s3hpart
-                                        - mats[PR.ComponentLabel.ES3H]
-                                        - mats[PR.ComponentLabel.L3ES3H])
-        mats["hpart"] = hpart
-        mats["s3hpart"] = s3hpart
+        D = T.w_dim(s.n)
+        basis = np.eye(D).reshape(D, s.dim, -1)
+        ds = dstar_on_W(s).T
+        mats = {X: c.reshape(D, D).T
+                for X, c in PR.split_coords(basis, ds, s).items()}
+        h, s3h = PR.lcal_halves(basis, s)
+        mats["hpart"] = h.reshape(D, D).T
+        mats["s3hpart"] = s3h.reshape(D, D).T
         return mats
 
     return s.cache("component_matrices_W", build)
+
+
+def paper_components(a: MixedTorsion, s: QuatStructure) -> dict:
+    """The six components by the paper's route on full rows: hat_dstar of
+    the proj3 parts of d* a for the four visible ones, and the eigen-split of
+    the dense Lcal for the two invisible ones."""
+    ds = contract12(a).coeffs
+    out = {X: MixedTorsion.from_flat(
+        s.dim, TF.hat_matrix(s) @ (TF.proj3_matrix(s, X.value) @ ds))
+        for X in PR.VISIBLE}
+    La = s.lcal_raw(a)
+    hpart = (La + 2.0 * a) * (1.0 / 6.0)
+    s3hpart = (4.0 * a - La) * (1.0 / 6.0)
+    L, K, E = PR.ComponentLabel.L3EH, PR.ComponentLabel.KH, PR.ComponentLabel.EH
+    l, k, e = (PR.ComponentLabel.L3ES3H, PR.ComponentLabel.KS3H,
+               PR.ComponentLabel.ES3H)
+    out[L] = hpart - out[K] - out[E]
+    out[k] = s3hpart - out[e] - out[l]
+    return out
 
 
 def check_components(s: QuatStructure, rng) -> list[CheckResult]:
@@ -453,7 +462,9 @@ def check_components(s: QuatStructure, rng) -> list[CheckResult]:
     out.append(CheckResult("component-traces", worst, 1e-6,
                            ", ".join(detail)))
 
-    want_h = 40 if s.n == 2 else 168
+    want_h = sum(PR.COMPONENT_DIMS[X](s.n) for X in
+                 (PR.ComponentLabel.L3EH, PR.ComponentLabel.KH,
+                  PR.ComponentLabel.EH))
     worst = max(abs(float(np.trace(mats["hpart"])) - want_h),
                 abs(float(np.trace(mats["s3hpart"])) - 2 * want_h))
     out.append(CheckResult("eigen-split-traces", worst, 1e-6,
@@ -470,17 +481,10 @@ def check_components(s: QuatStructure, rng) -> list[CheckResult]:
                            "d* kills the two invisible components"))
 
     # smallest singular value of d* on the span of the four visible ones
-    Q = T.fiber_basis_matrix(s)
-    dim, r = s.dim, Q.shape[1]
-    N3, N4 = s.tab.nforms(3), s.tab.nforms(4)
-    DST = TF.dstar_matrix(s).reshape(N3, dim, N4)
-    DST_W = np.einsum("tdn,nr->tdr", DST, Q).reshape(N3, dim * r)
-    vis = sum(mats[X] for X in (PR.ComponentLabel.KH, PR.ComponentLabel.EH,
-                                PR.ComponentLabel.ES3H,
-                                PR.ComponentLabel.L3ES3H))
+    vis = sum(mats[X] for X in PR.VISIBLE)
     ev, vec = np.linalg.eigh(0.5 * (vis + vis.T))
     basis = vec[:, ev > 0.5]
-    sv = np.linalg.svd(DST_W @ basis, compute_uv=False)
+    sv = np.linalg.svd(dstar_on_W(s) @ basis, compute_uv=False)
     out.append(CheckResult("contraction-injective-on-visible",
                            1e-6 / float(sv.min()), 1.0,
                            f"smallest singular value {sv.min():.3f}"))

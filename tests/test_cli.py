@@ -86,3 +86,15 @@ def test_liealg_abelian(tmp_path, capsys):
     p.write_text(json.dumps({"n": 2, "brackets": []}))
     assert main(["liealg", "--input", str(p)]) == 0
     assert "QK" in capsys.readouterr().out
+
+
+def test_classify_zero_tensor_without_coefficients(tmp_path, capsys):
+    from aqh import MixedTorsion
+    from aqh.exterior import mixed_to_json
+
+    data = mixed_to_json(MixedTorsion.zero(8))
+    assert data["coeffs"] == {}
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps(data))
+    assert main(["classify", "--input", str(p), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["key"] == "QK"

@@ -122,3 +122,85 @@ def test_mixed_eigen_contraction_formula(s3, pool3):
     rhs = MixedTorsion(12, 4 * aM.rows + torsion_embed(ds, s3).rows)
     assert np.linalg.norm(lhs.rows - rhs.rows) / aM.norm() < 1e-9
     assert np.abs(xi(ds, s3)).max() / aM.norm() < 1e-9
+
+
+def test_component_dims_closed_forms():
+    """The closed forms reproduce the census at n = 2, 3 and add up to
+    dim W for every n; no structure is built."""
+    from aqh import w_dim
+
+    order = (ComponentLabel.L3EH, ComponentLabel.KH, ComponentLabel.EH,
+             ComponentLabel.L3ES3H, ComponentLabel.KS3H, ComponentLabel.ES3H)
+    assert [COMPONENT_DIMS[X](2) for X in order] == [0, 32, 8, 0, 64, 16]
+    assert [COMPONENT_DIMS[X](3) for X in order] == [28, 128, 12, 56, 256, 24]
+    for n in range(2, 7):
+        assert sum(COMPONENT_DIMS[X](n) for X in order) == w_dim(n)
+    assert w_dim(4) == 1296
+
+
+def _mixture(pool, seed, dim):
+    rng = np.random.default_rng(seed)
+    return sum((c * float(10.0 ** rng.uniform(-3, 3)) for c in pool.values()),
+               start=MixedTorsion.zero(dim))
+
+
+def _frames(s2, s3):
+    from aqh import random_rotation, rotate_adapted
+
+    q = random_rotation(np.random.default_rng(17))
+    return (s2, s3, rotate_adapted(q, s3))
+
+
+def test_core_matches_paper_route(s2, s3):
+    """The W-coordinate core against hat_dstar o proj3 o d* and the dense
+    Lcal eigen-split on full rows, in three frames."""
+    from aqh.verify import paper_components
+
+    for s in _frames(s2, s3):
+        a = random_W_element(s, 31)
+        m = _mixture(components(a, s), 32, s.dim)
+        for t in (a, m):
+            norms = profile(t, s).norms
+            paper = paper_components(t, s)
+            core = components(t, s)
+            for X in ComponentLabel:
+                assert abs(norms[X] - paper[X].norm()) < 1e-12 * t.norm()
+                assert (np.linalg.norm(core[X].rows - paper[X].rows)
+                        < 1e-12 * t.norm())
+
+
+def test_membership_is_distance_to_W(s2, s3):
+    from aqh import classify, is_in_W, table2_residual
+    from aqh.torsion import fiber_basis_matrix
+
+    for s in _frames(s2, s3):
+        a = _mixture(components(random_W_element(s, 33), s), 34, s.dim)
+        ok, resid = is_in_W(a, s)
+        assert ok and resid < 1e-12
+        Q = fiber_basis_matrix(s)
+        raw = np.random.default_rng(35).standard_normal(a.rows.shape)
+        off = raw - (raw @ Q) @ Q.T
+        bad = a + MixedTorsion(s.dim, off) * (1e-6 * a.norm()
+                                              / np.linalg.norm(off))
+        ok, resid = is_in_W(bad, s)
+        assert not ok and resid == pytest.approx(1e-6, rel=1e-3)
+        for fn in (lambda: components(bad, s), lambda: classify(bad, s),
+                   lambda: table2_residual(bad, s, "QK")):
+            with pytest.raises(MembershipError):
+                fn()
+
+
+def test_embeddings_land_in_W(s2, s3):
+    """The covariant table column is evaluated on W coordinates, which needs
+    the images of torsion_embed and of the zeta rows to lie in W."""
+    from aqh import is_in_W, torsion_embed
+    from aqh.exterior import AltForm
+    from aqh.threeform import r_matrix
+
+    rng = np.random.default_rng(36)
+    for s in _frames(s2, s3):
+        b = AltForm(s.dim, 3, rng.standard_normal(s.tab.nforms(3)))
+        rz = MixedTorsion.from_flat(
+            s.dim, r_matrix(s) @ rng.standard_normal(s.dim))
+        for t in (torsion_embed(b, s), rz):
+            assert is_in_W(t, s, 1e-12)[0]

@@ -173,3 +173,20 @@ def test_torsion_space_dimension(s2, s3):
                             for i in range(expected + 12)])
         sv = np.linalg.svd(samples, compute_uv=False)
         assert int((sv > sv[0] * 1e-10).sum()) == expected
+
+
+def test_fiber_basis_matches_per_column_build(s2, s3):
+    """The batched build spans the same subspace as F(fiber_project(.))
+    applied one basis 2-form at a time."""
+    for s in (s2, s3):
+        Q = fiber_basis_matrix(s)
+        cols = []
+        for i, j in s.tab.tuples(2):
+            mats = np.zeros((s.dim,) * 3)
+            mats[0, i, j], mats[0, j, i] = 1.0, -1.0
+            fam = fiber_project(MixedTwoFormFamily(s.dim, mats), s)
+            cols.append(F_map(fam, s, check=False).rows[0])
+        u, sv, _ = np.linalg.svd(np.stack(cols, axis=1), full_matrices=False)
+        ref = u[:, :Q.shape[1]]
+        assert sv[Q.shape[1]] < 1e-10
+        np.testing.assert_allclose(Q @ Q.T, ref @ ref.T, atol=1e-12)
