@@ -13,6 +13,11 @@ arguments is recovered through permutation signs.  Conventions:
 
 Mixed tensors with one covariant slot followed by an alternating part are kept
 as one coefficient row per first-slot basis vector.
+
+Every slot operator is read from one incidence table, ``exp_table(p)``
+(dropping entry r of p-tuple #u leaves (p-1)-tuple #t, with a sign): interior
+products and contractions accumulate into t, one-form wedges (``wedge_rows``)
+into u, and slot derivations pair the rows through one t (``der_table``).
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ import numpy as np
 
 class DegreeError(ValueError):
     """Raised when form degrees do not fit the requested operation."""
+
+
+class InputFormatError(ValueError):
+    """Raised for JSON input that breaks a format rule, naming the key."""
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +61,6 @@ class FormTables:
         self._hodge: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._der: dict[int, tuple[np.ndarray, ...]] = {}
         self._dense: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._alt5: tuple[np.ndarray, ...] | None = None
-        self._c12: tuple[np.ndarray, ...] | None = None
 
     def nforms(self, p: int) -> int:
         return math.comb(self.dim, p)
@@ -83,22 +90,17 @@ class FormTables:
         """Rows (u, m, r, t, sign): dropping position m (value r) from the
         p-tuple #u leaves the (p-1)-tuple #t, with sign (-1)^m.
 
-        Drives interior products (accumulate into t) and one-form wedges
-        (accumulate into u)."""
+        Drives every slot operator (see the module docstring)."""
         if p not in self._exp:
-            idx = self.index(p - 1)
-            u_l, m_l, r_l, t_l, s_l = [], [], [], [], []
-            for u, T in enumerate(self.tuples(p)):
-                for m in range(p):
-                    rest = T[:m] + T[m + 1:]
-                    u_l.append(u)
-                    m_l.append(m)
-                    r_l.append(T[m])
-                    t_l.append(idx[rest])
-                    s_l.append(-1.0 if m % 2 else 1.0)
-            self._exp[p] = tuple(
-                np.asarray(a) for a in (u_l, m_l, r_l, t_l, s_l)
-            )
+            # rank the (p-1)-tuples left over by their bit masks
+            bit = 1 << np.arange(self.dim, dtype=np.int64)
+            masks = bit[self.columns(p - 1)].sum(axis=0)
+            order = np.argsort(masks)
+            r = self.columns(p).T.ravel()
+            rest = np.repeat(bit[self.columns(p)].sum(axis=0), p) - bit[r]
+            t = order[np.searchsorted(masks[order], rest)]
+            u, m = np.divmod(np.arange(r.size), p)
+            self._exp[p] = (u, m, r, t, np.where(m % 2, -1.0, 1.0))
         return self._exp[p]
 
     def wedge_table(self, p: int, q: int):
@@ -141,27 +143,17 @@ class FormTables:
     def der_table(self, p: int):
         """Rows (t, s, z, r, sign) so that the matrix of the slot-derivation
         b -> sum_i b(.., M X_i, ..) on degree p is
-        D[t, s] += M[z, r] * sign   over all rows."""
+        D[t, s] += M[z, r] * sign   over all rows: the pairs of
+        ``exp_table(p)`` rows (t, r) and (s, z) through one (p-1)-tuple."""
         if p not in self._der:
-            idx = self.index(p)
-            t_l, s_l, z_l, r_l, g_l = [], [], [], [], []
-            for ti, T in enumerate(self.tuples(p)):
-                for m in range(p):
-                    rest = T[:m] + T[m + 1:]
-                    restset = set(rest)
-                    for z in range(self.dim):
-                        if z in restset:
-                            continue
-                        pos = sum(1 for x in rest if x < z)
-                        S = rest[:pos] + (z,) + rest[pos:]
-                        t_l.append(ti)
-                        s_l.append(idx[S])
-                        z_l.append(z)
-                        r_l.append(T[m])
-                        g_l.append((-1.0) ** (m - pos))
-            self._der[p] = tuple(
-                np.asarray(a) for a in (t_l, s_l, z_l, r_l, g_l)
-            )
+            u, _m, r, t, sign = self.exp_table(p)
+            # every (p-1)-tuple is reached from dim - p + 1 p-tuples
+            order = np.argsort(t, kind="stable")
+            U, R, S = (a[order].reshape(-1, self.dim - p + 1, 1)
+                       for a in (u, r, sign))
+            Ut, Rt, St = (a.swapaxes(1, 2) for a in (U, R, S))
+            rows = np.broadcast_arrays(U, Ut, Rt, R, S * St)
+            self._der[p] = tuple(a.ravel() for a in rows)
         return self._der[p]
 
     def dense_table(self, p: int):
@@ -188,30 +180,6 @@ class FormTables:
                 signs.append((-1.0) ** inv)
             self._dense[p] = (np.stack(flats), np.asarray(signs))
         return self._dense[p]
-
-    def alt5_table(self):
-        """Rows (o, r, t, sign) for the alternation of a mixed (1+4)-slot
-        tensor into a 5-form: out[o] = sum sign * rows[r, t]."""
-        if self._alt5 is None:
-            idx4 = self.index(4)
-            o_l, r_l, t_l, s_l = [], [], [], []
-            for o, T in enumerate(self.tuples(5)):
-                for m in range(5):
-                    rest = T[:m] + T[m + 1:]
-                    o_l.append(o)
-                    r_l.append(T[m])
-                    t_l.append(idx4[rest])
-                    s_l.append((-1.0) ** m)
-            self._alt5 = tuple(np.asarray(a) for a in (o_l, r_l, t_l, s_l))
-        return self._alt5
-
-    def c12_table(self):
-        """Rows (t, r, u, sign) for the first-slot metric contraction of a
-        mixed (1+4)-slot tensor: out[t] = sum sign * rows[r, u]."""
-        if self._c12 is None:
-            u_arr, m_arr, r_arr, t_arr, s_arr = self.exp_table(4)
-            self._c12 = (t_arr, r_arr, u_arr, s_arr)
-        return self._c12
 
 
 @lru_cache(maxsize=None)
@@ -332,9 +300,8 @@ def interior(x: np.ndarray, a: AltForm) -> AltForm:
         raise DegreeError("cannot contract a 0-form")
     x = np.asarray(x, dtype=float)
     u, _m, r, t, sign = tables(a.dim).exp_table(a.degree)
-    vals = sign * x[r] * a.coeffs[u]
-    out = np.bincount(t, weights=vals,
-                      minlength=math.comb(a.dim, a.degree - 1))
+    out = _accumulate(t, sign * x[r] * a.coeffs[u],
+                      math.comb(a.dim, a.degree - 1))
     return AltForm(a.dim, a.degree - 1, out)
 
 
@@ -344,10 +311,40 @@ def wedge1(x: np.ndarray, b: AltForm) -> AltForm:
         raise DegreeError("wedge degree exceeds dimension")
     x = np.asarray(x, dtype=float)
     u, _m, r, t, sign = tables(b.dim).exp_table(b.degree + 1)
-    vals = sign * x[r] * b.coeffs[t]
-    out = np.bincount(u, weights=vals,
-                      minlength=math.comb(b.dim, b.degree + 1))
+    out = _accumulate(u, sign * x[r] * b.coeffs[t],
+                      math.comb(b.dim, b.degree + 1))
     return AltForm(b.dim, b.degree + 1, out)
+
+
+def _accumulate(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """out[..., i] = sum of vals[..., k] over k with idx[k] = i, as one
+    bincount over the flattened leading axes."""
+    lead = vals.shape[:-1]
+    B = math.prod(lead)
+    if lead:
+        idx = (np.arange(B)[:, None] * n + idx).ravel()
+    out = np.bincount(idx, weights=vals.ravel(), minlength=B * n)
+    return out.reshape(lead + (n,))
+
+
+def wedge_rows(rows: np.ndarray, p: int) -> np.ndarray:
+    """sum_r e^r ^ rows[..., r, :] for p-form coefficient rows
+    (..., dim, N_p), giving (..., N_{p+1})."""
+    rows = np.asarray(rows, dtype=float)
+    dim = rows.shape[-2]
+    u, _m, r, t, sign = tables(dim).exp_table(p + 1)
+    return _accumulate(u, sign * rows[..., r, t], math.comb(dim, p + 1))
+
+
+def derivation(M: np.ndarray, b: AltForm) -> np.ndarray:
+    """Coefficients (..., N_p) of the slot derivation
+    b -> sum_i b(.., M X_i, ..) for every matrix of a stack (..., dim, dim)."""
+    M = np.asarray(M, dtype=float)
+    if b.degree == 0:
+        return np.zeros(M.shape[:-2] + (1,))
+    t, s, z, r, sign = tables(b.dim).der_table(b.degree)
+    return _accumulate(t, M[..., z, r] * (sign * b.coeffs[s]),
+                       math.comb(b.dim, b.degree))
 
 
 def inner(a: AltForm, b: AltForm) -> float:
@@ -464,18 +461,14 @@ class MixedTwoFormFamily:
 def contract12(a: MixedTorsion) -> AltForm:
     """First-slot metric contraction with a minus sign:
     out(y,z,u) = -sum_r a(e_r; e_r, y, z, u)."""
-    t, r, u, sign = tables(a.dim).c12_table()
-    vals = -sign * a.rows[r, u]
-    out = np.bincount(t, weights=vals, minlength=math.comb(a.dim, 3))
-    return AltForm(a.dim, 3, out)
+    u, _m, r, t, sign = tables(a.dim).exp_table(4)
+    return AltForm(a.dim, 3, _accumulate(t, -sign * a.rows[r, u],
+                                         math.comb(a.dim, 3)))
 
 
 def alternate5(a: MixedTorsion) -> AltForm:
     """Cyclic-sum alternation of the five slots into a 5-form."""
-    o, r, t, sign = tables(a.dim).alt5_table()
-    vals = sign * a.rows[r, t]
-    out = np.bincount(o, weights=vals, minlength=math.comb(a.dim, 5))
-    return AltForm(a.dim, 5, out)
+    return AltForm(a.dim, 5, wedge_rows(a.rows, 4))
 
 
 def wedge22_rows(mats: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -495,6 +488,59 @@ def wedge22_rows(mats: np.ndarray, omega: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _json_n(data: dict) -> int:
+    """The "n" of a JSON description, which must be an integer >= 2."""
+    n = data.get("n")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise InputFormatError(f"key 'n': {n!r} is not an integer >= 2")
+    return n
+
+
+def _json_index(where: str, i, dim: int) -> int:
+    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < dim:
+        raise InputFormatError(f"{where}: index {i!r} is outside [0, {dim})")
+    return i
+
+
+def _json_value(where: str, v) -> float:
+    try:
+        x = float(v)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise InputFormatError(f"{where}: value {v!r} is not a finite number")
+    return x
+
+
+def _json_coeffs(data: dict, dim: int, p: int, lead: int):
+    """Row indices (K, lead), tuple numbers and values (K,) of a JSON tensor
+    whose keys are `lead` row indices followed by an increasing p-tuple."""
+    coeffs = data.get("coeffs", {})
+    idx = tables(dim).index(p)
+    try:
+        T = [tuple(map(int, key.split(","))) for key in coeffs]
+        u = [idx[t[lead:]] for t in T]
+        rows = np.array([t[:lead] for t in T], dtype=np.int64)
+        vals = np.array([float(v) for v in coeffs.values()])
+        if np.isfinite(vals).all() and ((rows >= 0) & (rows < dim)).all():
+            return rows.reshape(len(T), lead), u, vals
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    # name the first offending key
+    for key, v in coeffs.items():
+        where = f"coefficient key {key!r}"
+        try:
+            T = tuple(map(int, key.split(",")))
+        except ValueError:
+            raise InputFormatError(f"{where} is not a list of integers") from None
+        for i in T:
+            _json_index(where, i, dim)
+        if len(T) != lead + p or T[lead:] not in idx:
+            raise InputFormatError(f"{where}: needs {lead + p} indices, the "
+                                   f"last {p} increasing")
+        _json_value(where, v)
+
+
 def form_to_json(a: AltForm) -> dict:
     tab = tables(a.dim)
     coeffs = {
@@ -506,15 +552,11 @@ def form_to_json(a: AltForm) -> dict:
 
 
 def form_from_json(data: dict) -> AltForm:
-    dim = 4 * int(data["n"])
-    p = int(data["degree"])
-    idx = tables(dim).index(p)
+    dim = 4 * _json_n(data)
+    p = _json_index("key 'degree'", data.get("degree"), dim + 1)
     out = AltForm.zero(dim, p)
-    for key, v in data.get("coeffs", {}).items():
-        T = tuple(int(s) for s in key.split(","))
-        if len(T) != p:
-            raise DegreeError(f"coefficient key {key!r} is not a {p}-tuple")
-        out.coeffs[idx[T]] = float(v)
+    _, u, vals = _json_coeffs(data, dim, p, 0)
+    out.coeffs[u] = vals
     return out
 
 
@@ -529,15 +571,10 @@ def mixed_to_json(a: MixedTorsion) -> dict:
 
 
 def mixed_from_json(data: dict) -> MixedTorsion:
-    dim = 4 * int(data["n"])
-    idx = tables(dim).index(4)
+    dim = 4 * _json_n(data)
     out = MixedTorsion.zero(dim)
-    for key, v in data.get("coeffs", {}).items():
-        T = tuple(int(s) for s in key.split(","))
-        if len(T) != 5:
-            raise DegreeError(
-                f"mixed tensor key {key!r} must be (row, i, j, k, l)")
-        out.rows[T[0], idx[T[1:]]] = float(v)
+    rows, u, vals = _json_coeffs(data, dim, 4, 1)
+    out.rows[rows[:, 0], u] = vals
     return out
 
 

@@ -7,7 +7,11 @@ Levi-Civita connection comes from the Koszul formula
     2 <nabla_x y, z> = <[x,y], z> - <[y,z], x> + <[z,x], y>,
 
 invariant forms differentiate by slot insertion of nabla, the exterior
-derivative is the bracket alternation
+derivative is Koszul's derivation formula
+
+    d = (1/2) sum_k e^k ^ theta(e_k),   theta(e_k) = -ad(e_k) as a derivation,
+
+which equals the bracket alternation
 
     db(x_0..x_p) = sum_{i<j} (-1)^{i+j} b([x_i, x_j], x_0..^i..^j..x_p),
 
@@ -16,7 +20,6 @@ and the Nijenhuis tensor of each complex structure measures integrability.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -24,13 +27,18 @@ import numpy as np
 
 from .exterior import (
     AltForm,
+    InputFormatError,
     MixedTorsion,
     MixedTwoFormFamily,
+    _json_index,
+    _json_n,
+    _json_value,
     alternate5,
     contract12,
-    tables,
+    derivation,
     wedge,
     wedge1,
+    wedge_rows,
 )
 from .structure import (
     AXES,
@@ -39,6 +47,7 @@ from .structure import (
     standard_structure,
     structure_from_json,
 )
+from .threeform import xi_triple
 from .torsion import from_nabla_omegas, is_in_W
 from .classify import (
     DerivedFromDOmega,
@@ -118,27 +127,14 @@ def nabla_dense(g: MetricLieAlgebra, G: np.ndarray,
 
 def nabla_form(g: MetricLieAlgebra, G: np.ndarray, w: AltForm) -> np.ndarray:
     """Rows of coefficient vectors of nabla w (one row per direction)."""
-    dim = g.dim
-    tab = tables(dim)
-    t, sidx, z, r, sign = tab.der_table(w.degree)
-    rows = np.zeros((dim, tab.nforms(w.degree)))
-    for x in range(dim):
-        M = G[x].T
-        D = np.zeros((tab.nforms(w.degree),) * 2)
-        np.add.at(D, (t, sidx), M[z, r] * sign)
-        rows[x] = -(D @ w.coeffs)
-    return rows
+    return -derivation(G.transpose(0, 2, 1), w)
 
 
 def nabla_omega(g: MetricLieAlgebra, G: np.ndarray,
                 axis: str) -> MixedTwoFormFamily:
     """nabla w_A as a mixed two-form family."""
     A = g.structure.mats[axis]
-    mats = np.zeros((g.dim, g.dim, g.dim))
-    for x in range(g.dim):
-        M = G[x].T
-        mats[x] = -(M.T @ A + A @ M)
-    return MixedTwoFormFamily(g.dim, mats)
+    return MixedTwoFormFamily(g.dim, -(G @ A + A @ G.transpose(0, 2, 1)))
 
 
 def nabla_Omega(g: MetricLieAlgebra, G: np.ndarray) -> MixedTorsion:
@@ -146,27 +142,13 @@ def nabla_Omega(g: MetricLieAlgebra, G: np.ndarray) -> MixedTorsion:
 
 
 def ce_d(g: MetricLieAlgebra, b: AltForm) -> AltForm:
-    """Bracket alternation differential of an invariant form."""
+    """Exterior derivative of an invariant form,
+    d b = -(1/2) sum_k e^k ^ derivation(ad(e_k), b)."""
     dim, p = g.dim, b.degree
-    if p + 1 > dim:
+    if p == 0 or p + 1 > dim:
         return AltForm.zero(dim, min(p + 1, dim + 1))
-    tab = tables(dim)
-    idx_p = tab.index(p)
-    out = AltForm.zero(dim, p + 1)
-    for oi, T in enumerate(tab.tuples(p + 1)):
-        val = 0.0
-        for i, j in itertools.combinations(range(p + 1), 2):
-            rest = tuple(T[m] for m in range(p + 1) if m not in (i, j))
-            br = g.c[T[i], T[j]]
-            for k in np.nonzero(br)[0]:
-                if k in rest:
-                    continue
-                pos = sum(1 for x in rest if x < k)
-                S = rest[:pos] + (int(k),) + rest[pos:]
-                val += ((-1.0) ** (i + j) * br[k]
-                        * (-1.0) ** pos * b.coeffs[idx_p[S]])
-        out.coeffs[oi] = val
-    return out
+    ad = g.c.transpose(0, 2, 1)     # ad[k][z, r] = c[k, r, z]
+    return AltForm(dim, p + 1, -0.5 * wedge_rows(derivation(ad, b), p))
 
 
 def nijenhuis(g: MetricLieAlgebra, axis: str) -> np.ndarray:
@@ -203,7 +185,7 @@ def codiff_Omega(g: MetricLieAlgebra, G: np.ndarray | None = None,
     """The codifferential of the fundamental form computed three ways:
 
     * contraction: -C12(nabla Omega);
-    * hodge: -star d star Omega (bracket-alternation differential);
+    * hodge: -star d star Omega;
     * structural: -2 sum_A <A . hook d w_A, w_A> ^ w_A - 2 sum_A d w_A(A., A., A.),
       equivalently 2 sum_A (d* w_A ^ w_A - d w_A(A., A., A.)).
 
@@ -222,13 +204,11 @@ def codiff_Omega(g: MetricLieAlgebra, G: np.ndarray | None = None,
     route_contraction = contract12(nOm)
     route_hodge = -1.0 * s.star(ce_d(g, s.star(s.Omega)))
     dwa = {a: ce_d(g, s.omega[a]) for a in AXES}
-    u = {}
-    for a in AXES:
-        A = s.mats[a]
-        dwd = dwa[a].dense()
-        # w[y] = <e_y hook dw_A, w_A>; u = <A . hook dw_A, w_A> = -A w
-        w = 0.5 * np.einsum("yrs,rs->y", dwd, A)
-        u[a] = -(A @ w)
+    # w[y] = <e_y hook dw_A, w_A>; u = <A . hook dw_A, w_A> = -A w
+    w = {a: 0.5 * np.einsum("yrs,rs->y", dwa[a].dense(), s.mats[a])
+         for a in AXES}
+    u = {a: -(s.mats[a] @ w[a]) for a in AXES}
+    dstar_w = {a: codiff_omega_2form(g, G, a) for a in AXES}
     route_structural = AltForm.zero(s.dim, 3)
     for a in AXES:
         route_structural = (route_structural
@@ -242,7 +222,7 @@ def codiff_Omega(g: MetricLieAlgebra, G: np.ndarray | None = None,
     # same expression through the two-form codifferentials
     alt = AltForm.zero(s.dim, 3)
     for a in AXES:
-        alt = alt + 2.0 * (wedge1(codiff_omega_2form(g, G, a), s.omega[a])
+        alt = alt + 2.0 * (wedge1(dstar_w[a], s.omega[a])
                            + s.act_axis(a, dwa[a]))
     variants["two_form_codiff"] = alt
 
@@ -254,18 +234,12 @@ def codiff_Omega(g: MetricLieAlgebra, G: np.ndarray | None = None,
             pair[f"{x}|{y}"] = float(np.linalg.norm(
                 variants[x].coeffs - variants[y].coeffs)) / scale
     dOm = ce_d(g, s.Omega)
-    from .threeform import xi_triple
-
     tri = xi_triple(route_contraction, s)
     leedd = {}
     astperp = {}
     astperp_fixed = {}
     for a in AXES:
-        A = s.mats[a]
-        lhs = A @ codiff_omega_2form(g, G, a)
-        dwd = dwa[a].dense()
-        rhs = -0.5 * np.einsum("yrs,rs->y", dwd, A)
-        leedd[a] = float(np.abs(lhs - rhs).max())
+        leedd[a] = float(np.abs(s.mats[a] @ dstar_w[a] + w[a]).max())
         wAA = s.star_inv(wedge(wedge(s.star(dOm), s.omega[a]), s.omega[a]))
         astperp[a] = float(np.abs(2.0 * u[a] - wAA.coeffs).max()) / scale
         fixed = -12.0 * tri.xi - 8.0 * s.k1 * tri[a]
@@ -313,7 +287,6 @@ def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
         cod["report"]["wedge_trace_xi_combination"].values())
     report = classification_report(nOm, s, tol)
     d = DerivedFromDOmega.from_dOmega(dOm_ce, s, scale=nOm.norm())
-    from .threeform import xi_triple
     tri = xi_triple(contract12(nOm), s)
     checks["xi_hodge_vs_contraction"] = float(
         np.linalg.norm(d.xi - tri.xi)) / scale
@@ -361,13 +334,18 @@ def algebra_to_json(g: MetricLieAlgebra) -> dict:
 
 
 def algebra_from_json(data: dict) -> MetricLieAlgebra:
-    n = int(data["n"])
+    n = _json_n(data)
     sdata = data.get("structure", "standard")
     s = standard_structure(n) if sdata == "standard" else structure_from_json(sdata)
     c = np.zeros((s.dim,) * 3)
-    for i, j, k, v in data.get("brackets", []):
-        c[int(i), int(j), int(k)] += float(v)
-        c[int(j), int(i), int(k)] -= float(v)
+    for pos, entry in enumerate(data.get("brackets", [])):
+        where = f"brackets[{pos}]"
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise InputFormatError(f"{where}: {entry!r} is not [i, j, k, value]")
+        i, j, k = (_json_index(where, x, s.dim) for x in entry[:3])
+        v = _json_value(where, entry[3])
+        c[i, j, k] += v
+        c[j, i, k] -= v
     return MetricLieAlgebra(s, c)
 
 

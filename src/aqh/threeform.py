@@ -52,22 +52,25 @@ class OneFormTriple:
 # ---------------------------------------------------------------------------
 
 
+def _interior_stack(s: QuatStructure) -> np.ndarray:
+    """INT (dim x N2 x N3): INT[y] is the matrix of b -> e_y hook b."""
+
+    def build():
+        u, _m, r, t, sign = s.tab.exp_table(3)
+        INT = np.zeros((s.dim, s.tab.nforms(2), s.tab.nforms(3)))
+        INT[r, t, u] = sign
+        return INT
+
+    return s.cache("interior_stack", build)
+
+
 def _trace_matrices(s: QuatStructure) -> dict[str, np.ndarray]:
     """V_A (dim x N3): (V_A b)[y] = <e_y hook b, w_A>."""
 
     def build():
-        dim, tab = s.dim, s.tab
-        N3, N2 = tab.nforms(3), tab.nforms(2)
-        eye = np.eye(dim)
-        out = {}
-        # interior-by-e_y as a matrix stack INT[y]: N2 x N3
-        u, _m, r, t, sign = tab.exp_table(3)
-        INT = np.zeros((dim, N2, N3))
-        np.add.at(INT, (r, t, u), sign)
-        for a in AXES:
-            w = s.omega[a].coeffs
-            out[a] = np.einsum("c,ycb->yb", w, INT)
-        return out
+        INT = _interior_stack(s)
+        return {a: np.einsum("c,ycb->yb", s.omega[a].coeffs, INT)
+                for a in AXES}
 
     return s.cache("trace_matrices", build)
 
@@ -128,6 +131,18 @@ def hook_omega_matrix(s: QuatStructure) -> np.ndarray:
     return s.cache("hook_omega_matrix", build)
 
 
+def _hook_omega_table(s: QuatStructure) -> np.ndarray:
+    """G[y, u, z] = coefficient u of e_y ^ (e_z hook Omega)."""
+
+    def build():
+        u, _m, r, t, sign = s.tab.exp_table(4)
+        G = np.zeros((s.dim, s.tab.nforms(4), s.dim))
+        G[r, u] = sign[:, None] * hook_omega_matrix(s)[t]
+        return G
+
+    return s.cache("hook_omega_table", build)
+
+
 def wedge_xi_omega_matrix(s: QuatStructure) -> np.ndarray:
     """M3 (N3 x N3): b -> sum_A (A xi_{b;A}) ^ w_A."""
 
@@ -177,8 +192,7 @@ def proj3(b: AltForm, label: str, s: QuatStructure) -> AltForm:
 # ---------------------------------------------------------------------------
 
 # Row conditions, evaluated on precomputed data:
-#   Lb - 3b, Lb + 3b, xiC = xi hook Omega, m = sum_A (A xi_A) ^ w_A,
-#   m_noA = sum_A xi_A ^ w_A (the prefix-free reading, kept for comparison).
+#   Lb - 3b, Lb + 3b, xiC = xi hook Omega, m = sum_A (A xi_A) ^ w_A.
 
 TABLE1_IDS = (
     "0", "KH", "EH", "L3E.S3H", "E.S3H",
@@ -207,14 +221,10 @@ TABLE1_COMPONENTS = {
 }
 
 
-def table1_residuals(b: AltForm, row_id: str, s: QuatStructure,
-                     es3h_prefix: bool = True) -> list[float]:
-    """Residual norms of the displayed conditions for one row.
-
-    es3h_prefix selects the reading of the "KH + ES3H" row: True uses
-    L(b) = 3b + 12 sum_A (A xi_{b;A}) ^ w_A (the reading that annihilates
-    projected members), False the prefix-free variant printed alongside it.
-    """
+def table1_residuals(b: AltForm, row_id: str, s: QuatStructure) -> list[float]:
+    """Residual norms of the displayed conditions for one row.  The
+    "KH + ES3H" row reads L(b) = 3b + 12 sum_A (A xi_{b;A}) ^ w_A, the
+    reading that annihilates projected members."""
     if row_id not in TABLE1_COMPONENTS:
         raise KeyError(f"unknown Table-1 row {row_id!r}")
     if b.degree != 3:
@@ -224,12 +234,8 @@ def table1_residuals(b: AltForm, row_id: str, s: QuatStructure,
     tri = xi_triple(b, s)
     xiC = interior(tri.xi, s.Omega).coeffs
     m = np.zeros_like(bb)
-    m_noA = np.zeros_like(bb)
     for a in AXES:
-        W = s.wedge_omega_matrix(a, 1)
-        m += W @ (s.mats[a] @ tri[a])
-        m_noA += W @ tri[a]
-    m12 = m if es3h_prefix else m_noA
+        m += s.wedge_omega_matrix(a, 1) @ (s.mats[a] @ tri[a])
 
     def nrm(v):
         return float(np.linalg.norm(v))
@@ -244,7 +250,7 @@ def table1_residuals(b: AltForm, row_id: str, s: QuatStructure,
         "E.S3H": [nrm(bb + 2 * m), nrm(tri.xi)],
         "(K+E)H": [nrm(Lb - 3 * bb)],
         "KH+L3E.S3H": [nrm(tri.xi_I), nrm(tri.xi_J), nrm(tri.xi_K)],
-        "KH+E.S3H": [nrm(Lb - 3 * bb - 12 * m12)],
+        "KH+E.S3H": [nrm(Lb - 3 * bb - 12 * m)],
         "EH+L3E.S3H": [nrm(Lb + 3 * bb - 6 * xiC)] + xia_eq,
         "E(H+S3H)": [nrm(bb + 2 * m)],
         "(L3E+E)S3H": [nrm(Lb + 3 * bb)],
@@ -272,16 +278,12 @@ def se_matrix(s: QuatStructure) -> np.ndarray:
     """Matrix (dim*N4 x N3) of b -> rows sum_A i_A(x hook b) ^ w_A."""
 
     def build():
-        dim, tab = s.dim, s.tab
-        N3, N2, N4 = tab.nforms(3), tab.nforms(2), tab.nforms(4)
-        u, _m, r, t, sign = tab.exp_table(3)
-        INT = np.zeros((dim, N2, N3))
-        np.add.at(INT, (r, t, u), sign)
-        SE = np.zeros((dim, N4, N3))
+        INT = _interior_stack(s)
+        SE = np.zeros((s.dim, s.tab.nforms(4), s.tab.nforms(3)))
         for a in AXES:
             core = s.wedge_omega_matrix(a, 2) @ (-s.deriv(a, 2))
             SE += np.einsum("cb,xbn->xcn", core, INT)
-        return SE.reshape(dim * N4, N3)
+        return SE.reshape(s.dim * s.tab.nforms(4), s.tab.nforms(3))
 
     return s.cache("se_matrix", build)
 
@@ -291,22 +293,9 @@ def r_matrix(s: QuatStructure) -> np.ndarray:
     x ^ (zeta hook Omega) - zeta ^ (x hook Omega)."""
 
     def build():
-        dim, tab = s.dim, s.tab
-        N4 = tab.nforms(4)
-        eye = np.eye(dim)
-        K1 = hook_omega_matrix(s)
-        u, _m, r, t, sign = tab.exp_table(4)
-        R = np.zeros((dim, N4, dim))
-        for x in range(dim):
-            # x ^ (zeta hook Omega): wedge1 with fixed first factor e_x
-            W1 = np.zeros((N4, tab.nforms(3)))
-            np.add.at(W1, (u, t), sign * eye[x][r])
-            xo = interior(eye[x], s.Omega)
-            # zeta ^ (x hook Omega): wedge1 linear in zeta
-            W2 = np.zeros((N4, dim))
-            np.add.at(W2, (u, r), sign * xo.coeffs[t])
-            R[x] = W1 @ K1 - W2
-        return R.reshape(dim * N4, dim)
+        G = _hook_omega_table(s)
+        return (G - G.transpose(2, 1, 0)).reshape(s.dim * s.tab.nforms(4),
+                                                  s.dim)
 
     return s.cache("r_matrix", build)
 
@@ -344,9 +333,9 @@ def dstar_matrix(s: QuatStructure) -> np.ndarray:
     def build():
         dim, tab = s.dim, s.tab
         N3, N4 = tab.nforms(3), tab.nforms(4)
-        t, r, u, sign = tab.c12_table()
+        u, _m, r, t, sign = tab.exp_table(4)
         D = np.zeros((N3, dim, N4))
-        np.add.at(D, (t, r, u), -sign)
+        D[t, r, u] = -sign
         return D.reshape(N3, dim * N4)
 
     return s.cache("dstar_matrix", build)

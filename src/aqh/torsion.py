@@ -31,7 +31,7 @@ from .exterior import (
     wedge22_rows,
 )
 from .structure import AXES, QuatStructure
-from .threeform import hook_omega_matrix
+from .threeform import _hook_omega_table
 
 
 class MembershipError(ValueError):
@@ -90,18 +90,6 @@ def F_map(c: MixedTwoFormFamily, s: QuatStructure, check: bool = True,
                 f"input is outside the fiber: residuals "
                 f"{r1 / scale:.2e}, {r2 / scale:.2e}")
     return MixedTorsion(c.dim, _embed_rows(c.mats, s))
-
-
-def _hook_omega_table(s: QuatStructure) -> np.ndarray:
-    """G[y, u, z] = coefficient u of e_y ^ (e_z hook Omega)."""
-
-    def build():
-        u, _m, r, t, sign = s.tab.exp_table(4)
-        G = np.zeros((s.dim, s.tab.nforms(4), s.dim))
-        G[r, u] = sign[:, None] * hook_omega_matrix(s)[t]
-        return G
-
-    return s.cache("hook_omega_table", build)
 
 
 def f_inverse_raw(a: MixedTorsion, s: QuatStructure) -> MixedTwoFormFamily:

@@ -98,3 +98,22 @@ def test_classify_zero_tensor_without_coefficients(tmp_path, capsys):
     p.write_text(json.dumps(data))
     assert main(["classify", "--input", str(p), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["key"] == "QK"
+
+
+@pytest.mark.parametrize("name, data, where", [
+    ("bracket-99", {"n": 2, "brackets": [[0, 1, 99, 1.0]]}, "brackets[0]"),
+    ("bracket-negative", {"n": 2, "brackets": [[0, 1, -1, 1.0]]},
+     "brackets[0]"),
+    ("row-99", {"n": 2, "coeffs": {"99,0,1,2,3": 1.0}}, "'99,0,1,2,3'"),
+    ("nan", {"n": 2, "coeffs": {"0,0,1,2,3": float("nan")}},
+     "'0,0,1,2,3'"),
+])
+def test_classify_rejects_invalid_json(tmp_path, capsys, name, data, where):
+    # out-of-range and non-finite input is an input error (exit 2) whose
+    # message names the offending key
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(data))
+    assert main(["classify", "--input", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert where in err
+    assert "outside [0, 8)" in err or "not a finite number" in err

@@ -1,5 +1,6 @@
 """Exterior algebra kernel: wedge/interior/inner/hodge conventions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,12 +21,16 @@ from aqh import (
     wedge_power,
 )
 from aqh.exterior import (
+    InputFormatError,
+    derivation,
     form_from_json,
     form_to_json,
     mixed_from_json,
     mixed_to_json,
     tables,
+    wedge_rows,
 )
+from aqh.structure import slot_sum
 
 
 def rand_form(rng, dim, p):
@@ -157,6 +162,49 @@ def test_contract12_and_alternate_zero(s2):
     assert alternate5(z).norm() == 0.0
 
 
+def test_exp_table_matches_enumeration():
+    tab = tables(8)
+    for p in range(1, 9):
+        want = [(u, m, T[m], tab.index(p - 1)[T[:m] + T[m + 1:]], (-1.0) ** m)
+                for u, T in enumerate(tab.tuples(p)) for m in range(p)]
+        got = list(zip(*(a.tolist() for a in tab.exp_table(p))))
+        assert got == want
+
+
+def test_derivation_matches_slot_sum(rng):
+    # sum_i b(.., M X_i, ..) for a generic (not quaternionic) matrix; the
+    # dense slot insertions carry a minus sign
+    M = rng.standard_normal((3, 8, 8))
+    for p in range(1, 6):
+        b = rand_form(rng, 8, p)
+        got = derivation(M, b)
+        assert got.shape == (3, math.comb(8, p))
+        for k in range(3):
+            want = -AltForm.from_dense(slot_sum(M[k], b.dense())).coeffs
+            np.testing.assert_allclose(got[k], want, atol=1e-12)
+        np.testing.assert_allclose(derivation(M[0], b), got[0], atol=0)
+    assert derivation(M, AltForm.zero(8, 0)).shape == (3, 1)
+
+
+def test_alternate5_matches_dense_alternation(rng):
+    a = MixedTorsion(8, rng.standard_normal((8, math.comb(8, 4))))
+    dense = np.stack([a.row(x).dense() for x in range(8)])
+    alt = np.zeros_like(dense)
+    for perm in itertools.permutations(range(5)):
+        inv = sum(perm[i] > perm[j]
+                  for i in range(5) for j in range(i + 1, 5))
+        alt += (-1.0) ** inv * dense.transpose(perm)
+    want = AltForm.from_dense(alt / math.factorial(4)).coeffs
+    np.testing.assert_allclose(alternate5(a).coeffs, want, atol=1e-12)
+
+
+def test_wedge_rows_sums_one_form_wedges(rng):
+    rows = rng.standard_normal((8, math.comb(8, 3)))
+    want = sum((wedge1(np.eye(8)[r], AltForm(8, 3, rows[r])) for r in range(8)),
+               AltForm.zero(8, 4))
+    np.testing.assert_allclose(wedge_rows(rows, 3), want.coeffs, atol=1e-12)
+
+
 def test_json_round_trip(rng):
     a = rand_form(rng, 8, 4)
     back = form_from_json(form_to_json(a))
@@ -165,3 +213,15 @@ def test_json_round_trip(rng):
     mt = MixedTorsion(8, rows)
     back = mixed_from_json(mixed_to_json(mt))
     np.testing.assert_allclose(back.rows, mt.rows)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"n": 1, "degree": 2, "coeffs": {}}, "key 'n'"),
+    ({"n": 2, "degree": 9, "coeffs": {}}, "key 'degree'"),
+    ({"n": 2, "degree": 2, "coeffs": {"0,8": 1.0}}, "'0,8': index 8"),
+    ({"n": 2, "degree": 2, "coeffs": {"1,0": 1.0}}, "'1,0': needs 2 indices"),
+    ({"n": 2, "degree": 2, "coeffs": {"0,1": "inf"}}, "'0,1': value"),
+])
+def test_form_from_json_rejects_invalid(data, message):
+    with pytest.raises(InputFormatError, match=message):
+        form_from_json(data)

@@ -1,6 +1,8 @@
 """Left-invariant pipeline: Koszul connection, differentials, Nijenhuis."""
 
+import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -28,7 +30,8 @@ from aqh import (
     two_step_nilpotent,
 )
 from aqh.structure import AXES
-from aqh.liealg import gray_residual
+from aqh.exterior import tables
+from aqh.liealg import gray_residual, nabla_omega
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                         "liealg")
@@ -86,6 +89,63 @@ def test_nabla_form_leibniz(rng):
         rhs = (wedge(AltForm(8, 1, ra[x]), b)
                + wedge(a, AltForm(8, 2, rb[x])))
         np.testing.assert_allclose(lhs[x], rhs.coeffs, atol=1e-12)
+
+
+def _almost_abelian(n, seed):
+    """R acting on R^(4n-1) by a random matrix D: [e_0, e_r] = D e_r."""
+    s = standard_structure(n)
+    D = np.random.default_rng(seed).standard_normal((s.dim - 1,) * 2)
+    c = np.zeros((s.dim,) * 3)
+    c[0, 1:, 1:] = D.T
+    c[1:, 0, 1:] = -D.T
+    return MetricLieAlgebra(s, c)
+
+
+def _bracket_alternation(g, b):
+    """db(x_0..x_p) = sum_{i<j} (-1)^{i+j} b([x_i, x_j], x_0..^i..^j..x_p)
+    on increasing basis tuples."""
+    dim, p = g.dim, b.degree
+    tab = tables(dim)
+    idx_p = tab.index(p)
+    out = np.zeros(tab.nforms(p + 1))
+    for oi, T in enumerate(tab.tuples(p + 1)):
+        for i, j in itertools.combinations(range(p + 1), 2):
+            rest = tuple(T[m] for m in range(p + 1) if m not in (i, j))
+            for k in range(dim):
+                if k in rest:
+                    continue
+                pos = sum(1 for x in rest if x < k)
+                S = rest[:pos] + (k,) + rest[pos:]
+                out[oi] += ((-1.0) ** (i + j + pos) * g.c[T[i], T[j], k]
+                            * b.coeffs[idx_p[S]])
+    return out
+
+
+def test_ce_d_matches_bracket_alternation(rng):
+    for g in (two_step_nilpotent(2, 11), _almost_abelian(2, 12)):
+        s = g.structure
+        forms = [AltForm(8, p, rng.standard_normal(math.comb(8, p)))
+                 for p in range(5)]
+        for b in forms + [s.star(s.Omega)]:
+            got = ce_d(g, b)
+            assert got.degree == b.degree + 1
+            np.testing.assert_allclose(got.coeffs, _bracket_alternation(g, b),
+                                       atol=1e-12)
+
+
+def test_nabla_form_matches_dense(rng):
+    g = _almost_abelian(2, 13)
+    G = koszul(g)
+    s = g.structure
+    for w in (s.Omega, AltForm(8, 3, rng.standard_normal(56))):
+        rows = nabla_form(g, G, w)
+        dense = nabla_dense(g, G, w.dense())
+        for x in range(8):
+            np.testing.assert_allclose(
+                rows[x], AltForm.from_dense(dense[x]).coeffs, atol=1e-12)
+    for ax in AXES:
+        np.testing.assert_allclose(nabla_omega(g, G, ax).mats,
+                                   nabla_dense(g, G, s.mats[ax]), atol=1e-12)
 
 
 def test_abelian_pipeline():

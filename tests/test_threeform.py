@@ -22,7 +22,9 @@ from aqh.structure import AXES
 from aqh.threeform import (
     TABLE1_COMPONENTS,
     proj3_matrix,
+    r_matrix,
     )
+from aqh.verify import table1_prefix_free_residual
 
 
 def rand3(rng, dim):
@@ -148,12 +150,21 @@ def test_table1_es3h_prefix_readings(s3, rng):
     # with the extra complex-structure action annihilates members
     b = rand3(rng, 12)
     mix = proj3(b, "KH", s3) + proj3(b, "ES3H", s3)
-    with_prefix = max(table1_residuals(mix, "KH+E.S3H", s3,
-                                       es3h_prefix=True)) / mix.norm()
-    without = max(table1_residuals(mix, "KH+E.S3H", s3,
-                                   es3h_prefix=False)) / mix.norm()
+    with_prefix = max(table1_residuals(mix, "KH+E.S3H", s3)) / mix.norm()
+    without = table1_prefix_free_residual(mix, s3) / mix.norm()
     assert with_prefix < 1e-9
     assert without > 1e-2
+
+
+def test_r_matrix_matches_wedges(s2, rng):
+    # rows x ^ (zeta hook Omega) - zeta ^ (x hook Omega), one wedge at a time
+    zeta = rng.standard_normal(8)
+    rows = (r_matrix(s2) @ zeta).reshape(8, -1)
+    for x in range(8):
+        ex = np.eye(8)[x]
+        want = (wedge1(ex, interior(zeta, s2.Omega))
+                - wedge1(zeta, interior(ex, s2.Omega)))
+        np.testing.assert_allclose(rows[x], want.coeffs, atol=1e-12)
 
 
 def test_hat_dstar_zero(s2):
