@@ -183,6 +183,14 @@ def _w_column_matrices(s: QuatStructure) -> tuple[np.ndarray, np.ndarray]:
                                         w_matrix(r_matrix(s), s)))
 
 
+def _wedge_forms(dOm: AltForm, s: QuatStructure):
+    """The three (4n-1)-forms star(dOm) ^ w_A ^ w_A, keyed by axis, and
+    star(dOm) ^ Omega."""
+    sd = s.star(dOm)
+    per = {a: wedge(wedge(sd, s.omega[a]), s.omega[a]) for a in AXES}
+    return per, wedge(sd, s.Omega)
+
+
 class _Ctx:
     """Precomputed vectors entering the row conditions, with a common scale.
 
@@ -217,15 +225,6 @@ class _Ctx:
         self.f3["Ldstar"] = s.L_matrix(3) @ dstar
         self.f3["xiC"] = hook_omega_matrix(s) @ xi
         self.f3["m"] = self._m_from_triple()
-
-    def wedge_forms(self):
-        """The three (4n-1)-forms star(dOm) ^ w_A ^ w_A and star(dOm) ^ Om."""
-        s = self.s
-        sd = s.star(self.dOm)
-        per = {}
-        for a in AXES:
-            per[a] = wedge(wedge(sd, s.omega[a]), s.omega[a])
-        return per, wedge(sd, s.Omega)
 
 
 def ctx_from_torsion(a: MixedTorsion, s: QuatStructure) -> _Ctx:
@@ -277,14 +276,14 @@ def _eval_cond(cond, ctx: _Ctx) -> float:
             float(np.linalg.norm(ctx.xiA["I"] - ctx.xiA["J"])),
             float(np.linalg.norm(ctx.xiA["J"] - ctx.xiA["K"])))
     if tag == "wAA0":
-        per, _ = ctx.wedge_forms()
+        per, _ = _wedge_forms(ctx.dOm, ctx.s)
         return max(per[a].norm() for a in AXES)
     if tag == "wAAeq":
-        per, _ = ctx.wedge_forms()
+        per, _ = _wedge_forms(ctx.dOm, ctx.s)
         return max((per["I"] - per["J"]).norm(),
                    (per["J"] - per["K"]).norm())
     if tag == "wOm0":
-        _, full = ctx.wedge_forms()
+        _, full = _wedge_forms(ctx.dOm, ctx.s)
         return full.norm()
     if tag == "wOmdeg0":
         s = ctx.s
@@ -568,10 +567,9 @@ def wedge_criteria(d: DerivedFromDOmega, s: QuatStructure,
     """i) star(dOm)^Om = 0 iff the EH part vanishes; ii) the three
     star(dOm)^w_A^w_A agree iff the ES3H part vanishes; iii) all vanish iff
     the E(H+S3H) part vanishes."""
-    sd = s.star(d.dOmega)
     scale = max(d.dOmega.norm(), 1e-300)
-    per = {a: wedge(wedge(sd, s.omega[a]), s.omega[a]) for a in AXES}
-    crit_i = wedge(sd, s.Omega).norm() <= tol * scale
+    per, full = _wedge_forms(d.dOmega, s)
+    crit_i = full.norm() <= tol * scale
     crit_ii = max((per["I"] - per["J"]).norm(),
                   (per["J"] - per["K"]).norm()) <= tol * scale
     crit_iii = max(f.norm() for f in per.values()) <= tol * scale
@@ -613,15 +611,13 @@ def classification_report(a: MixedTorsion, s: QuatStructure,
         out["table2_dOmega"] = table2_residual_dOmega(d, s,
                                                       label.components).to_json()
     else:
-        best = None
-        for row in table3_rows(s):
-            if label.components <= row.components:
-                rr = table3_residual(d, s, row)
-                if best is None or len(row.components) < len(best["row_components"]):
-                    best = {"row": rr.row.key, "value": rr.value,
-                            "row_components": row.components}
-        if best is not None:
-            best = {"row": best["row"], "value": best["value"]}
-        out["table3"] = best
+        rows = [row for row in table3_rows(s)
+                if label.components <= row.components]
+        out["table3"] = None
+        if rows:
+            # the first of the smallest rows containing the class
+            row = min(rows, key=lambda r: len(r.components))
+            rr = table3_residual(d, s, row)
+            out["table3"] = {"row": rr.row.key, "value": rr.value}
     out["wedge_criteria"] = wedge_criteria(d, s, tol)
     return out

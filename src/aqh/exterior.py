@@ -14,10 +14,16 @@ arguments is recovered through permutation signs.  Conventions:
 Mixed tensors with one covariant slot followed by an alternating part are kept
 as one coefficient row per first-slot basis vector.
 
-Every slot operator is read from one incidence table, ``exp_table(p)``
-(dropping entry r of p-tuple #u leaves (p-1)-tuple #t, with a sign): interior
-products and contractions accumulate into t, one-form wedges (``wedge_rows``)
-into u, and slot derivations pair the rows through one t (``der_table``).
+Every operator is read from one split table, ``wedge_table(p, q)``: each
+increasing (p+q)-tuple splits into a p-part and a q-part with a sign, and
+``wedge`` sums over the splits.  The other incidences are views of it:
+
+* ``exp_table(p)`` is the (1, p-1) split (dropping entry r of p-tuple #u
+  leaves (p-1)-tuple #t, with a sign).  Interior products and contractions
+  accumulate into t, one-form wedges (``wedge_rows``) into u, and slot
+  derivations pair the rows through one t (``der_table``);
+* ``hodge_table(p)`` is the (p, dim-p) split of the top tuple: the complement
+  of each p-tuple, with the sign of the concatenation.
 """
 
 from __future__ import annotations
@@ -44,6 +50,10 @@ class InputFormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# bit i stands for index i in the subset masks of ``FormTables._rank``
+_BIT = 1 << np.arange(63, dtype=np.int64)
+
+
 class FormTables:
     """Index tables for increasing tuples of a fixed dimension.
 
@@ -58,7 +68,6 @@ class FormTables:
         self._columns: dict[int, np.ndarray] = {}
         self._exp: dict[int, tuple[np.ndarray, ...]] = {}
         self._wedge: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-        self._hodge: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._der: dict[int, tuple[np.ndarray, ...]] = {}
         self._dense: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -86,59 +95,51 @@ class FormTables:
             self._index[p] = {T: i for i, T in enumerate(self.tuples(p))}
         return self._index[p]
 
-    def exp_table(self, p: int):
-        """Rows (u, m, r, t, sign): dropping position m (value r) from the
-        p-tuple #u leaves the (p-1)-tuple #t, with sign (-1)^m.
-
-        Drives every slot operator (see the module docstring)."""
-        if p not in self._exp:
-            # rank the (p-1)-tuples left over by their bit masks
-            bit = 1 << np.arange(self.dim, dtype=np.int64)
-            masks = bit[self.columns(p - 1)].sum(axis=0)
-            order = np.argsort(masks)
-            r = self.columns(p).T.ravel()
-            rest = np.repeat(bit[self.columns(p)].sum(axis=0), p) - bit[r]
-            t = order[np.searchsorted(masks[order], rest)]
-            u, m = np.divmod(np.arange(r.size), p)
-            self._exp[p] = (u, m, r, t, np.where(m % 2, -1.0, 1.0))
-        return self._exp[p]
+    def _rank(self, p: int, masks: np.ndarray) -> np.ndarray:
+        """Numbers of the p-tuples with the given bit masks (bit i set for
+        entry i).  The masks fit in int64 only for dim <= 63."""
+        ref = _BIT[self.columns(p)].sum(axis=0)
+        order = np.argsort(ref)
+        return order[np.searchsorted(ref[order], masks)]
 
     def wedge_table(self, p: int, q: int):
         """Rows (o, ai, bi, sign) with e_O = sum sign * e_A ^ e_B over all
-        splits of the (p+q)-tuple #o into a p-part #ai and q-part #bi."""
+        splits of the (p+q)-tuple #o into a p-part #ai and q-part #bi.  Rows
+        run over o, then over the splits in lexicographic order of the
+        p-part positions; that order is what every view below relies on."""
         key = (p, q)
         if key not in self._wedge:
-            ia, ib = self.index(p), self.index(q)
-            o_l, a_l, b_l, s_l = [], [], [], []
-            for o, O in enumerate(self.tuples(p + q)):
-                for pos in itertools.combinations(range(p + q), p):
-                    S = tuple(O[i] for i in pos)
-                    T = tuple(O[i] for i in range(p + q) if i not in pos)
-                    sign = (-1.0) ** (sum(pos) - (p * (p - 1)) // 2)
-                    o_l.append(o)
-                    a_l.append(ia[S])
-                    b_l.append(ib[T])
-                    s_l.append(sign)
-            self._wedge[key] = tuple(
-                np.asarray(a) for a in (o_l, a_l, b_l, s_l)
-            )
+            S = math.comb(p + q, p)
+            pos = np.array(list(itertools.combinations(range(p + q), p)),
+                           dtype=np.int64).reshape(S, p)
+            # part[k, s] = 1 iff position k is in the p-part of split s
+            part = np.zeros((p + q, S), dtype=np.int64)
+            part[pos.T, np.arange(S)] = 1
+            bits = _BIT[self.columns(p + q)]
+            a = (bits.T @ part).ravel()
+            b = np.repeat(bits.sum(axis=0), S) - a
+            odd = (pos.sum(axis=1) - p * (p - 1) // 2) % 2
+            o = np.repeat(np.arange(bits.shape[1]), S)
+            sign = np.tile(np.where(odd, -1.0, 1.0), bits.shape[1])
+            self._wedge[key] = (o, self._rank(p, a), self._rank(q, b), sign)
         return self._wedge[key]
+
+    def exp_table(self, p: int):
+        """Rows (u, m, r, t, sign): dropping position m (value r) from the
+        p-tuple #u leaves the (p-1)-tuple #t, with sign (-1)^m.  It is the
+        (1, p-1) split of ``wedge_table`` with the position m added.
+
+        Drives every slot operator (see the module docstring)."""
+        if p not in self._exp:
+            u, r, t, sign = self.wedge_table(1, p - 1)
+            self._exp[p] = (u, np.arange(u.size) % p, r, t, sign)
+        return self._exp[p]
 
     def hodge_table(self, p: int):
         """(comp, sign): the increasing p-tuple #i has complement tuple
-        #comp[i], and the concatenated permutation has parity sign[i]."""
-        if p not in self._hodge:
-            q = self.dim - p
-            idx = self.index(q)
-            comp = np.empty(self.nforms(p), dtype=np.int64)
-            sign = np.empty(self.nforms(p))
-            full = set(range(self.dim))
-            for i, S in enumerate(self.tuples(p)):
-                C = tuple(sorted(full - set(S)))
-                comp[i] = idx[C]
-                sign[i] = (-1.0) ** (sum(S) - (p * (p - 1)) // 2)
-            self._hodge[p] = (comp, sign)
-        return self._hodge[p]
+        #comp[i], and the concatenated permutation has parity sign[i].  It is
+        the (p, dim-p) split of ``wedge_table``, whose p-parts run over i."""
+        return self.wedge_table(p, self.dim - p)[2:]
 
     def der_table(self, p: int):
         """Rows (t, s, z, r, sign) so that the matrix of the slot-derivation
@@ -469,18 +470,6 @@ def contract12(a: MixedTorsion) -> AltForm:
 def alternate5(a: MixedTorsion) -> AltForm:
     """Cyclic-sum alternation of the five slots into a 5-form."""
     return AltForm(a.dim, 5, wedge_rows(a.rows, 4))
-
-
-def wedge22_rows(mats: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Row-wise wedge of a stack (..., dim, dim) of antisymmetric-matrix
-    2-forms with a fixed 2-form, returning (..., N4) 4-form coefficient rows."""
-    a, b, c, d = tables(omega.shape[0]).columns(4)
-    M, N = mats, omega
-    return (
-        M[..., a, b] * N[c, d] - M[..., a, c] * N[b, d]
-        + M[..., a, d] * N[b, c] + M[..., b, c] * N[a, d]
-        - M[..., b, d] * N[a, c] + M[..., c, d] * N[a, b]
-    )
 
 
 # ---------------------------------------------------------------------------

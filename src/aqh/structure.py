@@ -87,7 +87,7 @@ class QuatStructure:
         }
         for name, resid in checks.items():
             err = float(np.abs(resid).max())
-            if err > tol:
+            if not err <= tol:
                 raise StructureError(
                     f"not a quaternionic structure: {name} fails ({err:.2e})")
         self.I, self.J, self.K = I, J, K
@@ -102,7 +102,7 @@ class QuatStructure:
         top = wedge_power(self.Omega, self.n)
         v = float(top.coeffs[0]) * (-1.0) ** (self.n + 1) / math.factorial(
             2 * self.n + 1)
-        if abs(abs(v) - 1.0) > 1e-9:
+        if not abs(abs(v) - 1.0) <= 1e-9:
             raise StructureError(
                 f"Omega^n does not give a unit volume form (got {v})")
         self.vol_coeff = v
@@ -258,7 +258,7 @@ def standard_structure(n: int) -> QuatStructure:
 def rotate_adapted(q: np.ndarray, s: QuatStructure) -> QuatStructure:
     """Change of adapted basis by q in SO(3): A'_i = sum_j q_ij A_j."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (3, 3) or np.abs(q.T @ q - np.eye(3)).max() > 1e-10:
+    if q.shape != (3, 3) or not np.abs(q.T @ q - np.eye(3)).max() <= 1e-10:
         raise StructureError("q must be a 3x3 orthogonal matrix")
     if np.linalg.det(q) < 0:
         raise StructureError("q must be special orthogonal (det +1)")

@@ -24,12 +24,7 @@ import math
 
 import numpy as np
 
-from .exterior import (
-    MixedTorsion,
-    MixedTwoFormFamily,
-    tables,
-    wedge22_rows,
-)
+from .exterior import MixedTorsion, MixedTwoFormFamily, tables
 from .structure import AXES, QuatStructure
 from .threeform import _hook_omega_table
 
@@ -65,12 +60,20 @@ def _fiber_project(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
     return out
 
 
+def _wedge_omega_rows(mats: np.ndarray, axis: str,
+                      s: QuatStructure) -> np.ndarray:
+    """Row-wise c ^ w_A for a stack (..., dim, dim) of antisymmetric-matrix
+    2-forms, giving (..., N4) 4-form coefficient rows."""
+    i, j = s.tab.columns(2)
+    return mats[..., i, j] @ s.wedge_omega_matrix(axis, 2).T
+
+
 def _embed_rows(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
     """F on a stack (..., dim, dim) of 2-forms, giving (..., N4) 4-forms."""
     rows = 0.0
     for a in AXES:
         A = s.mats[a]
-        rows = rows + 0.25 * wedge22_rows(-(A.T @ mats + mats @ A), A)
+        rows = rows + 0.25 * _wedge_omega_rows(-(A.T @ mats + mats @ A), a, s)
     return rows
 
 
@@ -189,7 +192,7 @@ def reassemble(cA: dict[str, MixedTwoFormFamily], s: QuatStructure) -> MixedTors
     """sum_A c_A ^ w_A, the wedge acting on the form slots only."""
     rows = np.zeros((s.dim, math.comb(s.dim, 4)))
     for name in AXES:
-        rows += wedge22_rows(cA[name].mats, s.mats[name])
+        rows += _wedge_omega_rows(cA[name].mats, name, s)
     return MixedTorsion(s.dim, rows)
 
 

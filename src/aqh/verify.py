@@ -543,26 +543,24 @@ def check_components(s: QuatStructure, rng) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def check_classifier(s: QuatStructure, rng,
-                     full_roundtrip: bool = True) -> list[CheckResult]:
+def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
     out = []
     labs = [X for X in PR.ComponentLabel if PR.COMPONENT_DIMS[X](s.n) > 0]
     pool = PR.components(T.random_W_element(s, 50_000), s, check=False)
 
-    if full_roundtrip:
-        wrong = 0
-        count = 0
-        for rsize in range(1, len(labs) + 1):
-            for sub in itertools.combinations(labs, rsize):
-                a = MixedTorsion.zero(s.dim)
-                for X in sub:
-                    a = a + pool[X]
-                lab, _ = classify_tensor(a, s)
-                count += 1
-                if lab.components != frozenset(sub):
-                    wrong += 1
-        out.append(CheckResult("classification-round-trip", float(wrong),
-                               0.5, f"{count - wrong}/{count} subsets"))
+    wrong = 0
+    count = 0
+    for rsize in range(1, len(labs) + 1):
+        for sub in itertools.combinations(labs, rsize):
+            a = MixedTorsion.zero(s.dim)
+            for X in sub:
+                a = a + pool[X]
+            lab, _ = classify_tensor(a, s)
+            count += 1
+            if lab.components != frozenset(sub):
+                wrong += 1
+    out.append(CheckResult("classification-round-trip", float(wrong),
+                           0.5, f"{count - wrong}/{count} subsets"))
 
     worst_member = 0.0
     worst_reject = np.inf

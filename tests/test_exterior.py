@@ -171,6 +171,29 @@ def test_exp_table_matches_enumeration():
         assert got == want
 
 
+def test_wedge_table_matches_enumeration():
+    # the tuple loop the vectorised build replaced, and the complement rule
+    # of the Hodge star
+    tab = tables(8)
+    for p in range(9):
+        for q in range(9 - p):
+            want = []
+            for o, O in enumerate(tab.tuples(p + q)):
+                for pos in itertools.combinations(range(p + q), p):
+                    S = tuple(O[i] for i in pos)
+                    T = tuple(O[i] for i in range(p + q) if i not in pos)
+                    want.append((o, tab.index(p)[S], tab.index(q)[T],
+                                 (-1.0) ** (sum(pos) - p * (p - 1) // 2)))
+            got = list(zip(*(a.tolist() for a in tab.wedge_table(p, q))))
+            assert got == want
+        comp = [tab.index(8 - p)[tuple(i for i in range(8) if i not in S)]
+                for S in tab.tuples(p)]
+        sign = [(-1.0) ** (sum(S) - p * (p - 1) // 2) for S in tab.tuples(p)]
+        got_comp, got_sign = tab.hodge_table(p)
+        assert got_comp.tolist() == comp
+        assert got_sign.tolist() == sign
+
+
 def test_derivation_matches_slot_sum(rng):
     # sum_i b(.., M X_i, ..) for a generic (not quaternionic) matrix; the
     # dense slot insertions carry a minus sign

@@ -55,6 +55,13 @@ def test_antisymmetrization_and_jacobi():
         MetricLieAlgebra(s, bad)
 
 
+def test_nan_bracket_rejected():
+    c = np.zeros((8, 8, 8))
+    c[0, 1, 2] = np.nan
+    with pytest.raises(AlgebraError):
+        MetricLieAlgebra(standard_structure(2), c)
+
+
 def test_koszul_abelian_is_flat():
     g = abelian_algebra(2)
     assert np.abs(koszul(g)).max() == 0.0

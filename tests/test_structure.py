@@ -48,6 +48,13 @@ def test_structure_rejects_non_quaternionic():
         QuatStructure(2, bad, bad)
 
 
+def test_structure_rejects_nan(s2):
+    I = s2.I.copy()
+    I[0, 0] = np.nan
+    with pytest.raises(StructureError):
+        QuatStructure(2, I, s2.J)
+
+
 def test_kahler_form_norms(s3):
     assert inner(s3.omega["I"], s3.omega["I"]) == pytest.approx(6.0)
 
@@ -82,6 +89,13 @@ def test_rotate_rejects_bad_input(s2):
     refl = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(StructureError):
         rotate_adapted(refl, s2)
+
+
+def test_rotate_rejects_nan(s2):
+    q = np.eye(3)
+    q[0, 1] = np.nan
+    with pytest.raises(StructureError):
+        rotate_adapted(q, s2)
 
 
 def test_rotation_preserves_classification(s2, pool2, rng):
@@ -248,7 +262,7 @@ def test_structure_json_round_trip(s2):
 
 def test_volume_coefficient_follows_fundamental_form(s2, s3):
     # Vol = ((-1)^(n+1)/(2n+1)!) Omega^n fixes the star orientation
-    for s in (s2, s3):
+    for s in (s2, s3, standard_structure(4)):
         top = wedge_power(s.Omega, s.n)
         v = top.coeffs[0] * (-1.0) ** (s.n + 1) / math.factorial(2 * s.n + 1)
         assert s.vol_coeff == pytest.approx(v)

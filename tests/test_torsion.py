@@ -1,5 +1,6 @@
 """The torsion space W: fiber, embedding, extraction, membership."""
 
+import itertools
 
 import numpy as np
 import pytest
@@ -31,6 +32,19 @@ def random_family(s, seed):
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((s.dim,) * 3)
     return MixedTwoFormFamily(s.dim, raw - raw.transpose(0, 2, 1))
+
+
+def wedge22_reference(mats, omega):
+    """Row-wise wedge of a stack of antisymmetric-matrix 2-forms with a fixed
+    2-form, expanded over the six (2, 2)-shuffles."""
+    a, b, c, d = np.array(list(itertools.combinations(
+        range(omega.shape[0]), 4))).T
+    M, N = mats, omega
+    return (
+        M[..., a, b] * N[c, d] - M[..., a, c] * N[b, d]
+        + M[..., a, d] * N[b, c] + M[..., b, c] * N[a, d]
+        - M[..., b, d] * N[a, c] + M[..., c, d] * N[a, b]
+    )
 
 
 def test_fiber_projector_idempotent(s2):
@@ -190,3 +204,16 @@ def test_fiber_basis_matches_per_column_build(s2, s3):
         ref = u[:, :Q.shape[1]]
         assert sv[Q.shape[1]] < 1e-10
         np.testing.assert_allclose(Q @ Q.T, ref @ ref.T, atol=1e-12)
+
+
+def test_embedding_and_reassembly_match_six_term_wedge(s2, s3):
+    for s in (s2, s3):
+        c = random_family(s, 3)
+        want = sum(0.25 * wedge22_reference(-(A.T @ c.mats + c.mats @ A), A)
+                   for A in (s.I, s.J, s.K))
+        np.testing.assert_allclose(F_map(c, s, check=False).rows, want,
+                                   rtol=0, atol=1e-12)
+        cA = {ax: random_family(s, 4 + k) for k, ax in enumerate(AXES)}
+        want = sum(wedge22_reference(cA[ax].mats, s.mats[ax]) for ax in AXES)
+        np.testing.assert_allclose(reassemble(cA, s).rows, want,
+                                   rtol=0, atol=1e-12)
