@@ -72,6 +72,7 @@ from .classify import (
 from .liealg import (
     AlgebraError,
     MetricLieAlgebra,
+    VerificationError,
     abelian_algebra,
     algebra_from_json,
     algebra_to_json,

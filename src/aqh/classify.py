@@ -3,6 +3,10 @@ per-class conditions in terms of the covariant derivative (column 2) or the
 exterior derivative (column 3), plus the dimension-8 partial table and the
 wedge criteria.
 
+Table 2 is written once, as column 2; column 3 is its alternation (see
+_alternated), which is faithful for n >= 3.  Table 3 (dimension 8, where the
+alternation is not injective) is transcribed in 5-form terms.
+
 The one-forms appearing in the conditions are always those of the 3-form
 d* a; in the exterior-derivative column they are recovered from the 5-form
 alone through Hodge identities (see DerivedFromDOmega).
@@ -26,15 +30,6 @@ from .threeform import (
     xi_triple,
 )
 from .torsion import require_in_W, w_coords, w_matrix
-
-CANONICAL_ORDER = (
-    ComponentLabel.L3EH,
-    ComponentLabel.KH,
-    ComponentLabel.EH,
-    ComponentLabel.L3ES3H,
-    ComponentLabel.KS3H,
-    ComponentLabel.ES3H,
-)
 
 ALIASES = {
     frozenset(): ("QK", "quaternion-Kähler"),
@@ -82,7 +77,7 @@ class ClassLabel:
     def key(self) -> str:
         if not self.components:
             return "QK"
-        return "+".join(x.value for x in CANONICAL_ORDER
+        return "+".join(x.value for x in ComponentLabel
                         if x in self.components)
 
     @property
@@ -328,12 +323,36 @@ class Table2Row:
     def key(self) -> str:
         return ClassLabel(self.components).key
 
-    @property
-    def display(self) -> str:
-        return ClassLabel(self.components).display
+
+# Alt of each covariant field as 5-form fields.  Alternation W -> Lambda^5 is
+# injective for n >= 3, so V(a) = 0 iff Alt V(a) = 0:
+#   Alt a = dOm,  Alt Lcal = (L - 2) Alt,  Alt SE = 2 AE,  Alt R(z) = 4 z ^ Om.
+_ALT_IMAGE = {
+    "a": {"dOm": 1.0},
+    "La": {"LdOm": 1.0, "dOm": -2.0},
+    "SEd": {"AEd": 2.0},
+    "SELd": {"AELd": 2.0},
+    "Q": {"Q5": 2.0},
+    "R": {"xiOm": 4.0},
+}
+
+
+def _alternated(cond):
+    """The exterior-derivative form of a condition: a covariant ("w")
+    combination goes to its alternation, with coefficients summed per key in
+    first-seen order and exact zeros dropped; any other condition only uses
+    d*, xi or dOm and is kept."""
+    if cond[0] != "w":
+        return cond
+    out = {}
+    for key, coef in cond[1].items():
+        for key5, factor in _ALT_IMAGE[key].items():
+            out[key5] = out.get(key5, 0.0) + factor * coef
+    return ("f5", {k: v for k, v in out.items() if v != 0.0})
 
 
 def _build_table2(s: QuatStructure) -> list[Table2Row]:
+    """Column 2 as printed in the paper; column 3 is its alternation."""
     k1, k2 = float(s.k1), float(s.k2)
     L, K, E = ComponentLabel.L3EH, ComponentLabel.KH, ComponentLabel.EH
     l, k, e = (ComponentLabel.L3ES3H, ComponentLabel.KS3H,
@@ -342,140 +361,89 @@ def _build_table2(s: QuatStructure) -> list[Table2Row]:
     def w(**kw):
         return ("w", kw)
 
-    def f5(**kw):
-        return ("f5", kw)
-
     def f3(**kw):
         return ("f3", kw)
 
     rows = [
-        ((), [w(a=1)], [f5(dOm=1)]),
-        ((L,), [w(La=1, a=-4), f3(dstar=1)],
-         [f5(LdOm=1, dOm=-6), f3(dstar=1)]),
-        ((K,), [w(a=1, SEd=-1 / 6), ("xiA_eq",)],
-         [f5(dOm=1, AEd=-1 / 3), ("xiA_eq",)]),
-        ((E,), [w(a=1, R=1 / (4 * k1))], [f5(dOm=1, xiOm=1 / k1)]),
-        ((l,), [w(a=1, SEd=1 / 6), ("xi0",)],
-         [f5(dOm=1, AEd=1 / 3), ("xi0",)]),
-        ((k,), [w(La=1, a=2), f3(dstar=1)], [f5(LdOm=1), f3(dstar=1)]),
-        ((e,), [w(a=1, Q=-1 / k2), ("xi0",)],
-         [f5(dOm=1, Q5=-2 / k2), ("xi0",)]),
-        ((L, K), [w(La=1, a=-4), ("xi0",)],
-         [f5(LdOm=1, dOm=-6), ("xi0",)]),
-        ((L, E), [w(La=1, a=-4), f3(dstar=1, xiC=-1)],
-         [f5(LdOm=1, dOm=-6), f3(dstar=1, xiC=-1)]),
-        ((L, l), [w(La=1, a=-4, SEd=-1), ("xi0",)],
-         [f5(LdOm=1, dOm=-6, AEd=-2), ("xi0",)]),
-        ((L, k), [("or", [[f3(dstar=1)], [("wOmdeg0",)]])], None),
-        ((L, e), [w(La=1, a=-4, Q=6 / k2), f3(dstar=1, m=2)],
-         [f5(LdOm=1, dOm=-6, Q5=12 / k2), f3(dstar=1, m=2)]),
-        ((K, E), [w(a=1, SEd=-1 / 6, R=k2 / (12 * k1)), ("xiA_eq",)],
-         [f5(dOm=1, AEd=-1 / 3, xiOm=k2 / (3 * k1)), ("xiA_eq",)]),
-        ((K, l), [w(a=1, SELd=-1 / 18)], [f5(dOm=1, AELd=-1 / 9)]),
-        ((K, k), [w(La=1, a=2, SEd=-1), ("xiA_eq",)],
-         [f5(LdOm=1, AEd=-2), ("xiA_eq",)]),
-        ((K, e), [w(a=1, SEd=-1 / 6, Q=-(k2 + 3) / (3 * k2))],
-         [f5(dOm=1, AEd=-1 / 3, Q5=-2 * (k2 + 3) / (3 * k2))]),
-        ((E, l), [w(a=1, SEd=1 / 6, R=-(k2 - 6) / (12 * k1))],
-         [f5(dOm=1, AEd=1 / 3, xiOm=-(k2 - 6) / (3 * k1))]),
-        ((E, k), [w(La=1, a=2, R=3 / (2 * k1)), f3(dstar=1, xiC=-1)],
-         [f5(LdOm=1, xiOm=6 / k1), f3(dstar=1, xiC=-1)]),
-        ((E, e), [w(a=1, Q=-1 / k2, R=3 / (4 * k1 * k2))],
-         [f5(dOm=1, Q5=-2 / k2, xiOm=3 / (k1 * k2))]),
-        ((l, k), [w(La=1, a=2), ("xiA_eq",)], [f5(LdOm=1), ("xiA_eq",)]),
-        ((l, e), [w(a=1, SEd=1 / 6, Q=2 * k1 / (3 * k2)), ("xi0",)],
-         [f5(dOm=1, AEd=1 / 3, Q5=4 * k1 / (3 * k2)), ("xi0",)]),
-        ((k, e), [w(La=1, a=2), f3(dstar=1, m=2)],
-         [f5(LdOm=1), f3(dstar=1, m=2)]),
-        ((L, K, E), [w(La=1, a=-4)], [f5(LdOm=1, dOm=-6)]),
-        ((L, K, l), [w(La=1, a=-4, SEd=-1 / 2, SELd=1 / 6), ("xi0",)],
-         [f5(LdOm=1, dOm=-6, AEd=-1, AELd=1 / 3), ("xi0",)]),
-        ((L, K, k), [f3(Ldstar=1, dstar=-3), ("xi0",)], None),
-        ((L, K, e), [w(La=1, a=-4, Q=6 / k2)],
-         [f5(LdOm=1, dOm=-6, Q5=12 / k2)]),
-        ((L, E, l), [w(La=1, a=-4, SEd=-1, R=1)],
-         [f5(LdOm=1, dOm=-6, AEd=-2, xiOm=4)]),
-        ((L, E, k), [f3(dstar=1, xiC=-1)], None),
-        ((L, E, e), [w(La=1, a=-4, Q=6 / k2, R=3 / k2), f3(dstar=1, m=2)],
-         [f5(LdOm=1, dOm=-6, Q5=12 / k2, xiOm=12 / k2), f3(dstar=1, m=2)]),
-        ((L, l, k), [f3(Ldstar=1, dstar=3), ("xiA_eq",)], None),
-        ((L, l, e), [w(La=1, a=-4, SEd=-1, Q=-4 * k1 / k2), ("xi0",)],
-         [f5(LdOm=1, dOm=-6, AEd=-2, Q5=-8 * k1 / k2), ("xi0",)]),
-        ((L, k, e), [f3(dstar=1, m=2), ("xi0",)], None),
-        ((K, E, l), [w(a=1, SELd=-1 / 18, R=k2 / (12 * k1))],
-         [f5(dOm=1, AELd=-1 / 9, xiOm=k2 / (3 * k1))]),
-        ((K, E, k), [w(La=1, a=2, SEd=-1, R=k2 / (2 * k1))],
-         [f5(LdOm=1, AEd=-2, xiOm=2 * k2 / k1)]),
+        ((), [w(a=1)]),
+        ((L,), [w(La=1, a=-4), f3(dstar=1)]),
+        ((K,), [w(a=1, SEd=-1 / 6), ("xiA_eq",)]),
+        ((E,), [w(a=1, R=1 / (4 * k1))]),
+        ((l,), [w(a=1, SEd=1 / 6), ("xi0",)]),
+        ((k,), [w(La=1, a=2), f3(dstar=1)]),
+        ((e,), [w(a=1, Q=-1 / k2), ("xi0",)]),
+        ((L, K), [w(La=1, a=-4), ("xi0",)]),
+        ((L, E), [w(La=1, a=-4), f3(dstar=1, xiC=-1)]),
+        ((L, l), [w(La=1, a=-4, SEd=-1), ("xi0",)]),
+        ((L, k), [("or", [[f3(dstar=1)], [("wOmdeg0",)]])]),
+        ((L, e), [w(La=1, a=-4, Q=6 / k2), f3(dstar=1, m=2)]),
+        ((K, E), [w(a=1, SEd=-1 / 6, R=k2 / (12 * k1)), ("xiA_eq",)]),
+        ((K, l), [w(a=1, SELd=-1 / 18)]),
+        ((K, k), [w(La=1, a=2, SEd=-1), ("xiA_eq",)]),
+        ((K, e), [w(a=1, SEd=-1 / 6, Q=-(k2 + 3) / (3 * k2))]),
+        ((E, l), [w(a=1, SEd=1 / 6, R=-(k2 - 6) / (12 * k1))]),
+        ((E, k), [w(La=1, a=2, R=3 / (2 * k1)), f3(dstar=1, xiC=-1)]),
+        ((E, e), [w(a=1, Q=-1 / k2, R=3 / (4 * k1 * k2))]),
+        ((l, k), [w(La=1, a=2), ("xiA_eq",)]),
+        ((l, e), [w(a=1, SEd=1 / 6, Q=2 * k1 / (3 * k2)), ("xi0",)]),
+        ((k, e), [w(La=1, a=2), f3(dstar=1, m=2)]),
+        ((L, K, E), [w(La=1, a=-4)]),
+        ((L, K, l), [w(La=1, a=-4, SEd=-1 / 2, SELd=1 / 6), ("xi0",)]),
+        ((L, K, k), [f3(Ldstar=1, dstar=-3), ("xi0",)]),
+        ((L, K, e), [w(La=1, a=-4, Q=6 / k2)]),
+        ((L, E, l), [w(La=1, a=-4, SEd=-1, R=1)]),
+        ((L, E, k), [f3(dstar=1, xiC=-1)]),
+        ((L, E, e), [w(La=1, a=-4, Q=6 / k2, R=3 / k2), f3(dstar=1, m=2)]),
+        ((L, l, k), [f3(Ldstar=1, dstar=3), ("xiA_eq",)]),
+        ((L, l, e), [w(La=1, a=-4, SEd=-1, Q=-4 * k1 / k2), ("xi0",)]),
+        ((L, k, e), [f3(dstar=1, m=2), ("xi0",)]),
+        ((K, E, l), [w(a=1, SELd=-1 / 18, R=k2 / (12 * k1))]),
+        ((K, E, k), [w(La=1, a=2, SEd=-1, R=k2 / (2 * k1))]),
         ((K, E, e),
-         [w(a=1, SEd=-1 / 6, Q=-(k2 + 3) / (3 * k2), R=3 / (4 * k1 * k2))],
-         [f5(dOm=1, AEd=-1 / 3, Q5=-(2 * k2 + 6) / (3 * k2),
-             xiOm=3 / (k1 * k2))]),
-        ((K, l, k), [w(La=1, a=2, SEd=-1 / 2, SELd=-1 / 6), ("xiA_eq",)],
-         [f5(LdOm=1, AEd=-1, AELd=-1 / 3), ("xiA_eq",)]),
-        ((K, l, e), [w(a=1, SELd=-1 / 18, Q=2 * k1 / (3 * k2))],
-         [f5(dOm=1, AELd=-1 / 9, Q5=4 * k1 / (3 * k2))]),
-        ((K, k, e), [w(La=1, a=2, SEd=-1, Q=-2)],
-         [f5(LdOm=1, AEd=-2, Q5=-4)]),
-        ((E, l, k), [w(La=1, a=2, R=3 / (2 * k1)), ("xiA_eq",)],
-         [f5(LdOm=1, xiOm=6 / k1), ("xiA_eq",)]),
+         [w(a=1, SEd=-1 / 6, Q=-(k2 + 3) / (3 * k2), R=3 / (4 * k1 * k2))]),
+        ((K, l, k), [w(La=1, a=2, SEd=-1 / 2, SELd=-1 / 6), ("xiA_eq",)]),
+        ((K, l, e), [w(a=1, SELd=-1 / 18, Q=2 * k1 / (3 * k2))]),
+        ((K, k, e), [w(La=1, a=2, SEd=-1, Q=-2)]),
+        ((E, l, k), [w(La=1, a=2, R=3 / (2 * k1)), ("xiA_eq",)]),
         ((E, l, e),
-         [w(a=1, SEd=1 / 6, Q=2 * k1 / (3 * k2), R=3 / (4 * k1 * k2))],
-         [f5(dOm=1, AEd=1 / 3, Q5=4 * k1 / (3 * k2), xiOm=3 / (k1 * k2))]),
-        ((E, k, e), [w(La=1, a=2, R=3 / (2 * k1)), f3(dstar=1, m=2)],
-         [f5(LdOm=1, xiOm=6 / k1), f3(dstar=1, m=2)]),
-        ((l, k, e), [w(La=1, a=2)], [f5(LdOm=1)]),
-        ((L, K, E, l), [w(La=1, a=-4, SEd=-1 / 2, SELd=1 / 6)],
-         [f5(LdOm=1, dOm=-6, AEd=-1, AELd=1 / 3)]),
-        ((L, K, E, k), [f3(Ldstar=1, dstar=-3)], None),
-        ((L, K, E, e), [w(La=1, a=-4, R=3 / k2, Q=6 / k2)],
-         [f5(LdOm=1, dOm=-6, xiOm=12 / k2, Q5=12 / k2)]),
-        ((L, K, l, k), [("or", [[("xiA0",)], [("wAA0",)]])], None),
+         [w(a=1, SEd=1 / 6, Q=2 * k1 / (3 * k2), R=3 / (4 * k1 * k2))]),
+        ((E, k, e), [w(La=1, a=2, R=3 / (2 * k1)), f3(dstar=1, m=2)]),
+        ((l, k, e), [w(La=1, a=2)]),
+        ((L, K, E, l), [w(La=1, a=-4, SEd=-1 / 2, SELd=1 / 6)]),
+        ((L, K, E, k), [f3(Ldstar=1, dstar=-3)]),
+        ((L, K, E, e), [w(La=1, a=-4, R=3 / k2, Q=6 / k2)]),
+        ((L, K, l, k), [("or", [[("xiA0",)], [("wAA0",)]])]),
         ((L, K, l, e),
-         [w(La=1, a=-4, SEd=-1 / 2, SELd=1 / 6, Q=-4 * k1 / k2)],
-         [f5(LdOm=1, dOm=-6, AEd=-1, AELd=1 / 3, Q5=-8 * k1 / k2)]),
-        ((L, K, k, e), [f3(Ldstar=1, dstar=-3, m=-12)], None),
-        ((L, E, l, k), [f3(Ldstar=1, dstar=3, xiC=-6), ("xiA_eq",)], None),
+         [w(La=1, a=-4, SEd=-1 / 2, SELd=1 / 6, Q=-4 * k1 / k2)]),
+        ((L, K, k, e), [f3(Ldstar=1, dstar=-3, m=-12)]),
+        ((L, E, l, k), [f3(Ldstar=1, dstar=3, xiC=-6), ("xiA_eq",)]),
         ((L, E, l, e),
-         [w(La=1, a=-4, SEd=-1, R=3 / k2, Q=-4 * k1 / k2)],
-         [f5(LdOm=1, dOm=-6, AEd=-2, xiOm=12 / k2, Q5=-8 * k1 / k2)]),
-        ((L, E, k, e), [f3(dstar=1, m=2)], None),
-        ((L, l, k, e), [f3(Ldstar=1, dstar=3)], None),
+         [w(La=1, a=-4, SEd=-1, R=3 / k2, Q=-4 * k1 / k2)]),
+        ((L, E, k, e), [f3(dstar=1, m=2)]),
+        ((L, l, k, e), [f3(Ldstar=1, dstar=3)]),
         ((K, E, l, k),
          [w(La=1, a=2, SEd=-1 / 2, SELd=-1 / 6, R=k2 / (2 * k1)),
-          ("xiA_eq",)],
-         [f5(LdOm=1, AEd=-1, AELd=-1 / 3, xiOm=2 * k2 / k1), ("xiA_eq",)]),
+          ("xiA_eq",)]),
         ((K, E, l, e),
          [w(a=1, SELd=-1 / 18, R=(4 * k1 ** 2 + k2 ** 2) / (12 * k1 * k2),
-            Q=2 * k1 / (3 * k2))],
-         [f5(dOm=1, AELd=-1 / 9, xiOm=(4 * k1 ** 2 + k2 ** 2) / (3 * k1 * k2),
-             Q5=4 * k1 / (3 * k2))]),
-        ((K, E, k, e), [w(La=1, a=2, SEd=-1, R=3 / (2 * k1), Q=-2)],
-         [f5(LdOm=1, AEd=-2, xiOm=6 / k1, Q5=-4)]),
-        ((K, l, k, e), [w(La=1, a=2, SEd=-1 / 2, SELd=-1 / 6)],
-         [f5(LdOm=1, AEd=-1, AELd=-1 / 3)]),
-        ((E, l, k, e), [w(La=1, a=2, R=3 / (2 * k1))],
-         [f5(LdOm=1, xiOm=6 / k1)]),
-        ((L, K, E, l, k), [("or", [[("xiA_eq",)], [("wAAeq",)]])], None),
+            Q=2 * k1 / (3 * k2))]),
+        ((K, E, k, e), [w(La=1, a=2, SEd=-1, R=3 / (2 * k1), Q=-2)]),
+        ((K, l, k, e), [w(La=1, a=2, SEd=-1 / 2, SELd=-1 / 6)]),
+        ((E, l, k, e), [w(La=1, a=2, R=3 / (2 * k1))]),
+        ((L, K, E, l, k), [("or", [[("xiA_eq",)], [("wAAeq",)]])]),
         ((L, K, E, l, e),
          [w(La=1, a=-4, SEd=-1 / 2, SELd=1 / 6, R=-2 * k1 / k2,
-            Q=-4 * k1 / k2)],
-         [f5(LdOm=1, dOm=-6, AEd=-1, AELd=1 / 3, xiOm=-8 * k1 / k2,
-             Q5=-8 * k1 / k2)]),
-        ((L, K, E, k, e), [f3(Ldstar=1, dstar=-3, xiC=-6, m=-12)], None),
-        ((L, K, l, k, e), [("or", [[("xi0",)], [("wOm0",)]])], None),
-        ((L, E, l, k, e), [f3(Ldstar=1, dstar=3, xiC=-6)], None),
+            Q=-4 * k1 / k2)]),
+        ((L, K, E, k, e), [f3(Ldstar=1, dstar=-3, xiC=-6, m=-12)]),
+        ((L, K, l, k, e), [("or", [[("xi0",)], [("wOm0",)]])]),
+        ((L, E, l, k, e), [f3(Ldstar=1, dstar=3, xiC=-6)]),
         ((K, E, l, k, e),
-         [w(La=1, a=2, SEd=-1 / 2, SELd=-1 / 6, R=k2 / (2 * k1))],
-         [f5(LdOm=1, AEd=-1, AELd=-1 / 3, xiOm=2 * k2 / k1)]),
-        ((L, K, E, l, k, e), [("true",)], [("true",)]),
+         [w(La=1, a=2, SEd=-1 / 2, SELd=-1 / 6, R=k2 / (2 * k1))]),
+        ((L, K, E, l, k, e), [("true",)]),
     ]
-    out = []
-    for i, (comps, col2, col3) in enumerate(rows):
-        if col3 is None:           # "Idem": the condition uses only d*, xi
-            col3 = col2
-        out.append(Table2Row(i + 1, frozenset(comps), tuple(col2),
-                             tuple(col3)))
-    return out
+    return [Table2Row(i + 1, frozenset(comps), tuple(col2),
+                      tuple(_alternated(c) for c in col2))
+            for i, (comps, col2) in enumerate(rows)]
 
 
 def table2_rows(s: QuatStructure) -> list[Table2Row]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .classify import classification_report
 from .exterior import load_json, mixed_from_json, mixed_to_json
-from .liealg import algebra_from_json, classify_algebra
+from .liealg import VerificationError, algebra_from_json, classify_algebra
 from .projectors import COMPONENT_DIMS, ComponentLabel, component
 from .structure import standard_structure
 from .torsion import random_W_element, w_dim
@@ -214,6 +214,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
+    except VerificationError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
     except (InputError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -376,7 +376,9 @@ class MixedTorsion:
     rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=float)
+        # C order, so products such as rows @ Q round the same for any input
+        # layout
+        self.rows = np.ascontiguousarray(self.rows, dtype=float)
         expected = (self.dim, math.comb(self.dim, 4))
         if self.rows.shape != expected:
             raise DegreeError(

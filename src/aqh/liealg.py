@@ -55,6 +55,11 @@ class AlgebraError(ValueError):
     """Raised for bracket tables that do not define a Lie algebra."""
 
 
+class VerificationError(Exception):
+    """Raised when independent routes to one quantity disagree: a failure of
+    the computation, not of the input."""
+
+
 # largest Jacobi residual a bracket table may have
 JACOBI_TOL = 1e-12
 
@@ -188,9 +193,9 @@ def codiff_Omega(g: MetricLieAlgebra, G: np.ndarray | None = None,
     * structural: -2 sum_A <A . hook d w_A, w_A> ^ w_A - 2 sum_A d w_A(A., A., A.),
       equivalently 2 sum_A (d* w_A ^ w_A - d w_A(A., A., A.)).
 
-    Raises if the routes disagree beyond tol (relative).  The report also
-    carries, per axis: the residual of A d* w_A = -<. hook d w_A, w_A>; the
-    residual of the wedge-trace display
+    Raises VerificationError if the routes disagree beyond tol (relative).
+    The report also carries, per axis: the residual of
+    A d* w_A = -<. hook d w_A, w_A>; the residual of the wedge-trace display
     2 <A . hook d w_A, w_A> = star_inv(star dOmega ^ w_A ^ w_A)
     (the d* w_A variant of its left side is degree-invalid and cannot be
     formed); and the residual of the combination that does hold,
@@ -252,7 +257,7 @@ def codiff_Omega(g: MetricLieAlgebra, G: np.ndarray | None = None,
         "wedge_trace_xi_combination": astperp_fixed,
     }
     if worst > tol:
-        raise AlgebraError(
+        raise VerificationError(
             "codifferential routes disagree: "
             + ", ".join(f"{k}={v:.2e}" for k, v in pair.items()))
     return {"value": route_contraction, "variants": variants,

@@ -194,13 +194,6 @@ def proj3(b: AltForm, label: str, s: QuatStructure) -> AltForm:
 # Row conditions, evaluated on precomputed data:
 #   Lb - 3b, Lb + 3b, xiC = xi hook Omega, m = sum_A (A xi_A) ^ w_A.
 
-TABLE1_IDS = (
-    "0", "KH", "EH", "L3E.S3H", "E.S3H",
-    "(K+E)H", "KH+L3E.S3H", "KH+E.S3H", "EH+L3E.S3H", "E(H+S3H)",
-    "(L3E+E)S3H", "(K+E)H+L3E.S3H", "(K+E)H+E.S3H", "KH+(L3E+E)S3H",
-    "EH+(L3E+E)S3H", "full",
-)
-
 TABLE1_COMPONENTS = {
     "0": frozenset(),
     "KH": frozenset({"KH"}),

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .exterior import MixedTorsion, MixedTwoFormFamily, tables
+from .exterior import MixedTorsion, MixedTwoFormFamily
 from .structure import AXES, QuatStructure
 from .threeform import _hook_omega_table
 
@@ -58,6 +58,16 @@ def _fiber_project(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
         tr = 0.5 * np.einsum("...ij,ij->...", out, A)
         out = out - tr[..., None, None] / (2 * s.n) * A
     return out
+
+
+def _two_form_mats(rows: np.ndarray, s: QuatStructure) -> np.ndarray:
+    """Antisymmetric matrices (..., dim, dim) of 2-form coefficient rows
+    (..., N2)."""
+    i, j = s.tab.columns(2)
+    mats = np.zeros(rows.shape[:-1] + (s.dim, s.dim))
+    mats[..., i, j] = rows
+    mats[..., j, i] = -rows
+    return mats
 
 
 def _wedge_omega_rows(mats: np.ndarray, axis: str,
@@ -148,21 +158,28 @@ def w_embed(C: np.ndarray, s: QuatStructure) -> MixedTorsion:
 
 def extract_cA(a: MixedTorsion, s: QuatStructure,
                tol: float = 1e-8) -> dict[str, MixedTwoFormFamily]:
-    """The unique triple with a = sum_A c_A ^ w_A:
-    -4n c_A(x; y, z) = sum_r a(x; y, z, e_r, A e_r)."""
+    """The unique triple with a = sum_A c_A ^ w_A.  Row by row c_A is the
+    adjoint of ^ w_A applied to a, divided by 2n: the transpose of
+    ``reassemble`` up to that factor."""
     require_in_W(a, s, tol)
-    dim = a.dim
-    flat, sign = tables(dim).dense_table(4)
-    out = {}
-    dense = np.zeros((dim, dim ** 4))
-    for k in range(flat.shape[0]):
-        dense[:, flat[k]] = sign[k] * a.rows
-    dense = dense.reshape((dim,) * 5)
+    return {name: MixedTwoFormFamily(a.dim, _two_form_mats(
+                a.rows @ s.wedge_omega_matrix(name, 2) / (2 * s.n), s))
+            for name in AXES}
+
+
+def _admissibility(fams: dict[str, MixedTwoFormFamily],
+                   s: QuatStructure) -> tuple[dict[str, float], float]:
+    """Norms of i) c_A(x; A., A.) + c_A, per axis, and of ii) the cyclic
+    mixed-insertion sum I_(2)J_(3)c_K + J_(2)K_(3)c_I + K_(2)I_(3)c_J."""
+    res_i = {}
     for name in AXES:
         A = s.mats[name]
-        mats = np.einsum("xyzrs,sr->xyz", dense, A) / (-4 * s.n)
-        out[name] = MixedTwoFormFamily(dim, mats)
-    return out
+        res_i[name] = float(np.linalg.norm(
+            A.T @ fams[name].mats @ A + fams[name].mats))
+    I, J, K = s.I, s.J, s.K
+    mix = (I.T @ fams["K"].mats @ J + J.T @ fams["I"].mats @ K
+           + K.T @ fams["J"].mats @ I)
+    return res_i, float(np.linalg.norm(mix))
 
 
 def family_conditions(cA: dict[str, MixedTwoFormFamily],
@@ -170,22 +187,14 @@ def family_conditions(cA: dict[str, MixedTwoFormFamily],
     """Residuals of the three conditions satisfied by the c_A triple:
     i) c_A(x; A., A.) = -c_A, ii) the cyclic mixed-insertion sum vanishes,
     iii) all w_B traces vanish."""
-    I, J, K = s.I, s.J, s.K
-    res_i = 0.0
-    for name in AXES:
-        A = s.mats[name]
-        res_i += float(np.linalg.norm(
-            A.T @ cA[name].mats @ A + cA[name].mats)) ** 2
-    # I_(2)J_(3)c_K + J_(2)K_(3)c_I + K_(2)I_(3)c_J = 0
-    mix = (I.T @ cA["K"].mats @ J + J.T @ cA["I"].mats @ K
-           + K.T @ cA["J"].mats @ I)
-    res_ii = float(np.linalg.norm(mix))
+    res_i, res_ii = _admissibility(cA, s)
     res_iii = 0.0
     for name in AXES:
         for bname in AXES:
             tr = 0.5 * np.einsum("xij,ij->x", cA[name].mats, s.mats[bname])
             res_iii += float(np.linalg.norm(tr)) ** 2
-    return {"i": math.sqrt(res_i), "ii": res_ii, "iii": math.sqrt(res_iii)}
+    return {"i": math.sqrt(sum(v ** 2 for v in res_i.values())),
+            "ii": res_ii, "iii": math.sqrt(res_iii)}
 
 
 def reassemble(cA: dict[str, MixedTwoFormFamily], s: QuatStructure) -> MixedTorsion:
@@ -203,15 +212,9 @@ def from_nabla_omegas(dI: MixedTwoFormFamily, dJ: MixedTwoFormFamily,
     two admissibility conditions i)', ii)' the d_A must satisfy."""
     dA = {"I": dI, "J": dJ, "K": dK}
     scale = max(max(d.norm() for d in dA.values()), 1e-300)
-    res_i = {}
-    for name in AXES:
-        A = s.mats[name]
-        res_i[name] = float(np.linalg.norm(
-            A.T @ dA[name].mats @ A + dA[name].mats)) / scale
-    I, J, K = s.I, s.J, s.K
-    mix = (I.T @ dA["K"].mats @ J + J.T @ dA["I"].mats @ K
-           + K.T @ dA["J"].mats @ I)
-    res_ii = float(np.linalg.norm(mix)) / scale
+    res_i, res_ii = _admissibility(dA, s)
+    res_i = {k: v / scale for k, v in res_i.items()}
+    res_ii /= scale
     if max(max(res_i.values()), res_ii) > tol:
         raise MembershipError(
             "input two-form families are not admissible: "
@@ -225,15 +228,10 @@ def fiber_basis_matrix(s: QuatStructure) -> np.ndarray:
     W = V* (x) span(Q)."""
 
     def build():
-        dim, N2 = s.dim, s.tab.nforms(2)
-        i, j = s.tab.columns(2)
-        k = np.arange(N2)
-        basis = np.zeros((N2, dim, dim))
-        basis[k, i, j] = 1.0
-        basis[k, j, i] = -1.0
+        basis = _two_form_mats(np.eye(s.tab.nforms(2)), s)
         M = _embed_rows(_fiber_project(basis, s), s).T
         u, sv, _ = np.linalg.svd(M, full_matrices=False)
-        r = w_dim(s.n) // dim
+        r = w_dim(s.n) // s.dim
         if not (sv[r - 1] > 1e-10 and (len(sv) <= r or sv[r] < 1e-10)):
             raise MembershipError("unexpected fiber rank")
         return u[:, :r]

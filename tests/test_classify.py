@@ -1,6 +1,7 @@
 """Class assignment, the per-class conditions, and the 5-form machinery."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -266,3 +267,26 @@ def test_alternation_identities(s2, s3, rng):
         lhs5 = alternate5(torsion_embed(b, s))
         rhs5c = 2.0 * (ae_matrix(s) @ b.coeffs)
         assert np.linalg.norm(lhs5.coeffs - rhs5c) / np.linalg.norm(rhs5c) < 1e-9
+
+    # the map that derives the dOmega column: the alternation of each
+    # covariant field equals its image in the fields recovered from dOmega
+    from aqh.classify import _ALT_IMAGE, ctx_from_derived, ctx_from_torsion
+    from aqh.torsion import w_embed
+
+    a = random_W_element(s3, 78)
+    cov = ctx_from_torsion(a, s3)
+    ext = ctx_from_derived(DerivedFromDOmega.from_torsion(a, s3), s3)
+    assert set(_ALT_IMAGE) == set(cov.w)
+    for key, image in _ALT_IMAGE.items():
+        got = alternate5(w_embed(cov.w[key].reshape(s3.dim, -1), s3)).coeffs
+        want = sum(f * ext.f5[k] for k, f in image.items())
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), key
+
+
+def test_report_independent_of_row_layout(s3):
+    # equal arrays in C and Fortran order give the same report, bit for bit
+    for seed in range(5):
+        a = random_W_element(s3, seed)
+        f = MixedTorsion(a.dim, np.asfortranarray(a.rows))
+        assert (json.dumps(classification_report(a, s3))
+                == json.dumps(classification_report(f, s3)))

@@ -117,3 +117,17 @@ def test_classify_rejects_invalid_json(tmp_path, capsys, name, data, where):
     err = capsys.readouterr().err
     assert where in err
     assert "outside [0, 8)" in err or "not a finite number" in err
+
+
+def test_verification_failure_exits_1(monkeypatch, capsys):
+    import aqh.cli
+    from aqh import VerificationError
+
+    def fail(*args, **kwargs):
+        raise VerificationError("codifferential routes disagree")
+
+    monkeypatch.setattr(aqh.cli, "classify_algebra", fail)
+    fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                           "liealg", "class_KH_EH.json")
+    assert main(["classify", "--input", fixture]) == 1
+    assert "codifferential routes disagree" in capsys.readouterr().err

@@ -28,6 +28,7 @@ from aqh import (
         nijenhuis,
     standard_structure,
     two_step_nilpotent,
+    VerificationError,
 )
 from aqh.structure import AXES
 from aqh.exterior import tables
@@ -220,6 +221,13 @@ def test_codifferential_routes_agree():
         # the corrected wedge-trace combination holds; the displayed one fails
         assert max(out["report"]["wedge_trace_xi_combination"].values()) < 1e-9
         assert max(out["report"]["wedge_trace_displayed"].values()) > 1e-2
+
+
+def test_codifferential_disagreement_is_verification_error():
+    # a failed cross-check is not an input error: it must not be a ValueError
+    with pytest.raises(VerificationError) as exc:
+        codiff_Omega(two_step_nilpotent(2, 0), tol=-1.0)
+    assert not isinstance(exc.value, ValueError)
 
 
 def test_codifferential_abelian_vanishes():
