@@ -80,7 +80,6 @@ from .liealg import (
     classify_algebra,
     codiff_Omega,
     koszul,
-    load_algebra,
     nabla_Omega,
     nabla_dense,
     nabla_form,

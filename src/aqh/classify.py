@@ -9,18 +9,21 @@ alternation is not injective) is transcribed in 5-form terms.
 
 The one-forms appearing in the conditions are always those of the 3-form
 d* a; in the exterior-derivative column they are recovered from the 5-form
-alone through Hodge identities (see DerivedFromDOmega).
+alone through Hodge identities, assembled once into dOmega_matrix (see
+DerivedFromDOmega).  Each condition field is a cached linear map of C = aQ,
+d* a or dOmega, computed only when a row reads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .exterior import AltForm, MixedTorsion, alternate5, contract12, wedge, wedge1, wedge_power
-from .projectors import ComponentLabel, lcal_coords, profile as component_profile
+from .exterior import AltForm, MixedTorsion, alternate5, contract12, wedge, wedge_matrix, wedge_power
+from .projectors import ComponentLabel, ComponentProfile, lcal_coords, profile as component_profile, split_coords
 from .structure import AXES, QuatStructure
 from .threeform import (
     OneFormTriple,
@@ -41,32 +44,19 @@ ALIASES = {
 }
 
 
-def _factor_display(hs: set, ss: set) -> str:
-    sym = {ComponentLabel.L3EH: "Λ₀³E",
-           ComponentLabel.KH: "K", ComponentLabel.EH: "E",
-           ComponentLabel.L3ES3H: "Λ₀³E",
-           ComponentLabel.KS3H: "K", ComponentLabel.ES3H: "E"}
-    order = ["Λ₀³E", "K", "E"]
+def _factor_display(comps) -> str:
+    """The class as Sp(n) modules times H, S³H or both, e.g. K(H+S³H) + EH."""
+    order = ("Λ₀³E", "K", "E")
+    mod = {X: order[i % 3] for i, X in enumerate(ComponentLabel)}
+    h = {mod[X] for X in comps if not X.value.endswith("S3H")}
+    s = {mod[X] for X in comps if X.value.endswith("S3H")}
 
-    def grp(mods: list[str]) -> str:
+    def grp(mods: set) -> str:
         mods = [m for m in order if m in mods]
-        if len(mods) == 1:
-            return mods[0]
-        return "(" + "+".join(mods) + ")"
+        return mods[0] if len(mods) == 1 else "(" + "+".join(mods) + ")"
 
-    hmods = [sym[x] for x in hs]
-    smods = [sym[x] for x in ss]
-    common = [m for m in hmods if m in smods]
-    parts = []
-    if common:
-        parts.append(grp(common) + "(H+S³H)")
-    rem_h = [m for m in hmods if m not in common]
-    rem_s = [m for m in smods if m not in common]
-    if rem_h:
-        parts.append(grp(rem_h) + "H")
-    if rem_s:
-        parts.append(grp(rem_s) + "S³H")
-    return " + ".join(parts) if parts else "{0}"
+    return " + ".join(grp(m) + tail for m, tail in (
+        (h & s, "(H+S³H)"), (h - s, "H"), (s - h, "S³H")) if m) or "{0}"
 
 
 @dataclass(frozen=True)
@@ -82,11 +72,7 @@ class ClassLabel:
 
     @property
     def display(self) -> str:
-        hs = {x for x in self.components
-              if x in (ComponentLabel.L3EH, ComponentLabel.KH,
-                       ComponentLabel.EH)}
-        ss = self.components - hs
-        return _factor_display(hs, ss)
+        return _factor_display(self.components)
 
     @property
     def aliases(self) -> tuple[str, ...]:
@@ -99,12 +85,12 @@ class ClassLabel:
 
 def classify(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8):
     """Smallest component subset containing a, with the component profile."""
-    prof = component_profile(a, s, tol)
-    if prof.total < 1e-14:
-        return ClassLabel(frozenset()), prof
-    comps = frozenset(
-        X for X, v in prof.norms.items() if v > tol * prof.total)
-    return ClassLabel(comps), prof
+    return _label(component_profile(a, s, tol), tol)
+
+
+def _label(prof, tol: float):
+    keep = [X for X, v in prof.norms.items() if v > tol * prof.total]
+    return ClassLabel(frozenset(keep if prof.total >= 1e-14 else ())), prof
 
 
 # ---------------------------------------------------------------------------
@@ -114,45 +100,81 @@ def classify(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8):
 
 @dataclass
 class DerivedFromDOmega:
-    """d*Omega, xi and the xi_A triple reconstructed from the 5-form dOmega.
+    """d*Omega, xi, the xi_A triple, star(dOmega) ^ w_A ^ w_A (wAA, by axis)
+    and star(dOmega) ^ Omega (wOm) from the 5-form dOmega.
 
     The reconstruction uses (with star_inv for the outermost star):
       d*Omega = ((-1)^n 6(n-1)/(2n-1)!) * star(Omega^(n-2) ^ dOmega)
       xi      = -(1/(12(2n+1))) star_inv(star(dOmega) ^ Omega)
       star(star(d*Omega) ^ w_A) = 4 k1 A xi_A + 6 A xi,
-    the last solved for xi_A."""
+    the last solved for xi_A.  dOmega_matrix assembles them once."""
 
     dOmega: AltForm
     dstarOmega: AltForm
     xi: np.ndarray
     xi_triple: OneFormTriple
+    wAA: dict
+    wOm: AltForm
     scale: float = 0.0          # reference size for relative residuals
 
     @classmethod
     def from_dOmega(cls, dOm: AltForm, s: QuatStructure,
                     scale: float | None = None) -> "DerivedFromDOmega":
-        n = s.n
-        if n == 2:
-            w = dOm
-        else:
-            w = wedge(wedge_power(s.Omega, n - 2), dOm)
-        dstar = s.star(w) * ((-1.0) ** n * 6 * (n - 1)
-                             / math.factorial(2 * n - 1))
-        xi = -(1.0 / (12 * s.k2)) * s.star_inv(
-            wedge(s.star(dOm), s.Omega)).coeffs
-        vals = {}
-        for a in AXES:
-            A = s.mats[a]
-            t = s.star(wedge(s.star(dstar), s.omega[a])).coeffs
-            axia = (t - 6.0 * (A @ xi)) / (4 * s.k1)
-            vals[a] = -(A @ axia)
-        tri = OneFormTriple(vals["I"], vals["J"], vals["K"], xi, s)
-        return cls(dOm, dstar, xi, tri,
-                   dOm.norm() if scale is None else scale)
+        N3, dim = s.tab.nforms(3), s.dim
+        v = _sparse(s, "dOmega", lambda: dOmega_matrix(s), dOm.coeffs)
+        xi, xI, xJ, xK, *tops = v[N3:].reshape(8, dim)
+        tops = [AltForm(dim, dim - 1, c) for c in tops]
+        return cls(dOm, AltForm(dim, 3, v[:N3]), xi,
+                   OneFormTriple(xI, xJ, xK, xi, s), dict(zip(AXES, tops)),
+                   tops[3], dOm.norm() if scale is None else scale)
 
     @classmethod
     def from_torsion(cls, a: MixedTorsion, s: QuatStructure) -> "DerivedFromDOmega":
         return cls.from_dOmega(alternate5(a), s, scale=a.norm())
+
+
+def _star(s: QuatStructure, p: int, M: np.ndarray, inv: bool = False):
+    """star (star_inv if inv) of every column of M, a p-form."""
+    comp, sign = s.tab.hodge_table(p)
+    out = np.empty_like(M)
+    out[comp] = M * (s.vol_coeff * (-1.0) ** (inv * p * (s.dim - p))
+                     * sign)[:, None]
+    return out
+
+
+def dOmega_matrix(s: QuatStructure) -> np.ndarray:
+    """Matrix (N3 + 8 dim x N5) of dOm -> [d*Omega | xi | xi_I, xi_J, xi_K |
+    star(dOm) ^ w_A ^ w_A for A = I, J, K | star(dOm) ^ Omega], composed
+    from the identities of DerivedFromDOmega."""
+    n, dim = s.n, s.dim
+    lift = (wedge_matrix(wedge_power(s.Omega, n - 2), 5) if n > 2
+            else np.eye(s.tab.nforms(5)))
+    dstar = ((-1.0) ** n * 6 * (n - 1) / math.factorial(2 * n - 1)
+             * _star(s, dim - 3, lift))
+    # wedges of star(dOm): W H_5 = (H_5^-1 W^T)^T, H_5^-1 = star_inv
+    fixed = [s.Omega] + [wedge(s.omega[a], s.omega[a]) for a in AXES]
+    W = np.concatenate([wedge_matrix(b, dim - 5) for b in fixed])
+    W = _star(s, dim - 5, W.T, inv=True).T
+    xi = -(1.0 / (12 * s.k2)) * _star(s, dim - 1, W[:dim], inv=True)
+    sds = _star(s, 3, dstar)
+    xiA = [-s.mats[a] @ (_star(s, dim - 1, wedge_matrix(s.omega[a], dim - 3)
+                                @ sds) - 6.0 * (s.mats[a] @ xi)) / (4 * s.k1)
+           for a in AXES]
+    return np.concatenate([dstar, xi, *xiA, W[dim:], W[:dim]])
+
+
+def _sparse(s: QuatStructure, key: str, matrix, x: np.ndarray) -> np.ndarray:
+    """matrix() @ x through the nonzeros of that fixed matrix, cached per
+    structure: dOmega_matrix, L_matrix(5) and ae_matrix are 1.6-2.5% nonzero
+    at n=3, and one bincount reads far less memory than the product."""
+
+    def build():
+        M = matrix()
+        r, c = np.nonzero(M)
+        return r, c, M[r, c], len(M)
+
+    r, c, v, n = s.cache(("sparse", key), build)
+    return np.bincount(r, weights=v * x[c], minlength=n)
 
 
 # ---------------------------------------------------------------------------
@@ -162,94 +184,85 @@ class DerivedFromDOmega:
 
 def ae_matrix(s: QuatStructure) -> np.ndarray:
     """Matrix (N5 x N3) of b -> sum_A i_A(b) ^ w_A."""
+    return s.cache("ae_matrix", lambda: sum(
+        s.wedge_omega_matrix(a, 3) @ (-s.deriv(a, 3)) for a in AXES))
+
+
+def _field_maps(s: QuatStructure) -> dict[str, np.ndarray]:
+    """Fixed matrices of the context fields: SE (se_matrix), and those of the
+    fields linear in xi or in (xi_I, xi_J, xi_K); SE, Q, R on W coords."""
 
     def build():
-        out = np.zeros((s.tab.nforms(5), s.tab.nforms(3)))
-        for a in AXES:
-            out += s.wedge_omega_matrix(a, 3) @ (-s.deriv(a, 3))
-        return out
+        m = np.concatenate([s.wedge_omega_matrix(a, 1) @ s.mats[a]
+                            for a in AXES], axis=1)
+        SE = w_matrix(se_matrix(s), s)
+        return {"SE": SE, "xiC": hook_omega_matrix(s),
+                "R": w_matrix(r_matrix(s), s), "xiOm": wedge_matrix(s.Omega, 1),
+                "m": m, "Q": SE @ m, "Q5": ae_matrix(s) @ m}
 
-    return s.cache("ae_matrix", build)
-
-
-def _w_column_matrices(s: QuatStructure) -> tuple[np.ndarray, np.ndarray]:
-    """se_matrix and r_matrix in W coordinates; both images lie in W."""
-    return s.cache("w_column", lambda: (w_matrix(se_matrix(s), s),
-                                        w_matrix(r_matrix(s), s)))
+    return s.cache("context_maps", build)
 
 
-def _wedge_forms(dOm: AltForm, s: QuatStructure):
-    """The three (4n-1)-forms star(dOm) ^ w_A ^ w_A, keyed by axis, and
-    star(dOm) ^ Omega."""
-    sd = s.star(dOm)
-    per = {a: wedge(wedge(sd, s.omega[a]), s.omega[a]) for a in AXES}
-    return per, wedge(sd, s.Omega)
+class _Fields(dict):
+    """The fields read so far, each computed by its builder in ``make``."""
+
+    def __init__(self, **make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make[key]()
+        return value
 
 
 class _Ctx:
-    """Precomputed vectors entering the row conditions, with a common scale.
+    """The fields entering the row conditions, with a common scale; the
+    tables w, f5 and f3 compute a field when a row first reads it.
 
     W-column fields (W coordinates, dim*r): a, La, SEd, SELd, Q, R.  All of
     them lie in W, so their norms are those of the 5-slot tensors.
     dOmega-column fields (5-forms): dOm, LdOm, AEd, AELd, Q5, xiOm.
-    Shared 3-form / one-form fields: dstar, Ldstar, xiC, m, xi, xiA.
+    Shared 3-form fields: dstar, Ldstar, xiC, m; the one-forms xi, xiA; and
+    derived(), the DerivedFromDOmega of the tensor's 5-form.
     """
 
-    def __init__(self, s: QuatStructure, scale: float):
-        self.s = s
-        self.scale = max(scale, 1e-300)
-        self.w: dict[str, np.ndarray] = {}
-        self.f5: dict[str, np.ndarray] = {}
-        self.f3: dict[str, np.ndarray] = {}
-        self.xi = None
-        self.xiA = None
-        self.dOm = None
-
-    def _m_from_triple(self):
-        s = self.s
-        m = np.zeros(s.tab.nforms(3))
-        for a in AXES:
-            m += s.wedge_omega_matrix(a, 1) @ (s.mats[a] @ self.xiA[a])
-        return m
-
-    def fill_shared(self, dstar: np.ndarray, xi: np.ndarray, xiA: dict):
-        s = self.s
-        self.xi = xi
-        self.xiA = xiA
-        self.f3["dstar"] = dstar
-        self.f3["Ldstar"] = s.L_matrix(3) @ dstar
-        self.f3["xiC"] = hook_omega_matrix(s) @ xi
-        self.f3["m"] = self._m_from_triple()
+    def __init__(self, s: QuatStructure, scale: float, dstar: np.ndarray,
+                 tri: OneFormTriple, derived):
+        # builders hold what they read, not the context: no reference cycle
+        self.s, self.scale = s, max(scale, 1e-300)
+        self.xi, self.xiA, self.derived = tri.xi, tri, derived
+        self.xi3 = xi3 = np.concatenate([tri.xi_I, tri.xi_J, tri.xi_K])
+        self.maps = M = _field_maps(s)
+        self.f3 = _Fields(dstar=lambda: dstar,
+                          Ldstar=lambda: s.L_matrix(3) @ dstar,
+                          xiC=lambda: M["xiC"] @ tri.xi, m=lambda: M["m"] @ xi3)
+        self.w = self.f5 = _Fields()
 
 
-def ctx_from_torsion(a: MixedTorsion, s: QuatStructure) -> _Ctx:
-    ctx = _Ctx(s, a.norm())
+def ctx_from_torsion(a: MixedTorsion, s: QuatStructure,
+                     C: np.ndarray | None = None) -> _Ctx:
+    """The covariant-column context of a; C = aQ when already known."""
     ds = contract12(a)
-    tri = xi_triple(ds, s)
-    ctx.fill_shared(ds.coeffs, tri.xi, {ax: tri[ax] for ax in AXES})
-    C = w_coords(a, s, check=False)
-    SE_W, R_W = _w_column_matrices(s)
-    ctx.w["a"] = C.reshape(-1)
-    ctx.w["La"] = lcal_coords(C, s).reshape(-1)
-    three = np.stack([ds.coeffs, ctx.f3["Ldstar"], ctx.f3["m"]])
-    ctx.w["SEd"], ctx.w["SELd"], ctx.w["Q"] = three @ SE_W.T
-    ctx.w["R"] = R_W @ tri.xi
-    ctx.dOm = alternate5(a)
+    ctx = _Ctx(s, a.norm(), ds.coeffs, xi_triple(ds, s),
+               cache(lambda: DerivedFromDOmega.from_torsion(a, s)))
+    C = w_coords(a, s, check=False) if C is None else C
+    f3, M, xi, xi3 = ctx.f3, ctx.maps, ctx.xi, ctx.xi3
+    ctx.w = _Fields(a=lambda: C.reshape(-1),
+                    La=lambda: lcal_coords(C, s).reshape(-1),
+                    SEd=lambda: M["SE"] @ f3["dstar"],
+                    SELd=lambda: M["SE"] @ f3["Ldstar"],
+                    Q=lambda: M["Q"] @ xi3, R=lambda: M["R"] @ xi)
     return ctx
 
 
 def ctx_from_derived(d: DerivedFromDOmega, s: QuatStructure) -> _Ctx:
-    ctx = _Ctx(s, d.scale)
-    tri = d.xi_triple
-    ctx.fill_shared(d.dstarOmega.coeffs, d.xi, {ax: tri[ax] for ax in AXES})
-    AE = ae_matrix(s)
-    ctx.f5["dOm"] = d.dOmega.coeffs
-    ctx.f5["LdOm"] = s.L_matrix(5) @ d.dOmega.coeffs
-    ctx.f5["AEd"] = AE @ ctx.f3["dstar"]
-    ctx.f5["AELd"] = AE @ ctx.f3["Ldstar"]
-    ctx.f5["Q5"] = AE @ ctx.f3["m"]
-    ctx.f5["xiOm"] = wedge1(d.xi, s.Omega).coeffs
-    ctx.dOm = d.dOmega
+    ctx = _Ctx(s, d.scale, d.dstarOmega.coeffs, d.xi_triple, lambda: d)
+    dOm, f3, M, xi, xi3 = d.dOmega.coeffs, ctx.f3, ctx.maps, d.xi, ctx.xi3
+    L5, AE = lambda: s.L_matrix(5), lambda: ae_matrix(s)
+    ctx.f5 = _Fields(dOm=lambda: dOm, LdOm=lambda: _sparse(s, "L5", L5, dOm),
+                     AEd=lambda: _sparse(s, "AE", AE, f3["dstar"]),
+                     AELd=lambda: _sparse(s, "AE", AE, f3["Ldstar"]),
+                     Q5=lambda: M["Q5"] @ xi3, xiOm=lambda: M["xiOm"] @ xi)
     return ctx
 
 
@@ -271,20 +284,17 @@ def _eval_cond(cond, ctx: _Ctx) -> float:
             float(np.linalg.norm(ctx.xiA["I"] - ctx.xiA["J"])),
             float(np.linalg.norm(ctx.xiA["J"] - ctx.xiA["K"])))
     if tag == "wAA0":
-        per, _ = _wedge_forms(ctx.dOm, ctx.s)
-        return max(per[a].norm() for a in AXES)
+        return max(ctx.derived().wAA[a].norm() for a in AXES)
     if tag == "wAAeq":
-        per, _ = _wedge_forms(ctx.dOm, ctx.s)
-        return max((per["I"] - per["J"]).norm(),
-                   (per["J"] - per["K"]).norm())
+        per = ctx.derived().wAA
+        return max((per["I"] - per["J"]).norm(), (per["J"] - per["K"]).norm())
     if tag == "wOm0":
-        _, full = _wedge_forms(ctx.dOm, ctx.s)
-        return full.norm()
+        return ctx.derived().wOm.norm()
     if tag == "wOmdeg0":
-        s = ctx.s
-        if s.n == 2:
-            return ctx.dOm.norm()
-        return wedge(wedge_power(s.Omega, s.n - 2), ctx.dOm).norm()
+        # |Omega^(n-2) ^ dOm| = |d*Omega| (2n-1)! / (6(n-1)), star an isometry
+        n = ctx.s.n
+        return (ctx.derived().dstarOmega.norm() * math.factorial(2 * n - 1)
+                / (6 * (n - 1)))
     if tag == "true":
         return 0.0
     if tag == "or":
@@ -319,7 +329,7 @@ class Table2Row:
     col2: tuple = field(compare=False)
     col3: tuple = field(compare=False)
 
-    @property
+    @cached_property
     def key(self) -> str:
         return ClassLabel(self.components).key
 
@@ -351,9 +361,11 @@ def _alternated(cond):
     return ("f5", {k: v for k, v in out.items() if v != 0.0})
 
 
-def _build_table2(s: QuatStructure) -> list[Table2Row]:
-    """Column 2 as printed in the paper; column 3 is its alternation."""
-    k1, k2 = float(s.k1), float(s.k2)
+@lru_cache(maxsize=None)
+def _build_table2(n: int) -> tuple[Table2Row, ...]:
+    """Column 2 as printed in the paper; column 3 is its alternation.  The
+    rows depend on the structure only through n."""
+    k1, k2 = float(n - 1), float(2 * n + 1)
     L, K, E = ComponentLabel.L3EH, ComponentLabel.KH, ComponentLabel.EH
     l, k, e = (ComponentLabel.L3ES3H, ComponentLabel.KS3H,
                ComponentLabel.ES3H)
@@ -441,28 +453,24 @@ def _build_table2(s: QuatStructure) -> list[Table2Row]:
          [w(La=1, a=2, SEd=-1 / 2, SELd=-1 / 6, R=k2 / (2 * k1))]),
         ((L, K, E, l, k, e), [("true",)]),
     ]
-    return [Table2Row(i + 1, frozenset(comps), tuple(col2),
-                      tuple(_alternated(c) for c in col2))
-            for i, (comps, col2) in enumerate(rows)]
+    return tuple(Table2Row(i + 1, frozenset(comps), tuple(col2),
+                           tuple(_alternated(c) for c in col2))
+                 for i, (comps, col2) in enumerate(rows))
 
 
-def table2_rows(s: QuatStructure) -> list[Table2Row]:
-    return s.cache("table2_rows", lambda: _build_table2(s))
+def table2_rows(s: QuatStructure) -> tuple[Table2Row, ...]:
+    return _build_table2(s.n)
 
 
 def _find_row(rows, row_id) -> Table2Row:
+    """A row given as itself, its number, its component set or its key."""
     if isinstance(row_id, Table2Row):
         return row_id
     if isinstance(row_id, int):
         return rows[row_id - 1]
-    if isinstance(row_id, frozenset) or isinstance(row_id, set):
-        want = frozenset(row_id)
-        for r in rows:
-            if r.components == want:
-                return r
-        raise KeyError(f"no row for components {row_id}")
+    attr = "key" if isinstance(row_id, str) else "components"
     for r in rows:
-        if r.key == row_id:
+        if getattr(r, attr) == row_id:
             return r
     raise KeyError(f"unknown row id {row_id!r}")
 
@@ -491,7 +499,8 @@ def table2_residual_dOmega(d: DerivedFromDOmega, s: QuatStructure,
 # ---------------------------------------------------------------------------
 
 
-def _build_table3(s: QuatStructure) -> list[Table2Row]:
+@lru_cache(maxsize=None)
+def _build_table3() -> tuple[Table2Row, ...]:
     K, E = ComponentLabel.KH, ComponentLabel.EH
     k, e = ComponentLabel.KS3H, ComponentLabel.ES3H
 
@@ -509,12 +518,12 @@ def _build_table3(s: QuatStructure) -> list[Table2Row]:
         ((E, k, e), [f5(dOm=1, Q5=-2 / 5, xiOm=3 / 5)]),
         ((K, E, k, e), [f5(dOm=1, AEd=-1 / 3, Q5=-16 / 15, xiOm=3 / 5)]),
     ]
-    return [Table2Row(i + 1, frozenset(c), tuple(conds), tuple(conds))
-            for i, (c, conds) in enumerate(rows)]
+    return tuple(Table2Row(i + 1, frozenset(c), tuple(conds), tuple(conds))
+                 for i, (c, conds) in enumerate(rows))
 
 
-def table3_rows(s: QuatStructure) -> list[Table2Row]:
-    return s.cache("table3_rows", lambda: _build_table3(s))
+def table3_rows(s: QuatStructure) -> tuple[Table2Row, ...]:
+    return _build_table3()
 
 
 def table3_residual(d: DerivedFromDOmega, s: QuatStructure,
@@ -536,8 +545,8 @@ def wedge_criteria(d: DerivedFromDOmega, s: QuatStructure,
     star(dOm)^w_A^w_A agree iff the ES3H part vanishes; iii) all vanish iff
     the E(H+S3H) part vanishes."""
     scale = max(d.dOmega.norm(), 1e-300)
-    per, full = _wedge_forms(d.dOmega, s)
-    crit_i = full.norm() <= tol * scale
+    per = d.wAA
+    crit_i = d.wOm.norm() <= tol * scale
     crit_ii = max((per["I"] - per["J"]).norm(),
                   (per["J"] - per["K"]).norm()) <= tol * scale
     crit_iii = max(f.norm() for f in per.values()) <= tol * scale
@@ -563,7 +572,12 @@ def perp_EH5_test(phi: AltForm, s: QuatStructure, tol: float = 1e-8) -> bool:
 
 def classification_report(a: MixedTorsion, s: QuatStructure,
                           tol: float = 1e-8) -> dict:
-    label, prof = classify(a, s, tol)      # the one membership test
+    # C = aQ after the one membership test; C, d* a, Lcal C and the fields
+    # of alternate5(a) are computed once for the profile and both contexts
+    ctx = ctx_from_torsion(a, s, w_coords(a, s, tol))
+    C, LC = (ctx.w[k].reshape(s.dim, -1) for k in ("a", "La"))
+    label, prof = _label(ComponentProfile.of(
+        split_coords(C, ctx.f3["dstar"], s, LC), a.norm()), tol)
     out = {
         "class": label.display,
         "key": label.key,
@@ -572,9 +586,8 @@ def classification_report(a: MixedTorsion, s: QuatStructure,
         "tolerance": tol,
     }
     row2 = _find_row(table2_rows(s), label.components)
-    out["table2"] = RowResult.evaluate(
-        row2, row2.col2, ctx_from_torsion(a, s)).to_json()
-    d = DerivedFromDOmega.from_torsion(a, s)
+    out["table2"] = RowResult.evaluate(row2, row2.col2, ctx).to_json()
+    d = ctx.derived()
     if s.n >= 3:
         out["table2_dOmega"] = table2_residual_dOmega(d, s,
                                                       label.components).to_json()

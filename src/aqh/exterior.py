@@ -250,7 +250,7 @@ class AltForm:
         return float(out)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return math.sqrt(self.coeffs @ self.coeffs)
 
     def _like(self, coeffs: np.ndarray) -> "AltForm":
         return AltForm(self.dim, self.degree, coeffs)
@@ -286,6 +286,15 @@ def wedge(a: AltForm, b: AltForm) -> AltForm:
     vals = sign * a.coeffs[ai] * b.coeffs[bi]
     out = np.bincount(o, weights=vals, minlength=math.comb(a.dim, p + q))
     return AltForm(a.dim, p + q, out)
+
+
+def wedge_matrix(b: AltForm, p: int) -> np.ndarray:
+    """Matrix (N_{p+q} x N_p) of x -> x ^ b for a fixed q-form b."""
+    tab = tables(b.dim)
+    o, ai, bi, sign = tab.wedge_table(p, b.degree)
+    W = np.zeros((tab.nforms(p + b.degree), tab.nforms(p)))
+    np.add.at(W, (o, ai), sign * b.coeffs[bi])
+    return W
 
 
 def wedge_power(a: AltForm, k: int) -> AltForm:
@@ -394,7 +403,7 @@ class MixedTorsion:
         return AltForm(self.dim, 4, self.rows[x].copy())
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.rows))
+        return math.sqrt(self.rows.ravel() @ self.rows.ravel())
 
     def flat(self) -> np.ndarray:
         return self.rows.reshape(-1)

@@ -20,7 +20,6 @@ and the Nijenhuis tensor of each complex structure measures integrability.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +47,7 @@ from .structure import (
 )
 from .threeform import xi_triple
 from .torsion import from_nabla_omegas, is_in_W
-from .classify import DerivedFromDOmega, _wedge_forms, classification_report
+from .classify import DerivedFromDOmega, classification_report
 
 
 class AlgebraError(ValueError):
@@ -169,19 +168,18 @@ def nijenhuis(g: MetricLieAlgebra, axis: str) -> np.ndarray:
 
 def gray_residual(g: MetricLieAlgebra, G: np.ndarray, axis: str) -> float:
     """Residual of 2 nabla w_A = d w_A - A_(2)A_(3) d w_A - A_(2) N_A."""
+    return _gray_residual(g, G, axis, ce_d(g, g.structure.omega[axis]))
+
+
+def _gray_residual(g: MetricLieAlgebra, G: np.ndarray, axis: str,
+                   dw: AltForm) -> float:
+    """gray_residual, given d w_A."""
     A = g.structure.mats[axis]
-    dw = ce_d(g, g.structure.omega[axis]).dense()
+    dw = dw.dense()
     NA = nijenhuis(g, axis)
     rhs = dw - insert(A, 2, insert(A, 3, dw)) - insert(A, 2, NA)
     lhs = 2.0 * nabla_omega(g, G, axis).mats
     return float(np.abs(lhs - rhs).max())
-
-
-def codiff_omega_2form(g: MetricLieAlgebra, G: np.ndarray,
-                       axis: str) -> np.ndarray:
-    """d* w_A as a one-form: -(sum_r (nabla_{e_r} w_A)(e_r, .))."""
-    mats = nabla_omega(g, G, axis).mats
-    return -np.einsum("rrz->z", mats)
 
 
 def codiff_Omega(g: MetricLieAlgebra, G: np.ndarray | None = None,
@@ -201,18 +199,25 @@ def codiff_Omega(g: MetricLieAlgebra, G: np.ndarray | None = None,
     formed); and the residual of the combination that does hold,
     star_inv(star dOmega ^ w_A ^ w_A) = -12 xi - 8 k1 xi_A
     with xi, xi_A those of d* Omega."""
+    s, G = g.structure, koszul(g) if G is None else G
+    return _codiff_Omega(g, G, nabla_Omega(g, G),
+                         DerivedFromDOmega.from_dOmega(ce_d(g, s.Omega), s),
+                         {a: ce_d(g, s.omega[a]) for a in AXES}, tol)
+
+
+def _codiff_Omega(g: MetricLieAlgebra, G: np.ndarray, nOm: MixedTorsion,
+                  d: DerivedFromDOmega, dwa: dict, tol: float = 1e-9) -> dict:
+    """codiff_Omega given nabla Omega, the fields d of d Omega and d w_A."""
     s = g.structure
-    if G is None:
-        G = koszul(g)
-    nOm = nabla_Omega(g, G)
     route_contraction = contract12(nOm)
     route_hodge = -1.0 * s.star(ce_d(g, s.star(s.Omega)))
-    dwa = {a: ce_d(g, s.omega[a]) for a in AXES}
     # w[y] = <e_y hook dw_A, w_A>; u = <A . hook dw_A, w_A> = -A w
     w = {a: 0.5 * np.einsum("yrs,rs->y", dwa[a].dense(), s.mats[a])
          for a in AXES}
     u = {a: -(s.mats[a] @ w[a]) for a in AXES}
-    dstar_w = {a: codiff_omega_2form(g, G, a) for a in AXES}
+    # d* w_A = -(sum_r (nabla_{e_r} w_A)(e_r, .))
+    dstar_w = {a: -np.einsum("rrz->z", nabla_omega(g, G, a).mats)
+               for a in AXES}
     route_structural = AltForm.zero(s.dim, 3)
     for a in AXES:
         route_structural = (route_structural
@@ -237,15 +242,13 @@ def codiff_Omega(g: MetricLieAlgebra, G: np.ndarray | None = None,
         for y in names[i + 1:]:
             pair[f"{x}|{y}"] = float(np.linalg.norm(
                 variants[x].coeffs - variants[y].coeffs)) / scale
-    dOm = ce_d(g, s.Omega)
     tri = xi_triple(route_contraction, s)
     leedd = {}
     astperp = {}
     astperp_fixed = {}
-    per, _ = _wedge_forms(dOm, s)
     for a in AXES:
         leedd[a] = float(np.abs(s.mats[a] @ dstar_w[a] + w[a]).max())
-        wAA = s.star_inv(per[a])
+        wAA = s.star_inv(d.wAA[a])
         astperp[a] = float(np.abs(2.0 * u[a] - wAA.coeffs).max()) / scale
         fixed = -12.0 * tri.xi - 8.0 * s.k1 * tri[a]
         astperp_fixed[a] = float(np.abs(fixed - wAA.coeffs).max()) / scale
@@ -266,10 +269,12 @@ def codiff_Omega(g: MetricLieAlgebra, G: np.ndarray | None = None,
 
 def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
     """End-to-end pipeline: connection, torsion, class, table residuals and
-    the structural cross-identities."""
+    the structural cross-identities, sharing nabla Omega, d Omega, d w_A."""
     s = g.structure
     G = koszul(g)
     nOm = nabla_Omega(g, G)
+    d = DerivedFromDOmega.from_dOmega(ce_d(g, s.Omega), s, scale=nOm.norm())
+    dwa = {a: ce_d(g, s.omega[a]) for a in AXES}
     ok, resid = is_in_W(nOm, s, max(tol, 1e-10))
     checks = {"torsion_membership": resid}
     nw = {a: nabla_omega(g, G, a) for a in AXES}
@@ -278,21 +283,20 @@ def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
     scale = max(nOm.norm(), 1e-300)
     checks["product_rule"] = float(
         np.linalg.norm(assembled.rows - nOm.rows)) / scale
-    dOm_ce = ce_d(g, s.Omega)
     checks["alternation_vs_differential"] = float(np.linalg.norm(
-        alternate5(nOm).coeffs - dOm_ce.coeffs)) / scale
-    checks["gray_identity"] = max(gray_residual(g, G, a) for a in AXES)
+        alternate5(nOm).coeffs - d.dOmega.coeffs)) / scale
+    checks["gray_identity"] = max(_gray_residual(g, G, a, dwa[a])
+                                  for a in AXES)
     checks["nijenhuis_trace"] = max(
         float(np.abs(np.einsum("iix->x", nijenhuis(g, a))).max())
         for a in AXES)
-    cod = codiff_Omega(g, G)
+    cod = _codiff_Omega(g, G, nOm, d, dwa)
     checks["codifferential_pairwise"] = max(
         cod["report"]["pairwise"].values())
     checks["wedge_trace_xi_combination"] = max(
         cod["report"]["wedge_trace_xi_combination"].values())
     report = classification_report(nOm, s, tol)
-    d = DerivedFromDOmega.from_dOmega(dOm_ce, s, scale=nOm.norm())
-    tri = xi_triple(contract12(nOm), s)
+    tri = xi_triple(cod["value"], s)
     checks["xi_hodge_vs_contraction"] = float(
         np.linalg.norm(d.xi - tri.xi)) / scale
     report["checks"] = checks
@@ -353,7 +357,3 @@ def algebra_from_json(data: dict) -> MetricLieAlgebra:
         c[j, i, k] -= v
     return MetricLieAlgebra(s, c)
 
-
-def load_algebra(path: str) -> MetricLieAlgebra:
-    with open(path) as fh:
-        return algebra_from_json(json.load(fh))

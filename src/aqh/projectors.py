@@ -110,23 +110,25 @@ def lcal_coords(C: np.ndarray, s: QuatStructure) -> np.ndarray:
     return -sum(s.mats[ax] @ C @ D[k].T for k, ax in enumerate(AXES))
 
 
-def lcal_halves(C: np.ndarray, s: QuatStructure) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of the H and S3H halves: (Lcal + 2)/6 and (4 - Lcal)/6."""
-    LC = lcal_coords(C, s)
+def lcal_halves(C: np.ndarray, s: QuatStructure, LC: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of the H and S3H halves: (Lcal + 2)/6 and (4 - Lcal)/6,
+    from C and, when known, LC = Lcal C."""
+    LC = lcal_coords(C, s) if LC is None else LC
     return (LC + 2.0 * C) / 6.0, (4.0 * C - LC) / 6.0
 
 
-def split_coords(C: np.ndarray, ds: np.ndarray,
-                 s: QuatStructure) -> dict[ComponentLabel, np.ndarray]:
-    """Coordinates of the six components, from W coordinates C (..., dim, r)
-    and the contraction ds = d* a (..., N3) of the same tensors."""
+def split_coords(C: np.ndarray, ds: np.ndarray, s: QuatStructure,
+                 LC: np.ndarray | None = None) -> dict[ComponentLabel, np.ndarray]:
+    """Coordinates of the six components, from W coordinates C (..., dim, r),
+    the contraction ds = d* a (..., N3) and, when known, LC = Lcal C."""
     core = _w_core(s)
     lead = C.shape[:-2]
     parts = (ds @ core["proj3"].T).reshape(*lead, len(VISIBLE), -1)
     vis = (parts @ core["hat_w"].T).reshape(*lead, len(VISIBLE),
                                             *C.shape[-2:])
     out = {X: vis[..., k, :, :] for k, X in enumerate(VISIBLE)}
-    h, s3h = lcal_halves(C, s)
+    h, s3h = lcal_halves(C, s, LC)
     out[ComponentLabel.L3EH] = (h - out[ComponentLabel.KH]
                                 - out[ComponentLabel.EH])
     out[ComponentLabel.KS3H] = (s3h - out[ComponentLabel.ES3H]
@@ -174,6 +176,12 @@ class ComponentProfile:
         ss = sum(v * v for v in self.norms.values())
         return abs(ss - self.total ** 2) / self.total ** 2
 
+    @classmethod
+    def of(cls, parts: dict, total: float) -> "ComponentProfile":
+        """The profile of the component coordinates ``parts``."""
+        return cls({X: float(np.linalg.norm(c)) for X, c in parts.items()},
+                   total)
+
     def to_json(self) -> dict:
         return {
             "norms": {X.value: v for X, v in self.norms.items()},
@@ -183,8 +191,4 @@ class ComponentProfile:
 
 def profile(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
             check: bool = True) -> ComponentProfile:
-    return ComponentProfile(
-        norms={X: float(np.linalg.norm(c))
-               for X, c in _split(a, s, tol, check).items()},
-        total=a.norm(),
-    )
+    return ComponentProfile.of(_split(a, s, tol, check), a.norm())

@@ -28,6 +28,7 @@ from .exterior import (
     MixedTorsion,
     tables,
     wedge,
+    wedge_matrix,
     wedge_power,
 )
 
@@ -203,14 +204,8 @@ class QuatStructure:
     def wedge_omega_matrix(self, axis: str, p: int) -> np.ndarray:
         """Matrix of b -> b ^ w_A from degree p to p+2."""
 
-        def build():
-            o, ai, bi, sign = self.tab.wedge_table(p, 2)
-            Np, No = self.tab.nforms(p), self.tab.nforms(p + 2)
-            W = np.zeros((No, Np))
-            np.add.at(W, (o, ai), sign * self.omega[axis].coeffs[bi])
-            return W
-
-        return self.cache(("wedge_omega", axis, p), build)
+        return self.cache(("wedge_omega", axis, p),
+                          lambda: wedge_matrix(self.omega[axis], p))
 
     def pullback_matrix(self, axis: str, p: int) -> np.ndarray:
         """Matrix of b -> b(A ., .., A .) on degree-p coefficients (minors);

@@ -27,6 +27,7 @@ from aqh import (
     wedge,
     wedge1,
     wedge_criteria,
+    wedge_power,
     xi_triple,
 )
 from aqh.structure import AXES
@@ -276,7 +277,7 @@ def test_alternation_identities(s2, s3, rng):
     a = random_W_element(s3, 78)
     cov = ctx_from_torsion(a, s3)
     ext = ctx_from_derived(DerivedFromDOmega.from_torsion(a, s3), s3)
-    assert set(_ALT_IMAGE) == set(cov.w)
+    assert set(_ALT_IMAGE) == set(cov.w.make)
     for key, image in _ALT_IMAGE.items():
         got = alternate5(w_embed(cov.w[key].reshape(s3.dim, -1), s3)).coeffs
         want = sum(f * ext.f5[k] for k, f in image.items())
@@ -290,3 +291,131 @@ def test_report_independent_of_row_layout(s3):
         f = MixedTorsion(a.dim, np.asfortranarray(a.rows))
         assert (json.dumps(classification_report(a, s3))
                 == json.dumps(classification_report(f, s3)))
+
+
+def _hodge_route(dOm, s):
+    """d*Omega, xi, xi_A and the wedge forms of a 5-form by the per-vector
+    Hodge formulas of DerivedFromDOmega, one wedge and star at a time."""
+    n = s.n
+    w = dOm if n == 2 else wedge(wedge_power(s.Omega, n - 2), dOm)
+    dstar = s.star(w) * ((-1.0) ** n * 6 * (n - 1)
+                         / math.factorial(2 * n - 1))
+    xi = -(1.0 / (12 * s.k2)) * s.star_inv(
+        wedge(s.star(dOm), s.Omega)).coeffs
+    xiA = {}
+    for a in AXES:
+        A = s.mats[a]
+        t = s.star(wedge(s.star(dstar), s.omega[a])).coeffs
+        xiA[a] = -(A @ ((t - 6.0 * (A @ xi)) / (4 * s.k1)))
+    sd = s.star(dOm)
+    wAA = {a: wedge(wedge(sd, s.omega[a]), s.omega[a]).coeffs for a in AXES}
+    return ([dstar.coeffs, xi] + [xiA[a] for a in AXES]
+            + [wAA[a] for a in AXES] + [wedge(sd, s.Omega).coeffs])
+
+
+def test_dOmega_matrix_matches_hodge_route(s2, s3, rng):
+    from aqh.classify import dOmega_matrix
+    from aqh.structure import random_rotation, rotate_adapted
+
+    rot = rotate_adapted(random_rotation(rng), s3)
+    for s in (s2, s3, rot):
+        M = dOmega_matrix(s)
+        assert M.shape == (math.comb(s.dim, 3) + 8 * s.dim,
+                           math.comb(s.dim, 5))
+        forms = [AltForm(s.dim, 5, rng.standard_normal(M.shape[1]))
+                 for _ in range(3)]
+        forms += [alternate5(random_W_element(s, seed)) for seed in (1, 2)]
+        for dOm in forms:
+            want = _hodge_route(dOm, s)
+            d = DerivedFromDOmega.from_dOmega(dOm, s)
+            got = ([d.dstarOmega.coeffs, d.xi]
+                   + [d.xi_triple[a] for a in AXES]
+                   + [d.wAA[a].coeffs for a in AXES] + [d.wOm.coeffs])
+            atol = 1e-12 * max(np.abs(w).max() for w in want)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=atol)
+            np.testing.assert_allclose(M @ dOm.coeffs, np.concatenate(want),
+                                       rtol=1e-12, atol=atol)
+
+
+def _eager_fields(ds, xi, tri, dOm, s):
+    """Every context field by its direct formula (f3, and f5 when dOm is
+    given), each product formed on its own."""
+    from aqh.classify import ae_matrix
+    from aqh.threeform import hook_omega_matrix
+
+    m = sum(s.wedge_omega_matrix(a, 1) @ (s.mats[a] @ tri[a]) for a in AXES)
+    f3 = {"dstar": ds, "Ldstar": s.L_matrix(3) @ ds,
+          "xiC": hook_omega_matrix(s) @ xi, "m": m}
+    if dOm is None:
+        return f3, {}
+    AE = ae_matrix(s)
+    return f3, {"dOm": dOm, "LdOm": s.L_matrix(5) @ dOm,
+                "AEd": AE @ ds, "AELd": AE @ f3["Ldstar"], "Q5": AE @ m,
+                "xiOm": wedge1(xi, s.Omega).coeffs}
+
+
+def test_ctx_fields_on_demand(s2, s3):
+    from aqh.classify import RowResult, ctx_from_derived, ctx_from_torsion
+    from aqh.projectors import lcal_coords
+    from aqh.threeform import r_matrix, se_matrix
+    from aqh.torsion import w_coords, w_matrix
+
+    for s in (s2, s3):
+        a = random_W_element(s, 91)
+        d = DerivedFromDOmega.from_torsion(a, s)
+        qk = table2_rows(s)[0]
+        cov, ext = ctx_from_torsion(a, s), ctx_from_derived(d, s)
+        RowResult.evaluate(qk, qk.col2, cov)
+        RowResult.evaluate(qk, qk.col3, ext)
+        # a row pays only for the fields it names
+        assert set(cov.w) == {"a"} and not cov.f3
+        assert set(ext.f5) == {"dOm"} and not ext.f3 and not ext.w
+
+        ds = contract12(a).coeffs
+        tri = xi_triple(contract12(a), s)
+        f3, _ = _eager_fields(ds, tri.xi, tri, None, s)
+        C = w_coords(a, s, check=False)
+        SE, R = w_matrix(se_matrix(s), s), w_matrix(r_matrix(s), s)
+        want = {"w": {"a": C.ravel(), "La": lcal_coords(C, s).ravel(),
+                      "SEd": SE @ ds, "SELd": SE @ f3["Ldstar"],
+                      "Q": SE @ f3["m"], "R": R @ tri.xi},
+                "f3": f3, "f5": {}}
+        f3d, f5d = _eager_fields(d.dstarOmega.coeffs, d.xi, d.xi_triple,
+                                 d.dOmega.coeffs, s)
+        for ctx, tables in ((ctx_from_torsion(a, s), want),
+                            (ctx_from_derived(d, s),
+                             {"w": {}, "f3": f3d, "f5": f5d})):
+            for tag, fields in tables.items():
+                table = getattr(ctx, tag)
+                assert set(table.make) == set(fields), tag
+                for key, v in fields.items():
+                    np.testing.assert_allclose(
+                        table[key], v, rtol=1e-12,
+                        atol=1e-12 * np.abs(v).max(), err_msg=key)
+
+
+def test_report_leaves_no_reference_cycles(s2, s3):
+    # a lazily computed field must not tie its context, and through it the
+    # structure's caches, into a cycle that only the collector frees
+    import gc
+
+    for s in (s2, s3):
+        a = random_W_element(s, 5)
+        classification_report(a, s)
+        gc.collect()
+        gc.disable()
+        try:
+            classification_report(a, s)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def test_tables_cached_per_n(s3, rng):
+    from aqh.structure import random_rotation, rotate_adapted
+
+    rot = rotate_adapted(random_rotation(rng), s3)
+    assert table2_rows(rot) is table2_rows(s3)
+    assert all(x is y for x, y in zip(table2_rows(rot), table2_rows(s3)))
+    assert table3_rows(rot) is table3_rows(s3)
