@@ -478,9 +478,9 @@ def _find_row(rows, row_id) -> Table2Row:
 def table2_residual(a: MixedTorsion, s: QuatStructure, row_id,
                     tol: float = 1e-8) -> RowResult:
     """Residuals of the covariant-derivative column for one row."""
-    require_in_W(a, s, tol)
+    C = require_in_W(a, s, tol)
     row = _find_row(table2_rows(s), row_id)
-    return RowResult.evaluate(row, row.col2, ctx_from_torsion(a, s))
+    return RowResult.evaluate(row, row.col2, ctx_from_torsion(a, s, C))
 
 
 def table2_residual_dOmega(d: DerivedFromDOmega, s: QuatStructure,

@@ -348,13 +348,19 @@ def wedge_rows(rows: np.ndarray, p: int) -> np.ndarray:
 
 def derivation(M: np.ndarray, b: AltForm) -> np.ndarray:
     """Coefficients (..., N_p) of the slot derivation
-    b -> sum_i b(.., M X_i, ..) for every matrix of a stack (..., dim, dim)."""
+    b -> sum_i b(.., M X_i, ..) for every matrix of a stack (..., dim, dim).
+
+    b goes through ``der_table`` first, Y[z dim + r, t] = sum of sign * b[s]
+    over the rows, in one bincount whatever the stack size; the stack then
+    meets Y in one product M.reshape(..., dim^2) @ Y."""
     M = np.asarray(M, dtype=float)
     if b.degree == 0:
         return np.zeros(M.shape[:-2] + (1,))
-    t, s, z, r, sign = tables(b.dim).der_table(b.degree)
-    return _accumulate(t, M[..., z, r] * (sign * b.coeffs[s]),
-                       math.comb(b.dim, b.degree))
+    dim, N = b.dim, math.comb(b.dim, b.degree)
+    t, s, z, r, sign = tables(dim).der_table(b.degree)
+    Y = np.bincount((z * dim + r) * N + t, weights=sign * b.coeffs[s],
+                    minlength=dim * dim * N)
+    return M.reshape(M.shape[:-2] + (dim * dim,)) @ Y.reshape(dim * dim, N)
 
 
 def inner(a: AltForm, b: AltForm) -> float:

@@ -20,6 +20,7 @@ and the Nijenhuis tensor of each complex structure measures integrability.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,7 @@ from .structure import (
     AXES,
     QuatStructure,
     insert,
+    slot_sum,
     standard_structure,
     structure_from_json,
 )
@@ -116,16 +118,9 @@ def nabla_dense(g: MetricLieAlgebra, G: np.ndarray,
                 t: np.ndarray) -> np.ndarray:
     """Covariant derivative of an invariant dense (0,s)-tensor:
     out[x, ...] = (nabla_{e_x} t)(...)."""
-    dim = g.dim
-    s = t.ndim
-    out = np.zeros((dim,) + t.shape)
-    for x in range(dim):
-        M = G[x].T      # matrix of nabla_{e_x}: e_j -> sum_k G[x,j,k] e_k
-        acc = np.zeros_like(t)
-        for i in range(1, s + 1):
-            acc += insert(M, i, t)  # insert carries the minus sign
-        out[x] = acc
-    return out
+    # G[x].T is the matrix of nabla_{e_x}: e_j -> sum_k G[x,j,k] e_k, and
+    # its slot sum carries the minus sign of insert
+    return np.stack([slot_sum(G[x].T, t) for x in range(g.dim)])
 
 
 def nabla_form(g: MetricLieAlgebra, G: np.ndarray, w: AltForm) -> np.ndarray:
@@ -156,30 +151,31 @@ def ce_d(g: MetricLieAlgebra, b: AltForm) -> AltForm:
 
 def nijenhuis(g: MetricLieAlgebra, axis: str) -> np.ndarray:
     """N_A(x, y, z) = <e_x, N_A(e_y, e_z)> with
-    N_A(Y, Z) = [Y,Z] + A[AY,Z] + A[Y,AZ] - [AY,AZ]."""
+    N_A(Y, Z) = [Y,Z] + A[AY,Z] + A[Y,AZ] - [AY,AZ].
+
+    Built in (y, z, x) order from P[y, z] = [A e_y, e_z] = tensordot(A, c):
+    A[AY,Z] is P A^T, A[Y,AZ] is its (y, z) transpose negated, and
+    [AY,AZ] is A^T P: one tensordot and two batched products."""
     A = g.structure.mats[axis]
-    c = g.c
-    t1 = np.einsum("yzx->xyz", c)
-    t2 = np.einsum("xv,uy,uzv->xyz", A, A, c)
-    t3 = np.einsum("xv,uz,yuv->xyz", A, A, c)
-    t4 = np.einsum("uy,wz,uwx->xyz", A, A, c)
-    return t1 + t2 + t3 - t4
+    P = np.tensordot(A, g.c, (0, 0))
+    Q = P @ A.T
+    N = g.c + Q - Q.transpose(1, 0, 2) - A.T @ P
+    return N.transpose(2, 0, 1)
 
 
 def gray_residual(g: MetricLieAlgebra, G: np.ndarray, axis: str) -> float:
     """Residual of 2 nabla w_A = d w_A - A_(2)A_(3) d w_A - A_(2) N_A."""
-    return _gray_residual(g, G, axis, ce_d(g, g.structure.omega[axis]))
+    return _gray_residual(g.structure.mats[axis],
+                          ce_d(g, g.structure.omega[axis]),
+                          nijenhuis(g, axis), nabla_omega(g, G, axis))
 
 
-def _gray_residual(g: MetricLieAlgebra, G: np.ndarray, axis: str,
-                   dw: AltForm) -> float:
-    """gray_residual, given d w_A."""
-    A = g.structure.mats[axis]
+def _gray_residual(A: np.ndarray, dw: AltForm, NA: np.ndarray,
+                   nw: MixedTwoFormFamily) -> float:
+    """gray_residual, given d w_A, N_A and nabla w_A."""
     dw = dw.dense()
-    NA = nijenhuis(g, axis)
     rhs = dw - insert(A, 2, insert(A, 3, dw)) - insert(A, 2, NA)
-    lhs = 2.0 * nabla_omega(g, G, axis).mats
-    return float(np.abs(lhs - rhs).max())
+    return float(np.abs(2.0 * nw.mats - rhs).max())
 
 
 def codiff_Omega(g: MetricLieAlgebra, G: np.ndarray | None = None,
@@ -200,14 +196,17 @@ def codiff_Omega(g: MetricLieAlgebra, G: np.ndarray | None = None,
     star_inv(star dOmega ^ w_A ^ w_A) = -12 xi - 8 k1 xi_A
     with xi, xi_A those of d* Omega."""
     s, G = g.structure, koszul(g) if G is None else G
-    return _codiff_Omega(g, G, nabla_Omega(g, G),
+    return _codiff_Omega(g, nabla_Omega(g, G),
                          DerivedFromDOmega.from_dOmega(ce_d(g, s.Omega), s),
-                         {a: ce_d(g, s.omega[a]) for a in AXES}, tol)
+                         {a: ce_d(g, s.omega[a]) for a in AXES},
+                         {a: nabla_omega(g, G, a) for a in AXES}, tol)
 
 
-def _codiff_Omega(g: MetricLieAlgebra, G: np.ndarray, nOm: MixedTorsion,
-                  d: DerivedFromDOmega, dwa: dict, tol: float = 1e-9) -> dict:
-    """codiff_Omega given nabla Omega, the fields d of d Omega and d w_A."""
+def _codiff_Omega(g: MetricLieAlgebra, nOm: MixedTorsion,
+                  d: DerivedFromDOmega, dwa: dict, nw: dict,
+                  tol: float = 1e-9) -> dict:
+    """codiff_Omega given nabla Omega, the fields d of d Omega, d w_A and
+    nabla w_A."""
     s = g.structure
     route_contraction = contract12(nOm)
     route_hodge = -1.0 * s.star(ce_d(g, s.star(s.Omega)))
@@ -216,50 +215,35 @@ def _codiff_Omega(g: MetricLieAlgebra, G: np.ndarray, nOm: MixedTorsion,
          for a in AXES}
     u = {a: -(s.mats[a] @ w[a]) for a in AXES}
     # d* w_A = -(sum_r (nabla_{e_r} w_A)(e_r, .))
-    dstar_w = {a: -np.einsum("rrz->z", nabla_omega(g, G, a).mats)
-               for a in AXES}
-    route_structural = AltForm.zero(s.dim, 3)
-    for a in AXES:
-        route_structural = (route_structural
-                            - 2.0 * wedge1(u[a], s.omega[a])
-                            + 2.0 * s.act_axis(a, dwa[a]))
+    dstar_w = {a: -np.einsum("rrz->z", nw[a].mats) for a in AXES}
+    act = {a: 2.0 * s.act_axis(a, dwa[a]) for a in AXES}
+    zero = AltForm.zero(s.dim, 3)
     variants = {
         "contraction": route_contraction,
         "hodge": route_hodge,
-        "structural": route_structural,
+        "structural": sum((act[a] - 2.0 * wedge1(u[a], s.omega[a])
+                           for a in AXES), zero),
+        # same expression through the two-form codifferentials
+        "two_form_codiff": sum((2.0 * wedge1(dstar_w[a], s.omega[a]) + act[a]
+                                for a in AXES), zero),
     }
-    # same expression through the two-form codifferentials
-    alt = AltForm.zero(s.dim, 3)
-    for a in AXES:
-        alt = alt + 2.0 * (wedge1(dstar_w[a], s.omega[a])
-                           + s.act_axis(a, dwa[a]))
-    variants["two_form_codiff"] = alt
-
     scale = max(route_contraction.norm(), 1e-300)
-    names = list(variants)
-    pair = {}
-    for i, x in enumerate(names):
-        for y in names[i + 1:]:
-            pair[f"{x}|{y}"] = float(np.linalg.norm(
+    pair = {f"{x}|{y}": float(np.linalg.norm(
                 variants[x].coeffs - variants[y].coeffs)) / scale
+            for x, y in itertools.combinations(variants, 2)}
     tri = xi_triple(route_contraction, s)
-    leedd = {}
-    astperp = {}
-    astperp_fixed = {}
-    for a in AXES:
-        leedd[a] = float(np.abs(s.mats[a] @ dstar_w[a] + w[a]).max())
-        wAA = s.star_inv(d.wAA[a])
-        astperp[a] = float(np.abs(2.0 * u[a] - wAA.coeffs).max()) / scale
-        fixed = -12.0 * tri.xi - 8.0 * s.k1 * tri[a]
-        astperp_fixed[a] = float(np.abs(fixed - wAA.coeffs).max()) / scale
-    worst = max(pair.values())
+    wAA = {a: s.star_inv(d.wAA[a]).coeffs for a in AXES}
+    fixed = {a: -12.0 * tri.xi - 8.0 * s.k1 * tri[a] for a in AXES}
     report = {
         "pairwise": pair,
-        "two_form_codiff_identity": leedd,
-        "wedge_trace_displayed": astperp,
-        "wedge_trace_xi_combination": astperp_fixed,
+        "two_form_codiff_identity": {a: float(np.abs(
+            s.mats[a] @ dstar_w[a] + w[a]).max()) for a in AXES},
+        "wedge_trace_displayed": {a: float(np.abs(
+            2.0 * u[a] - wAA[a]).max()) / scale for a in AXES},
+        "wedge_trace_xi_combination": {a: float(np.abs(
+            fixed[a] - wAA[a]).max()) / scale for a in AXES},
     }
-    if worst > tol:
+    if max(pair.values()) > tol:
         raise VerificationError(
             "codifferential routes disagree: "
             + ", ".join(f"{k}={v:.2e}" for k, v in pair.items()))
@@ -269,7 +253,8 @@ def _codiff_Omega(g: MetricLieAlgebra, G: np.ndarray, nOm: MixedTorsion,
 
 def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
     """End-to-end pipeline: connection, torsion, class, table residuals and
-    the structural cross-identities, sharing nabla Omega, d Omega, d w_A."""
+    the structural cross-identities, sharing nabla Omega, d Omega, d w_A,
+    nabla w_A and N_A."""
     s = g.structure
     G = koszul(g)
     nOm = nabla_Omega(g, G)
@@ -278,6 +263,7 @@ def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
     ok, resid = is_in_W(nOm, s, max(tol, 1e-10))
     checks = {"torsion_membership": resid}
     nw = {a: nabla_omega(g, G, a) for a in AXES}
+    NA = {a: nijenhuis(g, a) for a in AXES}
     assembled = from_nabla_omegas(2.0 * nw["I"], 2.0 * nw["J"],
                                   2.0 * nw["K"], s)
     scale = max(nOm.norm(), 1e-300)
@@ -285,12 +271,11 @@ def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
         np.linalg.norm(assembled.rows - nOm.rows)) / scale
     checks["alternation_vs_differential"] = float(np.linalg.norm(
         alternate5(nOm).coeffs - d.dOmega.coeffs)) / scale
-    checks["gray_identity"] = max(_gray_residual(g, G, a, dwa[a])
-                                  for a in AXES)
+    checks["gray_identity"] = max(
+        _gray_residual(s.mats[a], dwa[a], NA[a], nw[a]) for a in AXES)
     checks["nijenhuis_trace"] = max(
-        float(np.abs(np.einsum("iix->x", nijenhuis(g, a))).max())
-        for a in AXES)
-    cod = _codiff_Omega(g, G, nOm, d, dwa)
+        float(np.abs(np.einsum("iix->x", NA[a])).max()) for a in AXES)
+    cod = _codiff_Omega(g, nOm, d, dwa, nw)
     checks["codifferential_pairwise"] = max(
         cod["report"]["pairwise"].values())
     checks["wedge_trace_xi_combination"] = max(

@@ -117,30 +117,36 @@ def F_inverse(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8) -> MixedTwoF
     return f_inverse_raw(a, s)
 
 
+def _w_project(a: MixedTorsion, s: QuatStructure) -> tuple[np.ndarray, float]:
+    """(C, residual): the W coordinates C = aQ and |a - C Q^T| / |a|."""
+    Q = fiber_basis_matrix(s)
+    C = a.rows @ Q
+    return C, float(np.linalg.norm(a.rows - C @ Q.T)) / max(a.norm(), 1e-300)
+
+
 def is_in_W(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8) -> tuple[bool, float]:
     """Membership as distance: the residual is |a - (aQ)Q^T| / |a|, the
     relative distance of a from W = V* (x) span(Q)."""
-    Q = fiber_basis_matrix(s)
-    resid = float(np.linalg.norm(a.rows - (a.rows @ Q) @ Q.T))
-    resid /= max(a.norm(), 1e-300)
+    resid = _w_project(a, s)[1]
     return resid <= tol, resid
 
 
-def require_in_W(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8):
-    """Raise MembershipError unless a lies within tol*|a| of W."""
-    ok, resid = is_in_W(a, s, tol)
-    if not ok:
+def require_in_W(a: MixedTorsion, s: QuatStructure,
+                 tol: float = 1e-8) -> np.ndarray:
+    """Raise MembershipError unless a lies within tol*|a| of W; return the
+    W coordinates C = aQ."""
+    C, resid = _w_project(a, s)
+    if not resid <= tol:
         raise MembershipError(
             f"tensor is not in the torsion space (residual {resid:.2e})")
+    return C
 
 
 def w_coords(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
              check: bool = True) -> np.ndarray:
     """Coordinates C = aQ (dim x r) of a in the orthonormal W basis, after
     require_in_W when check is set."""
-    if check:
-        require_in_W(a, s, tol)
-    return a.rows @ fiber_basis_matrix(s)
+    return require_in_W(a, s, tol) if check else a.rows @ fiber_basis_matrix(s)
 
 
 def w_matrix(M: np.ndarray, s: QuatStructure) -> np.ndarray:

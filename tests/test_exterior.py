@@ -209,6 +209,24 @@ def test_derivation_matches_slot_sum(rng):
     assert derivation(M, AltForm.zero(8, 0)).shape == (3, 1)
 
 
+def test_derivation_high_degrees_match_slot_sum(rng):
+    # degrees 6 and 7 at dim 8, beyond those of test_derivation_matches_slot_sum,
+    # for a stack of 12 matrices; one matrix gives its row of the stack.  The
+    # dense reference (8^7 entries at p = 7) is evaluated on three rows.
+    M = rng.standard_normal((12, 8, 8))
+    for p in (6, 7):
+        b = rand_form(rng, 8, p)
+        got = derivation(M, b)
+        assert got.shape == (12, math.comb(8, p))
+        dense = b.dense()
+        for k in (0, 5, 11):
+            want = -AltForm.from_dense(slot_sum(M[k], dense)).coeffs
+            np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-12)
+        for k in range(12):
+            np.testing.assert_allclose(derivation(M[k], b), got[k], rtol=0,
+                                       atol=1e-12)
+
+
 def test_alternate5_matches_dense_alternation(rng):
     a = MixedTorsion(8, rng.standard_normal((8, math.comb(8, 4))))
     dense = np.stack([a.row(x).dense() for x in range(8)])

@@ -141,6 +141,17 @@ def test_ce_d_matches_bracket_alternation(rng):
                                        atol=1e-12)
 
 
+def test_ce_d_matches_bracket_alternation_n3():
+    # the two degrees classify_algebra differentiates at n=3: 4 -> 5, 8 -> 9
+    for g in (two_step_nilpotent(3, 11), _almost_abelian(3, 12)):
+        s = g.structure
+        for b in (s.Omega, s.star(s.Omega)):
+            got = ce_d(g, b)
+            assert got.degree == b.degree + 1
+            np.testing.assert_allclose(got.coeffs, _bracket_alternation(g, b),
+                                       atol=1e-12)
+
+
 def test_nabla_form_matches_dense(rng):
     g = _almost_abelian(2, 13)
     G = koszul(g)
@@ -202,6 +213,53 @@ def test_nijenhuis():
         # antisymmetric in the last two slots, trace-free in the first two
         assert np.abs(N + N.transpose(0, 2, 1)).max() < 1e-12
         assert np.abs(np.einsum("iix->x", N)).max() < 1e-12
+
+
+def _nijenhuis_from_brackets(g, A):
+    """N[x, y, z] = <e_x, N_A(e_y, e_z)> from g.bracket on basis vectors,
+    N_A(Y, Z) = [Y,Z] + A[AY,Z] + A[Y,AZ] - [AY,AZ]."""
+    E = np.eye(g.dim)
+    N = np.zeros((g.dim,) * 3)
+    for y, z in itertools.product(range(g.dim), repeat=2):
+        Y, Z = E[y], E[z]
+        N[:, y, z] = (g.bracket(Y, Z) + A @ g.bracket(A @ Y, Z)
+                      + A @ g.bracket(Y, A @ Z) - g.bracket(A @ Y, A @ Z))
+    return N
+
+
+def test_nijenhuis_matches_bracket_definition(s3):
+    from aqh.structure import random_rotation, rotate_adapted
+
+    rot = rotate_adapted(random_rotation(np.random.default_rng(5)), s3)
+    algebras = [_almost_abelian(2, 21), two_step_nilpotent(2, 22),
+                _almost_abelian(3, 23), two_step_nilpotent(3, 24),
+                MetricLieAlgebra(rot, _almost_abelian(3, 25).c),
+                MetricLieAlgebra(rot, two_step_nilpotent(3, 26).c)]
+    for g in algebras:
+        atol = 1e-12 * np.abs(g.c).max()
+        for ax in AXES:
+            want = _nijenhuis_from_brackets(g, g.structure.mats[ax])
+            np.testing.assert_allclose(nijenhuis(g, ax), want, rtol=0,
+                                       atol=atol, err_msg=ax)
+    # a generic almost-abelian algebra is not integrable: N_A is not zero
+    g = algebras[0]
+    assert min(np.abs(nijenhuis(g, ax)).max() for ax in AXES) > 1e-2
+
+
+def test_classify_algebra_computes_each_axis_once(monkeypatch):
+    from aqh import liealg
+
+    calls = {"nijenhuis": 0, "nabla_omega": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(liealg, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(liealg, name, counted)
+    rep = classify_algebra(two_step_nilpotent(2, 9))
+    # N_A and nabla w_A once per axis, shared by every check that reads them
+    assert calls == {"nijenhuis": 3, "nabla_omega": 3}
+    assert rep["checks"]["gray_identity"] < 1e-10
 
 
 def test_gray_identity():

@@ -124,6 +124,20 @@ def test_is_in_W(s2):
     assert not ok and resid > 1e-3
 
 
+def test_checked_w_coords_are_the_membership_product(s2):
+    from aqh.torsion import require_in_W, w_coords
+
+    a = random_W_element(s2, 5)
+    C = a.rows @ fiber_basis_matrix(s2)
+    # the coordinates the membership test formed, not a second product
+    assert np.array_equal(require_in_W(a, s2), C)
+    assert np.array_equal(w_coords(a, s2), C)
+    assert np.array_equal(w_coords(a, s2, check=False), C)
+    bad = MixedTorsion(8, np.tile(s2.Omega.coeffs, (8, 1)))
+    with pytest.raises(MembershipError):
+        w_coords(bad, s2)
+
+
 def test_extract_cA_conditions_and_reassembly(s2, s3):
     for s in (s2, s3):
         a = random_W_element(s, 6)
