@@ -27,7 +27,11 @@ from .projectors import ComponentLabel, ComponentProfile, lcal_coords, profile a
 from .structure import AXES, QuatStructure
 from .threeform import (
     OneFormTriple,
-    hook_omega_matrix,
+    _cond,
+    _Ctx,
+    _eval_cond,
+    _Fields,
+    m_matrix,
     r_matrix,
     se_matrix,
     xi_triple,
@@ -132,6 +136,19 @@ class DerivedFromDOmega:
     def from_torsion(cls, a: MixedTorsion, s: QuatStructure) -> "DerivedFromDOmega":
         return cls.from_dOmega(alternate5(a), s, scale=a.norm())
 
+    def wedge_norms(self) -> dict[str, float]:
+        """The wedge norms the conditions read: |star(dOm) ^ Omega| (wOm0),
+        the larger difference of the star(dOm) ^ w_A ^ w_A (wAAeq), the
+        largest of them (wAA0) and |Omega^(n-2) ^ dOm| (wOmdeg0), which is
+        |d*Omega| (2n-1)! / (6(n-1)) as star is an isometry."""
+        per, n = self.wAA, self.dOmega.dim // 4
+        return {"wOm0": self.wOm.norm(),
+                "wAAeq": max((per["I"] - per["J"]).norm(),
+                             (per["J"] - per["K"]).norm()),
+                "wAA0": max(f.norm() for f in per.values()),
+                "wOmdeg0": (self.dstarOmega.norm() * math.factorial(2 * n - 1)
+                            / (6 * (n - 1)))}
+
 
 def _star(s: QuatStructure, p: int, M: np.ndarray, inv: bool = False):
     """star (star_inv if inv) of every column of M, a p-form."""
@@ -189,64 +206,29 @@ def ae_matrix(s: QuatStructure) -> np.ndarray:
 
 
 def _field_maps(s: QuatStructure) -> dict[str, np.ndarray]:
-    """Fixed matrices of the context fields: SE (se_matrix), and those of the
-    fields linear in xi or in (xi_I, xi_J, xi_K); SE, Q, R on W coords."""
+    """Fixed matrices of the fields a 3-form context lacks: SE (se_matrix),
+    R and Q = SE m on W coordinates; Q5 = AE m and xiOm on 5-forms."""
 
     def build():
-        m = np.concatenate([s.wedge_omega_matrix(a, 1) @ s.mats[a]
-                            for a in AXES], axis=1)
+        m = m_matrix(s)
         SE = w_matrix(se_matrix(s), s)
-        return {"SE": SE, "xiC": hook_omega_matrix(s),
-                "R": w_matrix(r_matrix(s), s), "xiOm": wedge_matrix(s.Omega, 1),
-                "m": m, "Q": SE @ m, "Q5": ae_matrix(s) @ m}
+        return {"SE": SE, "R": w_matrix(r_matrix(s), s),
+                "xiOm": wedge_matrix(s.Omega, 1), "Q": SE @ m,
+                "Q5": ae_matrix(s) @ m}
 
     return s.cache("context_maps", build)
 
 
-class _Fields(dict):
-    """The fields read so far, each computed by its builder in ``make``."""
-
-    def __init__(self, **make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        self[key] = value = self.make[key]()
-        return value
-
-
-class _Ctx:
-    """The fields entering the row conditions, with a common scale; the
-    tables w, f5 and f3 compute a field when a row first reads it.
-
-    W-column fields (W coordinates, dim*r): a, La, SEd, SELd, Q, R.  All of
-    them lie in W, so their norms are those of the 5-slot tensors.
-    dOmega-column fields (5-forms): dOm, LdOm, AEd, AELd, Q5, xiOm.
-    Shared 3-form fields: dstar, Ldstar, xiC, m; the one-forms xi, xiA; and
-    derived(), the DerivedFromDOmega of the tensor's 5-form.
-    """
-
-    def __init__(self, s: QuatStructure, scale: float, dstar: np.ndarray,
-                 tri: OneFormTriple, derived):
-        # builders hold what they read, not the context: no reference cycle
-        self.s, self.scale = s, max(scale, 1e-300)
-        self.xi, self.xiA, self.derived = tri.xi, tri, derived
-        self.xi3 = xi3 = np.concatenate([tri.xi_I, tri.xi_J, tri.xi_K])
-        self.maps = M = _field_maps(s)
-        self.f3 = _Fields(dstar=lambda: dstar,
-                          Ldstar=lambda: s.L_matrix(3) @ dstar,
-                          xiC=lambda: M["xiC"] @ tri.xi, m=lambda: M["m"] @ xi3)
-        self.w = self.f5 = _Fields()
-
-
 def ctx_from_torsion(a: MixedTorsion, s: QuatStructure,
                      C: np.ndarray | None = None) -> _Ctx:
-    """The covariant-column context of a; C = aQ when already known."""
+    """The covariant-column context of a; C = aQ when already known.  Its
+    w fields are W coordinates (dim*r): a, La, SEd, SELd, Q, R.  All of them
+    lie in W, so their norms are those of the 5-slot tensors."""
     ds = contract12(a)
     ctx = _Ctx(s, a.norm(), ds.coeffs, xi_triple(ds, s),
                cache(lambda: DerivedFromDOmega.from_torsion(a, s)))
     C = w_coords(a, s, check=False) if C is None else C
-    f3, M, xi, xi3 = ctx.f3, ctx.maps, ctx.xi, ctx.xi3
+    f3, M, xi, xi3 = ctx.f3, _field_maps(s), ctx.xi, ctx.xi3
     ctx.w = _Fields(a=lambda: C.reshape(-1),
                     La=lambda: lcal_coords(C, s).reshape(-1),
                     SEd=lambda: M["SE"] @ f3["dstar"],
@@ -256,51 +238,16 @@ def ctx_from_torsion(a: MixedTorsion, s: QuatStructure,
 
 
 def ctx_from_derived(d: DerivedFromDOmega, s: QuatStructure) -> _Ctx:
+    """The exterior-derivative context of d.  Its f5 fields are 5-forms:
+    dOm, LdOm, AEd, AELd, Q5, xiOm."""
     ctx = _Ctx(s, d.scale, d.dstarOmega.coeffs, d.xi_triple, lambda: d)
-    dOm, f3, M, xi, xi3 = d.dOmega.coeffs, ctx.f3, ctx.maps, d.xi, ctx.xi3
+    dOm, f3, M, xi3 = d.dOmega.coeffs, ctx.f3, _field_maps(s), ctx.xi3
     L5, AE = lambda: s.L_matrix(5), lambda: ae_matrix(s)
     ctx.f5 = _Fields(dOm=lambda: dOm, LdOm=lambda: _sparse(s, "L5", L5, dOm),
                      AEd=lambda: _sparse(s, "AE", AE, f3["dstar"]),
                      AELd=lambda: _sparse(s, "AE", AE, f3["Ldstar"]),
-                     Q5=lambda: M["Q5"] @ xi3, xiOm=lambda: M["xiOm"] @ xi)
+                     Q5=lambda: M["Q5"] @ xi3, xiOm=lambda: M["xiOm"] @ d.xi)
     return ctx
-
-
-def _eval_cond(cond, ctx: _Ctx) -> float:
-    tag = cond[0]
-    if tag in ("w", "f5", "f3"):
-        table = getattr(ctx, tag)
-        acc = None
-        for key, coef in cond[1].items():
-            v = coef * table[key]
-            acc = v if acc is None else acc + v
-        return float(np.linalg.norm(acc))
-    if tag == "xi0":
-        return float(np.linalg.norm(ctx.xi))
-    if tag == "xiA0":
-        return max(float(np.linalg.norm(ctx.xiA[a])) for a in AXES)
-    if tag == "xiA_eq":
-        return max(
-            float(np.linalg.norm(ctx.xiA["I"] - ctx.xiA["J"])),
-            float(np.linalg.norm(ctx.xiA["J"] - ctx.xiA["K"])))
-    if tag == "wAA0":
-        return max(ctx.derived().wAA[a].norm() for a in AXES)
-    if tag == "wAAeq":
-        per = ctx.derived().wAA
-        return max((per["I"] - per["J"]).norm(), (per["J"] - per["K"]).norm())
-    if tag == "wOm0":
-        return ctx.derived().wOm.norm()
-    if tag == "wOmdeg0":
-        # |Omega^(n-2) ^ dOm| = |d*Omega| (2n-1)! / (6(n-1)), star an isometry
-        n = ctx.s.n
-        return (ctx.derived().dstarOmega.norm() * math.factorial(2 * n - 1)
-                / (6 * (n - 1)))
-    if tag == "true":
-        return 0.0
-    if tag == "or":
-        return min(max(_eval_cond(c, ctx) for c in branch)
-                   for branch in cond[1])
-    raise KeyError(f"unknown condition tag {tag!r}")
 
 
 @dataclass
@@ -370,12 +317,7 @@ def _build_table2(n: int) -> tuple[Table2Row, ...]:
     l, k, e = (ComponentLabel.L3ES3H, ComponentLabel.KS3H,
                ComponentLabel.ES3H)
 
-    def w(**kw):
-        return ("w", kw)
-
-    def f3(**kw):
-        return ("f3", kw)
-
+    w, f3 = _cond("w"), _cond("f3")
     rows = [
         ((), [w(a=1)]),
         ((L,), [w(La=1, a=-4), f3(dstar=1)]),
@@ -504,9 +446,7 @@ def _build_table3() -> tuple[Table2Row, ...]:
     K, E = ComponentLabel.KH, ComponentLabel.EH
     k, e = ComponentLabel.KS3H, ComponentLabel.ES3H
 
-    def f5(**kw):
-        return ("f5", kw)
-
+    f5 = _cond("f5")
     rows = [
         ((k,), [f5(dOm=1)]),
         ((K, k), [("or", [[("xiA0",)], [("wAA0",)]])]),
@@ -544,14 +484,11 @@ def wedge_criteria(d: DerivedFromDOmega, s: QuatStructure,
     """i) star(dOm)^Om = 0 iff the EH part vanishes; ii) the three
     star(dOm)^w_A^w_A agree iff the ES3H part vanishes; iii) all vanish iff
     the E(H+S3H) part vanishes."""
-    scale = max(d.dOmega.norm(), 1e-300)
-    per = d.wAA
-    crit_i = d.wOm.norm() <= tol * scale
-    crit_ii = max((per["I"] - per["J"]).norm(),
-                  (per["J"] - per["K"]).norm()) <= tol * scale
-    crit_iii = max(f.norm() for f in per.values()) <= tol * scale
-    return {"EH_zero": crit_i, "ES3H_zero": crit_ii,
-            "EHS3H_zero": crit_iii}
+    bound = tol * max(d.dOmega.norm(), 1e-300)
+    norms = d.wedge_norms()
+    return {"EH_zero": norms["wOm0"] <= bound,
+            "ES3H_zero": norms["wAAeq"] <= bound,
+            "EHS3H_zero": norms["wAA0"] <= bound}
 
 
 def perp_EH5_test(phi: AltForm, s: QuatStructure, tol: float = 1e-8) -> bool:

@@ -142,10 +142,11 @@ class FormTables:
         return self.wedge_table(p, self.dim - p)[2:]
 
     def der_table(self, p: int):
-        """Rows (t, s, z, r, sign) so that the matrix of the slot-derivation
+        """Rows (flat, s, sign) so that the matrix of the slot-derivation
         b -> sum_i b(.., M X_i, ..) on degree p is
-        D[t, s] += M[z, r] * sign   over all rows: the pairs of
-        ``exp_table(p)`` rows (t, r) and (s, z) through one (p-1)-tuple."""
+        D[t, s] += M[z, r] * sign   over all rows, flat = (z dim + r) N_p + t:
+        the pairs of ``exp_table(p)`` rows (t, r) and (s, z) through one
+        (p-1)-tuple."""
         if p not in self._der:
             u, _m, r, t, sign = self.exp_table(p)
             # every (p-1)-tuple is reached from dim - p + 1 p-tuples
@@ -153,8 +154,9 @@ class FormTables:
             U, R, S = (a[order].reshape(-1, self.dim - p + 1, 1)
                        for a in (u, r, sign))
             Ut, Rt, St = (a.swapaxes(1, 2) for a in (U, R, S))
-            rows = np.broadcast_arrays(U, Ut, Rt, R, S * St)
-            self._der[p] = tuple(a.ravel() for a in rows)
+            t, s, z, r, sign = (a.ravel() for a in np.broadcast_arrays(
+                U, Ut, Rt, R, S * St))
+            self._der[p] = ((z * self.dim + r) * self.nforms(p) + t, s, sign)
         return self._der[p]
 
     def dense_table(self, p: int):
@@ -357,9 +359,8 @@ def derivation(M: np.ndarray, b: AltForm) -> np.ndarray:
     if b.degree == 0:
         return np.zeros(M.shape[:-2] + (1,))
     dim, N = b.dim, math.comb(b.dim, b.degree)
-    t, s, z, r, sign = tables(dim).der_table(b.degree)
-    Y = np.bincount((z * dim + r) * N + t, weights=sign * b.coeffs[s],
-                    minlength=dim * dim * N)
+    flat, s, sign = tables(dim).der_table(b.degree)
+    Y = np.bincount(flat, weights=sign * b.coeffs[s], minlength=dim * dim * N)
     return M.reshape(M.shape[:-2] + (dim * dim,)) @ Y.reshape(dim * dim, N)
 
 

@@ -143,10 +143,11 @@ class QuatStructure:
         so that i_A = -deriv."""
 
         def build():
-            t, s, z, r, sign = self.tab.der_table(p)
+            flat, s, sign = self.tab.der_table(p)
             N = self.tab.nforms(p)
+            zr, t = np.divmod(flat, N)
             D = np.zeros((N, N))
-            np.add.at(D, (t, s), self.mats[axis][z, r] * sign)
+            np.add.at(D, (t, s), self.mats[axis].ravel()[zr] * sign)
             return D
 
         return self.cache(("deriv", axis, p), build)
@@ -190,13 +191,10 @@ class QuatStructure:
         return MixedTorsion(self.dim, out)
 
     def lcal(self, a: MixedTorsion, tol: float = 1e-8) -> MixedTorsion:
-        from .torsion import is_in_W
+        """Lcal on the intrinsic-torsion space; MembershipError off it."""
+        from .torsion import require_in_W
 
-        ok, resid = is_in_W(a, self, tol)
-        if not ok:
-            raise StructureError(
-                f"Lcal is only defined on the intrinsic-torsion space "
-                f"(membership residual {resid:.2e})")
+        require_in_W(a, self, tol)
         return self.lcal_raw(a)
 
     # -- fixed-factor wedges ----------------------------------------------

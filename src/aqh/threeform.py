@@ -1,6 +1,8 @@
 """Analysis of 3-forms: the one-forms xi and xi_A, the eigenprojectors of L,
 the fifteen membership conditions on the invariant subspaces of Lambda^3, and
-the right inverse of the torsion contraction.
+the right inverse of the torsion contraction.  The membership conditions are
+written in the condition language of the class tables, and _eval_cond is the
+one evaluator of Tables 1-3.
 
 Lambda^3 splits as (K + E)H + (L3E + E)S^3H with
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import AltForm, DegreeError, MixedTorsion, interior
+from .exterior import AltForm, DegreeError, MixedTorsion
 from .structure import AXES, QuatStructure
 
 
@@ -123,12 +125,19 @@ def hook_omega_matrix(s: QuatStructure) -> np.ndarray:
     """K1 (N3 x dim): columns e_y hook Omega."""
 
     def build():
-        dim = s.dim
-        eye = np.eye(dim)
-        return np.stack(
-            [interior(eye[y], s.Omega).coeffs for y in range(dim)], axis=1)
+        # (t, r) fixes u, so the scatter writes each entry once
+        u, _m, r, t, sign = s.tab.exp_table(4)
+        K1 = np.zeros((s.tab.nforms(3), s.dim))
+        K1[t, r] = sign * s.Omega.coeffs[u]
+        return K1
 
     return s.cache("hook_omega_matrix", build)
+
+
+def m_matrix(s: QuatStructure) -> np.ndarray:
+    """Matrix (N3 x 3 dim) of (xi_I, xi_J, xi_K) -> sum_A (A xi_A) ^ w_A."""
+    return s.cache("m_matrix", lambda: np.concatenate(
+        [s.wedge_omega_matrix(a, 1) @ s.mats[a] for a in AXES], axis=1))
 
 
 def _hook_omega_table(s: QuatStructure) -> np.ndarray:
@@ -188,72 +197,116 @@ def proj3(b: AltForm, label: str, s: QuatStructure) -> AltForm:
 
 
 # ---------------------------------------------------------------------------
-# the fifteen membership rows (plus zero and the full space)
+# the condition evaluator; the fifteen membership rows, zero and full space
 # ---------------------------------------------------------------------------
 
-# Row conditions, evaluated on precomputed data:
-#   Lb - 3b, Lb + 3b, xiC = xi hook Omega, m = sum_A (A xi_A) ^ w_A.
 
-TABLE1_COMPONENTS = {
-    "0": frozenset(),
-    "KH": frozenset({"KH"}),
-    "EH": frozenset({"EH"}),
-    "L3E.S3H": frozenset({"L3ES3H"}),
-    "E.S3H": frozenset({"ES3H"}),
-    "(K+E)H": frozenset({"KH", "EH"}),
-    "KH+L3E.S3H": frozenset({"KH", "L3ES3H"}),
-    "KH+E.S3H": frozenset({"KH", "ES3H"}),
-    "EH+L3E.S3H": frozenset({"EH", "L3ES3H"}),
-    "E(H+S3H)": frozenset({"EH", "ES3H"}),
-    "(L3E+E)S3H": frozenset({"L3ES3H", "ES3H"}),
-    "(K+E)H+L3E.S3H": frozenset({"KH", "EH", "L3ES3H"}),
-    "(K+E)H+E.S3H": frozenset({"KH", "EH", "ES3H"}),
-    "KH+(L3E+E)S3H": frozenset({"KH", "L3ES3H", "ES3H"}),
-    "EH+(L3E+E)S3H": frozenset({"EH", "L3ES3H", "ES3H"}),
-    "full": frozenset({"KH", "EH", "L3ES3H", "ES3H"}),
+class _Fields(dict):
+    """The fields read so far, each computed by its builder in ``make``."""
+
+    def __init__(self, **make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make[key]()
+        return value
+
+
+class _Ctx:
+    """The fields the conditions read, each computed when a condition first
+    reads it, and the scale of the residuals.  The table f3 holds the 3-form
+    dstar, Ldstar = L dstar, xiC = xi hook Omega and m = sum_A (A xi_A) ^ w_A;
+    xi and xiA = (xi_I, xi_J, xi_K) are the one-forms of dstar, given as tri.
+    The torsion contexts (classify.ctx_from_*) also fill the tables w and f5
+    and give derived(), the DerivedFromDOmega of the tensor's 5-form."""
+
+    def __init__(self, s: QuatStructure, scale: float, dstar: np.ndarray,
+                 tri: OneFormTriple, derived):
+        # builders hold what they read, not the context: no reference cycle
+        self.scale, self.derived = max(scale, 1e-300), derived
+        self.xi, self.xiA = tri.xi, tri
+        self.xi3 = xi3 = np.concatenate([tri.xi_I, tri.xi_J, tri.xi_K])
+        self.f3 = _Fields(dstar=lambda: dstar,
+                          Ldstar=lambda: s.L_matrix(3) @ dstar,
+                          xiC=lambda: hook_omega_matrix(s) @ tri.xi,
+                          m=lambda: m_matrix(s) @ xi3)
+        self.w = self.f5 = _Fields()
+
+
+def _eval_cond(cond, ctx: _Ctx) -> float:
+    """Residual norm of one condition: a combination of the fields of one
+    table (f3, or the w and f5 tables of a torsion context), a norm of the
+    one-forms, a wedge norm of ctx.derived(), or the best branch of an or."""
+    tag = cond[0]
+    if tag in ("w", "f5", "f3"):
+        table = getattr(ctx, tag)
+        acc = None
+        for key, coef in cond[1].items():
+            v = coef * table[key]
+            acc = v if acc is None else acc + v
+        return float(np.linalg.norm(acc))
+    if tag == "xi0":
+        return float(np.linalg.norm(ctx.xi))
+    if tag == "xiA0":
+        return max(float(np.linalg.norm(ctx.xiA[a])) for a in AXES)
+    if tag == "xiA_eq":
+        return max(
+            float(np.linalg.norm(ctx.xiA["I"] - ctx.xiA["J"])),
+            float(np.linalg.norm(ctx.xiA["J"] - ctx.xiA["K"])))
+    if tag in ("wOm0", "wAAeq", "wAA0", "wOmdeg0"):
+        return ctx.derived().wedge_norms()[tag]
+    if tag == "true":
+        return 0.0
+    if tag == "or":
+        return min(max(_eval_cond(c, ctx) for c in branch)
+                   for branch in cond[1])
+    raise KeyError(f"unknown condition tag {tag!r}")
+
+
+def _cond(tag: str):
+    """Maker of the conditions on one field table: _cond("f3")(dstar=1,
+    xiC=-1) is the norm of dstar - xiC."""
+    return lambda **kw: (tag, kw)
+
+
+# Table 1, row -> (components, conditions on b), the conditions read on the
+# context of b: dstar = b, so Ldstar = L b, xiC = xi_b hook Omega and
+# m = sum_A (A xi_{b;A}) ^ w_A.  The "KH + ES3H" row reads
+# L(b) = 3b + 12 m, the reading that annihilates projected members.
+_f3 = _cond("f3")
+TABLE1 = {
+    "0": ((), [_f3(dstar=1)]),
+    "KH": (("KH",), [_f3(Ldstar=1, dstar=-3), ("xi0",)]),
+    "EH": (("EH",), [_f3(dstar=1, xiC=-1)]),
+    "L3E.S3H": (("L3ES3H",), [_f3(Ldstar=1, dstar=3), ("xiA0",)]),
+    "E.S3H": (("ES3H",), [_f3(dstar=1, m=2), ("xi0",)]),
+    "(K+E)H": (("KH", "EH"), [_f3(Ldstar=1, dstar=-3)]),
+    "KH+L3E.S3H": (("KH", "L3ES3H"), [("xiA0",)]),
+    "KH+E.S3H": (("KH", "ES3H"), [_f3(Ldstar=1, dstar=-3, m=-12)]),
+    "EH+L3E.S3H": (("EH", "L3ES3H"),
+                   [_f3(Ldstar=1, dstar=3, xiC=-6), ("xiA_eq",)]),
+    "E(H+S3H)": (("EH", "ES3H"), [_f3(dstar=1, m=2)]),
+    "(L3E+E)S3H": (("L3ES3H", "ES3H"), [_f3(Ldstar=1, dstar=3)]),
+    "(K+E)H+L3E.S3H": (("KH", "EH", "L3ES3H"), [("xiA_eq",)]),
+    "(K+E)H+E.S3H": (("KH", "EH", "ES3H"),
+                     [_f3(Ldstar=1, dstar=-3, xiC=-6, m=-12)]),
+    "KH+(L3E+E)S3H": (("KH", "L3ES3H", "ES3H"), [("xi0",)]),
+    "EH+(L3E+E)S3H": (("EH", "L3ES3H", "ES3H"),
+                      [_f3(Ldstar=1, dstar=3, xiC=-6)]),
+    "full": (("KH", "EH", "L3ES3H", "ES3H"), [("true",)]),
 }
+TABLE1_COMPONENTS = {row: frozenset(c) for row, (c, _) in TABLE1.items()}
 
 
 def table1_residuals(b: AltForm, row_id: str, s: QuatStructure) -> list[float]:
-    """Residual norms of the displayed conditions for one row.  The
-    "KH + ES3H" row reads L(b) = 3b + 12 sum_A (A xi_{b;A}) ^ w_A, the
-    reading that annihilates projected members."""
-    if row_id not in TABLE1_COMPONENTS:
+    """Residual norms of the conditions of one TABLE1 row."""
+    if row_id not in TABLE1:
         raise KeyError(f"unknown Table-1 row {row_id!r}")
     if b.degree != 3:
         raise DegreeError("membership rows act on 3-forms")
-    Lb = s.L_map(b).coeffs
-    bb = b.coeffs
-    tri = xi_triple(b, s)
-    xiC = interior(tri.xi, s.Omega).coeffs
-    m = np.zeros_like(bb)
-    for a in AXES:
-        m += s.wedge_omega_matrix(a, 1) @ (s.mats[a] @ tri[a])
-
-    def nrm(v):
-        return float(np.linalg.norm(v))
-
-    xia_eq = [nrm(tri.xi_I - tri.xi_J), nrm(tri.xi_J - tri.xi_K)]
-    rows = {
-        "0": [nrm(bb)],
-        "KH": [nrm(Lb - 3 * bb), nrm(tri.xi)],
-        "EH": [nrm(bb - xiC)],
-        "L3E.S3H": [nrm(Lb + 3 * bb), nrm(tri.xi_I), nrm(tri.xi_J),
-                    nrm(tri.xi_K)],
-        "E.S3H": [nrm(bb + 2 * m), nrm(tri.xi)],
-        "(K+E)H": [nrm(Lb - 3 * bb)],
-        "KH+L3E.S3H": [nrm(tri.xi_I), nrm(tri.xi_J), nrm(tri.xi_K)],
-        "KH+E.S3H": [nrm(Lb - 3 * bb - 12 * m)],
-        "EH+L3E.S3H": [nrm(Lb + 3 * bb - 6 * xiC)] + xia_eq,
-        "E(H+S3H)": [nrm(bb + 2 * m)],
-        "(L3E+E)S3H": [nrm(Lb + 3 * bb)],
-        "(K+E)H+L3E.S3H": xia_eq,
-        "(K+E)H+E.S3H": [nrm(Lb - 3 * bb - 6 * xiC - 12 * m)],
-        "KH+(L3E+E)S3H": [nrm(tri.xi)],
-        "EH+(L3E+E)S3H": [nrm(Lb + 3 * bb - 6 * xiC)],
-        "full": [0.0],
-    }
-    return rows[row_id]
+    ctx = _Ctx(s, b.norm(), b.coeffs, xi_triple(b, s), None)
+    return [_eval_cond(c, ctx) for c in TABLE1[row_id][1]]
 
 
 def table1_member(b: AltForm, row_id: str, s: QuatStructure,
@@ -271,12 +324,9 @@ def se_matrix(s: QuatStructure) -> np.ndarray:
     """Matrix (dim*N4 x N3) of b -> rows sum_A i_A(x hook b) ^ w_A."""
 
     def build():
-        INT = _interior_stack(s)
-        SE = np.zeros((s.dim, s.tab.nforms(4), s.tab.nforms(3)))
-        for a in AXES:
-            core = s.wedge_omega_matrix(a, 2) @ (-s.deriv(a, 2))
-            SE += np.einsum("cb,xbn->xcn", core, INT)
-        return SE.reshape(s.dim * s.tab.nforms(4), s.tab.nforms(3))
+        core = sum(s.wedge_omega_matrix(a, 2) @ (-s.deriv(a, 2)) for a in AXES)
+        return (core @ _interior_stack(s)).reshape(s.dim * s.tab.nforms(4),
+                                                   s.tab.nforms(3))
 
     return s.cache("se_matrix", build)
 

@@ -60,7 +60,7 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tol
+        return bool(self.residual <= self.tol)
 
     def line(self) -> str:
         mark = "pass" if self.passed else "FAIL"
@@ -252,9 +252,14 @@ def check_torsion_space(s: QuatStructure, rng) -> list[CheckResult]:
                            1e-9, "F and its contraction inverse"))
 
     dimW = T.w_dim(s.n)
-    samples = np.stack([T.random_W_element(s, 35_000 + i).flat()
-                        for i in range(dimW + 20)])
-    sv = np.linalg.svd(samples, compute_uv=False)
+    # The singular values of the (dimW + 20) x dim*N4 sample matrix are those
+    # of its R factor, built one tensor row x at a time: no 25 MB matrix at n=3.
+    rows = [T.random_W_element(s, 35_000 + i).rows for i in range(dimW + 20)]
+    R = np.zeros((0, len(rows)))
+    for x in range(s.dim):
+        R = np.linalg.qr(np.vstack([R, np.stack([r[x] for r in rows], 1)]),
+                         mode="r")
+    sv = np.linalg.svd(R, compute_uv=False)
     rank = int((sv > sv[0] * 1e-10).sum())
     out.append(CheckResult("torsion-space-dimension", abs(rank - dimW), 0.5,
                            f"sample rank {rank}, expected {dimW}"))

@@ -20,6 +20,10 @@ def test_verify_sections_run(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "[FAIL]" not in out
+    assert main(["verify", "--n", "2", "--seed", "3", "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["failures"] == 0
+    assert all(c["passed"] is True for c in rep["checks"])
 
 
 def test_verify_rejects_bad_n(capsys):

@@ -156,6 +156,71 @@ def test_table1_es3h_prefix_readings(s3, rng):
     assert without > 1e-2
 
 
+def _table1_reference(b, row_id, s):
+    """The row's residual norms, each condition written out on its own."""
+    Lb = s.L_map(b).coeffs
+    bb = b.coeffs
+    tri = xi_triple(b, s)
+    xiC = interior(tri.xi, s.Omega).coeffs
+    m = np.zeros_like(bb)
+    for a in AXES:
+        m += s.wedge_omega_matrix(a, 1) @ (s.mats[a] @ tri[a])
+    nrm = np.linalg.norm
+    xia = [nrm(tri.xi_I), nrm(tri.xi_J), nrm(tri.xi_K)]
+    xia_eq = [nrm(tri.xi_I - tri.xi_J), nrm(tri.xi_J - tri.xi_K)]
+    return {
+        "0": [nrm(bb)],
+        "KH": [nrm(Lb - 3 * bb), nrm(tri.xi)],
+        "EH": [nrm(bb - xiC)],
+        "L3E.S3H": [nrm(Lb + 3 * bb)] + xia,
+        "E.S3H": [nrm(bb + 2 * m), nrm(tri.xi)],
+        "(K+E)H": [nrm(Lb - 3 * bb)],
+        "KH+L3E.S3H": xia,
+        "KH+E.S3H": [nrm(Lb - 3 * bb - 12 * m)],
+        "EH+L3E.S3H": [nrm(Lb + 3 * bb - 6 * xiC)] + xia_eq,
+        "E(H+S3H)": [nrm(bb + 2 * m)],
+        "(L3E+E)S3H": [nrm(Lb + 3 * bb)],
+        "(K+E)H+L3E.S3H": xia_eq,
+        "(K+E)H+E.S3H": [nrm(Lb - 3 * bb - 6 * xiC - 12 * m)],
+        "KH+(L3E+E)S3H": [nrm(tri.xi)],
+        "EH+(L3E+E)S3H": [nrm(Lb + 3 * bb - 6 * xiC)],
+        "full": [0.0],
+    }[row_id]
+
+
+def test_table1_matches_explicit_formulas(s2, s3, rng):
+    from aqh.structure import random_rotation, rotate_adapted
+
+    for s in (s2, s3, rotate_adapted(random_rotation(rng), s3)):
+        b = rand3(rng, s.dim)
+        parts = {lab: proj3(b, lab, s)
+                 for lab in ("KH", "EH", "L3ES3H", "ES3H")}
+        for row_id, comps in TABLE1_COMPONENTS.items():
+            member = AltForm.zero(s.dim, 3)
+            for lab in comps:
+                member = member + parts[lab]
+            forms = [member] + [member + parts[lab] for lab in parts
+                                if lab not in comps][:1]
+            for f in forms:
+                np.testing.assert_allclose(
+                    max(table1_residuals(f, row_id, s)),
+                    max(_table1_reference(f, row_id, s)), rtol=1e-12,
+                    atol=1e-12 * f.norm(), err_msg=f"{s.n} {row_id}")
+
+
+def test_table1_builds_no_torsion_maps():
+    from aqh import standard_structure
+
+    s = standard_structure(3)
+    b = rand3(np.random.default_rng(3), s.dim)
+    for row_id in TABLE1_COMPONENTS:
+        table1_residuals(b, row_id, s)
+    torsion_keys = {"fiber_basis", "se_matrix", "context_maps", "ae_matrix"}
+    assert not [k for k in s._cache
+                if k in torsion_keys or (isinstance(k, tuple)
+                                         and k[0] == "sparse")]
+
+
 def test_r_matrix_matches_wedges(s2, rng):
     # rows x ^ (zeta hook Omega) - zeta ^ (x hook Omega), one wedge at a time
     zeta = rng.standard_normal(8)
