@@ -9,9 +9,10 @@ alternation is not injective) is transcribed in 5-form terms.
 
 The one-forms appearing in the conditions are always those of the 3-form
 d* a; in the exterior-derivative column they are recovered from the 5-form
-alone through Hodge identities, assembled once into dOmega_matrix (see
+alone through Hodge identities, assembled once into dOmega_op (see
 DerivedFromDOmega).  Each condition field is a cached linear map of C = aQ,
-d* a or dOmega, computed only when a row reads it.
+d* a or dOmega (sparse ones through their nonzeros), computed only when a
+row reads it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .exterior import AltForm, MixedTorsion, alternate5, contract12, wedge, wedge_matrix, wedge_power
-from .projectors import ComponentLabel, ComponentProfile, lcal_coords, profile as component_profile, split_coords
+from .exterior import AltForm, MixedTorsion, SparseOp, alternate5, contract12, wedge, wedge_matrix, wedge_op, wedge_power
+from .projectors import ComponentLabel, ComponentProfile, _w_core, lcal_coords, profile as component_profile, split_coords
 from .structure import AXES, QuatStructure
 from .threeform import (
     OneFormTriple,
@@ -31,12 +32,11 @@ from .threeform import (
     _Ctx,
     _eval_cond,
     _Fields,
+    _trace_matrices,
     m_matrix,
-    r_matrix,
-    se_matrix,
     xi_triple,
 )
-from .torsion import require_in_W, w_coords, w_matrix
+from .torsion import require_in_W, w_coords
 
 ALIASES = {
     frozenset(): ("QK", "quaternion-Kähler"),
@@ -111,7 +111,8 @@ class DerivedFromDOmega:
       d*Omega = ((-1)^n 6(n-1)/(2n-1)!) * star(Omega^(n-2) ^ dOmega)
       xi      = -(1/(12(2n+1))) star_inv(star(dOmega) ^ Omega)
       star(star(d*Omega) ^ w_A) = 4 k1 A xi_A + 6 A xi,
-    the last solved for xi_A.  dOmega_matrix assembles them once."""
+    the last solved for xi_A, its left side being -<. hook d*Omega, w_A>.
+    dOmega_op composes them once."""
 
     dOmega: AltForm
     dstarOmega: AltForm
@@ -125,11 +126,11 @@ class DerivedFromDOmega:
     def from_dOmega(cls, dOm: AltForm, s: QuatStructure,
                     scale: float | None = None) -> "DerivedFromDOmega":
         N3, dim = s.tab.nforms(3), s.dim
-        v = _sparse(s, "dOmega", lambda: dOmega_matrix(s), dOm.coeffs)
+        v = dOmega_op(s)(dOm.coeffs)
         xi, xI, xJ, xK, *tops = v[N3:].reshape(8, dim)
         tops = [AltForm(dim, dim - 1, c) for c in tops]
         return cls(dOm, AltForm(dim, 3, v[:N3]), xi,
-                   OneFormTriple(xI, xJ, xK, xi, s), dict(zip(AXES, tops)),
+                   OneFormTriple(xI, xJ, xK, xi), dict(zip(AXES, tops)),
                    tops[3], dOm.norm() if scale is None else scale)
 
     @classmethod
@@ -159,39 +160,36 @@ def _star(s: QuatStructure, p: int, M: np.ndarray, inv: bool = False):
     return out
 
 
-def dOmega_matrix(s: QuatStructure) -> np.ndarray:
-    """Matrix (N3 + 8 dim x N5) of dOm -> [d*Omega | xi | xi_I, xi_J, xi_K |
-    star(dOm) ^ w_A ^ w_A for A = I, J, K | star(dOm) ^ Omega], composed
-    from the identities of DerivedFromDOmega."""
-    n, dim = s.n, s.dim
-    lift = (wedge_matrix(wedge_power(s.Omega, n - 2), 5) if n > 2
-            else np.eye(s.tab.nforms(5)))
-    dstar = ((-1.0) ** n * 6 * (n - 1) / math.factorial(2 * n - 1)
-             * _star(s, dim - 3, lift))
-    # wedges of star(dOm): W H_5 = (H_5^-1 W^T)^T, H_5^-1 = star_inv
-    fixed = [s.Omega] + [wedge(s.omega[a], s.omega[a]) for a in AXES]
-    W = np.concatenate([wedge_matrix(b, dim - 5) for b in fixed])
-    W = _star(s, dim - 5, W.T, inv=True).T
-    xi = -(1.0 / (12 * s.k2)) * _star(s, dim - 1, W[:dim], inv=True)
-    sds = _star(s, 3, dstar)
-    xiA = [-s.mats[a] @ (_star(s, dim - 1, wedge_matrix(s.omega[a], dim - 3)
-                                @ sds) - 6.0 * (s.mats[a] @ xi)) / (4 * s.k1)
-           for a in AXES]
-    return np.concatenate([dstar, xi, *xiA, W[dim:], W[:dim]])
-
-
-def _sparse(s: QuatStructure, key: str, matrix, x: np.ndarray) -> np.ndarray:
-    """matrix() @ x through the nonzeros of that fixed matrix, cached per
-    structure: dOmega_matrix, L_matrix(5) and ae_matrix are 1.6-2.5% nonzero
-    at n=3, and one bincount reads far less memory than the product."""
+def dOmega_op(s: QuatStructure) -> SparseOp:
+    """The map ((N3 + 8 dim) x N5) dOm -> [d*Omega | xi | xi_I, xi_J, xi_K |
+    star(dOm) ^ w_A ^ w_A for A = I, J, K | star(dOm) ^ Omega] as its
+    nonzeros, from the identities of DerivedFromDOmega: the d*Omega rows are
+    the wedge with Omega^(n-2) moved by the star, the others formed dense."""
 
     def build():
-        M = matrix()
-        r, c = np.nonzero(M)
-        return r, c, M[r, c], len(M)
+        n, dim = s.n, s.dim
+        lift = wedge_op(wedge_power(s.Omega, n - 2), 5)
+        comp, sign = s.tab.hodge_table(dim - 3)
+        # d*Omega as (column, row, value): its transpose
+        dT = SparseOp(lift.c, comp[lift.r], (
+            (-1.0) ** n * 6 * (n - 1) / math.factorial(2 * n - 1)
+            * s.vol_coeff * sign[lift.r] * lift.v), lift.shape[::-1])
+        # wedges of star(dOm): W H_5 = (H_5^-1 W^T)^T, H_5^-1 = star_inv
+        fixed = [s.Omega] + [wedge(s.omega[a], s.omega[a]) for a in AXES]
+        W = np.concatenate([wedge_matrix(b, dim - 5) for b in fixed])
+        W = _star(s, dim - 5, W.T, inv=True).T
+        xi = -(1.0 / (12 * s.k2)) * _star(s, dim - 1, W[:dim], inv=True)
+        V = _trace_matrices(s)
+        xiA = [s.mats[a] @ (dT(V[a]) + 6.0 * (s.mats[a] @ xi)) / (4 * s.k1)
+               for a in AXES]
+        rest = np.concatenate([xi, *xiA, W[dim:], W[:dim]])
+        r, c = np.nonzero(rest)
+        return SparseOp(np.concatenate([dT.c, len(comp) + r]),
+                        np.concatenate([dT.r, c]),
+                        np.concatenate([dT.v, rest[r, c]]),
+                        (len(comp) + len(rest), rest.shape[1]))
 
-    r, c, v, n = s.cache(("sparse", key), build)
-    return np.bincount(r, weights=v * x[c], minlength=n)
+    return s.cache("dOmega", build)
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +198,39 @@ def _sparse(s: QuatStructure, key: str, matrix, x: np.ndarray) -> np.ndarray:
 
 
 def ae_matrix(s: QuatStructure) -> np.ndarray:
-    """Matrix (N5 x N3) of b -> sum_A i_A(b) ^ w_A."""
-    return s.cache("ae_matrix", lambda: sum(
-        s.wedge_omega_matrix(a, 3) @ (-s.deriv(a, 3)) for a in AXES))
+    """Matrix (N5 x N3) of b -> sum_A i_A(b) ^ w_A, for checks of ae."""
+
+    def build():
+        D = s.deriv_op(3).dense().reshape(3, -1, s.tab.nforms(3))
+        return -sum(s.wedge_omega_matrix(a, 3) @ D[k]
+                    for k, a in enumerate(AXES))
+
+    return s.cache("ae_matrix", build)
+
+
+def ae(s: QuatStructure, x: np.ndarray) -> np.ndarray:
+    """b -> sum_A i_A(b) ^ w_A on the last axis of 3-form coefficients:
+    -[W_I W_J W_K] (the nonzeros of wedge_table(3, 2)) after the D_A."""
+
+    def build():
+        o, ai, bi, sign = s.tab.wedge_table(3, 2)
+        v = sign * np.stack([s.omega[a].coeffs[bi] for a in AXES])
+        k, i = np.nonzero(v)
+        N3 = s.tab.nforms(3)
+        return SparseOp(o[i], k * N3 + ai[i], v[k, i], (s.tab.nforms(5), 3 * N3))
+
+    return -s.cache("ae_wedges", build)(s.deriv_op(3)(x))
 
 
 def _field_maps(s: QuatStructure) -> dict[str, np.ndarray]:
-    """Fixed matrices of the fields a 3-form context lacks: SE (se_matrix),
-    R and Q = SE m on W coordinates; Q5 = AE m and xiOm on 5-forms."""
+    """Fixed matrices of the fields a 3-form context lacks beside SE and R
+    (projectors._w_core): Q = SE m on W coordinates; Q5 = AE m and xiOm on
+    5-forms."""
 
     def build():
         m = m_matrix(s)
-        SE = w_matrix(se_matrix(s), s)
-        return {"SE": SE, "R": w_matrix(r_matrix(s), s),
-                "xiOm": wedge_matrix(s.Omega, 1), "Q": SE @ m,
-                "Q5": ae_matrix(s) @ m}
+        return {"xiOm": wedge_matrix(s.Omega, 1), "Q": _w_core(s)["SE"] @ m,
+                "Q5": ae(s, m.T).T}
 
     return s.cache("context_maps", build)
 
@@ -229,11 +245,12 @@ def ctx_from_torsion(a: MixedTorsion, s: QuatStructure,
                cache(lambda: DerivedFromDOmega.from_torsion(a, s)))
     C = w_coords(a, s, check=False) if C is None else C
     f3, M, xi, xi3 = ctx.f3, _field_maps(s), ctx.xi, ctx.xi3
+    SE, R = (_w_core(s)[k] for k in ("SE", "R"))
     ctx.w = _Fields(a=lambda: C.reshape(-1),
                     La=lambda: lcal_coords(C, s).reshape(-1),
-                    SEd=lambda: M["SE"] @ f3["dstar"],
-                    SELd=lambda: M["SE"] @ f3["Ldstar"],
-                    Q=lambda: M["Q"] @ xi3, R=lambda: M["R"] @ xi)
+                    SEd=lambda: SE @ f3["dstar"],
+                    SELd=lambda: SE @ f3["Ldstar"],
+                    Q=lambda: M["Q"] @ xi3, R=lambda: R @ xi)
     return ctx
 
 
@@ -242,10 +259,9 @@ def ctx_from_derived(d: DerivedFromDOmega, s: QuatStructure) -> _Ctx:
     dOm, LdOm, AEd, AELd, Q5, xiOm."""
     ctx = _Ctx(s, d.scale, d.dstarOmega.coeffs, d.xi_triple, lambda: d)
     dOm, f3, M, xi3 = d.dOmega.coeffs, ctx.f3, _field_maps(s), ctx.xi3
-    L5, AE = lambda: s.L_matrix(5), lambda: ae_matrix(s)
-    ctx.f5 = _Fields(dOm=lambda: dOm, LdOm=lambda: _sparse(s, "L5", L5, dOm),
-                     AEd=lambda: _sparse(s, "AE", AE, f3["dstar"]),
-                     AELd=lambda: _sparse(s, "AE", AE, f3["Ldstar"]),
+    ctx.f5 = _Fields(dOm=lambda: dOm, LdOm=lambda: s.L_apply(5, dOm),
+                     AEd=lambda: ae(s, f3["dstar"]),
+                     AELd=lambda: ae(s, f3["Ldstar"]),
                      Q5=lambda: M["Q5"] @ xi3, xiOm=lambda: M["xiOm"] @ d.xi)
     return ctx
 

@@ -33,6 +33,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,25 +164,12 @@ class FormTables:
         """(flat, sign): flat[k] are the raveled positions of the k-th
         permutation image of every increasing tuple, sign[k] its parity."""
         if p not in self._dense:
-            if p == 0:
-                self._dense[p] = (np.zeros((1, 1), dtype=np.int64),
-                                  np.ones(1))
-                return self._dense[p]
-            flats, signs = [], []
-            for perm in itertools.permutations(range(p)):
-                inv = sum(
-                    1
-                    for i in range(p)
-                    for j in range(i + 1, p)
-                    if perm[i] > perm[j]
-                )
-                cols = self.columns(p)[list(perm)]
-                flat = np.zeros(self.nforms(p), dtype=np.int64)
-                for k in range(p):
-                    flat = flat * self.dim + cols[k]
-                flats.append(flat)
-                signs.append((-1.0) ** inv)
-            self._dense[p] = (np.stack(flats), np.asarray(signs))
+            perms = np.array(list(itertools.permutations(range(p))),
+                             dtype=np.int64).reshape(math.factorial(p), p)
+            flat = (self.columns(p)[perms]
+                    * self.dim ** np.arange(p - 1, -1, -1)[:, None]).sum(1)
+            inv = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum((1, 2))
+            self._dense[p] = (flat, (-1.0) ** inv)
         return self._dense[p]
 
 
@@ -239,8 +227,7 @@ class AltForm:
         """Full (0,p) tensor with all permutation images filled in."""
         flat, sign = tables(self.dim).dense_table(self.degree)
         out = np.zeros(self.dim ** self.degree)
-        for k in range(flat.shape[0]):
-            out[flat[k]] = sign[k] * self.coeffs
+        out[flat] = sign[:, None] * self.coeffs
         return out.reshape((self.dim,) * self.degree)
 
     def __call__(self, *vectors: np.ndarray) -> float:
@@ -290,20 +277,67 @@ def wedge(a: AltForm, b: AltForm) -> AltForm:
     return AltForm(a.dim, p + q, out)
 
 
-def wedge_matrix(b: AltForm, p: int) -> np.ndarray:
-    """Matrix (N_{p+q} x N_p) of x -> x ^ b for a fixed q-form b."""
+class SparseOp(NamedTuple):
+    """A fixed matrix kept as index triples: v[k] is added at (r[k], c[k])."""
+
+    r: np.ndarray
+    c: np.ndarray
+    v: np.ndarray
+    shape: tuple[int, int]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The product with x along its last axis, (..., n) -> (..., m)."""
+        return _accumulate(self.r, self.v * x.take(self.c, -1), self.shape[0])
+
+    @property
+    def T(self) -> "SparseOp":
+        return SparseOp(self.c, self.r, self.v, self.shape[::-1])
+
+    def dense(self) -> np.ndarray:
+        m, n = self.shape
+        return np.bincount(self.r * n + self.c, weights=self.v,
+                           minlength=m * n).reshape(m, n)
+
+
+def wedge_op(b: AltForm, p: int) -> SparseOp:
+    """x -> x ^ b from degree p to p+q for a fixed q-form b: the nonzeros of
+    its ``wedge_table`` rows, one per matrix entry."""
     tab = tables(b.dim)
     o, ai, bi, sign = tab.wedge_table(p, b.degree)
-    W = np.zeros((tab.nforms(p + b.degree), tab.nforms(p)))
-    np.add.at(W, (o, ai), sign * b.coeffs[bi])
-    return W
+    v = sign * b.coeffs[bi]
+    keep = v != 0
+    return SparseOp(o[keep], ai[keep], v[keep],
+                    (tab.nforms(p + b.degree), tab.nforms(p)))
+
+
+def wedge_matrix(b: AltForm, p: int) -> np.ndarray:
+    """Matrix (N_{p+q} x N_p) of x -> x ^ b for a fixed q-form b."""
+    return wedge_op(b, p).dense()
 
 
 def wedge_power(a: AltForm, k: int) -> AltForm:
-    out = a
-    for _ in range(k - 1):
+    """a ^ .. ^ a (k factors); the unit 0-form for k = 0."""
+    out = AltForm(a.dim, 0, np.ones(1))
+    for _ in range(k):
         out = wedge(out, a)
     return out
+
+
+def compound(A: np.ndarray, p: int) -> np.ndarray:
+    """The p-th compound of a square matrix, the minors det A[S, T] over
+    increasing p-tuples, by Laplace expansion along the first column T_0 of
+    T = T_0 T': det A[S, T] = sum_m (-1)^m A[S_m, T_0] det A[S - S_m, T'],
+    the terms read off ``exp_table(q)`` for q = 2..p."""
+    A = np.asarray(A, dtype=float)
+    tab = tables(A.shape[0])
+    C = A if p else np.ones((1, 1))
+    for q in range(2, p + 1):
+        u, m, r, t, sign = tab.exp_table(q)
+        # T_0, T' of every q-tuple in order; the q rows of an S are adjacent
+        T0, rest = r[m == 0], t[m == 0]
+        terms = sign[:, None] * A[r[:, None], T0] * C[t[:, None], rest]
+        C = terms.reshape(-1, q, len(T0)).sum(axis=1)
+    return C
 
 
 def interior(x: np.ndarray, a: AltForm) -> AltForm:

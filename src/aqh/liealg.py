@@ -184,8 +184,8 @@ def codiff_Omega(g: MetricLieAlgebra, G: np.ndarray | None = None,
 
     * contraction: -C12(nabla Omega);
     * hodge: -star d star Omega;
-    * structural: -2 sum_A <A . hook d w_A, w_A> ^ w_A - 2 sum_A d w_A(A., A., A.),
-      equivalently 2 sum_A (d* w_A ^ w_A - d w_A(A., A., A.)).
+    * structural: -2 sum_A <A . hook d w_A, w_A> ^ w_A + 2 sum_A d w_A(A., A., A.),
+      equivalently 2 sum_A (d* w_A ^ w_A + d w_A(A., A., A.)).
 
     Raises VerificationError if the routes disagree beyond tol (relative).
     The report also carries, per axis: the residual of
@@ -311,10 +311,8 @@ def two_step_nilpotent(n: int, seed: int, center: int = 4,
     c = np.zeros((dim,) * 3)
     base = dim - center
     vals = rng.standard_normal((base, base, center)) * scale
-    for i in range(base):
-        for j in range(i + 1, base):
-            c[i, j, base:] = vals[i, j]
-            c[j, i, base:] = -vals[i, j]
+    i, j = np.triu_indices(base, 1)
+    c[i, j, base:], c[j, i, base:] = vals[i, j], -vals[i, j]
     return MetricLieAlgebra(s, c)
 
 

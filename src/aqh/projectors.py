@@ -10,10 +10,11 @@ W splits into (L3E + K + E)(H + S3H) with multiplicity one each.
 * The contraction d* kills exactly L3EH + KS3H, and hat_dstar is a right
   inverse landing in W, so the four components visible to d* are
   hat_dstar(proj3(d* a)).  On coordinates that is one product of the stacked
-  proj3 parts of d* a with HAT_W, the hat_dstar matrix pushed through Q.
+  proj3 parts of d* a with HAT_W = SE_W H3 - R_W H1 (threeform.hat_factors),
+  SE_W and R_W built on W coordinates, never on full rows.
 * The H / S3H halves are the 4 and -2 eigenspaces of the five-slot operator
-  Lcal.  On coordinates Lcal C = -sum_A A C D_A^T with D_A = Q^T deriv(A, 4) Q
-  (r x r), and
+  Lcal.  On coordinates Lcal C = -sum_A A C D_A^T with D_A = Q^T D_A Q
+  (r x r) from the derivations of 4-forms, and
 
       hpart = (Lcal + 2)/6,          s3hpart = (4 - Lcal)/6,
       L3EH  = hpart - KH - EH,       KS3H = s3hpart - ES3H - L3ES3H.
@@ -34,8 +35,8 @@ import numpy as np
 
 from .exterior import MixedTorsion, contract12
 from .structure import AXES, QuatStructure
-from .threeform import hat_matrix, proj3_matrix
-from .torsion import fiber_basis_matrix, w_coords, w_embed, w_matrix
+from .threeform import _hook_omega_table, _interior_stack, hat_factors, proj3_matrix, se_core
+from .torsion import fiber_basis_matrix, w_coords, w_embed
 
 
 class ComponentLabel(Enum):
@@ -89,16 +90,24 @@ VISIBLE = (ComponentLabel.KH, ComponentLabel.EH, ComponentLabel.ES3H,
 
 
 def _w_core(s: QuatStructure) -> dict:
-    """Cached operators on W coordinates: the stacked proj3 matrices of the
-    visible components (4 N3 x N3), HAT_W (dim r x N3) and D_A (3, r, r)."""
+    """Cached operators on W coordinates: SE, R and HAT_W (dim r rows), the
+    stacked proj3 matrices of the visible components and D_A (3, r, r)."""
 
     def build():
         Q = fiber_basis_matrix(s)
+        SE = ((Q.T @ se_core(s)) @ _interior_stack(s)).reshape(
+            -1, s.tab.nforms(3))
+        G = Q.T @ _hook_omega_table(s)
+        R = (G - G.transpose(2, 1, 0)).reshape(-1, s.dim)
+        H3, H1 = hat_factors(s)
+        D = s.deriv_op(4)(Q.T).reshape(len(Q.T), 3, -1)
         return {
+            "SE": SE,
+            "R": R,
+            "hat_w": SE @ H3 - R @ H1,
             "proj3": np.concatenate([proj3_matrix(s, X.value)
                                      for X in VISIBLE]),
-            "hat_w": w_matrix(hat_matrix(s), s),
-            "deriv": np.stack([Q.T @ s.deriv(ax, 4) @ Q for ax in AXES]),
+            "deriv": Q.T @ D.transpose(1, 2, 0),
         }
 
     return s.cache("w_core", build)

@@ -13,8 +13,8 @@ and the two key endomorphisms are
     L(b)   = sum_A sum_{i<j} A_(i) A_(j) b          on p-forms,
     Lcal(a) = sum_A A_(1) (A_(2) + .. + A_(5)) a    on V* (x) Lambda^4.
 
-Operator matrices on coefficient vectors are built by applying the operator
-to basis forms; the structure instance caches them and is otherwise immutable.
+Slot derivations are kept as the nonzeros of ``der_table``; the structure
+instance caches its operators and is otherwise immutable.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import numpy as np
 from .exterior import (
     AltForm,
     MixedTorsion,
+    SparseOp,
+    compound,
     tables,
     wedge,
     wedge_matrix,
@@ -138,57 +140,54 @@ class QuatStructure:
 
     # -- operator matrices on coefficient vectors -------------------------
 
-    def deriv(self, axis: str, p: int) -> np.ndarray:
-        """Matrix of b -> sum_i b(.., A X_i, ..) on degree-p coefficients,
-        so that i_A = -deriv."""
+    def deriv_op(self, p: int) -> SparseOp:
+        """The stack D (3 N_p x N_p) of the derivations D_A: b -> sum_i
+        b(.., A X_i, ..) on degree p, b -> (D_I b, D_J b, D_K b); a
+        der_table row (flat, s, sign) adds A[z, r] sign at (t, s) of D_A,
+        flat = (z dim + r) N_p + t.  D_A^T = -D_A."""
 
         def build():
             flat, s, sign = self.tab.der_table(p)
             N = self.tab.nforms(p)
             zr, t = np.divmod(flat, N)
-            D = np.zeros((N, N))
-            np.add.at(D, (t, s), self.mats[axis].ravel()[zr] * sign)
-            return D
+            v = np.stack([self.mats[a].ravel()[zr] * sign for a in AXES])
+            k, i = np.nonzero(v)
+            return SparseOp(k * N + t[i], s[i], v[k, i], (3 * N, N))
 
-        return self.cache(("deriv", axis, p), build)
+        return self.cache(("deriv", p), build)
 
     def i_axis(self, axis: str, a: AltForm) -> AltForm:
         if a.degree == 0:
             return a * 0.0
-        return AltForm(self.dim, a.degree,
-                       -(self.deriv(axis, a.degree) @ a.coeffs))
+        D = self.deriv_op(a.degree)(a.coeffs).reshape(3, -1)
+        return AltForm(self.dim, a.degree, -D[AXES.index(axis)])
+
+    def L_apply(self, p: int, x: np.ndarray) -> np.ndarray:
+        """L = 3p/2 - D^T D/2 on the last axis of degree-p coefficients, as
+        sum_{i<j} A_(i)A_(j) = (i_A^2 + p)/2 on forms (pinned by tests)."""
+        D = self.deriv_op(p)
+        return 1.5 * p * x - 0.5 * D.T(D(x))
 
     def L_matrix(self, p: int) -> np.ndarray:
-        """Matrix of L on Lambda^p, assembled by applying the slot-pair sum
-        to the coefficient basis.  Per axis, sum_{i<j} A_(i)A_(j) equals
-        (i_A^2 + p)/2 as operators on alternating forms (the diagonal terms
-        contribute A_(i)^2 = -1 per slot); the identity is pinned by tests
-        against the dense slot-by-slot evaluation."""
+        """Matrix of L on Lambda^p, assembled from the dense D."""
 
         def build():
-            N = self.tab.nforms(p)
-            out = 3 * p / 2 * np.eye(N)
-            for axis in AXES:
-                D = self.deriv(axis, p)
-                out += 0.5 * (D @ D)
-            return out
+            D = self.deriv_op(p).dense()
+            return 3 * p / 2 * np.eye(D.shape[1]) - 0.5 * (D.T @ D)
 
         return self.cache(("L", p), build)
 
     def L_map(self, b: AltForm) -> AltForm:
         if b.degree < 2:
             return b * 0.0
-        return AltForm(self.dim, b.degree, self.L_matrix(b.degree) @ b.coeffs)
+        return AltForm(self.dim, b.degree, self.L_apply(b.degree, b.coeffs))
 
     def lcal_raw(self, a: MixedTorsion) -> MixedTorsion:
         """Lcal without the membership precondition (internal use)."""
-        out = np.zeros_like(a.rows)
-        for axis in AXES:
-            A = self.mats[axis]
-            # form-part i_A on each row, then the first-slot insertion,
-            # which mixes rows by A itself (A^T = -A)
-            out += A @ (-(a.rows @ self.deriv(axis, 4).T))
-        return MixedTorsion(self.dim, out)
+        # i_A = -D_A on the form part of each row, then A mixes the rows
+        D = self.deriv_op(4)(a.rows).reshape(self.dim, 3, -1)
+        return MixedTorsion(self.dim, -sum(
+            self.mats[axis] @ D[:, k] for k, axis in enumerate(AXES)))
 
     def lcal(self, a: MixedTorsion, tol: float = 1e-8) -> MixedTorsion:
         """Lcal on the intrinsic-torsion space; MembershipError off it."""
@@ -205,24 +204,13 @@ class QuatStructure:
         return self.cache(("wedge_omega", axis, p),
                           lambda: wedge_matrix(self.omega[axis], p))
 
-    def pullback_matrix(self, axis: str, p: int) -> np.ndarray:
-        """Matrix of b -> b(A ., .., A .) on degree-p coefficients (minors);
-        the tensor action A b carries an extra (-1)^p on top of it."""
-
-        def build():
-            T = self.tab.columns(p).T
-            A = self.mats[axis]
-            sub = A[T[:, None, :, None], T[None, :, None, :]]
-            # sub[s, t] = A[rows S, cols T];  P[t, s] = det(A[S, T])
-            return np.linalg.det(np.swapaxes(sub, 0, 1).swapaxes(-1, -2)).T
-
-        return self.cache(("pullback", axis, p), build)
-
     def act_axis(self, axis: str, b: AltForm) -> AltForm:
-        """A b = (-1)^p pullback for p-forms."""
-        P = self.pullback_matrix(axis, b.degree)
-        return AltForm(self.dim, b.degree,
-                       ((-1.0) ** b.degree) * (P @ b.coeffs))
+        """b(A ., .., A .) = (-1)^p C b for p-forms, with C the p-th compound
+        of A, the matrix of b -> b(A^T ., .., A^T .)."""
+        p = b.degree
+        C = self.cache(("pullback", axis, p),
+                       lambda: compound(self.mats[axis], p))
+        return AltForm(self.dim, p, ((-1.0) ** p) * (C @ b.coeffs))
 
 
 def standard_structure(n: int) -> QuatStructure:

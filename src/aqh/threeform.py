@@ -37,13 +37,12 @@ from .structure import AXES, QuatStructure
 @dataclass
 class OneFormTriple:
     """The basis-dependent one-forms (xi_I, xi_J, xi_K) of a 3-form plus the
-    global xi; tagged with the structure they were computed in."""
+    global xi."""
 
     xi_I: np.ndarray
     xi_J: np.ndarray
     xi_K: np.ndarray
     xi: np.ndarray
-    structure: QuatStructure
 
     def __getitem__(self, axis: str) -> np.ndarray:
         return {"I": self.xi_I, "J": self.xi_J, "K": self.xi_K}[axis]
@@ -111,7 +110,7 @@ def xi_triple(b: AltForm, s: QuatStructure) -> OneFormTriple:
     if b.degree != 3:
         raise DegreeError("xi_triple is defined on 3-forms")
     vals = {a: xia_matrix(s, a) @ b.coeffs for a in AXES}
-    return OneFormTriple(vals["I"], vals["J"], vals["K"], xi(b, s), s)
+    return OneFormTriple(vals["I"], vals["J"], vals["K"], xi(b, s))
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +151,6 @@ def _hook_omega_table(s: QuatStructure) -> np.ndarray:
     return s.cache("hook_omega_table", build)
 
 
-def wedge_xi_omega_matrix(s: QuatStructure) -> np.ndarray:
-    """M3 (N3 x N3): b -> sum_A (A xi_{b;A}) ^ w_A."""
-
-    def build():
-        out = np.zeros((s.tab.nforms(3), s.tab.nforms(3)))
-        for a in AXES:
-            W = s.wedge_omega_matrix(a, 1)
-            out += W @ (s.mats[a] @ xia_matrix(s, a))
-        return out
-
-    return s.cache("m3_matrix", build)
-
-
 def proj3_matrix(s: QuatStructure, label: str) -> np.ndarray:
     def build():
         N3 = s.tab.nforms(3)
@@ -173,7 +159,9 @@ def proj3_matrix(s: QuatStructure, label: str) -> np.ndarray:
         plus3 = (3 * eye + L3) / 6.0
         minus3 = (3 * eye - L3) / 6.0
         P_EH = hook_omega_matrix(s) @ xi_matrix(s)
-        P_EHS = -2.0 * wedge_xi_omega_matrix(s)
+        # -2 M3, M3: b -> sum_A (A xi_{b;A}) ^ w_A
+        P_EHS = -2.0 * (m_matrix(s) @ np.concatenate(
+            [xia_matrix(s, a) for a in AXES]))
         mats = {
             "plus3": plus3,
             "minus3": minus3,
@@ -320,13 +308,18 @@ def table1_member(b: AltForm, row_id: str, s: QuatStructure,
 # ---------------------------------------------------------------------------
 
 
+def se_core(s: QuatStructure) -> np.ndarray:
+    """Matrix (N4 x N2) of c -> sum_A i_A(c) ^ w_A, taken of each x hook b."""
+    D = s.deriv_op(2).dense().reshape(3, -1, s.tab.nforms(2))
+    return -sum(s.wedge_omega_matrix(a, 2) @ D[k] for k, a in enumerate(AXES))
+
+
 def se_matrix(s: QuatStructure) -> np.ndarray:
     """Matrix (dim*N4 x N3) of b -> rows sum_A i_A(x hook b) ^ w_A."""
 
     def build():
-        core = sum(s.wedge_omega_matrix(a, 2) @ (-s.deriv(a, 2)) for a in AXES)
-        return (core @ _interior_stack(s)).reshape(s.dim * s.tab.nforms(4),
-                                                   s.tab.nforms(3))
+        return (se_core(s) @ _interior_stack(s)).reshape(
+            s.dim * s.tab.nforms(4), s.tab.nforms(3))
 
     return s.cache("se_matrix", build)
 
@@ -343,16 +336,21 @@ def r_matrix(s: QuatStructure) -> np.ndarray:
     return s.cache("r_matrix", build)
 
 
+def hat_factors(s: QuatStructure) -> tuple[np.ndarray, np.ndarray]:
+    """(H3, H1), hat_dstar = SE H3 - R H1 (module docstring): H3 = L/18 -
+    (2k1/3k2) M3 with -2 M3 the E(H+S3H) projector, H1 = c xi."""
+    k1, k2 = s.k1, s.k2
+    return (s.L_matrix(3) / 18.0
+            + (k1 / (3.0 * k2)) * proj3_matrix(s, "EHS3H"),
+            (4 * k1 ** 2 + k2 ** 2) / (12.0 * k1 * k2) * xi_matrix(s))
+
+
 def hat_matrix(s: QuatStructure) -> np.ndarray:
-    """Matrix of the right inverse of the torsion contraction."""
+    """Matrix (dim*N4 x N3) of hat_dstar on full rows."""
 
     def build():
-        SE = se_matrix(s)
-        k1, k2 = s.k1, s.k2
-        c3 = (4 * k1 ** 2 + k2 ** 2) / (12.0 * k1 * k2)
-        return (SE @ s.L_matrix(3) / 18.0
-                - (2 * k1 / (3.0 * k2)) * (SE @ wedge_xi_omega_matrix(s))
-                - c3 * (r_matrix(s) @ xi_matrix(s)))
+        H3, H1 = hat_factors(s)
+        return se_matrix(s) @ H3 - r_matrix(s) @ H1
 
     return s.cache("hat_matrix", build)
 
@@ -369,16 +367,3 @@ def hat_dstar(b: AltForm, s: QuatStructure) -> MixedTorsion:
         raise DegreeError("hat_dstar acts on 3-forms")
     return MixedTorsion.from_flat(s.dim, hat_matrix(s) @ b.coeffs)
 
-
-def dstar_matrix(s: QuatStructure) -> np.ndarray:
-    """Matrix (N3 x dim*N4) of the first-slot contraction (with minus)."""
-
-    def build():
-        dim, tab = s.dim, s.tab
-        N3, N4 = tab.nforms(3), tab.nforms(4)
-        u, _m, r, t, sign = tab.exp_table(4)
-        D = np.zeros((N3, dim, N4))
-        D[t, r, u] = -sign
-        return D.reshape(N3, dim * N4)
-
-    return s.cache("dstar_matrix", build)

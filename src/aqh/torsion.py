@@ -42,11 +42,8 @@ def fiber_residuals(c: MixedTwoFormFamily, s: QuatStructure) -> tuple[float, flo
     """Residual norms of the two fiber conditions, not normalised."""
     T = sum(s.mats[a].T @ c.mats @ s.mats[a] for a in AXES)
     res_i = float(np.linalg.norm(c.mats + T)) / math.sqrt(2.0)
-    res_ii = 0.0
-    for a in AXES:
-        tr = 0.5 * np.einsum("xij,ij->x", c.mats, s.mats[a])
-        res_ii += float(np.linalg.norm(tr)) ** 2
-    return res_i, math.sqrt(res_ii)
+    tr = [0.5 * np.einsum("xij,ij->x", c.mats, s.mats[a]) for a in AXES]
+    return res_i, float(np.linalg.norm(tr))
 
 
 def _fiber_project(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
@@ -149,14 +146,6 @@ def w_coords(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
     return require_in_W(a, s, tol) if check else a.rows @ fiber_basis_matrix(s)
 
 
-def w_matrix(M: np.ndarray, s: QuatStructure) -> np.ndarray:
-    """W coordinates (dim*r x k) of a matrix (dim*N4 x k) whose columns are
-    tensors in W."""
-    Q = fiber_basis_matrix(s)
-    M = np.swapaxes(M.reshape(s.dim, Q.shape[0], -1), 1, 2) @ Q
-    return np.swapaxes(M, 1, 2).reshape(s.dim * Q.shape[1], -1)
-
-
 def w_embed(C: np.ndarray, s: QuatStructure) -> MixedTorsion:
     """The tensor with W coordinates C (dim x r): rows C Q^T."""
     return MixedTorsion(s.dim, C @ fiber_basis_matrix(s).T)
@@ -194,13 +183,10 @@ def family_conditions(cA: dict[str, MixedTwoFormFamily],
     i) c_A(x; A., A.) = -c_A, ii) the cyclic mixed-insertion sum vanishes,
     iii) all w_B traces vanish."""
     res_i, res_ii = _admissibility(cA, s)
-    res_iii = 0.0
-    for name in AXES:
-        for bname in AXES:
-            tr = 0.5 * np.einsum("xij,ij->x", cA[name].mats, s.mats[bname])
-            res_iii += float(np.linalg.norm(tr)) ** 2
+    tr = [0.5 * np.einsum("xij,ij->x", cA[a].mats, s.mats[b])
+          for a in AXES for b in AXES]
     return {"i": math.sqrt(sum(v ** 2 for v in res_i.values())),
-            "ii": res_ii, "iii": math.sqrt(res_iii)}
+            "ii": res_ii, "iii": float(np.linalg.norm(tr))}
 
 
 def reassemble(cA: dict[str, MixedTwoFormFamily], s: QuatStructure) -> MixedTorsion:

@@ -23,6 +23,7 @@ from .exterior import (
     interior,
     wedge,
     wedge1,
+    wedge_matrix,
     wedge_power,
 )
 from .structure import (
@@ -87,12 +88,7 @@ def check_exterior(s: QuatStructure, rng) -> list[CheckResult]:
     dim = s.dim
     out = []
     worst = 0.0
-    for p in range(0, dim + 1, 2):
-        psi, phi = _rand_form(rng, dim, p), _rand_form(rng, dim, p)
-        lhs = wedge(psi, s.star(phi)).coeffs[0]
-        worst = max(worst, abs(lhs - inner(psi, phi) * s.vol_coeff)
-                    / max(abs(lhs), 1e-300))
-    for p in range(1, dim, 2):
+    for p in [*range(0, dim + 1, 2), *range(1, dim, 2)]:
         psi, phi = _rand_form(rng, dim, p), _rand_form(rng, dim, p)
         lhs = wedge(psi, s.star(phi)).coeffs[0]
         worst = max(worst, abs(lhs - inner(psi, phi) * s.vol_coeff)
@@ -265,15 +261,10 @@ def check_torsion_space(s: QuatStructure, rng) -> list[CheckResult]:
                            f"sample rank {rank}, expected {dimW}"))
 
     # conjugation-sum eigenvalues on 2-forms: T c = sum_A c(A., A.)
-    N2 = s.tab.nforms(2)
-    pairs = np.asarray(s.tab.tuples(2))
-    Tmat = np.zeros((N2, N2))
-    for col in range(N2):
-        M = np.zeros((s.dim, s.dim))
-        i, j = pairs[col]
-        M[i, j], M[j, i] = 1.0, -1.0
-        img = sum(s.mats[ax].T @ M @ s.mats[ax] for ax in AXES)
-        Tmat[:, col] = img[pairs[:, 0], pairs[:, 1]]
+    (i, j), col = s.tab.columns(2), np.arange(s.tab.nforms(2))
+    M = np.zeros((len(col), s.dim, s.dim))
+    M[col, i, j], M[col, j, i] = 1.0, -1.0
+    Tmat = sum(s.mats[ax].T @ M @ s.mats[ax] for ax in AXES)[:, i, j].T
     ev = np.linalg.eigvalsh(0.5 * (Tmat + Tmat.T))
     resid = float(np.abs((ev - 3.0) * (ev + 1.0)).max())
     out.append(CheckResult("conjugation-sum-eigenvalues", resid, 1e-9,
@@ -407,11 +398,13 @@ def check_threeforms(s: QuatStructure, rng) -> list[CheckResult]:
 
 
 def dstar_on_W(s: QuatStructure) -> np.ndarray:
-    """The contraction d* as a matrix (N3 x dim*r) on W coordinates."""
+    """The contraction d* as a matrix (N3 x dim*r) on W coordinates: each
+    exp_table(4) row (u, r, t, sign) puts -sign Q[u] at (t, r)."""
     Q = T.fiber_basis_matrix(s)
-    N3, N4 = s.tab.nforms(3), s.tab.nforms(4)
-    DST = TF.dstar_matrix(s).reshape(N3, s.dim, N4)
-    return (DST @ Q).reshape(N3, -1)
+    u, _m, r, t, sign = s.tab.exp_table(4)
+    D = np.zeros((s.tab.nforms(3), s.dim, Q.shape[1]))
+    D[t, r] = -sign[:, None] * Q[u]
+    return D.reshape(len(D), -1)
 
 
 def component_matrices_on_W(s: QuatStructure) -> dict:
@@ -728,15 +721,9 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
 
     # 5-form perpendicularity test against a built orthogonal complement
     phi = _rand_form(rng, s.dim, 5)
-    fam = []
-    for ax in AXES:
-        for bx in AXES:
-            for y in range(s.dim):
-                e = np.zeros(s.dim)
-                e[y] = 1.0
-                fam.append(wedge(wedge1(e, s.omega[ax]),
-                                 s.omega[bx]).coeffs)
-    Mfam = np.stack(fam, axis=1)
+    # columns e_y ^ w_A ^ w_B over A, B and y
+    Mfam = np.concatenate([wedge_matrix(wedge(s.omega[ax], s.omega[bx]), 1)
+                           for ax in AXES for bx in AXES], axis=1)
     U, sv, _ = np.linalg.svd(Mfam, full_matrices=False)
     proj = U[:, sv > sv[0] * 1e-10]
     perp = AltForm(s.dim, 5, phi.coeffs - proj @ (proj.T @ phi.coeffs))

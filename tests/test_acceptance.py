@@ -159,8 +159,7 @@ def test_criterion_06_projector_suite(s2, s3):
 
 
 def test_criterion_07_contraction_kernel(s2, s3, pool2, pool3):
-    from aqh.threeform import dstar_matrix
-    from aqh.torsion import fiber_basis_matrix
+    from aqh.verify import dstar_on_W
 
     kernel_worst = 0.0
     sv_min = np.inf
@@ -170,11 +169,7 @@ def test_criterion_07_contraction_kernel(s2, s3, pool2, pool3):
             kernel_worst = max(kernel_worst,
                                contract12(pool[X]).norm() / a.norm())
         mats = component_matrices_on_W(s)
-        Q = fiber_basis_matrix(s)
-        DST = dstar_matrix(s).reshape(s.tab.nforms(3), s.dim,
-                                      s.tab.nforms(4))
-        DST_W = np.einsum("tdn,nr->tdr", DST, Q).reshape(
-            s.tab.nforms(3), -1)
+        DST_W = dstar_on_W(s)
         vis = sum(mats[X] for X in (ComponentLabel.KH, ComponentLabel.EH,
                                     ComponentLabel.ES3H,
                                     ComponentLabel.L3ES3H))

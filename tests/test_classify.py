@@ -45,6 +45,15 @@ def build(pool, *labels):
     return out
 
 
+def w_matrix(M, s):
+    """W coordinates (dim*r x k) of a matrix (dim*N4 x k) whose columns are
+    tensors in W."""
+    from aqh.torsion import fiber_basis_matrix
+
+    Q = fiber_basis_matrix(s)
+    return (Q.T @ M.reshape(s.dim, len(Q), -1)).reshape(-1, M.shape[-1])
+
+
 def test_classify_zero_is_qk(s2):
     lab, prof = classify(MixedTorsion.zero(8), s2)
     assert lab.key == "QK"
@@ -314,12 +323,12 @@ def _hodge_route(dOm, s):
 
 
 def test_dOmega_matrix_matches_hodge_route(s2, s3, rng):
-    from aqh.classify import dOmega_matrix
+    from aqh.classify import dOmega_op
     from aqh.structure import random_rotation, rotate_adapted
 
     rot = rotate_adapted(random_rotation(rng), s3)
     for s in (s2, s3, rot):
-        M = dOmega_matrix(s)
+        M = dOmega_op(s).dense()
         assert M.shape == (math.comb(s.dim, 3) + 8 * s.dim,
                            math.comb(s.dim, 5))
         forms = [AltForm(s.dim, 5, rng.standard_normal(M.shape[1]))
@@ -359,7 +368,7 @@ def test_ctx_fields_on_demand(s2, s3):
     from aqh.classify import RowResult, ctx_from_derived, ctx_from_torsion
     from aqh.projectors import lcal_coords
     from aqh.threeform import r_matrix, se_matrix
-    from aqh.torsion import w_coords, w_matrix
+    from aqh.torsion import w_coords
 
     for s in (s2, s3):
         a = random_W_element(s, 91)
@@ -419,3 +428,59 @@ def test_tables_cached_per_n(s3, rng):
     assert table2_rows(rot) is table2_rows(s3)
     assert all(x is y for x, y in zip(table2_rows(rot), table2_rows(s3)))
     assert table3_rows(rot) is table3_rows(s3)
+
+
+def test_sparse_builds_off_standard_frame(s2, pool2):
+    # a general O(8) change of frame g: the sparse and W-coordinate builds
+    # must not lean on the few nonzeros of the standard frame
+    from aqh.classify import ae, ae_matrix
+    from aqh.exterior import compound
+    from aqh.projectors import _w_core
+    from aqh.structure import QuatStructure
+    from aqh.threeform import hat_matrix
+
+    rng = np.random.default_rng(8)
+    g, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    for p in range(1, 5):
+        T = np.asarray(s2.tab.tuples(p))
+        minors = np.linalg.det(g[T[:, None, :, None], T[None, :, None, :]])
+        np.testing.assert_allclose(compound(g, p), minors, rtol=0,
+                                   atol=1e-13)
+    sg = QuatStructure(2, g @ s2.I @ g.T, g @ s2.J @ g.T)
+    want = w_matrix(hat_matrix(sg), sg)
+    np.testing.assert_allclose(_w_core(sg)["hat_w"], want, rtol=0,
+                               atol=1e-13 * np.abs(want).max())
+    b5, b3 = rng.standard_normal((3, 56)), rng.standard_normal((3, 56))
+    np.testing.assert_allclose(sg.L_apply(5, b5), b5 @ sg.L_matrix(5).T,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ae(sg, b3), b3 @ ae_matrix(sg).T, rtol=0,
+                               atol=1e-12)
+    # the report of g a Lambda^4(g)^T in the frame s' is the report of a
+    L4 = compound(g, 4)
+    for labels in ((KH,), (EH, ES3H), (KH, KS3H, ES3H), tuple(pool2)):
+        a = build(pool2, *labels)
+        rep = classification_report(a, s2)
+        rep_g = classification_report(
+            MixedTorsion(8, g @ a.rows @ L4.T), sg)
+        assert rep_g["key"] == rep["key"]
+        total = rep["profile"]["total"]
+        for X, v in rep["profile"]["norms"].items():
+            assert abs(rep_g["profile"]["norms"][X] - v) <= 1e-12 * total
+
+
+def test_report_and_lie_paths_assemble_no_dense_operators():
+    # the report and Lie paths apply SE, HAT, L on 5-forms and AE through W
+    # coordinates or nonzeros; the full-row and dense forms are for checks
+    from aqh import components, standard_structure
+    from aqh.liealg import MetricLieAlgebra, classify_algebra, \
+        two_step_nilpotent
+
+    s = standard_structure(3)
+    pool = components(random_W_element(s, 12), s, check=False)
+    for r in range(len(pool) + 1):
+        for labels in itertools.combinations(pool, r):
+            rep = classification_report(build(pool, *labels), s)
+            assert rep["key"] == ClassLabel(frozenset(labels)).key
+    classify_algebra(MetricLieAlgebra(s, two_step_nilpotent(3, 0).c))
+    assert not {"se_matrix", "hat_matrix", ("L", 5), "ae_matrix"} & set(
+        s._cache)

@@ -14,6 +14,18 @@ def test_dims(capsys):
     assert "120" in out and "64" in out
 
 
+def test_dims_and_inject_take_any_n(tmp_path, capsys):
+    assert main(["dims", "--n", "4", "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    traces = [r["trace"] for r in rep["components"]]
+    assert traces == pytest.approx([96, 320, 16, 192, 640, 32], abs=1e-6)
+    assert rep["total"] == pytest.approx(1296, abs=1e-6)
+    for args in (["dims"], ["inject", "--component", "KH", "--out",
+                            str(tmp_path / "x.json")]):
+        assert main(args + ["--n", "1"]) == 2
+        assert "needs n > 1" in capsys.readouterr().err
+
+
 def test_verify_sections_run(capsys):
     # full run is exercised in the acceptance suite; here check the plumbing
     assert main(["verify", "--n", "2", "--seed", "3"]) == 0
