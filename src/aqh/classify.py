@@ -23,7 +23,7 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .exterior import AltForm, MixedTorsion, SparseOp, alternate5, contract12, wedge, wedge_matrix, wedge_op, wedge_power
+from .exterior import AltForm, MixedTorsion, SparseOp, alternate5, compose, contract12, wedge, wedge_matrix, wedge_op, wedge_power
 from .projectors import ComponentLabel, ComponentProfile, _w_core, lcal_coords, profile as component_profile, split_coords
 from .structure import AXES, QuatStructure
 from .threeform import (
@@ -180,10 +180,11 @@ def dOmega_op(s: QuatStructure) -> SparseOp:
         W = _star(s, dim - 5, W.T, inv=True).T
         xi = -(1.0 / (12 * s.k2)) * _star(s, dim - 1, W[:dim], inv=True)
         V = _trace_matrices(s)
-        xiA = [s.mats[a] @ (dT(V[a]) + 6.0 * (s.mats[a] @ xi)) / (4 * s.k1)
-               for a in AXES]
+        dV = dT(np.stack([V[a] for a in AXES]))
+        xiA = [s.mats[a] @ (dV[k] + 6.0 * (s.mats[a] @ xi)) / (4 * s.k1)
+               for k, a in enumerate(AXES)]
         rest = np.concatenate([xi, *xiA, W[dim:], W[:dim]])
-        r, c = np.nonzero(rest)
+        r, c = np.nonzero(rest != 0)
         return SparseOp(np.concatenate([dT.c, len(comp) + r]),
                         np.concatenate([dT.r, c]),
                         np.concatenate([dT.v, rest[r, c]]),
@@ -210,29 +211,27 @@ def ae_matrix(s: QuatStructure) -> np.ndarray:
 
 def ae(s: QuatStructure, x: np.ndarray) -> np.ndarray:
     """b -> sum_A i_A(b) ^ w_A on the last axis of 3-form coefficients:
-    -[W_I W_J W_K] (the nonzeros of wedge_table(3, 2)) after the D_A."""
+    -[W_I W_J W_K] D, W_A the nonzeros of wedge_table(3, 2), composed once."""
 
     def build():
         o, ai, bi, sign = s.tab.wedge_table(3, 2)
         v = sign * np.stack([s.omega[a].coeffs[bi] for a in AXES])
-        k, i = np.nonzero(v)
+        k, i = np.nonzero(v != 0)
         N3 = s.tab.nforms(3)
-        return SparseOp(o[i], k * N3 + ai[i], v[k, i], (s.tab.nforms(5), 3 * N3))
+        W = SparseOp(o[i], k * N3 + ai[i], v[k, i], (s.tab.nforms(5), 3 * N3))
+        return compose(W, s.deriv_op(3))
 
-    return -s.cache("ae_wedges", build)(s.deriv_op(3)(x))
+    return -s.cache("ae_op", build)(x)
 
 
-def _field_maps(s: QuatStructure) -> dict[str, np.ndarray]:
-    """Fixed matrices of the fields a 3-form context lacks beside SE and R
-    (projectors._w_core): Q = SE m on W coordinates; Q5 = AE m and xiOm on
-    5-forms."""
-
-    def build():
-        m = m_matrix(s)
-        return {"xiOm": wedge_matrix(s.Omega, 1), "Q": _w_core(s)["SE"] @ m,
-                "Q5": ae(s, m.T).T}
-
-    return s.cache("context_maps", build)
+def _field_map(s: QuatStructure, key: str) -> np.ndarray:
+    """A fixed matrix of a field a 3-form context lacks beside SE and R
+    (projectors._w_core), built when a row first reads that field: Q = SE m
+    on W coordinates; Q5 = AE m and xiOm on 5-forms."""
+    make = {"Q": lambda: _w_core(s)["SE"] @ m_matrix(s),
+            "Q5": lambda: ae(s, m_matrix(s).T).T,
+            "xiOm": lambda: wedge_matrix(s.Omega, 1)}
+    return s.cache(("field_map", key), make[key])
 
 
 def ctx_from_torsion(a: MixedTorsion, s: QuatStructure,
@@ -244,13 +243,13 @@ def ctx_from_torsion(a: MixedTorsion, s: QuatStructure,
     ctx = _Ctx(s, a.norm(), ds.coeffs, xi_triple(ds, s),
                cache(lambda: DerivedFromDOmega.from_torsion(a, s)))
     C = w_coords(a, s, check=False) if C is None else C
-    f3, M, xi, xi3 = ctx.f3, _field_maps(s), ctx.xi, ctx.xi3
+    f3, xi, xi3 = ctx.f3, ctx.xi, ctx.xi3
     SE, R = (_w_core(s)[k] for k in ("SE", "R"))
     ctx.w = _Fields(a=lambda: C.reshape(-1),
                     La=lambda: lcal_coords(C, s).reshape(-1),
                     SEd=lambda: SE @ f3["dstar"],
                     SELd=lambda: SE @ f3["Ldstar"],
-                    Q=lambda: M["Q"] @ xi3, R=lambda: R @ xi)
+                    Q=lambda: _field_map(s, "Q") @ xi3, R=lambda: R @ xi)
     return ctx
 
 
@@ -258,11 +257,12 @@ def ctx_from_derived(d: DerivedFromDOmega, s: QuatStructure) -> _Ctx:
     """The exterior-derivative context of d.  Its f5 fields are 5-forms:
     dOm, LdOm, AEd, AELd, Q5, xiOm."""
     ctx = _Ctx(s, d.scale, d.dstarOmega.coeffs, d.xi_triple, lambda: d)
-    dOm, f3, M, xi3 = d.dOmega.coeffs, ctx.f3, _field_maps(s), ctx.xi3
+    dOm, f3, xi3 = d.dOmega.coeffs, ctx.f3, ctx.xi3
     ctx.f5 = _Fields(dOm=lambda: dOm, LdOm=lambda: s.L_apply(5, dOm),
                      AEd=lambda: ae(s, f3["dstar"]),
                      AELd=lambda: ae(s, f3["Ldstar"]),
-                     Q5=lambda: M["Q5"] @ xi3, xiOm=lambda: M["xiOm"] @ d.xi)
+                     Q5=lambda: _field_map(s, "Q5") @ xi3,
+                     xiOm=lambda: _field_map(s, "xiOm") @ d.xi)
     return ctx
 
 

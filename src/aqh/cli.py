@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
 
 import numpy as np
 
@@ -23,9 +22,21 @@ from .classify import classification_report
 from .exterior import load_json, mixed_from_json, mixed_to_json
 from .liealg import VerificationError, algebra_from_json, classify_algebra
 from .projectors import COMPONENT_DIMS, ComponentLabel, component
-from .structure import standard_structure
+from .structure import StructureError, standard_structure
 from .torsion import random_W_element, w_dim
-from .verify import component_matrices_on_W, run_suite
+from .verify import run_suite
+
+
+# dims and inject build the structure for any n up to this: at n = 5 its
+# Omega^n check alone needs wedge_table(8, 4), 62M rows at dim 20
+MAX_N = 4
+
+
+def _structure(n: int):
+    if n > MAX_N:
+        raise StructureError(f"n = {n} is above {MAX_N}, the largest n whose "
+                             "exterior tables fit in memory")
+    return standard_structure(n)
 
 
 class InputError(Exception):
@@ -55,10 +66,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    mats = component_matrices_on_W(standard_structure(args.n))
-    rows = [{"component": X.value, "display": X.display,
-             "trace": float(np.trace(mats[X])),
-             "expected": COMPONENT_DIMS[X](args.n)} for X in ComponentLabel]
+    s = _structure(args.n)
+    from .verify import component_matrices_on_W
+
+    mats = component_matrices_on_W(s)
+    rows = []
+    for X in ComponentLabel:
+        tr = float(np.trace(mats[X]))
+        rows.append({"component": X.value, "display": X.display,
+                     "trace": tr, "expected": COMPONENT_DIMS[X](args.n)})
     total = sum(r["trace"] for r in rows)
     data = {"n": args.n, "components": rows, "total": total,
             "expected_total": w_dim(args.n)}
@@ -123,7 +139,7 @@ def cmd_inject(args) -> int:
     if args.n == 2 and X.zero_at_n2:
         raise InputError(
             f"component {X.value} is identically zero in dimension 8")
-    s = standard_structure(args.n)
+    s = _structure(args.n)
     a = component(random_W_element(s, args.seed), X, s, check=False)
     data = mixed_to_json(a)
     data["component"] = X.value
@@ -164,7 +180,6 @@ def cmd_liealg(args) -> int:
     return 1 if worst > 1e-8 else 0
 
 
-@cache     # built once per process: building costs more than parsing
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="aqh",

@@ -293,10 +293,39 @@ class SparseOp(NamedTuple):
     def T(self) -> "SparseOp":
         return SparseOp(self.c, self.r, self.v, self.shape[::-1])
 
+    def __matmul__(self, other: "SparseOp") -> "SparseOp":
+        """The product, one triple per nonzero: entry (i, k) of self meets
+        each entry (k, j) of other, and products at one (i, j) are summed."""
+        order = np.argsort(other.r, kind="stable")
+        cnt = np.bincount(other.r, minlength=other.shape[0])
+        k = cnt[self.c]
+        i = np.repeat(np.arange(len(k)), k)
+        # the partners of entry i sit at order[first[c_i]:][:k_i]
+        first = (np.cumsum(cnt) - cnt)[self.c]
+        j = order[np.arange(len(i)) + np.repeat(first - np.cumsum(k) + k, k)]
+        n = other.shape[1]
+        key, at = np.unique(self.r[i] * n + other.c[j], return_inverse=True)
+        return SparseOp(key // n, key % n,
+                        np.bincount(at, weights=self.v[i] * other.v[j]),
+                        (self.shape[0], n))
+
     def dense(self) -> np.ndarray:
         m, n = self.shape
         return np.bincount(self.r * n + self.c, weights=self.v,
                            minlength=m * n).reshape(m, n)
+
+
+def compose(A: SparseOp, B: SparseOp):
+    """x -> A(B(x)): one pass of the operator A @ B where forming it takes at
+    most 4 products per nonzero of A and B (then it has at most 4 times
+    their nonzeros; 0.4-1.6 times for the slot operators of the standard
+    frame), else B then A.  Forming A @ B takes sum_k |column k of A|
+    |row k of B| products."""
+    work = (np.bincount(A.c, minlength=A.shape[1])
+            @ np.bincount(B.r, minlength=B.shape[0]))
+    if work <= 4 * (len(A.v) + len(B.v)):
+        return A @ B
+    return lambda x: A(B(x))
 
 
 def wedge_op(b: AltForm, p: int) -> SparseOp:
@@ -311,8 +340,13 @@ def wedge_op(b: AltForm, p: int) -> SparseOp:
 
 
 def wedge_matrix(b: AltForm, p: int) -> np.ndarray:
-    """Matrix (N_{p+q} x N_p) of x -> x ^ b for a fixed q-form b."""
-    return wedge_op(b, p).dense()
+    """Matrix (N_{p+q} x N_p) of x -> x ^ b for a fixed q-form b: one
+    bincount over its ``wedge_table`` rows."""
+    tab = tables(b.dim)
+    o, ai, bi, sign = tab.wedge_table(p, b.degree)
+    N = tab.nforms(p)
+    return np.bincount(o * N + ai, weights=sign * b.coeffs[bi],
+                       minlength=tab.nforms(p + b.degree) * N).reshape(-1, N)
 
 
 def wedge_power(a: AltForm, k: int) -> AltForm:
@@ -324,19 +358,22 @@ def wedge_power(a: AltForm, k: int) -> AltForm:
 
 
 def compound(A: np.ndarray, p: int) -> np.ndarray:
-    """The p-th compound of a square matrix, the minors det A[S, T] over
-    increasing p-tuples, by Laplace expansion along the first column T_0 of
-    T = T_0 T': det A[S, T] = sum_m (-1)^m A[S_m, T_0] det A[S - S_m, T'],
+    """The p-th compound of a square matrix, or of each in a stack (..., d,
+    d): the minors det A[S, T] over increasing p-tuples, by Laplace expansion
+    along the first column T_0 of T = T_0 T':
+    det A[S, T] = sum_m (-1)^m A[S_m, T_0] det A[S - S_m, T'],
     the terms read off ``exp_table(q)`` for q = 2..p."""
     A = np.asarray(A, dtype=float)
-    tab = tables(A.shape[0])
-    C = A if p else np.ones((1, 1))
+    tab = tables(A.shape[-1])
+    C = A if p else np.ones(A.shape[:-2] + (1, 1))
     for q in range(2, p + 1):
         u, m, r, t, sign = tab.exp_table(q)
         # T_0, T' of every q-tuple in order; the q rows of an S are adjacent
         T0, rest = r[m == 0], t[m == 0]
-        terms = sign[:, None] * A[r[:, None], T0] * C[t[:, None], rest]
-        C = terms.reshape(-1, q, len(T0)).sum(axis=1)
+        a = (sign[:, None] * A.take(r, -2)).take(T0, -1)
+        a = a.reshape(A.shape[:-2] + (-1, q, len(T0)))
+        c = C.take(t, -2).take(rest, -1).reshape(a.shape)
+        C = np.einsum("...umj,...umj->...uj", a, c)
     return C
 
 

@@ -311,8 +311,10 @@ def two_step_nilpotent(n: int, seed: int, center: int = 4,
     c = np.zeros((dim,) * 3)
     base = dim - center
     vals = rng.standard_normal((base, base, center)) * scale
-    i, j = np.triu_indices(base, 1)
-    c[i, j, base:], c[j, i, base:] = vals[i, j], -vals[i, j]
+    for i in range(base):
+        for j in range(i + 1, base):
+            c[i, j, base:] = vals[i, j]
+            c[j, i, base:] = -vals[i, j]
     return MetricLieAlgebra(s, c)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .exterior import MixedTorsion, contract12
 from .structure import AXES, QuatStructure
-from .threeform import _hook_omega_table, _interior_stack, hat_factors, proj3_matrix, se_core
+from .threeform import _interior_stack, hat_factors, proj3_matrix, r_matrix, se_core
 from .torsion import fiber_basis_matrix, w_coords, w_embed
 
 
@@ -97,8 +97,7 @@ def _w_core(s: QuatStructure) -> dict:
         Q = fiber_basis_matrix(s)
         SE = ((Q.T @ se_core(s)) @ _interior_stack(s)).reshape(
             -1, s.tab.nforms(3))
-        G = Q.T @ _hook_omega_table(s)
-        R = (G - G.transpose(2, 1, 0)).reshape(-1, s.dim)
+        R = (Q.T @ r_matrix(s).reshape(s.dim, -1, s.dim)).reshape(-1, s.dim)
         H3, H1 = hat_factors(s)
         D = s.deriv_op(4)(Q.T).reshape(len(Q.T), 3, -1)
         return {

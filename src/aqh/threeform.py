@@ -310,8 +310,13 @@ def table1_member(b: AltForm, row_id: str, s: QuatStructure,
 
 def se_core(s: QuatStructure) -> np.ndarray:
     """Matrix (N4 x N2) of c -> sum_A i_A(c) ^ w_A, taken of each x hook b."""
-    D = s.deriv_op(2).dense().reshape(3, -1, s.tab.nforms(2))
-    return -sum(s.wedge_omega_matrix(a, 2) @ D[k] for k, a in enumerate(AXES))
+
+    def build():
+        D = s.deriv_op(2).dense().reshape(3, -1, s.tab.nforms(2))
+        return -sum(s.wedge_omega_matrix(a, 2) @ D[k]
+                    for k, a in enumerate(AXES))
+
+    return s.cache("se_core", build)
 
 
 def se_matrix(s: QuatStructure) -> np.ndarray:

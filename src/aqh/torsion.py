@@ -26,7 +26,7 @@ import numpy as np
 
 from .exterior import MixedTorsion, MixedTwoFormFamily
 from .structure import AXES, QuatStructure
-from .threeform import _hook_omega_table
+from .threeform import _hook_omega_table, se_core
 
 
 class MembershipError(ValueError):
@@ -42,8 +42,11 @@ def fiber_residuals(c: MixedTwoFormFamily, s: QuatStructure) -> tuple[float, flo
     """Residual norms of the two fiber conditions, not normalised."""
     T = sum(s.mats[a].T @ c.mats @ s.mats[a] for a in AXES)
     res_i = float(np.linalg.norm(c.mats + T)) / math.sqrt(2.0)
-    tr = [0.5 * np.einsum("xij,ij->x", c.mats, s.mats[a]) for a in AXES]
-    return res_i, float(np.linalg.norm(tr))
+    res_ii = 0.0
+    for a in AXES:
+        tr = 0.5 * np.einsum("xij,ij->x", c.mats, s.mats[a])
+        res_ii += float(np.linalg.norm(tr)) ** 2
+    return res_i, math.sqrt(res_ii)
 
 
 def _fiber_project(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
@@ -183,10 +186,13 @@ def family_conditions(cA: dict[str, MixedTwoFormFamily],
     i) c_A(x; A., A.) = -c_A, ii) the cyclic mixed-insertion sum vanishes,
     iii) all w_B traces vanish."""
     res_i, res_ii = _admissibility(cA, s)
-    tr = [0.5 * np.einsum("xij,ij->x", cA[a].mats, s.mats[b])
-          for a in AXES for b in AXES]
+    res_iii = 0.0
+    for name in AXES:
+        for bname in AXES:
+            tr = 0.5 * np.einsum("xij,ij->x", cA[name].mats, s.mats[bname])
+            res_iii += float(np.linalg.norm(tr)) ** 2
     return {"i": math.sqrt(sum(v ** 2 for v in res_i.values())),
-            "ii": res_ii, "iii": float(np.linalg.norm(tr))}
+            "ii": res_ii, "iii": math.sqrt(res_iii)}
 
 
 def reassemble(cA: dict[str, MixedTwoFormFamily], s: QuatStructure) -> MixedTorsion:
@@ -220,8 +226,10 @@ def fiber_basis_matrix(s: QuatStructure) -> np.ndarray:
     W = V* (x) span(Q)."""
 
     def build():
-        basis = _two_form_mats(np.eye(s.tab.nforms(2)), s)
-        M = _embed_rows(_fiber_project(basis, s), s).T
+        # F is a quarter of se_core on 2-form coefficients
+        i, j = s.tab.columns(2)
+        basis = _fiber_project(_two_form_mats(np.eye(len(i)), s), s)
+        M = 0.25 * se_core(s) @ basis[:, i, j].T
         u, sv, _ = np.linalg.svd(M, full_matrices=False)
         r = w_dim(s.n) // s.dim
         if not (sv[r - 1] > 1e-10 and (len(sv) <= r or sv[r] < 1e-10)):

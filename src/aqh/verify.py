@@ -23,7 +23,6 @@ from .exterior import (
     interior,
     wedge,
     wedge1,
-    wedge_matrix,
     wedge_power,
 )
 from .structure import (
@@ -88,7 +87,12 @@ def check_exterior(s: QuatStructure, rng) -> list[CheckResult]:
     dim = s.dim
     out = []
     worst = 0.0
-    for p in [*range(0, dim + 1, 2), *range(1, dim, 2)]:
+    for p in range(0, dim + 1, 2):
+        psi, phi = _rand_form(rng, dim, p), _rand_form(rng, dim, p)
+        lhs = wedge(psi, s.star(phi)).coeffs[0]
+        worst = max(worst, abs(lhs - inner(psi, phi) * s.vol_coeff)
+                    / max(abs(lhs), 1e-300))
+    for p in range(1, dim, 2):
         psi, phi = _rand_form(rng, dim, p), _rand_form(rng, dim, p)
         lhs = wedge(psi, s.star(phi)).coeffs[0]
         worst = max(worst, abs(lhs - inner(psi, phi) * s.vol_coeff)
@@ -261,10 +265,15 @@ def check_torsion_space(s: QuatStructure, rng) -> list[CheckResult]:
                            f"sample rank {rank}, expected {dimW}"))
 
     # conjugation-sum eigenvalues on 2-forms: T c = sum_A c(A., A.)
-    (i, j), col = s.tab.columns(2), np.arange(s.tab.nforms(2))
-    M = np.zeros((len(col), s.dim, s.dim))
-    M[col, i, j], M[col, j, i] = 1.0, -1.0
-    Tmat = sum(s.mats[ax].T @ M @ s.mats[ax] for ax in AXES)[:, i, j].T
+    N2 = s.tab.nforms(2)
+    pairs = np.asarray(s.tab.tuples(2))
+    Tmat = np.zeros((N2, N2))
+    for col in range(N2):
+        M = np.zeros((s.dim, s.dim))
+        i, j = pairs[col]
+        M[i, j], M[j, i] = 1.0, -1.0
+        img = sum(s.mats[ax].T @ M @ s.mats[ax] for ax in AXES)
+        Tmat[:, col] = img[pairs[:, 0], pairs[:, 1]]
     ev = np.linalg.eigvalsh(0.5 * (Tmat + Tmat.T))
     resid = float(np.abs((ev - 3.0) * (ev + 1.0)).max())
     out.append(CheckResult("conjugation-sum-eigenvalues", resid, 1e-9,
@@ -721,9 +730,15 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
 
     # 5-form perpendicularity test against a built orthogonal complement
     phi = _rand_form(rng, s.dim, 5)
-    # columns e_y ^ w_A ^ w_B over A, B and y
-    Mfam = np.concatenate([wedge_matrix(wedge(s.omega[ax], s.omega[bx]), 1)
-                           for ax in AXES for bx in AXES], axis=1)
+    fam = []
+    for ax in AXES:
+        for bx in AXES:
+            for y in range(s.dim):
+                e = np.zeros(s.dim)
+                e[y] = 1.0
+                fam.append(wedge(wedge1(e, s.omega[ax]),
+                                 s.omega[bx]).coeffs)
+    Mfam = np.stack(fam, axis=1)
     U, sv, _ = np.linalg.svd(Mfam, full_matrices=False)
     proj = U[:, sv > sv[0] * 1e-10]
     perp = AltForm(s.dim, 5, phi.coeffs - proj @ (proj.T @ phi.coeffs))

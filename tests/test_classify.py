@@ -434,7 +434,7 @@ def test_sparse_builds_off_standard_frame(s2, pool2):
     # a general O(8) change of frame g: the sparse and W-coordinate builds
     # must not lean on the few nonzeros of the standard frame
     from aqh.classify import ae, ae_matrix
-    from aqh.exterior import compound
+    from aqh.exterior import SparseOp, compound
     from aqh.projectors import _w_core
     from aqh.structure import QuatStructure
     from aqh.threeform import hat_matrix
@@ -446,15 +446,21 @@ def test_sparse_builds_off_standard_frame(s2, pool2):
         minors = np.linalg.det(g[T[:, None, :, None], T[None, :, None, :]])
         np.testing.assert_allclose(compound(g, p), minors, rtol=0,
                                    atol=1e-13)
+        # a stack of matrices gives the stack of their compounds
+        np.testing.assert_array_equal(compound(np.stack([g.T, g]), p)[1],
+                                      compound(g, p))
     sg = QuatStructure(2, g @ s2.I @ g.T, g @ s2.J @ g.T)
     want = w_matrix(hat_matrix(sg), sg)
     np.testing.assert_allclose(_w_core(sg)["hat_w"], want, rtol=0,
                                atol=1e-13 * np.abs(want).max())
     b5, b3 = rng.standard_normal((3, 56)), rng.standard_normal((3, 56))
-    np.testing.assert_allclose(sg.L_apply(5, b5), b5 @ sg.L_matrix(5).T,
-                               rtol=0, atol=1e-12)
-    np.testing.assert_allclose(ae(sg, b3), b3 @ ae_matrix(sg).T, rtol=0,
-                               atol=1e-12)
+    # L on 5-forms: D then D^T off the frame, D^T D merged in it
+    for s, merged in ((sg, False), (s2, True)):
+        np.testing.assert_allclose(s.L_apply(5, b5), b5 @ s.L_matrix(5).T,
+                                   rtol=0, atol=1e-12)
+        assert isinstance(s._cache[("DtD", 5)], SparseOp) == merged
+        np.testing.assert_allclose(ae(s, b3), b3 @ ae_matrix(s).T, rtol=0,
+                                   atol=1e-12)
     # the report of g a Lambda^4(g)^T in the frame s' is the report of a
     L4 = compound(g, 4)
     for labels in ((KH,), (EH, ES3H), (KH, KS3H, ES3H), tuple(pool2)):

@@ -14,7 +14,7 @@ def test_dims(capsys):
     assert "120" in out and "64" in out
 
 
-def test_dims_and_inject_take_any_n(tmp_path, capsys):
+def test_dims_and_inject_from_n2_to_n4(tmp_path, capsys):
     assert main(["dims", "--n", "4", "--format", "json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     traces = [r["trace"] for r in rep["components"]]
@@ -24,6 +24,9 @@ def test_dims_and_inject_take_any_n(tmp_path, capsys):
                             str(tmp_path / "x.json")]):
         assert main(args + ["--n", "1"]) == 2
         assert "needs n > 1" in capsys.readouterr().err
+        # above the largest n whose tables fit: refused before any build
+        assert main(args + ["--n", "5"]) == 2
+        assert "above 4" in capsys.readouterr().err
 
 
 def test_verify_sections_run(capsys):
