@@ -23,7 +23,7 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .exterior import AltForm, MixedTorsion, SparseOp, alternate5, compose, contract12, wedge, wedge_matrix, wedge_op, wedge_power
+from .exterior import AltForm, MixedTorsion, SparseOp, alternate5, compose, contract12, hodge_op, wedge, wedge_op, wedge_power
 from .projectors import ComponentLabel, ComponentProfile, _w_core, lcal_coords, profile as component_profile, split_coords
 from .structure import AXES, QuatStructure
 from .threeform import (
@@ -151,15 +151,6 @@ class DerivedFromDOmega:
                             / (6 * (n - 1)))}
 
 
-def _star(s: QuatStructure, p: int, M: np.ndarray, inv: bool = False):
-    """star (star_inv if inv) of every column of M, a p-form."""
-    comp, sign = s.tab.hodge_table(p)
-    out = np.empty_like(M)
-    out[comp] = M * (s.vol_coeff * (-1.0) ** (inv * p * (s.dim - p))
-                     * sign)[:, None]
-    return out
-
-
 def dOmega_op(s: QuatStructure) -> SparseOp:
     """The map ((N3 + 8 dim) x N5) dOm -> [d*Omega | xi | xi_I, xi_J, xi_K |
     star(dOm) ^ w_A ^ w_A for A = I, J, K | star(dOm) ^ Omega] as its
@@ -169,26 +160,27 @@ def dOmega_op(s: QuatStructure) -> SparseOp:
     def build():
         n, dim = s.n, s.dim
         lift = wedge_op(wedge_power(s.Omega, n - 2), 5)
-        comp, sign = s.tab.hodge_table(dim - 3)
-        # d*Omega as (column, row, value): its transpose
-        dT = SparseOp(lift.c, comp[lift.r], (
+        H, H5, H1 = (hodge_op(dim, p, s.vol_coeff) for p in (dim - 3, 5, 1))
+        # d*Omega as (column, row, value): its transpose; H permutes rows
+        dT = SparseOp(lift.c, H.r[lift.r], (
             (-1.0) ** n * 6 * (n - 1) / math.factorial(2 * n - 1)
-            * s.vol_coeff * sign[lift.r] * lift.v), lift.shape[::-1])
-        # wedges of star(dOm): W H_5 = (H_5^-1 W^T)^T, H_5^-1 = star_inv
+            * H.v[lift.r] * lift.v), lift.shape[::-1])
+        # star(dOm) ^ b = W H_5 dOm for the fixed b, and xi from star_inv =
+        # H_1^T of the rows W[:dim]: products with the H are gathers
         fixed = [s.Omega] + [wedge(s.omega[a], s.omega[a]) for a in AXES]
-        W = np.concatenate([wedge_matrix(b, dim - 5) for b in fixed])
-        W = _star(s, dim - 5, W.T, inv=True).T
-        xi = -(1.0 / (12 * s.k2)) * _star(s, dim - 1, W[:dim], inv=True)
+        W = np.concatenate([wedge_op(b, dim - 5).dense()
+                            for b in fixed])[:, H5.r] * H5.v
+        xi = -(1.0 / (12 * s.k2)) * H1.v[:, None] * W[H1.r]
         V = _trace_matrices(s)
         dV = dT(np.stack([V[a] for a in AXES]))
         xiA = [s.mats[a] @ (dV[k] + 6.0 * (s.mats[a] @ xi)) / (4 * s.k1)
                for k, a in enumerate(AXES)]
         rest = np.concatenate([xi, *xiA, W[dim:], W[:dim]])
         r, c = np.nonzero(rest != 0)
-        return SparseOp(np.concatenate([dT.c, len(comp) + r]),
+        return SparseOp(np.concatenate([dT.c, len(H.r) + r]),
                         np.concatenate([dT.r, c]),
                         np.concatenate([dT.v, rest[r, c]]),
-                        (len(comp) + len(rest), rest.shape[1]))
+                        (len(H.r) + len(rest), rest.shape[1]))
 
     return s.cache("dOmega", build)
 
@@ -199,29 +191,20 @@ def dOmega_op(s: QuatStructure) -> SparseOp:
 
 
 def ae_matrix(s: QuatStructure) -> np.ndarray:
-    """Matrix (N5 x N3) of b -> sum_A i_A(b) ^ w_A, for checks of ae."""
+    """Matrix (N5 x N3) of b -> sum_A i_A(b) ^ w_A, the dense -W D of
+    ``ae_factors(3)``, for checks of ae."""
 
     def build():
-        D = s.deriv_op(3).dense().reshape(3, -1, s.tab.nforms(3))
-        return -sum(s.wedge_omega_matrix(a, 3) @ D[k]
-                    for k, a in enumerate(AXES))
+        W, D = s.ae_factors(3)
+        return -(W.dense() @ D.dense())
 
     return s.cache("ae_matrix", build)
 
 
 def ae(s: QuatStructure, x: np.ndarray) -> np.ndarray:
     """b -> sum_A i_A(b) ^ w_A on the last axis of 3-form coefficients:
-    -[W_I W_J W_K] D, W_A the nonzeros of wedge_table(3, 2), composed once."""
-
-    def build():
-        o, ai, bi, sign = s.tab.wedge_table(3, 2)
-        v = sign * np.stack([s.omega[a].coeffs[bi] for a in AXES])
-        k, i = np.nonzero(v != 0)
-        N3 = s.tab.nforms(3)
-        W = SparseOp(o[i], k * N3 + ai[i], v[k, i], (s.tab.nforms(5), 3 * N3))
-        return compose(W, s.deriv_op(3))
-
-    return -s.cache("ae_op", build)(x)
+    -W D with (W, D) = ``ae_factors(3)``, composed once."""
+    return -s.cache("ae_op", lambda: compose(*s.ae_factors(3)))(x)
 
 
 def _field_map(s: QuatStructure, key: str) -> np.ndarray:
@@ -230,7 +213,7 @@ def _field_map(s: QuatStructure, key: str) -> np.ndarray:
     on W coordinates; Q5 = AE m and xiOm on 5-forms."""
     make = {"Q": lambda: _w_core(s)["SE"] @ m_matrix(s),
             "Q5": lambda: ae(s, m_matrix(s).T).T,
-            "xiOm": lambda: wedge_matrix(s.Omega, 1)}
+            "xiOm": lambda: wedge_op(s.Omega, 1).dense()}
     return s.cache(("field_map", key), make[key])
 
 

@@ -27,15 +27,25 @@ from .torsion import random_W_element, w_dim
 from .verify import run_suite
 
 
-# dims and inject build the structure for any n up to this: at n = 5 its
+# every subcommand builds structures for any n up to this: at n = 5 the
 # Omega^n check alone needs wedge_table(8, 4), 62M rows at dim 20
 MAX_N = 4
 
 
-def _structure(n: int):
-    if n > MAX_N:
+def _check_n(n) -> None:
+    """Refuse an n above MAX_N before any structure is built; an n that is
+    not a number is left to the loaders, which name it."""
+    try:
+        too_big = int(n) > MAX_N
+    except (TypeError, ValueError, OverflowError):
+        return
+    if too_big:
         raise StructureError(f"n = {n} is above {MAX_N}, the largest n whose "
                              "exterior tables fit in memory")
+
+
+def _structure(n: int):
+    _check_n(n)
     return standard_structure(n)
 
 
@@ -94,11 +104,14 @@ def cmd_dims(args) -> int:
 
 def _load_input(path: str):
     data = load_json(path)
+    if not isinstance(data, dict) or not {"brackets", "coeffs"} & data.keys():
+        raise InputError(f"{path}: neither a bracket table nor a tensor")
+    _check_n(data.get("n"))
+    if isinstance(data.get("structure"), dict):
+        _check_n(data["structure"].get("n"))
     if "brackets" in data:
         return "algebra", algebra_from_json(data)
-    if "coeffs" in data:
-        return "tensor", data
-    raise InputError(f"{path}: neither a bracket table nor a tensor")
+    return "tensor", data
 
 
 def cmd_classify(args) -> int:
@@ -110,7 +123,7 @@ def cmd_classify(args) -> int:
             raise InputError("classify expects a mixed tensor "
                              "(row + 4-form keys) or a Lie algebra")
         a = mixed_from_json(payload)
-        s = standard_structure(int(payload["n"]))
+        s = _structure(int(payload["n"]))
         report = classification_report(a, s, tol=args.tol)
 
     def text(rep):

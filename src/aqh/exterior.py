@@ -22,8 +22,8 @@ increasing (p+q)-tuple splits into a p-part and a q-part with a sign, and
   leaves (p-1)-tuple #t, with a sign).  Interior products and contractions
   accumulate into t, one-form wedges (``wedge_rows``) into u, and slot
   derivations pair the rows through one t (``der_table``);
-* ``hodge_table(p)`` is the (p, dim-p) split of the top tuple: the complement
-  of each p-tuple, with the sign of the concatenation.
+* ``hodge_op(dim, p, .)`` reads the (p, dim-p) split of the top tuple: the
+  complement of each p-tuple, with the sign of the concatenation.
 """
 
 from __future__ import annotations
@@ -135,12 +135,6 @@ class FormTables:
             u, r, t, sign = self.wedge_table(1, p - 1)
             self._exp[p] = (u, np.arange(u.size) % p, r, t, sign)
         return self._exp[p]
-
-    def hodge_table(self, p: int):
-        """(comp, sign): the increasing p-tuple #i has complement tuple
-        #comp[i], and the concatenated permutation has parity sign[i].  It is
-        the (p, dim-p) split of ``wedge_table``, whose p-parts run over i."""
-        return self.wedge_table(p, self.dim - p)[2:]
 
     def der_table(self, p: int):
         """Rows (flat, s, sign) so that the matrix of the slot-derivation
@@ -339,16 +333,6 @@ def wedge_op(b: AltForm, p: int) -> SparseOp:
                     (tab.nforms(p + b.degree), tab.nforms(p)))
 
 
-def wedge_matrix(b: AltForm, p: int) -> np.ndarray:
-    """Matrix (N_{p+q} x N_p) of x -> x ^ b for a fixed q-form b: one
-    bincount over its ``wedge_table`` rows."""
-    tab = tables(b.dim)
-    o, ai, bi, sign = tab.wedge_table(p, b.degree)
-    N = tab.nforms(p)
-    return np.bincount(o * N + ai, weights=sign * b.coeffs[bi],
-                       minlength=tab.nforms(p + b.degree) * N).reshape(-1, N)
-
-
 def wedge_power(a: AltForm, k: int) -> AltForm:
     """a ^ .. ^ a (k factors); the unit 0-form for k = 0."""
     out = AltForm(a.dim, 0, np.ones(1))
@@ -441,13 +425,19 @@ def inner(a: AltForm, b: AltForm) -> float:
     return float(a.coeffs @ b.coeffs)
 
 
+def hodge_op(dim: int, p: int, vol_coeff: float) -> SparseOp:
+    """The star of p-forms relative to Vol = vol_coeff * e^0 ^ .. ^ e^{dim-1}
+    (vol_coeff is +-1 for an orthonormal oriented frame), a signed
+    permutation whose transpose is the inverse star: p-tuple #i goes to its
+    complement #comp[i] with the parity of the concatenation."""
+    _o, i, comp, sign = tables(dim).wedge_table(p, dim - p)
+    return SparseOp(comp, i, vol_coeff * sign, (len(comp), len(comp)))
+
+
 def hodge(a: AltForm, vol_coeff: float = 1.0) -> AltForm:
-    """Star of a, relative to Vol = vol_coeff * e^0 ^ ... ^ e^{dim-1}
-    (vol_coeff is +-1 for an orthonormal oriented frame)."""
-    comp, sign = tables(a.dim).hodge_table(a.degree)
-    out = np.zeros(math.comb(a.dim, a.dim - a.degree))
-    out[comp] = vol_coeff * sign * a.coeffs
-    return AltForm(a.dim, a.dim - a.degree, out)
+    """Star of a (``hodge_op``)."""
+    return AltForm(a.dim, a.dim - a.degree,
+                   hodge_op(a.dim, a.degree, vol_coeff)(a.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,11 @@ from .exterior import (
     SparseOp,
     compose,
     compound,
+    hodge,
+    hodge_op,
     tables,
     wedge,
-    wedge_matrix,
+    wedge_op,
     wedge_power,
 )
 
@@ -124,15 +126,13 @@ class QuatStructure:
         return tables(self.dim)
 
     def star(self, a: AltForm) -> AltForm:
-        from .exterior import hodge
-
         return hodge(a, self.vol_coeff)
 
     def star_inv(self, a: AltForm) -> AltForm:
-        """Inverse star: star(star_inv(a)) = a.  Differs from star by
-        (-1)^p on odd-degree input in even dimension."""
-        sgn = (-1.0) ** (a.degree * (self.dim - a.degree))
-        return sgn * self.star(a)
+        """Inverse star, star(star_inv(a)) = a: the transposed star."""
+        q = self.dim - a.degree
+        return AltForm(self.dim, q,
+                       hodge_op(self.dim, q, self.vol_coeff).T(a.coeffs))
 
     def volume_form(self) -> AltForm:
         top = AltForm.zero(self.dim, self.dim)
@@ -204,7 +204,21 @@ class QuatStructure:
         """Matrix of b -> b ^ w_A from degree p to p+2."""
 
         return self.cache(("wedge_omega", axis, p),
-                          lambda: wedge_matrix(self.omega[axis], p))
+                          lambda: wedge_op(self.omega[axis], p).dense())
+
+    def ae_factors(self, p: int) -> tuple[SparseOp, SparseOp]:
+        """(W, D) with sum_A i_A(b) ^ w_A = -W D b on degree p: W is the
+        wedge_op of w_I, w_J, w_K side by side, D = deriv_op(p)."""
+
+        def build():
+            N = self.tab.nforms(p)
+            ops = [wedge_op(self.omega[a], p) for a in AXES]
+            r, c, v = (np.concatenate(x) for x in zip(
+                *((w.r, k * N + w.c, w.v) for k, w in enumerate(ops))))
+            W = SparseOp(r, c, v, (ops[0].shape[0], 3 * N))
+            return W, self.deriv_op(p)
+
+        return self.cache(("ae", p), build)
 
     def act_axis(self, axis: str, b: AltForm) -> AltForm:
         """b(A ., .., A .) = (-1)^p C b for p-forms, with C the p-th compound

@@ -139,18 +139,6 @@ def m_matrix(s: QuatStructure) -> np.ndarray:
         [s.wedge_omega_matrix(a, 1) @ s.mats[a] for a in AXES], axis=1))
 
 
-def _hook_omega_table(s: QuatStructure) -> np.ndarray:
-    """G[y, u, z] = coefficient u of e_y ^ (e_z hook Omega)."""
-
-    def build():
-        u, _m, r, t, sign = s.tab.exp_table(4)
-        G = np.zeros((s.dim, s.tab.nforms(4), s.dim))
-        G[r, u] = sign[:, None] * hook_omega_matrix(s)[t]
-        return G
-
-    return s.cache("hook_omega_table", build)
-
-
 def proj3_matrix(s: QuatStructure, label: str) -> np.ndarray:
     def build():
         N3 = s.tab.nforms(3)
@@ -309,12 +297,12 @@ def table1_member(b: AltForm, row_id: str, s: QuatStructure,
 
 
 def se_core(s: QuatStructure) -> np.ndarray:
-    """Matrix (N4 x N2) of c -> sum_A i_A(c) ^ w_A, taken of each x hook b."""
+    """Matrix (N4 x N2) of c -> sum_A i_A(c) ^ w_A, taken of each x hook b:
+    the dense -W D of ``ae_factors(2)``."""
 
     def build():
-        D = s.deriv_op(2).dense().reshape(3, -1, s.tab.nforms(2))
-        return -sum(s.wedge_omega_matrix(a, 2) @ D[k]
-                    for k, a in enumerate(AXES))
+        W, D = s.ae_factors(2)
+        return -(W.dense() @ D.dense())
 
     return s.cache("se_core", build)
 
@@ -331,10 +319,13 @@ def se_matrix(s: QuatStructure) -> np.ndarray:
 
 def r_matrix(s: QuatStructure) -> np.ndarray:
     """Matrix (dim*N4 x dim) of zeta -> rows
-    x ^ (zeta hook Omega) - zeta ^ (x hook Omega)."""
+    x ^ (zeta hook Omega) - zeta ^ (x hook Omega), from G[y, u, z] =
+    coefficient u of e_y ^ (e_z hook Omega)."""
 
     def build():
-        G = _hook_omega_table(s)
+        u, _m, r, t, sign = s.tab.exp_table(4)
+        G = np.zeros((s.dim, s.tab.nforms(4), s.dim))
+        G[r, u] = sign[:, None] * hook_omega_matrix(s)[t]
         return (G - G.transpose(2, 1, 0)).reshape(s.dim * s.tab.nforms(4),
                                                   s.dim)
 

@@ -13,7 +13,9 @@ where the fiber consists of the c whose rows satisfy
 Because F acts row by row, W = V* (x) W4 for a fixed subspace W4 of 4-forms.
 ``fiber_basis_matrix`` gives an orthonormal basis Q of W4, so a tensor a has
 W coordinates C = aQ, and its relative distance |a - C Q^T| / |a| from W is
-the membership residual.  The inverse of F is
+the membership residual.  F is a quarter of AE: b -> sum_A i_A(b) ^ w_A on
+2-forms (``threeform.se_core``).  Its inverse on W is the contraction with
+the R table (``threeform.r_matrix``):
 
     -8n c(x, y, z) = <x hook a, y ^ (z hook Omega) - z ^ (y hook Omega)>.
 """
@@ -26,7 +28,7 @@ import numpy as np
 
 from .exterior import MixedTorsion, MixedTwoFormFamily
 from .structure import AXES, QuatStructure
-from .threeform import _hook_omega_table, se_core
+from .threeform import r_matrix, se_core
 
 
 class MembershipError(ValueError):
@@ -38,26 +40,30 @@ def w_dim(n: int) -> int:
     return 4 * n * 3 * (2 * n + 1) * (n - 1)
 
 
+def _traces(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
+    """The traces <c, w_A> (..., 3) of a stack (..., dim, dim) of 2-forms."""
+    return 0.5 * np.einsum("...ij,aij->...a", mats,
+                           np.stack([s.mats[a] for a in AXES]))
+
+
+def _conj_sum(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
+    """sum_A A^T c A = sum_A c(A., A.) on a stack (..., dim, dim)."""
+    return sum(s.mats[a].T @ mats @ s.mats[a] for a in AXES)
+
+
 def fiber_residuals(c: MixedTwoFormFamily, s: QuatStructure) -> tuple[float, float]:
     """Residual norms of the two fiber conditions, not normalised."""
-    T = sum(s.mats[a].T @ c.mats @ s.mats[a] for a in AXES)
-    res_i = float(np.linalg.norm(c.mats + T)) / math.sqrt(2.0)
-    res_ii = 0.0
-    for a in AXES:
-        tr = 0.5 * np.einsum("xij,ij->x", c.mats, s.mats[a])
-        res_ii += float(np.linalg.norm(tr)) ** 2
-    return res_i, math.sqrt(res_ii)
+    res_i = float(np.linalg.norm(c.mats + _conj_sum(c.mats, s)))
+    return res_i / math.sqrt(2.0), float(np.linalg.norm(_traces(c.mats, s)))
 
 
 def _fiber_project(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
-    """fiber_project on a stack (..., dim, dim) of antisymmetric matrices."""
-    T = sum(s.mats[a].T @ mats @ s.mats[a] for a in AXES)
-    out = (3.0 * mats - T) / 4.0
-    for a in AXES:
-        A = s.mats[a]
-        tr = 0.5 * np.einsum("...ij,ij->...", out, A)
-        out = out - tr[..., None, None] / (2 * s.n) * A
-    return out
+    """fiber_project on a stack (..., dim, dim) of antisymmetric matrices.
+    The w_A are mutually orthogonal, so their traces go in one step."""
+    out = (3.0 * mats - _conj_sum(mats, s)) / 4.0
+    tr = _traces(out, s) / (2 * s.n)
+    return out - sum(tr[..., k, None, None] * s.mats[a]
+                     for k, a in enumerate(AXES))
 
 
 def _two_form_mats(rows: np.ndarray, s: QuatStructure) -> np.ndarray:
@@ -68,23 +74,6 @@ def _two_form_mats(rows: np.ndarray, s: QuatStructure) -> np.ndarray:
     mats[..., i, j] = rows
     mats[..., j, i] = -rows
     return mats
-
-
-def _wedge_omega_rows(mats: np.ndarray, axis: str,
-                      s: QuatStructure) -> np.ndarray:
-    """Row-wise c ^ w_A for a stack (..., dim, dim) of antisymmetric-matrix
-    2-forms, giving (..., N4) 4-form coefficient rows."""
-    i, j = s.tab.columns(2)
-    return mats[..., i, j] @ s.wedge_omega_matrix(axis, 2).T
-
-
-def _embed_rows(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
-    """F on a stack (..., dim, dim) of 2-forms, giving (..., N4) 4-forms."""
-    rows = 0.0
-    for a in AXES:
-        A = s.mats[a]
-        rows = rows + 0.25 * _wedge_omega_rows(-(A.T @ mats + mats @ A), a, s)
-    return rows
 
 
 def fiber_project(c: MixedTwoFormFamily, s: QuatStructure) -> MixedTwoFormFamily:
@@ -102,14 +91,15 @@ def F_map(c: MixedTwoFormFamily, s: QuatStructure, check: bool = True,
             raise MembershipError(
                 f"input is outside the fiber: residuals "
                 f"{r1 / scale:.2e}, {r2 / scale:.2e}")
-    return MixedTorsion(c.dim, _embed_rows(c.mats, s))
+    return MixedTorsion(c.dim, 0.25 * c.coeff_rows() @ se_core(s).T)
 
 
 def f_inverse_raw(a: MixedTorsion, s: QuatStructure) -> MixedTwoFormFamily:
-    """The contraction inverse of F, valid on W (no membership check)."""
-    c = np.einsum("xu,yuz->xyz", a.rows, _hook_omega_table(s))
-    c = c - c.transpose(0, 2, 1)
-    return MixedTwoFormFamily(a.dim, -c / (8 * s.n))
+    """The contraction inverse of F, valid on W (no membership check):
+    c = -a R / (8n), R = r_matrix read as R[y, u, z]."""
+    R = r_matrix(s).reshape(s.dim, -1, s.dim)
+    return MixedTwoFormFamily(
+        a.dim, np.einsum("xu,yuz->xyz", a.rows, R) / (-8 * s.n))
 
 
 def F_inverse(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8) -> MixedTwoFormFamily:
@@ -160,9 +150,9 @@ def extract_cA(a: MixedTorsion, s: QuatStructure,
     adjoint of ^ w_A applied to a, divided by 2n: the transpose of
     ``reassemble`` up to that factor."""
     require_in_W(a, s, tol)
-    return {name: MixedTwoFormFamily(a.dim, _two_form_mats(
-                a.rows @ s.wedge_omega_matrix(name, 2) / (2 * s.n), s))
-            for name in AXES}
+    rows = s.ae_factors(2)[0].T(a.rows).reshape(s.dim, 3, -1) / (2 * s.n)
+    return {name: MixedTwoFormFamily(a.dim, _two_form_mats(rows[:, k], s))
+            for k, name in enumerate(AXES)}
 
 
 def _admissibility(fams: dict[str, MixedTwoFormFamily],
@@ -186,21 +176,16 @@ def family_conditions(cA: dict[str, MixedTwoFormFamily],
     i) c_A(x; A., A.) = -c_A, ii) the cyclic mixed-insertion sum vanishes,
     iii) all w_B traces vanish."""
     res_i, res_ii = _admissibility(cA, s)
-    res_iii = 0.0
-    for name in AXES:
-        for bname in AXES:
-            tr = 0.5 * np.einsum("xij,ij->x", cA[name].mats, s.mats[bname])
-            res_iii += float(np.linalg.norm(tr)) ** 2
+    res_iii = np.linalg.norm([_traces(cA[a].mats, s) for a in AXES])
     return {"i": math.sqrt(sum(v ** 2 for v in res_i.values())),
-            "ii": res_ii, "iii": math.sqrt(res_iii)}
+            "ii": res_ii, "iii": float(res_iii)}
 
 
 def reassemble(cA: dict[str, MixedTwoFormFamily], s: QuatStructure) -> MixedTorsion:
-    """sum_A c_A ^ w_A, the wedge acting on the form slots only."""
-    rows = np.zeros((s.dim, math.comb(s.dim, 4)))
-    for name in AXES:
-        rows += _wedge_omega_rows(cA[name].mats, name, s)
-    return MixedTorsion(s.dim, rows)
+    """sum_A c_A ^ w_A, the wedge acting on the form slots only: the W of
+    ``ae_factors(2)`` on the coefficient rows of the c_A side by side."""
+    rows = np.concatenate([cA[a].coeff_rows() for a in AXES], axis=-1)
+    return MixedTorsion(s.dim, s.ae_factors(2)[0](rows))
 
 
 def from_nabla_omegas(dI: MixedTwoFormFamily, dJ: MixedTwoFormFamily,
@@ -226,7 +211,6 @@ def fiber_basis_matrix(s: QuatStructure) -> np.ndarray:
     W = V* (x) span(Q)."""
 
     def build():
-        # F is a quarter of se_core on 2-form coefficients
         i, j = s.tab.columns(2)
         basis = _fiber_project(_two_form_mats(np.eye(len(i)), s), s)
         M = 0.25 * se_core(s) @ basis[:, i, j].T

@@ -430,10 +430,43 @@ def test_tables_cached_per_n(s3, rng):
     assert table3_rows(rot) is table3_rows(s3)
 
 
+def check_ae_against_wedges(s, rng):
+    """AE: b -> sum_A i_A(b) ^ w_A on degrees 2 (se_core) and 3 (dense and
+    applied to a stack), against one wedge per axis."""
+    from aqh.classify import ae, ae_matrix
+    from aqh.threeform import se_core
+
+    for p, dense in ((2, se_core(s)), (3, ae_matrix(s))):
+        bs = [AltForm(s.dim, p, x)
+              for x in rng.standard_normal((2, math.comb(s.dim, p)))]
+        want = np.stack([sum(wedge(s.i_axis(A, b), s.omega[A]).coeffs
+                             for A in AXES) for b in bs])
+        got = np.stack([b.coeffs for b in bs]) @ dense.T
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    got = ae(s, np.stack([b.coeffs for b in bs]))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def check_report_in_frame(s, sg, g, pool, subsets):
+    """The report of g a Lambda^4(g)^T in the frame sg is the report of a in
+    s: the same key, norms within 1e-12 of the total."""
+    from aqh.exterior import compound
+
+    L4 = compound(g, 4)
+    for labels in subsets:
+        a = build(pool, *labels)
+        rep = classification_report(a, s)
+        rep_g = classification_report(
+            MixedTorsion(s.dim, g @ a.rows @ L4.T), sg)
+        assert rep_g["key"] == rep["key"]
+        total = rep["profile"]["total"]
+        for X, v in rep["profile"]["norms"].items():
+            assert abs(rep_g["profile"]["norms"][X] - v) <= 1e-12 * total
+
+
 def test_sparse_builds_off_standard_frame(s2, pool2):
     # a general O(8) change of frame g: the sparse and W-coordinate builds
     # must not lean on the few nonzeros of the standard frame
-    from aqh.classify import ae, ae_matrix
     from aqh.exterior import SparseOp, compound
     from aqh.projectors import _w_core
     from aqh.structure import QuatStructure
@@ -453,25 +486,30 @@ def test_sparse_builds_off_standard_frame(s2, pool2):
     want = w_matrix(hat_matrix(sg), sg)
     np.testing.assert_allclose(_w_core(sg)["hat_w"], want, rtol=0,
                                atol=1e-13 * np.abs(want).max())
-    b5, b3 = rng.standard_normal((3, 56)), rng.standard_normal((3, 56))
+    b5 = rng.standard_normal((3, 56))
     # L on 5-forms: D then D^T off the frame, D^T D merged in it
     for s, merged in ((sg, False), (s2, True)):
         np.testing.assert_allclose(s.L_apply(5, b5), b5 @ s.L_matrix(5).T,
                                    rtol=0, atol=1e-12)
         assert isinstance(s._cache[("DtD", 5)], SparseOp) == merged
-        np.testing.assert_allclose(ae(s, b3), b3 @ ae_matrix(s).T, rtol=0,
-                                   atol=1e-12)
-    # the report of g a Lambda^4(g)^T in the frame s' is the report of a
-    L4 = compound(g, 4)
-    for labels in ((KH,), (EH, ES3H), (KH, KS3H, ES3H), tuple(pool2)):
-        a = build(pool2, *labels)
-        rep = classification_report(a, s2)
-        rep_g = classification_report(
-            MixedTorsion(8, g @ a.rows @ L4.T), sg)
-        assert rep_g["key"] == rep["key"]
-        total = rep["profile"]["total"]
-        for X, v in rep["profile"]["norms"].items():
-            assert abs(rep_g["profile"]["norms"][X] - v) <= 1e-12 * total
+        check_ae_against_wedges(s, rng)
+    check_report_in_frame(s2, sg, g, pool2, (
+        (KH,), (EH, ES3H), (KH, KS3H, ES3H), tuple(pool2)))
+
+
+def test_builds_off_standard_frame_n3(s3, pool3, frame3):
+    # the same at n = 3, where the Table-2 fields of 5-forms also apply
+    from aqh.projectors import _w_core
+    from aqh.threeform import hat_matrix
+
+    g, sg = frame3
+    want = w_matrix(hat_matrix(sg), sg)
+    np.testing.assert_allclose(_w_core(sg)["hat_w"], want, rtol=0,
+                               atol=1e-13 * np.abs(want).max())
+    rng = np.random.default_rng(9)
+    for s in (s3, sg):
+        check_ae_against_wedges(s, rng)
+    check_report_in_frame(s3, sg, g, pool3, ((L3EH, KH), (EH, ES3H, KS3H)))
 
 
 def test_report_and_lie_paths_assemble_no_dense_operators():

@@ -29,6 +29,29 @@ def test_dims_and_inject_from_n2_to_n4(tmp_path, capsys):
         assert "above 4" in capsys.readouterr().err
 
 
+def test_classify_and_liealg_refuse_large_n(tmp_path, capsys, monkeypatch):
+    # the bound is checked on the file before any structure is built
+    import aqh.cli
+    import aqh.liealg
+
+    def refuse(*args):
+        raise RuntimeError("a structure was built")
+
+    for mod, name in ((aqh.cli, "standard_structure"),
+                      (aqh.liealg, "standard_structure"),
+                      (aqh.liealg, "structure_from_json")):
+        monkeypatch.setattr(mod, name, refuse)
+    files = {"tensor": {"n": 5, "coeffs": {"0,0,1,2,3": 1.0}},
+             "algebra": {"n": 5, "brackets": []},
+             "structure": {"n": 2, "brackets": [], "structure": {"n": 5}}}
+    for cmd, kind in (("classify", "tensor"), ("classify", "algebra"),
+                      ("liealg", "algebra"), ("liealg", "structure")):
+        p = tmp_path / f"{kind}.json"
+        p.write_text(json.dumps(files[kind]))
+        assert main([cmd, "--input", str(p)]) == 2
+        assert "n = 5 is above 4" in capsys.readouterr().err
+
+
 def test_verify_sections_run(capsys):
     # full run is exercised in the acceptance suite; here check the plumbing
     assert main(["verify", "--n", "2", "--seed", "3"]) == 0

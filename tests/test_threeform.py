@@ -215,11 +215,11 @@ def test_table1_builds_no_torsion_maps():
     b = rand3(np.random.default_rng(3), s.dim)
     for row_id in TABLE1_COMPONENTS:
         table1_residuals(b, row_id, s)
-    torsion_keys = {"fiber_basis", "w_core", "se_core", "se_matrix", "dOmega",
-                    "ae_op", "ae_matrix"}
+    torsion_keys = {"fiber_basis", "w_core", "se_core", "se_matrix",
+                    "r_matrix", "hat_matrix", "dOmega", "ae_op", "ae_matrix"}
     assert not [k for k in s._cache
                 if k in torsion_keys or (isinstance(k, tuple)
-                                         and k[0] == "field_map")]
+                                         and k[0] in ("ae", "field_map"))]
 
 
 def test_r_matrix_matches_wedges(s2, rng):

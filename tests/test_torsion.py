@@ -220,8 +220,8 @@ def test_fiber_basis_matches_per_column_build(s2, s3):
         np.testing.assert_allclose(Q @ Q.T, ref @ ref.T, atol=1e-12)
 
 
-def test_embedding_and_reassembly_match_six_term_wedge(s2, s3):
-    for s in (s2, s3):
+def test_embedding_and_reassembly_match_six_term_wedge(s2, s3, frame3):
+    for s in (s2, s3, frame3[1]):
         c = random_family(s, 3)
         want = sum(0.25 * wedge22_reference(-(A.T @ c.mats + c.mats @ A), A)
                    for A in (s.I, s.J, s.K))
