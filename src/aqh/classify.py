@@ -190,17 +190,6 @@ def dOmega_op(s: QuatStructure) -> SparseOp:
 # ---------------------------------------------------------------------------
 
 
-def ae_matrix(s: QuatStructure) -> np.ndarray:
-    """Matrix (N5 x N3) of b -> sum_A i_A(b) ^ w_A, the dense -W D of
-    ``ae_factors(3)``, for checks of ae."""
-
-    def build():
-        W, D = s.ae_factors(3)
-        return -(W.dense() @ D.dense())
-
-    return s.cache("ae_matrix", build)
-
-
 def ae(s: QuatStructure, x: np.ndarray) -> np.ndarray:
     """b -> sum_A i_A(b) ^ w_A on the last axis of 3-form coefficients:
     -W D with (W, D) = ``ae_factors(3)``, composed once."""

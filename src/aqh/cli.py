@@ -119,9 +119,6 @@ def cmd_classify(args) -> int:
     if kind == "algebra":
         report = classify_algebra(payload, tol=args.tol)
     else:
-        if any(len(key.split(",")) != 5 for key in payload["coeffs"]):
-            raise InputError("classify expects a mixed tensor "
-                             "(row + 4-form keys) or a Lie algebra")
         a = mixed_from_json(payload)
         s = _structure(int(payload["n"]))
         report = classification_report(a, s, tol=args.tol)

@@ -584,16 +584,23 @@ def _json_coeffs(data: dict, dim: int, p: int, lead: int):
     """Row indices (K, lead), tuple numbers and values (K,) of a JSON tensor
     whose keys are `lead` row indices followed by an increasing p-tuple."""
     coeffs = data.get("coeffs", {})
+    if not isinstance(coeffs, dict):
+        raise InputFormatError(f"key 'coeffs': {coeffs!r:.40} is not an object")
     idx = tables(dim).index(p)
     try:
         T = [tuple(map(int, key.split(","))) for key in coeffs]
         u = [idx[t[lead:]] for t in T]
         rows = np.array([t[:lead] for t in T], dtype=np.int64)
         vals = np.array([float(v) for v in coeffs.values()])
-        if np.isfinite(vals).all() and ((rows >= 0) & (rows < dim)).all():
-            return rows.reshape(len(T), lead), u, vals
+        ok = np.isfinite(vals).all() and ((rows >= 0) & (rows < dim)).all()
     except (KeyError, TypeError, ValueError, OverflowError):
-        pass
+        ok = False
+    if ok:
+        with np.errstate(over="ignore"):
+            if not np.isfinite(vals @ vals):
+                raise InputFormatError("key 'coeffs': the norm of the "
+                                       "coefficients is not a finite number")
+        return rows.reshape(len(T), lead), u, vals
     # name the first offending key
     for key, v in coeffs.items():
         where = f"coefficient key {key!r}"

@@ -330,9 +330,15 @@ def algebra_to_json(g: MetricLieAlgebra) -> dict:
 def algebra_from_json(data: dict) -> MetricLieAlgebra:
     n = _json_n(data)
     sdata = data.get("structure", "standard")
+    brackets = data.get("brackets", [])
+    if sdata != "standard" and not isinstance(sdata, dict):
+        raise InputFormatError(
+            f"key 'structure': {sdata!r:.40} is neither 'standard' nor an object")
+    if not isinstance(brackets, list):
+        raise InputFormatError(f"key 'brackets': {brackets!r:.40} is not a list")
     s = standard_structure(n) if sdata == "standard" else structure_from_json(sdata)
     c = np.zeros((s.dim,) * 3)
-    for pos, entry in enumerate(data.get("brackets", [])):
+    for pos, entry in enumerate(brackets):
         where = f"brackets[{pos}]"
         if not isinstance(entry, list) or len(entry) != 4:
             raise InputFormatError(f"{where}: {entry!r} is not [i, j, k, value]")

@@ -21,8 +21,9 @@ W splits into (L3E + K + E)(H + S3H) with multiplicity one each.
 
 Component norms are the norms of the coordinate arrays, which equal those of
 the embedded tensors because Q is orthonormal.  The paper's route on full
-rows (hat_dstar o proj3 o d* and the dense Lcal eigen-split) is kept in
-``verify`` as the independent cross-check.
+rows (hat_dstar o proj3 o d*, with hat_dstar applied as SE H3 - R H1 without
+Q, and the Lcal eigen-split) is kept in ``verify.paper_components`` as the
+independent cross-check.
 """
 
 from __future__ import annotations

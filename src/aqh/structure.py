@@ -200,12 +200,6 @@ class QuatStructure:
 
     # -- fixed-factor wedges ----------------------------------------------
 
-    def wedge_omega_matrix(self, axis: str, p: int) -> np.ndarray:
-        """Matrix of b -> b ^ w_A from degree p to p+2."""
-
-        return self.cache(("wedge_omega", axis, p),
-                          lambda: wedge_op(self.omega[axis], p).dense())
-
     def ae_factors(self, p: int) -> tuple[SparseOp, SparseOp]:
         """(W, D) with sum_A i_A(b) ^ w_A = -W D b on degree p: W is the
         wedge_op of w_I, w_J, w_K side by side, D = deriv_op(p)."""

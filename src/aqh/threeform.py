@@ -21,7 +21,9 @@ The right inverse hat_dstar of the torsion contraction sends a 3-form b to
     - (2 k1 / 3 k2) sum_{A,B} i_A(. hook (B xi_{b;B} ^ w_B)) ^ w_A
     - ((4 k1^2 + k2^2)/(12 k1 k2)) { . ^ (xi_b hook Omega) - xi_b ^ (. hook Omega) }
 
-with k1 = n - 1, k2 = 2n + 1.
+with k1 = n - 1, k2 = 2n + 1.  It is applied on full rows as SE H3 - R H1
+(hat_factors): SE takes each row x hook b through se_core, R is r_matrix, and
+no full-row matrix is assembled.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import AltForm, DegreeError, MixedTorsion
+from .exterior import AltForm, DegreeError, MixedTorsion, wedge_op
 from .structure import AXES, QuatStructure
 
 
@@ -136,7 +138,7 @@ def hook_omega_matrix(s: QuatStructure) -> np.ndarray:
 def m_matrix(s: QuatStructure) -> np.ndarray:
     """Matrix (N3 x 3 dim) of (xi_I, xi_J, xi_K) -> sum_A (A xi_A) ^ w_A."""
     return s.cache("m_matrix", lambda: np.concatenate(
-        [s.wedge_omega_matrix(a, 1) @ s.mats[a] for a in AXES], axis=1))
+        [wedge_op(s.omega[a], 1).dense() @ s.mats[a] for a in AXES], axis=1))
 
 
 def proj3_matrix(s: QuatStructure, label: str) -> np.ndarray:
@@ -307,16 +309,6 @@ def se_core(s: QuatStructure) -> np.ndarray:
     return s.cache("se_core", build)
 
 
-def se_matrix(s: QuatStructure) -> np.ndarray:
-    """Matrix (dim*N4 x N3) of b -> rows sum_A i_A(x hook b) ^ w_A."""
-
-    def build():
-        return (se_core(s) @ _interior_stack(s)).reshape(
-            s.dim * s.tab.nforms(4), s.tab.nforms(3))
-
-    return s.cache("se_matrix", build)
-
-
 def r_matrix(s: QuatStructure) -> np.ndarray:
     """Matrix (dim*N4 x dim) of zeta -> rows
     x ^ (zeta hook Omega) - zeta ^ (x hook Omega), from G[y, u, z] =
@@ -341,25 +333,17 @@ def hat_factors(s: QuatStructure) -> tuple[np.ndarray, np.ndarray]:
             (4 * k1 ** 2 + k2 ** 2) / (12.0 * k1 * k2) * xi_matrix(s))
 
 
-def hat_matrix(s: QuatStructure) -> np.ndarray:
-    """Matrix (dim*N4 x N3) of hat_dstar on full rows."""
-
-    def build():
-        H3, H1 = hat_factors(s)
-        return se_matrix(s) @ H3 - r_matrix(s) @ H1
-
-    return s.cache("hat_matrix", build)
-
-
 def torsion_embed(b: AltForm, s: QuatStructure) -> MixedTorsion:
-    """rows x -> sum_A i_A(x hook b) ^ w_A."""
+    """rows x -> sum_A i_A(x hook b) ^ w_A: se_core on each x hook b."""
     if b.degree != 3:
         raise DegreeError("the embedding acts on 3-forms")
-    return MixedTorsion.from_flat(s.dim, se_matrix(s) @ b.coeffs)
+    return MixedTorsion(s.dim, (_interior_stack(s) @ b.coeffs) @ se_core(s).T)
 
 
 def hat_dstar(b: AltForm, s: QuatStructure) -> MixedTorsion:
+    """SE H3 b - R H1 b on full rows, (H3, H1) = hat_factors."""
     if b.degree != 3:
         raise DegreeError("hat_dstar acts on 3-forms")
-    return MixedTorsion.from_flat(s.dim, hat_matrix(s) @ b.coeffs)
-
+    H3, H1 = hat_factors(s)
+    return (torsion_embed(AltForm(s.dim, 3, H3 @ b.coeffs), s)
+            - MixedTorsion.from_flat(s.dim, r_matrix(s) @ (H1 @ b.coeffs)))

@@ -23,6 +23,7 @@ from .exterior import (
     interior,
     wedge,
     wedge1,
+    wedge_op,
     wedge_power,
 )
 from .structure import (
@@ -39,7 +40,7 @@ from . import projectors as PR
 from . import liealg as LA
 from .classify import (
     DerivedFromDOmega,
-    ae_matrix,
+    ae,
     classify as classify_tensor,
     perp_EH5_test,
     table2_residual,
@@ -181,10 +182,9 @@ def check_operators(s: QuatStructure, rng) -> list[CheckResult]:
                            "(Lcal - 4)(Lcal + 2) = 0 on 20 elements"))
 
     worst = 0.0
-    L4 = s.L_matrix(4)
     for k in range(20):
         a = T.random_W_element(s, 31_000 + k)
-        resid = np.linalg.norm(a.rows @ L4.T - 2.0 * a.rows)
+        resid = np.linalg.norm(s.L_apply(4, a.rows) - 2.0 * a.rows)
         worst = max(worst, resid / max(a.norm(), 1e-300))
     out.append(CheckResult("L-on-torsion-rows", worst, 1e-9,
                            "L = 2 on the 4-form rows"))
@@ -311,7 +311,7 @@ def table1_prefix_free_residual(b: AltForm, s: QuatStructure) -> float:
     L(b) = 3b + 12 sum_A xi_{b;A} ^ w_A, printed beside the reading that
     table1_residuals uses; members of the row do not satisfy it."""
     tri = TF.xi_triple(b, s)
-    m = sum(s.wedge_omega_matrix(a, 1) @ tri[a] for a in AXES)
+    m = sum(wedge_op(s.omega[a], 1)(tri[a]) for a in AXES)
     return float(np.linalg.norm(s.L_map(b).coeffs - 3 * b.coeffs - 12 * m))
 
 
@@ -437,11 +437,9 @@ def component_matrices_on_W(s: QuatStructure) -> dict:
 def paper_components(a: MixedTorsion, s: QuatStructure) -> dict:
     """The six components by the paper's route on full rows: hat_dstar of
     the proj3 parts of d* a for the four visible ones, and the eigen-split of
-    the dense Lcal for the two invisible ones."""
-    ds = contract12(a).coeffs
-    out = {X: MixedTorsion.from_flat(
-        s.dim, TF.hat_matrix(s) @ (TF.proj3_matrix(s, X.value) @ ds))
-        for X in PR.VISIBLE}
+    Lcal for the two invisible ones."""
+    ds = contract12(a)
+    out = {X: TF.hat_dstar(TF.proj3(ds, X.value, s), s) for X in PR.VISIBLE}
     La = s.lcal_raw(a)
     hpart = (La + 2.0 * a) * (1.0 / 6.0)
     s3hpart = (4.0 * a - La) * (1.0 / 6.0)
@@ -646,7 +644,7 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
     a = T.random_W_element(s, 52_000)
     dOm = alternate5(a)
     lhs = alternate5(s.lcal_raw(a)).coeffs + 2 * dOm.coeffs
-    rhs = s.L_matrix(5) @ dOm.coeffs
+    rhs = s.L_apply(5, dOm.coeffs)
     r1 = float(np.linalg.norm(lhs - rhs)) / max(np.linalg.norm(rhs), 1e-300)
     z = rng.standard_normal(s.dim)
     Rz = MixedTorsion.from_flat(s.dim, TF.r_matrix(s) @ z)
@@ -655,7 +653,7 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
     b = _rand_form(rng, s.dim, 3)
     r3 = float(np.linalg.norm(
         alternate5(TF.torsion_embed(b, s)).coeffs
-        - 2.0 * (ae_matrix(s) @ b.coeffs))) / max(b.norm(), 1e-300)
+        - 2.0 * ae(s, b.coeffs))) / max(b.norm(), 1e-300)
     out.append(CheckResult("alternation-identities", max(r1, r2, r3), 1e-9,
                            "the three conversion identities"))
 

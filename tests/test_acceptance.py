@@ -242,8 +242,6 @@ def test_criterion_08b_triple_wedge_factor_as_stated(s2, rng):
 
 
 def test_criterion_09_alternation_identities(s2, s3, rng):
-    from aqh.classify import ae_matrix
-
     worst = 0.0
     for s in (s2, s3):
         for k in range(20):
@@ -261,7 +259,9 @@ def test_criterion_09_alternation_identities(s2, s3, rng):
                 alternate5(Rz).coeffs - rhs5.coeffs)) / rhs5.norm())
             b = AltForm(s.dim, 3,
                         rng.standard_normal(math.comb(s.dim, 3)))
-            rhs5c = 2.0 * (ae_matrix(s) @ b.coeffs)
+            # AE b = sum_A i_A(b) ^ w_A, one wedge per axis
+            rhs5c = 2.0 * sum(wedge(s.i_axis(A, b), s.omega[A]).coeffs
+                              for A in AXES)
             worst = max(worst, float(np.linalg.norm(
                 alternate5(torsion_embed(b, s)).coeffs - rhs5c))
                 / np.linalg.norm(rhs5c))

@@ -54,6 +54,19 @@ def w_matrix(M, s):
     return (Q.T @ M.reshape(s.dim, len(Q), -1)).reshape(-1, M.shape[-1])
 
 
+def full_rows(f, s):
+    """The matrix (dim*N4 x N3) of a map f(b, s) from 3-forms to tensors,
+    such as hat_dstar or torsion_embed: column k is the image of the k-th
+    basis 3-form."""
+    return np.stack([f(AltForm(s.dim, 3, e), s).flat()
+                     for e in np.eye(s.tab.nforms(3))], axis=1)
+
+
+def ae_wedges(s, b):
+    """sum_A i_A(b) ^ w_A, one wedge per axis."""
+    return sum(wedge(s.i_axis(A, b), s.omega[A]).coeffs for A in AXES)
+
+
 def test_classify_zero_is_qk(s2):
     lab, prof = classify(MixedTorsion.zero(8), s2)
     assert lab.key == "QK"
@@ -260,7 +273,6 @@ def test_classification_report_shape(s2, pool2):
 
 def test_alternation_identities(s2, s3, rng):
     from aqh.threeform import r_matrix, torsion_embed
-    from aqh.classify import ae_matrix
 
     for s in (s2, s3):
         a = random_W_element(s, 77)
@@ -275,7 +287,7 @@ def test_alternation_identities(s2, s3, rng):
         assert np.linalg.norm(lhs5.coeffs - rhs5.coeffs) / rhs5.norm() < 1e-9
         b = AltForm(s.dim, 3, rng.standard_normal(math.comb(s.dim, 3)))
         lhs5 = alternate5(torsion_embed(b, s))
-        rhs5c = 2.0 * (ae_matrix(s) @ b.coeffs)
+        rhs5c = 2.0 * ae_wedges(s, b)
         assert np.linalg.norm(lhs5.coeffs - rhs5c) / np.linalg.norm(rhs5c) < 1e-9
 
     # the map that derives the dOmega column: the alternation of each
@@ -350,24 +362,25 @@ def test_dOmega_matrix_matches_hodge_route(s2, s3, rng):
 def _eager_fields(ds, xi, tri, dOm, s):
     """Every context field by its direct formula (f3, and f5 when dOm is
     given), each product formed on its own."""
-    from aqh.classify import ae_matrix
     from aqh.threeform import hook_omega_matrix
 
-    m = sum(s.wedge_omega_matrix(a, 1) @ (s.mats[a] @ tri[a]) for a in AXES)
+    m = sum(wedge(AltForm(s.dim, 1, s.mats[a] @ tri[a]), s.omega[a]).coeffs
+            for a in AXES)
     f3 = {"dstar": ds, "Ldstar": s.L_matrix(3) @ ds,
           "xiC": hook_omega_matrix(s) @ xi, "m": m}
     if dOm is None:
         return f3, {}
-    AE = ae_matrix(s)
+    AEd, AELd, Q5 = (ae_wedges(s, AltForm(s.dim, 3, x))
+                     for x in (ds, f3["Ldstar"], m))
     return f3, {"dOm": dOm, "LdOm": s.L_matrix(5) @ dOm,
-                "AEd": AE @ ds, "AELd": AE @ f3["Ldstar"], "Q5": AE @ m,
+                "AEd": AEd, "AELd": AELd, "Q5": Q5,
                 "xiOm": wedge1(xi, s.Omega).coeffs}
 
 
 def test_ctx_fields_on_demand(s2, s3):
     from aqh.classify import RowResult, ctx_from_derived, ctx_from_torsion
     from aqh.projectors import lcal_coords
-    from aqh.threeform import r_matrix, se_matrix
+    from aqh.threeform import r_matrix, torsion_embed
     from aqh.torsion import w_coords
 
     for s in (s2, s3):
@@ -385,7 +398,8 @@ def test_ctx_fields_on_demand(s2, s3):
         tri = xi_triple(contract12(a), s)
         f3, _ = _eager_fields(ds, tri.xi, tri, None, s)
         C = w_coords(a, s, check=False)
-        SE, R = w_matrix(se_matrix(s), s), w_matrix(r_matrix(s), s)
+        SE = w_matrix(full_rows(torsion_embed, s), s)
+        R = w_matrix(r_matrix(s), s)
         want = {"w": {"a": C.ravel(), "La": lcal_coords(C, s).ravel(),
                       "SEd": SE @ ds, "SELd": SE @ f3["Ldstar"],
                       "Q": SE @ f3["m"], "R": R @ tri.xi},
@@ -431,20 +445,16 @@ def test_tables_cached_per_n(s3, rng):
 
 
 def check_ae_against_wedges(s, rng):
-    """AE: b -> sum_A i_A(b) ^ w_A on degrees 2 (se_core) and 3 (dense and
-    applied to a stack), against one wedge per axis."""
-    from aqh.classify import ae, ae_matrix
+    """AE: b -> sum_A i_A(b) ^ w_A on degrees 2 (the dense se_core) and 3
+    (ae, applied to a stack), against one wedge per axis."""
+    from aqh.classify import ae
     from aqh.threeform import se_core
 
-    for p, dense in ((2, se_core(s)), (3, ae_matrix(s))):
-        bs = [AltForm(s.dim, p, x)
-              for x in rng.standard_normal((2, math.comb(s.dim, p)))]
-        want = np.stack([sum(wedge(s.i_axis(A, b), s.omega[A]).coeffs
-                             for A in AXES) for b in bs])
-        got = np.stack([b.coeffs for b in bs]) @ dense.T
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    got = ae(s, np.stack([b.coeffs for b in bs]))
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for p, apply in ((2, lambda x: x @ se_core(s).T),
+                     (3, lambda x: ae(s, x))):
+        x = rng.standard_normal((2, math.comb(s.dim, p)))
+        want = np.stack([ae_wedges(s, AltForm(s.dim, p, b)) for b in x])
+        np.testing.assert_allclose(apply(x), want, rtol=0, atol=1e-12)
 
 
 def check_report_in_frame(s, sg, g, pool, subsets):
@@ -470,7 +480,7 @@ def test_sparse_builds_off_standard_frame(s2, pool2):
     from aqh.exterior import SparseOp, compound
     from aqh.projectors import _w_core
     from aqh.structure import QuatStructure
-    from aqh.threeform import hat_matrix
+    from aqh.threeform import hat_dstar
 
     rng = np.random.default_rng(8)
     g, _ = np.linalg.qr(rng.standard_normal((8, 8)))
@@ -483,7 +493,7 @@ def test_sparse_builds_off_standard_frame(s2, pool2):
         np.testing.assert_array_equal(compound(np.stack([g.T, g]), p)[1],
                                       compound(g, p))
     sg = QuatStructure(2, g @ s2.I @ g.T, g @ s2.J @ g.T)
-    want = w_matrix(hat_matrix(sg), sg)
+    want = w_matrix(full_rows(hat_dstar, sg), sg)
     np.testing.assert_allclose(_w_core(sg)["hat_w"], want, rtol=0,
                                atol=1e-13 * np.abs(want).max())
     b5 = rng.standard_normal((3, 56))
@@ -500,10 +510,10 @@ def test_sparse_builds_off_standard_frame(s2, pool2):
 def test_builds_off_standard_frame_n3(s3, pool3, frame3):
     # the same at n = 3, where the Table-2 fields of 5-forms also apply
     from aqh.projectors import _w_core
-    from aqh.threeform import hat_matrix
+    from aqh.threeform import hat_dstar
 
     g, sg = frame3
-    want = w_matrix(hat_matrix(sg), sg)
+    want = w_matrix(full_rows(hat_dstar, sg), sg)
     np.testing.assert_allclose(_w_core(sg)["hat_w"], want, rtol=0,
                                atol=1e-13 * np.abs(want).max())
     rng = np.random.default_rng(9)
@@ -514,7 +524,7 @@ def test_builds_off_standard_frame_n3(s3, pool3, frame3):
 
 def test_report_and_lie_paths_assemble_no_dense_operators():
     # the report and Lie paths apply SE, HAT, L on 5-forms and AE through W
-    # coordinates or nonzeros; the full-row and dense forms are for checks
+    # coordinates or nonzeros; no dense L above degree 3 is assembled
     from aqh import components, standard_structure
     from aqh.liealg import MetricLieAlgebra, classify_algebra, \
         two_step_nilpotent
@@ -526,5 +536,32 @@ def test_report_and_lie_paths_assemble_no_dense_operators():
             rep = classification_report(build(pool, *labels), s)
             assert rep["key"] == ClassLabel(frozenset(labels)).key
     classify_algebra(MetricLieAlgebra(s, two_step_nilpotent(3, 0).c))
-    assert not {"se_matrix", "hat_matrix", ("L", 5), "ae_matrix"} & set(
-        s._cache)
+    assert not {("L", 4), ("L", 5)} & set(s._cache)
+
+
+def _cached_arrays(value):
+    """The arrays inside a cache entry: an array, or those of a dict, tuple
+    or SparseOp (a NamedTuple) of them."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (dict, tuple, list)):
+        for v in (value.values() if isinstance(value, dict) else value):
+            yield from _cached_arrays(v)
+
+
+def test_checks_assemble_no_full_row_operators():
+    # the verify sections apply L on degrees 4 and 5, and SE and HAT on full
+    # rows, as the library does; a dense full-row SE or HAT would hold
+    # dim N4 N3 numbers
+    from aqh import standard_structure
+    from aqh.verify import SECTIONS
+
+    s = standard_structure(2)
+    rng = np.random.default_rng(0)
+    for _, check in SECTIONS:
+        assert all(r.passed for r in check(s, rng))
+    assert not [k for k in s._cache if isinstance(k, tuple)
+                and k[0] == "L" and k[1] >= 4]
+    biggest = max(a.size for v in s._cache.values()
+                  for a in _cached_arrays(v))
+    assert biggest <= s.dim * s.tab.nforms(4) * s.tab.nforms(3) // 2

@@ -149,6 +149,10 @@ def test_classify_zero_tensor_without_coefficients(tmp_path, capsys):
     ("row-99", {"n": 2, "coeffs": {"99,0,1,2,3": 1.0}}, "'99,0,1,2,3'"),
     ("nan", {"n": 2, "coeffs": {"0,0,1,2,3": float("nan")}},
      "'0,0,1,2,3'"),
+    # finite entries whose norm overflows, refused without an overflow
+    # warning (warnings are errors in this suite)
+    ("overflow", {"n": 2, "coeffs": {"0,0,1,2,3": 1e308, "1,0,1,2,3": 1e308}},
+     "'coeffs'"),
 ])
 def test_classify_rejects_invalid_json(tmp_path, capsys, name, data, where):
     # out-of-range and non-finite input is an input error (exit 2) whose
@@ -159,6 +163,23 @@ def test_classify_rejects_invalid_json(tmp_path, capsys, name, data, where):
     err = capsys.readouterr().err
     assert where in err
     assert "outside [0, 8)" in err or "not a finite number" in err
+
+
+@pytest.mark.parametrize("cmd, data, key", [
+    ("classify", {"n": 2, "coeffs": [1]}, "'coeffs'"),
+    ("classify", {"n": 2, "coeffs": None}, "'coeffs'"),
+    ("classify", {"n": 2, "brackets": 5}, "'brackets'"),
+    ("classify", {"n": 2, "brackets": [], "structure": 7}, "'structure'"),
+    ("liealg", {"n": 2, "brackets": None}, "'brackets'"),
+])
+def test_wrongly_shaped_json_is_an_input_error(tmp_path, capsys, cmd, data,
+                                               key):
+    # a key holding the wrong JSON type is refused by the loader, by name,
+    # before anything reads into it
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(data))
+    assert main([cmd, "--input", str(p)]) == 2
+    assert f"key {key}" in capsys.readouterr().err
 
 
 def test_verification_failure_exits_1(monkeypatch, capsys):
