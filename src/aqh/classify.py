@@ -23,7 +23,7 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .exterior import AltForm, MixedTorsion, SparseOp, alternate5, compose, contract12, hodge_op, wedge, wedge_op, wedge_power
+from .exterior import AltForm, MixedTorsion, SparseOp, alternate5, contract12, hodge_op, wedge, wedge_op, wedge_power
 from .projectors import ComponentLabel, ComponentProfile, _w_core, lcal_coords, profile as component_profile, split_coords
 from .structure import AXES, QuatStructure
 from .threeform import (
@@ -171,8 +171,7 @@ def dOmega_op(s: QuatStructure) -> SparseOp:
         W = np.concatenate([wedge_op(b, dim - 5).dense()
                             for b in fixed])[:, H5.r] * H5.v
         xi = -(1.0 / (12 * s.k2)) * H1.v[:, None] * W[H1.r]
-        V = _trace_matrices(s)
-        dV = dT(np.stack([V[a] for a in AXES]))
+        dV = dT(_trace_matrices(s))
         xiA = [s.mats[a] @ (dV[k] + 6.0 * (s.mats[a] @ xi)) / (4 * s.k1)
                for k, a in enumerate(AXES)]
         rest = np.concatenate([xi, *xiA, W[dim:], W[:dim]])
@@ -192,8 +191,9 @@ def dOmega_op(s: QuatStructure) -> SparseOp:
 
 def ae(s: QuatStructure, x: np.ndarray) -> np.ndarray:
     """b -> sum_A i_A(b) ^ w_A on the last axis of 3-form coefficients:
-    -W D with (W, D) = ``ae_factors(3)``, composed once."""
-    return -s.cache("ae_op", lambda: compose(*s.ae_factors(3)))(x)
+    -W D with (W, D) = ``ae_factors(3)``."""
+    W, D = s.ae_factors(3)
+    return -W(D(x))
 
 
 def _field_map(s: QuatStructure, key: str) -> np.ndarray:

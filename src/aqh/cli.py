@@ -61,7 +61,7 @@ def _emit(data, fmt: str, text_fn):
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(args.n, seed=args.seed, tol_scale=args.tol_scale)
+    results = run_suite(args.n, seed=args.seed)
     failures = [r for r in results if not r.passed]
     if args.format == "json":
         print(json.dumps({"n": args.n, "seed": args.seed,
@@ -200,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the identity suite")
     p.add_argument("--n", type=int, required=True, choices=(2, 3))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", dest="tol_scale", type=float, default=1.0,
-                   help="scale all tolerances by this factor")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)
 

@@ -287,39 +287,10 @@ class SparseOp(NamedTuple):
     def T(self) -> "SparseOp":
         return SparseOp(self.c, self.r, self.v, self.shape[::-1])
 
-    def __matmul__(self, other: "SparseOp") -> "SparseOp":
-        """The product, one triple per nonzero: entry (i, k) of self meets
-        each entry (k, j) of other, and products at one (i, j) are summed."""
-        order = np.argsort(other.r, kind="stable")
-        cnt = np.bincount(other.r, minlength=other.shape[0])
-        k = cnt[self.c]
-        i = np.repeat(np.arange(len(k)), k)
-        # the partners of entry i sit at order[first[c_i]:][:k_i]
-        first = (np.cumsum(cnt) - cnt)[self.c]
-        j = order[np.arange(len(i)) + np.repeat(first - np.cumsum(k) + k, k)]
-        n = other.shape[1]
-        key, at = np.unique(self.r[i] * n + other.c[j], return_inverse=True)
-        return SparseOp(key // n, key % n,
-                        np.bincount(at, weights=self.v[i] * other.v[j]),
-                        (self.shape[0], n))
-
     def dense(self) -> np.ndarray:
         m, n = self.shape
         return np.bincount(self.r * n + self.c, weights=self.v,
                            minlength=m * n).reshape(m, n)
-
-
-def compose(A: SparseOp, B: SparseOp):
-    """x -> A(B(x)): one pass of the operator A @ B where forming it takes at
-    most 4 products per nonzero of A and B (then it has at most 4 times
-    their nonzeros; 0.4-1.6 times for the slot operators of the standard
-    frame), else B then A.  Forming A @ B takes sum_k |column k of A|
-    |row k of B| products."""
-    work = (np.bincount(A.c, minlength=A.shape[1])
-            @ np.bincount(B.r, minlength=B.shape[0]))
-    if work <= 4 * (len(A.v) + len(B.v)):
-        return A @ B
-    return lambda x: A(B(x))
 
 
 def wedge_op(b: AltForm, p: int) -> SparseOp:
@@ -556,11 +527,13 @@ def alternate5(a: MixedTorsion) -> AltForm:
 # ---------------------------------------------------------------------------
 
 
-def _json_n(data: dict) -> int:
-    """The "n" of a JSON description, which must be an integer >= 2."""
+def _json_n(data: dict, key: str = "n") -> int:
+    """The "n" of a JSON description, which must be an integer >= 2; key
+    names it in the error."""
     n = data.get("n")
     if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise InputFormatError(f"key 'n': {n!r} is not an integer >= 2")
+        raise InputFormatError(
+            f"key {key!r}: {n!r:.40} is not an integer >= 2")
     return n
 
 

@@ -331,20 +331,23 @@ def algebra_from_json(data: dict) -> MetricLieAlgebra:
     n = _json_n(data)
     sdata = data.get("structure", "standard")
     brackets = data.get("brackets", [])
-    if sdata != "standard" and not isinstance(sdata, dict):
-        raise InputFormatError(
-            f"key 'structure': {sdata!r:.40} is neither 'standard' nor an object")
     if not isinstance(brackets, list):
         raise InputFormatError(f"key 'brackets': {brackets!r:.40} is not a list")
-    s = standard_structure(n) if sdata == "standard" else structure_from_json(sdata)
+    s = standard_structure(n) if sdata == "standard" else structure_from_json(sdata, n)
     c = np.zeros((s.dim,) * 3)
-    for pos, entry in enumerate(brackets):
-        where = f"brackets[{pos}]"
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise InputFormatError(f"{where}: {entry!r} is not [i, j, k, value]")
-        i, j, k = (_json_index(where, x, s.dim) for x in entry[:3])
-        v = _json_value(where, entry[3])
-        c[i, j, k] += v
-        c[j, i, k] -= v
+    # sums may overflow; a non-finite norm is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pos, entry in enumerate(brackets):
+            where = f"brackets[{pos}]"
+            if not isinstance(entry, list) or len(entry) != 4:
+                raise InputFormatError(f"{where}: {entry!r} is not [i, j, k, value]")
+            i, j, k = (_json_index(where, x, s.dim) for x in entry[:3])
+            v = _json_value(where, entry[3])
+            c[i, j, k] += v
+            c[j, i, k] -= v
+        norm2 = c.ravel() @ c.ravel()
+    if not np.isfinite(norm2):
+        raise InputFormatError("key 'brackets': the norm of the bracket "
+                               "values is not a finite number")
     return MetricLieAlgebra(s, c)
 

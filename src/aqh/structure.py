@@ -25,9 +25,10 @@ import numpy as np
 
 from .exterior import (
     AltForm,
+    InputFormatError,
     MixedTorsion,
     SparseOp,
-    compose,
+    _json_n,
     compound,
     hodge,
     hodge_op,
@@ -78,19 +79,18 @@ class QuatStructure:
         J = np.asarray(J, dtype=float)
         if I.shape != (self.dim, self.dim) or J.shape != (self.dim, self.dim):
             raise StructureError("I, J must be 4n x 4n matrices")
-        if K is None:
-            K = I @ J
-        else:
-            K = np.asarray(K, dtype=float)
         eye = np.eye(self.dim)
-        checks = {
-            "I^2 = -1": I @ I + eye,
-            "J^2 = -1": J @ J + eye,
-            "K = IJ": K - I @ J,
-            "IJ = -JI": I @ J + J @ I,
-            "I orthogonal": I.T @ I - eye,
-            "J orthogonal": J.T @ J - eye,
-        }
+        # huge or non-finite entries give inf or nan residuals, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = I @ J if K is None else np.asarray(K, dtype=float)
+            checks = {
+                "I^2 = -1": I @ I + eye,
+                "J^2 = -1": J @ J + eye,
+                "K = IJ": K - I @ J,
+                "IJ = -JI": I @ J + J @ I,
+                "I orthogonal": I.T @ I - eye,
+                "J orthogonal": J.T @ J - eye,
+            }
         for name, resid in checks.items():
             err = float(np.abs(resid).max())
             if not err <= tol:
@@ -167,8 +167,7 @@ class QuatStructure:
         """L = 3p/2 - D^T D/2 on the last axis of degree-p coefficients, as
         sum_{i<j} A_(i)A_(j) = (i_A^2 + p)/2 on forms (pinned by tests)."""
         D = self.deriv_op(p)
-        DtD = self.cache(("DtD", p), lambda: compose(D.T, D))
-        return 1.5 * p * x - 0.5 * DtD(x)
+        return 1.5 * p * x - 0.5 * D.T(D(x))
 
     def L_matrix(self, p: int) -> np.ndarray:
         """Matrix of L on Lambda^p, assembled from the dense D."""
@@ -276,10 +275,24 @@ def structure_to_json(s: QuatStructure) -> dict:
     return {"n": s.n, "I": s.I.tolist(), "J": s.J.tolist()}
 
 
-def structure_from_json(data) -> QuatStructure:
-    if data == "standard":
-        raise StructureError("'standard' shorthand needs an n to go with it")
-    if isinstance(data, dict) and data.get("I") is None:
-        return standard_structure(int(data["n"]))
-    return QuatStructure(int(data["n"]), np.asarray(data["I"]),
-                         np.asarray(data["J"]))
+def structure_from_json(data, n: int | None = None) -> QuatStructure:
+    """The structure of a JSON object {"n", "I", "J"}, the standard one when
+    I is absent.  n, when given, is the n of the enclosing file, and the
+    structure's own n must equal it."""
+    if not isinstance(data, dict):
+        raise InputFormatError(f"key 'structure': {data!r:.40} is not an "
+                               "object")
+    own = _json_n(data, "structure.n")
+    if n is not None and own != n:
+        raise InputFormatError(f"key 'structure.n': {own} differs from the "
+                               f"file's n = {n}")
+    if data.get("I") is None:
+        return standard_structure(own)
+    mats = []
+    for key in "IJ":
+        try:
+            mats.append(np.asarray(data.get(key), dtype=float))
+        except (TypeError, ValueError, OverflowError):
+            raise InputFormatError(f"key 'structure.{key}': not a matrix of "
+                                   "numbers") from None
+    return QuatStructure(own, *mats)

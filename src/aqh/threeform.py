@@ -67,52 +67,42 @@ def _interior_stack(s: QuatStructure) -> np.ndarray:
     return s.cache("interior_stack", build)
 
 
-def _trace_matrices(s: QuatStructure) -> dict[str, np.ndarray]:
-    """V_A (dim x N3): (V_A b)[y] = <e_y hook b, w_A>."""
+def _trace_matrices(s: QuatStructure) -> np.ndarray:
+    """V (3 x dim x N3): (V[k] b)[y] = <e_y hook b, w_A>, A = AXES[k]."""
 
     def build():
         INT = _interior_stack(s)
-        return {a: np.einsum("c,ycb->yb", s.omega[a].coeffs, INT)
-                for a in AXES}
+        return np.stack([np.einsum("c,ycb->yb", s.omega[a].coeffs, INT)
+                         for a in AXES])
 
     return s.cache("trace_matrices", build)
 
 
-def xi_matrix(s: QuatStructure) -> np.ndarray:
-    """Matrix of b -> xi_b: xi_b(x) = -(1/(6 k2)) sum_A <Ax hook b, w_A>."""
+def xi_maps(s: QuatStructure) -> np.ndarray:
+    """The stack (4 x dim x N3) of the maps b -> xi_b, xi_{b;I}, xi_{b;J},
+    xi_{b;K}: xi_b(x) = -(1/(6 k2)) sum_A <Ax hook b, w_A> and xi_{b;A} as
+    in the module docstring."""
 
     def build():
-        V = _trace_matrices(s)
-        out = np.zeros((s.dim, s.tab.nforms(3)))
-        for a in AXES:
-            out += s.mats[a] @ V[a]
-        return out / (6 * s.k2)
+        AV = np.stack([s.mats[a] for a in AXES]) @ _trace_matrices(s)
+        xi = AV.sum(axis=0) / (6 * s.k2)
+        return np.concatenate([xi[None], (1.0 / (4 * s.k1)) * AV
+                               - (3.0 / (2 * s.k1)) * xi])
 
-    return s.cache("xi_matrix", build)
-
-
-def xia_matrix(s: QuatStructure, axis: str) -> np.ndarray:
-    """Matrix of b -> xi_{b;A}."""
-
-    def build():
-        V = _trace_matrices(s)
-        return (-(3.0 / (2 * s.k1)) * xi_matrix(s)
-                + (1.0 / (4 * s.k1)) * (s.mats[axis] @ V[axis]))
-
-    return s.cache(("xia_matrix", axis), build)
+    return s.cache("xi_maps", build)
 
 
 def xi(b: AltForm, s: QuatStructure) -> np.ndarray:
     if b.degree != 3:
         raise DegreeError("xi is defined on 3-forms")
-    return xi_matrix(s) @ b.coeffs
+    return xi_maps(s)[0] @ b.coeffs
 
 
 def xi_triple(b: AltForm, s: QuatStructure) -> OneFormTriple:
     if b.degree != 3:
         raise DegreeError("xi_triple is defined on 3-forms")
-    vals = {a: xia_matrix(s, a) @ b.coeffs for a in AXES}
-    return OneFormTriple(vals["I"], vals["J"], vals["K"], xi(b, s))
+    x, xI, xJ, xK = xi_maps(s) @ b.coeffs
+    return OneFormTriple(xI, xJ, xK, x)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +138,9 @@ def proj3_matrix(s: QuatStructure, label: str) -> np.ndarray:
         eye = np.eye(N3)
         plus3 = (3 * eye + L3) / 6.0
         minus3 = (3 * eye - L3) / 6.0
-        P_EH = hook_omega_matrix(s) @ xi_matrix(s)
+        P_EH = hook_omega_matrix(s) @ xi_maps(s)[0]
         # -2 M3, M3: b -> sum_A (A xi_{b;A}) ^ w_A
-        P_EHS = -2.0 * (m_matrix(s) @ np.concatenate(
-            [xia_matrix(s, a) for a in AXES]))
+        P_EHS = -2.0 * (m_matrix(s) @ xi_maps(s)[1:].reshape(3 * s.dim, -1))
         mats = {
             "plus3": plus3,
             "minus3": minus3,
@@ -330,7 +319,7 @@ def hat_factors(s: QuatStructure) -> tuple[np.ndarray, np.ndarray]:
     k1, k2 = s.k1, s.k2
     return (s.L_matrix(3) / 18.0
             + (k1 / (3.0 * k2)) * proj3_matrix(s, "EHS3H"),
-            (4 * k1 ** 2 + k2 ** 2) / (12.0 * k1 * k2) * xi_matrix(s))
+            (4 * k1 ** 2 + k2 ** 2) / (12.0 * k1 * k2) * xi_maps(s)[0])
 
 
 def torsion_embed(b: AltForm, s: QuatStructure) -> MixedTorsion:

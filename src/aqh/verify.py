@@ -803,7 +803,7 @@ SECTIONS = (
 )
 
 
-def run_suite(n: int, seed: int = 0, tol_scale: float = 1.0,
+def run_suite(n: int, seed: int = 0,
               sections: tuple = None) -> list[CheckResult]:
     if n not in (2, 3):
         raise ValueError("the verification suite runs at n = 2 or n = 3")
@@ -816,6 +816,5 @@ def run_suite(n: int, seed: int = 0, tol_scale: float = 1.0,
         rows = fn(s, rng)
         for row in rows:
             row.check = f"{name}/{row.check}"
-            row.tol *= tol_scale
         results.extend(rows)
     return results

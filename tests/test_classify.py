@@ -477,7 +477,7 @@ def check_report_in_frame(s, sg, g, pool, subsets):
 def test_sparse_builds_off_standard_frame(s2, pool2):
     # a general O(8) change of frame g: the sparse and W-coordinate builds
     # must not lean on the few nonzeros of the standard frame
-    from aqh.exterior import SparseOp, compound
+    from aqh.exterior import compound
     from aqh.projectors import _w_core
     from aqh.structure import QuatStructure
     from aqh.threeform import hat_dstar
@@ -497,11 +497,9 @@ def test_sparse_builds_off_standard_frame(s2, pool2):
     np.testing.assert_allclose(_w_core(sg)["hat_w"], want, rtol=0,
                                atol=1e-13 * np.abs(want).max())
     b5 = rng.standard_normal((3, 56))
-    # L on 5-forms: D then D^T off the frame, D^T D merged in it
-    for s, merged in ((sg, False), (s2, True)):
+    for s in (sg, s2):
         np.testing.assert_allclose(s.L_apply(5, b5), b5 @ s.L_matrix(5).T,
                                    rtol=0, atol=1e-12)
-        assert isinstance(s._cache[("DtD", 5)], SparseOp) == merged
         check_ae_against_wedges(s, rng)
     check_report_in_frame(s2, sg, g, pool2, (
         (KH,), (EH, ES3H), (KH, KS3H, ES3H), tuple(pool2)))
@@ -537,6 +535,36 @@ def test_report_and_lie_paths_assemble_no_dense_operators():
             assert rep["key"] == ClassLabel(frozenset(labels)).key
     classify_algebra(MetricLieAlgebra(s, two_step_nilpotent(3, 0).c))
     assert not {("L", 4), ("L", 5)} & set(s._cache)
+
+
+def test_cache_holds_one_xi_stack_and_no_merged_operators(s3, frame3):
+    # every class of a report and a Lie pipeline, in the standard frame and
+    # a general one, leave one stack of the four xi maps and no merged
+    # copy of L or AE
+    from aqh import components
+    from aqh.liealg import MetricLieAlgebra, classify_algebra, \
+        two_step_nilpotent
+    from aqh.threeform import _trace_matrices, xi_maps
+
+    for s in (s3, frame3[1]):
+        pool = components(random_W_element(s, 12), s, check=False)
+        for r in range(len(pool) + 1):
+            for labels in itertools.combinations(pool, r):
+                rep = classification_report(build(pool, *labels), s)
+                assert rep["key"] == ClassLabel(frozenset(labels)).key
+        classify_algebra(MetricLieAlgebra(s, two_step_nilpotent(3, 0).c))
+        assert not [k for k in s._cache
+                    if k in ("ae_op", "xi_matrix") or isinstance(k, tuple)
+                    and k[0] in ("DtD", "xia_matrix")]
+        # (A V_A b)[x] = -<Ax hook b, w_A>: the xi and xi_A formulas of the
+        # threeform module docstring
+        AV = [s.mats[a] @ V for a, V in zip(AXES, _trace_matrices(s))]
+        want = (AV[0] + AV[1] + AV[2]) / (6 * s.k2)
+        np.testing.assert_allclose(xi_maps(s)[0], want, rtol=0, atol=1e-13)
+        for k in range(3):
+            np.testing.assert_allclose(
+                xi_maps(s)[k + 1], AV[k] / (4 * s.k1) - 1.5 / s.k1 * want,
+                rtol=0, atol=1e-13)
 
 
 def _cached_arrays(value):

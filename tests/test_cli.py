@@ -153,6 +153,10 @@ def test_classify_zero_tensor_without_coefficients(tmp_path, capsys):
     # warning (warnings are errors in this suite)
     ("overflow", {"n": 2, "coeffs": {"0,0,1,2,3": 1e308, "1,0,1,2,3": 1e308}},
      "'coeffs'"),
+    # bracket sums and norms that overflow, refused the same way
+    ("bracket-overflow", {"n": 2, "brackets": [[0, 1, 2, 1e308]] * 2},
+     "'brackets'"),
+    ("bracket-huge", {"n": 2, "brackets": [[0, 1, 2, 1e200]]}, "'brackets'"),
 ])
 def test_classify_rejects_invalid_json(tmp_path, capsys, name, data, where):
     # out-of-range and non-finite input is an input error (exit 2) whose
@@ -171,6 +175,16 @@ def test_classify_rejects_invalid_json(tmp_path, capsys, name, data, where):
     ("classify", {"n": 2, "brackets": 5}, "'brackets'"),
     ("classify", {"n": 2, "brackets": [], "structure": 7}, "'structure'"),
     ("liealg", {"n": 2, "brackets": None}, "'brackets'"),
+    ("classify", {"n": 2, "brackets": [], "structure": {"n": None}},
+     "'structure.n'"),
+    ("classify", {"n": 2, "brackets": [], "structure": {"n": 2.7}},
+     "'structure.n'"),
+    ("liealg", {"n": 2, "brackets": [], "structure": {"n": 2, "I": {},
+                                                      "J": 1}},
+     "'structure.I'"),
+    # a structure of another n than the file's
+    ("liealg", {"n": 2, "brackets": [], "structure": {"n": 3}},
+     "'structure.n'"),
 ])
 def test_wrongly_shaped_json_is_an_input_error(tmp_path, capsys, cmd, data,
                                                key):

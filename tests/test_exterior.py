@@ -23,7 +23,6 @@ from aqh import (
 from aqh.exterior import (
     InputFormatError,
     SparseOp,
-    compose,
     derivation,
     form_from_json,
     form_to_json,
@@ -251,29 +250,13 @@ def test_wedge_rows_sums_one_form_wedges(rng):
 
 
 def test_sparse_op_product_matches_dense(rng):
-    # repeated (r, c) pairs, empty rows and columns on both sides
-    def op(m, n, k):
-        return SparseOp(rng.integers(0, m - 1, k), rng.integers(0, n - 1, k),
-                        rng.standard_normal(k), (m, n))
-
-    A, B = op(7, 9, 30), op(9, 5, 25)
-    P = A @ B
-    np.testing.assert_allclose(P.dense(), A.dense() @ B.dense(), atol=1e-12)
-    assert len(set(zip(P.r, P.c))) == len(P.v) <= 7 * 5
+    # repeated (r, c) pairs, empty rows and columns
+    A = SparseOp(rng.integers(0, 6, 30), rng.integers(0, 8, 30),
+                 rng.standard_normal(30), (7, 9))
     x = rng.standard_normal((2, 9))
     np.testing.assert_allclose(A(x), x @ A.dense().T, atol=1e-12)
-    # compose merges a product only when it is cheap to form: a scaled
-    # permutation after B, not a column times a row (rank one, 9 x 9)
-    perm = SparseOp(np.arange(9), rng.permutation(9), rng.standard_normal(9),
-                    (9, 9))
-    i, z = np.arange(9), np.zeros(9, dtype=int)
-    col = SparseOp(i, z, rng.standard_normal(9), (9, 1))
-    row = SparseOp(z, i, rng.standard_normal(9), (1, 9))
-    for F, G, merged in ((perm, B, True), (col, row, False)):
-        FG, x = compose(F, G), rng.standard_normal((2, G.shape[1]))
-        assert isinstance(FG, SparseOp) == merged
-        np.testing.assert_allclose(FG(x), x @ (F.dense() @ G.dense()).T,
-                                   atol=1e-12)
+    y = rng.standard_normal((2, 7))
+    np.testing.assert_allclose(A.T(y), y @ A.dense(), atol=1e-12)
 
 
 def test_json_round_trip(rng):

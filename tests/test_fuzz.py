@@ -1,0 +1,111 @@
+"""Fuzz of the JSON loaders and the CLI on mutated valid n=2 inputs: each
+mutation replaces one value of a valid document (or the document itself) by
+a null, a bool, a string, a float, a huge number, a wrongly shaped value or
+a structure of another n.  A loader returns or raises a ValueError; the CLI
+exits with 0, 1 or 2 and never lets an exception through."""
+
+import copy
+import json
+import os
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from aqh import random_W_element, standard_structure
+from aqh.cli import main
+from aqh.exterior import (form_from_json, load_json, mixed_from_json,
+                          mixed_to_json)
+from aqh.liealg import algebra_from_json
+from aqh.structure import structure_from_json, structure_to_json
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "liealg",
+                       "class_KH_EH.json")
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.text("0129,.-enaI", max_size=4),
+    st.sampled_from(["1", "2", "nan", "inf", "0,1,2", "standard"]),
+    st.floats(), st.integers(-10, 10),
+    st.sampled_from([1e308, -1e308, 1e200, 10 ** 400, 2 ** 63]),
+    st.lists(st.integers(-2, 9), max_size=5),
+    st.sampled_from([{}, [[]], [[0, 1, 2]], {"0,1,2": 1.0}]),
+    st.sampled_from([{"n": 3}, {"n": 2}, {"n": None}, {"n": 2, "I": [[1]]},
+                     {"n": 2, "I": [[0.0] * 8] * 8, "J": [[0.0] * 8] * 8}]),
+)
+
+
+def _paths(x, path=()):
+    """The positions of a JSON document, as the keys leading to them: the
+    last three children of each container."""
+    yield path
+    items = (x.items() if isinstance(x, dict)
+             else enumerate(x) if isinstance(x, list) else ())
+    for k, v in list(items)[-3:]:
+        yield from _paths(v, path + (k,))
+
+
+def _mutate(doc, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(doc)
+    at = out
+    for k in path[:-1]:
+        at = at[k]
+    at[path[-1]] = value
+    return out
+
+
+def mutations(doc, root=False):
+    """One value of doc replaced by junk; the whole of it when root."""
+    paths = list(_paths(doc))[0 if root else 1:]
+    return st.builds(_mutate, st.just(doc), st.sampled_from(paths), JUNK)
+
+
+_s2 = standard_structure(2)
+FORM = {"n": 2, "degree": 3, "coeffs": {"0,1,2": 1.0, "1,4,7": -0.5}}
+TENSOR = mixed_to_json(random_W_element(_s2, 5))
+STRUCTURE = structure_to_json(_s2)
+ALGEBRA = {k: v for k, v in load_json(FIXTURE).items()
+           if k in ("n", "brackets", "structure")}
+STRUCTURED = dict(ALGEBRA, structure=STRUCTURE)
+
+FAST = settings(max_examples=100, deadline=None, derandomize=True,
+                database=None,
+                suppress_health_check=[HealthCheck.too_slow,
+                                       HealthCheck.function_scoped_fixture])
+
+
+def _load(loader, data):
+    try:
+        loader(data)
+    except ValueError:
+        pass
+
+
+@FAST
+@given(st.one_of(mutations(FORM), mutations(TENSOR)))
+def test_fuzz_form_loaders(data):
+    _load(form_from_json, data)
+    _load(mixed_from_json, data)
+
+
+@FAST
+@given(st.one_of(mutations(ALGEBRA), mutations(STRUCTURED)))
+def test_fuzz_algebra_from_json(data):
+    _load(algebra_from_json, data)
+
+
+@FAST
+@given(mutations(STRUCTURE))
+def test_fuzz_structure_from_json(data):
+    _load(structure_from_json, data)
+    _load(lambda d: structure_from_json(d, 2), data)
+
+
+@settings(FAST, max_examples=60)
+@given(st.one_of(mutations(TENSOR, root=True), mutations(ALGEBRA, root=True),
+                 mutations(STRUCTURED)),
+       st.sampled_from(["classify", "liealg"]))
+def test_fuzz_cli(tmp_path, capsys, data, cmd):
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(data))
+    assert main([cmd, "--input", str(p), "--format", "json"]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err

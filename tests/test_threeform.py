@@ -216,7 +216,7 @@ def test_table1_builds_no_torsion_maps():
     for row_id in TABLE1_COMPONENTS:
         table1_residuals(b, row_id, s)
     torsion_keys = {"fiber_basis", "w_core", "se_core", "r_matrix",
-                    "dOmega", "ae_op"}
+                    "dOmega"}
     assert not [k for k in s._cache
                 if k in torsion_keys or (isinstance(k, tuple)
                                          and k[0] in ("ae", "field_map"))]
