@@ -24,7 +24,7 @@ from functools import cache, cached_property, lru_cache
 import numpy as np
 
 from .exterior import AltForm, MixedTorsion, SparseOp, alternate5, contract12, hodge_op, wedge, wedge_op, wedge_power
-from .projectors import ComponentLabel, ComponentProfile, _w_core, lcal_coords, profile as component_profile, split_coords
+from .projectors import ComponentLabel, ComponentProfile, _w_core, component_norms, lcal_coords, profile as component_profile
 from .structure import AXES, QuatStructure
 from .threeform import (
     OneFormTriple,
@@ -497,12 +497,11 @@ def perp_EH5_test(phi: AltForm, s: QuatStructure, tol: float = 1e-8) -> bool:
 
 def classification_report(a: MixedTorsion, s: QuatStructure,
                           tol: float = 1e-8) -> dict:
-    # C = aQ after the one membership test; C, d* a, Lcal C and the fields
-    # of alternate5(a) are computed once for the profile and both contexts
+    # C = aQ after the one membership test; C, d* a and the fields of
+    # alternate5(a) are computed once for the profile and both contexts
     ctx = ctx_from_torsion(a, s, w_coords(a, s, tol))
-    C, LC = (ctx.w[k].reshape(s.dim, -1) for k in ("a", "La"))
-    label, prof = _label(ComponentProfile.of(
-        split_coords(C, ctx.f3["dstar"], s, LC), a.norm()), tol)
+    label, prof = _label(ComponentProfile(component_norms(
+        ctx.w["a"], ctx.f3["dstar"], s), a.norm()), tol)
     out = {
         "class": label.display,
         "key": label.key,

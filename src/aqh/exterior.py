@@ -559,12 +559,29 @@ def _json_coeffs(data: dict, dim: int, p: int, lead: int):
     coeffs = data.get("coeffs", {})
     if not isinstance(coeffs, dict):
         raise InputFormatError(f"key 'coeffs': {coeffs!r:.40} is not an object")
-    idx = tables(dim).index(p)
+    idx, m = tables(dim).index(p), lead + p
     try:
-        T = [tuple(map(int, key.split(","))) for key in coeffs]
-        u = [idx[t[lead:]] for t in T]
-        rows = np.array([t[:lead] for t in T], dtype=np.int64)
-        vals = np.array([float(v) for v in coeffs.values()])
+        # keys of digits and commas (fromstring reads a blank, "+" or "-"
+        # field as 0) in one parse, each closed by a -1; a tuple is found by
+        # its flat code sum_k t_k dim^(p-1-k) among the sorted codes
+        if not ",".join(coeffs).replace(",", "").isdigit():
+            raise ValueError
+        T = np.fromstring(",-1,".join(coeffs) + ",-1", np.int64,
+                          sep=",").reshape(len(coeffs), m + 1)
+        codes = np.ravel_multi_index(tables(dim).columns(p), (dim,) * p)
+        t = np.ravel_multi_index(T[:, lead:m].T, (dim,) * p)  # in [0, dim)
+        u = codes.searchsorted(t)
+        fast = (codes[u] == t).all() and (T[:, m] == -1).all()
+    except (ValueError, IndexError):
+        fast = False
+    try:
+        if fast:
+            rows = T[:, :lead]
+        else:
+            T = [tuple(map(int, key.split(","))) for key in coeffs]
+            u = [idx[t[lead:]] for t in T]
+            rows = np.array([t[:lead] for t in T], dtype=np.int64)
+        vals = np.fromiter(coeffs.values(), float, len(coeffs))
         ok = np.isfinite(vals).all() and ((rows >= 0) & (rows < dim)).all()
     except (KeyError, TypeError, ValueError, OverflowError):
         ok = False

@@ -5,24 +5,23 @@ Everything here works on W coordinates.  W = V* (x) W4, and
 tensor a has coordinates C = aQ (dim x r).  Membership is a distance: a lies
 in W exactly when a = C Q^T, and ``is_in_W`` reports |a - C Q^T| / |a|.
 
-W splits into (L3E + K + E)(H + S3H) with multiplicity one each.
+W splits into (L3E + K + E)(H + S3H), and Lambda^3 into KH + EH + L3ES3H +
+ES3H, with multiplicity one each, so by Schur's lemma:
 
-* The contraction d* kills exactly L3EH + KS3H, and hat_dstar is a right
-  inverse landing in W, so the four components visible to d* are
-  hat_dstar(proj3(d* a)).  On coordinates that is one product of the stacked
-  proj3 parts of d* a with HAT_W = SE_W H3 - R_W H1 (threeform.hat_factors),
-  SE_W and R_W built on W coordinates, never on full rows.
-* The H / S3H halves are the 4 and -2 eigenspaces of the five-slot operator
-  Lcal.  On coordinates Lcal C = -sum_A A C D_A^T with D_A = Q^T D_A Q
-  (r x r) from the derivations of 4-forms, and
+* d* kills exactly L3EH + KS3H, and HAT_W = SE_W H3 - R_W H1 (hat_dstar on
+  W coordinates, threeform.hat_factors) is a right inverse, so HAT_W d* is
+  the orthogonal projector onto the visible sum: X = HAT_W P_X d* a, with
+  the proj3 parts P_X applied through their nonzeros.  HAT_W is c_X times
+  an isometry on each piece, so |X| = c_X |P_X d* a|.
+* The d*-kernel residual v = C - HAT_W d* a is L3EH + KS3H.  UL, an
+  orthonormal basis of L3EH (empty at n = 2), is the H half (Lcal + 2)/6 of
+  seeded vectors less their visible part, and L3EH = UL UL^T v.  Lcal C =
+  -sum_A A C D_A^T, with D_A = Q^T D_A Q (r x r) (lcal_coords).
 
-      hpart = (Lcal + 2)/6,          s3hpart = (4 - Lcal)/6,
-      L3EH  = hpart - KH - EH,       KS3H = s3hpart - ES3H - L3ES3H.
-
-Component norms are the norms of the coordinate arrays, which equal those of
-the embedded tensors because Q is orthonormal.  The paper's route on full
-rows (hat_dstar o proj3 o d*, with hat_dstar applied as SE H3 - R H1 without
-Q, and the Lcal eigen-split) is kept in ``verify.paper_components`` as the
+A profile (component_norms) forms no component.  Norms on coordinates are
+those of the tensors, as Q is orthonormal.  The paper's route on full rows
+(hat_dstar o proj3 o d*, with hat_dstar applied as SE H3 - R H1 without Q,
+and the Lcal eigen-split) is kept in ``verify.paper_components`` as the
 independent cross-check.
 """
 
@@ -34,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .exterior import MixedTorsion, contract12
+from .exterior import MixedTorsion, SparseOp, contract12
 from .structure import AXES, QuatStructure
 from .threeform import _interior_stack, hat_factors, proj3_matrix, r_matrix, se_core
 from .torsion import fiber_basis_matrix, w_coords, w_embed
@@ -90,59 +89,96 @@ VISIBLE = (ComponentLabel.KH, ComponentLabel.EH, ComponentLabel.ES3H,
            ComponentLabel.L3ES3H)
 
 
+def _seeds(size: int) -> np.ndarray:
+    """sin(i^2 mod 2 pi), i < size: generic, reproducible seed vectors."""
+    return np.sin(np.arange(size) ** 2.0 % (2 * np.pi))
+
+
 def _w_core(s: QuatStructure) -> dict:
     """Cached operators on W coordinates: SE, R and HAT_W (dim r rows), the
-    stacked proj3 matrices of the visible components and D_A (3, r, r)."""
+    stacked proj3 parts P of the visible pieces (a SparseOp), the c_X and
+    UL (module docstring)."""
 
     def build():
         Q = fiber_basis_matrix(s)
+        k = COMPONENT_DIMS[ComponentLabel.L3EH](s.n)
+        if k:   # Lcal on coordinates (for UL) first: its build peaks
+            lcal_coords(np.zeros((s.dim, Q.shape[1])), s)
         SE = ((Q.T @ se_core(s)) @ _interior_stack(s)).reshape(
             -1, s.tab.nforms(3))
         R = (Q.T @ r_matrix(s).reshape(s.dim, -1, s.dim)).reshape(-1, s.dim)
         H3, H1 = hat_factors(s)
-        D = s.deriv_op(4)(Q.T).reshape(len(Q.T), 3, -1)
-        return {
-            "SE": SE,
-            "R": R,
-            "hat_w": SE @ H3 - R @ H1,
-            "proj3": np.concatenate([proj3_matrix(s, X.value)
-                                     for X in VISIBLE]),
-            "deriv": Q.T @ D.transpose(1, 2, 0),
-        }
+        hat_w = SE @ H3 - R @ H1
+        P = np.concatenate([proj3_matrix(s, X.value) for X in VISIBLE])
+        # the flat nonzeros, then their rows and columns: 8x faster at n=3
+        P = SparseOp(*np.divmod(f := np.flatnonzero(P != 0), P.shape[1]),
+                     P.ravel()[f], P.shape)
+        # c_X from one seeded vector sin(i^2 mod 2 pi); 0 on an empty piece
+        b = P(_seeds(P.shape[1])).reshape(4, -1)
+        nb = np.linalg.norm(b, axis=1)
+        c = np.divide(np.linalg.norm(b @ hat_w.T, axis=1), nb,
+                      out=np.zeros(4), where=nb > 1e-8 * nb.max())
+        # UL from seeded vectors, twice: the second pass removes the
+        # round-off that the seeds' condition number amplified
+        UL = _seeds(len(hat_w) * k).reshape(len(hat_w), k)
+        dstar = dstar_on_W(s) if k else None
+        for _ in range(2 if k else 0):
+            g = UL.T.reshape(k, s.dim, -1)
+            h = ((lcal_coords(g, s) + 2.0 * g) / 6.0).reshape(k, -1)
+            UL = np.linalg.qr((h - (h @ dstar.T) @ hat_w.T).T)[0]
+        return {"SE": SE, "R": R, "hat_w": hat_w, "P": P, "c": c, "UL": UL}
 
     return s.cache("w_core", build)
 
 
 def lcal_coords(C: np.ndarray, s: QuatStructure) -> np.ndarray:
     """Lcal on W coordinates (..., dim, r): C -> -sum_A A C D_A^T."""
-    D = _w_core(s)["deriv"]
+    Q = fiber_basis_matrix(s)
+    D = s.cache("w_deriv", lambda: Q.T @ s.deriv_op(4)(Q.T).reshape(
+        len(Q.T), 3, -1).transpose(1, 2, 0))
     return -sum(s.mats[ax] @ C @ D[k].T for k, ax in enumerate(AXES))
 
 
-def lcal_halves(C: np.ndarray, s: QuatStructure, LC: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of the H and S3H halves: (Lcal + 2)/6 and (4 - Lcal)/6,
-    from C and, when known, LC = Lcal C."""
-    LC = lcal_coords(C, s) if LC is None else LC
-    return (LC + 2.0 * C) / 6.0, (4.0 * C - LC) / 6.0
+def dstar_on_W(s: QuatStructure) -> np.ndarray:
+    """The contraction d* as a matrix (N3 x dim*r) on W coordinates: each
+    exp_table(4) row (u, r, t, sign) puts -sign Q[u] at (t, r)."""
+    Q = fiber_basis_matrix(s)
+    u, _m, r, t, sign = s.tab.exp_table(4)
+    D = np.zeros((s.tab.nforms(3), s.dim, Q.shape[1]))
+    D[t, r] = -sign[:, None] * Q[u]
+    return D.reshape(len(D), -1)
 
 
-def split_coords(C: np.ndarray, ds: np.ndarray, s: QuatStructure,
-                 LC: np.ndarray | None = None) -> dict[ComponentLabel, np.ndarray]:
-    """Coordinates of the six components, from W coordinates C (..., dim, r),
-    the contraction ds = d* a (..., N3) and, when known, LC = Lcal C."""
+_ORDER = VISIBLE + (ComponentLabel.L3EH, ComponentLabel.KS3H)
+
+
+def component_norms(C: np.ndarray, ds: np.ndarray,
+                    s: QuatStructure) -> dict[ComponentLabel, float]:
+    """The six norms from W coordinates C and ds = d* a, forming no
+    component: c_X |P_X ds|, then |UL^T v| and the rest of v."""
+    core = _w_core(s)
+    parts = core["P"](ds).reshape(4, -1)
+    v = C.reshape(-1) - core["hat_w"] @ ds
+    y = core["UL"].T @ v
+    w = v - core["UL"] @ y
+    return dict(zip(_ORDER, [*map(float, core["c"] * np.sqrt(
+        (parts * parts).sum(axis=1))), math.sqrt(y @ y), math.sqrt(w @ w)]))
+
+
+def split_coords(C: np.ndarray, ds: np.ndarray,
+                 s: QuatStructure) -> dict[ComponentLabel, np.ndarray]:
+    """The six components' coordinates from W coordinates C (..., dim, r)
+    and ds = d* a (..., N3): HAT_W P_X ds, then UL UL^T v and the rest.  A
+    stack of ds takes one dense product with the expanded P."""
     core = _w_core(s)
     lead = C.shape[:-2]
-    parts = (ds @ core["proj3"].T).reshape(*lead, len(VISIBLE), -1)
-    vis = (parts @ core["hat_w"].T).reshape(*lead, len(VISIBLE),
-                                            *C.shape[-2:])
-    out = {X: vis[..., k, :, :] for k, X in enumerate(VISIBLE)}
-    h, s3h = lcal_halves(C, s, LC)
-    out[ComponentLabel.L3EH] = (h - out[ComponentLabel.KH]
-                                - out[ComponentLabel.EH])
-    out[ComponentLabel.KS3H] = (s3h - out[ComponentLabel.ES3H]
-                                - out[ComponentLabel.L3ES3H])
-    return out
+    parts = core["P"](ds) if ds.ndim == 1 else ds @ core["P"].dense().T
+    vis = (parts.reshape(*lead, 4, -1) @ core["hat_w"].T).reshape(
+        *lead, 4, *C.shape[-2:])
+    v = C - vis.sum(axis=-3)
+    l3 = ((v.reshape(*lead, -1) @ core["UL"]) @ core["UL"].T).reshape(C.shape)
+    return dict(zip(_ORDER, [*(vis[..., k, :, :] for k in range(4)), l3,
+                             v - l3]))
 
 
 def _split(a: MixedTorsion, s: QuatStructure, tol: float,
@@ -152,12 +188,14 @@ def _split(a: MixedTorsion, s: QuatStructure, tol: float,
 
 def proj_hpart(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
                check: bool = True) -> MixedTorsion:
-    return w_embed(lcal_halves(w_coords(a, s, tol, check), s)[0], s)
+    return w_embed(sum(c for X, c in _split(a, s, tol, check).items()
+                       if not X.value.endswith("S3H")), s)
 
 
 def proj_s3hpart(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
                  check: bool = True) -> MixedTorsion:
-    return w_embed(lcal_halves(w_coords(a, s, tol, check), s)[1], s)
+    return w_embed(sum(c for X, c in _split(a, s, tol, check).items()
+                       if X.value.endswith("S3H")), s)
 
 
 def component(a: MixedTorsion, X: ComponentLabel, s: QuatStructure,
@@ -185,12 +223,6 @@ class ComponentProfile:
         ss = sum(v * v for v in self.norms.values())
         return abs(ss - self.total ** 2) / self.total ** 2
 
-    @classmethod
-    def of(cls, parts: dict, total: float) -> "ComponentProfile":
-        """The profile of the component coordinates ``parts``."""
-        return cls({X: float(np.linalg.norm(c)) for X, c in parts.items()},
-                   total)
-
     def to_json(self) -> dict:
         return {
             "norms": {X.value: v for X, v in self.norms.items()},
@@ -200,4 +232,5 @@ class ComponentProfile:
 
 def profile(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
             check: bool = True) -> ComponentProfile:
-    return ComponentProfile.of(_split(a, s, tol, check), a.norm())
+    return ComponentProfile(component_norms(
+        w_coords(a, s, tol, check), contract12(a).coeffs, s), a.norm())

@@ -295,4 +295,7 @@ def structure_from_json(data, n: int | None = None) -> QuatStructure:
         except (TypeError, ValueError, OverflowError):
             raise InputFormatError(f"key 'structure.{key}': not a matrix of "
                                    "numbers") from None
+        if mats[-1].shape != (4 * own, 4 * own):
+            raise InputFormatError(f"key 'structure.{key}': not a "
+                                   f"{4 * own} x {4 * own} matrix")
     return QuatStructure(own, *mats)

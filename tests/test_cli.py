@@ -185,6 +185,11 @@ def test_classify_rejects_invalid_json(tmp_path, capsys, name, data, where):
     # a structure of another n than the file's
     ("liealg", {"n": 2, "brackets": [], "structure": {"n": 3}},
      "'structure.n'"),
+    # number arrays of the wrong shape
+    ("liealg", {"n": 2, "brackets": [], "structure": {
+        "n": 2, "I": [[0.0] * 8] * 8, "J": 1}}, "'structure.J'"),
+    ("classify", {"n": 2, "brackets": [], "structure": {
+        "n": 2, "I": [[1.0, 0.0]], "J": [[0.0] * 8] * 8}}, "'structure.I'"),
 ])
 def test_wrongly_shaped_json_is_an_input_error(tmp_path, capsys, cmd, data,
                                                key):

@@ -1,6 +1,7 @@
 """Exterior algebra kernel: wedge/interior/inner/hodge conventions."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -279,3 +280,41 @@ def test_json_round_trip(rng):
 def test_form_from_json_rejects_invalid(data, message):
     with pytest.raises(InputFormatError, match=message):
         form_from_json(data)
+
+
+def _reference_coeffs(data, dim, p, lead):
+    """The coefficient array of a JSON tensor, one key at a time."""
+    idx = {T: i for i, T in enumerate(itertools.combinations(range(dim), p))}
+    out = np.zeros((dim,) * lead + (len(idx),))
+    for key, v in data["coeffs"].items():
+        T = tuple(map(int, key.split(",")))
+        out[T[:lead] + (idx[T[lead:]],)] = float(v)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_json_parser_matches_per_key_reference(n):
+    # shuffled key order, and keys and values that only the per-key path
+    # reads: blanks, signs, leading zeros, numeric strings and booleans
+    from aqh import random_W_element, standard_structure
+
+    dim = 4 * n
+    rng = np.random.default_rng(60 + n)
+    docs = [mixed_to_json(random_W_element(standard_structure(n), 61)),
+            form_to_json(rand_form(rng, dim, 3))]
+    odd = {"0, 1,2,3,4": "1.5", "+0,2,3,4,5": True, "01,2,3,4,5": "-2"}
+    for doc in docs:
+        lead = 1 if doc["degree"] == 4 else 0
+        items = list(doc["coeffs"].items())
+        for variant in range(3):
+            rng.shuffle(items)
+            data = json.loads(json.dumps(dict(doc, coeffs=dict(items))))
+            if variant == 2 and lead:
+                for key, v in odd.items():
+                    plain = ",".join(str(int(x)) for x in key.split(","))
+                    data["coeffs"].pop(plain, None)
+                    data["coeffs"][key] = v
+            want = _reference_coeffs(data, dim, doc["degree"], lead)
+            got = (mixed_from_json(data).rows if lead
+                   else form_from_json(data).coeffs)
+            np.testing.assert_array_equal(got, want)

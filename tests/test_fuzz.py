@@ -2,15 +2,20 @@
 mutation replaces one value of a valid document (or the document itself) by
 a null, a bool, a string, a float, a huge number, a wrongly shaped value or
 a structure of another n.  A loader returns or raises a ValueError; the CLI
-exits with 0, 1 or 2 and never lets an exception through."""
+exits with 0, 1 or 2 and never lets an exception through.  Mutations that
+keep a document valid (a positive rescaling of its coefficients or brackets,
+shuffled keys, extra top-level keys) must not change its class."""
 
 import copy
 import json
 import os
+import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from aqh import random_W_element, standard_structure
+from aqh import (ComponentLabel, MixedTorsion, components, random_W_element,
+                 standard_structure)
 from aqh.cli import main
 from aqh.exterior import (form_from_json, load_json, mixed_from_json,
                           mixed_to_json)
@@ -109,3 +114,56 @@ def test_fuzz_cli(tmp_path, capsys, data, cmd):
     p.write_text(json.dumps(data))
     assert main([cmd, "--input", str(p), "--format", "json"]) in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _class_doc(s, seed, labels):
+    pool = components(random_W_element(s, seed), s, check=False)
+    return mixed_to_json(sum((pool[ComponentLabel(x)] for x in labels),
+                             MixedTorsion.zero(s.dim)))
+
+
+# valid documents of several classes, n=3 among them
+VALID = [TENSOR, ALGEBRA, STRUCTURED,
+         _class_doc(_s2, 6, ("EH",)), _class_doc(_s2, 7, ("KH", "ES3H")),
+         _class_doc(_s2, 8, ("KS3H",)),
+         _class_doc(standard_structure(3), 9, ("L3EH", "KH", "L3ES3H"))]
+
+
+def _classify(tmp_path, capsys, data) -> str:
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(data))
+    assert main(["classify", "--input", str(p), "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["key"]
+
+
+@st.composite
+def valid_mutations(draw, doc):
+    """doc rescaled by a positive factor, its coefficients or brackets and
+    its top-level keys shuffled, extra keys added."""
+    doc, scale = dict(doc), draw(st.floats(1e-3, 1e3))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    if "coeffs" in doc:
+        items = [(k, v * scale) for k, v in doc["coeffs"].items()]
+        rnd.shuffle(items)
+        doc["coeffs"] = dict(items)
+    else:
+        doc["brackets"] = [b[:3] + [b[3] * scale] for b in doc["brackets"]]
+        rnd.shuffle(doc["brackets"])
+    doc.update(draw(st.dictionaries(
+        st.text("abxyz_", min_size=1, max_size=5).map(lambda k: "x_" + k),
+        JUNK, max_size=2)))
+    keys = list(doc)
+    rnd.shuffle(keys)
+    return {k: doc[k] for k in keys}
+
+
+@pytest.mark.parametrize("doc", VALID)
+def test_fuzz_valid_mutations_keep_the_class(tmp_path, capsys, doc):
+    key = _classify(tmp_path, capsys, doc)
+
+    @settings(FAST, max_examples=6)
+    @given(valid_mutations(doc))
+    def check(data):
+        assert _classify(tmp_path, capsys, data) == key
+
+    check()

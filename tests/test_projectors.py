@@ -204,3 +204,73 @@ def test_embeddings_land_in_W(s2, s3):
             s.dim, r_matrix(s) @ rng.standard_normal(s.dim))
         for t in (torsion_embed(b, s), rz):
             assert is_in_W(t, s, 1e-12)[0]
+
+
+def _class_mixtures(s, seed):
+    """One tensor per class: each subset of the nonzero components of a
+    random element, weights spread over six decades."""
+    labs = [X for X in ComponentLabel if COMPONENT_DIMS[X](s.n)]
+    pool = components(random_W_element(s, seed), s)
+    rng = np.random.default_rng(seed)
+    for m in range(2 ** len(labs)):
+        yield sum((pool[X] * float(10.0 ** rng.uniform(-3, 3))
+                   for k, X in enumerate(labs) if m >> k & 1),
+                  start=MixedTorsion.zero(s.dim))
+
+
+def test_profile_matches_paper_route_on_every_class(s2, s3, frame3):
+    """The Schur norms (c_X |P_X d* a| and the UL split of the d*-kernel
+    residual) against the paper's route on full rows, on the 16 n=2 and 64
+    n=3 classes, in the standard frame and a random O(4n) frame."""
+    from aqh import QuatStructure, classification_report
+    from aqh.verify import paper_components
+
+    g, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((8, 8)))
+    frames = (s2, QuatStructure(2, g @ s2.I @ g.T, g @ s2.J @ g.T), s3,
+              frame3[1])
+    for s in frames:
+        count = 0
+        for t in _class_mixtures(s, 37):
+            count += 1
+            paper = {X: c.norm() for X, c in paper_components(t, s).items()}
+            rep = classification_report(t, s)["profile"]["norms"]
+            for X, v in profile(t, s).norms.items():
+                assert abs(v - paper[X]) <= 1e-12 * max(t.norm(), 1e-300)
+                assert rep[X.value] == v
+        assert count == 2 ** (4 if s.n == 2 else 6)
+
+
+def test_report_reads_lcal_only_where_its_row_does(s3, pool3, monkeypatch):
+    import importlib
+
+    import aqh.projectors
+    from aqh import classification_report
+    from aqh.exterior import SparseOp
+    from aqh.projectors import _w_core
+
+    calls = []
+    lcal = aqh.projectors.lcal_coords
+
+    def counted(*args):
+        calls.append(1)
+        return lcal(*args)
+
+    core = _w_core(s3)
+    # aqh.classify is the function of that name; the module is imported
+    monkeypatch.setattr(importlib.import_module("aqh.classify"),
+                        "lcal_coords", counted)
+    monkeypatch.setattr(aqh.projectors, "lcal_coords", counted)
+    # the KH row reads a and SEd; the L3EH row reads La
+    assert classification_report(pool3[ComponentLabel.KH], s3)["key"] == "KH"
+    assert not calls
+    assert classification_report(pool3[ComponentLabel.L3EH], s3)["key"] \
+        == "L3EH"
+    assert len(calls) == 1
+    # the visible pieces are a SparseOp; no dense proj3 stack is cached
+    N3 = s3.tab.nforms(3)
+    assert isinstance(core["P"], SparseOp)
+    assert core["P"].shape == (4 * N3, N3)
+    cached = [v for e in s3._cache.values()
+              for v in (e.values() if isinstance(e, dict) else [e])]
+    assert not [v for v in cached if isinstance(v, np.ndarray)
+                and v.shape == (4 * N3, N3)]
