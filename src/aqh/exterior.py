@@ -561,10 +561,11 @@ def _json_coeffs(data: dict, dim: int, p: int, lead: int):
         raise InputFormatError(f"key 'coeffs': {coeffs!r:.40} is not an object")
     idx, m = tables(dim).index(p), lead + p
     try:
-        # keys of digits and commas (fromstring reads a blank, "+" or "-"
-        # field as 0) in one parse, each closed by a -1; a tuple is found by
+        # keys of nonempty digit fields (fromstring stops at a blank, "+" or
+        # "-" field) in one parse, each closed by a -1; a tuple is found by
         # its flat code sum_k t_k dim^(p-1-k) among the sorted codes
-        if not ",".join(coeffs).replace(",", "").isdigit():
+        keys = ",".join(coeffs)
+        if ",," in f",{keys}," or not keys.replace(",", "").isdigit():
             raise ValueError
         T = np.fromstring(",-1,".join(coeffs) + ",-1", np.int64,
                           sep=",").reshape(len(coeffs), m + 1)

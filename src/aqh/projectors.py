@@ -11,18 +11,18 @@ ES3H, with multiplicity one each, so by Schur's lemma:
 * d* kills exactly L3EH + KS3H, and HAT_W = SE_W H3 - R_W H1 (hat_dstar on
   W coordinates, threeform.hat_factors) is a right inverse, so HAT_W d* is
   the orthogonal projector onto the visible sum: X = HAT_W P_X d* a, with
-  the proj3 parts P_X applied through their nonzeros.  HAT_W is c_X times
-  an isometry on each piece, so |X| = c_X |P_X d* a|.
-* The d*-kernel residual v = C - HAT_W d* a is L3EH + KS3H.  UL, an
-  orthonormal basis of L3EH (empty at n = 2), is the H half (Lcal + 2)/6 of
-  seeded vectors less their visible part, and L3EH = UL UL^T v.  Lcal C =
+  the proj3 parts P_X applied through their low-rank factors.  HAT_W is c_X
+  times an isometry on each piece, so |X| = c_X |P_X d* a|.
+* The d*-kernel residual v = C - HAT_W d* a is L3EH + KS3H, whose halves
+  are the 4 and -2 eigenspaces of the five-slot operator Lcal:
+  L3EH = (Lcal v + 2 v)/6 and KS3H = v - L3EH.  On coordinates Lcal C =
   -sum_A A C D_A^T, with D_A = Q^T D_A Q (r x r) (lcal_coords).
 
-A profile (component_norms) forms no component.  Norms on coordinates are
-those of the tensors, as Q is orthonormal.  The paper's route on full rows
-(hat_dstar o proj3 o d*, with hat_dstar applied as SE H3 - R H1 without Q,
-and the Lcal eigen-split) is kept in ``verify.paper_components`` as the
-independent cross-check.
+A profile (component_norms) forms no visible component.  Norms on
+coordinates are those of the tensors, as Q is orthonormal.  The paper's
+route on full rows (hat_dstar o proj3 o d*, with hat_dstar applied as
+SE H3 - R H1 without Q, and the Lcal eigen-split) is kept in
+``verify.paper_components`` as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from enum import Enum
 
 import numpy as np
 
-from .exterior import MixedTorsion, SparseOp, contract12
+from .exterior import MixedTorsion, contract12
 from .structure import AXES, QuatStructure
-from .threeform import _interior_stack, hat_factors, proj3_matrix, r_matrix, se_core
+from .threeform import (_interior_stack, hat_factors, hook_omega_matrix,
+                        m_matrix, proj3_matrix, r_matrix, se_core, xi_maps)
 from .torsion import fiber_basis_matrix, w_coords, w_embed
 
 
@@ -89,64 +90,57 @@ VISIBLE = (ComponentLabel.KH, ComponentLabel.EH, ComponentLabel.ES3H,
            ComponentLabel.L3ES3H)
 
 
-def _seeds(size: int) -> np.ndarray:
-    """sin(i^2 mod 2 pi), i < size: generic, reproducible seed vectors."""
-    return np.sin(np.arange(size) ** 2.0 % (2 * np.pi))
+def _proj3_parts(ds: np.ndarray, F: tuple) -> np.ndarray:
+    """P_X ds (..., 4, N3) for X in VISIBLE, from the factors F of the
+    proj3 parts (threeform.proj3_matrix): the xi maps, then hook_omega xi_0
+    onto EH, -2 M3 (xi_I, xi_J, xi_K) onto EH + ES3H and plus3 onto KH + EH."""
+    xi, hook, m2, plus3 = F
+    x = ds @ xi.T
+    eh = x[..., :len(hook.T)] @ hook.T
+    e = x[..., len(hook.T):] @ m2.T
+    h = ds @ plus3.T
+    return np.stack([h - eh, eh, e - eh, ds - h - e + eh], axis=-2)
 
 
 def _w_core(s: QuatStructure) -> dict:
     """Cached operators on W coordinates: SE, R and HAT_W (dim r rows), the
-    stacked proj3 parts P of the visible pieces (a SparseOp), the c_X and
-    UL (module docstring)."""
+    factors of the proj3 parts and the c_X of the visible pieces, and the
+    blocks of Lcal (lcal_coords)."""
 
     def build():
         Q = fiber_basis_matrix(s)
-        k = COMPONENT_DIMS[ComponentLabel.L3EH](s.n)
-        if k:   # Lcal on coordinates (for UL) first: its build peaks
-            lcal_coords(np.zeros((s.dim, Q.shape[1])), s)
         SE = ((Q.T @ se_core(s)) @ _interior_stack(s)).reshape(
             -1, s.tab.nforms(3))
         R = (Q.T @ r_matrix(s).reshape(s.dim, -1, s.dim)).reshape(-1, s.dim)
         H3, H1 = hat_factors(s)
         hat_w = SE @ H3 - R @ H1
-        P = np.concatenate([proj3_matrix(s, X.value) for X in VISIBLE])
-        # the flat nonzeros, then their rows and columns: 8x faster at n=3
-        P = SparseOp(*np.divmod(f := np.flatnonzero(P != 0), P.shape[1]),
-                     P.ravel()[f], P.shape)
-        # c_X from one seeded vector sin(i^2 mod 2 pi); 0 on an empty piece
-        b = P(_seeds(P.shape[1])).reshape(4, -1)
+        F = (xi_maps(s).reshape(4 * s.dim, -1), hook_omega_matrix(s),
+             -2.0 * m_matrix(s), proj3_matrix(s, "plus3"))
+        # c_X = |HAT_W b| / |b| for the part b in X of a generic vector; 0
+        # on an empty piece
+        b = _proj3_parts(np.sin(np.arange(s.tab.nforms(3)) ** 2.0), F)
         nb = np.linalg.norm(b, axis=1)
-        c = np.divide(np.linalg.norm(b @ hat_w.T, axis=1), nb,
-                      out=np.zeros(4), where=nb > 1e-8 * nb.max())
-        # UL from seeded vectors, twice: the second pass removes the
-        # round-off that the seeds' condition number amplified
-        UL = _seeds(len(hat_w) * k).reshape(len(hat_w), k)
-        dstar = dstar_on_W(s) if k else None
-        for _ in range(2 if k else 0):
-            g = UL.T.reshape(k, s.dim, -1)
-            h = ((lcal_coords(g, s) + 2.0 * g) / 6.0).reshape(k, -1)
-            UL = np.linalg.qr((h - (h @ dstar.T) @ hat_w.T).T)[0]
-        return {"SE": SE, "R": R, "hat_w": hat_w, "P": P, "c": c, "UL": UL}
+        D = s.deriv_op(4)(Q.T).reshape(len(Q.T), 3, -1)
+        return {
+            "SE": SE,
+            "R": R,
+            "hat_w": hat_w,
+            "proj3": F,
+            "c": np.divide(np.linalg.norm(b @ hat_w.T, axis=1), nb,
+                           out=np.zeros(len(nb)), where=nb > 1e-8 * nb.max()),
+            "lcal": (-np.concatenate([s.mats[ax] for ax in AXES], axis=1),
+                     (D @ Q).reshape(len(Q.T), -1)),
+        }
 
     return s.cache("w_core", build)
 
 
 def lcal_coords(C: np.ndarray, s: QuatStructure) -> np.ndarray:
-    """Lcal on W coordinates (..., dim, r): C -> -sum_A A C D_A^T."""
-    Q = fiber_basis_matrix(s)
-    D = s.cache("w_deriv", lambda: Q.T @ s.deriv_op(4)(Q.T).reshape(
-        len(Q.T), 3, -1).transpose(1, 2, 0))
-    return -sum(s.mats[ax] @ C @ D[k].T for k, ax in enumerate(AXES))
-
-
-def dstar_on_W(s: QuatStructure) -> np.ndarray:
-    """The contraction d* as a matrix (N3 x dim*r) on W coordinates: each
-    exp_table(4) row (u, r, t, sign) puts -sign Q[u] at (t, r)."""
-    Q = fiber_basis_matrix(s)
-    u, _m, r, t, sign = s.tab.exp_table(4)
-    D = np.zeros((s.tab.nforms(3), s.dim, Q.shape[1]))
-    D[t, r] = -sign[:, None] * Q[u]
-    return D.reshape(len(D), -1)
+    """Lcal on W coordinates (..., dim, r): C -> -sum_A A C D_A^T, as
+    T = C [D_I^T D_J^T D_K^T] and then -[I J K] on the stacked blocks T_A."""
+    M, D = _w_core(s)["lcal"]
+    T = (C @ D).reshape(*C.shape[:-1], 3, -1)
+    return M @ np.swapaxes(T, -2, -3).reshape(*C.shape[:-2], -1, C.shape[-1])
 
 
 _ORDER = VISIBLE + (ComponentLabel.L3EH, ComponentLabel.KS3H)
@@ -154,31 +148,29 @@ _ORDER = VISIBLE + (ComponentLabel.L3EH, ComponentLabel.KS3H)
 
 def component_norms(C: np.ndarray, ds: np.ndarray,
                     s: QuatStructure) -> dict[ComponentLabel, float]:
-    """The six norms from W coordinates C and ds = d* a, forming no
-    component: c_X |P_X ds|, then |UL^T v| and the rest of v."""
+    """The six norms from W coordinates C (dim r, flat or not) and ds = d* a,
+    forming no visible component: c_X |P_X ds|, then the halves of v."""
     core = _w_core(s)
-    parts = core["P"](ds).reshape(4, -1)
-    v = C.reshape(-1) - core["hat_w"] @ ds
-    y = core["UL"].T @ v
-    w = v - core["UL"] @ y
-    return dict(zip(_ORDER, [*map(float, core["c"] * np.sqrt(
-        (parts * parts).sum(axis=1))), math.sqrt(y @ y), math.sqrt(w @ w)]))
+    parts = _proj3_parts(ds, core["proj3"])
+    v = (C.reshape(-1) - core["hat_w"] @ ds).reshape(s.dim, -1)
+    h = (lcal_coords(v, s) + 2.0 * v) / 6.0
+    return dict(zip(_ORDER, [
+        *map(float, core["c"] * np.linalg.norm(parts, axis=1)),
+        float(np.linalg.norm(h)), float(np.linalg.norm(v - h))]))
 
 
 def split_coords(C: np.ndarray, ds: np.ndarray,
                  s: QuatStructure) -> dict[ComponentLabel, np.ndarray]:
     """The six components' coordinates from W coordinates C (..., dim, r)
-    and ds = d* a (..., N3): HAT_W P_X ds, then UL UL^T v and the rest.  A
-    stack of ds takes one dense product with the expanded P."""
+    and ds = d* a (..., N3): HAT_W P_X ds, then the halves of v."""
     core = _w_core(s)
     lead = C.shape[:-2]
-    parts = core["P"](ds) if ds.ndim == 1 else ds @ core["P"].dense().T
-    vis = (parts.reshape(*lead, 4, -1) @ core["hat_w"].T).reshape(
-        *lead, 4, *C.shape[-2:])
+    vis = (_proj3_parts(ds, core["proj3"]) @ core["hat_w"].T).reshape(
+        *lead, len(VISIBLE), *C.shape[-2:])
     v = C - vis.sum(axis=-3)
-    l3 = ((v.reshape(*lead, -1) @ core["UL"]) @ core["UL"].T).reshape(C.shape)
-    return dict(zip(_ORDER, [*(vis[..., k, :, :] for k in range(4)), l3,
-                             v - l3]))
+    h = (lcal_coords(v, s) + 2.0 * v) / 6.0
+    return dict(zip(_ORDER, [*(vis[..., k, :, :] for k in range(4)), h,
+                             v - h]))
 
 
 def _split(a: MixedTorsion, s: QuatStructure, tol: float,
@@ -188,14 +180,14 @@ def _split(a: MixedTorsion, s: QuatStructure, tol: float,
 
 def proj_hpart(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
                check: bool = True) -> MixedTorsion:
-    return w_embed(sum(c for X, c in _split(a, s, tol, check).items()
-                       if not X.value.endswith("S3H")), s)
+    C = w_coords(a, s, tol, check)
+    return w_embed((lcal_coords(C, s) + 2.0 * C) / 6.0, s)
 
 
 def proj_s3hpart(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
                  check: bool = True) -> MixedTorsion:
-    return w_embed(sum(c for X, c in _split(a, s, tol, check).items()
-                       if X.value.endswith("S3H")), s)
+    C = w_coords(a, s, tol, check)
+    return w_embed((4.0 * C - lcal_coords(C, s)) / 6.0, s)
 
 
 def component(a: MixedTorsion, X: ComponentLabel, s: QuatStructure,

@@ -406,6 +406,16 @@ def check_threeforms(s: QuatStructure, rng) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def dstar_on_W(s: QuatStructure) -> np.ndarray:
+    """The contraction d* as a matrix (N3 x dim*r) on W coordinates: each
+    exp_table(4) row (u, r, t, sign) puts -sign Q[u] at (t, r)."""
+    Q = T.fiber_basis_matrix(s)
+    u, _m, r, t, sign = s.tab.exp_table(4)
+    D = np.zeros((s.tab.nforms(3), s.dim, Q.shape[1]))
+    D[t, r] = -sign[:, None] * Q[u]
+    return D.reshape(len(D), -1)
+
+
 def component_matrices_on_W(s: QuatStructure) -> dict:
     """Matrices (dim*r x dim*r) of the library's six component projectors
     and of the two Lcal halves (Lcal + 2)/6 and (4 - Lcal)/6, in the
@@ -414,7 +424,7 @@ def component_matrices_on_W(s: QuatStructure) -> dict:
     def build():
         D = T.w_dim(s.n)
         basis = np.eye(D).reshape(D, s.dim, -1)
-        ds = PR.dstar_on_W(s).T
+        ds = dstar_on_W(s).T
         mats = {X: c.reshape(D, D).T
                 for X, c in PR.split_coords(basis, ds, s).items()}
         L = PR.lcal_coords(basis, s).reshape(D, D).T
@@ -475,7 +485,7 @@ def check_components(s: QuatStructure, rng) -> list[CheckResult]:
 
     # the primitives of the profile: HAT_W is c_X times an isometry on each
     # visible piece of Lambda^3 (all its singular values there are c_X, as
-    # HAT_W^T HAT_W P_X = c_X^2 P_X), and UL is an orthonormal basis of L3EH
+    # HAT_W^T HAT_W P_X = c_X^2 P_X)
     core = PR._w_core(s)
     G, worst = core["hat_w"].T @ core["hat_w"], 0.0
     for X, c in zip(PR.VISIBLE, core["c"]):
@@ -484,16 +494,6 @@ def check_components(s: QuatStructure, rng) -> list[CheckResult]:
             worst = max(worst, float(np.abs(G @ P - c * c * P).max()) / c**2)
     out.append(CheckResult("hat-isometry", worst, 1e-12, "c_X " + ", ".join(
         f"{X.value}={c:.6f}" for X, c in zip(PR.VISIBLE, core["c"]))))
-
-    UL = core["UL"]
-    k = UL.shape[1]
-    LU = PR.lcal_coords(UL.T.reshape(k, s.dim, len(UL) // s.dim), s)
-    worst = max(float(np.abs(M).max(initial=0.0)) for M in (
-        UL.T @ UL - np.eye(k), PR.dstar_on_W(s) @ UL,
-        LU.reshape(UL.T.shape).T - 4.0 * UL))
-    out.append(CheckResult("l3eh-basis", worst, 1e-12, (
-        f"{k} columns: UL^T UL = I, d* UL = 0, Lcal UL = 4 UL" if k
-        else "L3EH is 0 at n = 2: the basis is empty")))
 
     a = T.random_W_element(s, 40_000)
     comps = PR.components(a, s, check=False)
@@ -509,7 +509,7 @@ def check_components(s: QuatStructure, rng) -> list[CheckResult]:
     vis = sum(mats[X] for X in PR.VISIBLE)
     ev, vec = np.linalg.eigh(0.5 * (vis + vis.T))
     basis = vec[:, ev > 0.5]
-    sv = np.linalg.svd(PR.dstar_on_W(s) @ basis, compute_uv=False)
+    sv = np.linalg.svd(dstar_on_W(s) @ basis, compute_uv=False)
     out.append(CheckResult("contraction-injective-on-visible",
                            1e-6 / float(sv.min()), 1.0,
                            f"smallest singular value {sv.min():.3f}"))

@@ -159,7 +159,7 @@ def test_criterion_06_projector_suite(s2, s3):
 
 
 def test_criterion_07_contraction_kernel(s2, s3, pool2, pool3):
-    from aqh.projectors import dstar_on_W
+    from aqh.verify import dstar_on_W
 
     kernel_worst = 0.0
     sv_min = np.inf

@@ -318,3 +318,12 @@ def test_json_parser_matches_per_key_reference(n):
             got = (mixed_from_json(data).rows if lead
                    else form_from_json(data).coeffs)
             np.testing.assert_array_equal(got, want)
+        # a key with an empty field is refused, as one key at a time
+        load = mixed_from_json if lead else form_from_json
+        for key in (("0,,2,3,4", ",1,2,3,4", "0,1,2,3,4,", "") if lead
+                    else ("0,,2", ",1,2", "0,1,2,", "")):
+            data = json.loads(json.dumps(dict(doc, coeffs=dict(items))))
+            data["coeffs"][key] = 1.0
+            with pytest.raises(InputFormatError, match=f"key {key!r} is "
+                               "not a list of integers"):
+                load(data)

@@ -219,7 +219,7 @@ def _class_mixtures(s, seed):
 
 
 def test_profile_matches_paper_route_on_every_class(s2, s3, frame3):
-    """The Schur norms (c_X |P_X d* a| and the UL split of the d*-kernel
+    """The Schur norms (c_X |P_X d* a| and the Lcal split of the d*-kernel
     residual) against the paper's route on full rows, on the 16 n=2 and 64
     n=3 classes, in the standard frame and a random O(4n) frame."""
     from aqh import QuatStructure, classification_report
@@ -240,13 +240,12 @@ def test_profile_matches_paper_route_on_every_class(s2, s3, frame3):
         assert count == 2 ** (4 if s.n == 2 else 6)
 
 
-def test_report_reads_lcal_only_where_its_row_does(s3, pool3, monkeypatch):
+def test_report_reads_lcal_once_more_where_its_row_does(s3, pool3,
+                                                        monkeypatch):
     import importlib
 
     import aqh.projectors
     from aqh import classification_report
-    from aqh.exterior import SparseOp
-    from aqh.projectors import _w_core
 
     calls = []
     lcal = aqh.projectors.lcal_coords
@@ -255,21 +254,20 @@ def test_report_reads_lcal_only_where_its_row_does(s3, pool3, monkeypatch):
         calls.append(1)
         return lcal(*args)
 
-    core = _w_core(s3)
     # aqh.classify is the function of that name; the module is imported
     monkeypatch.setattr(importlib.import_module("aqh.classify"),
                         "lcal_coords", counted)
     monkeypatch.setattr(aqh.projectors, "lcal_coords", counted)
-    # the KH row reads a and SEd; the L3EH row reads La
+    # the profile splits the d*-kernel residual once; the KH row reads a and
+    # SEd, the L3EH row reads La
     assert classification_report(pool3[ComponentLabel.KH], s3)["key"] == "KH"
-    assert not calls
+    assert len(calls) == 1
     assert classification_report(pool3[ComponentLabel.L3EH], s3)["key"] \
         == "L3EH"
-    assert len(calls) == 1
-    # the visible pieces are a SparseOp; no dense proj3 stack is cached
+    assert len(calls) == 3
+    # the proj3 parts are applied through their factors: no dense stack of
+    # them is cached
     N3 = s3.tab.nforms(3)
-    assert isinstance(core["P"], SparseOp)
-    assert core["P"].shape == (4 * N3, N3)
     cached = [v for e in s3._cache.values()
               for v in (e.values() if isinstance(e, dict) else [e])]
     assert not [v for v in cached if isinstance(v, np.ndarray)
