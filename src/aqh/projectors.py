@@ -109,6 +109,9 @@ def _w_core(s: QuatStructure) -> dict:
 
     def build():
         Q = fiber_basis_matrix(s)
+        # first, as applying deriv_op(4) is the largest transient of the
+        # build (3 MB at n=3): later it would raise the peak RSS
+        D = s.deriv_op(4)(Q.T).reshape(len(Q.T), 3, -1)
         SE = ((Q.T @ se_core(s)) @ _interior_stack(s)).reshape(
             -1, s.tab.nforms(3))
         R = (Q.T @ r_matrix(s).reshape(s.dim, -1, s.dim)).reshape(-1, s.dim)
@@ -120,7 +123,6 @@ def _w_core(s: QuatStructure) -> dict:
         # on an empty piece
         b = _proj3_parts(np.sin(np.arange(s.tab.nforms(3)) ** 2.0), F)
         nb = np.linalg.norm(b, axis=1)
-        D = s.deriv_op(4)(Q.T).reshape(len(Q.T), 3, -1)
         return {
             "SE": SE,
             "R": R,
