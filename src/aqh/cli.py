@@ -53,6 +53,14 @@ class InputError(Exception):
     pass
 
 
+def tolerance(text: str) -> float:
+    """A relative tolerance: finite, 0 < tol < 1 (NaN fails both bounds)."""
+    tol = float(text)
+    if not 0.0 < tol < 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not in (0, 1)")
+    return tol
+
+
 def _emit(data, fmt: str, text_fn):
     if fmt == "json":
         print(json.dumps(data, indent=1, default=str))
@@ -210,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a tensor or algebra file")
     p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=tolerance, default=1e-8)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_classify)
 
@@ -223,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("liealg", help="full Lie-algebra pipeline report")
     p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=tolerance, default=1e-8)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_liealg)
     return ap

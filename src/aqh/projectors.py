@@ -11,12 +11,12 @@ ES3H, with multiplicity one each, so by Schur's lemma:
 * d* kills exactly L3EH + KS3H, and HAT_W = SE_W H3 - R_W H1 (hat_dstar on
   W coordinates, threeform.hat_factors) is a right inverse, so HAT_W d* is
   the orthogonal projector onto the visible sum: X = HAT_W P_X d* a, with
-  the proj3 parts P_X applied through their low-rank factors.  HAT_W is c_X
-  times an isometry on each piece, so |X| = c_X |P_X d* a|.
+  P_X from threeform.proj3_parts.  HAT_W is c_X times an isometry on each
+  piece, so |X| = c_X |P_X d* a|.
 * The d*-kernel residual v = C - HAT_W d* a is L3EH + KS3H, whose halves
   are the 4 and -2 eigenspaces of the five-slot operator Lcal:
-  L3EH = (Lcal v + 2 v)/6 and KS3H = v - L3EH.  On coordinates Lcal C =
-  -sum_A A C D_A^T, with D_A = Q^T D_A Q (r x r) (lcal_coords).
+  L3EH = (Lcal v + 2 v)/6 (lcal_hpart) and KS3H = v - L3EH.  On coordinates
+  Lcal C = -sum_A A C D_A^T, with D_A = Q^T D_A Q (r x r) (lcal_coords).
 
 A profile (component_norms) forms no visible component.  Norms on
 coordinates are those of the tensors, as Q is orthonormal.  The paper's
@@ -35,8 +35,7 @@ import numpy as np
 
 from .exterior import MixedTorsion, contract12
 from .structure import AXES, QuatStructure
-from .threeform import (_interior_stack, hat_factors, hook_omega_matrix,
-                        m_matrix, proj3_matrix, r_matrix, se_core, xi_maps)
+from .threeform import hat_factors, proj3_parts, r_matrix, se_core
 from .torsion import fiber_basis_matrix, w_coords, w_embed
 
 
@@ -90,44 +89,31 @@ VISIBLE = (ComponentLabel.KH, ComponentLabel.EH, ComponentLabel.ES3H,
            ComponentLabel.L3ES3H)
 
 
-def _proj3_parts(ds: np.ndarray, F: tuple) -> np.ndarray:
-    """P_X ds (..., 4, N3) for X in VISIBLE, from the factors F of the
-    proj3 parts (threeform.proj3_matrix): the xi maps, then hook_omega xi_0
-    onto EH, -2 M3 (xi_I, xi_J, xi_K) onto EH + ES3H and plus3 onto KH + EH."""
-    xi, hook, m2, plus3 = F
-    x = ds @ xi.T
-    eh = x[..., :len(hook.T)] @ hook.T
-    e = x[..., len(hook.T):] @ m2.T
-    h = ds @ plus3.T
-    return np.stack([h - eh, eh, e - eh, ds - h - e + eh], axis=-2)
-
-
 def _w_core(s: QuatStructure) -> dict:
     """Cached operators on W coordinates: SE, R and HAT_W (dim r rows), the
-    factors of the proj3 parts and the c_X of the visible pieces, and the
-    blocks of Lcal (lcal_coords)."""
+    c_X of the visible pieces and the blocks of Lcal (lcal_coords)."""
 
     def build():
         Q = fiber_basis_matrix(s)
         # first, as applying deriv_op(4) is the largest transient of the
         # build (3 MB at n=3): later it would raise the peak RSS
         D = s.deriv_op(4)(Q.T).reshape(len(Q.T), 3, -1)
-        SE = ((Q.T @ se_core(s)) @ _interior_stack(s)).reshape(
-            -1, s.tab.nforms(3))
+        # SE[y] = (Q^T se_core)(e_y hook .), one exp_table(3) row an entry
+        u, _m, r, t, sign = s.tab.exp_table(3)
+        SE = np.zeros((s.dim, len(Q.T), s.tab.nforms(3)))
+        SE[r, :, u] = sign[:, None] * (Q.T @ se_core(s)).T[t]
+        SE = SE.reshape(-1, s.tab.nforms(3))
         R = (Q.T @ r_matrix(s).reshape(s.dim, -1, s.dim)).reshape(-1, s.dim)
         H3, H1 = hat_factors(s)
         hat_w = SE @ H3 - R @ H1
-        F = (xi_maps(s).reshape(4 * s.dim, -1), hook_omega_matrix(s),
-             -2.0 * m_matrix(s), proj3_matrix(s, "plus3"))
         # c_X = |HAT_W b| / |b| for the part b in X of a generic vector; 0
         # on an empty piece
-        b = _proj3_parts(np.sin(np.arange(s.tab.nforms(3)) ** 2.0), F)
+        b = proj3_parts(np.sin(np.arange(s.tab.nforms(3)) ** 2.0), s)
         nb = np.linalg.norm(b, axis=1)
         return {
             "SE": SE,
             "R": R,
             "hat_w": hat_w,
-            "proj3": F,
             "c": np.divide(np.linalg.norm(b @ hat_w.T, axis=1), nb,
                            out=np.zeros(len(nb)), where=nb > 1e-8 * nb.max()),
             "lcal": (-np.concatenate([s.mats[ax] for ax in AXES], axis=1),
@@ -145,6 +131,11 @@ def lcal_coords(C: np.ndarray, s: QuatStructure) -> np.ndarray:
     return M @ np.swapaxes(T, -2, -3).reshape(*C.shape[:-2], -1, C.shape[-1])
 
 
+def lcal_hpart(C: np.ndarray, s: QuatStructure) -> np.ndarray:
+    """The H half (Lcal C + 2 C)/6 of W coordinates C; C minus it is S3H."""
+    return (lcal_coords(C, s) + 2.0 * C) / 6.0
+
+
 _ORDER = VISIBLE + (ComponentLabel.L3EH, ComponentLabel.KS3H)
 
 
@@ -153,9 +144,9 @@ def component_norms(C: np.ndarray, ds: np.ndarray,
     """The six norms from W coordinates C (dim r, flat or not) and ds = d* a,
     forming no visible component: c_X |P_X ds|, then the halves of v."""
     core = _w_core(s)
-    parts = _proj3_parts(ds, core["proj3"])
+    parts = proj3_parts(ds, s)
     v = (C.reshape(-1) - core["hat_w"] @ ds).reshape(s.dim, -1)
-    h = (lcal_coords(v, s) + 2.0 * v) / 6.0
+    h = lcal_hpart(v, s)
     return dict(zip(_ORDER, [
         *map(float, core["c"] * np.linalg.norm(parts, axis=1)),
         float(np.linalg.norm(h)), float(np.linalg.norm(v - h))]))
@@ -165,12 +156,11 @@ def split_coords(C: np.ndarray, ds: np.ndarray,
                  s: QuatStructure) -> dict[ComponentLabel, np.ndarray]:
     """The six components' coordinates from W coordinates C (..., dim, r)
     and ds = d* a (..., N3): HAT_W P_X ds, then the halves of v."""
-    core = _w_core(s)
     lead = C.shape[:-2]
-    vis = (_proj3_parts(ds, core["proj3"]) @ core["hat_w"].T).reshape(
+    vis = (proj3_parts(ds, s) @ _w_core(s)["hat_w"].T).reshape(
         *lead, len(VISIBLE), *C.shape[-2:])
     v = C - vis.sum(axis=-3)
-    h = (lcal_coords(v, s) + 2.0 * v) / 6.0
+    h = lcal_hpart(v, s)
     return dict(zip(_ORDER, [*(vis[..., k, :, :] for k in range(4)), h,
                              v - h]))
 
@@ -182,14 +172,13 @@ def _split(a: MixedTorsion, s: QuatStructure, tol: float,
 
 def proj_hpart(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
                check: bool = True) -> MixedTorsion:
-    C = w_coords(a, s, tol, check)
-    return w_embed((lcal_coords(C, s) + 2.0 * C) / 6.0, s)
+    return w_embed(lcal_hpart(w_coords(a, s, tol, check), s), s)
 
 
 def proj_s3hpart(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
                  check: bool = True) -> MixedTorsion:
     C = w_coords(a, s, tol, check)
-    return w_embed((4.0 * C - lcal_coords(C, s)) / 6.0, s)
+    return w_embed(C - lcal_hpart(C, s), s)
 
 
 def component(a: MixedTorsion, X: ComponentLabel, s: QuatStructure,

@@ -1,8 +1,9 @@
-"""Analysis of 3-forms: the one-forms xi and xi_A, the eigenprojectors of L,
-the fifteen membership conditions on the invariant subspaces of Lambda^3, and
-the right inverse of the torsion contraction.  The membership conditions are
-written in the condition language of the class tables, and _eval_cond is the
-one evaluator of Tables 1-3.
+"""Analysis of 3-forms: the one-forms xi and xi_A, the projectors onto the
+four pieces of Lambda^3, applied only through the factors the formulas below
+show (proj3_parts), the fifteen membership conditions on the invariant
+subspaces of Lambda^3, and the right inverse of the torsion contraction.
+The membership conditions are written in the condition language of the class
+tables, and _eval_cond is the one evaluator of Tables 1-3.
 
 Lambda^3 splits as (K + E)H + (L3E + E)S^3H with
 
@@ -55,25 +56,15 @@ class OneFormTriple:
 # ---------------------------------------------------------------------------
 
 
-def _interior_stack(s: QuatStructure) -> np.ndarray:
-    """INT (dim x N2 x N3): INT[y] is the matrix of b -> e_y hook b."""
+def _trace_matrices(s: QuatStructure) -> np.ndarray:
+    """V (3 x dim x N3): (V[k] b)[y] = <e_y hook b, w_A>, A = AXES[k]: each
+    exp_table(3) row (u, r, t, sign) puts sign w_A[t] at its own (r, u)."""
 
     def build():
         u, _m, r, t, sign = s.tab.exp_table(3)
-        INT = np.zeros((s.dim, s.tab.nforms(2), s.tab.nforms(3)))
-        INT[r, t, u] = sign
-        return INT
-
-    return s.cache("interior_stack", build)
-
-
-def _trace_matrices(s: QuatStructure) -> np.ndarray:
-    """V (3 x dim x N3): (V[k] b)[y] = <e_y hook b, w_A>, A = AXES[k]."""
-
-    def build():
-        INT = _interior_stack(s)
-        return np.stack([np.einsum("c,ycb->yb", s.omega[a].coeffs, INT)
-                         for a in AXES])
+        V = np.zeros((3, s.dim, s.tab.nforms(3)))
+        V[:, r, u] = sign * np.stack([s.omega[a].coeffs[t] for a in AXES])
+        return V
 
     return s.cache("trace_matrices", build)
 
@@ -106,10 +97,12 @@ def xi_triple(b: AltForm, s: QuatStructure) -> OneFormTriple:
 
 
 # ---------------------------------------------------------------------------
-# projector matrices on Lambda^3
+# the projectors of Lambda^3, applied through their factors
 # ---------------------------------------------------------------------------
 
-PROJ3_LABELS = ("KH", "EH", "L3ES3H", "ES3H", "plus3", "minus3", "EHS3H")
+# the labels of proj3 as sums of the parts of proj3_parts
+PROJ3_LABELS = {"KH": [0], "EH": [1], "ES3H": [2], "L3ES3H": [3],
+                "plus3": [0, 1], "minus3": [2, 3], "EHS3H": [1, 2]}
 
 
 def hook_omega_matrix(s: QuatStructure) -> np.ndarray:
@@ -131,36 +124,34 @@ def m_matrix(s: QuatStructure) -> np.ndarray:
         [wedge_op(s.omega[a], 1).dense() @ s.mats[a] for a in AXES], axis=1))
 
 
-def proj3_matrix(s: QuatStructure, label: str) -> np.ndarray:
-    def build():
-        N3 = s.tab.nforms(3)
-        L3 = s.L_matrix(3)
-        eye = np.eye(N3)
-        plus3 = (3 * eye + L3) / 6.0
-        minus3 = (3 * eye - L3) / 6.0
-        P_EH = hook_omega_matrix(s) @ xi_maps(s)[0]
-        # -2 M3, M3: b -> sum_A (A xi_{b;A}) ^ w_A
-        P_EHS = -2.0 * (m_matrix(s) @ xi_maps(s)[1:].reshape(3 * s.dim, -1))
-        mats = {
-            "plus3": plus3,
-            "minus3": minus3,
-            "EH": P_EH,
-            "EHS3H": P_EHS,
-            "ES3H": P_EHS - P_EH,
-            "KH": plus3 - P_EH,
-        }
-        mats["L3ES3H"] = minus3 - mats["ES3H"]
-        return mats
+def proj3_factors(s: QuatStructure) -> tuple:
+    """The factors of the projectors of Lambda^3: the xi maps (4 dim x N3),
+    hook_omega, -2 M3 on (xi_I, xi_J, xi_K) and plus3 = (3 + L)/6."""
+    return s.cache("proj3_factors", lambda: (
+        xi_maps(s).reshape(4 * s.dim, -1), hook_omega_matrix(s),
+        -2.0 * m_matrix(s),
+        (3 * np.eye(s.tab.nforms(3)) + s.L_matrix(3)) / 6.0))
 
-    if label not in PROJ3_LABELS:
-        raise KeyError(f"unknown 3-form subspace label {label!r}")
-    return s.cache("proj3", build)[label]
+
+def proj3_parts(x: np.ndarray, s: QuatStructure) -> np.ndarray:
+    """P_X x (..., 4, N3) on 3-form coefficients x (..., N3), for X = KH, EH,
+    ES3H, L3ES3H: hook_omega xi_0 onto EH, -2 M3 (xi_I, xi_J, xi_K) onto
+    EH + ES3H and plus3 onto KH + EH."""
+    xi, hook, m2, plus3 = proj3_factors(s)
+    y = x @ xi.T
+    eh = y[..., :s.dim] @ hook.T
+    e = y[..., s.dim:] @ m2.T
+    h = x @ plus3.T
+    return np.stack([h - eh, eh, e - eh, x - h - e + eh], axis=-2)
 
 
 def proj3(b: AltForm, label: str, s: QuatStructure) -> AltForm:
+    if label not in PROJ3_LABELS:
+        raise KeyError(f"unknown 3-form subspace label {label!r}")
     if b.degree != 3:
         raise DegreeError("proj3 acts on 3-forms")
-    return AltForm(b.dim, 3, proj3_matrix(s, label) @ b.coeffs)
+    return AltForm(b.dim, 3, proj3_parts(b.coeffs, s)[PROJ3_LABELS[label]]
+                   .sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +308,8 @@ def hat_factors(s: QuatStructure) -> tuple[np.ndarray, np.ndarray]:
     """(H3, H1), hat_dstar = SE H3 - R H1 (module docstring): H3 = L/18 -
     (2k1/3k2) M3 with -2 M3 the E(H+S3H) projector, H1 = c xi."""
     k1, k2 = s.k1, s.k2
-    return (s.L_matrix(3) / 18.0
-            + (k1 / (3.0 * k2)) * proj3_matrix(s, "EHS3H"),
+    xi, _hook, m2, _plus3 = proj3_factors(s)
+    return (s.L_matrix(3) / 18.0 + (k1 / (3.0 * k2)) * (m2 @ xi[s.dim:]),
             (4 * k1 ** 2 + k2 ** 2) / (12.0 * k1 * k2) * xi_maps(s)[0])
 
 
@@ -326,7 +317,10 @@ def torsion_embed(b: AltForm, s: QuatStructure) -> MixedTorsion:
     """rows x -> sum_A i_A(x hook b) ^ w_A: se_core on each x hook b."""
     if b.degree != 3:
         raise DegreeError("the embedding acts on 3-forms")
-    return MixedTorsion(s.dim, (_interior_stack(s) @ b.coeffs) @ se_core(s).T)
+    u, _m, r, t, sign = s.tab.exp_table(3)
+    X = np.zeros((s.dim, s.tab.nforms(2)))
+    X[r, t] = sign * b.coeffs[u]  # the rows x hook b
+    return MixedTorsion(s.dim, X @ se_core(s).T)
 
 
 def hat_dstar(b: AltForm, s: QuatStructure) -> MixedTorsion:

@@ -335,19 +335,20 @@ def check_threeforms(s: QuatStructure, rng) -> list[CheckResult]:
 
     expected = {lab: PR.COMPONENT_DIMS[PR.ComponentLabel(lab)](s.n)
                 for lab in ("KH", "EH", "L3ES3H", "ES3H")}
+    # the matrices of the parts as proj3_parts applies them
+    mats = dict(zip(("KH", "EH", "ES3H", "L3ES3H"), np.moveaxis(
+        TF.proj3_parts(np.eye(s.tab.nforms(3)), s), 0, -1)))
     worst = 0.0
     detail = []
     for lab, want in expected.items():
-        tr = float(np.trace(TF.proj3_matrix(s, lab)))
+        tr = float(np.trace(mats[lab]))
         worst = max(worst, abs(tr - want))
         detail.append(f"{lab}={tr:.0f}")
-    tr = float(np.trace(TF.proj3_matrix(s, "EHS3H")))
+    tr = float(np.trace(mats["EH"] + mats["ES3H"]))
     worst = max(worst, abs(tr - 12 * s.n))
     out.append(CheckResult("threeform-projector-traces", worst, 1e-6,
                            ", ".join(detail) + f", EHS3H={tr:.0f}"))
 
-    mats = {lab: TF.proj3_matrix(s, lab)
-            for lab in ("KH", "EH", "L3ES3H", "ES3H")}
     worst = max(float(np.abs(P @ P - P).max()) for P in mats.values())
     for x, y in itertools.combinations(mats, 2):
         worst = max(worst, float(np.abs(mats[x] @ mats[y]).max()))
@@ -357,7 +358,7 @@ def check_threeforms(s: QuatStructure, rng) -> list[CheckResult]:
                            "idempotent, orthogonal, complete"))
 
     if s.n == 2:
-        resid = float(np.linalg.norm(TF.proj3_matrix(s, "L3ES3H")))
+        resid = float(np.linalg.norm(mats["L3ES3H"]))
         out.append(CheckResult("l3es3h-vanishes-dim8", resid, 1e-10))
 
     # membership rows against projector membership
@@ -367,9 +368,9 @@ def check_threeforms(s: QuatStructure, rng) -> list[CheckResult]:
     parts = {lab: TF.proj3(b, lab, s)
              for lab in ("KH", "EH", "L3ES3H", "ES3H")}
     for row_id, comps in TF.TABLE1_COMPONENTS.items():
-        member = AltForm.zero(dim, 3)
-        for lab in comps:
-            member = member + parts[lab]
+        # summed in the order of parts: a frozenset's follows the str hash
+        member = sum((parts[lab] for lab in parts if lab in comps),
+                     AltForm.zero(dim, 3))
         if member.norm() < 1e-12:
             continue
         worst_member = max(worst_member,
@@ -427,9 +428,8 @@ def component_matrices_on_W(s: QuatStructure) -> dict:
         ds = dstar_on_W(s).T
         mats = {X: c.reshape(D, D).T
                 for X, c in PR.split_coords(basis, ds, s).items()}
-        L = PR.lcal_coords(basis, s).reshape(D, D).T
-        mats["hpart"] = (L + 2.0 * np.eye(D)) / 6.0
-        mats["s3hpart"] = (4.0 * np.eye(D) - L) / 6.0
+        mats["hpart"] = PR.lcal_hpart(basis, s).reshape(D, D).T
+        mats["s3hpart"] = np.eye(D) - mats["hpart"]
         return mats
 
     return s.cache("component_matrices_W", build)
@@ -488,9 +488,9 @@ def check_components(s: QuatStructure, rng) -> list[CheckResult]:
     # HAT_W^T HAT_W P_X = c_X^2 P_X)
     core = PR._w_core(s)
     G, worst = core["hat_w"].T @ core["hat_w"], 0.0
-    for X, c in zip(PR.VISIBLE, core["c"]):
+    parts = np.moveaxis(TF.proj3_parts(np.eye(s.tab.nforms(3)), s), 0, -1)
+    for X, c, P in zip(PR.VISIBLE, core["c"], parts):
         if PR.COMPONENT_DIMS[X](s.n):
-            P = TF.proj3_matrix(s, X.value)
             worst = max(worst, float(np.abs(G @ P - c * c * P).max()) / c**2)
     out.append(CheckResult("hat-isometry", worst, 1e-12, "c_X " + ", ".join(
         f"{X.value}={c:.6f}" for X, c in zip(PR.VISIBLE, core["c"]))))
@@ -584,13 +584,11 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
     worst_reject = np.inf
     rows = table2_rows(s)
     for row in rows:
-        comps = frozenset(X for X in row.components
-                          if PR.COMPONENT_DIMS[X](s.n) > 0)
+        # summed in declaration order: a frozenset's follows the str hash
+        comps = [X for X in labs if X in row.components]
         if not comps:
             continue
-        m = MixedTorsion.zero(s.dim)
-        for X in comps:
-            m = m + pool[X]
+        m = sum((pool[X] for X in comps), MixedTorsion.zero(s.dim))
         worst_member = max(worst_member,
                            table2_residual(m, s, row).value)
         outside = [X for X in labs if X not in row.components]
@@ -611,11 +609,10 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
         composites = [row for row in rows if 2 <= len(row.components) <= 4]
         for row in singles + composites[:12]:
             for k in range(10):
-                m = MixedTorsion.zero(s.dim)
                 ppool = PR.components(
                     T.random_W_element(s, 51_000 + k), s, check=False)
-                for X in row.components:
-                    m = m + ppool[X]
+                m = sum((ppool[X] for X in labs if X in row.components),
+                        MixedTorsion.zero(s.dim))
                 v2 = table2_residual(m, s, row).value <= 1e-8
                 d = DerivedFromDOmega.from_torsion(m, s)
                 v3 = table2_residual_dOmega(d, s, row).value <= 1e-8
@@ -634,9 +631,8 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
         worst_member = 0.0
         worst_reject = np.inf
         for row in table3_rows(s):
-            m = MixedTorsion.zero(s.dim)
-            for X in row.components:
-                m = m + pool[X]
+            m = sum((pool[X] for X in PR.ComponentLabel
+                     if X in row.components), MixedTorsion.zero(s.dim))
             d = DerivedFromDOmega.from_torsion(m, s)
             worst_member = max(worst_member,
                                table3_residual(d, s, row).value)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -68,6 +70,37 @@ def test_verify_rejects_bad_n(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("cmd", ["classify", "liealg"])
+@pytest.mark.parametrize("tol", ["inf", "1e300", "nan", "0", "-1", "1"])
+def test_classify_and_liealg_refuse_bad_tol(cmd, tol, capsys):
+    fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                           "liealg", "class_KH.json")
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--input", fixture, "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_verify_residuals_do_not_depend_on_hash_seed():
+    # the str hash seed orders frozensets; the suite must not sum in that
+    # order, so that verify JSON can be compared byte for byte
+    import aqh
+
+    code = ("from aqh.verify import run_suite\n"
+            "for r in run_suite(2, 0, sections=('three-forms', "
+            "'classifier')):\n"
+            "    print(r.check, repr(r.residual))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aqh.__file__)))
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_inject_classify_round_trip(tmp_path, capsys):

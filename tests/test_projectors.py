@@ -245,7 +245,7 @@ def test_report_reads_lcal_once_more_where_its_row_does(s3, pool3,
     import importlib
 
     import aqh.projectors
-    from aqh import classification_report
+    from aqh import classification_report, standard_structure
 
     calls = []
     lcal = aqh.projectors.lcal_coords
@@ -265,10 +265,17 @@ def test_report_reads_lcal_once_more_where_its_row_does(s3, pool3,
     assert classification_report(pool3[ComponentLabel.L3EH], s3)["key"] \
         == "L3EH"
     assert len(calls) == 3
-    # the proj3 parts are applied through their factors: no dense stack of
-    # them is cached
-    N3 = s3.tab.nforms(3)
-    cached = [v for e in s3._cache.values()
-              for v in (e.values() if isinstance(e, dict) else [e])]
-    assert not [v for v in cached if isinstance(v, np.ndarray)
-                and v.shape == (4 * N3, N3)]
+    # the proj3 parts are applied through their factors and the interior
+    # products read from exp_table(3): the dense N3 x N3 maps cached are L
+    # on 3-forms and the factor plus3 = (3 + L)/6
+    s = standard_structure(3)
+    for X in ComponentLabel:
+        classification_report(pool3[X], s)
+    N3 = s.tab.nforms(3)
+    assert not {"proj3", "interior_stack"} & set(s._cache)
+    arrays = [(k, v) for k, e in s._cache.items() for v in (
+        e.values() if isinstance(e, dict) else
+        e if isinstance(e, tuple) else [e]) if isinstance(v, np.ndarray)]
+    assert not [k for k, v in arrays if v.shape == (4 * N3, N3)]
+    assert sorted(str(k) for k, v in arrays if v.shape[-2:] == (N3, N3)) \
+        == ["('L', 3)", "proj3_factors"]

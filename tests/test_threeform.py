@@ -22,7 +22,7 @@ from aqh import (
 from aqh.structure import AXES
 from aqh.threeform import (
     TABLE1_COMPONENTS,
-    proj3_matrix,
+    proj3_parts,
     r_matrix,
     )
 from aqh.verify import table1_prefix_free_residual
@@ -89,18 +89,25 @@ def test_es3h_parameterization(s2, rng):
     assert table1_member(b, "E.S3H", s2)
 
 
+def proj3_mats(s):
+    """The matrices of the four parts that proj3_parts applies."""
+    P = proj3_parts(np.eye(s.tab.nforms(3)), s)
+    return {lab: P[:, k].T for k, lab in enumerate(("KH", "EH", "ES3H",
+                                                     "L3ES3H"))}
+
+
 def test_proj3_traces_and_algebra(s2, s3):
     want = {2: {"KH": 32, "EH": 8, "L3ES3H": 0, "ES3H": 16},
             3: {"KH": 128, "EH": 12, "L3ES3H": 56, "ES3H": 24}}
     for s in (s2, s3):
-        mats = {lab: proj3_matrix(s, lab) for lab in want[s.n]}
+        mats = proj3_mats(s)
         for lab, tr in want[s.n].items():
             assert np.trace(mats[lab]) == pytest.approx(tr, abs=1e-8)
         total = sum(mats.values())
         assert np.abs(total - np.eye(s.tab.nforms(3))).max() < 1e-10
         for lab, P in mats.items():
             assert np.abs(P @ P - P).max() < 1e-10
-        assert np.trace(proj3_matrix(s, "EHS3H")) == pytest.approx(12 * s.n)
+        assert np.trace(mats["EH"] + mats["ES3H"]) == pytest.approx(12 * s.n)
 
 
 def test_proj3_decomposition_consistency(s2, rng):
@@ -116,7 +123,7 @@ def test_proj3_rejects_unknown_label(s2, rng):
 
 
 def test_l3es3h_projector_vanishes_at_dim8(s2):
-    assert np.linalg.norm(proj3_matrix(s2, "L3ES3H")) < 1e-10
+    assert np.linalg.norm(proj3_mats(s2)["L3ES3H"]) < 1e-10
 
 
 def test_table1_members_and_rejections(s3, rng):
