@@ -8,11 +8,11 @@ _alternated), which is faithful for n >= 3.  Table 3 (dimension 8, where the
 alternation is not injective) is transcribed in 5-form terms.
 
 The one-forms appearing in the conditions are always those of the 3-form
-d* a; in the exterior-derivative column they are recovered from the 5-form
-alone through Hodge identities, assembled once into dOmega_op (see
-DerivedFromDOmega).  Each condition field is a cached linear map of C = aQ,
-d* a or dOmega (sparse ones through their nonzeros), computed only when a
-row reads it.
+d* a; in the exterior-derivative column they are those of d*Omega, which
+is recovered from the 5-form alone through a Hodge identity assembled once
+into dOmega_op (see DerivedFromDOmega).  Each condition field is a cached
+linear map of C = aQ, d* a or dOmega (sparse ones through their nonzeros),
+computed only when a row reads it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .threeform import (
     _Ctx,
     _eval_cond,
     _Fields,
-    _trace_matrices,
     m_matrix,
     xi_triple,
 )
@@ -107,12 +106,14 @@ class DerivedFromDOmega:
     """d*Omega, xi, the xi_A triple, star(dOmega) ^ w_A ^ w_A (wAA, by axis)
     and star(dOmega) ^ Omega (wOm) from the 5-form dOmega.
 
-    The reconstruction uses (with star_inv for the outermost star):
-      d*Omega = ((-1)^n 6(n-1)/(2n-1)!) * star(Omega^(n-2) ^ dOmega)
-      xi      = -(1/(12(2n+1))) star_inv(star(dOmega) ^ Omega)
+    d*Omega is recovered by the Hodge identity
+      d*Omega = ((-1)^n 6(n-1)/(2n-1)!) * star(Omega^(n-2) ^ dOmega),
+    and xi, xi_A are those of d*Omega (threeform.xi_maps).  They also satisfy
+    (with star_inv for the outermost star)
+      xi = -(1/(12(2n+1))) star_inv(star(dOmega) ^ Omega),
       star(star(d*Omega) ^ w_A) = 4 k1 A xi_A + 6 A xi,
-    the last solved for xi_A, its left side being -<. hook d*Omega, w_A>.
-    dOmega_op composes them once."""
+    which verify certifies.  dOmega_op holds d*Omega and the four wedge
+    forms."""
 
     dOmega: AltForm
     dstarOmega: AltForm
@@ -127,11 +128,11 @@ class DerivedFromDOmega:
                     scale: float | None = None) -> "DerivedFromDOmega":
         N3, dim = s.tab.nforms(3), s.dim
         v = dOmega_op(s)(dOm.coeffs)
-        xi, xI, xJ, xK, *tops = v[N3:].reshape(8, dim)
-        tops = [AltForm(dim, dim - 1, c) for c in tops]
-        return cls(dOm, AltForm(dim, 3, v[:N3]), xi,
-                   OneFormTriple(xI, xJ, xK, xi), dict(zip(AXES, tops)),
-                   tops[3], dOm.norm() if scale is None else scale)
+        dstar = AltForm(dim, 3, v[:N3])
+        tri = xi_triple(dstar, s)
+        tops = [AltForm(dim, dim - 1, c) for c in v[N3:].reshape(4, dim)]
+        return cls(dOm, dstar, tri.xi, tri, dict(zip(AXES, tops)), tops[3],
+                   dOm.norm() if scale is None else scale)
 
     @classmethod
     def from_torsion(cls, a: MixedTorsion, s: QuatStructure) -> "DerivedFromDOmega":
@@ -152,34 +153,28 @@ class DerivedFromDOmega:
 
 
 def dOmega_op(s: QuatStructure) -> SparseOp:
-    """The map ((N3 + 8 dim) x N5) dOm -> [d*Omega | xi | xi_I, xi_J, xi_K |
-    star(dOm) ^ w_A ^ w_A for A = I, J, K | star(dOm) ^ Omega] as its
-    nonzeros, from the identities of DerivedFromDOmega: the d*Omega rows are
-    the wedge with Omega^(n-2) moved by the star, the others formed dense."""
+    """The map ((N3 + 4 dim) x N5) dOm -> [d*Omega | star(dOm) ^ w_A ^ w_A
+    for A = I, J, K | star(dOm) ^ Omega] as its nonzeros: the d*Omega rows
+    are the wedge with Omega^(n-2) moved by the star (DerivedFromDOmega),
+    the wedge rows formed dense."""
 
     def build():
         n, dim = s.n, s.dim
         lift = wedge_op(wedge_power(s.Omega, n - 2), 5)
-        H, H5, H1 = (hodge_op(dim, p, s.vol_coeff) for p in (dim - 3, 5, 1))
+        H, H5 = (hodge_op(dim, p, s.vol_coeff) for p in (dim - 3, 5))
         # d*Omega as (column, row, value): its transpose; H permutes rows
         dT = SparseOp(lift.c, H.r[lift.r], (
             (-1.0) ** n * 6 * (n - 1) / math.factorial(2 * n - 1)
             * H.v[lift.r] * lift.v), lift.shape[::-1])
-        # star(dOm) ^ b = W H_5 dOm for the fixed b, and xi from star_inv =
-        # H_1^T of the rows W[:dim]: products with the H are gathers
-        fixed = [s.Omega] + [wedge(s.omega[a], s.omega[a]) for a in AXES]
+        # star(dOm) ^ b = W H_5 dOm for the fixed b; H_5 is a gather
+        fixed = [wedge(s.omega[a], s.omega[a]) for a in AXES] + [s.Omega]
         W = np.concatenate([wedge_op(b, dim - 5).dense()
                             for b in fixed])[:, H5.r] * H5.v
-        xi = -(1.0 / (12 * s.k2)) * H1.v[:, None] * W[H1.r]
-        dV = dT(_trace_matrices(s))
-        xiA = [s.mats[a] @ (dV[k] + 6.0 * (s.mats[a] @ xi)) / (4 * s.k1)
-               for k, a in enumerate(AXES)]
-        rest = np.concatenate([xi, *xiA, W[dim:], W[:dim]])
-        r, c = np.nonzero(rest != 0)
+        r, c = np.nonzero(W)
         return SparseOp(np.concatenate([dT.c, len(H.r) + r]),
                         np.concatenate([dT.r, c]),
-                        np.concatenate([dT.v, rest[r, c]]),
-                        (len(H.r) + len(rest), rest.shape[1]))
+                        np.concatenate([dT.v, W[r, c]]),
+                        (len(H.r) + len(W), W.shape[1]))
 
     return s.cache("dOmega", build)
 
@@ -513,8 +508,7 @@ def classification_report(a: MixedTorsion, s: QuatStructure,
     out["table2"] = RowResult.evaluate(row2, row2.col2, ctx).to_json()
     d = ctx.derived()
     if s.n >= 3:
-        out["table2_dOmega"] = table2_residual_dOmega(d, s,
-                                                      label.components).to_json()
+        out["table2_dOmega"] = table2_residual_dOmega(d, s, row2).to_json()
     else:
         rows = [row for row in table3_rows(s)
                 if label.components <= row.components]

@@ -23,7 +23,7 @@ from .exterior import load_json, mixed_from_json, mixed_to_json
 from .liealg import VerificationError, algebra_from_json, classify_algebra
 from .projectors import COMPONENT_DIMS, ComponentLabel, component
 from .structure import StructureError, standard_structure
-from .torsion import random_W_element, w_dim
+from .torsion import check_tol, random_W_element, w_dim
 from .verify import run_suite
 
 
@@ -54,11 +54,12 @@ class InputError(Exception):
 
 
 def tolerance(text: str) -> float:
-    """A relative tolerance: finite, 0 < tol < 1 (NaN fails both bounds)."""
+    """A relative tolerance that passes torsion.check_tol."""
     tol = float(text)
-    if not 0.0 < tol < 1.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not in (0, 1)")
-    return tol
+    try:
+        return check_tol(tol)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(data, fmt: str, text_fn):

@@ -48,7 +48,7 @@ from .structure import (
     structure_from_json,
 )
 from .threeform import xi_triple
-from .torsion import from_nabla_omegas, is_in_W
+from .torsion import check_tol, from_nabla_omegas, is_in_W
 from .classify import DerivedFromDOmega, classification_report
 
 
@@ -254,7 +254,8 @@ def _codiff_Omega(g: MetricLieAlgebra, nOm: MixedTorsion,
 def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
     """End-to-end pipeline: connection, torsion, class, table residuals and
     the structural cross-identities, sharing nabla Omega, d Omega, d w_A,
-    nabla w_A and N_A."""
+    nabla w_A and N_A.  A bad tol raises ValueError (check_tol)."""
+    check_tol(tol)
     s = g.structure
     G = koszul(g)
     nOm = nabla_Omega(g, G)

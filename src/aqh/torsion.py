@@ -121,10 +121,19 @@ def is_in_W(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8) -> tuple[bool,
     return resid <= tol, resid
 
 
+def check_tol(tol: float) -> float:
+    """Return a relative tolerance that is finite with 0 < tol < 1 (NaN fails
+    both bounds); raise ValueError otherwise."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol!r}")
+    return tol
+
+
 def require_in_W(a: MixedTorsion, s: QuatStructure,
                  tol: float = 1e-8) -> np.ndarray:
     """Raise MembershipError unless a lies within tol*|a| of W; return the
-    W coordinates C = aQ."""
+    W coordinates C = aQ.  A bad tol raises ValueError (check_tol)."""
+    check_tol(tol)
     C, resid = _w_project(a, s)
     if not resid <= tol:
         raise MembershipError(

@@ -88,12 +88,7 @@ def check_exterior(s: QuatStructure, rng) -> list[CheckResult]:
     dim = s.dim
     out = []
     worst = 0.0
-    for p in range(0, dim + 1, 2):
-        psi, phi = _rand_form(rng, dim, p), _rand_form(rng, dim, p)
-        lhs = wedge(psi, s.star(phi)).coeffs[0]
-        worst = max(worst, abs(lhs - inner(psi, phi) * s.vol_coeff)
-                    / max(abs(lhs), 1e-300))
-    for p in range(1, dim, 2):
+    for p in [*range(0, dim + 1, 2), *range(1, dim, 2)]:
         psi, phi = _rand_form(rng, dim, p), _rand_form(rng, dim, p)
         lhs = wedge(psi, s.star(phi)).coeffs[0]
         worst = max(worst, abs(lhs - inner(psi, phi) * s.vol_coeff)
@@ -251,29 +246,22 @@ def check_torsion_space(s: QuatStructure, rng) -> list[CheckResult]:
     out.append(CheckResult("embedding-round-trip", max(worst_fw, worst_bw),
                            1e-9, "F and its contraction inverse"))
 
+    # the rank of the samples' W coordinates is that of their full rows once
+    # every sample lies within the rank threshold 1e-10 of W
     dimW = T.w_dim(s.n)
-    # The singular values of the (dimW + 20) x dim*N4 sample matrix are those
-    # of its R factor, built one tensor row x at a time: no 25 MB matrix at n=3.
-    rows = [T.random_W_element(s, 35_000 + i).rows for i in range(dimW + 20)]
-    R = np.zeros((0, len(rows)))
-    for x in range(s.dim):
-        R = np.linalg.qr(np.vstack([R, np.stack([r[x] for r in rows], 1)]),
-                         mode="r")
-    sv = np.linalg.svd(R, compute_uv=False)
-    rank = int((sv > sv[0] * 1e-10).sum())
-    out.append(CheckResult("torsion-space-dimension", abs(rank - dimW), 0.5,
-                           f"sample rank {rank}, expected {dimW}"))
+    coords, dists = zip(*(T._w_project(T.random_W_element(s, 35_000 + i), s)
+                          for i in range(dimW + 20)))
+    sv = np.linalg.svd(np.reshape(coords, (len(coords), -1)),
+                       compute_uv=False)
+    rank, dist = int((sv > sv[0] * 1e-10).sum()), max(dists)
+    out.append(CheckResult(
+        "torsion-space-dimension", abs(rank - dimW) + float(dist > 1e-10),
+        0.5, f"sample rank {rank}, expected {dimW}; "
+             f"distance to W {dist:.1e}, bound 1e-10"))
 
     # conjugation-sum eigenvalues on 2-forms: T c = sum_A c(A., A.)
-    N2 = s.tab.nforms(2)
-    pairs = np.asarray(s.tab.tuples(2))
-    Tmat = np.zeros((N2, N2))
-    for col in range(N2):
-        M = np.zeros((s.dim, s.dim))
-        i, j = pairs[col]
-        M[i, j], M[j, i] = 1.0, -1.0
-        img = sum(s.mats[ax].T @ M @ s.mats[ax] for ax in AXES)
-        Tmat[:, col] = img[pairs[:, 0], pairs[:, 1]]
+    i, j = s.tab.columns(2)
+    Tmat = T._conj_sum(T._two_form_mats(np.eye(len(i)), s), s)[:, i, j].T
     ev = np.linalg.eigvalsh(0.5 * (Tmat + Tmat.T))
     resid = float(np.abs((ev - 3.0) * (ev + 1.0)).max())
     out.append(CheckResult("conjugation-sum-eigenvalues", resid, 1e-9,
@@ -607,10 +595,10 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
         total = 0
         singles = [row for row in rows if len(row.components) == 1]
         composites = [row for row in rows if 2 <= len(row.components) <= 4]
+        ppools = [PR.components(T.random_W_element(s, 51_000 + k), s,
+                                check=False) for k in range(10)]
         for row in singles + composites[:12]:
-            for k in range(10):
-                ppool = PR.components(
-                    T.random_W_element(s, 51_000 + k), s, check=False)
+            for ppool in ppools:
                 m = sum((ppool[X] for X in labs if X in row.components),
                         MixedTorsion.zero(s.dim))
                 v2 = table2_residual(m, s, row).value <= 1e-8
@@ -704,17 +692,18 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
     out.append(CheckResult("hodge-triple-wedge-corrected", worst_estre1, 1e-9,
                            "2 k1 A zeta_A + A sum zeta"))
 
+    # the Hodge formulas of DerivedFromDOmega, one star and wedge at a time
     d = DerivedFromDOmega.from_torsion(a, s)
-    ds = contract12(a)
-    tri = TF.xi_triple(ds, s)
-    r1 = float(np.linalg.norm(d.xi - tri.xi)) / max(
-        np.linalg.norm(tri.xi), 1e-300)
-    r2 = max(float(np.linalg.norm(d.xi_triple[ax] - tri[ax]))
-             for ax in AXES) / max(np.linalg.norm(tri.xi_I), 1e-300)
-    r3 = float(np.linalg.norm(d.dstarOmega.coeffs - ds.coeffs)) / max(
-        ds.norm(), 1e-300)
-    out.append(CheckResult("exterior-derivative-recovery", max(r1, r2, r3),
-                           1e-8, "d*, xi, xi_A recovered from the 5-form"))
+    ds, tri, sd = contract12(a), d.xi_triple, s.star(d.dstarOmega)
+    pairs = [(d.dstarOmega.coeffs, ds.coeffs),
+             (-s.star_inv(d.wOm).coeffs / (12 * s.k2), TF.xi(ds, s))]
+    pairs += [(s.star(wedge(sd, s.omega[ax])).coeffs,
+               s.mats[ax] @ (4 * s.k1 * tri[ax] + 6 * tri.xi)) for ax in AXES]
+    resid = max(float(np.linalg.norm(got - want))
+                / max(np.linalg.norm(want), 1e-300) for got, want in pairs)
+    out.append(CheckResult("exterior-derivative-recovery", resid, 1e-8,
+                           "d* and xi from the 5-form, "
+                           "star(star(d*) ^ w_A) from xi, xi_A"))
 
     # wedge criteria against projector verdicts
     comps = PR.components(a, s, check=False)

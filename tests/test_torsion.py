@@ -203,6 +203,48 @@ def test_torsion_space_dimension(s2, s3):
         assert int((sv > sv[0] * 1e-10).sum()) == expected
 
 
+def _dimension_check(s):
+    from aqh.verify import check_torsion_space
+
+    rows = check_torsion_space(s, np.random.default_rng(0))
+    return next(r for r in rows if r.check == "torsion-space-dimension")
+
+
+def test_dimension_check_fails_off_W(s2, monkeypatch):
+    # the check's samples (seeds from 35_000) get a full-row perturbation of
+    # relative size 1e-6: their W coordinates keep rank 120, their distance
+    # to W fails the bound 1e-10
+    import aqh.torsion
+
+    orig = aqh.torsion.random_W_element
+
+    def perturbed(s, seed):
+        a = orig(s, seed)
+        if not 35_000 <= seed < 36_000:
+            return a
+        g = np.random.default_rng(seed).standard_normal(a.rows.shape)
+        return MixedTorsion(a.dim, a.rows + 1e-6 * a.norm() * g
+                            / np.linalg.norm(g))
+
+    monkeypatch.setattr(aqh.torsion, "random_W_element", perturbed)
+    row = _dimension_check(s2)
+    assert not row.passed
+    assert "sample rank 120, expected 120" in row.detail
+    assert float(row.detail.split("distance to W ")[1].split(",")[0]) > 1e-7
+
+
+def test_dimension_check_fails_on_rank(s2, monkeypatch):
+    # ten distinct elements in W span at most ten dimensions
+    import aqh.torsion
+
+    orig = aqh.torsion.random_W_element
+    monkeypatch.setattr(aqh.torsion, "random_W_element",
+                        lambda s, seed: orig(s, seed % 10))
+    row = _dimension_check(s2)
+    assert not row.passed
+    assert "sample rank 10, expected 120" in row.detail
+
+
 def test_fiber_basis_matches_per_column_build(s2, s3):
     """The batched build spans the same subspace as F(fiber_project(.))
     applied one basis 2-form at a time."""
