@@ -10,16 +10,17 @@ alternation is not injective) is transcribed in 5-form terms.
 The one-forms appearing in the conditions are always those of the 3-form
 d* a; in the exterior-derivative column they are those of d*Omega, which
 is recovered from the 5-form alone through a Hodge identity assembled once
-into dOmega_op (see DerivedFromDOmega).  Each condition field is a cached
-linear map of C = aQ, d* a or dOmega (sparse ones through their nonzeros),
-computed only when a row reads it.
+into dOmega_op (see DerivedFromDOmega).  The wedge norms are read from
+these one-forms (threeform.wedge_norms), so the covariant column reads
+no 5-form.  Each condition field is a cached linear map of C = aQ, d* a or
+dOmega (sparse ones through their nonzeros), computed when a row reads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,9 +34,10 @@ from .threeform import (
     _eval_cond,
     _Fields,
     m_matrix,
+    wedge_norms,
     xi_triple,
 )
-from .torsion import require_in_W, w_coords
+from .torsion import check_tol, require_in_W, w_coords
 
 ALIASES = {
     frozenset(): ("QK", "quaternion-Kähler"),
@@ -103,78 +105,50 @@ def _label(prof, tol: float):
 
 @dataclass
 class DerivedFromDOmega:
-    """d*Omega, xi, the xi_A triple, star(dOmega) ^ w_A ^ w_A (wAA, by axis)
-    and star(dOmega) ^ Omega (wOm) from the 5-form dOmega.
+    """d*Omega, xi and the xi_A triple from the 5-form dOmega.
 
     d*Omega is recovered by the Hodge identity
       d*Omega = ((-1)^n 6(n-1)/(2n-1)!) * star(Omega^(n-2) ^ dOmega),
-    and xi, xi_A are those of d*Omega (threeform.xi_maps).  They also satisfy
-    (with star_inv for the outermost star)
+    and xi, xi_A are those of d*Omega (threeform.xi_maps).  With star_inv
+    for the outermost star they satisfy
       xi = -(1/(12(2n+1))) star_inv(star(dOmega) ^ Omega),
       star(star(d*Omega) ^ w_A) = 4 k1 A xi_A + 6 A xi,
-    which verify certifies.  dOmega_op holds d*Omega and the four wedge
-    forms."""
+    and, only when dOmega is the alternation of a tensor in W (alternate5
+    of a member of W, or ce_d(g, Omega)), the identity threeform.wedge_norms
+    reads: star_inv(star(dOmega) ^ w_A ^ w_A) = -12 xi - 8 k1 xi_A.  verify
+    certifies all three."""
 
     dOmega: AltForm
     dstarOmega: AltForm
     xi: np.ndarray
     xi_triple: OneFormTriple
-    wAA: dict
-    wOm: AltForm
     scale: float = 0.0          # reference size for relative residuals
 
     @classmethod
     def from_dOmega(cls, dOm: AltForm, s: QuatStructure,
                     scale: float | None = None) -> "DerivedFromDOmega":
-        N3, dim = s.tab.nforms(3), s.dim
-        v = dOmega_op(s)(dOm.coeffs)
-        dstar = AltForm(dim, 3, v[:N3])
+        dstar = AltForm(s.dim, 3, dOmega_op(s)(dOm.coeffs))
         tri = xi_triple(dstar, s)
-        tops = [AltForm(dim, dim - 1, c) for c in v[N3:].reshape(4, dim)]
-        return cls(dOm, dstar, tri.xi, tri, dict(zip(AXES, tops)), tops[3],
+        return cls(dOm, dstar, tri.xi, tri,
                    dOm.norm() if scale is None else scale)
 
     @classmethod
     def from_torsion(cls, a: MixedTorsion, s: QuatStructure) -> "DerivedFromDOmega":
         return cls.from_dOmega(alternate5(a), s, scale=a.norm())
 
-    def wedge_norms(self) -> dict[str, float]:
-        """The wedge norms the conditions read: |star(dOm) ^ Omega| (wOm0),
-        the larger difference of the star(dOm) ^ w_A ^ w_A (wAAeq), the
-        largest of them (wAA0) and |Omega^(n-2) ^ dOm| (wOmdeg0), which is
-        |d*Omega| (2n-1)! / (6(n-1)) as star is an isometry."""
-        per, n = self.wAA, self.dOmega.dim // 4
-        return {"wOm0": self.wOm.norm(),
-                "wAAeq": max((per["I"] - per["J"]).norm(),
-                             (per["J"] - per["K"]).norm()),
-                "wAA0": max(f.norm() for f in per.values()),
-                "wOmdeg0": (self.dstarOmega.norm() * math.factorial(2 * n - 1)
-                            / (6 * (n - 1)))}
-
 
 def dOmega_op(s: QuatStructure) -> SparseOp:
-    """The map ((N3 + 4 dim) x N5) dOm -> [d*Omega | star(dOm) ^ w_A ^ w_A
-    for A = I, J, K | star(dOm) ^ Omega] as its nonzeros: the d*Omega rows
-    are the wedge with Omega^(n-2) moved by the star (DerivedFromDOmega),
-    the wedge rows formed dense."""
+    """The map (N3 x N5) dOm -> d*Omega as its nonzeros: the wedge with
+    Omega^(n-2) moved by the star (DerivedFromDOmega)."""
 
     def build():
         n, dim = s.n, s.dim
         lift = wedge_op(wedge_power(s.Omega, n - 2), 5)
-        H, H5 = (hodge_op(dim, p, s.vol_coeff) for p in (dim - 3, 5))
-        # d*Omega as (column, row, value): its transpose; H permutes rows
-        dT = SparseOp(lift.c, H.r[lift.r], (
+        H = hodge_op(dim, dim - 3, s.vol_coeff)
+        # H permutes the rows of the lift
+        return SparseOp(H.r[lift.r], lift.c, (
             (-1.0) ** n * 6 * (n - 1) / math.factorial(2 * n - 1)
-            * H.v[lift.r] * lift.v), lift.shape[::-1])
-        # star(dOm) ^ b = W H_5 dOm for the fixed b; H_5 is a gather
-        fixed = [wedge(s.omega[a], s.omega[a]) for a in AXES] + [s.Omega]
-        W = np.concatenate([wedge_op(b, dim - 5).dense()
-                            for b in fixed])[:, H5.r] * H5.v
-        r, c = np.nonzero(W)
-        return SparseOp(np.concatenate([dT.c, len(H.r) + r]),
-                        np.concatenate([dT.r, c]),
-                        np.concatenate([dT.v, W[r, c]]),
-                        (len(H.r) + len(W), W.shape[1]))
+            * H.v[lift.r] * lift.v), lift.shape)
 
     return s.cache("dOmega", build)
 
@@ -207,10 +181,9 @@ def ctx_from_torsion(a: MixedTorsion, s: QuatStructure,
     w fields are W coordinates (dim*r): a, La, SEd, SELd, Q, R.  All of them
     lie in W, so their norms are those of the 5-slot tensors."""
     ds = contract12(a)
-    ctx = _Ctx(s, a.norm(), ds.coeffs, xi_triple(ds, s),
-               cache(lambda: DerivedFromDOmega.from_torsion(a, s)))
+    ctx = _Ctx(s, a.norm(), ds.coeffs, xi_triple(ds, s))
     C = w_coords(a, s, check=False) if C is None else C
-    f3, xi, xi3 = ctx.f3, ctx.xi, ctx.xi3
+    f3, xi, xi3 = ctx.f3, ctx.xiA.xi, ctx.xi3
     SE, R = (_w_core(s)[k] for k in ("SE", "R"))
     ctx.w = _Fields(a=lambda: C.reshape(-1),
                     La=lambda: lcal_coords(C, s).reshape(-1),
@@ -223,7 +196,7 @@ def ctx_from_torsion(a: MixedTorsion, s: QuatStructure,
 def ctx_from_derived(d: DerivedFromDOmega, s: QuatStructure) -> _Ctx:
     """The exterior-derivative context of d.  Its f5 fields are 5-forms:
     dOm, LdOm, AEd, AELd, Q5, xiOm."""
-    ctx = _Ctx(s, d.scale, d.dstarOmega.coeffs, d.xi_triple, lambda: d)
+    ctx = _Ctx(s, d.scale, d.dstarOmega.coeffs, d.xi_triple)
     dOm, f3, xi3 = d.dOmega.coeffs, ctx.f3, ctx.xi3
     ctx.f5 = _Fields(dOm=lambda: dOm, LdOm=lambda: s.L_apply(5, dOm),
                      AEd=lambda: ae(s, f3["dstar"]),
@@ -466,9 +439,12 @@ def wedge_criteria(d: DerivedFromDOmega, s: QuatStructure,
                    tol: float = 1e-8) -> dict[str, bool]:
     """i) star(dOm)^Om = 0 iff the EH part vanishes; ii) the three
     star(dOm)^w_A^w_A agree iff the ES3H part vanishes; iii) all vanish iff
-    the E(H+S3H) part vanishes."""
+    the E(H+S3H) part vanishes.  The wedges are read from xi, xi_A
+    (threeform.wedge_norms), so dOm must be the alternation of a tensor in
+    W, as alternate5(a) and ce_d(g, Omega) are.  check_tol checks tol."""
+    check_tol(tol)
     bound = tol * max(d.dOmega.norm(), 1e-300)
-    norms = d.wedge_norms()
+    norms = wedge_norms(d.dstarOmega.coeffs, d.xi_triple, s.n)
     return {"EH_zero": norms["wOm0"] <= bound,
             "ES3H_zero": norms["wAAeq"] <= bound,
             "EHS3H_zero": norms["wAA0"] <= bound}
@@ -476,7 +452,8 @@ def wedge_criteria(d: DerivedFromDOmega, s: QuatStructure,
 
 def perp_EH5_test(phi: AltForm, s: QuatStructure, tol: float = 1e-8) -> bool:
     """True iff phi is orthogonal to all a ^ w_A ^ w_B, tested through the
-    nine wedges star(phi) ^ w_A ^ w_B."""
+    nine wedges star(phi) ^ w_A ^ w_B; check_tol checks tol."""
+    check_tol(tol)
     sp = s.star(phi)
     scale = max(phi.norm(), 1e-300)
     worst = max(
@@ -492,8 +469,8 @@ def perp_EH5_test(phi: AltForm, s: QuatStructure, tol: float = 1e-8) -> bool:
 
 def classification_report(a: MixedTorsion, s: QuatStructure,
                           tol: float = 1e-8) -> dict:
-    # C = aQ after the one membership test; C, d* a and the fields of
-    # alternate5(a) are computed once for the profile and both contexts
+    # C = aQ after the one membership test; C and d* a are computed once
+    # for the profile and the covariant context
     ctx = ctx_from_torsion(a, s, w_coords(a, s, tol))
     label, prof = _label(ComponentProfile(component_norms(
         ctx.w["a"], ctx.f3["dstar"], s), a.norm()), tol)
@@ -506,7 +483,7 @@ def classification_report(a: MixedTorsion, s: QuatStructure,
     }
     row2 = _find_row(table2_rows(s), label.components)
     out["table2"] = RowResult.evaluate(row2, row2.col2, ctx).to_json()
-    d = ctx.derived()
+    d = DerivedFromDOmega.from_torsion(a, s)
     if s.n >= 3:
         out["table2_dOmega"] = table2_residual_dOmega(d, s, row2).to_json()
     else:

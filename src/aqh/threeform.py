@@ -29,6 +29,7 @@ no full-row matrix is assembled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,15 +176,13 @@ class _Ctx:
     """The fields the conditions read, each computed when a condition first
     reads it, and the scale of the residuals.  The table f3 holds the 3-form
     dstar, Ldstar = L dstar, xiC = xi hook Omega and m = sum_A (A xi_A) ^ w_A;
-    xi and xiA = (xi_I, xi_J, xi_K) are the one-forms of dstar, given as tri.
-    The torsion contexts (classify.ctx_from_*) also fill the tables w and f5
-    and give derived(), the DerivedFromDOmega of the tensor's 5-form."""
+    xiA = tri holds the one-forms xi and (xi_I, xi_J, xi_K) of dstar.  The
+    torsion contexts (classify.ctx_from_*) also fill the tables w and f5."""
 
     def __init__(self, s: QuatStructure, scale: float, dstar: np.ndarray,
-                 tri: OneFormTriple, derived):
+                 tri: OneFormTriple):
         # builders hold what they read, not the context: no reference cycle
-        self.scale, self.derived = max(scale, 1e-300), derived
-        self.xi, self.xiA = tri.xi, tri
+        self.scale, self.n, self.xiA = max(scale, 1e-300), s.n, tri
         self.xi3 = xi3 = np.concatenate([tri.xi_I, tri.xi_J, tri.xi_K])
         self.f3 = _Fields(dstar=lambda: dstar,
                           Ldstar=lambda: s.L_matrix(3) @ dstar,
@@ -192,10 +191,26 @@ class _Ctx:
         self.w = self.f5 = _Fields()
 
 
+def wedge_norms(dstar: np.ndarray, tri: OneFormTriple,
+                n: int) -> dict[str, float]:
+    """The wedge norms of dOm from dstar = d*Omega and its one-forms, star
+    being an isometry: |star(dOm) ^ Omega| = 12(2n+1) |xi| (wOm0); the
+    larger difference (wAAeq) and the largest norm (wAA0) of
+    star_inv(star(dOm) ^ w_A ^ w_A) = -12 xi - 8(n-1) xi_A, which holds when
+    dOm is the alternation of a tensor in W; |Omega^(n-2) ^ dOm| =
+    |d*Omega| (2n-1)!/(6(n-1)) (wOmdeg0)."""
+    norm, k1 = np.linalg.norm, n - 1
+    return {k: float(v) for k, v in dict(
+        wOm0=12 * (2 * n + 1) * norm(tri.xi),
+        wAAeq=8 * k1 * max(norm(tri[a] - tri[b]) for a, b in ("IJ", "JK")),
+        wAA0=max(norm(12 * tri.xi + 8 * k1 * tri[a]) for a in AXES),
+        wOmdeg0=norm(dstar) * math.factorial(2 * n - 1) / (6 * k1)).items()}
+
+
 def _eval_cond(cond, ctx: _Ctx) -> float:
     """Residual norm of one condition: a combination of the fields of one
     table (f3, or the w and f5 tables of a torsion context), a norm of the
-    one-forms, a wedge norm of ctx.derived(), or the best branch of an or."""
+    one-forms, a wedge norm (wedge_norms), or the best branch of an or."""
     tag = cond[0]
     if tag in ("w", "f5", "f3"):
         table = getattr(ctx, tag)
@@ -205,15 +220,14 @@ def _eval_cond(cond, ctx: _Ctx) -> float:
             acc = v if acc is None else acc + v
         return float(np.linalg.norm(acc))
     if tag == "xi0":
-        return float(np.linalg.norm(ctx.xi))
+        return float(np.linalg.norm(ctx.xiA.xi))
     if tag == "xiA0":
         return max(float(np.linalg.norm(ctx.xiA[a])) for a in AXES)
     if tag == "xiA_eq":
-        return max(
-            float(np.linalg.norm(ctx.xiA["I"] - ctx.xiA["J"])),
-            float(np.linalg.norm(ctx.xiA["J"] - ctx.xiA["K"])))
+        return max(float(np.linalg.norm(ctx.xiA[a] - ctx.xiA[b]))
+                   for a, b in ("IJ", "JK"))
     if tag in ("wOm0", "wAAeq", "wAA0", "wOmdeg0"):
-        return ctx.derived().wedge_norms()[tag]
+        return wedge_norms(ctx.f3["dstar"], ctx.xiA, ctx.n)[tag]
     if tag == "true":
         return 0.0
     if tag == "or":
@@ -263,12 +277,14 @@ def table1_residuals(b: AltForm, row_id: str, s: QuatStructure) -> list[float]:
         raise KeyError(f"unknown Table-1 row {row_id!r}")
     if b.degree != 3:
         raise DegreeError("membership rows act on 3-forms")
-    ctx = _Ctx(s, b.norm(), b.coeffs, xi_triple(b, s), None)
+    ctx = _Ctx(s, b.norm(), b.coeffs, xi_triple(b, s))
     return [_eval_cond(c, ctx) for c in TABLE1[row_id][1]]
 
 
 def table1_member(b: AltForm, row_id: str, s: QuatStructure,
                   tol: float = 1e-9) -> bool:
+    from .torsion import check_tol  # torsion imports this module
+    check_tol(tol)
     scale = max(b.norm(), 1e-300)
     return max(table1_residuals(b, row_id, s)) <= tol * scale
 

@@ -19,6 +19,7 @@ from aqh import (
     contract12,
     perp_EH5_test,
     random_W_element,
+    table1_member,
     table2_residual,
     table2_residual_dOmega,
     table2_rows,
@@ -337,26 +338,70 @@ def _hodge_route(dOm, s):
 def test_dOmega_matrix_matches_hodge_route(s2, s3, rng):
     from aqh.classify import dOmega_op
     from aqh.structure import random_rotation, rotate_adapted
+    from aqh.threeform import wedge_norms
 
     rot = rotate_adapted(random_rotation(rng), s3)
     for s in (s2, s3, rot):
         M = dOmega_op(s).dense()
-        assert M.shape == (math.comb(s.dim, 3) + 4 * s.dim,
-                           math.comb(s.dim, 5))
+        assert M.shape == (math.comb(s.dim, 3), math.comb(s.dim, 5))
         forms = [AltForm(s.dim, 5, rng.standard_normal(M.shape[1]))
                  for _ in range(3)]
         forms += [alternate5(random_W_element(s, seed)) for seed in (1, 2)]
-        for dOm in forms:
+        for k, dOm in enumerate(forms):
             want = _hodge_route(dOm, s)
             d = DerivedFromDOmega.from_dOmega(dOm, s)
             got = ([d.dstarOmega.coeffs, d.xi]
-                   + [d.xi_triple[a] for a in AXES]
-                   + [d.wAA[a].coeffs for a in AXES] + [d.wOm.coeffs])
+                   + [d.xi_triple[a] for a in AXES])
             atol = 1e-12 * max(np.abs(w).max() for w in want)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=atol)
-            np.testing.assert_allclose(M @ dOm.coeffs, np.concatenate(want[:1] + want[5:]),
+            np.testing.assert_allclose(M @ dOm.coeffs, want[0],
                                        rtol=1e-12, atol=atol)
+            if k < 3:
+                continue
+            # on the alternation of W the wedge forms are the one-forms
+            # -12 xi - 8 k1 xi_A and -12 k2 xi, and so are their norms
+            wAA, wOm = want[5:8], want[8]
+            tri = d.xi_triple
+            for a, w in zip(AXES, wAA):
+                np.testing.assert_allclose(
+                    s.star_inv(AltForm(s.dim, s.dim - 1, w)).coeffs,
+                    -12 * tri.xi - 8 * s.k1 * tri[a], rtol=1e-12, atol=atol)
+            np.testing.assert_allclose(
+                s.star_inv(AltForm(s.dim, s.dim - 1, wOm)).coeffs,
+                -12 * s.k2 * tri.xi, rtol=1e-12, atol=atol)
+            norms = wedge_norms(d.dstarOmega.coeffs, tri, s.n)
+            lift = wedge(wedge_power(s.Omega, s.n - 2), dOm)
+            direct = {"wOm0": np.linalg.norm(wOm),
+                      "wAAeq": max(np.linalg.norm(wAA[0] - wAA[1]),
+                                   np.linalg.norm(wAA[1] - wAA[2])),
+                      "wAA0": max(np.linalg.norm(w) for w in wAA),
+                      "wOmdeg0": lift.norm()}
+            for key, v in direct.items():
+                assert abs(norms[key] - v) <= 1e-12 * max(v, atol), key
+
+
+def test_covariant_column_reads_no_five_form(s2, s3, pool2, pool3,
+                                             monkeypatch):
+    # the wedge norms of the covariant column come from the one-forms of
+    # d* a, so no row alternates a or applies dOmega_op
+    import importlib
+
+    from aqh.projectors import COMPONENT_DIMS
+
+    module = importlib.import_module("aqh.classify")  # aqh.classify is a function
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the covariant column read a 5-form")
+
+    monkeypatch.setattr(module, "alternate5", refuse)
+    monkeypatch.setattr(module, "dOmega_op", refuse)
+    for s, pool in ((s2, pool2), (s3, pool3)):
+        for row in table2_rows(s):
+            # summed in declaration order: a frozenset's follows the str hash
+            m = sum((pool[X] for X in ComponentLabel if X in row.components
+                     and COMPONENT_DIMS[X](s.n)), MixedTorsion.zero(s.dim))
+            assert table2_residual(m, s, row).value <= 1e-8, row.key
 
 
 def _eager_fields(ds, xi, tri, dOm, s):
@@ -603,10 +648,15 @@ def test_bad_tol_raises_value_error(s2, tol):
     from aqh.torsion import w_coords
 
     a = random_W_element(s2, 7)
+    d = DerivedFromDOmega.from_torsion(a, s2)
+    b = AltForm(8, 3, np.ones(math.comb(8, 3)))
     calls = (lambda: classify(a, s2, tol),
              lambda: classification_report(a, s2, tol),
              lambda: w_coords(a, s2, tol),
-             lambda: classify_algebra(abelian_algebra(2), tol))
+             lambda: classify_algebra(abelian_algebra(2), tol),
+             lambda: wedge_criteria(d, s2, tol),
+             lambda: perp_EH5_test(d.dOmega, s2, tol),
+             lambda: table1_member(b, "full", s2, tol))
     for call in calls:
         with pytest.raises(ValueError, match="tol") as exc:
             call()

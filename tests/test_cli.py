@@ -103,6 +103,15 @@ def test_verify_residuals_do_not_depend_on_hash_seed():
     assert outs[0] and outs[0] == outs[1]
 
 
+def test_run_suite_refuses_unknown_sections():
+    # a misspelt section must not read as an empty, passing suite
+    from aqh.verify import run_suite
+
+    with pytest.raises(ValueError, match="exterio, torsion") as exc:
+        run_suite(2, 0, sections=("torsion", "exterio", "three-forms"))
+    assert "three-forms" not in str(exc.value)
+
+
 def test_inject_classify_round_trip(tmp_path, capsys):
     out = tmp_path / "eh.json"
     assert main(["inject", "--component", "EH", "--n", "2", "--seed", "9",

@@ -276,9 +276,17 @@ def test_codifferential_routes_agree():
         out = codiff_Omega(g)
         assert max(out["report"]["pairwise"].values()) < 1e-9
         assert max(out["report"]["two_form_codiff_identity"].values()) < 1e-10
-        # the corrected wedge-trace combination holds; the displayed one fails
-        assert max(out["report"]["wedge_trace_xi_combination"].values()) < 1e-9
-        assert max(out["report"]["wedge_trace_displayed"].values()) > 1e-2
+
+
+def test_wedge_trace_reading_check(s2):
+    # the corrected wedge-trace combination holds; the displayed reading
+    # 2 <A . hook d w_A, w_A> fails (an erratum of the paper)
+    from aqh.verify import check_lie
+
+    row, = (r for r in check_lie(s2, np.random.default_rng(0))
+            if r.check == "wedge-trace-reading")
+    assert row.passed and row.tol == 1e-9
+    assert float(row.detail.rsplit(" ", 1)[1]) > 1e-2
 
 
 def test_codifferential_disagreement_is_verification_error():
