@@ -14,18 +14,26 @@ into dOmega_op (see DerivedFromDOmega).  The wedge norms are read from
 these one-forms (threeform.wedge_norms), so the covariant column reads
 no 5-form.  Each condition field is a cached linear map of C = aQ, d* a or
 dOmega (sparse ones through their nonzeros), computed when a row reads it.
+
+These direct routes (table2_residual, table2_residual_dOmega,
+table3_residual, wedge_criteria) are the cross-check.  The report reads
+every field condition as a Schur form of the component profile, with
+constants measured once per n (schur_table), and forms no 5-form.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .exterior import AltForm, MixedTorsion, SparseOp, alternate5, contract12, hodge_op, wedge, wedge_op, wedge_power
-from .projectors import ComponentLabel, ComponentProfile, _w_core, component_norms, lcal_coords, profile as component_profile
+from .projectors import (COMPONENT_DIMS, ComponentLabel, ComponentProfile,
+                         _w_core, component_norms, lcal_coords,
+                         profile as component_profile, split_coords)
 from .structure import AXES, QuatStructure
 from .threeform import (
     OneFormTriple,
@@ -37,7 +45,8 @@ from .threeform import (
     wedge_norms,
     xi_triple,
 )
-from .torsion import check_tol, require_in_W, w_coords
+from .torsion import (check_tol, require_in_W, w_coords, w_dim,
+                      w_embed)
 
 ALIASES = {
     frozenset(): ("QK", "quaternion-Kähler"),
@@ -49,7 +58,8 @@ ALIASES = {
 }
 
 
-def _factor_display(comps) -> str:
+@lru_cache(maxsize=None)
+def _factor_display(comps: frozenset) -> str:
     """The class as Sp(n) modules times H, S³H or both, e.g. K(H+S³H) + EH."""
     order = ("Λ₀³E", "K", "E")
     mod = {X: order[i % 3] for i, X in enumerate(ComponentLabel)}
@@ -351,7 +361,7 @@ def _build_table2(n: int) -> tuple[Table2Row, ...]:
          [w(La=1, a=2, SEd=-1 / 2, SELd=-1 / 6, R=k2 / (2 * k1))]),
         ((L, K, E, l, k, e), [("true",)]),
     ]
-    return tuple(Table2Row(i + 1, frozenset(comps), tuple(col2),
+    return _Rows(Table2Row(i + 1, frozenset(comps), tuple(col2),
                            tuple(_alternated(c) for c in col2))
                  for i, (comps, col2) in enumerate(rows))
 
@@ -360,17 +370,26 @@ def table2_rows(s: QuatStructure) -> tuple[Table2Row, ...]:
     return _build_table2(s.n)
 
 
-def _find_row(rows, row_id) -> Table2Row:
+class _Rows(tuple):
+    """The rows of a table, with the lookup of each by component set and
+    key (_find_row)."""
+
+    def __new__(cls, rows):
+        self = super().__new__(cls, rows)
+        self.by_id = {i: r for r in self for i in (r.components, r.key)}
+        return self
+
+
+def _find_row(rows: _Rows, row_id) -> Table2Row:
     """A row given as itself, its number, its component set or its key."""
     if isinstance(row_id, Table2Row):
         return row_id
     if isinstance(row_id, int):
         return rows[row_id - 1]
-    attr = "key" if isinstance(row_id, str) else "components"
-    for r in rows:
-        if getattr(r, attr) == row_id:
-            return r
-    raise KeyError(f"unknown row id {row_id!r}")
+    try:
+        return rows.by_id[row_id]
+    except (KeyError, TypeError):
+        raise KeyError(f"unknown row id {row_id!r}") from None
 
 
 def table2_residual(a: MixedTorsion, s: QuatStructure, row_id,
@@ -414,7 +433,7 @@ def _build_table3() -> tuple[Table2Row, ...]:
         ((E, k, e), [f5(dOm=1, Q5=-2 / 5, xiOm=3 / 5)]),
         ((K, E, k, e), [f5(dOm=1, AEd=-1 / 3, Q5=-16 / 15, xiOm=3 / 5)]),
     ]
-    return tuple(Table2Row(i + 1, frozenset(c), tuple(conds), tuple(conds))
+    return _Rows(Table2Row(i + 1, frozenset(c), tuple(conds), tuple(conds))
                  for i, (c, conds) in enumerate(rows))
 
 
@@ -443,8 +462,11 @@ def wedge_criteria(d: DerivedFromDOmega, s: QuatStructure,
     (threeform.wedge_norms), so dOm must be the alternation of a tensor in
     W, as alternate5(a) and ce_d(g, Omega) are.  check_tol checks tol."""
     check_tol(tol)
-    bound = tol * max(d.dOmega.norm(), 1e-300)
-    norms = wedge_norms(d.dstarOmega.coeffs, d.xi_triple, s.n)
+    return _wedge_flags(wedge_norms(d.dstarOmega.coeffs, d.xi_triple, s.n),
+                        tol * max(d.dOmega.norm(), 1e-300))
+
+
+def _wedge_flags(norms: dict, bound: float) -> dict[str, bool]:
     return {"EH_zero": norms["wOm0"] <= bound,
             "ES3H_zero": norms["wAAeq"] <= bound,
             "EHS3H_zero": norms["wAA0"] <= bound}
@@ -463,6 +485,127 @@ def perp_EH5_test(phi: AltForm, s: QuatStructure, tol: float = 1e-8) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Schur constants: the rows as norms of the component profile
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SchurTable:
+    """Tables 2 and 3 as Schur forms, for one n.
+
+    The six components of W are pairwise non-isomorphic irreducible
+    Sp(n)Sp(1)-modules, so an equivariant linear map T into a space with an
+    invariant inner product has |T a|^2 = sum_X nu_X^2 |a_X|^2.  Each field
+    condition (w, f3, f5) is such a map.  Here it is ("schur", nu), nu in
+    ComponentLabel order, measured as |T a_X| / |a_X| on one sample of each
+    component; _eval_cond reads it against the profile of the context.
+    alpha_X = |alternate5(a_X)| / |a_X|.  Column 3 is the alternation of
+    column 2, so its w conditions have alpha nu and the rest keep nu; the
+    conditions of Table 3 (n = 2) are measured on the samples' 5-forms.  The
+    per-axis and wedge conditions are kept: they read the one-forms of d* a.
+    samples holds (|a_X|, d* a_X, its one-forms) per component."""
+
+    alpha: tuple
+    col2: tuple
+    col3: tuple
+    table3: tuple
+    samples: dict
+
+    def evaluate(self, column: str, row: Table2Row, ctx: _Ctx) -> RowResult:
+        """A row of col2, col3 or table3 at the profile of ctx."""
+        return RowResult.evaluate(row, getattr(self, column)[row.index - 1],
+                                  ctx)
+
+
+def _compile(cond, nu):
+    """cond with each field condition replaced by ("schur", nu(cond))."""
+    if cond[0] == "or":
+        return ("or", [[_compile(c, nu) for c in b] for b in cond[1]])
+    return ("schur", nu(cond)) if cond[0] in _FIELD_TAGS else cond
+
+
+_FIELD_TAGS = ("w", "f3", "f5")
+
+
+def _field_conds(conds):
+    """The field conditions among conds, those of or branches included."""
+    for c in conds:
+        if c[0] == "or":
+            for branch in c[1]:
+                yield from _field_conds(branch)
+        elif c[0] in _FIELD_TAGS:
+            yield c
+
+
+def _cond_key(cond) -> tuple:
+    return cond[0], tuple(cond[1].items())
+
+
+def _build_schur_table(s: QuatStructure) -> SchurTable:
+    """The constants of s.n, measured on the components of one generic
+    element of W; an empty component (L3EH, L3ES3H at n = 2) has 0."""
+    C = np.sin(np.arange(w_dim(s.n)) ** 2.0).reshape(s.dim, -1)
+    parts = split_coords(C, contract12(w_embed(C, s)).coeffs, s)
+    a = {X: w_embed(parts[X], s) for X in ComponentLabel
+         if COMPONENT_DIMS[X](s.n)}
+    size = {X: aX.norm() for X, aX in a.items()}
+    cov = {X: ctx_from_torsion(aX, s, parts[X]) for X, aX in a.items()}
+    rows2, rows3 = table2_rows(s), table3_rows(s) if s.n == 2 else ()
+    # the f5 conditions are those of Table 3, read on the samples' 5-forms
+    ctxs = {"w": cov, "f3": cov, "f5": {
+        X: ctx_from_derived(DerivedFromDOmega.from_torsion(aX, s), s)
+        for X, aX in a.items()} if rows3 else {}}
+    # each distinct field condition on every sample: per sample and table,
+    # one product of the coefficients with the stacked fields
+    tables = [r.col2 for r in rows2] + [r.col3 for r in rows3]
+    found = dict.fromkeys(_cond_key(c) for conds in tables
+                          for c in _field_conds(conds))
+    nus = {}
+    for tag in _FIELD_TAGS:
+        keys = [k for k in found if k[0] == tag]
+        if not keys:
+            continue
+        names = sorted({f for _, items in keys for f, _ in items})
+        M = np.array([[dict(items).get(f, 0.0) for f in names]
+                      for _, items in keys])
+        cols = [np.linalg.norm(M @ np.stack([getattr(ctxs[tag][X], tag)[f]
+                                             for f in names]), axis=1)
+                / size[X] if X in a else np.zeros(len(keys))
+                for X in ComponentLabel]
+        nus.update(zip(keys, zip(*cols)))
+    alpha = tuple(alternate5(a[X]).norm() / size[X] if X in a else 0.0
+                  for X in ComponentLabel)
+
+    def nu(cond):
+        return nus[_cond_key(cond)]
+
+    def alt(cond):
+        return (tuple(map(operator.mul, alpha, nu(cond)))
+                if cond[0] == "w" else nu(cond))
+
+    def compiled(rows, column, nu):
+        return tuple(tuple(_compile(c, nu) for c in getattr(r, column))
+                     for r in rows)
+
+    return SchurTable(
+        alpha, compiled(rows2, "col2", nu),
+        compiled(rows2, "col2", alt) if s.n >= 3 else (),
+        compiled(rows3, "col3", nu),
+        {X: (size[X], cov[X].f3["dstar"], cov[X].xiA) for X in a})
+
+
+_SCHUR: dict[int, SchurTable] = {}
+
+
+def schur_table(s: QuatStructure) -> SchurTable:
+    """The SchurTable of s.n, built on the first structure of that n that
+    asks: the constants do not depend on the frame (verify checks them)."""
+    if s.n not in _SCHUR:
+        _SCHUR[s.n] = _build_schur_table(s)
+    return _SCHUR[s.n]
+
+
+# ---------------------------------------------------------------------------
 # report assembly
 # ---------------------------------------------------------------------------
 
@@ -470,7 +613,8 @@ def perp_EH5_test(phi: AltForm, s: QuatStructure, tol: float = 1e-8) -> bool:
 def classification_report(a: MixedTorsion, s: QuatStructure,
                           tol: float = 1e-8) -> dict:
     # C = aQ after the one membership test; C and d* a are computed once
-    # for the profile and the covariant context
+    # for the profile and the covariant context.  The rows are then Schur
+    # forms of the profile, and |dOm| is |alpha p|: no 5-form is formed.
     ctx = ctx_from_torsion(a, s, w_coords(a, s, tol))
     label, prof = _label(ComponentProfile(component_norms(
         ctx.w["a"], ctx.f3["dstar"], s), a.norm()), tol)
@@ -481,11 +625,12 @@ def classification_report(a: MixedTorsion, s: QuatStructure,
         "profile": prof.to_json(),
         "tolerance": tol,
     }
+    table = schur_table(s)
+    ctx.profile = p = [prof.norms[X] for X in ComponentLabel]
     row2 = _find_row(table2_rows(s), label.components)
-    out["table2"] = RowResult.evaluate(row2, row2.col2, ctx).to_json()
-    d = DerivedFromDOmega.from_torsion(a, s)
+    out["table2"] = table.evaluate("col2", row2, ctx).to_json()
     if s.n >= 3:
-        out["table2_dOmega"] = table2_residual_dOmega(d, s, row2).to_json()
+        out["table2_dOmega"] = table.evaluate("col3", row2, ctx).to_json()
     else:
         rows = [row for row in table3_rows(s)
                 if label.components <= row.components]
@@ -493,7 +638,9 @@ def classification_report(a: MixedTorsion, s: QuatStructure,
         if rows:
             # the first of the smallest rows containing the class
             row = min(rows, key=lambda r: len(r.components))
-            rr = table3_residual(d, s, row)
+            rr = table.evaluate("table3", row, ctx)
             out["table3"] = {"row": rr.row.key, "value": rr.value}
-    out["wedge_criteria"] = wedge_criteria(d, s, tol)
+    dOm = math.hypot(*map(operator.mul, table.alpha, p))
+    out["wedge_criteria"] = _wedge_flags(
+        wedge_norms(ctx.f3["dstar"], ctx.xiA, s.n), tol * max(dOm, 1e-300))
     return out

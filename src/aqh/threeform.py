@@ -30,7 +30,9 @@ no full-row matrix is assembled.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,7 +179,8 @@ class _Ctx:
     reads it, and the scale of the residuals.  The table f3 holds the 3-form
     dstar, Ldstar = L dstar, xiC = xi hook Omega and m = sum_A (A xi_A) ^ w_A;
     xiA = tri holds the one-forms xi and (xi_I, xi_J, xi_K) of dstar.  The
-    torsion contexts (classify.ctx_from_*) also fill the tables w and f5."""
+    torsion contexts (classify.ctx_from_*) also fill the tables w and f5;
+    a report sets profile, the component norms its Schur forms read."""
 
     def __init__(self, s: QuatStructure, scale: float, dstar: np.ndarray,
                  tri: OneFormTriple):
@@ -189,6 +192,7 @@ class _Ctx:
                           xiC=lambda: hook_omega_matrix(s) @ tri.xi,
                           m=lambda: m_matrix(s) @ xi3)
         self.w = self.f5 = _Fields()
+        self.profile = None
 
 
 def wedge_norms(dstar: np.ndarray, tri: OneFormTriple,
@@ -198,20 +202,36 @@ def wedge_norms(dstar: np.ndarray, tri: OneFormTriple,
     larger difference (wAAeq) and the largest norm (wAA0) of
     star_inv(star(dOm) ^ w_A ^ w_A) = -12 xi - 8(n-1) xi_A, which holds when
     dOm is the alternation of a tensor in W; |Omega^(n-2) ^ dOm| =
-    |d*Omega| (2n-1)!/(6(n-1)) (wOmdeg0)."""
-    norm, k1 = np.linalg.norm, n - 1
-    return {k: float(v) for k, v in dict(
-        wOm0=12 * (2 * n + 1) * norm(tri.xi),
-        wAAeq=8 * k1 * max(norm(tri[a] - tri[b]) for a, b in ("IJ", "JK")),
-        wAA0=max(norm(12 * tri.xi + 8 * k1 * tri[a]) for a in AXES),
-        wOmdeg0=norm(dstar) * math.factorial(2 * n - 1) / (6 * k1)).items()}
+    |d*Omega| (2n-1)!/(6(n-1)) (wOmdeg0).  The six one-forms are one
+    product with (xi, xi_I, xi_J, xi_K) and their norms one pass."""
+    k1 = n - 1
+    y = _wedge_rows(8 * k1) @ np.stack(
+        [tri.xi, tri.xi_I, tri.xi_J, tri.xi_K])
+    v = np.sqrt(np.einsum("ij,ij->i", y, y))
+    return {"wOm0": 12 * (2 * n + 1) * float(v[0]),
+            "wAAeq": 8 * k1 * float(max(v[1], v[2])),
+            "wAA0": float(v[3:].max()),
+            "wOmdeg0": float(np.linalg.norm(dstar))
+            * math.factorial(2 * n - 1) / (6 * k1)}
+
+
+@lru_cache(maxsize=None)
+def _wedge_rows(c: float) -> np.ndarray:
+    """xi, xi_I - xi_J, xi_J - xi_K and 12 xi + c xi_A as rows on the
+    stack (xi, xi_I, xi_J, xi_K)."""
+    return np.array([[1, 0, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1],
+                     [12, c, 0, 0], [12, 0, c, 0], [12, 0, 0, c]], float)
 
 
 def _eval_cond(cond, ctx: _Ctx) -> float:
     """Residual norm of one condition: a combination of the fields of one
-    table (f3, or the w and f5 tables of a torsion context), a norm of the
-    one-forms, a wedge norm (wedge_norms), or the best branch of an or."""
+    table (f3, or the w and f5 tables of a torsion context), a Schur form of
+    the context's profile (classify.schur_table), a norm of the one-forms, a
+    wedge norm (wedge_norms), or the best branch of an or."""
     tag = cond[0]
+    if tag == "schur":
+        # a Schur form: the norm of nu_X |a_X| over the components
+        return math.hypot(*map(operator.mul, cond[1], ctx.profile))
     if tag in ("w", "f5", "f3"):
         table = getattr(ctx, tag)
         acc = None

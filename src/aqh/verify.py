@@ -42,7 +42,9 @@ from .classify import (
     DerivedFromDOmega,
     ae,
     classify as classify_tensor,
+    ctx_from_derived,
     perp_EH5_test,
+    schur_table,
     table2_residual,
     table2_residual_dOmega,
     table2_rows,
@@ -549,6 +551,12 @@ def check_components(s: QuatStructure, rng) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def _mixtures(comps: list, outside: list) -> list:
+    """(components, member): a row's own components, then, if there is one,
+    them and its first outside component."""
+    return [(comps, True)] + [(comps + outside[:1], False)] * bool(outside)
+
+
 def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
     out = []
     labs = [X for X in PR.ComponentLabel if PR.COMPONENT_DIMS[X](s.n) > 0]
@@ -568,22 +576,39 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
     out.append(CheckResult("classification-round-trip", float(wrong),
                            0.5, f"{count - wrong}/{count} subsets"))
 
+    # the report's Schur forms (schur_table) against the direct route on the
+    # mixtures below, read at the component norms of each mixture: column 2
+    # on those of every row, column 3 or Table 3 on those of its checks
+    table, gap = schur_table(s), 0.0
+    labels = list(PR.ComponentLabel)
+
+    def schur_gap(column, rr, ctx, sizes, comps):
+        ctx.profile = [sizes[X] if X in comps else 0.0 for X in labels]
+        got = table.evaluate(column, rr.row, ctx).residuals
+        return max(abs(x - y) for x, y in zip(got, rr.residuals)) / rr.scale
+
     worst_member = 0.0
     worst_reject = np.inf
     rows = table2_rows(s)
+    sizes = {X: c.norm() for X, c in pool.items()}
+    # d* of a mixture as the sum of those of its components (d* is linear)
+    pds = {X: contract12(c) for X, c in pool.items()}
     for row in rows:
         # summed in declaration order: a frozenset's follows the str hash
         comps = [X for X in labs if X in row.components]
         if not comps:
             continue
-        m = sum((pool[X] for X in comps), MixedTorsion.zero(s.dim))
-        worst_member = max(worst_member,
-                           table2_residual(m, s, row).value)
         outside = [X for X in labs if X not in row.components]
-        if outside:
-            nm = m + pool[outside[0]]
-            worst_reject = min(worst_reject,
-                               table2_residual(nm, s, row).value)
+        for t, member in _mixtures(comps, outside):
+            m = sum((pool[X] for X in t), MixedTorsion.zero(s.dim))
+            rr = table2_residual(m, s, row)
+            if member:
+                worst_member = max(worst_member, rr.value)
+            else:
+                worst_reject = min(worst_reject, rr.value)
+            ds = sum((pds[X] for X in t), AltForm.zero(s.dim, 3))
+            gap = max(gap, schur_gap("col2", rr, TF._Ctx(
+                s, rr.scale, ds.coeffs, TF.xi_triple(ds, s)), sizes, t))
     out.append(CheckResult("class-conditions-members", worst_member, 1e-8,
                            "all rows, covariant column"))
     out.append(CheckResult("class-conditions-reject",
@@ -597,21 +622,24 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
         composites = [row for row in rows if 2 <= len(row.components) <= 4]
         ppools = [PR.components(T.random_W_element(s, 51_000 + k), s,
                                 check=False) for k in range(10)]
+        psizes = [{X: c.norm() for X, c in p.items()} for p in ppools]
         for row in singles + composites[:12]:
-            for ppool in ppools:
-                m = sum((ppool[X] for X in labs if X in row.components),
-                        MixedTorsion.zero(s.dim))
-                v2 = table2_residual(m, s, row).value <= 1e-8
-                d = DerivedFromDOmega.from_torsion(m, s)
-                v3 = table2_residual_dOmega(d, s, row).value <= 1e-8
-                agree += int(v2 == v3 and v2)
+            for ppool, psize in zip(ppools, psizes):
+                comps = [X for X in labs if X in row.components]
                 outside = [X for X in labs if X not in row.components]
-                nm = m + ppool[outside[0]]
-                nv2 = table2_residual(nm, s, row).value > 1e-3
-                nd = DerivedFromDOmega.from_torsion(nm, s)
-                nv3 = table2_residual_dOmega(nd, s, row).value > 1e-3
-                agree += int(nv2 == nv3 and nv2)
-                total += 2
+                for t, member in _mixtures(comps, outside):
+                    m = sum((ppool[X] for X in t), MixedTorsion.zero(s.dim))
+                    d = DerivedFromDOmega.from_torsion(m, s)
+                    r2 = table2_residual(m, s, row)
+                    r3 = table2_residual_dOmega(d, s, row)
+                    if member:
+                        ok = r2.value <= 1e-8 and r3.value <= 1e-8
+                    else:
+                        ok = r2.value > 1e-3 and r3.value > 1e-3
+                    agree += int(ok)
+                    total += 1
+                    gap = max(gap, schur_gap("col3", r3,
+                                             ctx_from_derived(d, s), psize, t))
         out.append(CheckResult("column-agreement", float(total - agree), 0.5,
                                f"{agree}/{total} verdicts agree"))
 
@@ -619,23 +647,29 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
         worst_member = 0.0
         worst_reject = np.inf
         for row in table3_rows(s):
-            m = sum((pool[X] for X in PR.ComponentLabel
-                     if X in row.components), MixedTorsion.zero(s.dim))
-            d = DerivedFromDOmega.from_torsion(m, s)
-            worst_member = max(worst_member,
-                               table3_residual(d, s, row).value)
+            comps = [X for X in labels if X in row.components]
             outside = [X for X in labs if X not in row.components]
-            if outside:
-                nm = m + pool[outside[0]]
-                nd = DerivedFromDOmega.from_torsion(nm, s)
-                worst_reject = min(worst_reject,
-                                   table3_residual(nd, s, row).value)
+            for t, member in _mixtures(comps, outside):
+                m = sum((pool[X] for X in t), MixedTorsion.zero(s.dim))
+                d = DerivedFromDOmega.from_torsion(m, s)
+                rr = table3_residual(d, s, row)
+                if member:
+                    worst_member = max(worst_member, rr.value)
+                else:
+                    worst_reject = min(worst_reject, rr.value)
+                gap = max(gap, schur_gap("table3", rr, ctx_from_derived(d, s),
+                                         sizes, t))
         out.append(CheckResult("partial-table-members", worst_member, 1e-8,
                                "8 rows via the 5-form"))
         out.append(CheckResult("partial-table-reject",
                                1e-3 / worst_reject, 1.0,
                                f"smallest non-member residual "
                                f"{worst_reject:.2e}"))
+    out.append(CheckResult(
+        "schur-row-forms", gap, 1e-12,
+        "report rows against the direct route on the mixtures above, "
+        + ("columns 2 and 3" if s.n >= 3 else "column 2 and Table 3")))
+    out += check_schur_table(s, table)
 
     # alternation identities
     a = T.random_W_element(s, 52_000)
@@ -738,6 +772,46 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
                                    s.omega["I"]), s.omega["J"]).coeffs), s))
     out.append(CheckResult("perp-five-form-test", 0.0 if ok else 1.0, 0.5))
     return out
+
+
+def swann_alpha2(n: int) -> tuple:
+    """alpha_X^2 = |alternate5(a_X)|^2 / |a_X|^2, in ComponentLabel order."""
+    return ((n + 1) / n, (2 * n - 1) / (2 * n), 2.0,
+            5 * (2 * n - 1) / (4 * n), (n - 2) / (4 * n), 5 / 4)
+
+
+def check_schur_table(s: QuatStructure, table) -> list[CheckResult]:
+    """The constants the report reads.  table2-pattern: each row, in each
+    column the report reads, vanishes on its own components (to 1e-12) and
+    not on any other, read on the table's unit samples, one per component.
+    swann-alternation: alpha_X^2 against swann_alpha2, so the alternation
+    kills KS3H alone at n = 2 and is injective on W for n >= 3."""
+    labels = list(PR.ComponentLabel)
+    columns = [("col2", table2_rows(s)), ("col3", table2_rows(s))
+               if s.n >= 3 else ("table3", table3_rows(s))]
+    own, outside, pairs = 0.0, np.inf, 0
+    for X, (size, ds, tri) in table.samples.items():
+        ctx = TF._Ctx(s, size, ds, tri)
+        ctx.profile = [size if Y is X else 0.0 for Y in labels]
+        for column, rows in columns:
+            for row, conds in zip(rows, getattr(table, column)):
+                v = max(TF._eval_cond(c, ctx) for c in conds) / size
+                if X in row.components:
+                    own = max(own, v)
+                else:
+                    outside = min(outside, v)
+                pairs += 1
+    alpha2 = {X: (a * a, want) for X, a, want in
+              zip(labels, table.alpha, swann_alpha2(s.n)) if X in table.samples}
+    return [CheckResult(
+        "table2-pattern", max(own / 1e-12, 1e-3 / outside), 1.0,
+        f"{pairs} (row, component) pairs in {', '.join(c for c, _ in columns)}"
+        f": own components {own:.1e} (tol 1e-12), others >= {outside:.3f} "
+        "(tol 1e-3)"),
+        CheckResult("swann-alternation",
+                    max(abs(a2 - want) for a2, want in alpha2.values()), 1e-12,
+                    ", ".join(f"{X.value}={a2:.6f}"
+                              for X, (a2, _) in alpha2.items()))]
 
 
 # ---------------------------------------------------------------------------

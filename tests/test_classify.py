@@ -661,3 +661,127 @@ def test_bad_tol_raises_value_error(s2, tol):
         with pytest.raises(ValueError, match="tol") as exc:
             call()
         assert type(exc.value) is ValueError
+
+
+def _members(s, pool):
+    """A member of every class of Table 2 at s.n: the sum of the pool's
+    components of the row, in declaration order."""
+    from aqh.projectors import COMPONENT_DIMS
+
+    seen = {}
+    for row in table2_rows(s):
+        comps = frozenset(X for X in row.components if COMPONENT_DIMS[X](s.n))
+        seen.setdefault(comps, sum((pool[X] for X in ComponentLabel
+                                    if X in comps), MixedTorsion.zero(s.dim)))
+    return seen
+
+
+def _schur_vectors(conds):
+    """The nu vectors of compiled conditions, in order."""
+    for c in conds:
+        if c[0] == "schur":
+            yield np.asarray(c[1])
+        elif c[0] == "or":
+            for branch in c[1]:
+                yield from _schur_vectors(branch)
+
+
+def test_report_reads_no_five_form(s2, s3, pool2, pool3, monkeypatch):
+    # once the constants exist, a report of any class, in the standard frame
+    # and a rotated one, alternates nothing and recovers nothing from a
+    # 5-form: its rows are Schur forms of the profile
+    import importlib
+
+    from aqh import components
+    from aqh.structure import random_rotation, rotate_adapted
+
+    module = importlib.import_module("aqh.classify")  # aqh.classify is a function
+    rng = np.random.default_rng(3)
+    cases = []
+    for s, pool in ((s2, pool2), (s3, pool3)):
+        classification_report(pool[KH], s)  # the constants of s.n
+        rot = rotate_adapted(random_rotation(rng), s)
+        rpool = components(random_W_element(rot, 17), rot, check=False)
+        cases += [(s, _members(s, pool)), (rot, _members(rot, rpool))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report read a 5-form")
+
+    for name in ("alternate5", "dOmega_op", "ctx_from_derived"):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(DerivedFromDOmega, "from_dOmega", classmethod(refuse))
+    for s, members in cases:
+        assert len(members) == (16 if s.n == 2 else 64)
+        for comps, m in members.items():
+            rep = classification_report(m, s)
+            assert rep["key"] == ClassLabel(comps).key
+            assert rep["table2"]["value"] < 1e-12
+            assert rep.get("table2_dOmega", rep.get("table3"))["value"] < 1e-12
+
+
+def test_schur_constants_independent_of_frame(s2, s3, rng):
+    # constants measured on a rotated structure are those of the standard
+    # one, and there the report's rows match the direct routes
+    from aqh import components
+    from aqh.classify import _build_schur_table, schur_table
+    from aqh.projectors import COMPONENT_DIMS
+    from aqh.structure import random_rotation, rotate_adapted
+
+    for s in (s2, s3):
+        rot = rotate_adapted(random_rotation(rng), s)
+        want, got = schur_table(s), _build_schur_table(rot)
+        np.testing.assert_allclose(got.alpha, want.alpha, rtol=0, atol=1e-12)
+        for column in ("col2", "col3", "table3"):
+            assert len(getattr(got, column)) == len(getattr(want, column))
+            for g, w in zip(getattr(got, column), getattr(want, column)):
+                gv, wv = list(_schur_vectors(g)), list(_schur_vectors(w))
+                assert len(gv) == len(wv)
+                for x, y in zip(gv, wv):
+                    np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
+        pool = components(random_W_element(rot, 29), rot, check=False)
+        for comps, m in _members(rot, pool).items():
+            # the report of a member, and the Schur forms of its row on the
+            # member plus one outside component, where no residual is zero
+            out = [X for X in pool if X not in comps
+                   and COMPONENT_DIMS[X](s.n)]
+            check_schur_rows(m, comps, rot, True)
+            if out:
+                check_schur_rows(m + pool[out[0]], comps, rot, False)
+
+
+def check_schur_rows(t, comps, s, report):
+    """Rows of the class comps on t by the report's Schur forms (through
+    classification_report itself when report) against the direct routes,
+    within 1e-12 |t|, and the report's wedge criteria against wedge_criteria."""
+    from aqh.classify import ctx_from_torsion, schur_table
+    from aqh.projectors import profile
+
+    n = s.n
+    row2 = table2_rows(s).by_id[comps]
+    rows3 = [r for r in table3_rows(s) if comps <= r.components]
+    row3 = min(rows3, key=lambda r: len(r.components)) if rows3 else None
+    d = DerivedFromDOmega.from_torsion(t, s)
+    direct = {"table2": (row2, "col2", table2_residual(t, s, row2))}
+    if n >= 3:
+        direct["table2_dOmega"] = (row2, "col3",
+                                   table2_residual_dOmega(d, s, row2))
+    elif row3 is not None:
+        direct["table3"] = (row3, "table3", table3_residual(d, s, row3))
+    if report:
+        rep = classification_report(t, s)
+        assert rep["wedge_criteria"] == wedge_criteria(d, s)
+        got = {k: (rep[k]["value"], rep[k].get("residuals", []))
+               for k in direct}
+    else:
+        ctx = ctx_from_torsion(t, s)
+        ctx.profile = [profile(t, s).norms[X] for X in ComponentLabel]
+        got = {}
+        for k, (row, column, _) in direct.items():
+            rr = schur_table(s).evaluate(column, row, ctx)
+            got[k] = (rr.value, [r / rr.scale for r in rr.residuals])
+            # the Table-3 row may hold the added component
+            assert k == "table3" or rr.value > 1e-3, (k, row.key)
+    for k, (_, _, rr) in direct.items():
+        assert abs(got[k][0] - rr.value) <= 1e-12, k
+        for x, y in zip(got[k][1], rr.residuals):
+            assert abs(x - y / rr.scale) <= 1e-12, k

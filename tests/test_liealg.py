@@ -262,6 +262,28 @@ def test_classify_algebra_computes_each_axis_once(monkeypatch):
     assert rep["checks"]["gray_identity"] < 1e-10
 
 
+def test_classify_algebra_derives_dOmega_once(monkeypatch):
+    # the report reads the alternation of nabla Omega as Schur forms, so
+    # the one DerivedFromDOmega is that of ce_d(g, Omega)
+    from aqh.classify import DerivedFromDOmega
+
+    for n in (2, 3):
+        g = two_step_nilpotent(n, 4)
+        classify_algebra(g)  # the caches, and the report's constants
+        calls = []
+        real = DerivedFromDOmega.from_dOmega.__func__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(1)
+            return real(cls, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(DerivedFromDOmega, "from_dOmega", classmethod(counted))
+            rep = classify_algebra(g)
+        assert len(calls) == 1, n
+        assert rep["checks"]["alternation_vs_differential"] < 1e-10
+
+
 def test_gray_identity():
     for seed in (0, 1, 2):
         g = two_step_nilpotent(2, seed)

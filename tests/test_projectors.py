@@ -240,13 +240,15 @@ def test_profile_matches_paper_route_on_every_class(s2, s3, frame3):
         assert count == 2 ** (4 if s.n == 2 else 6)
 
 
-def test_report_reads_lcal_once_more_where_its_row_does(s3, pool3,
-                                                        monkeypatch):
+def test_report_reads_lcal_once(s3, pool3, monkeypatch):
     import importlib
 
     import aqh.projectors
     from aqh import classification_report, standard_structure
 
+    # the first report builds the constants of n = 3, which read La of
+    # their samples
+    classification_report(pool3[ComponentLabel.KH], s3)
     calls = []
     lcal = aqh.projectors.lcal_coords
 
@@ -258,13 +260,13 @@ def test_report_reads_lcal_once_more_where_its_row_does(s3, pool3,
     monkeypatch.setattr(importlib.import_module("aqh.classify"),
                         "lcal_coords", counted)
     monkeypatch.setattr(aqh.projectors, "lcal_coords", counted)
-    # the profile splits the d*-kernel residual once; the KH row reads a and
-    # SEd, the L3EH row reads La
+    # the profile splits the d*-kernel residual once; the rows, La ones
+    # included, are Schur forms of the profile and apply no Lcal
     assert classification_report(pool3[ComponentLabel.KH], s3)["key"] == "KH"
     assert len(calls) == 1
     assert classification_report(pool3[ComponentLabel.L3EH], s3)["key"] \
         == "L3EH"
-    assert len(calls) == 3
+    assert len(calls) == 2
     # the proj3 parts are applied through their factors and the interior
     # products read from exp_table(3): the dense N3 x N3 maps cached are L
     # on 3-forms and the factor plus3 = (3 + L)/6
