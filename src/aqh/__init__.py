@@ -87,6 +87,12 @@ from .liealg import (
     nijenhuis,
     two_step_nilpotent,
 )
-from .verify import run_suite
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # the identity suite is imported when it runs
+    if name == "run_suite":
+        from .verify import run_suite
+        return run_suite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

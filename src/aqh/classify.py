@@ -612,10 +612,15 @@ def schur_table(s: QuatStructure) -> SchurTable:
 
 def classification_report(a: MixedTorsion, s: QuatStructure,
                           tol: float = 1e-8) -> dict:
+    return _report(a, s, tol, w_coords(a, s, tol))
+
+
+def _report(a: MixedTorsion, s: QuatStructure, tol: float,
+            C: np.ndarray) -> dict:
     # C = aQ after the one membership test; C and d* a are computed once
     # for the profile and the covariant context.  The rows are then Schur
     # forms of the profile, and |dOm| is |alpha p|: no 5-form is formed.
-    ctx = ctx_from_torsion(a, s, w_coords(a, s, tol))
+    ctx = ctx_from_torsion(a, s, C)
     label, prof = _label(ComponentProfile(component_norms(
         ctx.w["a"], ctx.f3["dstar"], s), a.norm()), tol)
     out = {

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .liealg import VerificationError, algebra_from_json, classify_algebra
 from .projectors import COMPONENT_DIMS, ComponentLabel, component
 from .structure import StructureError, standard_structure
 from .torsion import check_tol, random_W_element, w_dim
-from .verify import run_suite
 
 
 # every subcommand builds structures for any n up to this: at n = 5 the
@@ -70,6 +70,8 @@ def _emit(data, fmt: str, text_fn):
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     results = run_suite(args.n, seed=args.seed)
     failures = [r for r in results if not r.passed]
     if args.format == "json":
@@ -199,6 +201,7 @@ def cmd_liealg(args) -> int:
     return 1 if worst > 1e-8 else 0
 
 
+@lru_cache(maxsize=None)  # once per process, however often main runs
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="aqh",

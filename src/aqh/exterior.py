@@ -21,7 +21,7 @@ increasing (p+q)-tuple splits into a p-part and a q-part with a sign, and
 * ``exp_table(p)`` is the (1, p-1) split (dropping entry r of p-tuple #u
   leaves (p-1)-tuple #t, with a sign).  Interior products and contractions
   accumulate into t, one-form wedges (``wedge_rows``) into u, and slot
-  derivations pair the rows through one t (``der_table``);
+  derivations pair the rows through one t (``der_table``, by source);
 * ``hodge_op(dim, p, .)`` reads the (p, dim-p) split of the top tuple: the
   complement of each p-tuple, with the sign of the concatenation.
 """
@@ -71,6 +71,8 @@ class FormTables:
         self._wedge: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
         self._der: dict[int, tuple[np.ndarray, ...]] = {}
         self._dense: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._lut: np.ndarray | None = None
+        self._ranked: set[int] = set()
 
     def nforms(self, p: int) -> int:
         return math.comb(self.dim, p)
@@ -98,10 +100,15 @@ class FormTables:
 
     def _rank(self, p: int, masks: np.ndarray) -> np.ndarray:
         """Numbers of the p-tuples with the given bit masks (bit i set for
-        entry i).  The masks fit in int64 only for dim <= 63."""
-        ref = _BIT[self.columns(p)].sum(axis=0)
-        order = np.argsort(ref)
-        return order[np.searchsorted(ref[order], masks)]
+        entry i), read from one table lut[mask] of 2^dim entries: masks of
+        different degrees differ in popcount, so all degrees share it."""
+        if self._lut is None:
+            self._lut = np.zeros(1 << self.dim, dtype=np.int64)
+        if p not in self._ranked:
+            self._lut[_BIT[self.columns(p)].sum(axis=0)] = np.arange(
+                self.nforms(p))
+            self._ranked.add(p)
+        return self._lut[masks]
 
     def wedge_table(self, p: int, q: int):
         """Rows (o, ai, bi, sign) with e_O = sum sign * e_A ^ e_B over all
@@ -137,21 +144,20 @@ class FormTables:
         return self._exp[p]
 
     def der_table(self, p: int):
-        """Rows (flat, s, sign) so that the matrix of the slot-derivation
-        b -> sum_i b(.., M X_i, ..) on degree p is
-        D[t, s] += M[z, r] * sign   over all rows, flat = (z dim + r) N_p + t:
-        the pairs of ``exp_table(p)`` rows (t, r) and (s, z) through one
-        (p-1)-tuple."""
+        """Arrays (zr, t, sign) of shape (N_p, p (dim - p + 1)) so that the
+        slot derivation b -> sum_i b(.., M X_i, ..) on degree p is
+        out[t] += M.flat[zr] * sign * b[s] over row s of each array: the
+        pairs of ``exp_table(p)`` rows (s, z) and (t, r) through one
+        (p-1)-tuple, zr = z dim + r, grouped by the source tuple s."""
         if p not in self._der:
             u, _m, r, t, sign = self.exp_table(p)
-            # every (p-1)-tuple is reached from dim - p + 1 p-tuples
-            order = np.argsort(t, kind="stable")
-            U, R, S = (a[order].reshape(-1, self.dim - p + 1, 1)
-                       for a in (u, r, sign))
-            Ut, Rt, St = (a.swapaxes(1, 2) for a in (U, R, S))
-            t, s, z, r, sign = (a.ravel() for a in np.broadcast_arrays(
-                U, Ut, Rt, R, S * St))
-            self._der[p] = ((z * self.dim + r) * self.nforms(p) + t, s, sign)
+            # every (p-1)-tuple is reached from k = dim - p + 1 p-tuples:
+            # pair[e] holds the k rows through the (p-1)-tuple of row e
+            k = self.dim - p + 1
+            pair = np.argsort(t, kind="stable").reshape(-1, k)[t]
+            self._der[p] = tuple(a.reshape(self.nforms(p), -1) for a in (
+                r[:, None] * self.dim + r[pair], u[pair],
+                sign[:, None] * sign[pair]))
         return self._der[p]
 
     def dense_table(self, p: int):
@@ -378,16 +384,17 @@ def derivation(M: np.ndarray, b: AltForm) -> np.ndarray:
     """Coefficients (..., N_p) of the slot derivation
     b -> sum_i b(.., M X_i, ..) for every matrix of a stack (..., dim, dim).
 
-    b goes through ``der_table`` first, Y[z dim + r, t] = sum of sign * b[s]
-    over the rows, in one bincount whatever the stack size; the stack then
-    meets Y in one product M.reshape(..., dim^2) @ Y."""
+    Only the ``der_table`` rows of the support of b are read.  No two rows
+    share a pair (zr, t), so they fill Y[zr, t] = sign * b[s] by assignment,
+    and the stack meets Y in one product M.reshape(..., dim^2) @ Y."""
     M = np.asarray(M, dtype=float)
     if b.degree == 0:
         return np.zeros(M.shape[:-2] + (1,))
-    dim, N = b.dim, math.comb(b.dim, b.degree)
-    flat, s, sign = tables(dim).der_table(b.degree)
-    Y = np.bincount(flat, weights=sign * b.coeffs[s], minlength=dim * dim * N)
-    return M.reshape(M.shape[:-2] + (dim * dim,)) @ Y.reshape(dim * dim, N)
+    k = np.flatnonzero(b.coeffs)
+    zr, t, sign = (a[k] for a in tables(b.dim).der_table(b.degree))
+    Y = np.zeros((b.dim ** 2, b.coeffs.size))
+    Y[zr, t] = sign * b.coeffs[k, None]
+    return M.reshape(M.shape[:-2] + (-1,)) @ Y
 
 
 def inner(a: AltForm, b: AltForm) -> float:

@@ -36,20 +36,18 @@ from .exterior import (
     alternate5,
     contract12,
     derivation,
-    wedge1,
     wedge_rows,
 )
 from .structure import (
     AXES,
     QuatStructure,
-    insert,
     slot_sum,
     standard_structure,
     structure_from_json,
 )
 from .threeform import xi_triple
-from .torsion import check_tol, from_nabla_omegas, is_in_W
-from .classify import DerivedFromDOmega, classification_report
+from .torsion import _w_project, check_tol, from_nabla_omegas, require_in_W
+from .classify import DerivedFromDOmega, _report
 
 
 class AlgebraError(ValueError):
@@ -166,16 +164,17 @@ def nijenhuis(g: MetricLieAlgebra, axis: str) -> np.ndarray:
 def gray_residual(g: MetricLieAlgebra, G: np.ndarray, axis: str) -> float:
     """Residual of 2 nabla w_A = d w_A - A_(2)A_(3) d w_A - A_(2) N_A."""
     return _gray_residual(g.structure.mats[axis],
-                          ce_d(g, g.structure.omega[axis]),
-                          nijenhuis(g, axis), nabla_omega(g, G, axis))
+                          ce_d(g, g.structure.omega[axis]).dense(),
+                          nijenhuis(g, axis), nabla_omega(g, G, axis).mats)
 
 
-def _gray_residual(A: np.ndarray, dw: AltForm, NA: np.ndarray,
-                   nw: MixedTwoFormFamily) -> float:
-    """gray_residual, given d w_A, N_A and nabla w_A."""
-    dw = dw.dense()
-    rhs = dw - insert(A, 2, insert(A, 3, dw)) - insert(A, 2, NA)
-    return float(np.abs(2.0 * nw.mats - rhs).max())
+def _gray_residual(A: np.ndarray, dw: np.ndarray, NA: np.ndarray,
+                   nw: np.ndarray) -> float:
+    """gray_residual on the dense d w_A, N_A, nabla w_A, or their stacks over
+    the axes: A_(2) t = -A^T t[x] and A_(3) t = -t A, two products."""
+    A = A[..., None, :, :]
+    At = np.swapaxes(A, -1, -2)
+    return float(np.abs(2.0 * nw - dw + At @ (dw @ A - NA)).max())
 
 
 def codiff_Omega(g: MetricLieAlgebra, G: np.ndarray | None = None,
@@ -193,33 +192,38 @@ def codiff_Omega(g: MetricLieAlgebra, G: np.ndarray | None = None,
     star_inv(star dOmega ^ w_A ^ w_A) is certified in verify
     (lie-pipeline/wedge-trace-reading)."""
     s, G = g.structure, koszul(g) if G is None else G
-    return _codiff_Omega(g, nabla_Omega(g, G),
-                         {a: ce_d(g, s.omega[a]) for a in AXES},
-                         {a: nabla_omega(g, G, a) for a in AXES}, tol)
+    return _codiff_Omega(
+        g, nabla_Omega(g, G),
+        np.stack([ce_d(g, s.omega[a]).dense() for a in AXES]),
+        np.stack([nabla_omega(g, G, a).mats for a in AXES]), tol)
 
 
-def _codiff_Omega(g: MetricLieAlgebra, nOm: MixedTorsion, dwa: dict,
-                  nw: dict, tol: float = 1e-9) -> dict:
-    """codiff_Omega given nabla Omega, d w_A and nabla w_A."""
+def _codiff_Omega(g: MetricLieAlgebra, nOm: MixedTorsion, dw: np.ndarray,
+                  nw: np.ndarray, tol: float = 1e-9) -> dict:
+    """codiff_Omega given nabla Omega and the stacks over the axes of the
+    dense d w_A and of nabla w_A."""
     s = g.structure
+    mats = np.stack([s.mats[a] for a in AXES])
     route_contraction = contract12(nOm)
-    route_hodge = -1.0 * s.star(ce_d(g, s.star(s.Omega)))
-    # w[y] = <e_y hook dw_A, w_A>; u = <A . hook dw_A, w_A> = -A w
-    w = {a: 0.5 * np.einsum("yrs,rs->y", dwa[a].dense(), s.mats[a])
-         for a in AXES}
-    u = {a: -(s.mats[a] @ w[a]) for a in AXES}
+    star_Omega = s.cache("star_Omega", lambda: s.star(s.Omega))
+    route_hodge = -1.0 * s.star(ce_d(g, star_Omega))
+    # w[A, y] = <e_y hook dw_A, w_A>; u = <A . hook dw_A, w_A> = -A w
+    w = 0.5 * np.einsum("ayrs,ars->ay", dw, mats)
+    u = -(mats @ w[..., None])[..., 0]
     # d* w_A = -(sum_r (nabla_{e_r} w_A)(e_r, .))
-    dstar_w = {a: -np.einsum("rrz->z", nw[a].mats) for a in AXES}
-    act = {a: 2.0 * s.act_axis(a, dwa[a]) for a in AXES}
-    zero = AltForm.zero(s.dim, 3)
+    dstar_w = -np.einsum("arrz->az", nw)
+    # sum_A x_A ^ w_A for x = u, d* w_A: the stacked wedge of ae_factors(1)
+    wu, wd = s.ae_factors(1)[0](np.stack([u.ravel(), dstar_w.ravel()]))
+    # 2 sum_A dw_A(A., A., A.): A^T dw_A[x] A, then one product over (A, x)
+    AdA = np.swapaxes(mats, 1, 2)[:, None] @ dw @ mats[:, None]
+    act = 2.0 * AltForm.from_dense(
+        np.tensordot(mats, AdA, ((0, 1), (0, 1)))).coeffs
     variants = {
         "contraction": route_contraction,
         "hodge": route_hodge,
-        "structural": sum((act[a] - 2.0 * wedge1(u[a], s.omega[a])
-                           for a in AXES), zero),
+        "structural": AltForm(s.dim, 3, act - 2.0 * wu),
         # same expression through the two-form codifferentials
-        "two_form_codiff": sum((2.0 * wedge1(dstar_w[a], s.omega[a]) + act[a]
-                                for a in AXES), zero),
+        "two_form_codiff": AltForm(s.dim, 3, 2.0 * wd + act),
     }
     scale = max(route_contraction.norm(), 1e-300)
     pair = {f"{x}|{y}": float(np.linalg.norm(
@@ -227,8 +231,8 @@ def _codiff_Omega(g: MetricLieAlgebra, nOm: MixedTorsion, dwa: dict,
             for x, y in itertools.combinations(variants, 2)}
     report = {
         "pairwise": pair,
-        "two_form_codiff_identity": {a: float(np.abs(
-            s.mats[a] @ dstar_w[a] + w[a]).max()) for a in AXES},
+        "two_form_codiff_identity": dict(zip(AXES, map(float, np.abs(
+            (mats @ dstar_w[..., None])[..., 0] + w).max(axis=1)))),
     }
     if max(pair.values()) > tol:
         raise VerificationError(
@@ -240,18 +244,19 @@ def _codiff_Omega(g: MetricLieAlgebra, nOm: MixedTorsion, dwa: dict,
 
 def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
     """End-to-end pipeline: connection, torsion, class, table residuals and
-    the structural cross-identities, sharing nabla Omega, d Omega, d w_A,
-    nabla w_A and N_A.  A bad tol raises ValueError (check_tol)."""
+    the structural cross-identities, sharing nabla Omega, its W projection,
+    d Omega, d w_A, nabla w_A and N_A.  A bad tol raises ValueError."""
     check_tol(tol)
     s = g.structure
     G = koszul(g)
     nOm = nabla_Omega(g, G)
     d = DerivedFromDOmega.from_dOmega(ce_d(g, s.Omega), s, scale=nOm.norm())
-    dwa = {a: ce_d(g, s.omega[a]) for a in AXES}
-    ok, resid = is_in_W(nOm, s, max(tol, 1e-10))
+    dw = np.stack([ce_d(g, s.omega[a]).dense() for a in AXES])
+    C, resid = _w_project(nOm, s)
     checks = {"torsion_membership": resid}
     nw = {a: nabla_omega(g, G, a) for a in AXES}
-    NA = {a: nijenhuis(g, a) for a in AXES}
+    nwm = np.stack([nw[a].mats for a in AXES])
+    NA = np.stack([nijenhuis(g, a) for a in AXES])
     assembled = from_nabla_omegas(2.0 * nw["I"], 2.0 * nw["J"],
                                   2.0 * nw["K"], s)
     scale = max(nOm.norm(), 1e-300)
@@ -259,14 +264,15 @@ def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
         np.linalg.norm(assembled.rows - nOm.rows)) / scale
     checks["alternation_vs_differential"] = float(np.linalg.norm(
         alternate5(nOm).coeffs - d.dOmega.coeffs)) / scale
-    checks["gray_identity"] = max(
-        _gray_residual(s.mats[a], dwa[a], NA[a], nw[a]) for a in AXES)
-    checks["nijenhuis_trace"] = max(
-        float(np.abs(np.einsum("iix->x", NA[a])).max()) for a in AXES)
-    cod = _codiff_Omega(g, nOm, dwa, nw)
+    checks["gray_identity"] = _gray_residual(
+        np.stack([s.mats[a] for a in AXES]), dw, NA, nwm)
+    checks["nijenhuis_trace"] = float(np.abs(np.einsum("aiix->ax", NA)).max())
+    cod = _codiff_Omega(g, nOm, dw, nwm)
     checks["codifferential_pairwise"] = max(
         cod["report"]["pairwise"].values())
-    report = classification_report(nOm, s, tol)
+    # off W, require_in_W raises its MembershipError
+    report = _report(nOm, s, tol, C if resid <= tol else require_in_W(
+        nOm, s, tol))
     tri = xi_triple(cod["value"], s)
     checks["xi_hodge_vs_contraction"] = float(
         np.linalg.norm(d.xi - tri.xi)) / scale

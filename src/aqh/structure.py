@@ -29,7 +29,6 @@ from .exterior import (
     MixedTorsion,
     SparseOp,
     _json_n,
-    compound,
     hodge,
     hodge_op,
     tables,
@@ -143,17 +142,17 @@ class QuatStructure:
 
     def deriv_op(self, p: int) -> SparseOp:
         """The stack D (3 N_p x N_p) of the derivations D_A: b -> sum_i
-        b(.., A X_i, ..) on degree p, b -> (D_I b, D_J b, D_K b); a
-        der_table row (flat, s, sign) adds A[z, r] sign at (t, s) of D_A,
-        flat = (z dim + r) N_p + t.  D_A^T = -D_A."""
+        b(.., A X_i, ..) on degree p, b -> (D_I b, D_J b, D_K b); entry k of
+        der_table row s, (zr, t, sign), adds A.flat[zr] sign at (t, s) of
+        D_A.  D_A^T = -D_A."""
 
         def build():
-            flat, s, sign = self.tab.der_table(p)
-            N = self.tab.nforms(p)
-            zr, t = np.divmod(flat, N)
-            v = np.stack([self.mats[a].ravel()[zr] * sign for a in AXES])
+            zr, t, sign = self.tab.der_table(p)
+            N, R = zr.shape
+            v = np.stack([self.mats[a].ravel()[zr.ravel()] * sign.ravel()
+                          for a in AXES])
             k, i = np.nonzero(v != 0)   # on a bool mask: 3x faster
-            return SparseOp(k * N + t[i], s[i], v[k, i], (3 * N, N))
+            return SparseOp(k * N + t.ravel()[i], i // R, v[k, i], (3 * N, N))
 
         return self.cache(("deriv", p), build)
 
@@ -212,14 +211,6 @@ class QuatStructure:
             return W, self.deriv_op(p)
 
         return self.cache(("ae", p), build)
-
-    def act_axis(self, axis: str, b: AltForm) -> AltForm:
-        """b(A ., .., A .) = (-1)^p C b for p-forms, with C the p-th compound
-        of A, the matrix of b -> b(A^T ., .., A^T .)."""
-        p = b.degree
-        C = self.cache(("pullback", p), lambda: compound(
-            np.stack([self.mats[a] for a in AXES]), p))[AXES.index(axis)]
-        return AltForm(self.dim, p, ((-1.0) ** p) * (C @ b.coeffs))
 
 
 def standard_structure(n: int) -> QuatStructure:

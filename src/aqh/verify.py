@@ -884,7 +884,8 @@ def run_suite(n: int, seed: int = 0,
               sections: tuple = None) -> list[CheckResult]:
     if n not in (2, 3):
         raise ValueError("the verification suite runs at n = 2 or n = 3")
-    if unknown := sorted(set(sections or ()) - set(dict(SECTIONS))):
+    if unknown := sorted({str(x) for x in sections or () if not (
+            isinstance(x, str) and x in dict(SECTIONS))}):
         raise ValueError(f"unknown verify sections: {', '.join(unknown)}")
     s = standard_structure(n)
     rng = np.random.default_rng(seed)

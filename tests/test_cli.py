@@ -112,6 +112,49 @@ def test_run_suite_refuses_unknown_sections():
     assert "three-forms" not in str(exc.value)
 
 
+@pytest.mark.parametrize("sections", [[1], [("exterior", None)],
+                                      [["exterior"]], ["exterior", 2.5]])
+def test_run_suite_names_bad_sections(sections):
+    # an entry that is not a section name, of any type, is named in a
+    # ValueError before any check runs
+    from aqh.verify import run_suite
+
+    bad = [x for x in sections if x != "exterior"]
+    with pytest.raises(ValueError, match="unknown verify sections: ") as exc:
+        run_suite(2, 0, sections=sections)
+    assert str(exc.value).endswith(", ".join(map(str, bad)))
+
+
+def test_import_leaves_verify_unloaded():
+    # the identity suite is imported when it runs: by aqh.run_suite or by
+    # `aqh verify`, not by importing the package or the CLI
+    import aqh
+
+    code = ("import sys, aqh, aqh.cli\n"
+            "print('aqh.verify' in sys.modules)\n"
+            "from aqh import run_suite\n"
+            "print(run_suite.__module__, 'aqh.verify' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aqh.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "aqh.verify", "True"]
+    with pytest.raises(AttributeError, match="no attribute 'run_suites'"):
+        aqh.run_suites
+
+
+def test_parser_is_built_once(capsys):
+    from aqh.cli import build_parser
+
+    assert build_parser() is build_parser()
+    outs = []
+    for _ in range(2):
+        assert main(["dims", "--n", "2", "--format", "json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_inject_classify_round_trip(tmp_path, capsys):
     out = tmp_path / "eh.json"
     assert main(["inject", "--component", "EH", "--n", "2", "--seed", "9",

@@ -22,6 +22,7 @@ from aqh import (
     wedge_power,
 )
 from aqh.exterior import (
+    FormTables,
     InputFormatError,
     SparseOp,
     derivation,
@@ -33,7 +34,7 @@ from aqh.exterior import (
     tables,
     wedge_rows,
 )
-from aqh.structure import slot_sum
+from aqh.structure import slot_sum, standard_structure
 
 
 def rand_form(rng, dim, p):
@@ -198,19 +199,44 @@ def test_wedge_table_matches_enumeration():
         assert star.v.tolist() == sign
 
 
+def _slot_derivation_by_tuples(M, b):
+    """sum_i b(.., M e_(t_i), ..) on every increasing tuple t, term by term:
+    t_i replaced by each z, with the sign that sorts the new tuple."""
+    tab = tables(b.dim)
+    idx, out = tab.index(b.degree), np.zeros(b.coeffs.size)
+    for u, T in enumerate(tab.tuples(b.degree)):
+        for i, z in itertools.product(range(len(T)), range(b.dim)):
+            S = T[:i] + (z,) + T[i + 1:]
+            if z in T[:i] + T[i + 1:]:
+                continue
+            inv = sum(x > y for x, y in itertools.combinations(S, 2))
+            out[u] += ((-1) ** inv * M[z, T[i]]
+                       * b.coeffs[idx[tuple(sorted(S))]])
+    return out
+
+
 def test_derivation_matches_slot_sum(rng):
     # sum_i b(.., M X_i, ..) for a generic (not quaternionic) matrix; the
-    # dense slot insertions carry a minus sign
-    M = rng.standard_normal((3, 8, 8))
-    for p in range(1, 6):
-        b = rand_form(rng, 8, p)
+    # dense slot insertions carry a minus sign.  Besides random forms at
+    # dim 8, the sparse forms of the Lie pipeline at n=2 and n=3: Omega and
+    # star Omega (39 of 495 coefficients at n=3) and the Kaehler forms; star
+    # Omega at n=3 has 12^8 dense entries, so it is checked term by term
+    cases = [rand_form(rng, 8, p) for p in range(1, 6)]
+    for n in (2, 3):
+        s = standard_structure(n)
+        cases += [s.Omega, s.star(s.Omega), *s.omega.values()]
+    for b in cases:
+        M = rng.standard_normal((3, b.dim, b.dim))
         got = derivation(M, b)
-        assert got.shape == (3, math.comb(8, p))
+        assert got.shape == (3, math.comb(b.dim, b.degree))
         for k in range(3):
-            want = -AltForm.from_dense(slot_sum(M[k], b.dense())).coeffs
+            if b.dim ** b.degree <= 8 ** 5:
+                want = -AltForm.from_dense(slot_sum(M[k], b.dense())).coeffs
+            else:
+                want = _slot_derivation_by_tuples(M[k], b)
             np.testing.assert_allclose(got[k], want, atol=1e-12)
-        np.testing.assert_allclose(derivation(M[0], b), got[0], atol=0)
-    assert derivation(M, AltForm.zero(8, 0)).shape == (3, 1)
+            np.testing.assert_allclose(derivation(M[k], b), got[k], atol=0)
+    assert derivation(M, AltForm.zero(b.dim, 0)).shape == (3, 1)
 
 
 def test_derivation_high_degrees_match_slot_sum(rng):
@@ -229,6 +255,39 @@ def test_derivation_high_degrees_match_slot_sum(rng):
         for k in range(12):
             np.testing.assert_allclose(derivation(M[k], b), got[k], rtol=0,
                                        atol=1e-12)
+
+
+def test_rank_lookup_matches_search():
+    # one lut[mask] for all degrees, filled in any order, numbers the
+    # tuples as the sorted search of their masks does
+    for dim in (8, 12):
+        tab = FormTables(dim)
+        degrees = list(range(dim + 1))
+        np.random.default_rng(dim).shuffle(degrees)
+        for p in degrees:
+            ref = (1 << tab.columns(p)).sum(axis=0)
+            masks = np.random.default_rng(p).permutation(ref)
+            order = np.argsort(ref)
+            want = order[np.searchsorted(ref[order], masks)]
+            np.testing.assert_array_equal(tab._rank(p, masks), want)
+        for key in ((2, 2), (1, 3), (4, dim - 4)):
+            for x, y in zip(tab.wedge_table(*key),
+                            tables(dim).wedge_table(*key)):
+                np.testing.assert_array_equal(x, y)
+
+
+def test_der_table_rows_grouped_by_source():
+    # row s of each der_table array holds the p (dim - p + 1) pairs that
+    # read source tuple s; the (zr, t) pairs never repeat
+    for dim, p in ((8, 3), (12, 4), (12, 8)):
+        zr, t, sign = tables(dim).der_table(p)
+        N = math.comb(dim, p)
+        assert zr.shape == t.shape == sign.shape == (N, p * (dim - p + 1))
+        assert np.unique(zr * N + t).size == zr.size
+        # a source tuple s reaches itself once per entry, with z = r
+        z, r = np.divmod(zr, dim)
+        diag = t == np.arange(N)[:, None]
+        assert (diag.sum(axis=1) == p).all() and (z[diag] == r[diag]).all()
 
 
 def test_alternate5_matches_dense_alternation(rng):

@@ -30,9 +30,10 @@ from aqh import (
     two_step_nilpotent,
     VerificationError,
 )
-from aqh.structure import AXES
-from aqh.exterior import tables
-from aqh.liealg import gray_residual, nabla_omega
+from aqh.structure import AXES, insert
+from aqh.exterior import compound, tables, wedge1
+from aqh.liealg import _gray_residual, gray_residual, nabla_omega
+from aqh.torsion import MembershipError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                         "liealg")
@@ -290,6 +291,100 @@ def test_gray_identity():
         G = koszul(g)
         for ax in AXES:
             assert gray_residual(g, G, ax) < 1e-10
+
+
+def _gray_reference(A, dw, NA, nw):
+    """The Gray residual through the slot insertions of its definition."""
+    rhs = dw - insert(A, 2, insert(A, 3, dw)) - insert(A, 2, NA)
+    return float(np.abs(2.0 * nw - rhs).max())
+
+
+def test_gray_residual_matches_insert_formula(rng):
+    # A_(2)A_(3) and A_(2) as two products per axis, one axis or the stacked
+    # three, against the insert formula; on the pipeline's inputs and on a
+    # perturbed nabla w_A, whose residual is of order one
+    for g in (two_step_nilpotent(2, 31), _almost_abelian(2, 32),
+              two_step_nilpotent(3, 33), _almost_abelian(3, 34)):
+        s, G = g.structure, koszul(g)
+        args = {a: (s.mats[a], ce_d(g, s.omega[a]).dense(), nijenhuis(g, a),
+                    nabla_omega(g, G, a).mats) for a in AXES}
+        scale = max(max(np.abs(x).max() for x in v[1:]) for v in
+                    args.values()) + 1.0
+        for bump in (0.0, 1.0):
+            refs = []
+            for a in AXES:
+                A, dw, NA, nw = args[a]
+                nw = nw + bump * rng.standard_normal(nw.shape)
+                args[a] = (A, dw, NA, nw)
+                refs.append(_gray_reference(A, dw, NA, nw))
+                assert abs(_gray_residual(A, dw, NA, nw) - refs[-1]) \
+                    <= 1e-13 * scale
+            stacked = [np.stack(x) for x in zip(*args.values())]
+            assert abs(_gray_residual(*stacked) - max(refs)) <= 1e-13 * scale
+        assert max(gray_residual(g, G, a) for a in AXES) < 1e-12
+
+
+def test_codiff_Omega_matches_wedge1_formulas():
+    # the stacked wedge of ae_factors(1) and the dense dw_A(A., A., A.)
+    # against one wedge1 per axis and the compound of A
+    for g in (two_step_nilpotent(2, 41), _almost_abelian(2, 42),
+              two_step_nilpotent(3, 43), _almost_abelian(3, 44)):
+        s, G = g.structure, koszul(g)
+        out = codiff_Omega(g, G)
+        zero = AltForm.zero(s.dim, 3)
+        structural, two_form = zero, zero
+        for a in AXES:
+            A, dw = s.mats[a], ce_d(g, s.omega[a])
+            w = 0.5 * np.einsum("yrs,rs->y", dw.dense(), A)
+            dstar_w = -np.einsum("rrz->z", nabla_omega(g, G, a).mats)
+            act = AltForm(s.dim, 3, -2.0 * (compound(A, 3) @ dw.coeffs))
+            structural = structural + act - 2.0 * wedge1(-(A @ w), s.omega[a])
+            two_form = two_form + 2.0 * wedge1(dstar_w, s.omega[a]) + act
+            assert out["report"]["two_form_codiff_identity"][a] == \
+                pytest.approx(float(np.abs(A @ dstar_w + w).max()),
+                              rel=1e-13, abs=1e-13 * np.abs(w).max())
+        want = {"contraction": contract12(nabla_Omega(g, G)),
+                "hodge": -1.0 * s.star(ce_d(g, s.star(s.Omega))),
+                "structural": structural, "two_form_codiff": two_form}
+        scale = max(want["contraction"].norm(), 1e-300)
+        assert want["contraction"].norm() > 1e-3
+        for k, v in want.items():
+            assert np.abs(out["variants"][k].coeffs - v.coeffs).max() \
+                <= 1e-13 * scale, k
+
+
+def test_classify_algebra_projects_onto_W_once(monkeypatch):
+    # the membership residual and the report's W coordinates are one
+    # projection of nabla Omega
+    import aqh.classify
+    import aqh.liealg
+    import aqh.torsion
+
+    calls = []
+
+    def counted(*args, _f=aqh.torsion._w_project):
+        calls.append(1)
+        return _f(*args)
+
+    for mod in (aqh.torsion, aqh.liealg, aqh.classify):
+        if hasattr(mod, "_w_project"):
+            monkeypatch.setattr(mod, "_w_project", counted)
+    for g in (two_step_nilpotent(3, 5), _almost_abelian(2, 6)):
+        calls.clear()
+        rep = classify_algebra(g)
+        assert len(calls) == 1
+        assert rep["checks"]["torsion_membership"] < 1e-12
+
+
+def test_classify_algebra_off_W_raises_membership_error():
+    # a tol below the membership residual refuses the torsion, with the
+    # message of require_in_W
+    g = two_step_nilpotent(3, 7)
+    resid = classify_algebra(g)["checks"]["torsion_membership"]
+    assert resid > 0.0
+    with pytest.raises(MembershipError,
+                       match=r"tensor is not in the torsion space \(residual "):
+        classify_algebra(g, tol=resid / 2)
 
 
 def test_codifferential_routes_agree():
