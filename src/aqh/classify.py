@@ -460,8 +460,17 @@ def wedge_criteria(d: DerivedFromDOmega, s: QuatStructure,
     star(dOm)^w_A^w_A agree iff the ES3H part vanishes; iii) all vanish iff
     the E(H+S3H) part vanishes.  The wedges are read from xi, xi_A
     (threeform.wedge_norms), so dOm must be the alternation of a tensor in
-    W, as alternate5(a) and ce_d(g, Omega) are.  check_tol checks tol."""
+    W, as alternate5(a) and ce_d(g, Omega) are: ValueError when the direct
+    star_inv(star(dOm) ^ w_I ^ w_I) misses -12 xi - 8(n-1) xi_I by more than
+    1e-8 |dOm|.  check_tol checks tol."""
     check_tol(tol)
+    w = s.omega["I"]
+    miss = float(np.linalg.norm(
+        s.star_inv(wedge(wedge(s.star(d.dOmega), w), w)).coeffs
+        + 12 * d.xi + 8 * s.k1 * d.xi_triple.xi_I))
+    if not miss <= 1e-8 * d.dOmega.norm():
+        raise ValueError(f"dOmega is not the alternation of a tensor in W: "
+                         f"the wedge identity misses by {miss:.2e}")
     return _wedge_flags(wedge_norms(d.dstarOmega.coeffs, d.xi_triple, s.n),
                         tol * max(d.dOmega.norm(), 1e-300))
 

@@ -27,8 +27,11 @@ from .structure import StructureError, standard_structure
 from .torsion import check_tol, random_W_element, w_dim
 
 
-# every subcommand builds structures for any n up to this: at n = 5 the
-# Omega^n check alone needs wedge_table(8, 4), 62M rows at dim 20
+# every subcommand builds structures for any n up to this.  A structure
+# builds no wedge table of Omega, but at n = 5 the first report's d*Omega map
+# (classify.dOmega_op) wedges with Omega^(n-2) = Omega^3, and verify's
+# volume check forms Omega^5: both need wedge_table(8, 4), 62M rows (2 GB)
+# at dim 20
 MAX_N = 4
 
 
@@ -210,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the identity suite")
-    p.add_argument("--n", type=int, required=True, choices=(2, 3))
+    p.add_argument("--n", type=int, required=True, choices=(2, 3, 4))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)

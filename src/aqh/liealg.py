@@ -80,9 +80,11 @@ class MetricLieAlgebra:
         if self.c.shape != (dim, dim, dim):
             raise AlgebraError(f"bracket table must be {dim}^3")
         self.c = 0.5 * (self.c - self.c.transpose(1, 0, 2))
-        jac = (np.einsum("ijm,mkl->ijkl", self.c, self.c)
-               + np.einsum("jkm,mil->ijkl", self.c, self.c)
-               + np.einsum("kim,mjl->ijkl", self.c, self.c))
+        # P[i,j,k,l] = sum_m c[i,j,m] c[m,k,l]; the Jacobi sum is P plus
+        # its two cyclic moves of (i, j, k)
+        P = (self.c.reshape(dim * dim, dim)
+             @ self.c.reshape(dim, dim * dim)).reshape((dim,) * 4)
+        jac = P + P.transpose(2, 0, 1, 3) + P.transpose(1, 2, 0, 3)
         resid = float(np.abs(jac).max())
         if not resid <= JACOBI_TOL:
             raise AlgebraError(f"Jacobi identity fails ({resid:.2e})")

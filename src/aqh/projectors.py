@@ -157,8 +157,10 @@ def split_coords(C: np.ndarray, ds: np.ndarray,
     """The six components' coordinates from W coordinates C (..., dim, r)
     and ds = d* a (..., N3): HAT_W P_X ds, then the halves of v."""
     lead = C.shape[:-2]
-    vis = (proj3_parts(ds, s) @ _w_core(s)["hat_w"].T).reshape(
-        *lead, len(VISIBLE), *C.shape[-2:])
+    parts = proj3_parts(ds, s)
+    # one product for the whole stack, not one per leading index
+    vis = (parts.reshape(-1, parts.shape[-1]) @ _w_core(s)["hat_w"].T
+           ).reshape(*lead, len(VISIBLE), *C.shape[-2:])
     v = C - vis.sum(axis=-3)
     h = lcal_hpart(v, s)
     return dict(zip(_ORDER, [*(vis[..., k, :, :] for k in range(4)), h,

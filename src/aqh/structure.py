@@ -13,13 +13,17 @@ and the two key endomorphisms are
     L(b)   = sum_A sum_{i<j} A_(i) A_(j) b          on p-forms,
     Lcal(a) = sum_A A_(1) (A_(2) + .. + A_(5)) a    on V* (x) Lambda^4.
 
-Slot derivations are kept as the nonzeros of ``der_table``; the structure
-instance caches its operators and is otherwise immutable.
+The unit volume form is Vol = ((-1)^(n+1) / (2n+1)!) Omega^n.  Its sign
+vol_coeff, which fixes the Hodge star, is read from the orientation of a
+frame (x_1, I x_1, .., x_2n, I x_2n) when a star first needs it, so no
+structure forms Omega^n; verify certifies the two readings agree.  Slot
+derivations are kept as the nonzeros of ``der_table``; the structure instance
+caches its operators and is otherwise immutable.
 """
 
 from __future__ import annotations
 
-import math
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +38,6 @@ from .exterior import (
     tables,
     wedge,
     wedge_op,
-    wedge_power,
 )
 
 AXES = ("I", "J", "K")
@@ -61,6 +64,20 @@ def slot_sum(A: np.ndarray, t: np.ndarray) -> np.ndarray:
     for i in range(1, t.ndim + 1):
         out += insert(A, i, t)
     return out
+
+
+def _frame_sign(I: np.ndarray, J: np.ndarray, K: np.ndarray) -> float:
+    """sign det of an orthonormal frame (v_1, I v_1, J v_1, K v_1, .., K v_n),
+    an (x, I x) frame with x = v, J v: Gram-Schmidt over the standard basis,
+    v_k the basis vector farthest from the I, J, K-invariant span so far."""
+    dim = len(I)
+    M = np.stack([np.eye(dim), I, J, K])
+    R, B = np.eye(dim), np.empty((dim // 4, 4, dim))
+    for k in range(dim // 4):
+        p = np.argmax(R.diagonal())
+        B[k] = M @ (R[p] / np.sqrt(R[p, p]))
+        R -= B[k].T @ B[k]
+    return float(np.sign(np.linalg.det(B.reshape(dim, dim))))
 
 
 class QuatStructure:
@@ -103,15 +120,14 @@ class QuatStructure:
             (wedge(self.omega[a], self.omega[a]) for a in AXES),
             AltForm.zero(self.dim, 4),
         )
-        # Vol = ((-1)^(n+1) / (2n+1)!) Omega^n must be a unit top form
-        top = wedge_power(self.Omega, self.n)
-        v = float(top.coeffs[0]) * (-1.0) ** (self.n + 1) / math.factorial(
-            2 * self.n + 1)
-        if not abs(abs(v) - 1.0) <= 1e-9:
-            raise StructureError(
-                f"Omega^n does not give a unit volume form (got {v})")
-        self.vol_coeff = v
         self._cache: dict = {}
+
+    @cached_property
+    def vol_coeff(self) -> float:
+        """Vol = vol_coeff e_1 ^ .. ^ e_4n, the unit top form
+        ((-1)^(n+1) / (2n+1)!) Omega^n of the orientation of any frame
+        (x_1, I x_1, .., x_2n, I x_2n); read when a star first needs it."""
+        return (-1.0) ** (self.n + 1) * _frame_sign(self.I, self.J, self.K)
 
     # -- caching ---------------------------------------------------------
 

@@ -99,7 +99,7 @@ def f_inverse_raw(a: MixedTorsion, s: QuatStructure) -> MixedTwoFormFamily:
     c = -a R / (8n), R = r_matrix read as R[y, u, z]."""
     R = r_matrix(s).reshape(s.dim, -1, s.dim)
     return MixedTwoFormFamily(
-        a.dim, np.einsum("xu,yuz->xyz", a.rows, R) / (-8 * s.n))
+        a.dim, np.tensordot(a.rows, R, (1, 1)) / (-8 * s.n))
 
 
 def F_inverse(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8) -> MixedTwoFormFamily:
@@ -215,9 +215,10 @@ def from_nabla_omegas(dI: MixedTwoFormFamily, dJ: MixedTwoFormFamily,
     return reassemble(dA, s)
 
 
-def fiber_basis_matrix(s: QuatStructure) -> np.ndarray:
-    """Orthonormal basis Q (N4 x r) of the 4-form subspace F(fiber rows);
-    W = V* (x) span(Q)."""
+def _fiber_maps(s: QuatStructure) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, M): M = F P (N4 x N2) is F after the fiber projection P on the
+    2-form coefficients of one row, and Q an orthonormal basis (N4 x r) of
+    its range, the 4-form subspace F(fiber rows)."""
 
     def build():
         i, j = s.tab.columns(2)
@@ -227,15 +228,22 @@ def fiber_basis_matrix(s: QuatStructure) -> np.ndarray:
         r = w_dim(s.n) // s.dim
         if not (sv[r - 1] > 1e-10 and (len(sv) <= r or sv[r] < 1e-10)):
             raise MembershipError("unexpected fiber rank")
-        return u[:, :r]
+        return u[:, :r], M
 
     return s.cache("fiber_basis", build)
 
 
+def fiber_basis_matrix(s: QuatStructure) -> np.ndarray:
+    """Orthonormal basis Q (N4 x r) of the 4-form subspace F(fiber rows);
+    W = V* (x) span(Q)."""
+    return _fiber_maps(s)[0]
+
+
 def random_W_element(s: QuatStructure, seed: int) -> MixedTorsion:
-    """Gaussian rows, projected to the fiber, pushed through F."""
+    """Gaussian rows, projected to the fiber, pushed through F: the 2-form
+    coefficients of the antisymmetrised rows times M^T (_fiber_maps)."""
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((s.dim, s.dim, s.dim))
-    raw = raw - raw.transpose(0, 2, 1)
-    fam = fiber_project(MixedTwoFormFamily(s.dim, raw), s)
-    return F_map(fam, s, check=False)
+    i, j = s.tab.columns(2)
+    return MixedTorsion(s.dim,
+                        (raw[:, i, j] - raw[:, j, i]) @ _fiber_maps(s)[1].T)

@@ -132,11 +132,12 @@ def check_exterior(s: QuatStructure, rng) -> list[CheckResult]:
                                - inner(a, wedge1(x, b))))
     out.append(CheckResult("interior-wedge-adjoint", worst, 1e-12))
 
+    # certifies the orientation the structure reads from a frame
     top = wedge_power(s.Omega, s.n)
-    resid = abs(top.coeffs[0] - math.factorial(2 * s.n + 1))
+    want = (-1.0) ** (s.n + 1) * math.factorial(2 * s.n + 1) * s.vol_coeff
     out.append(CheckResult(
-        "volume-normalization", resid, 1e-9,
-        f"Omega^n top coefficient = +(2n+1)! = {math.factorial(2*s.n+1)}"))
+        "volume-normalization", abs(top.coeffs[0] - want), 1e-9,
+        f"Omega^n top coefficient = (-1)^(n+1) (2n+1)! vol_coeff = {want:g}"))
     return out
 
 
@@ -882,8 +883,8 @@ SECTIONS = (
 
 def run_suite(n: int, seed: int = 0,
               sections: tuple = None) -> list[CheckResult]:
-    if n not in (2, 3):
-        raise ValueError("the verification suite runs at n = 2 or n = 3")
+    if n not in (2, 3, 4):
+        raise ValueError("the verification suite runs at n = 2, 3 or 4")
     if unknown := sorted({str(x) for x in sections or () if not (
             isinstance(x, str) and x in dict(SECTIONS))}):
         raise ValueError(f"unknown verify sections: {', '.join(unknown)}")

@@ -785,3 +785,19 @@ def check_schur_rows(t, comps, s, report):
         assert abs(got[k][0] - rr.value) <= 1e-12, k
         for x, y in zip(got[k][1], rr.residuals):
             assert abs(x - y / rr.scale) <= 1e-12, k
+
+
+def test_wedge_criteria_refuse_forms_off_the_alternation(s2, s3):
+    # a random 5-form misses star_inv(star dOm ^ w_I ^ w_I) = -12 xi - 8 k1
+    # xi_I at n=3, so its wedge norms mean nothing; at n=2 it holds on
+    # every 5-form
+    rng = np.random.default_rng(8)
+    f = AltForm(s3.dim, 5, rng.standard_normal(s3.tab.nforms(5)))
+    with pytest.raises(ValueError, match="not the alternation"):
+        wedge_criteria(DerivedFromDOmega.from_dOmega(f, s3), s3)
+    f2 = AltForm(s2.dim, 5, rng.standard_normal(s2.tab.nforms(5)))
+    assert set(wedge_criteria(DerivedFromDOmega.from_dOmega(f2, s2), s2)) \
+        == {"EH_zero", "ES3H_zero", "EHS3H_zero"}
+    zero = AltForm.zero(s3.dim, 5)
+    assert all(wedge_criteria(DerivedFromDOmega.from_dOmega(zero, s3),
+                              s3).values())

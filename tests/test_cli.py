@@ -298,3 +298,16 @@ def test_verification_failure_exits_1(monkeypatch, capsys):
                            "liealg", "class_KH_EH.json")
     assert main(["classify", "--input", fixture]) == 1
     assert "codifferential routes disagree" in capsys.readouterr().err
+
+
+def test_verify_accepts_n4_and_refuses_n5():
+    # the n=4 suite is not run here: it takes about 14 s and 430 MB
+    from aqh.cli import build_parser
+    from aqh.verify import run_suite
+
+    assert build_parser().parse_args(["verify", "--n", "4"]).n == 4
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["verify", "--n", "5"])
+    assert exc.value.code == 2
+    with pytest.raises(ValueError, match="n = 2, 3 or 4"):
+        run_suite(5)

@@ -459,3 +459,29 @@ def test_fixtures_classify_as_recorded():
         if key != "QK":
             assert rep["checks"]["gray_identity"] < 1e-10
             assert rep["checks"]["codifferential_pairwise"] < 1e-9
+
+
+def _jacobi_reference(c):
+    c = 0.5 * (c - c.transpose(1, 0, 2))
+    return float(np.abs(np.einsum("ijm,mkl->ijkl", c, c)
+                        + np.einsum("jkm,mil->ijkl", c, c)
+                        + np.einsum("kim,mjl->ijkl", c, c)).max())
+
+
+def test_jacobi_check_matches_cyclic_sum():
+    # the one-product Jacobi sum against the three cyclic terms: random
+    # tables are refused with the same residual, Lie algebras pass
+    for n in (2, 3):
+        s = standard_structure(n)
+        c = np.random.default_rng(n).standard_normal((s.dim,) * 3)
+        with pytest.raises(AlgebraError) as exc:
+            MetricLieAlgebra(s, c)
+        assert f"({_jacobi_reference(c):.2e})" in str(exc.value)
+        su2 = np.zeros((s.dim,) * 3)
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            su2[i, j, k], su2[j, i, k] = 1.0, -1.0
+        ad_id = np.zeros((s.dim,) * 3)
+        ad_id[0, 1:, 1:] = np.eye(s.dim - 1)
+        for good in (su2, ad_id):
+            assert _jacobi_reference(good) <= 1e-12
+            MetricLieAlgebra(s, good)

@@ -281,3 +281,20 @@ def test_report_reads_lcal_once(s3, pool3, monkeypatch):
     assert not [k for k, v in arrays if v.shape == (4 * N3, N3)]
     assert sorted(str(k) for k, v in arrays if v.shape[-2:] == (N3, N3)) \
         == ["('L', 3)", "proj3_factors"]
+
+
+def test_split_coords_stack_matches_single_calls(s2, s3):
+    from aqh.exterior import contract12
+    from aqh.projectors import split_coords
+    from aqh.torsion import w_coords
+
+    for s in (s2, s3):
+        tensors = [random_W_element(s, 600 + k) for k in range(3)]
+        C = np.stack([w_coords(a, s) for a in tensors])
+        ds = np.stack([contract12(a).coeffs for a in tensors])
+        stack = split_coords(C, ds, s)
+        for k in range(len(tensors)):
+            one = split_coords(C[k], ds[k], s)
+            for X, c in one.items():
+                assert (np.abs(stack[X][k] - c).max()
+                        <= 1e-14 * np.abs(C[k]).max()), (s.n, X)

@@ -261,8 +261,44 @@ def test_structure_json_round_trip(s2):
 
 
 def test_volume_coefficient_follows_fundamental_form(s2, s3):
-    # Vol = ((-1)^(n+1)/(2n+1)!) Omega^n fixes the star orientation
+    # Vol = ((-1)^(n+1)/(2n+1)!) Omega^n fixes the star orientation: on the
+    # standard frames, on frames m I m^T, m J m^T with det m = -1 and +1, and
+    # with the basis reordered as (e_1, I e_1, J e_1, K e_1, e_2, ..)
+    rng = np.random.default_rng(4)
     for s in (s2, s3, standard_structure(4)):
-        top = wedge_power(s.Omega, s.n)
-        v = top.coeffs[0] * (-1.0) ** (s.n + 1) / math.factorial(2 * s.n + 1)
-        assert s.vol_coeff == pytest.approx(v)
+        g, _ = np.linalg.qr(rng.standard_normal((s.dim, s.dim)))
+        if np.linalg.det(g) > 0:
+            g[:, 0] *= -1.0
+        flip = np.diag([-1.0] + [1.0] * (s.dim - 1))
+        perm = np.eye(s.dim)[[a + s.n * q for a in range(s.n)
+                              for q in range(4)]]
+        frames = [(s, 1.0)] + [
+            (QuatStructure(s.n, m @ s.I @ m.T, m @ s.J @ m.T),
+             round(np.linalg.det(m))) for m in (g, g @ flip, perm)]
+        for t, det in frames:
+            top = wedge_power(t.Omega, t.n)
+            v = top.coeffs[0] * (-1.0) ** (t.n + 1) / math.factorial(
+                2 * t.n + 1)
+            assert t.vol_coeff == det * s.vol_coeff
+            assert abs(t.vol_coeff - v) < 1e-12
+
+
+def test_structure_forms_no_power_of_Omega():
+    # a cold n=4 structure builds no wedge table with a factor of degree 8
+    # or more: Omega^n is formed only by verify's volume check
+    import os
+    import subprocess
+    import sys
+
+    import aqh
+
+    code = ("import aqh\n"
+            "from aqh.exterior import tables\n"
+            "aqh.standard_structure(4)\n"
+            "print(max(max(k) for k in tables(16)._wedge))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aqh.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) < 8

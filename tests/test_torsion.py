@@ -273,3 +273,29 @@ def test_embedding_and_reassembly_match_six_term_wedge(s2, s3, frame3):
         want = sum(wedge22_reference(cA[ax].mats, s.mats[ax]) for ax in AXES)
         np.testing.assert_allclose(reassemble(cA, s).rows, want,
                                    rtol=0, atol=1e-12)
+
+
+def test_random_W_element_is_F_of_fiber_projection(s2, s3):
+    # the one-product sampler against its definition on the same draw
+    for s in (s2, s3):
+        for seed in (0, 7, 71):
+            a = random_W_element(s, seed)
+            raw = np.random.default_rng(seed).standard_normal((s.dim,) * 3)
+            fam = fiber_project(
+                MixedTwoFormFamily(s.dim, raw - raw.transpose(0, 2, 1)), s)
+            ref = F_map(fam, s, check=False)
+            assert (np.linalg.norm(a.rows - ref.rows)
+                    <= 1e-14 * np.linalg.norm(ref.rows))
+            ok, resid = is_in_W(a, s)
+            assert ok and resid <= 1e-12
+
+
+def test_f_inverse_raw_matches_contraction(s2, s3):
+    from aqh.threeform import r_matrix
+
+    for s in (s2, s3):
+        a = random_W_element(s, 5)
+        R = r_matrix(s).reshape(s.dim, -1, s.dim)
+        ref = np.einsum("xu,yuz->xyz", a.rows, R) / (-8 * s.n)
+        np.testing.assert_allclose(f_inverse_raw(a, s).mats, ref,
+                                   rtol=0, atol=1e-14 * np.abs(ref).max())
