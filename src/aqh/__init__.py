@@ -81,7 +81,6 @@ from .liealg import (
     codiff_Omega,
     koszul,
     nabla_Omega,
-    nabla_dense,
     nabla_form,
     nabla_omega,
     nijenhuis,

@@ -17,8 +17,6 @@ import json
 import sys
 from functools import lru_cache
 
-import numpy as np
-
 from .classify import classification_report
 from .exterior import load_json, mixed_from_json, mixed_to_json
 from .liealg import VerificationError, algebra_from_json, classify_algebra
@@ -28,10 +26,9 @@ from .torsion import check_tol, random_W_element, w_dim
 
 
 # every subcommand builds structures for any n up to this.  A structure
-# builds no wedge table of Omega, but at n = 5 the first report's d*Omega map
-# (classify.dOmega_op) wedges with Omega^(n-2) = Omega^3, and verify's
-# volume check forms Omega^5: both need wedge_table(8, 4), 62M rows (2 GB)
-# at dim 20
+# builds no wedge table of Omega, and above n = 2 neither does a tensor
+# report, but at n = 5 classify_algebra's d*Omega map (classify.dOmega_op)
+# wedges 5-forms with Omega^3: wedge_table(5, 6), 78M rows (2.5 GB) at dim 20
 MAX_N = 4
 
 
@@ -91,14 +88,11 @@ def cmd_verify(args) -> int:
 
 def cmd_dims(args) -> int:
     s = _structure(args.n)
-    from .verify import component_matrices_on_W
+    from .verify import component_traces
 
-    mats = component_matrices_on_W(s)
-    rows = []
-    for X in ComponentLabel:
-        tr = float(np.trace(mats[X]))
-        rows.append({"component": X.value, "display": X.display,
-                     "trace": tr, "expected": COMPONENT_DIMS[X](args.n)})
+    traces, _ = component_traces(s)
+    rows = [{"component": X.value, "display": X.display, "trace": traces[X],
+             "expected": COMPONENT_DIMS[X](args.n)} for X in ComponentLabel]
     total = sum(r["trace"] for r in rows)
     data = {"n": args.n, "components": rows, "total": total,
             "expected_total": w_dim(args.n)}

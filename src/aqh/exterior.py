@@ -614,25 +614,6 @@ def _json_coeffs(data: dict, dim: int, p: int, lead: int):
         _json_value(where, v)
 
 
-def form_to_json(a: AltForm) -> dict:
-    tab = tables(a.dim)
-    coeffs = {
-        ",".join(map(str, T)): float(v)
-        for T, v in zip(tab.tuples(a.degree), a.coeffs)
-        if v != 0.0
-    }
-    return {"n": a.dim // 4, "degree": a.degree, "coeffs": coeffs}
-
-
-def form_from_json(data: dict) -> AltForm:
-    dim = 4 * _json_n(data)
-    p = _json_index("key 'degree'", data.get("degree"), dim + 1)
-    out = AltForm.zero(dim, p)
-    _, u, vals = _json_coeffs(data, dim, p, 0)
-    out.coeffs[u] = vals
-    return out
-
-
 def mixed_to_json(a: MixedTorsion) -> dict:
     tab = tables(a.dim)
     coeffs = {}

@@ -41,7 +41,6 @@ from .exterior import (
 from .structure import (
     AXES,
     QuatStructure,
-    slot_sum,
     standard_structure,
     structure_from_json,
 )
@@ -112,15 +111,6 @@ def koszul(g: MetricLieAlgebra) -> np.ndarray:
                         - c.transpose(0, 1, 2)).max()) <= 1e-12:
         raise AlgebraError("connection has torsion")
     return G
-
-
-def nabla_dense(g: MetricLieAlgebra, G: np.ndarray,
-                t: np.ndarray) -> np.ndarray:
-    """Covariant derivative of an invariant dense (0,s)-tensor:
-    out[x, ...] = (nabla_{e_x} t)(...)."""
-    # G[x].T is the matrix of nabla_{e_x}: e_j -> sum_k G[x,j,k] e_k, and
-    # its slot sum carries the minus sign of insert
-    return np.stack([slot_sum(G[x].T, t) for x in range(g.dim)])
 
 
 def nabla_form(g: MetricLieAlgebra, G: np.ndarray, w: AltForm) -> np.ndarray:

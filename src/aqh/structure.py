@@ -149,11 +149,6 @@ class QuatStructure:
         return AltForm(self.dim, q,
                        hodge_op(self.dim, q, self.vol_coeff).T(a.coeffs))
 
-    def volume_form(self) -> AltForm:
-        top = AltForm.zero(self.dim, self.dim)
-        top.coeffs[0] = self.vol_coeff
-        return top
-
     # -- operator matrices on coefficient vectors -------------------------
 
     def deriv_op(self, p: int) -> SparseOp:

@@ -1,0 +1,66 @@
+"""Reference forms that only the tests use: dense matrices, dense tensors
+and the JSON form of a single alternating form.  The library computes none
+of these; the tests compare its routes against them."""
+
+import numpy as np
+
+from aqh import projectors as PR
+from aqh import torsion as T
+from aqh.exterior import (AltForm, _json_coeffs, _json_index, _json_n,
+                          tables)
+from aqh.structure import slot_sum
+from aqh.verify import dstar_on_W
+
+
+def component_matrices_on_W(s) -> dict:
+    """Matrices (dim*r x dim*r) of the library's six component projectors
+    and of the two Lcal halves (Lcal + 2)/6 and (4 - Lcal)/6, in the
+    orthonormal W basis, cached on the structure."""
+
+    def build():
+        D = T.w_dim(s.n)
+        basis = np.eye(D).reshape(D, s.dim, -1)
+        ds = dstar_on_W(s).T
+        mats = {X: c.reshape(D, D).T
+                for X, c in PR.split_coords(basis, ds, s).items()}
+        mats["hpart"] = PR.lcal_hpart(basis, s).reshape(D, D).T
+        mats["s3hpart"] = np.eye(D) - mats["hpart"]
+        return mats
+
+    return s.cache("component_matrices_W", build)
+
+
+def nabla_dense(g, G: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Covariant derivative of an invariant dense (0,s)-tensor:
+    out[x, ...] = (nabla_{e_x} t)(...)."""
+    # G[x].T is the matrix of nabla_{e_x}: e_j -> sum_k G[x,j,k] e_k, and
+    # its slot sum carries the minus sign of insert
+    return np.stack([slot_sum(G[x].T, t) for x in range(g.dim)])
+
+
+def volume_form(s) -> AltForm:
+    """The unit top form vol_coeff e_1 ^ .. ^ e_4n of a structure."""
+    top = AltForm.zero(s.dim, s.dim)
+    top.coeffs[0] = s.vol_coeff
+    return top
+
+
+def form_to_json(a: AltForm) -> dict:
+    tab = tables(a.dim)
+    coeffs = {
+        ",".join(map(str, T)): float(v)
+        for T, v in zip(tab.tuples(a.degree), a.coeffs)
+        if v != 0.0
+    }
+    return {"n": a.dim // 4, "degree": a.degree, "coeffs": coeffs}
+
+
+def form_from_json(data: dict) -> AltForm:
+    """A form document, read by the library's JSON key parser with no row
+    index in front of the form part."""
+    dim = 4 * _json_n(data)
+    p = _json_index("key 'degree'", data.get("degree"), dim + 1)
+    out = AltForm.zero(dim, p)
+    _, u, vals = _json_coeffs(data, dim, p, 0)
+    out.coeffs[u] = vals
+    return out

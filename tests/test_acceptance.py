@@ -45,7 +45,7 @@ from aqh import (
 from aqh.structure import AXES
 from aqh.threeform import r_matrix
 from aqh.liealg import codiff_Omega, gray_residual, nijenhuis
-from aqh.verify import component_matrices_on_W
+from reference import component_matrices_on_W
 
 
 def report(num, passed, desc):

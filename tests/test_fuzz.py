@@ -17,10 +17,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from aqh import (ComponentLabel, MixedTorsion, components, random_W_element,
                  standard_structure)
 from aqh.cli import main
-from aqh.exterior import (form_from_json, load_json, mixed_from_json,
-                          mixed_to_json)
+from aqh.exterior import load_json, mixed_from_json, mixed_to_json
 from aqh.liealg import algebra_from_json
 from aqh.structure import structure_from_json, structure_to_json
+from reference import form_from_json
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "liealg",
                        "class_KH_EH.json")

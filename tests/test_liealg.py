@@ -23,7 +23,6 @@ from aqh import (
     is_in_W,
     koszul,
     nabla_Omega,
-    nabla_dense,
     nabla_form,
         nijenhuis,
     standard_structure,
@@ -34,6 +33,7 @@ from aqh.structure import AXES, insert
 from aqh.exterior import compound, tables, wedge1
 from aqh.liealg import _gray_residual, gray_residual, nabla_omega
 from aqh.torsion import MembershipError
+from reference import nabla_dense
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                         "liealg")

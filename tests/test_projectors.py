@@ -16,7 +16,7 @@ from aqh import (
     proj_s3hpart,
     random_W_element,
 )
-from aqh.verify import component_matrices_on_W
+from reference import component_matrices_on_W
 
 
 def test_eigen_split_partition(s2):

@@ -1,0 +1,116 @@
+"""The components section of the identity suite: it forms no dim W x dim W
+matrix, and each of its projector checks fails on a projector family broken
+the way that check alone can see."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from aqh import projectors as PR
+from aqh import verify as V
+from aqh.projectors import ComponentLabel as CL
+from aqh.structure import standard_structure
+from aqh.torsion import w_dim
+
+SECTION = ("components",)
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _arrays(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _arrays(v)
+
+
+def test_components_section_forms_no_dense_W_matrix(monkeypatch):
+    built = []
+
+    def record(n):
+        built.append(standard_structure(n))
+        return built[-1]
+
+    monkeypatch.setattr(V, "standard_structure", record)
+    V.run_suite(3, 71, sections=SECTION)    # fills the shared form tables
+    tracemalloc.start()
+    try:
+        results = V.run_suite(3, 71, sections=SECTION)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    D = w_dim(3)
+    dense = [k for k, v in built[-1]._cache.items()
+             if any(a.shape[-2:] == (D, D) for a in _arrays(v))]
+    assert not dense
+    # 40.0 MiB with eight cached 504 x 504 matrices; about 24 MiB on row
+    # blocks, most of it the section's cold structure caches
+    assert peak < 30.0, f"components section peak {peak:.1f} MiB"
+
+
+def _unit(x):
+    return x / np.linalg.norm(x)
+
+
+@pytest.fixture(scope="module")
+def pieces():
+    """Unit W-coordinate vectors of a generic direction and of KH, EH and
+    KS3H at n = 3."""
+    s = standard_structure(3)
+    rng = np.random.default_rng(5)
+    C = rng.standard_normal((1, s.dim, w_dim(3) // s.dim))
+    parts = PR.split_coords(C, C.reshape(1, -1) @ V.dstar_on_W(s).T, s)
+    out = {X: _unit(parts[X].ravel()) for X in (CL.KH, CL.EH, CL.KS3H)}
+    out["any"] = _unit(rng.standard_normal(w_dim(3)))
+    return out
+
+
+def _run_mutated(monkeypatch, moves):
+    """The components section at n = 3 with split_coords giving part X of
+    coordinates C the extra u (C . v) for each (X, u, v) of moves."""
+    split = PR.split_coords
+
+    def mutated(C, ds, s):
+        parts = split(C, ds, s)
+        flat = C.reshape(*C.shape[:-2], -1)
+        for X, u, v in moves:
+            parts[X] = parts[X] + np.multiply.outer(flat @ v, u).reshape(
+                parts[X].shape)
+        return parts
+
+    monkeypatch.setattr(PR, "split_coords", mutated)
+    return {r.check.split("/")[1]: r.passed
+            for r in V.run_suite(3, 71, sections=SECTION)}
+
+
+def test_projector_algebra_sees_a_rank_one_perturbation(monkeypatch, pieces):
+    # P_KH + 1e-6 u v^T
+    passed = _run_mutated(monkeypatch, [
+        (CL.KH, 1e-6 * pieces["any"], _unit(np.sin(np.arange(w_dim(3)))))])
+    assert not passed["component-projector-algebra"]
+
+
+def test_component_traces_see_a_direction_moved_between_components(
+        monkeypatch, pieces):
+    # a unit vector u of KH moved into EH: still six complementary
+    # orthogonal projectors, but of traces 127 and 13
+    u = pieces[CL.KH]
+    passed = _run_mutated(monkeypatch, [(CL.KH, -u, u), (CL.EH, u, u)])
+    assert passed["component-projector-algebra"]
+    assert not passed["component-traces"]
+
+
+def test_injectivity_sees_a_visible_direction_in_the_kernel(monkeypatch,
+                                                             pieces):
+    # a unit vector w of KH swapped with a unit vector k of KS3H, which d*
+    # kills: the projectors and their traces are as good as before
+    w, k = pieces[CL.KH], pieces[CL.KS3H]
+    passed = _run_mutated(monkeypatch, [(CL.KH, -w, w), (CL.KH, k, k),
+                                        (CL.KS3H, -k, k), (CL.KS3H, w, w)])
+    assert passed["component-projector-algebra"]
+    assert passed["component-traces"]
+    assert not passed["contraction-injective-on-visible"]
