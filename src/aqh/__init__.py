@@ -22,7 +22,6 @@ from .structure import (
     insert,
     random_rotation,
     rotate_adapted,
-    slot_sum,
     standard_structure,
 )
 from .torsion import (

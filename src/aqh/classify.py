@@ -205,7 +205,7 @@ def ctx_from_torsion(a: MixedTorsion, s: QuatStructure,
 
 def ctx_from_derived(d: DerivedFromDOmega, s: QuatStructure) -> _Ctx:
     """The exterior-derivative context of d.  Its f5 fields are 5-forms:
-    dOm, LdOm, AEd, AELd, Q5, xiOm."""
+    dOm, LdOm, AEd, AELd, Q5, xiOm; its wAAeq, wAA0 run require_alternation."""
     ctx = _Ctx(s, d.scale, d.dstarOmega.coeffs, d.xi_triple)
     dOm, f3, xi3 = d.dOmega.coeffs, ctx.f3, ctx.xi3
     ctx.f5 = _Fields(dOm=lambda: dOm, LdOm=lambda: s.L_apply(5, dOm),
@@ -213,7 +213,22 @@ def ctx_from_derived(d: DerivedFromDOmega, s: QuatStructure) -> _Ctx:
                      AELd=lambda: ae(s, f3["Ldstar"]),
                      Q5=lambda: _field_map(s, "Q5") @ xi3,
                      xiOm=lambda: _field_map(s, "xiOm") @ d.xi)
+    ctx.alternation_check = lambda: require_alternation(d, s)
     return ctx
+
+
+def require_alternation(d: DerivedFromDOmega, s: QuatStructure) -> None:
+    """ValueError unless star_inv(star(dOm) ^ w_I ^ w_I) is -12 xi -
+    8(n-1) xi_I within 1e-8 |dOm|, as the wedge norms wAAeq and wAA0 read
+    it (threeform.wedge_norms): true when dOm is the alternation of a tensor
+    in W, as alternate5(a) and ce_d(g, Omega) are, and at n = 2 always."""
+    w = s.omega["I"]
+    miss = float(np.linalg.norm(
+        s.star_inv(wedge(wedge(s.star(d.dOmega), w), w)).coeffs
+        + 12 * d.xi + 8 * s.k1 * d.xi_triple.xi_I))
+    if not miss <= 1e-8 * d.dOmega.norm():
+        raise ValueError(f"dOmega is not the alternation of a tensor in W: "
+                         f"the wedge identity misses by {miss:.2e}")
 
 
 @dataclass
@@ -460,17 +475,10 @@ def wedge_criteria(d: DerivedFromDOmega, s: QuatStructure,
     star(dOm)^w_A^w_A agree iff the ES3H part vanishes; iii) all vanish iff
     the E(H+S3H) part vanishes.  The wedges are read from xi, xi_A
     (threeform.wedge_norms), so dOm must be the alternation of a tensor in
-    W, as alternate5(a) and ce_d(g, Omega) are: ValueError when the direct
-    star_inv(star(dOm) ^ w_I ^ w_I) misses -12 xi - 8(n-1) xi_I by more than
-    1e-8 |dOm|.  check_tol checks tol."""
+    W: require_alternation raises ValueError otherwise.  check_tol checks
+    tol."""
     check_tol(tol)
-    w = s.omega["I"]
-    miss = float(np.linalg.norm(
-        s.star_inv(wedge(wedge(s.star(d.dOmega), w), w)).coeffs
-        + 12 * d.xi + 8 * s.k1 * d.xi_triple.xi_I))
-    if not miss <= 1e-8 * d.dOmega.norm():
-        raise ValueError(f"dOmega is not the alternation of a tensor in W: "
-                         f"the wedge identity misses by {miss:.2e}")
+    require_alternation(d, s)
     return _wedge_flags(wedge_norms(d.dstarOmega.coeffs, d.xi_triple, s.n),
                         tol * max(d.dOmega.norm(), 1e-300))
 

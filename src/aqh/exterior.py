@@ -318,26 +318,6 @@ def wedge_power(a: AltForm, k: int) -> AltForm:
     return out
 
 
-def compound(A: np.ndarray, p: int) -> np.ndarray:
-    """The p-th compound of a square matrix, or of each in a stack (..., d,
-    d): the minors det A[S, T] over increasing p-tuples, by Laplace expansion
-    along the first column T_0 of T = T_0 T':
-    det A[S, T] = sum_m (-1)^m A[S_m, T_0] det A[S - S_m, T'],
-    the terms read off ``exp_table(q)`` for q = 2..p."""
-    A = np.asarray(A, dtype=float)
-    tab = tables(A.shape[-1])
-    C = A if p else np.ones(A.shape[:-2] + (1, 1))
-    for q in range(2, p + 1):
-        u, m, r, t, sign = tab.exp_table(q)
-        # T_0, T' of every q-tuple in order; the q rows of an S are adjacent
-        T0, rest = r[m == 0], t[m == 0]
-        a = (sign[:, None] * A.take(r, -2)).take(T0, -1)
-        a = a.reshape(A.shape[:-2] + (-1, q, len(T0)))
-        c = C.take(t, -2).take(rest, -1).reshape(a.shape)
-        C = np.einsum("...umj,...umj->...uj", a, c)
-    return C
-
-
 def interior(x: np.ndarray, a: AltForm) -> AltForm:
     """x-slot contraction (x 'hook' a)(...) = a(x, ...)."""
     if a.degree < 1:

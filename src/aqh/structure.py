@@ -57,15 +57,6 @@ def insert(A: np.ndarray, slot: int, t: np.ndarray) -> np.ndarray:
     return -np.moveaxis(out, -1, slot - 1)
 
 
-def slot_sum(A: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """i_A on a dense (0,s)-tensor: the sum of all slot insertions."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    for i in range(1, t.ndim + 1):
-        out += insert(A, i, t)
-    return out
-
-
 def _frame_sign(I: np.ndarray, J: np.ndarray, K: np.ndarray) -> float:
     """sign det of an orthonormal frame (v_1, I v_1, J v_1, K v_1, .., K v_n),
     an (x, I x) frame with x = v, J v: Gram-Schmidt over the standard basis,

@@ -193,6 +193,8 @@ class _Ctx:
                           m=lambda: m_matrix(s) @ xi3)
         self.w = self.f5 = _Fields()
         self.profile = None
+        # run before a wedge norm that holds only on alternations of W
+        self.alternation_check = lambda: None
 
 
 def wedge_norms(dstar: np.ndarray, tri: OneFormTriple,
@@ -247,6 +249,8 @@ def _eval_cond(cond, ctx: _Ctx) -> float:
         return max(float(np.linalg.norm(ctx.xiA[a] - ctx.xiA[b]))
                    for a, b in ("IJ", "JK"))
     if tag in ("wOm0", "wAAeq", "wAA0", "wOmdeg0"):
+        if tag in ("wAAeq", "wAA0"):
+            ctx.alternation_check()
         return wedge_norms(ctx.f3["dstar"], ctx.xiA, ctx.n)[tag]
     if tag == "true":
         return 0.0

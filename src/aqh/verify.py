@@ -514,6 +514,13 @@ def check_components(s: QuatStructure, rng) -> list[CheckResult]:
     out.append(CheckResult("contraction-kernel", worst, 1e-10,
                            "d* kills the two invisible components"))
 
+    # the paper's route: hat_dstar of the proj3 parts and the Lcal halves
+    paper = paper_components(a, s)
+    worst = max(float(np.linalg.norm((paper[X] - comps[X]).rows))
+                for X in labs) / max(a.norm(), 1e-300)
+    out.append(CheckResult("paper-route", worst, 1e-9,
+                           "components against paper_components"))
+
     # smallest singular value of d* on the span of the four visible ones:
     # d* P_vis has those of d* on that span, rank P_vis of them nonzero
     rank = round(sum(traces[X] for X in PR.VISIBLE))
@@ -844,24 +851,35 @@ def check_lie(s: QuatStructure, rng) -> list[CheckResult]:
     ok = rep["key"] == "QK"
     out.append(CheckResult("abelian-is-integrable", 0.0 if ok else 1.0, 0.5))
 
-    # (check id, classify_algebra check, tol)
-    pipeline = (("alternation", "alternation_vs_differential", 1e-9),
-                ("gray-identity", "gray_identity", 1e-10),
-                ("nijenhuis-trace", "nijenhuis_trace", 1e-12),
-                ("codifferential-routes", "codifferential_pairwise", 1e-9),
-                ("product-rule", "product_rule", 1e-9))
-    worst = dict.fromkeys((k for _, k, _ in pipeline), 0.0)
-    fixed = displayed = 0.0
+    # (check id, tol) of each classify_algebra check of LA.PIPELINE_CHECKS
+    ids = {"alternation_vs_differential": ("alternation", 1e-9),
+           "gray_identity": ("gray-identity", 1e-10),
+           "nijenhuis_trace": ("nijenhuis-trace", 1e-12),
+           "codifferential_pairwise": ("codifferential-routes", 1e-9),
+           "product_rule": ("product-rule", 1e-9)}
+    worst = dict.fromkeys(ids, 0.0)
+    fixed = displayed = identity = xi_gap = 0.0
     for seed in (0, 1, 2):
         g = LA.MetricLieAlgebra(s, LA.two_step_nilpotent(s.n, seed).c)
         rep = LA.classify_algebra(g)
-        for k in worst:
+        for k in LA.PIPELINE_CHECKS:
             worst[k] = max(worst[k], rep["checks"][k])
+        # codifferential-routes: all four routes, reported rather than raised
+        cod = LA.codiff_Omega(g, tol=math.inf)
+        worst["codifferential_pairwise"] = max(
+            worst["codifferential_pairwise"],
+            *cod["report"]["pairwise"].values())
+        identity = max(identity,
+                       *cod["report"]["two_form_codiff_identity"].values())
         # star_inv(star dOmega ^ w_A ^ w_A) against -12 xi - 8 k1 xi_A, with
         # xi, xi_A those of d*Omega = C12(nabla Omega), and against the
-        # displayed reading 2 <A . hook d w_A, w_A>
-        ds = contract12(LA.nabla_Omega(g, LA.koszul(g)))
+        # displayed reading 2 <A . hook d w_A, w_A>; xi against the Hodge
+        # formula -star_inv(star dOmega ^ Omega) / (12 k2)
+        ds = cod["value"]
         tri, s5 = TF.xi_triple(ds, s), s.star(LA.ce_d(g, s.Omega))
+        xi_gap = max(xi_gap, float(np.linalg.norm(
+            s.star_inv(wedge(s5, s.Omega)).coeffs / (-12 * s.k2) - tri.xi))
+            / ds.norm())
         for ax in AXES:
             A, dw = s.mats[ax], LA.ce_d(g, s.omega[ax]).dense()
             wAA = s.star_inv(wedge(wedge(s5, s.omega[ax]), s.omega[ax])).coeffs
@@ -872,10 +890,15 @@ def check_lie(s: QuatStructure, rng) -> list[CheckResult]:
                             float(np.abs(shown - wAA).max()) / ds.norm())
     out += [CheckResult(f"pipeline-{name}", worst[k], tol,
                         "" if i else "3 nilpotent algebras")
-            for i, (name, k, tol) in enumerate(pipeline)]
+            for i, (k, (name, tol)) in enumerate(ids.items())]
     out.append(CheckResult("wedge-trace-reading", fixed, 1e-9,
                            f"displayed reading 2 <A. hook dw_A, w_A> "
                            f"residual {displayed:.2e}"))
+    out.append(CheckResult("two-form-codiff-identity", identity, 1e-10,
+                           "A d* w_A = -<. hook d w_A, w_A>, every axis"))
+    out.append(CheckResult("xi-hodge-vs-contraction", xi_gap, 1e-8,
+                           "xi of C12(nabla Omega) against "
+                           "-star_inv(star dOmega ^ Omega) / (12(2n+1))"))
 
     # injected-torsion synthetic round trip: build nabla w_A from a chosen
     # torsion tensor and confirm the assembly path reproduces it

@@ -1,6 +1,6 @@
-"""Reference forms that only the tests use: dense matrices, dense tensors
-and the JSON form of a single alternating form.  The library computes none
-of these; the tests compare its routes against them."""
+"""Reference forms that only the tests use: dense matrices, dense tensors,
+compound matrices and the JSON form of a single alternating form.  The
+library computes none of these; the tests compare its routes against them."""
 
 import numpy as np
 
@@ -8,7 +8,7 @@ from aqh import projectors as PR
 from aqh import torsion as T
 from aqh.exterior import (AltForm, _json_coeffs, _json_index, _json_n,
                           tables)
-from aqh.structure import slot_sum
+from aqh.structure import insert
 from aqh.verify import dstar_on_W
 
 
@@ -28,6 +28,15 @@ def component_matrices_on_W(s) -> dict:
         return mats
 
     return s.cache("component_matrices_W", build)
+
+
+def slot_sum(A: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """i_A on a dense (0,s)-tensor: the sum of all slot insertions."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    for i in range(1, t.ndim + 1):
+        out += insert(A, i, t)
+    return out
 
 
 def nabla_dense(g, G: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -64,3 +73,23 @@ def form_from_json(data: dict) -> AltForm:
     _, u, vals = _json_coeffs(data, dim, p, 0)
     out.coeffs[u] = vals
     return out
+
+
+def compound(A: np.ndarray, p: int) -> np.ndarray:
+    """The p-th compound of a square matrix, or of each in a stack (..., d,
+    d): the minors det A[S, T] over increasing p-tuples, by Laplace expansion
+    along the first column T_0 of T = T_0 T':
+    det A[S, T] = sum_m (-1)^m A[S_m, T_0] det A[S - S_m, T'],
+    the terms read off ``exp_table(q)`` for q = 2..p."""
+    A = np.asarray(A, dtype=float)
+    tab = tables(A.shape[-1])
+    C = A if p else np.ones(A.shape[:-2] + (1, 1))
+    for q in range(2, p + 1):
+        u, m, r, t, sign = tab.exp_table(q)
+        # T_0, T' of every q-tuple in order; the q rows of an S are adjacent
+        T0, rest = r[m == 0], t[m == 0]
+        a = (sign[:, None] * A.take(r, -2)).take(T0, -1)
+        a = a.reshape(A.shape[:-2] + (-1, q, len(T0)))
+        c = C.take(t, -2).take(rest, -1).reshape(a.shape)
+        C = np.einsum("...umj,...umj->...uj", a, c)
+    return C

@@ -505,7 +505,7 @@ def check_ae_against_wedges(s, rng):
 def check_report_in_frame(s, sg, g, pool, subsets):
     """The report of g a Lambda^4(g)^T in the frame sg is the report of a in
     s: the same key, norms within 1e-12 of the total."""
-    from aqh.exterior import compound
+    from reference import compound
 
     L4 = compound(g, 4)
     for labels in subsets:
@@ -522,7 +522,7 @@ def check_report_in_frame(s, sg, g, pool, subsets):
 def test_sparse_builds_off_standard_frame(s2, pool2):
     # a general O(8) change of frame g: the sparse and W-coordinate builds
     # must not lean on the few nonzeros of the standard frame
-    from aqh.exterior import compound
+    from reference import compound
     from aqh.projectors import _w_core
     from aqh.structure import QuatStructure
     from aqh.threeform import hat_dstar
@@ -801,3 +801,38 @@ def test_wedge_criteria_refuse_forms_off_the_alternation(s2, s3):
     zero = AltForm.zero(s3.dim, 5)
     assert all(wedge_criteria(DerivedFromDOmega.from_dOmega(zero, s3),
                               s3).values())
+
+
+def _tags(conds):
+    for c in conds:
+        if c[0] == "or":
+            for branch in c[1]:
+                yield from _tags(branch)
+        else:
+            yield c[0]
+
+
+def test_wedge_rows_refuse_forms_off_the_alternation(s2, s3):
+    # the rows that read wAAeq or wAA0 refuse a random n=3 5-form, as
+    # wedge_criteria does; wOm0 = |star(dOm) ^ Omega| is a Hodge identity on
+    # every 5-form, so its row reads it; at n=2 every row reads every 5-form
+    from aqh.threeform import wedge_norms
+
+    rng = np.random.default_rng(8)
+    f = AltForm(s3.dim, 5, rng.standard_normal(s3.tab.nforms(5)))
+    d = DerivedFromDOmega.from_dOmega(f, s3)
+    refused = 0
+    for row in table2_rows(s3):
+        if {"wAAeq", "wAA0"} & set(_tags(row.col3)):
+            refused += 1
+            with pytest.raises(ValueError, match="not the alternation"):
+                table2_residual_dOmega(d, s3, row)
+        else:
+            table2_residual_dOmega(d, s3, row)
+    assert refused == 2
+    assert wedge_norms(d.dstarOmega.coeffs, d.xi_triple, 3)["wOm0"] == \
+        pytest.approx(wedge(s3.star(f), s3.Omega).norm(), rel=1e-12)
+    f2 = AltForm(s2.dim, 5, rng.standard_normal(s2.tab.nforms(5)))
+    d2 = DerivedFromDOmega.from_dOmega(f2, s2)
+    for row in table3_rows(s2):
+        table3_residual(d2, s2, row)

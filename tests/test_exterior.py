@@ -32,8 +32,8 @@ from aqh.exterior import (
     tables,
     wedge_rows,
 )
-from aqh.structure import slot_sum, standard_structure
-from reference import form_from_json, form_to_json, volume_form
+from aqh.structure import standard_structure
+from reference import form_from_json, form_to_json, slot_sum, volume_form
 
 
 def rand_form(rng, dim, p):

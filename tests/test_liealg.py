@@ -30,10 +30,10 @@ from aqh import (
     VerificationError,
 )
 from aqh.structure import AXES, insert
-from aqh.exterior import compound, tables, wedge1
+from aqh.exterior import tables, wedge1
 from aqh.liealg import _gray_residual, gray_residual, nabla_omega
 from aqh.torsion import MembershipError
-from reference import nabla_dense
+from reference import compound, nabla_dense
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                         "liealg")
@@ -263,26 +263,54 @@ def test_classify_algebra_computes_each_axis_once(monkeypatch):
     assert rep["checks"]["gray_identity"] < 1e-10
 
 
-def test_classify_algebra_derives_dOmega_once(monkeypatch):
-    # the report reads the alternation of nabla Omega as Schur forms, so
-    # the one DerivedFromDOmega is that of ce_d(g, Omega)
+def test_classify_algebra_builds_no_dOmega_map(monkeypatch):
+    # d*Omega is the contraction of nabla Omega, checked against
+    # -star d star Omega: a report derives nothing from dOmega, so at n = 3,
+    # where the report's constants need no 5-form, no d*Omega map is built
+    from aqh import QuatStructure
     from aqh.classify import DerivedFromDOmega
 
-    for n in (2, 3):
-        g = two_step_nilpotent(n, 4)
-        classify_algebra(g)  # the caches, and the report's constants
-        calls = []
-        real = DerivedFromDOmega.from_dOmega.__func__
+    s = standard_structure(3)
+    fresh = QuatStructure(3, s.I, s.J)
+    g = MetricLieAlgebra(fresh, two_step_nilpotent(3, 4).c)
+    classify_algebra(g)  # the caches, and the report's constants
+    calls = []
+    real = DerivedFromDOmega.from_dOmega.__func__
 
-        def counted(cls, *args, **kwargs):
-            calls.append(1)
-            return real(cls, *args, **kwargs)
+    def counted(cls, *args, **kwargs):
+        calls.append(1)
+        return real(cls, *args, **kwargs)
 
-        with monkeypatch.context() as m:
-            m.setattr(DerivedFromDOmega, "from_dOmega", classmethod(counted))
-            rep = classify_algebra(g)
-        assert len(calls) == 1, n
-        assert rep["checks"]["alternation_vs_differential"] < 1e-10
+    monkeypatch.setattr(DerivedFromDOmega, "from_dOmega", classmethod(counted))
+    rep = classify_algebra(g)
+    assert not calls
+    assert "dOmega" not in fresh._cache
+    assert rep["checks"]["alternation_vs_differential"] < 1e-10
+
+
+def test_classify_algebra_refuses_a_broken_hodge_route(monkeypatch, tmp_path,
+                                                        capsys):
+    # d of star Omega, the only form of degree dim - 4 = 8 that the n = 3
+    # pipeline differentiates, with the wrong sign: the report and
+    # `aqh classify` refuse the algebra as a verification failure
+    from aqh import liealg
+    from aqh.cli import main
+
+    real = liealg.ce_d
+
+    def broken(g, b):
+        out = real(g, b)
+        return -1.0 * out if b.degree == g.dim - 4 else out
+
+    g = two_step_nilpotent(3, 0)
+    monkeypatch.setattr(liealg, "ce_d", broken)
+    with pytest.raises(VerificationError,
+                       match="codifferential routes disagree"):
+        classify_algebra(g)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(algebra_to_json(g)))
+    assert main(["classify", "--input", str(path)]) == 1
+    assert "codifferential routes disagree" in capsys.readouterr().err
 
 
 def test_gray_identity():
@@ -431,13 +459,12 @@ def test_classify_algebra_report_fields():
     g = two_step_nilpotent(2, 9)
     rep = classify_algebra(g)
     for key in ("class", "key", "profile", "table2", "wedge_criteria",
-                "checks", "codifferential"):
+                "checks"):
         assert key in rep
     assert rep["checks"]["nijenhuis_trace"] < 1e-12
     assert rep["checks"]["gray_identity"] < 1e-10
     assert rep["checks"]["alternation_vs_differential"] < 1e-9
     assert rep["checks"]["codifferential_pairwise"] < 1e-9
-    assert rep["checks"]["xi_hodge_vs_contraction"] < 1e-8
 
 
 def test_json_round_trip():

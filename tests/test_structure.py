@@ -16,7 +16,6 @@ from aqh import (
     random_rotation,
     random_W_element,
     rotate_adapted,
-    slot_sum,
     standard_structure,
     wedge,
     wedge_power,
@@ -25,6 +24,7 @@ from aqh.structure import AXES
 import aqh.torsion as torsion
 import aqh.projectors as projectors
 from aqh.classify import classify as classify_tensor
+from reference import slot_sum
 
 
 def test_standard_structure_axioms(s2, s3):

@@ -1,6 +1,7 @@
 """The components section of the identity suite: it forms no dim W x dim W
 matrix, and each of its projector checks fails on a projector family broken
-the way that check alone can see."""
+the way that check alone can see.  The Lie-pipeline section's route checks
+fail on a broken route."""
 
 import tracemalloc
 
@@ -114,3 +115,50 @@ def test_injectivity_sees_a_visible_direction_in_the_kernel(monkeypatch,
     assert passed["component-projector-algebra"]
     assert passed["component-traces"]
     assert not passed["contraction-injective-on-visible"]
+
+
+def _lie_checks():
+    return {r.check.split("/")[1]: r.passed
+            for r in V.run_suite(3, 71, sections=("lie-pipeline",))}
+
+
+def test_codifferential_routes_see_a_wrong_sign_in_the_structural_route(
+        monkeypatch):
+    # codiff_Omega wedges the one-forms (u, d* w_A) of its two formula
+    # routes with the w_A in one product of ae_factors(1), u in the first
+    # row; u with the wrong sign is a wrong structural route, and the report
+    # does not read it
+    from aqh.structure import QuatStructure
+
+    real = QuatStructure.ae_factors
+
+    def flipped(self, p):
+        W, D = real(self, p)
+        if p != 1:
+            return W, D
+        return (lambda x: W(np.asarray(x) * [[-1.0], [1.0]])), D
+
+    monkeypatch.setattr(QuatStructure, "ae_factors", flipped)
+    passed = _lie_checks()
+    assert not passed["pipeline-codifferential-routes"]
+    assert passed["two-form-codiff-identity"]
+    assert passed["pipeline-product-rule"]
+
+
+def test_xi_check_sees_a_perturbed_xi_map(monkeypatch):
+    # xi of the contraction through xi_maps, scaled by 1 + 1e-4, against
+    # the Hodge formula, which reads no xi map
+    from aqh import threeform as TF
+
+    real = TF.xi_maps
+
+    def perturbed(s):
+        M = real(s).copy()
+        M[0] *= 1 + 1e-4
+        return M
+
+    monkeypatch.setattr(TF, "xi_maps", perturbed)
+    passed = _lie_checks()
+    assert not passed["xi-hodge-vs-contraction"]
+    assert passed["pipeline-codifferential-routes"]
+
