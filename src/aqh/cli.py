@@ -19,8 +19,8 @@ from functools import lru_cache
 
 from .classify import classification_report
 from .exterior import load_json, mixed_from_json, mixed_to_json
-from .liealg import (PIPELINE_CHECKS, VerificationError, algebra_from_json,
-                     classify_algebra)
+from .liealg import (PIPELINE_CHECKS, PIPELINE_TOL, VerificationError,
+                     algebra_from_json, classify_algebra)
 from .projectors import COMPONENT_DIMS, ComponentLabel, component
 from .structure import StructureError, standard_structure
 from .torsion import check_tol, random_W_element, w_dim
@@ -190,7 +190,7 @@ def cmd_liealg(args) -> int:
 
     _emit(report, args.format, text)
     worst = max(report["checks"][k] for k in PIPELINE_CHECKS)
-    return 1 if worst > 1e-8 else 0
+    return 0 if worst <= PIPELINE_TOL else 1
 
 
 @lru_cache(maxsize=None)  # once per process, however often main runs

@@ -360,21 +360,29 @@ def wedge_rows(rows: np.ndarray, p: int) -> np.ndarray:
     return _accumulate(u, sign * rows[..., r, t], math.comb(dim, p + 1))
 
 
-def derivation(M: np.ndarray, b: AltForm) -> np.ndarray:
+def derivation(M: np.ndarray, b) -> np.ndarray:
     """Coefficients (..., N_p) of the slot derivation
-    b -> sum_i b(.., M X_i, ..) for every matrix of a stack (..., dim, dim).
+    b -> sum_i b(.., M X_i, ..) for every matrix of a stack (..., dim, dim);
+    (..., k, N_p) for a sequence b of k forms of one degree.
 
     Only the ``der_table`` rows of the support of b are read.  No two rows
-    share a pair (zr, t), so they fill Y[zr, t] = sign * b[s] by assignment,
-    and the stack meets Y in one product M.reshape(..., dim^2) @ Y."""
+    share a pair (zr, t), so they fill Y[zr, t] = sign * b[s] by
+    assignment, the k forms side by side in column blocks of N_p, and the
+    stack meets Y in one product M.reshape(..., dim^2) @ Y."""
     M = np.asarray(M, dtype=float)
-    if b.degree == 0:
-        return np.zeros(M.shape[:-2] + (1,))
-    k = np.flatnonzero(b.coeffs)
-    zr, t, sign = (a[k] for a in tables(b.dim).der_table(b.degree))
-    Y = np.zeros((b.dim ** 2, b.coeffs.size))
-    Y[zr, t] = sign * b.coeffs[k, None]
-    return M.reshape(M.shape[:-2] + (-1,)) @ Y
+    one = isinstance(b, AltForm)
+    forms = (b,) if one else tuple(b)
+    dim, p, N = forms[0].dim, forms[0].degree, forms[0].coeffs.size
+    Y = np.zeros((dim ** 2, len(forms) * N))
+    for j, f in enumerate(forms):
+        if (f.dim, f.degree) != (dim, p):
+            raise DegreeError("derivation needs forms of one degree and dim")
+        if p:                                       # D = 0 on degree 0
+            k = np.flatnonzero(f.coeffs)
+            zr, t, sign = (a[k] for a in tables(dim).der_table(p))
+            Y[zr, j * N + t] = sign * f.coeffs[k, None]
+    out = M.reshape(M.shape[:-2] + (-1,)) @ Y
+    return out if one else out.reshape(M.shape[:-2] + (len(forms), N))
 
 
 def inner(a: AltForm, b: AltForm) -> float:

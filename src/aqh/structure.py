@@ -18,12 +18,14 @@ vol_coeff, which fixes the Hodge star, is read from the orientation of a
 frame (x_1, I x_1, .., x_2n, I x_2n) when a star first needs it, so no
 structure forms Omega^n; verify certifies the two readings agree.  Slot
 derivations are kept as the nonzeros of ``der_table``; the structure instance
-caches its operators and is otherwise immutable.
+caches its operators and is otherwise immutable: it holds its own read-only
+copies of I, J, K and of the coefficients of w_A and Omega.  standard_structure
+returns one shared instance per n, so its caches live for the process.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,14 +84,14 @@ class QuatStructure:
         self.dim = 4 * self.n
         self.k1 = self.n - 1
         self.k2 = 2 * self.n + 1
-        I = np.asarray(I, dtype=float)
-        J = np.asarray(J, dtype=float)
+        I = np.array(I, dtype=float)
+        J = np.array(J, dtype=float)
         if I.shape != (self.dim, self.dim) or J.shape != (self.dim, self.dim):
             raise StructureError("I, J must be 4n x 4n matrices")
         eye = np.eye(self.dim)
         # huge or non-finite entries give inf or nan residuals, refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            K = I @ J if K is None else np.asarray(K, dtype=float)
+            K = I @ J if K is None else np.array(K, dtype=float)
             checks = {
                 "I^2 = -1": I @ I + eye,
                 "J^2 = -1": J @ J + eye,
@@ -111,6 +113,9 @@ class QuatStructure:
             (wedge(self.omega[a], self.omega[a]) for a in AXES),
             AltForm.zero(self.dim, 4),
         )
+        for x in (I, J, K, *(w.coeffs for w in self.omega.values()),
+                  self.Omega.coeffs):
+            x.flags.writeable = False
         self._cache: dict = {}
 
     @cached_property
@@ -215,9 +220,12 @@ class QuatStructure:
         return self.cache(("ae", p), build)
 
 
+@lru_cache(maxsize=None)
 def standard_structure(n: int) -> QuatStructure:
     """Left multiplication by i, j on H^n in the ordered real basis
-    (e_1..e_n, I e_1..I e_n, J e_1..J e_n, K e_1..K e_n)."""
+    (e_1..e_n, I e_1..I e_n, J e_1..J e_n, K e_1..K e_n): one shared,
+    read-only instance per n.  standard_structure.__wrapped__(n) builds a
+    fresh one, with empty caches."""
     if n < 2:
         raise StructureError("the quaternionic setting needs n > 1")
     dim = 4 * n

@@ -880,8 +880,8 @@ def check_lie(s: QuatStructure, rng) -> list[CheckResult]:
         xi_gap = max(xi_gap, float(np.linalg.norm(
             s.star_inv(wedge(s5, s.Omega)).coeffs / (-12 * s.k2) - tri.xi))
             / ds.norm())
-        for ax in AXES:
-            A, dw = s.mats[ax], LA.ce_d(g, s.omega[ax]).dense()
+        for ax, dw in zip(AXES, LA.d_omegas(g)):
+            A = s.mats[ax]
             wAA = s.star_inv(wedge(wedge(s5, s.omega[ax]), s.omega[ax])).coeffs
             shown = -A @ np.einsum("yrs,rs->y", dw, A)
             fixed = max(fixed, float(np.abs(-12 * tri.xi - 8 * s.k1 * tri[ax]

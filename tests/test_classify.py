@@ -572,7 +572,7 @@ def test_report_and_lie_paths_assemble_no_dense_operators():
     from aqh.liealg import MetricLieAlgebra, classify_algebra, \
         two_step_nilpotent
 
-    s = standard_structure(3)
+    s = standard_structure.__wrapped__(3)    # fresh: empty caches
     pool = components(random_W_element(s, 12), s, check=False)
     for r in range(len(pool) + 1):
         for labels in itertools.combinations(pool, r):
@@ -629,7 +629,7 @@ def test_checks_assemble_no_full_row_operators():
     from aqh import standard_structure
     from aqh.verify import SECTIONS
 
-    s = standard_structure(2)
+    s = standard_structure.__wrapped__(2)    # fresh: empty caches
     rng = np.random.default_rng(0)
     for _, check in SECTIONS:
         assert all(r.passed for r in check(s, rng))

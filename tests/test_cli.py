@@ -9,6 +9,9 @@ import pytest
 
 from aqh.cli import main
 
+FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "liealg",
+                       "class_KH_EH.json")
+
 
 def test_dims(capsys):
     assert main(["dims", "--n", "2"]) == 0
@@ -206,6 +209,45 @@ def test_liealg_fixture(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["key"] == "KH+EH"
     assert "QKT" in rep["aliases"]
+
+
+def test_liealg_tol_below_round_off_is_not_an_input_error(capsys):
+    # the membership residual of nabla Omega (round-off, about 5e-16 here)
+    # is held to the pipeline's 1e-8, not to --tol
+    assert main(["liealg", "--input", FIXTURE, "--tol", "1e-17"]) == 0
+    assert "input error" not in capsys.readouterr().err
+
+
+def test_nabla_Omega_off_W_exits_1(monkeypatch, capsys):
+    from test_liealg import _pushed_off_W
+
+    _pushed_off_W(monkeypatch)
+    for cmd in ("liealg", "classify"):
+        assert main([cmd, "--input", FIXTURE]) == 1
+        assert "nabla Omega is not in the torsion space" in \
+            capsys.readouterr().err
+
+
+def test_classify_calls_share_one_structure(tmp_path, monkeypatch, capsys):
+    # a tensor file and a Lie-algebra fixture at n = 2, classified in one
+    # process, build one structure between them
+    from aqh import QuatStructure, standard_structure
+
+    assert main(["inject", "--component", "KH", "--n", "2", "--out",
+                 str(tmp_path / "t.json")]) == 0
+    standard_structure.cache_clear()
+    built = []
+    real = QuatStructure.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuatStructure, "__init__", counted)
+    for path in (str(tmp_path / "t.json"), FIXTURE, str(tmp_path / "t.json")):
+        assert main(["classify", "--input", path, "--format", "json"]) == 0
+    assert len(built) == 1
+    capsys.readouterr()
 
 
 def test_liealg_abelian(tmp_path, capsys):

@@ -238,6 +238,21 @@ def test_derivation_matches_slot_sum(rng):
     assert derivation(M, AltForm.zero(b.dim, 0)).shape == (3, 1)
 
 
+def test_derivation_of_forms_side_by_side(rng):
+    # a sequence of forms of one degree meets the stack in one product;
+    # each form gives its column of the result
+    s = standard_structure(3)
+    M = rng.standard_normal((5, 12, 12))
+    for forms in (list(s.omega.values()), [s.Omega, rand_form(rng, 12, 4)]):
+        got = derivation(M, forms)
+        assert got.shape == (5, len(forms), forms[0].coeffs.size)
+        for k, b in enumerate(forms):
+            np.testing.assert_allclose(got[:, k], derivation(M, b), rtol=0,
+                                       atol=1e-13)
+    with pytest.raises(DegreeError):
+        derivation(M, [s.omega["I"], s.Omega])
+
+
 def test_derivation_high_degrees_match_slot_sum(rng):
     # degrees 6 and 7 at dim 8, beyond those of test_derivation_matches_slot_sum,
     # for a stack of 12 matrices; one matrix gives its row of the stack.  The

@@ -32,7 +32,6 @@ from aqh import (
 from aqh.structure import AXES, insert
 from aqh.exterior import tables, wedge1
 from aqh.liealg import _gray_residual, gray_residual, nabla_omega
-from aqh.torsion import MembershipError
 from reference import compound, nabla_dense
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures",
@@ -404,15 +403,36 @@ def test_classify_algebra_projects_onto_W_once(monkeypatch):
         assert rep["checks"]["torsion_membership"] < 1e-12
 
 
-def test_classify_algebra_off_W_raises_membership_error():
-    # a tol below the membership residual refuses the torsion, with the
-    # message of require_in_W
+def _pushed_off_W(monkeypatch):
+    """Make liealg.nabla_Omega add a random tensor of relative size 1e-6:
+    mostly off W, which has far fewer dimensions than V* (x) Lambda^4."""
+    from aqh import MixedTorsion, liealg
+
+    real = liealg.nabla_Omega
+
+    def pushed(g, G):
+        a = real(g, G)
+        bump = np.random.default_rng(0).standard_normal(a.rows.shape)
+        return MixedTorsion(a.dim, a.rows + 1e-6 * a.norm() * bump
+                            / np.linalg.norm(bump))
+
+    monkeypatch.setattr(liealg, "nabla_Omega", pushed)
+
+
+def test_classify_algebra_membership_is_a_pipeline_check(monkeypatch):
+    # nabla Omega lies in W by construction: a tol below its round-off
+    # residual still gives a report, and a nabla Omega off W is a failure of
+    # the computation, refused whatever the tol
     g = two_step_nilpotent(3, 7)
     resid = classify_algebra(g)["checks"]["torsion_membership"]
     assert resid > 0.0
-    with pytest.raises(MembershipError,
-                       match=r"tensor is not in the torsion space \(residual "):
-        classify_algebra(g, tol=resid / 2)
+    rep = classify_algebra(g, tol=resid / 2)
+    assert rep["checks"]["torsion_membership"] == resid
+    _pushed_off_W(monkeypatch)
+    for tol in (1e-8, 0.5):
+        with pytest.raises(VerificationError,
+                           match=r"nabla Omega is not in the torsion space"):
+            classify_algebra(g, tol=tol)
 
 
 def test_codifferential_routes_agree():
@@ -439,6 +459,38 @@ def test_codifferential_disagreement_is_verification_error():
     with pytest.raises(VerificationError) as exc:
         codiff_Omega(two_step_nilpotent(2, 0), tol=-1.0)
     assert not isinstance(exc.value, ValueError)
+
+
+def test_codiff_Omega_refuses_nan_tol():
+    # NaN compares False with every residual, so it would pass any route
+    g = two_step_nilpotent(2, 0)
+    with pytest.raises(ValueError, match="nan"):
+        codiff_Omega(g, tol=math.nan)
+    assert max(codiff_Omega(g, tol=math.inf)["report"]["pairwise"].values()) \
+        < 1e-9
+
+
+def test_codifferential_routes_refuse_nan_residuals(monkeypatch):
+    # a NaN residual is a disagreement, not a pass
+    from aqh import liealg
+
+    real = liealg.contract12
+    monkeypatch.setattr(liealg, "contract12", lambda a: real(a) * math.nan)
+    with pytest.raises(VerificationError,
+                       match="codifferential routes disagree"):
+        codiff_Omega(two_step_nilpotent(2, 0))
+
+
+def test_d_omegas_match_ce_d_per_axis():
+    from aqh.liealg import d_omegas
+
+    for g in (two_step_nilpotent(2, 51), _almost_abelian(2, 52),
+              two_step_nilpotent(3, 53), _almost_abelian(3, 54),
+              abelian_algebra(2)):
+        s = g.structure
+        want = np.stack([ce_d(g, s.omega[a]).dense() for a in AXES])
+        np.testing.assert_allclose(d_omegas(g), want, rtol=0,
+                                   atol=1e-14 * max(np.abs(want).max(), 1.0))
 
 
 def test_codifferential_abelian_vanishes():

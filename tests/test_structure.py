@@ -55,6 +55,27 @@ def test_structure_rejects_nan(s2):
         QuatStructure(2, I, s2.J)
 
 
+def test_standard_structure_is_shared_and_read_only():
+    s = standard_structure(2)
+    assert standard_structure(2) is s
+    assert standard_structure.__wrapped__(2) is not s
+    for x in (s.I, s.J, s.K, *(w.coeffs for w in s.omega.values()),
+              s.Omega.coeffs):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        s.Omega.coeffs += 1.0
+
+
+def test_structure_copies_its_matrices(s2):
+    # the caller's arrays stay writable and are not the structure's
+    I, J = s2.I.copy(), s2.J.copy()
+    s = QuatStructure(2, I, J, K=I @ J)
+    I[0, 0] = J[0, 0] = 5.0
+    assert s.I[0, 0] == s.J[0, 0] == 0.0
+    assert s.I is not s2.I and np.array_equal(s.I, s2.I)
+
+
 def test_kahler_form_norms(s3):
     assert inner(s3.omega["I"], s3.omega["I"]) == pytest.approx(6.0)
 

@@ -218,7 +218,7 @@ def test_table1_matches_explicit_formulas(s2, s3, rng):
 def test_table1_builds_no_torsion_maps():
     from aqh import standard_structure
 
-    s = standard_structure(3)
+    s = standard_structure.__wrapped__(3)    # fresh: empty caches
     b = rand3(np.random.default_rng(3), s.dim)
     for row_id in TABLE1_COMPONENTS:
         table1_residuals(b, row_id, s)

@@ -32,7 +32,7 @@ def test_components_section_forms_no_dense_W_matrix(monkeypatch):
     built = []
 
     def record(n):
-        built.append(standard_structure(n))
+        built.append(standard_structure.__wrapped__(n))     # fresh caches
         return built[-1]
 
     monkeypatch.setattr(V, "standard_structure", record)
