@@ -100,11 +100,14 @@ class ClassLabel:
 
 def classify(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8):
     """Smallest component subset containing a, with the component profile."""
-    return _label(component_profile(a, s, tol), tol)
+    return _label(component_profile(a, s, tol), tol, s.n)
 
 
-def _label(prof, tol: float):
-    keep = [X for X, v in prof.norms.items() if v > tol * prof.total]
+def _label(prof, tol: float, n: int):
+    """The components above tol * total, leaving out those that are zero at
+    n, whose norms are round-off."""
+    keep = [X for X, v in prof.norms.items()
+            if v > tol * prof.total and COMPONENT_DIMS[X](n)]
     return ClassLabel(frozenset(keep if prof.total >= 1e-14 else ())), prof
 
 
@@ -639,7 +642,7 @@ def _report(a: MixedTorsion, s: QuatStructure, tol: float,
     # forms of the profile, and |dOm| is |alpha p|: no 5-form is formed.
     ctx = ctx_from_torsion(a, s, C)
     label, prof = _label(ComponentProfile(component_norms(
-        ctx.w["a"], ctx.f3["dstar"], s), a.norm()), tol)
+        ctx.w["a"], ctx.f3["dstar"], s), a.norm()), tol, s.n)
     out = {
         "class": label.display,
         "key": label.key,

@@ -22,15 +22,8 @@ from .exterior import load_json, mixed_from_json, mixed_to_json
 from .liealg import (PIPELINE_CHECKS, PIPELINE_TOL, VerificationError,
                      algebra_from_json, classify_algebra)
 from .projectors import COMPONENT_DIMS, ComponentLabel, component
-from .structure import StructureError, standard_structure
+from .structure import MAX_N, StructureError, standard_structure
 from .torsion import check_tol, random_W_element, w_dim
-
-
-# every subcommand builds structures for any n up to this.  Above n = 2 only
-# verify's volume-normalization (Omega^n) and the direct dOmega routes
-# (classify.dOmega_op, Omega^(n-2)) wedge with powers of Omega; at n = 5 both
-# form Omega^3 = Omega^2 ^ Omega by wedge_table(8, 4): 62.4M rows, 1.86 GiB
-MAX_N = 4
 
 
 def _check_n(n) -> None:
@@ -202,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the identity suite")
-    p.add_argument("--n", type=int, required=True, choices=(2, 3, 4))
+    p.add_argument("--n", type=int, required=True, choices=range(2, MAX_N + 1))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)

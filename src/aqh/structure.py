@@ -76,8 +76,7 @@ def _frame_sign(I: np.ndarray, J: np.ndarray, K: np.ndarray) -> float:
 class QuatStructure:
     """Immutable triple (I, J, K) with derived forms and cached operators."""
 
-    def __init__(self, n: int, I: np.ndarray, J: np.ndarray,
-                 K: np.ndarray | None = None, tol: float = 1e-12):
+    def __init__(self, n: int, I: np.ndarray, J: np.ndarray):
         if n < 2:
             raise StructureError("quaternionic structures need n >= 2")
         self.n = int(n)
@@ -91,18 +90,17 @@ class QuatStructure:
         eye = np.eye(self.dim)
         # huge or non-finite entries give inf or nan residuals, refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            K = I @ J if K is None else np.array(K, dtype=float)
+            K = I @ J
             checks = {
                 "I^2 = -1": I @ I + eye,
                 "J^2 = -1": J @ J + eye,
-                "K = IJ": K - I @ J,
-                "IJ = -JI": I @ J + J @ I,
+                "IJ = -JI": K + J @ I,
                 "I orthogonal": I.T @ I - eye,
                 "J orthogonal": J.T @ J - eye,
             }
         for name, resid in checks.items():
             err = float(np.abs(resid).max())
-            if not err <= tol:
+            if not err <= 1e-12:
                 raise StructureError(
                     f"not a quaternionic structure: {name} fails ({err:.2e})")
         self.I, self.J, self.K = I, J, K
@@ -218,6 +216,14 @@ class QuatStructure:
             return W, self.deriv_op(p)
 
         return self.cache(("ae", p), build)
+
+
+# every subcommand and the verify suite build structures for n = 2 up to
+# this.  Above n = 2 only verify's volume-normalization (Omega^n) and the
+# direct dOmega routes (classify.dOmega_op, Omega^(n-2)) wedge with powers of
+# Omega; at n = 5 both form Omega^3 = Omega^2 ^ Omega by wedge_table(8, 4):
+# 62.4M rows, 1.86 GiB
+MAX_N = 4
 
 
 @lru_cache(maxsize=None)

@@ -28,6 +28,7 @@ from .exterior import (
 )
 from .structure import (
     AXES,
+    MAX_N,
     QuatStructure,
     insert,
     random_rotation,
@@ -40,15 +41,14 @@ from . import projectors as PR
 from . import liealg as LA
 from .classify import (
     DerivedFromDOmega,
+    RowResult,
     ae,
     classify as classify_tensor,
     ctx_from_derived,
+    ctx_from_torsion,
     perp_EH5_test,
     schur_table,
-    table2_residual,
-    table2_residual_dOmega,
     table2_rows,
-    table3_residual,
     table3_rows,
     wedge_criteria,
 )
@@ -230,6 +230,22 @@ def check_operators(s: QuatStructure, rng) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def dimension_certificate(s: QuatStructure, Q: np.ndarray,
+                          M: np.ndarray) -> CheckResult:
+    """dim W = dim * rank M, M the fiber map and Q the basis of its range
+    (torsion._fiber_maps), with singular values above sigma_1 1e-10 counted,
+    and the distance |M - Q Q^T M| / |M| of that range from span(Q), held to
+    the same bound.  Every element of W has rows X M^T, so this is the rank
+    and distance that samples of W would show."""
+    sv = np.linalg.svd(M, compute_uv=False)
+    rank, dimW = s.dim * int((sv > sv[0] * 1e-10).sum()), T.w_dim(s.n)
+    dist = float(np.linalg.norm(M - Q @ (Q.T @ M)) / np.linalg.norm(M))
+    return CheckResult(
+        "torsion-space-dimension", abs(rank - dimW) + float(dist > 1e-10),
+        0.5, f"dim x rank of the fiber map {rank}, expected {dimW}; "
+             f"distance of its range to span(Q) {dist:.1e}, bound 1e-10")
+
+
 def check_torsion_space(s: QuatStructure, rng) -> list[CheckResult]:
     out = []
     worst_fw = worst_bw = 0.0
@@ -249,18 +265,7 @@ def check_torsion_space(s: QuatStructure, rng) -> list[CheckResult]:
     out.append(CheckResult("embedding-round-trip", max(worst_fw, worst_bw),
                            1e-9, "F and its contraction inverse"))
 
-    # the rank of the samples' W coordinates is that of their full rows once
-    # every sample lies within the rank threshold 1e-10 of W
-    dimW = T.w_dim(s.n)
-    coords, dists = zip(*(T._w_project(T.random_W_element(s, 35_000 + i), s)
-                          for i in range(dimW + 20)))
-    sv = np.linalg.svd(np.reshape(coords, (len(coords), -1)),
-                       compute_uv=False)
-    rank, dist = int((sv > sv[0] * 1e-10).sum()), max(dists)
-    out.append(CheckResult(
-        "torsion-space-dimension", abs(rank - dimW) + float(dist > 1e-10),
-        0.5, f"sample rank {rank}, expected {dimW}; "
-             f"distance to W {dist:.1e}, bound 1e-10"))
+    out.append(dimension_certificate(s, *T._fiber_maps(s)))
 
     # conjugation-sum eigenvalues on 2-forms: T c = sum_A c(A., A.)
     i, j = s.tab.columns(2)
@@ -582,6 +587,47 @@ def _mixtures(comps: list, outside: list) -> list:
     return [(comps, True)] + [(comps + outside[:1], False)] * bool(outside)
 
 
+def _row_sweep(s: QuatStructure, rows, pools: list, columns: tuple):
+    """(member, results) for each row, pool and mixture (_mixtures) of the
+    row's components of nonzero dimension: per column of columns (col2, col3
+    or table3), the direct-route RowResult and its gap to the report's Schur
+    form at the mixture's component norms, both read on one context:
+    ctx_from_torsion for col2, ctx_from_derived for col3 and table3."""
+    table, labels = schur_table(s), list(PR.ComponentLabel)
+    labs = [X for X in labels if PR.COMPONENT_DIMS[X](s.n)]
+    for row in rows:
+        # summed in declaration order: a frozenset's follows the str hash
+        comps = [X for X in labs if X in row.components]
+        outside = [X for X in labs if X not in row.components]
+        for pool in pools:
+            for t, member in _mixtures(comps, outside) if comps else ():
+                m = sum((pool[X] for X in t), MixedTorsion.zero(s.dim))
+                profile = [pool[X].norm() if X in t else 0.0 for X in labels]
+                results = []
+                for column in columns:
+                    ctx = (ctx_from_torsion(m, s) if column == "col2" else
+                           ctx_from_derived(
+                               DerivedFromDOmega.from_torsion(m, s), s))
+                    rr = RowResult.evaluate(
+                        row, row.col2 if column == "col2" else row.col3, ctx)
+                    ctx.profile = profile
+                    got = table.evaluate(column, row, ctx).residuals
+                    results.append((rr, max(abs(x - y) for x, y in zip(
+                        got, rr.residuals)) / rr.scale))
+                yield member, results
+
+
+def _member_checks(name: str, sweep: list, detail: str) -> list[CheckResult]:
+    """name-members and name-reject of a one-column sweep: the largest member
+    residual, and the smallest non-member one against 1e-3."""
+    member = max((rr.value for ok, [(rr, _)] in sweep if ok), default=0.0)
+    reject = min((rr.value for ok, [(rr, _)] in sweep if not ok),
+                 default=np.inf)
+    return [CheckResult(f"{name}-members", member, 1e-8, detail),
+            CheckResult(f"{name}-reject", 1e-3 / reject, 1.0,
+                        f"smallest non-member residual {reject:.2e}")]
+
+
 def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
     out = []
     labs = [X for X in PR.ComponentLabel if PR.COMPONENT_DIMS[X](s.n) > 0]
@@ -601,100 +647,36 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
     out.append(CheckResult("classification-round-trip", float(wrong),
                            0.5, f"{count - wrong}/{count} subsets"))
 
-    # the report's Schur forms (schur_table) against the direct route on the
-    # mixtures below, read at the component norms of each mixture: column 2
-    # on those of every row, column 3 or Table 3 on those of its checks
-    table, gap = schur_table(s), 0.0
-    labels = list(PR.ComponentLabel)
-
-    def schur_gap(column, rr, ctx, sizes, comps):
-        ctx.profile = [sizes[X] if X in comps else 0.0 for X in labels]
-        got = table.evaluate(column, rr.row, ctx).residuals
-        return max(abs(x - y) for x, y in zip(got, rr.residuals)) / rr.scale
-
-    worst_member = 0.0
-    worst_reject = np.inf
+    # the direct route on the mixtures of each row: column 2 on those of
+    # every row, column 3 or Table 3 on those of its checks; schur-row-forms
+    # is the largest gap of the report's Schur forms to it
     rows = table2_rows(s)
-    sizes = {X: c.norm() for X, c in pool.items()}
-    # d* of a mixture as the sum of those of its components (d* is linear)
-    pds = {X: contract12(c) for X, c in pool.items()}
-    for row in rows:
-        # summed in declaration order: a frozenset's follows the str hash
-        comps = [X for X in labs if X in row.components]
-        if not comps:
-            continue
-        outside = [X for X in labs if X not in row.components]
-        for t, member in _mixtures(comps, outside):
-            m = sum((pool[X] for X in t), MixedTorsion.zero(s.dim))
-            rr = table2_residual(m, s, row)
-            if member:
-                worst_member = max(worst_member, rr.value)
-            else:
-                worst_reject = min(worst_reject, rr.value)
-            ds = sum((pds[X] for X in t), AltForm.zero(s.dim, 3))
-            gap = max(gap, schur_gap("col2", rr, TF._Ctx(
-                s, rr.scale, ds.coeffs, TF.xi_triple(ds, s)), sizes, t))
-    out.append(CheckResult("class-conditions-members", worst_member, 1e-8,
-                           "all rows, covariant column"))
-    out.append(CheckResult("class-conditions-reject",
-                           1e-3 / worst_reject, 1.0,
-                           f"smallest non-member residual {worst_reject:.2e}"))
+    sweep = list(_row_sweep(s, rows, [pool], ("col2",)))
+    out += _member_checks("class-conditions", sweep,
+                          "all rows, covariant column")
 
     if s.n >= 3:
-        agree = 0
-        total = 0
         singles = [row for row in rows if len(row.components) == 1]
         composites = [row for row in rows if 2 <= len(row.components) <= 4]
         ppools = [PR.components(T.random_W_element(s, 51_000 + k), s,
                                 check=False) for k in range(10)]
-        psizes = [{X: c.norm() for X, c in p.items()} for p in ppools]
-        for row in singles + composites[:12]:
-            for ppool, psize in zip(ppools, psizes):
-                comps = [X for X in labs if X in row.components]
-                outside = [X for X in labs if X not in row.components]
-                for t, member in _mixtures(comps, outside):
-                    m = sum((ppool[X] for X in t), MixedTorsion.zero(s.dim))
-                    d = DerivedFromDOmega.from_torsion(m, s)
-                    r2 = table2_residual(m, s, row)
-                    r3 = table2_residual_dOmega(d, s, row)
-                    if member:
-                        ok = r2.value <= 1e-8 and r3.value <= 1e-8
-                    else:
-                        ok = r2.value > 1e-3 and r3.value > 1e-3
-                    agree += int(ok)
-                    total += 1
-                    gap = max(gap, schur_gap("col3", r3,
-                                             ctx_from_derived(d, s), psize, t))
-        out.append(CheckResult("column-agreement", float(total - agree), 0.5,
-                               f"{agree}/{total} verdicts agree"))
-
-    if s.n == 2:
-        worst_member = 0.0
-        worst_reject = np.inf
-        for row in table3_rows(s):
-            comps = [X for X in labels if X in row.components]
-            outside = [X for X in labs if X not in row.components]
-            for t, member in _mixtures(comps, outside):
-                m = sum((pool[X] for X in t), MixedTorsion.zero(s.dim))
-                d = DerivedFromDOmega.from_torsion(m, s)
-                rr = table3_residual(d, s, row)
-                if member:
-                    worst_member = max(worst_member, rr.value)
-                else:
-                    worst_reject = min(worst_reject, rr.value)
-                gap = max(gap, schur_gap("table3", rr, ctx_from_derived(d, s),
-                                         sizes, t))
-        out.append(CheckResult("partial-table-members", worst_member, 1e-8,
-                               "8 rows via the 5-form"))
-        out.append(CheckResult("partial-table-reject",
-                               1e-3 / worst_reject, 1.0,
-                               f"smallest non-member residual "
-                               f"{worst_reject:.2e}"))
+        both = list(_row_sweep(s, singles + composites[:12], ppools,
+                               ("col2", "col3")))
+        agree = sum(all(rr.value <= 1e-8 for rr, _ in res) if member else
+                    all(rr.value > 1e-3 for rr, _ in res)
+                    for member, res in both)
+        out.append(CheckResult("column-agreement", float(len(both) - agree),
+                               0.5, f"{agree}/{len(both)} verdicts agree"))
+        sweep += both
+    else:
+        part = list(_row_sweep(s, table3_rows(s), [pool], ("table3",)))
+        out += _member_checks("partial-table", part, "8 rows via the 5-form")
+        sweep += part
     out.append(CheckResult(
-        "schur-row-forms", gap, 1e-12,
+        "schur-row-forms", max(g for _, res in sweep for _, g in res), 1e-12,
         "report rows against the direct route on the mixtures above, "
         + ("columns 2 and 3" if s.n >= 3 else "column 2 and Table 3")))
-    out += check_schur_table(s, table)
+    out += check_schur_table(s, schur_table(s))
 
     # alternation identities
     a = T.random_W_element(s, 52_000)
@@ -923,8 +905,9 @@ SECTIONS = (
 
 def run_suite(n: int, seed: int = 0,
               sections: tuple = None) -> list[CheckResult]:
-    if n not in (2, 3, 4):
-        raise ValueError("the verification suite runs at n = 2, 3 or 4")
+    if n not in range(2, MAX_N + 1):
+        raise ValueError("the verification suite runs at n = " + ", ".join(
+            map(str, range(2, MAX_N))) + f" or {MAX_N}")
     if unknown := sorted({str(x) for x in sections or () if not (
             isinstance(x, str) and x in dict(SECTIONS))}):
         raise ValueError(f"unknown verify sections: {', '.join(unknown)}")

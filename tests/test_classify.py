@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -77,6 +78,26 @@ def test_classify_zero_is_qk(s2):
 def test_classify_tiny_input_is_qk(s2, pool2):
     lab, _ = classify(pool2[KH] * 1e-20, s2)
     assert lab.key == "QK"
+
+
+@pytest.mark.parametrize("tol", [1e-30, 1e-17, 1e-8])
+def test_n2_keys_name_no_empty_component(s2, tol):
+    # L3EH and L3ES3H are zero at n = 2: their norms are round-off, which a
+    # tol below round-off would otherwise keep
+    from aqh import classify_algebra
+    from aqh.classify import _label
+    from aqh.cli import algebra_from_json, load_json
+    from aqh.projectors import profile
+
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                        "liealg", "class_KH_EH.json")
+    keys = [classify_algebra(algebra_from_json(load_json(path)), tol)["key"]]
+    # a tensor's tol is also its membership tol, which round-off fails below
+    # 1e-15: its label is read from its profile
+    keys += [_label(profile(random_W_element(s2, seed), s2, check=False),
+                    tol, 2)[0].key for seed in range(3)]
+    assert not [k for k in keys if "L3E" in k]
+    assert "KH+EH+KS3H+ES3H" in keys
 
 
 def test_classify_single_components(s2, pool2):

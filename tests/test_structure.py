@@ -70,7 +70,7 @@ def test_standard_structure_is_shared_and_read_only():
 def test_structure_copies_its_matrices(s2):
     # the caller's arrays stay writable and are not the structure's
     I, J = s2.I.copy(), s2.J.copy()
-    s = QuatStructure(2, I, J, K=I @ J)
+    s = QuatStructure(2, I, J)
     I[0, 0] = J[0, 0] = 5.0
     assert s.I[0, 0] == s.J[0, 0] == 0.0
     assert s.I is not s2.I and np.array_equal(s.I, s2.I)

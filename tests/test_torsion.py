@@ -19,7 +19,9 @@ from aqh import (
     w_dim,
 )
 from aqh.structure import AXES
+from aqh.verify import dimension_certificate
 from aqh.torsion import (
+    _fiber_maps,
     f_inverse_raw,
     family_conditions,
     fiber_basis_matrix,
@@ -203,46 +205,37 @@ def test_torsion_space_dimension(s2, s3):
         assert int((sv > sv[0] * 1e-10).sum()) == expected
 
 
-def _dimension_check(s):
-    from aqh.verify import check_torsion_space
-
-    rows = check_torsion_space(s, np.random.default_rng(0))
-    return next(r for r in rows if r.check == "torsion-space-dimension")
+def _distance(row):
+    return float(row.detail.split("span(Q) ")[1].split(",")[0])
 
 
-def test_dimension_check_fails_off_W(s2, monkeypatch):
-    # the check's samples (seeds from 35_000) get a full-row perturbation of
-    # relative size 1e-6: their W coordinates keep rank 120, their distance
-    # to W fails the bound 1e-10
-    import aqh.torsion
-
-    orig = aqh.torsion.random_W_element
-
-    def perturbed(s, seed):
-        a = orig(s, seed)
-        if not 35_000 <= seed < 36_000:
-            return a
-        g = np.random.default_rng(seed).standard_normal(a.rows.shape)
-        return MixedTorsion(a.dim, a.rows + 1e-6 * a.norm() * g
-                            / np.linalg.norm(g))
-
-    monkeypatch.setattr(aqh.torsion, "random_W_element", perturbed)
-    row = _dimension_check(s2)
+def test_dimension_check_fails_off_W(s2):
+    # M plus a rank-one term of relative size 1e-6 off span(Q): its range
+    # has rank 16 and lies about 1e-6 from span(Q)
+    Q, M = _fiber_maps(s2)
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(len(Q))
+    u -= Q @ (Q.T @ u)
+    v = rng.standard_normal(M.shape[1])
+    off = M + 1e-6 * np.linalg.norm(M) * np.outer(u / np.linalg.norm(u),
+                                                  v / np.linalg.norm(v))
+    row = dimension_certificate(s2, Q, off)
     assert not row.passed
-    assert "sample rank 120, expected 120" in row.detail
-    assert float(row.detail.split("distance to W ")[1].split(",")[0]) > 1e-7
+    assert "map 128, expected 120" in row.detail
+    assert _distance(row) > 1e-7
 
 
-def test_dimension_check_fails_on_rank(s2, monkeypatch):
-    # ten distinct elements in W span at most ten dimensions
-    import aqh.torsion
-
-    orig = aqh.torsion.random_W_element
-    monkeypatch.setattr(aqh.torsion, "random_W_element",
-                        lambda s, seed: orig(s, seed % 10))
-    row = _dimension_check(s2)
+def test_dimension_check_fails_on_rank(s2):
+    # M without its smallest nonzero singular value: rank 14 of 15, its
+    # range still in span(Q)
+    Q, M = _fiber_maps(s2)
+    assert dimension_certificate(s2, Q, M).passed
+    u, sv, vt = np.linalg.svd(M, full_matrices=False)
+    r = Q.shape[1] - 1
+    row = dimension_certificate(s2, Q, (u[:, :r] * sv[:r]) @ vt[:r])
     assert not row.passed
-    assert "sample rank 10, expected 120" in row.detail
+    assert "map 112, expected 120" in row.detail
+    assert _distance(row) < 1e-10
 
 
 def test_fiber_basis_matches_per_column_build(s2, s3):

@@ -1,8 +1,11 @@
 """The components section of the identity suite: it forms no dim W x dim W
 matrix, and each of its projector checks fails on a projector family broken
 the way that check alone can see.  The Lie-pipeline section's route checks
-fail on a broken route."""
+fail on a broken route, and the classifier section's row checks on a broken
+row or Schur constant."""
 
+import dataclasses
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,7 @@ from aqh.structure import standard_structure
 from aqh.torsion import w_dim
 
 SECTION = ("components",)
+C = importlib.import_module("aqh.classify")     # aqh.classify is a function
 
 
 def _arrays(value):
@@ -162,3 +166,61 @@ def test_xi_check_sees_a_perturbed_xi_map(monkeypatch):
     assert not passed["xi-hodge-vs-contraction"]
     assert passed["pipeline-codifferential-routes"]
 
+
+
+def _classifier_checks(n):
+    return {r.check.split("/")[1]: r.passed
+            for r in V.run_suite(n, 71, sections=("classifier",))}
+
+
+def _with_cond(row, column, k, cond):
+    """row with condition k of column replaced by cond."""
+    conds = list(getattr(row, column))
+    conds[k] = cond
+    return dataclasses.replace(row, **{column: tuple(conds)})
+
+
+def test_schur_row_forms_sees_a_scaled_constant(monkeypatch):
+    # nu_KH of row L3EH's condition d* a = 0, scaled by 1 + 1e-6: the row
+    # reads it on its mixture L3EH + KH
+    table = C.schur_table(standard_structure(3))
+    tag, nu = table.col2[1][1]
+    assert tag == "schur" and nu[1] > 0.1
+    nu = (nu[0], nu[1] * (1 + 1e-6), *nu[2:])
+    col2 = list(table.col2)
+    col2[1] = (col2[1][0], (tag, nu))
+    monkeypatch.setitem(C._SCHUR, 3, dataclasses.replace(table,
+                                                         col2=tuple(col2)))
+    passed = _classifier_checks(3)
+    assert not passed["schur-row-forms"]
+    assert passed["class-conditions-members"]
+    assert passed["column-agreement"]
+
+
+def test_column_agreement_sees_a_dropped_col3_term(monkeypatch):
+    # row L3EH's col3 condition (L - 2) dOm - 4 dOm without its dOm term:
+    # L dOm does not vanish on L3EH, so its members fail column 3 alone
+    C.schur_table(standard_structure(3))    # built on the rows as they are
+    real = C._build_table2
+    rows = list(real(3))
+    assert rows[1].col3[0] == ("f5", {"LdOm": 1.0, "dOm": -6.0})
+    rows[1] = _with_cond(rows[1], "col3", 0, ("f5", {"LdOm": 1.0}))
+    monkeypatch.setattr(C, "_build_table2",
+                        lambda n: C._Rows(rows) if n == 3 else real(n))
+    passed = _classifier_checks(3)
+    assert not passed["column-agreement"]
+    assert passed["class-conditions-members"]
+
+
+def test_partial_table_sees_a_dropped_table3_term(monkeypatch):
+    # Table 3 row EH + KS3H, dOm + xi ^ Omega = 0, without its xi ^ Omega
+    # term: dOm alone does not vanish on the row's members
+    C.schur_table(standard_structure(2))    # built on the rows as they are
+    rows = list(C._build_table3())
+    assert rows[2].col3[0] == ("f5", {"dOm": 1.0, "xiOm": 1.0})
+    rows[2] = _with_cond(rows[2], "col3", 0, ("f5", {"dOm": 1.0}))
+    monkeypatch.setattr(C, "_build_table3", lambda: C._Rows(rows))
+    passed = _classifier_checks(2)
+    assert not (passed["partial-table-members"]
+                and passed["partial-table-reject"])
+    assert passed["class-conditions-members"]
