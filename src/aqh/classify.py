@@ -630,9 +630,17 @@ def schur_table(s: QuatStructure) -> SchurTable:
 # ---------------------------------------------------------------------------
 
 
+# the least relative distance from W that a report refuses, whatever the
+# label tol: the package's own W elements lie about 1e-15 off it
+MEMBERSHIP_FLOOR = 1e-12
+
+
 def classification_report(a: MixedTorsion, s: QuatStructure,
                           tol: float = 1e-8) -> dict:
-    return _report(a, s, tol, w_coords(a, s, tol))
+    """The class of a at label threshold tol; a must lie within
+    max(tol, MEMBERSHIP_FLOOR) of W (MembershipError otherwise)."""
+    check_tol(tol)
+    return _report(a, s, tol, w_coords(a, s, max(tol, MEMBERSHIP_FLOOR)))
 
 
 def _report(a: MixedTorsion, s: QuatStructure, tol: float,

@@ -360,29 +360,39 @@ def wedge_rows(rows: np.ndarray, p: int) -> np.ndarray:
     return _accumulate(u, sign * rows[..., r, t], math.comb(dim, p + 1))
 
 
+def derivation_op(b) -> SparseOp:
+    """The slot derivation M -> sum_i b(.., M X_i, ..) as a map from
+    M.ravel() (dim^2) to the N_p coefficients of a form b, or to the k N_p
+    of a sequence b of k forms of one degree, side by side.
+
+    Only the ``der_table`` rows of the support of b are read: entry
+    (zr, t, sign) of row s is sign * b[s] at (t, zr), and no two rows share
+    a pair (zr, t)."""
+    forms = (b,) if isinstance(b, AltForm) else tuple(b)
+    dim, p, N = forms[0].dim, forms[0].degree, forms[0].coeffs.size
+    if any((f.dim, f.degree) != (dim, p) for f in forms):
+        raise DegreeError("derivation needs forms of one degree and dim")
+    shape = (len(forms) * N, dim * dim)
+    if p == 0:                                      # D = 0 on degree 0
+        return SparseOp(np.zeros(0, np.int64), np.zeros(0, np.int64),
+                        np.zeros(0), shape)
+    B = np.stack([f.coeffs for f in forms])
+    j, k = np.nonzero(B)
+    zr, t, sign = (a[k] for a in tables(dim).der_table(p))
+    return SparseOp((j[:, None] * N + t).ravel(), zr.ravel(),
+                    (sign * B[j, k, None]).ravel(), shape)
+
+
 def derivation(M: np.ndarray, b) -> np.ndarray:
     """Coefficients (..., N_p) of the slot derivation
     b -> sum_i b(.., M X_i, ..) for every matrix of a stack (..., dim, dim);
-    (..., k, N_p) for a sequence b of k forms of one degree.
-
-    Only the ``der_table`` rows of the support of b are read.  No two rows
-    share a pair (zr, t), so they fill Y[zr, t] = sign * b[s] by
-    assignment, the k forms side by side in column blocks of N_p, and the
-    stack meets Y in one product M.reshape(..., dim^2) @ Y."""
+    (..., k, N_p) for a sequence b of k forms of one degree: one product
+    M.reshape(..., dim^2) @ Y with the dense ``derivation_op`` of b,
+    Y (dim^2 x k N_p)."""
     M = np.asarray(M, dtype=float)
-    one = isinstance(b, AltForm)
-    forms = (b,) if one else tuple(b)
-    dim, p, N = forms[0].dim, forms[0].degree, forms[0].coeffs.size
-    Y = np.zeros((dim ** 2, len(forms) * N))
-    for j, f in enumerate(forms):
-        if (f.dim, f.degree) != (dim, p):
-            raise DegreeError("derivation needs forms of one degree and dim")
-        if p:                                       # D = 0 on degree 0
-            k = np.flatnonzero(f.coeffs)
-            zr, t, sign = (a[k] for a in tables(dim).der_table(p))
-            Y[zr, j * N + t] = sign * f.coeffs[k, None]
-    out = M.reshape(M.shape[:-2] + (-1,)) @ Y
-    return out if one else out.reshape(M.shape[:-2] + (len(forms), N))
+    out = M.reshape(M.shape[:-2] + (-1,)) @ derivation_op(b).T.dense()
+    return out if isinstance(b, AltForm) else out.reshape(
+        M.shape[:-2] + (len(b), -1))
 
 
 def inner(a: AltForm, b: AltForm) -> float:

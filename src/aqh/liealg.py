@@ -31,13 +31,13 @@ from .exterior import (
     InputFormatError,
     MixedTorsion,
     MixedTwoFormFamily,
+    SparseOp,
     _json_index,
     _json_n,
     _json_value,
     alternate5,
     contract12,
-    derivation,
-    wedge_rows,
+    derivation_op,
 )
 from .structure import (
     AXES,
@@ -114,8 +114,12 @@ def koszul(g: MetricLieAlgebra) -> np.ndarray:
 
 
 def nabla_form(g: MetricLieAlgebra, G: np.ndarray, w: AltForm) -> np.ndarray:
-    """Rows of coefficient vectors of nabla w (one row per direction)."""
-    return -derivation(G.transpose(0, 2, 1), w)
+    """Rows of coefficient vectors of nabla w (one row per direction):
+    -derivation(G^T, w), whose dense ``derivation_op`` the structure keeps
+    for its own forms."""
+    Y = g.structure.form_cache("derivation", w,
+                               lambda: derivation_op(w).T.dense())
+    return -(G.transpose(0, 2, 1).reshape(g.dim, -1) @ Y)
 
 
 def nabla_omega(g: MetricLieAlgebra, G: np.ndarray,
@@ -129,22 +133,48 @@ def nabla_Omega(g: MetricLieAlgebra, G: np.ndarray) -> MixedTorsion:
     return MixedTorsion(g.dim, nabla_form(g, G, g.structure.Omega))
 
 
+def _d_map(s: QuatStructure, b) -> SparseOp:
+    """b -> db for a form b, or forms of one degree side by side, as a map
+    on the bracket table c.ravel(), kept by s for its own forms.
+
+    Entry (t, zr) of the ``derivation_op`` of b, zr = z dim + r, meets the
+    dim - p rows (u, k, t) of ``exp_table(p+1)`` that drop k from u and
+    leave t: -1/2 times their signs, at ad(e_k)[z, r] = c[k, r, z].  r lies
+    in t and k does not, and the entry of (u, r, u - r) and zr = z dim + k
+    has the same value at c[r, k, z] = -c[k, r, z]: the sum counts each
+    bracket twice, so the entries with k < r are kept, doubled."""
+
+    def build():
+        dim, p = s.dim, (b if isinstance(b, AltForm) else b[0]).degree
+        D = derivation_op(b)
+        N, N1 = math.comb(dim, p), math.comb(dim, p + 1)
+        u, _m, k, t, sign = s.tab.exp_table(p + 1)
+        e = np.argsort(t, kind="stable").reshape(N, dim - p)[D.r % N]
+        z, r = np.divmod(D.c[:, None], dim)
+        keep = k[e] < r
+        return SparseOp((u[e] + (D.r // N * N1)[:, None])[keep],
+                        ((k[e] * dim + r) * dim + z)[keep],
+                        -(sign[e] * D.v[:, None])[keep],
+                        (D.shape[0] // N * N1, dim ** 3))
+
+    return s.form_cache("d", b, build)
+
+
 def ce_d(g: MetricLieAlgebra, b: AltForm) -> AltForm:
     """Exterior derivative of an invariant form,
-    d b = -(1/2) sum_k e^k ^ derivation(ad(e_k), b)."""
+    d b = -(1/2) sum_k e^k ^ derivation(ad(e_k), b): one product of the
+    ``_d_map`` of b, linear in the bracket table."""
     dim, p = g.dim, b.degree
     if p == 0 or p + 1 > dim:
         return AltForm.zero(dim, min(p + 1, dim + 1))
-    ad = g.c.transpose(0, 2, 1)     # ad[k][z, r] = c[k, r, z]
-    return AltForm(dim, p + 1, -0.5 * wedge_rows(derivation(ad, b), p))
+    return AltForm(dim, p + 1, _d_map(g.structure, b)(g.c.ravel()))
 
 
 def d_omegas(g: MetricLieAlgebra) -> np.ndarray:
     """Dense d w_I, d w_J, d w_K (3, dim, dim, dim): ce_d of the three
-    Kaehler forms side by side, one derivation product on the ad stack."""
+    Kaehler forms side by side, one product of their ``_d_map``."""
     s = g.structure
-    D = derivation(g.c.transpose(0, 2, 1), [s.omega[a] for a in AXES])
-    d = -0.5 * wedge_rows(np.swapaxes(D, 0, 1), 2)
+    d = _d_map(s, s.omegas)(g.c.ravel()).reshape(3, -1)
     return np.stack([AltForm(s.dim, 3, x).dense() for x in d])
 
 
@@ -230,9 +260,8 @@ def _codiff_routes(g: MetricLieAlgebra, nOm: MixedTorsion, tol: float,
     and |x - y| / |contraction| for each pair x, y of them;
     VerificationError when one exceeds tol."""
     s = g.structure
-    star_Omega = s.cache("star_Omega", lambda: s.star(s.Omega))
     variants = {"contraction": contract12(nOm),
-                "hodge": -1.0 * s.star(ce_d(g, star_Omega)), **more}
+                "hodge": -1.0 * s.star(ce_d(g, s.star_Omega)), **more}
     scale = max(variants["contraction"].norm(), 1e-300)
     pair = {f"{x}|{y}": float(np.linalg.norm(
                 variants[x].coeffs - variants[y].coeffs)) / scale

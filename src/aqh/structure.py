@@ -18,9 +18,11 @@ vol_coeff, which fixes the Hodge star, is read from the orientation of a
 frame (x_1, I x_1, .., x_2n, I x_2n) when a star first needs it, so no
 structure forms Omega^n; verify certifies the two readings agree.  Slot
 derivations are kept as the nonzeros of ``der_table``; the structure instance
-caches its operators and is otherwise immutable: it holds its own read-only
-copies of I, J, K and of the coefficients of w_A and Omega.  standard_structure
-returns one shared instance per n, so its caches live for the process.
+caches its operators, and through ``form_cache`` the maps of its own forms
+Omega, (w_I, w_J, w_K) and star Omega, and is otherwise immutable: it holds
+its own read-only copies of I, J, K and of the coefficients of those forms.
+standard_structure returns one shared instance per n, so its caches live for
+the process.
 """
 
 from __future__ import annotations
@@ -107,6 +109,7 @@ class QuatStructure:
         self.mats = {"I": I, "J": J, "K": K}
         # Kaehler forms: w_A(e_i, e_j) = <e_i, A e_j> = A[i, j]
         self.omega = {a: AltForm.from_dense(m) for a, m in self.mats.items()}
+        self.omegas = tuple(self.omega[a] for a in AXES)
         self.Omega = sum(
             (wedge(self.omega[a], self.omega[a]) for a in AXES),
             AltForm.zero(self.dim, 4),
@@ -142,6 +145,22 @@ class QuatStructure:
         q = self.dim - a.degree
         return AltForm(self.dim, q,
                        hodge_op(self.dim, q, self.vol_coeff).T(a.coeffs))
+
+    @cached_property
+    def star_Omega(self) -> AltForm:
+        """star Omega, read-only like Omega."""
+        out = self.star(self.Omega)
+        out.coeffs.flags.writeable = False
+        return out
+
+    def form_cache(self, kind: str, b, build):
+        """build(), cached under (kind, name) when b is the structure's own
+        Omega, omegas (w_I, w_J, w_K side by side) or star_Omega, and
+        called anew for any other b."""
+        for name in ("Omega", "omegas", "star_Omega"):
+            if b is getattr(self, name):
+                return self.cache((kind, name), build)
+        return build()
 
     # -- operator matrices on coefficient vectors -------------------------
 

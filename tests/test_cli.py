@@ -218,6 +218,31 @@ def test_liealg_tol_below_round_off_is_not_an_input_error(capsys):
     assert "input error" not in capsys.readouterr().err
 
 
+def test_classify_tol_below_round_off_is_not_an_input_error(tmp_path,
+                                                            capsys):
+    # a tensor file's membership in W is held to max(--tol, 1e-12): the
+    # round-off residual of an injected KH (about 6e-16) passes at a --tol
+    # of 1e-17, and a tensor 1e-6 off W is refused at that and the default
+    import numpy as np
+    from aqh.exterior import MixedTorsion, mixed_from_json, mixed_to_json
+
+    path = tmp_path / "kh.json"
+    assert main(["inject", "--component", "KH", "--n", "2", "--seed", "0",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["classify", "--input", str(path), "--tol", "1e-17",
+                 "--format", "json"]) == 0
+    assert "KH" in json.loads(capsys.readouterr().out)["key"].split("+")
+    a = mixed_from_json(json.loads(path.read_text()))
+    bump = np.random.default_rng(0).standard_normal(a.rows.shape)
+    off = MixedTorsion(a.dim, a.rows + 1e-6 * a.norm() * bump
+                       / np.linalg.norm(bump))
+    path.write_text(json.dumps(mixed_to_json(off)))
+    for tol in (["--tol", "1e-17"], []):
+        assert main(["classify", "--input", str(path), *tol]) == 2
+        assert "not in the torsion space" in capsys.readouterr().err
+
+
 def test_nabla_Omega_off_W_exits_1(monkeypatch, capsys):
     from test_liealg import _pushed_off_W
 

@@ -31,7 +31,8 @@ from aqh import (
 )
 from aqh.structure import AXES, insert
 from aqh.exterior import tables, wedge1
-from aqh.liealg import _gray_residual, gray_residual, nabla_omega
+from aqh.liealg import (PIPELINE_CHECKS, _gray_residual, gray_residual,
+                        nabla_omega)
 from reference import compound, nabla_dense
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures",
@@ -285,6 +286,54 @@ def test_classify_algebra_builds_no_dOmega_map(monkeypatch):
     assert not calls
     assert "dOmega" not in fresh._cache
     assert rep["checks"]["alternation_vs_differential"] < 1e-10
+
+
+def test_classify_algebra_builds_each_form_map_once(monkeypatch):
+    # the derivation matrix of Omega and the d maps of Omega, the w_A side
+    # by side and star Omega are built in the first report on a fresh
+    # structure, each from one derivation_op call (the one function that
+    # forms the dim^2 x N_p support tables); a second report builds none
+    from aqh import liealg
+
+    s = standard_structure.__wrapped__(3)
+    g = MetricLieAlgebra(s, two_step_nilpotent(3, 4).c)
+    built = []
+    real = liealg.derivation_op
+
+    def counted(b):
+        built.append(b)
+        return real(b)
+
+    monkeypatch.setattr(liealg, "derivation_op", counted)
+    first = classify_algebra(g)
+    assert {k for k in s._cache if isinstance(k, tuple)
+            and k[0] in ("derivation", "d")} == {
+        ("derivation", "Omega"), ("d", "Omega"), ("d", "omegas"),
+        ("d", "star_Omega")}
+    assert len(built) == 4
+    built.clear()
+    second = classify_algebra(g)
+    assert not built
+    assert second == first
+
+
+def test_classify_algebra_in_a_conjugated_frame(frame3):
+    # an orthogonal change of frame g moves the structure and the bracket
+    # table together, c'[i,j,k] = g_ia g_jb g_kc c[a,b,c]: an isometric
+    # isomorphism, so the class, the profile norms and the checks stay.  In
+    # that frame Omega and star Omega have no zero coefficient, so the maps
+    # of the structure's forms are built on a generic support
+    g, s = frame3
+    assert np.count_nonzero(s.Omega.coeffs) == s.tab.nforms(4)
+    for alg in (two_step_nilpotent(3, 8), _almost_abelian(3, 9)):
+        moved = MetricLieAlgebra(s, np.einsum("ia,jb,kc,abc->ijk", g, g, g,
+                                              alg.c))
+        want, got = classify_algebra(alg), classify_algebra(moved)
+        assert got["key"] == want["key"]
+        for X, v in want["profile"]["norms"].items():
+            assert abs(got["profile"]["norms"][X] - v) \
+                <= 1e-12 * want["profile"]["total"], X
+        assert max(got["checks"][k] for k in PIPELINE_CHECKS) <= 1e-8
 
 
 def test_classify_algebra_refuses_a_broken_hodge_route(monkeypatch, tmp_path,
