@@ -25,7 +25,6 @@ from .structure import (
     standard_structure,
 )
 from .torsion import (
-    F_inverse,
     F_map,
     MembershipError,
     extract_cA,
@@ -40,7 +39,6 @@ from .threeform import (
     hat_dstar,
     proj3,
     torsion_embed,
-    table1_member,
     table1_residuals,
     xi,
     xi_triple,
@@ -52,19 +50,13 @@ from .projectors import (
     component,
     components,
     profile,
-    proj_hpart,
-    proj_s3hpart,
 )
 from .classify import (
     ClassLabel,
     DerivedFromDOmega,
     classification_report,
-    classify,
     perp_EH5_test,
-    table2_residual,
-    table2_residual_dOmega,
     table2_rows,
-    table3_residual,
     table3_rows,
     wedge_criteria,
 )
@@ -72,9 +64,7 @@ from .liealg import (
     AlgebraError,
     MetricLieAlgebra,
     VerificationError,
-    abelian_algebra,
     algebra_from_json,
-    algebra_to_json,
     ce_d,
     classify_algebra,
     codiff_Omega,

@@ -15,8 +15,9 @@ these one-forms (threeform.wedge_norms), so the covariant column reads
 no 5-form.  Each condition field is a cached linear map of C = aQ, d* a or
 dOmega (sparse ones through their nonzeros), computed when a row reads it.
 
-These direct routes (table2_residual, table2_residual_dOmega,
-table3_residual, wedge_criteria) are the cross-check.  The report reads
+A row read on such a context (RowResult.evaluate on ctx_from_torsion or
+ctx_from_derived) and wedge_criteria are the direct routes, and verify runs
+them as the cross-check.  classification_report, the one classifier, reads
 every field condition as a Schur form of the component profile, with
 constants measured once per n (schur_table), and forms no 5-form.
 """
@@ -32,8 +33,7 @@ import numpy as np
 
 from .exterior import AltForm, MixedTorsion, SparseOp, alternate5, contract12, hodge_op, wedge, wedge_op, wedge_power
 from .projectors import (COMPONENT_DIMS, ComponentLabel, ComponentProfile,
-                         _w_core, component_norms, lcal_coords,
-                         profile as component_profile, split_coords)
+                         _w_core, component_norms, lcal_coords, split_coords)
 from .structure import AXES, QuatStructure
 from .threeform import (
     OneFormTriple,
@@ -45,8 +45,7 @@ from .threeform import (
     wedge_norms,
     xi_triple,
 )
-from .torsion import (check_tol, require_in_W, w_coords, w_dim,
-                      w_embed)
+from .torsion import check_tol, w_coords, w_dim, w_embed
 
 ALIASES = {
     frozenset(): ("QK", "quaternion-Kähler"),
@@ -96,11 +95,6 @@ class ClassLabel:
     def to_json(self) -> dict:
         return {"key": self.key, "display": self.display,
                 "aliases": list(self.aliases)}
-
-
-def classify(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8):
-    """Smallest component subset containing a, with the component profile."""
-    return _label(component_profile(a, s, tol), tol, s.n)
 
 
 def _label(prof, tol: float, n: int):
@@ -389,44 +383,12 @@ def table2_rows(s: QuatStructure) -> tuple[Table2Row, ...]:
 
 
 class _Rows(tuple):
-    """The rows of a table, with the lookup of each by component set and
-    key (_find_row)."""
+    """The rows of a table, with the lookup of each by component set."""
 
     def __new__(cls, rows):
         self = super().__new__(cls, rows)
-        self.by_id = {i: r for r in self for i in (r.components, r.key)}
+        self.by_id = {r.components: r for r in self}
         return self
-
-
-def _find_row(rows: _Rows, row_id) -> Table2Row:
-    """A row given as itself, its number, its component set or its key."""
-    if isinstance(row_id, Table2Row):
-        return row_id
-    if isinstance(row_id, int):
-        return rows[row_id - 1]
-    try:
-        return rows.by_id[row_id]
-    except (KeyError, TypeError):
-        raise KeyError(f"unknown row id {row_id!r}") from None
-
-
-def table2_residual(a: MixedTorsion, s: QuatStructure, row_id,
-                    tol: float = 1e-8) -> RowResult:
-    """Residuals of the covariant-derivative column for one row."""
-    C = require_in_W(a, s, tol)
-    row = _find_row(table2_rows(s), row_id)
-    return RowResult.evaluate(row, row.col2, ctx_from_torsion(a, s, C))
-
-
-def table2_residual_dOmega(d: DerivedFromDOmega, s: QuatStructure,
-                           row_id) -> RowResult:
-    """Residuals of the exterior-derivative column; needs dim > 8."""
-    if s.n == 2:
-        raise ValueError(
-            "in dimension 8 the 5-form carries only partial information; "
-            "use table3_residual")
-    row = _find_row(table2_rows(s), row_id)
-    return RowResult.evaluate(row, row.col3, ctx_from_derived(d, s))
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +419,6 @@ def _build_table3() -> tuple[Table2Row, ...]:
 
 def table3_rows(s: QuatStructure) -> tuple[Table2Row, ...]:
     return _build_table3()
-
-
-def table3_residual(d: DerivedFromDOmega, s: QuatStructure,
-                    row_id) -> RowResult:
-    if s.n != 2:
-        raise ValueError("the partial table applies to dimension 8 only")
-    row = _find_row(table3_rows(s), row_id)
-    return RowResult.evaluate(row, row.col3, ctx_from_derived(d, s))
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +614,7 @@ def _report(a: MixedTorsion, s: QuatStructure, tol: float,
     }
     table = schur_table(s)
     ctx.profile = p = [prof.norms[X] for X in ComponentLabel]
-    row2 = _find_row(table2_rows(s), label.components)
+    row2 = table2_rows(s).by_id[label.components]
     out["table2"] = table.evaluate("col2", row2, ctx).to_json()
     if s.n >= 3:
         out["table2_dOmega"] = table.evaluate("col3", row2, ctx).to_json()

@@ -206,14 +206,6 @@ class AltForm:
         return cls(dim, degree, np.zeros(math.comb(dim, degree)))
 
     @classmethod
-    def basis(cls, dim: int, idx: tuple[int, ...]) -> "AltForm":
-        """The form e^{i1} ^ ... ^ e^{ip} for an increasing tuple."""
-        p = len(idx)
-        c = np.zeros(math.comb(dim, p))
-        c[tables(dim).index(p)[tuple(idx)]] = 1.0
-        return cls(dim, p, c)
-
-    @classmethod
     def from_dense(cls, dense: np.ndarray) -> "AltForm":
         """Read off an already-alternating dense tensor."""
         dense = np.asarray(dense, dtype=float)
@@ -383,18 +375,6 @@ def derivation_op(b) -> SparseOp:
                     (sign * B[j, k, None]).ravel(), shape)
 
 
-def derivation(M: np.ndarray, b) -> np.ndarray:
-    """Coefficients (..., N_p) of the slot derivation
-    b -> sum_i b(.., M X_i, ..) for every matrix of a stack (..., dim, dim);
-    (..., k, N_p) for a sequence b of k forms of one degree: one product
-    M.reshape(..., dim^2) @ Y with the dense ``derivation_op`` of b,
-    Y (dim^2 x k N_p)."""
-    M = np.asarray(M, dtype=float)
-    out = M.reshape(M.shape[:-2] + (-1,)) @ derivation_op(b).T.dense()
-    return out if isinstance(b, AltForm) else out.reshape(
-        M.shape[:-2] + (len(b), -1))
-
-
 def inner(a: AltForm, b: AltForm) -> float:
     if a.dim != b.dim or a.degree != b.degree:
         raise DegreeError("inner product needs equal degrees")
@@ -448,9 +428,6 @@ class MixedTorsion:
 
     def norm(self) -> float:
         return math.sqrt(self.rows.ravel() @ self.rows.ravel())
-
-    def flat(self) -> np.ndarray:
-        return self.rows.reshape(-1)
 
     @classmethod
     def from_flat(cls, dim: int, vec: np.ndarray) -> "MixedTorsion":

@@ -92,9 +92,6 @@ class MetricLieAlgebra:
     def dim(self) -> int:
         return self.structure.dim
 
-    def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", x, y, self.c)
-
     def is_abelian(self, tol: float = 0.0) -> bool:
         return float(np.abs(self.c).max()) <= tol
 
@@ -114,9 +111,9 @@ def koszul(g: MetricLieAlgebra) -> np.ndarray:
 
 
 def nabla_form(g: MetricLieAlgebra, G: np.ndarray, w: AltForm) -> np.ndarray:
-    """Rows of coefficient vectors of nabla w (one row per direction):
-    -derivation(G^T, w), whose dense ``derivation_op`` the structure keeps
-    for its own forms."""
+    """Rows of coefficient vectors of nabla w (one row per direction): the
+    slot derivation of w by G[x]^T, negated, through the dense
+    ``derivation_op`` of w, which the structure keeps for its own forms."""
     Y = g.structure.form_cache("derivation", w,
                                lambda: derivation_op(w).T.dense())
     return -(G.transpose(0, 2, 1).reshape(g.dim, -1) @ Y)
@@ -192,17 +189,11 @@ def nijenhuis(g: MetricLieAlgebra, axis: str) -> np.ndarray:
     return N.transpose(2, 0, 1)
 
 
-def gray_residual(g: MetricLieAlgebra, G: np.ndarray, axis: str) -> float:
-    """Residual of 2 nabla w_A = d w_A - A_(2)A_(3) d w_A - A_(2) N_A."""
-    return _gray_residual(g.structure.mats[axis],
-                          ce_d(g, g.structure.omega[axis]).dense(),
-                          nijenhuis(g, axis), nabla_omega(g, G, axis).mats)
-
-
 def _gray_residual(A: np.ndarray, dw: np.ndarray, NA: np.ndarray,
                    nw: np.ndarray) -> float:
-    """gray_residual on the dense d w_A, N_A, nabla w_A, or their stacks over
-    the axes: A_(2) t = -A^T t[x] and A_(3) t = -t A, two products."""
+    """Residual of 2 nabla w_A = d w_A - A_(2)A_(3) d w_A - A_(2) N_A on the
+    dense d w_A, N_A, nabla w_A, or their stacks over the axes:
+    A_(2) t = -A^T t[x] and A_(3) t = -t A, two products."""
     A = A[..., None, :, :]
     At = np.swapaxes(A, -1, -2)
     return float(np.abs(2.0 * nw - dw + At @ (dw @ A - NA)).max())
@@ -323,11 +314,6 @@ def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def abelian_algebra(n: int) -> MetricLieAlgebra:
-    s = standard_structure(n)
-    return MetricLieAlgebra(s, np.zeros((s.dim,) * 3))
-
-
 def two_step_nilpotent(n: int, seed: int, center: int = 4,
                        scale: float = 1.0) -> MetricLieAlgebra:
     """Random two-step nilpotent algebra: brackets of the first 4n - center
@@ -344,15 +330,6 @@ def two_step_nilpotent(n: int, seed: int, center: int = 4,
             c[i, j, base:] = vals[i, j]
             c[j, i, base:] = -vals[i, j]
     return MetricLieAlgebra(s, c)
-
-
-def algebra_to_json(g: MetricLieAlgebra) -> dict:
-    brackets = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for k in np.nonzero(g.c[i, j])[0]:
-                brackets.append([i, j, int(k), float(g.c[i, j, k])])
-    return {"n": g.structure.n, "brackets": brackets, "structure": "standard"}
 
 
 def algebra_from_json(data: dict) -> MetricLieAlgebra:

@@ -172,17 +172,6 @@ def _split(a: MixedTorsion, s: QuatStructure, tol: float,
     return split_coords(w_coords(a, s, tol, check), contract12(a).coeffs, s)
 
 
-def proj_hpart(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
-               check: bool = True) -> MixedTorsion:
-    return w_embed(lcal_hpart(w_coords(a, s, tol, check), s), s)
-
-
-def proj_s3hpart(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
-                 check: bool = True) -> MixedTorsion:
-    C = w_coords(a, s, tol, check)
-    return w_embed(C - lcal_hpart(C, s), s)
-
-
 def component(a: MixedTorsion, X: ComponentLabel, s: QuatStructure,
               tol: float = 1e-8, check: bool = True) -> MixedTorsion:
     return components(a, s, tol, check)[X]

@@ -207,18 +207,11 @@ class QuatStructure:
         return AltForm(self.dim, b.degree, self.L_apply(b.degree, b.coeffs))
 
     def lcal_raw(self, a: MixedTorsion) -> MixedTorsion:
-        """Lcal without the membership precondition (internal use)."""
+        """Lcal on the rows of a; no membership test."""
         # i_A = -D_A on the form part of each row, then A mixes the rows
         D = self.deriv_op(4)(a.rows).reshape(self.dim, 3, -1)
         return MixedTorsion(self.dim, -sum(
             self.mats[axis] @ D[:, k] for k, axis in enumerate(AXES)))
-
-    def lcal(self, a: MixedTorsion, tol: float = 1e-8) -> MixedTorsion:
-        """Lcal on the intrinsic-torsion space; MembershipError off it."""
-        from .torsion import require_in_W
-
-        require_in_W(a, self, tol)
-        return self.lcal_raw(a)
 
     # -- fixed-factor wedges ----------------------------------------------
 
@@ -295,10 +288,6 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(Q) < 0:
         Q[:, [0, 1]] = Q[:, [1, 0]]
     return Q
-
-
-def structure_to_json(s: QuatStructure) -> dict:
-    return {"n": s.n, "I": s.I.tolist(), "J": s.J.tolist()}
 
 
 def structure_from_json(data, n: int | None = None) -> QuatStructure:

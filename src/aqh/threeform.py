@@ -305,14 +305,6 @@ def table1_residuals(b: AltForm, row_id: str, s: QuatStructure) -> list[float]:
     return [_eval_cond(c, ctx) for c in TABLE1[row_id][1]]
 
 
-def table1_member(b: AltForm, row_id: str, s: QuatStructure,
-                  tol: float = 1e-9) -> bool:
-    from .torsion import check_tol  # torsion imports this module
-    check_tol(tol)
-    scale = max(b.norm(), 1e-300)
-    return max(table1_residuals(b, row_id, s)) <= tol * scale
-
-
 # ---------------------------------------------------------------------------
 # the canonical embedding of 3-forms and the right inverse of the contraction
 # ---------------------------------------------------------------------------

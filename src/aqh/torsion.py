@@ -84,7 +84,10 @@ def fiber_project(c: MixedTwoFormFamily, s: QuatStructure) -> MixedTwoFormFamily
 
 def F_map(c: MixedTwoFormFamily, s: QuatStructure, check: bool = True,
           tol: float = 1e-8) -> MixedTorsion:
+    """F on the rows of c; with check, c must lie within tol*|c| of the
+    fiber (MembershipError otherwise, ValueError for a bad tol)."""
     if check:
+        check_tol(tol)
         scale = max(c.norm(), 1e-300)
         r1, r2 = fiber_residuals(c, s)
         if max(r1, r2) > tol * scale:
@@ -102,11 +105,6 @@ def f_inverse_raw(a: MixedTorsion, s: QuatStructure) -> MixedTwoFormFamily:
         a.dim, np.tensordot(a.rows, R, (1, 1)) / (-8 * s.n))
 
 
-def F_inverse(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8) -> MixedTwoFormFamily:
-    require_in_W(a, s, tol)
-    return f_inverse_raw(a, s)
-
-
 def _w_project(a: MixedTorsion, s: QuatStructure) -> tuple[np.ndarray, float]:
     """(C, residual): the W coordinates C = aQ and |a - C Q^T| / |a|."""
     Q = fiber_basis_matrix(s)
@@ -116,7 +114,8 @@ def _w_project(a: MixedTorsion, s: QuatStructure) -> tuple[np.ndarray, float]:
 
 def is_in_W(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8) -> tuple[bool, float]:
     """Membership as distance: the residual is |a - (aQ)Q^T| / |a|, the
-    relative distance of a from W = V* (x) span(Q)."""
+    relative distance of a from W = V* (x) span(Q).  check_tol checks tol."""
+    check_tol(tol)
     resid = _w_project(a, s)[1]
     return resid <= tol, resid
 
@@ -201,7 +200,9 @@ def from_nabla_omegas(dI: MixedTwoFormFamily, dJ: MixedTwoFormFamily,
                       dK: MixedTwoFormFamily, s: QuatStructure,
                       tol: float = 1e-6) -> MixedTorsion:
     """Assemble sum_A d_A ^ w_A from d_A = 2 nabla w_A, after validating the
-    two admissibility conditions i)', ii)' the d_A must satisfy."""
+    two admissibility conditions i)', ii)' the d_A must satisfy.  check_tol
+    checks tol."""
+    check_tol(tol)
     dA = {"I": dI, "J": dJ, "K": dK}
     scale = max(max(d.norm() for d in dA.values()), 1e-300)
     res_i, res_ii = _admissibility(dA, s)

@@ -1,11 +1,13 @@
 """Reference forms that only the tests use: dense matrices, dense tensors,
-compound matrices and the JSON form of a single alternating form.  The
-library computes none of these; the tests compare its routes against them."""
+compound matrices and the JSON form of a single alternating form, and the
+rows of Tables 2 and 3 read directly on a context, as verify reads them.
+The tests compare the library's routes against these."""
 
 import numpy as np
 
 from aqh import projectors as PR
 from aqh import torsion as T
+from aqh.classify import RowResult, ctx_from_derived, ctx_from_torsion
 from aqh.exterior import (AltForm, _json_coeffs, _json_index, _json_n,
                           tables)
 from aqh.structure import insert
@@ -93,3 +95,14 @@ def compound(A: np.ndarray, p: int) -> np.ndarray:
         c = C.take(t, -2).take(rest, -1).reshape(a.shape)
         C = np.einsum("...umj,...umj->...uj", a, c)
     return C
+
+
+def col2(a, s, row) -> RowResult:
+    """The covariant column of a row on the tensor a (no membership test)."""
+    return RowResult.evaluate(row, row.col2, ctx_from_torsion(a, s))
+
+
+def col3(d, s, row) -> RowResult:
+    """The exterior-derivative column of a row, of Table 2 or of Table 3, on
+    d, a DerivedFromDOmega."""
+    return RowResult.evaluate(row, row.col3, ctx_from_derived(d, s))

@@ -16,15 +16,10 @@ from aqh import (
     MixedTorsion,
     alternate5,
     classification_report,
-    classify,
     contract12,
     perp_EH5_test,
     random_W_element,
-    table1_member,
-    table2_residual,
-    table2_residual_dOmega,
     table2_rows,
-    table3_residual,
     table3_rows,
     wedge,
     wedge1,
@@ -33,6 +28,7 @@ from aqh import (
     xi_triple,
 )
 from aqh.structure import AXES
+from reference import col2, col3
 
 
 L3EH, KH, EH = ComponentLabel.L3EH, ComponentLabel.KH, ComponentLabel.EH
@@ -60,7 +56,7 @@ def full_rows(f, s):
     """The matrix (dim*N4 x N3) of a map f(b, s) from 3-forms to tensors,
     such as hat_dstar or torsion_embed: column k is the image of the k-th
     basis 3-form."""
-    return np.stack([f(AltForm(s.dim, 3, e), s).flat()
+    return np.stack([f(AltForm(s.dim, 3, e), s).rows.ravel()
                      for e in np.eye(s.tab.nforms(3))], axis=1)
 
 
@@ -70,14 +66,13 @@ def ae_wedges(s, b):
 
 
 def test_classify_zero_is_qk(s2):
-    lab, prof = classify(MixedTorsion.zero(8), s2)
-    assert lab.key == "QK"
-    assert "QK" in lab.aliases
+    rep = classification_report(MixedTorsion.zero(8), s2)
+    assert rep["key"] == "QK"
+    assert "QK" in rep["aliases"]
 
 
 def test_classify_tiny_input_is_qk(s2, pool2):
-    lab, _ = classify(pool2[KH] * 1e-20, s2)
-    assert lab.key == "QK"
+    assert classification_report(pool2[KH] * 1e-20, s2)["key"] == "QK"
 
 
 @pytest.mark.parametrize("tol", [1e-30, 1e-17, 1e-8])
@@ -101,13 +96,13 @@ def test_n2_keys_name_no_empty_component(s2, tol):
 
 
 def test_classify_single_components(s2, pool2):
-    lab, _ = classify(pool2[EH], s2)
-    assert lab.components == frozenset({EH})
-    assert "l.c.q.K." in lab.aliases
-    lab, _ = classify(build(pool2, KH, EH), s2)
-    assert lab.components == frozenset({KH, EH})
-    assert "QKT" in lab.aliases
-    assert lab.display == "(K+E)H"
+    rep = classification_report(pool2[EH], s2)
+    assert rep["key"] == "EH"
+    assert "l.c.q.K." in rep["aliases"]
+    rep = classification_report(build(pool2, KH, EH), s2)
+    assert rep["key"] == "KH+EH"
+    assert "QKT" in rep["aliases"]
+    assert rep["class"] == "(K+E)H"
 
 
 def test_class_display_names():
@@ -123,14 +118,14 @@ def test_classify_round_trip_n2(s2, pool2):
     labs = [X for X in ComponentLabel if not X.zero_at_n2]
     for r in range(1, 5):
         for sub in itertools.combinations(labs, r):
-            lab, _ = classify(build(pool2, *sub), s2)
-            assert lab.components == frozenset(sub)
+            rep = classification_report(build(pool2, *sub), s2)
+            assert rep["key"] == ClassLabel(frozenset(sub)).key
 
 
 def test_classify_rejects_non_members(s2):
     bad = MixedTorsion(8, np.tile(s2.Omega.coeffs, (8, 1)))
     with pytest.raises(Exception):
-        classify(bad, s2)
+        classification_report(bad, s2)
 
 
 def test_table2_row_lookup(s3):
@@ -146,9 +141,9 @@ def test_table2_members_both_columns(s3, pool3):
     # every row annihilates its projected members in both columns
     for row in table2_rows(s3):
         m = build(pool3, *row.components)
-        assert table2_residual(m, s3, row).value < 1e-8, row.key
+        assert col2(m, s3, row).value < 1e-8, row.key
         d = DerivedFromDOmega.from_torsion(m, s3)
-        assert table2_residual_dOmega(d, s3, row).value < 1e-8, row.key
+        assert col3(d, s3, row).value < 1e-8, row.key
 
 
 def test_table2_rejects_non_members(s3, pool3):
@@ -158,26 +153,20 @@ def test_table2_rejects_non_members(s3, pool3):
         if not outside:
             continue
         nm = build(pool3, *row.components) + pool3[outside[0]]
-        assert table2_residual(nm, s3, row).value > 1e-3, row.key
+        assert col2(nm, s3, row).value > 1e-3, row.key
 
 
 def test_table2_n2_members(s2, pool2):
     for row in table2_rows(s2):
         comps = [X for X in row.components if not X.zero_at_n2]
         m = build(pool2, *comps)
-        assert table2_residual(m, s2, row).value < 1e-8, row.key
+        assert col2(m, s2, row).value < 1e-8, row.key
 
 
 def test_table2_zero_tensor(s2):
     z = MixedTorsion.zero(8)
     for row in table2_rows(s2):
-        assert table2_residual(z, s2, row).value == 0.0
-
-
-def test_table2_dOmega_rejected_at_n2(s2, pool2):
-    d = DerivedFromDOmega.from_torsion(pool2[EH], s2)
-    with pytest.raises(ValueError):
-        table2_residual_dOmega(d, s2, "EH")
+        assert col2(z, s2, row).value == 0.0
 
 
 def test_specific_rows_from_conditions(s3, pool3):
@@ -203,9 +192,9 @@ def test_column_agreement(s3, pool3):
         outside = [X for X in labs if X not in row.components][0]
         nm = m + pool3[outside]
         for t, is_member in ((m, True), (nm, False)):
-            v2 = table2_residual(t, s3, row).value <= 1e-8
+            v2 = col2(t, s3, row).value <= 1e-8
             d = DerivedFromDOmega.from_torsion(t, s3)
-            v3 = table2_residual_dOmega(d, s3, row).value <= 1e-8
+            v3 = col3(d, s3, row).value <= 1e-8
             assert v2 == v3 == is_member, (row.key, is_member)
 
 
@@ -214,24 +203,18 @@ def test_table3(s2, pool2):
     for row in table3_rows(s2):
         m = build(pool2, *row.components)
         d = DerivedFromDOmega.from_torsion(m, s2)
-        assert table3_residual(d, s2, row).value < 1e-8, row.key
+        assert col3(d, s2, row).value < 1e-8, row.key
         outside = [X for X in labs if X not in row.components]
         if outside:
             nm = m + pool2[outside[0]]
             nd = DerivedFromDOmega.from_torsion(nm, s2)
-            assert table3_residual(nd, s2, row).value > 1e-3, row.key
+            assert col3(nd, s2, row).value > 1e-3, row.key
 
 
 def test_table3_zero(s2):
     d = DerivedFromDOmega.from_torsion(MixedTorsion.zero(8), s2)
     for row in table3_rows(s2):
-        assert table3_residual(d, s2, row).value == 0.0
-
-
-def test_table3_requires_n2(s3, pool3):
-    d = DerivedFromDOmega.from_torsion(pool3[EH], s3)
-    with pytest.raises(ValueError):
-        table3_residual(d, s3, 1)
+        assert col3(d, s2, row).value == 0.0
 
 
 def test_derived_quantities_match_contraction_route(s2, s3):
@@ -406,11 +389,8 @@ def test_covariant_column_reads_no_five_form(s2, s3, pool2, pool3,
                                              monkeypatch):
     # the wedge norms of the covariant column come from the one-forms of
     # d* a, so no row alternates a or applies dOmega_op
-    import importlib
-
+    from aqh import classify as module
     from aqh.projectors import COMPONENT_DIMS
-
-    module = importlib.import_module("aqh.classify")  # aqh.classify is a function
 
     def refuse(*args, **kwargs):
         raise AssertionError("the covariant column read a 5-form")
@@ -422,7 +402,7 @@ def test_covariant_column_reads_no_five_form(s2, s3, pool2, pool3,
             # summed in declaration order: a frozenset's follows the str hash
             m = sum((pool[X] for X in ComponentLabel if X in row.components
                      and COMPONENT_DIMS[X](s.n)), MixedTorsion.zero(s.dim))
-            assert table2_residual(m, s, row).value <= 1e-8, row.key
+            assert col2(m, s, row).value <= 1e-8, row.key
 
 
 def _eager_fields(ds, xi, tri, dOm, s):
@@ -664,20 +644,23 @@ def test_checks_assemble_no_full_row_operators():
 @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0, 1.0])
 def test_bad_tol_raises_value_error(s2, tol):
     # a tolerance must be finite with 0 < tol < 1; the error names tol and
-    # does not blame the tensor (MembershipError)
-    from aqh import abelian_algebra, classify_algebra
-    from aqh.torsion import w_coords
+    # does not blame the tensor or the family (MembershipError)
+    from aqh import MetricLieAlgebra, MixedTwoFormFamily, classify_algebra
+    from aqh.torsion import F_map, from_nabla_omegas, is_in_W, w_coords
 
     a = random_W_element(s2, 7)
     d = DerivedFromDOmega.from_torsion(a, s2)
-    b = AltForm(8, 3, np.ones(math.comb(8, 3)))
-    calls = (lambda: classify(a, s2, tol),
-             lambda: classification_report(a, s2, tol),
+    raw = np.random.default_rng(7).standard_normal((8, 8, 8))
+    c = MixedTwoFormFamily(8, raw - raw.transpose(0, 2, 1))  # off the fiber
+    calls = (lambda: classification_report(a, s2, tol),
              lambda: w_coords(a, s2, tol),
-             lambda: classify_algebra(abelian_algebra(2), tol),
+             lambda: is_in_W(a, s2, tol),
+             lambda: F_map(c, s2, tol=tol),
+             lambda: from_nabla_omegas(c, c, c, s2, tol),
+             lambda: classify_algebra(
+                 MetricLieAlgebra(s2, np.zeros((8, 8, 8))), tol),
              lambda: wedge_criteria(d, s2, tol),
-             lambda: perp_EH5_test(d.dOmega, s2, tol),
-             lambda: table1_member(b, "full", s2, tol))
+             lambda: perp_EH5_test(d.dOmega, s2, tol))
     for call in calls:
         with pytest.raises(ValueError, match="tol") as exc:
             call()
@@ -711,12 +694,9 @@ def test_report_reads_no_five_form(s2, s3, pool2, pool3, monkeypatch):
     # once the constants exist, a report of any class, in the standard frame
     # and a rotated one, alternates nothing and recovers nothing from a
     # 5-form: its rows are Schur forms of the profile
-    import importlib
-
+    from aqh import classify as module
     from aqh import components
     from aqh.structure import random_rotation, rotate_adapted
-
-    module = importlib.import_module("aqh.classify")  # aqh.classify is a function
     rng = np.random.default_rng(3)
     cases = []
     for s, pool in ((s2, pool2), (s3, pool3)):
@@ -782,12 +762,11 @@ def check_schur_rows(t, comps, s, report):
     rows3 = [r for r in table3_rows(s) if comps <= r.components]
     row3 = min(rows3, key=lambda r: len(r.components)) if rows3 else None
     d = DerivedFromDOmega.from_torsion(t, s)
-    direct = {"table2": (row2, "col2", table2_residual(t, s, row2))}
+    direct = {"table2": (row2, "col2", col2(t, s, row2))}
     if n >= 3:
-        direct["table2_dOmega"] = (row2, "col3",
-                                   table2_residual_dOmega(d, s, row2))
+        direct["table2_dOmega"] = (row2, "col3", col3(d, s, row2))
     elif row3 is not None:
-        direct["table3"] = (row3, "table3", table3_residual(d, s, row3))
+        direct["table3"] = (row3, "table3", col3(d, s, row3))
     if report:
         rep = classification_report(t, s)
         assert rep["wedge_criteria"] == wedge_criteria(d, s)
@@ -847,13 +826,13 @@ def test_wedge_rows_refuse_forms_off_the_alternation(s2, s3):
         if {"wAAeq", "wAA0"} & set(_tags(row.col3)):
             refused += 1
             with pytest.raises(ValueError, match="not the alternation"):
-                table2_residual_dOmega(d, s3, row)
+                col3(d, s3, row)
         else:
-            table2_residual_dOmega(d, s3, row)
+            col3(d, s3, row)
     assert refused == 2
     assert wedge_norms(d.dstarOmega.coeffs, d.xi_triple, 3)["wOm0"] == \
         pytest.approx(wedge(s3.star(f), s3.Omega).norm(), rel=1e-12)
     f2 = AltForm(s2.dim, 5, rng.standard_normal(s2.tab.nforms(5)))
     d2 = DerivedFromDOmega.from_dOmega(f2, s2)
     for row in table3_rows(s2):
-        table3_residual(d2, s2, row)
+        col3(d2, s2, row)

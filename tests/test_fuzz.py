@@ -19,7 +19,7 @@ from aqh import (ComponentLabel, MixedTorsion, components, random_W_element,
 from aqh.cli import main
 from aqh.exterior import load_json, mixed_from_json, mixed_to_json
 from aqh.liealg import algebra_from_json
-from aqh.structure import structure_from_json, structure_to_json
+from aqh.structure import structure_from_json
 from reference import form_from_json
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "liealg",
@@ -67,7 +67,7 @@ def mutations(doc, root=False):
 _s2 = standard_structure(2)
 FORM = {"n": 2, "degree": 3, "coeffs": {"0,1,2": 1.0, "1,4,7": -0.5}}
 TENSOR = mixed_to_json(random_W_element(_s2, 5))
-STRUCTURE = structure_to_json(_s2)
+STRUCTURE = {"n": 2, "I": _s2.I.tolist(), "J": _s2.J.tolist()}
 ALGEBRA = {k: v for k, v in load_json(FIXTURE).items()
            if k in ("n", "brackets", "structure")}
 STRUCTURED = dict(ALGEBRA, structure=STRUCTURE)

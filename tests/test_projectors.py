@@ -12,17 +12,19 @@ from aqh import (
     components,
     contract12,
     profile,
-    proj_hpart,
-    proj_s3hpart,
     random_W_element,
 )
 from reference import component_matrices_on_W
 
 
 def test_eigen_split_partition(s2):
+    from aqh.projectors import lcal_hpart
+    from aqh.torsion import w_coords, w_embed
+
     a = random_W_element(s2, 1)
-    h = proj_hpart(a, s2)
-    sh = proj_s3hpart(a, s2)
+    C = w_coords(a, s2)
+    h = w_embed(lcal_hpart(C, s2), s2)
+    sh = w_embed(C - lcal_hpart(C, s2), s2)
     np.testing.assert_allclose((h + sh).rows, a.rows, atol=1e-12)
     np.testing.assert_allclose(s2.lcal_raw(h).rows, 4 * h.rows, atol=1e-10)
     np.testing.assert_allclose(s2.lcal_raw(sh).rows, -2 * sh.rows, atol=1e-10)
@@ -170,7 +172,7 @@ def test_core_matches_paper_route(s2, s3):
 
 
 def test_membership_is_distance_to_W(s2, s3):
-    from aqh import classify, is_in_W, table2_residual
+    from aqh import classification_report, is_in_W
     from aqh.torsion import fiber_basis_matrix
 
     for s in _frames(s2, s3):
@@ -184,8 +186,8 @@ def test_membership_is_distance_to_W(s2, s3):
                                               / np.linalg.norm(off))
         ok, resid = is_in_W(bad, s)
         assert not ok and resid == pytest.approx(1e-6, rel=1e-3)
-        for fn in (lambda: components(bad, s), lambda: classify(bad, s),
-                   lambda: table2_residual(bad, s, "QK")):
+        for fn in (lambda: components(bad, s),
+                   lambda: classification_report(bad, s)):
             with pytest.raises(MembershipError):
                 fn()
 
@@ -241,8 +243,7 @@ def test_profile_matches_paper_route_on_every_class(s2, s3, frame3):
 
 
 def test_report_reads_lcal_once(s3, pool3, monkeypatch):
-    import importlib
-
+    import aqh.classify
     import aqh.projectors
     from aqh import classification_report, standard_structure
 
@@ -256,9 +257,7 @@ def test_report_reads_lcal_once(s3, pool3, monkeypatch):
         calls.append(1)
         return lcal(*args)
 
-    # aqh.classify is the function of that name; the module is imported
-    monkeypatch.setattr(importlib.import_module("aqh.classify"),
-                        "lcal_coords", counted)
+    monkeypatch.setattr(aqh.classify, "lcal_coords", counted)
     monkeypatch.setattr(aqh.projectors, "lcal_coords", counted)
     # the profile splits the d*-kernel residual once; the rows, La ones
     # included, are Schur forms of the profile and apply no Lcal

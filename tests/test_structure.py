@@ -8,7 +8,6 @@ import pytest
 
 from aqh import (
     AltForm,
-    MembershipError,
     StructureError,
     QuatStructure,
     insert,
@@ -21,9 +20,8 @@ from aqh import (
     wedge_power,
 )
 from aqh.structure import AXES
-import aqh.torsion as torsion
 import aqh.projectors as projectors
-from aqh.classify import classify as classify_tensor
+from aqh.classify import classification_report
 from reference import slot_sum
 
 
@@ -122,13 +120,15 @@ def test_rotate_rejects_nan(s2):
 def test_rotation_preserves_classification(s2, pool2, rng):
     a = (pool2[projectors.ComponentLabel.KH]
          + pool2[projectors.ComponentLabel.ES3H])
-    lab0, prof0 = classify_tensor(a, s2)
+    rep0 = classification_report(a, s2)
+    norms0 = rep0["profile"]["norms"]
     for _ in range(3):
         s_new = rotate_adapted(random_rotation(rng), s2)
-        lab1, prof1 = classify_tensor(a, s_new)
-        assert lab1.components == lab0.components
-        for X in prof0.norms:
-            assert prof1.norms[X] == pytest.approx(prof0.norms[X], abs=1e-9)
+        rep1 = classification_report(a, s_new)
+        assert rep1["key"] == rep0["key"]
+        for X in norms0:
+            assert rep1["profile"]["norms"][X] == pytest.approx(norms0[X],
+                                                                abs=1e-9)
 
 
 def test_insert_involution(s2, rng):
@@ -236,12 +236,6 @@ def test_lcal_eigenvalues(s2, pool2):
                                atol=1e-10)
 
 
-def test_lcal_rejects_outside_torsion_space(s2):
-    bad = torsion.MixedTorsion(8, np.tile(s2.Omega.coeffs, (8, 1)))
-    with pytest.raises(MembershipError):
-        s2.lcal(bad)
-
-
 def test_lcal_intertwines_contraction(s2):
     from aqh import contract12
 
@@ -272,9 +266,10 @@ def test_eigenspace_slot_pair_identities(s2, rng):
 
 
 def test_structure_json_round_trip(s2):
-    from aqh.structure import structure_from_json, structure_to_json
+    from aqh.structure import structure_from_json
 
-    back = structure_from_json(structure_to_json(s2))
+    back = structure_from_json({"n": 2, "I": s2.I.tolist(),
+                                "J": s2.J.tolist()})
     np.testing.assert_allclose(back.I, s2.I)
     np.testing.assert_allclose(back.K, s2.K)
     shorthand = structure_from_json({"n": 3})

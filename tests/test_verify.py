@@ -5,12 +5,12 @@ fail on a broken route, and the classifier section's row checks on a broken
 row or Schur constant."""
 
 import dataclasses
-import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from aqh import classify as C
 from aqh import projectors as PR
 from aqh import verify as V
 from aqh.projectors import ComponentLabel as CL
@@ -18,7 +18,6 @@ from aqh.structure import standard_structure
 from aqh.torsion import w_dim
 
 SECTION = ("components",)
-C = importlib.import_module("aqh.classify")     # aqh.classify is a function
 
 
 def _arrays(value):
@@ -224,3 +223,15 @@ def test_partial_table_sees_a_dropped_table3_term(monkeypatch):
     assert not (passed["partial-table-members"]
                 and passed["partial-table-reject"])
     assert passed["class-conditions-members"]
+
+
+def test_round_trip_reads_the_report(monkeypatch):
+    # a report that names the class QK for every tensor: each of the 15
+    # subsets at n = 2 comes back wrong
+    real = C._report
+    monkeypatch.setattr(C, "_report",
+                        lambda *args: {**real(*args), "key": "QK"})
+    [row] = [r for r in V.run_suite(2, 71, sections=("classifier",))
+             if r.check == "classifier/classification-round-trip"]
+    assert not row.passed
+    assert (row.residual, row.detail) == (15.0, "0/15 subsets")
