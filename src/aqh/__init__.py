@@ -53,7 +53,6 @@ from .projectors import (
 )
 from .classify import (
     ClassLabel,
-    DerivedFromDOmega,
     classification_report,
     perp_EH5_test,
     table2_rows,

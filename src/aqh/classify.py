@@ -10,24 +10,25 @@ alternation is not injective) is transcribed in 5-form terms.
 The one-forms appearing in the conditions are always those of the 3-form
 d* a; in the exterior-derivative column they are those of d*Omega, which
 is recovered from the 5-form alone through a Hodge identity assembled once
-into dOmega_op (see DerivedFromDOmega).  The wedge norms are read from
+into dOmega_op (see ctx_from_derived).  The wedge norms are read from
 these one-forms (threeform.wedge_norms), so the covariant column reads
 no 5-form.  Each condition field is a cached linear map of C = aQ, d* a or
-dOmega (sparse ones through their nonzeros), computed when a row reads it.
+dOmega (sparse ones through their nonzeros), applied to a whole stack of
+tensors when its context is made.
 
 A row read on such a context (RowResult.evaluate on ctx_from_torsion or
 ctx_from_derived) and wedge_criteria are the direct routes, and verify runs
 them as the cross-check.  classification_report, the one classifier, reads
 every field condition as a Schur form of the component profile, with
-constants measured once per n (schur_table), and forms no 5-form.
+constants measured once per n (schur_table), and forms no field and no
+5-form.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -35,16 +36,7 @@ from .exterior import AltForm, MixedTorsion, SparseOp, alternate5, contract12, h
 from .projectors import (COMPONENT_DIMS, ComponentLabel, ComponentProfile,
                          _w_core, component_norms, lcal_coords, split_coords)
 from .structure import AXES, QuatStructure
-from .threeform import (
-    OneFormTriple,
-    _cond,
-    _Ctx,
-    _eval_cond,
-    _Fields,
-    m_matrix,
-    wedge_norms,
-    xi_triple,
-)
+from .threeform import _cond, _Ctx, _eval_cond, _norm, wedge_norms
 from .torsion import check_tol, w_coords, w_dim, w_embed
 
 ALIASES = {
@@ -105,48 +97,9 @@ def _label(prof, tol: float, n: int):
     return ClassLabel(frozenset(keep if prof.total >= 1e-14 else ())), prof
 
 
-# ---------------------------------------------------------------------------
-# quantities derived from the exterior derivative alone
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DerivedFromDOmega:
-    """d*Omega, xi and the xi_A triple from the 5-form dOmega.
-
-    d*Omega is recovered by the Hodge identity
-      d*Omega = ((-1)^n 6(n-1)/(2n-1)!) * star(Omega^(n-2) ^ dOmega),
-    and xi, xi_A are those of d*Omega (threeform.xi_maps).  With star_inv
-    for the outermost star they satisfy
-      xi = -(1/(12(2n+1))) star_inv(star(dOmega) ^ Omega),
-      star(star(d*Omega) ^ w_A) = 4 k1 A xi_A + 6 A xi,
-    and, only when dOmega is the alternation of a tensor in W (alternate5
-    of a member of W, or ce_d(g, Omega)), the identity threeform.wedge_norms
-    reads: star_inv(star(dOmega) ^ w_A ^ w_A) = -12 xi - 8 k1 xi_A.  verify
-    certifies all three."""
-
-    dOmega: AltForm
-    dstarOmega: AltForm
-    xi: np.ndarray
-    xi_triple: OneFormTriple
-    scale: float = 0.0          # reference size for relative residuals
-
-    @classmethod
-    def from_dOmega(cls, dOm: AltForm, s: QuatStructure,
-                    scale: float | None = None) -> "DerivedFromDOmega":
-        dstar = AltForm(s.dim, 3, dOmega_op(s)(dOm.coeffs))
-        tri = xi_triple(dstar, s)
-        return cls(dOm, dstar, tri.xi, tri,
-                   dOm.norm() if scale is None else scale)
-
-    @classmethod
-    def from_torsion(cls, a: MixedTorsion, s: QuatStructure) -> "DerivedFromDOmega":
-        return cls.from_dOmega(alternate5(a), s, scale=a.norm())
-
-
 def dOmega_op(s: QuatStructure) -> SparseOp:
     """The map (N3 x N5) dOm -> d*Omega as its nonzeros: the wedge with
-    Omega^(n-2) moved by the star (DerivedFromDOmega)."""
+    Omega^(n-2) moved by the star (ctx_from_derived)."""
 
     def build():
         n, dim = s.n, s.dim
@@ -172,75 +125,82 @@ def ae(s: QuatStructure, x: np.ndarray) -> np.ndarray:
     return -W(D(x))
 
 
-def _field_map(s: QuatStructure, key: str) -> np.ndarray:
-    """A fixed matrix of a field a 3-form context lacks beside SE and R
-    (projectors._w_core), built when a row first reads that field: Q = SE m
-    on W coordinates; Q5 = AE m and xiOm on 5-forms."""
-    make = {"Q": lambda: _w_core(s)["SE"] @ m_matrix(s),
-            "Q5": lambda: ae(s, m_matrix(s).T).T,
-            "xiOm": lambda: wedge_op(s.Omega, 1).dense()}
-    return s.cache(("field_map", key), make[key])
-
-
-def ctx_from_torsion(a: MixedTorsion, s: QuatStructure,
-                     C: np.ndarray | None = None) -> _Ctx:
-    """The covariant-column context of a; C = aQ when already known.  Its
-    w fields are W coordinates (dim*r): a, La, SEd, SELd, Q, R.  All of them
+def ctx_from_torsion(C: np.ndarray, ds: np.ndarray, s: QuatStructure,
+                     scale) -> _Ctx:
+    """The covariant-column context of the tensors with W coordinates C
+    (..., dim, r) and d* a = ds (..., N3), at scale (...).  Its w fields are
+    W coordinates (..., dim*r): a, La, SEd, SELd, Q = SE m, R.  All of them
     lie in W, so their norms are those of the 5-slot tensors."""
-    ds = contract12(a)
-    ctx = _Ctx(s, a.norm(), ds.coeffs, xi_triple(ds, s))
-    C = w_coords(a, s, check=False) if C is None else C
-    f3, xi, xi3 = ctx.f3, ctx.xiA.xi, ctx.xi3
+    ctx = _Ctx(s, scale, ds).with_f3(s)
+    flat, f3, xi = C.shape[:-2] + (-1,), ctx.f3, ctx.xi
     SE, R = (_w_core(s)[k] for k in ("SE", "R"))
-    ctx.w = _Fields(a=lambda: C.reshape(-1),
-                    La=lambda: lcal_coords(C, s).reshape(-1),
-                    SEd=lambda: SE @ f3["dstar"],
-                    SELd=lambda: SE @ f3["Ldstar"],
-                    Q=lambda: _field_map(s, "Q") @ xi3, R=lambda: R @ xi)
+    ctx.w = {"a": C.reshape(flat), "La": lcal_coords(C, s).reshape(flat),
+             "SEd": ds @ SE.T, "SELd": f3["Ldstar"] @ SE.T,
+             "Q": f3["m"] @ SE.T, "R": xi[..., 0, :] @ R.T}
     return ctx
 
 
-def ctx_from_derived(d: DerivedFromDOmega, s: QuatStructure) -> _Ctx:
-    """The exterior-derivative context of d.  Its f5 fields are 5-forms:
-    dOm, LdOm, AEd, AELd, Q5, xiOm; its wAAeq, wAA0 run require_alternation."""
-    ctx = _Ctx(s, d.scale, d.dstarOmega.coeffs, d.xi_triple)
-    dOm, f3, xi3 = d.dOmega.coeffs, ctx.f3, ctx.xi3
-    ctx.f5 = _Fields(dOm=lambda: dOm, LdOm=lambda: s.L_apply(5, dOm),
-                     AEd=lambda: ae(s, f3["dstar"]),
-                     AELd=lambda: ae(s, f3["Ldstar"]),
-                     Q5=lambda: _field_map(s, "Q5") @ xi3,
-                     xiOm=lambda: _field_map(s, "xiOm") @ d.xi)
-    ctx.alternation_check = lambda: require_alternation(d, s)
+def ctx_from_derived(dOm: np.ndarray, s: QuatStructure, scale) -> _Ctx:
+    """The exterior-derivative context of the 5-forms dOm (..., N5), at
+    scale (...): d*Omega, xi and the xi_A triple from dOm alone.
+
+    d*Omega is recovered by the Hodge identity (dOmega_op)
+      d*Omega = ((-1)^n 6(n-1)/(2n-1)!) * star(Omega^(n-2) ^ dOmega),
+    and xi, xi_A are those of d*Omega (threeform.xi_maps).  With star_inv
+    for the outermost star they satisfy
+      xi = -(1/(12(2n+1))) star_inv(star(dOmega) ^ Omega),
+      star(star(d*Omega) ^ w_A) = 4 k1 A xi_A + 6 A xi,
+    and, only when dOmega is the alternation of a tensor in W (alternate5
+    of a member of W, or ce_d(g, Omega)), the identity threeform.wedge_norms
+    reads: star_inv(star(dOmega) ^ w_A ^ w_A) = -12 xi - 8 k1 xi_A.  verify
+    certifies all three.  The f5 fields are 5-forms: dOm, LdOm, AEd, AELd,
+    Q5 = AE m, xiOm; wAAeq and wAA0 run require_alternation first."""
+    ctx = _Ctx(s, scale, dOmega_op(s)(dOm)).with_f3(s)
+    f3, xi = ctx.f3, ctx.xi
+    wedge_Omega = s.cache("wedge_Omega_1", lambda: wedge_op(s.Omega, 1))
+    ctx.f5 = {"dOm": dOm, "LdOm": s.L_apply(5, dOm),
+              "AEd": ae(s, f3["dstar"]), "AELd": ae(s, f3["Ldstar"]),
+              "Q5": ae(s, f3["m"]), "xiOm": wedge_Omega(xi[..., 0, :])}
+    ctx.alternation_check = lambda: require_alternation(dOm, xi, s)
     return ctx
 
 
-def require_alternation(d: DerivedFromDOmega, s: QuatStructure) -> None:
+def require_alternation(dOm: np.ndarray, xi: np.ndarray,
+                        s: QuatStructure) -> None:
     """ValueError unless star_inv(star(dOm) ^ w_I ^ w_I) is -12 xi -
-    8(n-1) xi_I within 1e-8 |dOm|, as the wedge norms wAAeq and wAA0 read
-    it (threeform.wedge_norms): true when dOm is the alternation of a tensor
-    in W, as alternate5(a) and ce_d(g, Omega) are, and at n = 2 always."""
-    w = s.omega["I"]
-    miss = float(np.linalg.norm(
-        s.star_inv(wedge(wedge(s.star(d.dOmega), w), w)).coeffs
-        + 12 * d.xi + 8 * s.k1 * d.xi_triple.xi_I))
-    if not miss <= 1e-8 * d.dOmega.norm():
+    8(n-1) xi_I within 1e-8 |dOm| on every entry of the stack dOm (..., N5),
+    with xi (..., 4, dim) its one-forms, as the wedge norms wAAeq and wAA0
+    read it (threeform.wedge_norms): true when dOm is the alternation of a
+    tensor in W, as alternate5(a) and ce_d(g, Omega) are, and at n = 2
+    always."""
+    dim, vol, w = s.dim, s.vol_coeff, s.omega["I"]
+    star_inv = hodge_op(dim, 1, vol).T
+    miss = _norm(star_inv(wedge_op(wedge(w, w), dim - 5)(
+        hodge_op(dim, 5, vol)(dOm))) + 12 * xi[..., 0, :]
+        + 8 * s.k1 * xi[..., 1, :])
+    if not np.all(miss <= 1e-8 * _norm(dOm)):
         raise ValueError(f"dOmega is not the alternation of a tensor in W: "
-                         f"the wedge identity misses by {miss:.2e}")
+                         f"the wedge identity misses by {miss.max():.2e}")
 
 
 @dataclass
 class RowResult:
+    """The residuals of a row's conditions and the scale, each an array over
+    the context's stack (a float for a single tensor)."""
+
     row: "Table2Row"
-    residuals: list[float]
-    scale: float
+    residuals: list
+    scale: np.ndarray
 
     @classmethod
     def evaluate(cls, row: "Table2Row", conds, ctx: _Ctx) -> "RowResult":
         return cls(row, [_eval_cond(c, ctx) for c in conds], ctx.scale)
 
     @property
-    def value(self) -> float:
-        return max(self.residuals) / self.scale if self.residuals else 0.0
+    def value(self):
+        """The largest residual over the scale, per stack entry."""
+        return (reduce(np.maximum, self.residuals) / self.scale
+                if self.residuals else 0.0)
 
     def to_json(self) -> dict:
         return {"row": self.row.key, "value": self.value,
@@ -426,24 +386,25 @@ def table3_rows(s: QuatStructure) -> tuple[Table2Row, ...]:
 # ---------------------------------------------------------------------------
 
 
-def wedge_criteria(d: DerivedFromDOmega, s: QuatStructure,
+def wedge_criteria(dOm: AltForm, s: QuatStructure,
                    tol: float = 1e-8) -> dict[str, bool]:
     """i) star(dOm)^Om = 0 iff the EH part vanishes; ii) the three
     star(dOm)^w_A^w_A agree iff the ES3H part vanishes; iii) all vanish iff
-    the E(H+S3H) part vanishes.  The wedges are read from xi, xi_A
-    (threeform.wedge_norms), so dOm must be the alternation of a tensor in
-    W: require_alternation raises ValueError otherwise.  check_tol checks
-    tol."""
+    the E(H+S3H) part vanishes.  The wedges are read from the xi, xi_A of
+    the derived context (threeform.wedge_norms), so dOm must be the
+    alternation of a tensor in W: require_alternation raises ValueError
+    otherwise.  check_tol checks tol."""
     check_tol(tol)
-    require_alternation(d, s)
-    return _wedge_flags(wedge_norms(d.dstarOmega.coeffs, d.xi_triple, s.n),
-                        tol * max(d.dOmega.norm(), 1e-300))
+    ctx = ctx_from_derived(dOm.coeffs, s, dOm.norm())
+    ctx.alternation_check()
+    return _wedge_flags(wedge_norms(ctx.dstar, ctx.xi, s.n),
+                        tol * ctx.scale)
 
 
 def _wedge_flags(norms: dict, bound: float) -> dict[str, bool]:
-    return {"EH_zero": norms["wOm0"] <= bound,
-            "ES3H_zero": norms["wAAeq"] <= bound,
-            "EHS3H_zero": norms["wAA0"] <= bound}
+    return {"EH_zero": bool(norms["wOm0"] <= bound),
+            "ES3H_zero": bool(norms["wAAeq"] <= bound),
+            "EHS3H_zero": bool(norms["wAA0"] <= bound)}
 
 
 def perp_EH5_test(phi: AltForm, s: QuatStructure, tol: float = 1e-8) -> bool:
@@ -477,13 +438,14 @@ class SchurTable:
     column 2, so its w conditions have alpha nu and the rest keep nu; the
     conditions of Table 3 (n = 2) are measured on the samples' 5-forms.  The
     per-axis and wedge conditions are kept: they read the one-forms of d* a.
-    samples holds (|a_X|, d* a_X, its one-forms) per component."""
+    samples holds the components of nonzero dimension X and the stacks of
+    |a_X| and d* a_X in their order."""
 
-    alpha: tuple
+    alpha: np.ndarray
     col2: tuple
     col3: tuple
     table3: tuple
-    samples: dict
+    samples: tuple
 
     def evaluate(self, column: str, row: Table2Row, ctx: _Ctx) -> RowResult:
         """A row of col2, col3 or table3 at the profile of ctx."""
@@ -501,61 +463,43 @@ def _compile(cond, nu):
 _FIELD_TAGS = ("w", "f3", "f5")
 
 
-def _field_conds(conds):
-    """The field conditions among conds, those of or branches included."""
-    for c in conds:
-        if c[0] == "or":
-            for branch in c[1]:
-                yield from _field_conds(branch)
-        elif c[0] in _FIELD_TAGS:
-            yield c
-
-
 def _cond_key(cond) -> tuple:
     return cond[0], tuple(cond[1].items())
 
 
 def _build_schur_table(s: QuatStructure) -> SchurTable:
-    """The constants of s.n, measured on the components of one generic
-    element of W; an empty component (L3EH, L3ES3H at n = 2) has 0."""
+    """The constants of s.n, measured on one stack of the components of one
+    generic element of W; an empty component (L3EH, L3ES3H at n = 2) has 0."""
     C = np.sin(np.arange(w_dim(s.n)) ** 2.0).reshape(s.dim, -1)
     parts = split_coords(C, contract12(w_embed(C, s)).coeffs, s)
-    a = {X: w_embed(parts[X], s) for X in ComponentLabel
-         if COMPONENT_DIMS[X](s.n)}
-    size = {X: aX.norm() for X, aX in a.items()}
-    cov = {X: ctx_from_torsion(aX, s, parts[X]) for X, aX in a.items()}
+    labs = [X for X in ComponentLabel if COMPONENT_DIMS[X](s.n)]
+    a = [w_embed(parts[X], s) for X in labs]
+    size = np.array([aX.norm() for aX in a])
+    ds = np.stack([contract12(aX).coeffs for aX in a])
+    dOm = np.stack([alternate5(aX).coeffs for aX in a])
+    cov = ctx_from_torsion(np.stack([parts[X] for X in labs]), ds, s, size)
     rows2, rows3 = table2_rows(s), table3_rows(s) if s.n == 2 else ()
     # the f5 conditions are those of Table 3, read on the samples' 5-forms
-    ctxs = {"w": cov, "f3": cov, "f5": {
-        X: ctx_from_derived(DerivedFromDOmega.from_torsion(aX, s), s)
-        for X, aX in a.items()} if rows3 else {}}
-    # each distinct field condition on every sample: per sample and table,
-    # one product of the coefficients with the stacked fields
-    tables = [r.col2 for r in rows2] + [r.col3 for r in rows3]
-    found = dict.fromkeys(_cond_key(c) for conds in tables
-                          for c in _field_conds(conds))
-    nus = {}
-    for tag in _FIELD_TAGS:
-        keys = [k for k in found if k[0] == tag]
-        if not keys:
-            continue
-        names = sorted({f for _, items in keys for f, _ in items})
-        M = np.array([[dict(items).get(f, 0.0) for f in names]
-                      for _, items in keys])
-        cols = [np.linalg.norm(M @ np.stack([getattr(ctxs[tag][X], tag)[f]
-                                             for f in names]), axis=1)
-                / size[X] if X in a else np.zeros(len(keys))
-                for X in ComponentLabel]
-        nus.update(zip(keys, zip(*cols)))
-    alpha = tuple(alternate5(a[X]).norm() / size[X] if X in a else 0.0
-                  for X in ComponentLabel)
+    ctxs = {"w": cov, "f3": cov,
+            "f5": ctx_from_derived(dOm, s, size) if rows3 else None}
+    idx = [list(ComponentLabel).index(X) for X in labs]
+
+    def per_label(values):
+        out = np.zeros(len(ComponentLabel))
+        out[idx] = values
+        return out
+
+    alpha, nus = per_label(_norm(dOm) / size), {}
 
     def nu(cond):
-        return nus[_cond_key(cond)]
+        # each distinct field condition once, on the whole stack
+        key = _cond_key(cond)
+        if key not in nus:
+            nus[key] = per_label(_eval_cond(cond, ctxs[cond[0]]) / size)
+        return nus[key]
 
     def alt(cond):
-        return (tuple(map(operator.mul, alpha, nu(cond)))
-                if cond[0] == "w" else nu(cond))
+        return alpha * nu(cond) if cond[0] == "w" else nu(cond)
 
     def compiled(rows, column, nu):
         return tuple(tuple(_compile(c, nu) for c in getattr(r, column))
@@ -564,8 +508,7 @@ def _build_schur_table(s: QuatStructure) -> SchurTable:
     return SchurTable(
         alpha, compiled(rows2, "col2", nu),
         compiled(rows2, "col2", alt) if s.n >= 3 else (),
-        compiled(rows3, "col3", nu),
-        {X: (size[X], cov[X].f3["dstar"], cov[X].xiA) for X in a})
+        compiled(rows3, "col3", nu), (labs, size, ds))
 
 
 _SCHUR: dict[int, SchurTable] = {}
@@ -599,12 +542,13 @@ def classification_report(a: MixedTorsion, s: QuatStructure,
 
 def _report(a: MixedTorsion, s: QuatStructure, tol: float,
             C: np.ndarray) -> dict:
-    # C = aQ after the one membership test; C and d* a are computed once
-    # for the profile and the covariant context.  The rows are then Schur
-    # forms of the profile, and |dOm| is |alpha p|: no 5-form is formed.
-    ctx = ctx_from_torsion(a, s, C)
-    label, prof = _label(ComponentProfile(component_norms(
-        ctx.w["a"], ctx.f3["dstar"], s), a.norm()), tol, s.n)
+    # C = aQ after the one membership test; C and d* a are computed once,
+    # for the profile and for the context, which holds d* a, its one-forms
+    # and the profile and no field.  The rows are then Schur forms of the
+    # profile, and |dOm| is |alpha p|: no 5-form is formed.
+    ds, size = contract12(a).coeffs, a.norm()
+    label, prof = _label(ComponentProfile(component_norms(C, ds, s), size),
+                         tol, s.n)
     out = {
         "class": label.display,
         "key": label.key,
@@ -612,8 +556,8 @@ def _report(a: MixedTorsion, s: QuatStructure, tol: float,
         "profile": prof.to_json(),
         "tolerance": tol,
     }
-    table = schur_table(s)
-    ctx.profile = p = [prof.norms[X] for X in ComponentLabel]
+    table, ctx = schur_table(s), _Ctx(s, size, ds)
+    ctx.profile = p = np.array([prof.norms[X] for X in ComponentLabel])
     row2 = table2_rows(s).by_id[label.components]
     out["table2"] = table.evaluate("col2", row2, ctx).to_json()
     if s.n >= 3:
@@ -627,7 +571,7 @@ def _report(a: MixedTorsion, s: QuatStructure, tol: float,
             row = min(rows, key=lambda r: len(r.components))
             rr = table.evaluate("table3", row, ctx)
             out["table3"] = {"row": rr.row.key, "value": rr.value}
-    dOm = math.hypot(*map(operator.mul, table.alpha, p))
+    dOm = _norm(table.alpha * p)
     out["wedge_criteria"] = _wedge_flags(
-        wedge_norms(ctx.f3["dstar"], ctx.xiA, s.n), tol * max(dOm, 1e-300))
+        wedge_norms(ds, ctx.xi, s.n), tol * max(dOm, 1e-300))
     return out

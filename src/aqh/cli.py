@@ -58,7 +58,7 @@ def tolerance(text: str) -> float:
 
 def _emit(data, fmt: str, text_fn):
     if fmt == "json":
-        print(json.dumps(data, indent=1, default=str))
+        print(json.dumps(data, indent=1))
     else:
         text_fn(data)
 
@@ -234,7 +234,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (InputError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (InputError, OSError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

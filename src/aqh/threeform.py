@@ -30,9 +30,8 @@ no full-row matrix is assembled.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -162,59 +161,54 @@ def proj3(b: AltForm, label: str, s: QuatStructure) -> AltForm:
 # ---------------------------------------------------------------------------
 
 
-class _Fields(dict):
-    """The fields read so far, each computed by its builder in ``make``."""
-
-    def __init__(self, **make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        self[key] = value = self.make[key]()
-        return value
-
-
 class _Ctx:
-    """The fields the conditions read, each computed when a condition first
-    reads it, and the scale of the residuals.  The table f3 holds the 3-form
-    dstar, Ldstar = L dstar, xiC = xi hook Omega and m = sum_A (A xi_A) ^ w_A;
-    xiA = tri holds the one-forms xi and (xi_I, xi_J, xi_K) of dstar.  The
-    torsion contexts (classify.ctx_from_*) also fill the tables w and f5;
-    a report sets profile, the component norms its Schur forms read."""
+    """The fields the conditions read, on a stack of tensors (..., N3 for
+    dstar; a single tensor is a stack of one), and the scale of the
+    residuals.  Every context holds dstar and xi (..., 4, dim), the one-forms
+    xi and (xi_I, xi_J, xi_K) of dstar.  with_f3 fills the table f3: the
+    3-form dstar, Ldstar = L dstar, xiC = xi hook Omega and m = sum_A
+    (A xi_A) ^ w_A; the torsion contexts (classify.ctx_from_*) also fill the
+    tables w and f5.  A report sets profile, the component norms (..., 6) its
+    Schur forms read, and fills no table."""
 
-    def __init__(self, s: QuatStructure, scale: float, dstar: np.ndarray,
-                 tri: OneFormTriple):
-        # builders hold what they read, not the context: no reference cycle
-        self.scale, self.n, self.xiA = max(scale, 1e-300), s.n, tri
-        self.xi3 = xi3 = np.concatenate([tri.xi_I, tri.xi_J, tri.xi_K])
-        self.f3 = _Fields(dstar=lambda: dstar,
-                          Ldstar=lambda: s.L_matrix(3) @ dstar,
-                          xiC=lambda: hook_omega_matrix(s) @ tri.xi,
-                          m=lambda: m_matrix(s) @ xi3)
-        self.w = self.f5 = _Fields()
+    def __init__(self, s: QuatStructure, scale, dstar: np.ndarray):
+        self.scale, self.n, self.dstar = np.maximum(scale, 1e-300), s.n, dstar
+        xi = proj3_factors(s)[0]
+        self.xi = (dstar @ xi.T).reshape(*dstar.shape[:-1], 4, s.dim)
+        self.f3 = self.w = self.f5 = {}
         self.profile = None
-        # run before a wedge norm that holds only on alternations of W
+        # run before a wedge norm that holds only on alternations of W; it
+        # holds what it reads, not the context: no reference cycle
         self.alternation_check = lambda: None
 
+    def with_f3(self, s: QuatStructure) -> "_Ctx":
+        xi = self.xi
+        self.f3 = {"dstar": self.dstar, "Ldstar": self.dstar @ s.L_matrix(3).T,
+                   "xiC": xi[..., 0, :] @ hook_omega_matrix(s).T,
+                   "m": xi[..., 1:, :].reshape(*xi.shape[:-2], -1)
+                   @ m_matrix(s).T}
+        return self
 
-def wedge_norms(dstar: np.ndarray, tri: OneFormTriple,
-                n: int) -> dict[str, float]:
-    """The wedge norms of dOm from dstar = d*Omega and its one-forms, star
-    being an isometry: |star(dOm) ^ Omega| = 12(2n+1) |xi| (wOm0); the
-    larger difference (wAAeq) and the largest norm (wAA0) of
-    star_inv(star(dOm) ^ w_A ^ w_A) = -12 xi - 8(n-1) xi_A, which holds when
-    dOm is the alternation of a tensor in W; |Omega^(n-2) ^ dOm| =
-    |d*Omega| (2n-1)!/(6(n-1)) (wOmdeg0).  The six one-forms are one
+
+def _norm(x: np.ndarray):
+    """The norms along the last axis."""
+    return np.sqrt(np.vecdot(x, x))
+
+
+def wedge_norms(dstar: np.ndarray, xi: np.ndarray, n: int) -> dict:
+    """The wedge norms of dOm from dstar = d*Omega (..., N3) and its one-forms
+    xi (..., 4, dim), star being an isometry: |star(dOm) ^ Omega| =
+    12(2n+1) |xi| (wOm0); the larger difference (wAAeq) and the largest norm
+    (wAA0) of star_inv(star(dOm) ^ w_A ^ w_A) = -12 xi - 8(n-1) xi_A, which
+    holds when dOm is the alternation of a tensor in W; |Omega^(n-2) ^ dOm|
+    = |d*Omega| (2n-1)!/(6(n-1)) (wOmdeg0).  The six one-forms are one
     product with (xi, xi_I, xi_J, xi_K) and their norms one pass."""
     k1 = n - 1
-    y = _wedge_rows(8 * k1) @ np.stack(
-        [tri.xi, tri.xi_I, tri.xi_J, tri.xi_K])
-    v = np.sqrt(np.einsum("ij,ij->i", y, y))
-    return {"wOm0": 12 * (2 * n + 1) * float(v[0]),
-            "wAAeq": 8 * k1 * float(max(v[1], v[2])),
-            "wAA0": float(v[3:].max()),
-            "wOmdeg0": float(np.linalg.norm(dstar))
-            * math.factorial(2 * n - 1) / (6 * k1)}
+    v = _norm(_wedge_rows(8 * k1) @ xi)
+    return {"wOm0": 12 * (2 * n + 1) * v[..., 0],
+            "wAAeq": 8 * k1 * np.maximum(v[..., 1], v[..., 2]),
+            "wAA0": v[..., 3:].max(axis=-1),
+            "wOmdeg0": _norm(dstar) * math.factorial(2 * n - 1) / (6 * k1)}
 
 
 @lru_cache(maxsize=None)
@@ -225,38 +219,39 @@ def _wedge_rows(c: float) -> np.ndarray:
                      [12, c, 0, 0], [12, 0, c, 0], [12, 0, 0, c]], float)
 
 
-def _eval_cond(cond, ctx: _Ctx) -> float:
-    """Residual norm of one condition: a combination of the fields of one
-    table (f3, or the w and f5 tables of a torsion context), a Schur form of
-    the context's profile (classify.schur_table), a norm of the one-forms, a
-    wedge norm (wedge_norms), or the best branch of an or."""
+def _eval_cond(cond, ctx: _Ctx):
+    """Residual norms of one condition, one per stack entry: a combination
+    of the fields of one table (f3, or the w and f5 tables of a torsion
+    context), a Schur form of the context's profile (classify.schur_table),
+    a norm of the one-forms, a wedge norm (wedge_norms), or the best branch
+    of an or, entry by entry."""
     tag = cond[0]
     if tag == "schur":
         # a Schur form: the norm of nu_X |a_X| over the components
-        return math.hypot(*map(operator.mul, cond[1], ctx.profile))
+        return _norm(np.multiply(cond[1], ctx.profile))
     if tag in ("w", "f5", "f3"):
         table = getattr(ctx, tag)
         acc = None
         for key, coef in cond[1].items():
             v = coef * table[key]
             acc = v if acc is None else acc + v
-        return float(np.linalg.norm(acc))
+        return _norm(acc)
     if tag == "xi0":
-        return float(np.linalg.norm(ctx.xiA.xi))
+        return _norm(ctx.xi[..., 0, :])
     if tag == "xiA0":
-        return max(float(np.linalg.norm(ctx.xiA[a])) for a in AXES)
+        return _norm(ctx.xi[..., 1:, :]).max(axis=-1)
     if tag == "xiA_eq":
-        return max(float(np.linalg.norm(ctx.xiA[a] - ctx.xiA[b]))
-                   for a, b in ("IJ", "JK"))
+        return _norm(ctx.xi[..., 1:3, :] - ctx.xi[..., 2:, :]).max(axis=-1)
     if tag in ("wOm0", "wAAeq", "wAA0", "wOmdeg0"):
         if tag in ("wAAeq", "wAA0"):
             ctx.alternation_check()
-        return wedge_norms(ctx.f3["dstar"], ctx.xiA, ctx.n)[tag]
+        return wedge_norms(ctx.dstar, ctx.xi, ctx.n)[tag]
     if tag == "true":
-        return 0.0
+        return 0.0 * ctx.scale
     if tag == "or":
-        return min(max(_eval_cond(c, ctx) for c in branch)
-                   for branch in cond[1])
+        return reduce(np.minimum, (
+            reduce(np.maximum, (_eval_cond(c, ctx) for c in branch))
+            for branch in cond[1]))
     raise KeyError(f"unknown condition tag {tag!r}")
 
 
@@ -301,8 +296,8 @@ def table1_residuals(b: AltForm, row_id: str, s: QuatStructure) -> list[float]:
         raise KeyError(f"unknown Table-1 row {row_id!r}")
     if b.degree != 3:
         raise DegreeError("membership rows act on 3-forms")
-    ctx = _Ctx(s, b.norm(), b.coeffs, xi_triple(b, s))
-    return [_eval_cond(c, ctx) for c in TABLE1[row_id][1]]
+    ctx = _Ctx(s, b.norm(), b.coeffs).with_f3(s)
+    return [float(_eval_cond(c, ctx)) for c in TABLE1[row_id][1]]
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from . import projectors as PR
 from . import liealg as LA
 from .classify import (
     ClassLabel,
-    DerivedFromDOmega,
     RowResult,
     ae,
     classification_report,
@@ -589,41 +588,51 @@ def _mixtures(comps: list, outside: list) -> list:
 
 
 def _row_sweep(s: QuatStructure, rows, pools: list, columns: tuple):
-    """(member, results) for each row, pool and mixture (_mixtures) of the
-    row's components of nonzero dimension: per column of columns (col2, col3
-    or table3), the direct-route RowResult and its gap to the report's Schur
-    form at the mixture's component norms, both read on one context:
-    ctx_from_torsion for col2, ctx_from_derived for col3 and table3."""
+    """(member, results) for each row, on one stack of the row's mixtures
+    (_mixtures) from every pool, of the row's components of nonzero
+    dimension: member flags the members, and per column of columns (col2,
+    col3 or table3) come the direct-route RowResult and its gaps to the
+    report's Schur forms at the mixtures' component norms, both read on one
+    context: ctx_from_torsion for col2, ctx_from_derived for col3 and
+    table3.  Each pool's components are split once into (C, d*, dOm)."""
     table, labels = schur_table(s), list(PR.ComponentLabel)
     labs = [X for X in labels if PR.COMPONENT_DIMS[X](s.n)]
+    split = [{X: (T.w_coords(pool[X], s, check=False),
+                  contract12(pool[X]).coeffs, alternate5(pool[X]).coeffs)
+              for X in labs} for pool in pools]
     for row in rows:
         # summed in declaration order: a frozenset's follows the str hash
         comps = [X for X in labs if X in row.components]
         outside = [X for X in labs if X not in row.components]
-        for pool in pools:
-            for t, member in _mixtures(comps, outside) if comps else ():
-                m = sum((pool[X] for X in t), MixedTorsion.zero(s.dim))
-                profile = [pool[X].norm() if X in t else 0.0 for X in labels]
-                results = []
-                for column in columns:
-                    ctx = (ctx_from_torsion(m, s) if column == "col2" else
-                           ctx_from_derived(
-                               DerivedFromDOmega.from_torsion(m, s), s))
-                    rr = RowResult.evaluate(
-                        row, row.col2 if column == "col2" else row.col3, ctx)
-                    ctx.profile = profile
-                    got = table.evaluate(column, row, ctx).residuals
-                    results.append((rr, max(abs(x - y) for x, y in zip(
-                        got, rr.residuals)) / rr.scale))
-                yield member, results
+        if not comps:
+            continue
+        mixes = [(parts, t, member) for parts in split
+                 for t, member in _mixtures(comps, outside)]
+        C, ds, dOm = (np.stack([sum(parts[X][k] for X in t)
+                                for parts, t, _ in mixes]) for k in range(3))
+        profile = np.array([[np.linalg.norm(parts[X][0]) if X in t else 0.0
+                             for X in labels] for parts, t, _ in mixes])
+        scale = np.linalg.norm(C, axis=(-2, -1))
+        results = []
+        for column in columns:
+            ctx = (ctx_from_torsion(C, ds, s, scale) if column == "col2" else
+                   ctx_from_derived(dOm, s, scale))
+            rr = RowResult.evaluate(
+                row, row.col2 if column == "col2" else row.col3, ctx)
+            ctx.profile = profile
+            got = table.evaluate(column, row, ctx).residuals
+            results.append((rr, np.abs(np.subtract(got, rr.residuals))
+                            .max(axis=0) / rr.scale))
+        yield np.array([member for *_, member in mixes]), results
 
 
 def _member_checks(name: str, sweep: list, detail: str) -> list[CheckResult]:
     """name-members and name-reject of a one-column sweep: the largest member
     residual, and the smallest non-member one against 1e-3."""
-    member = max((rr.value for ok, [(rr, _)] in sweep if ok), default=0.0)
-    reject = min((rr.value for ok, [(rr, _)] in sweep if not ok),
-                 default=np.inf)
+    member = max((float(rr.value[ok].max(initial=0.0))
+                  for ok, [(rr, _)] in sweep), default=0.0)
+    reject = min((float(rr.value[~ok].min(initial=np.inf))
+                  for ok, [(rr, _)] in sweep), default=np.inf)
     return [CheckResult(f"{name}-members", member, 1e-8, detail),
             CheckResult(f"{name}-reject", 1e-3 / reject, 1.0,
                         f"smallest non-member residual {reject:.2e}")]
@@ -663,18 +672,24 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
                                 check=False) for k in range(10)]
         both = list(_row_sweep(s, singles + composites[:12], ppools,
                                ("col2", "col3")))
-        agree = sum(all(rr.value <= 1e-8 for rr, _ in res) if member else
-                    all(rr.value > 1e-3 for rr, _ in res)
-                    for member, res in both)
-        out.append(CheckResult("column-agreement", float(len(both) - agree),
-                               0.5, f"{agree}/{len(both)} verdicts agree"))
+        # a member passes both columns, a non-member fails both
+        agree = []
+        for member, res in both:
+            v = np.array([rr.value for rr, _ in res])   # column x mixture
+            agree.append(np.where(member, v.max(axis=0) <= 1e-8,
+                                  v.min(axis=0) > 1e-3))
+        agree = np.concatenate(agree)
+        out.append(CheckResult(
+            "column-agreement", float(len(agree) - agree.sum()), 0.5,
+            f"{agree.sum()}/{len(agree)} verdicts agree"))
         sweep += both
     else:
         part = list(_row_sweep(s, table3_rows(s), [pool], ("table3",)))
         out += _member_checks("partial-table", part, "8 rows via the 5-form")
         sweep += part
     out.append(CheckResult(
-        "schur-row-forms", max(g for _, res in sweep for _, g in res), 1e-12,
+        "schur-row-forms",
+        max(float(g.max()) for _, res in sweep for _, g in res), 1e-12,
         "report rows against the direct route on the mixtures above, "
         + ("columns 2 and 3" if s.n >= 3 else "column 2 and Table 3")))
     out += check_schur_table(s, schur_table(s))
@@ -734,15 +749,16 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
     out.append(CheckResult("hodge-triple-wedge-corrected", worst_estre1, 1e-9,
                            "2 k1 A zeta_A + A sum zeta"))
 
-    # the Hodge formulas of DerivedFromDOmega and the wedge identities that
+    # the Hodge formulas of ctx_from_derived and the wedge identities that
     # threeform.wedge_norms reads, one star and wedge at a time
-    d = DerivedFromDOmega.from_torsion(a, s)
-    ds, tri, sd = contract12(a), d.xi_triple, s.star(d.dstarOmega)
-    ref, s5 = TF.xi_triple(ds, s), s.star(d.dOmega)
-    pairs = [(d.dstarOmega.coeffs, ds.coeffs),
+    d = ctx_from_derived(dOm.coeffs, s, a.norm())
+    ds, xi, sd = contract12(a), d.xi, s.star(AltForm(s.dim, 3, d.dstar))
+    ref, s5 = TF.xi_triple(ds, s), s.star(dOm)
+    pairs = [(d.dstar, ds.coeffs),
              (-s.star_inv(wedge(s5, s.Omega)).coeffs / (12 * s.k2), ref.xi)]
     pairs += [(s.star(wedge(sd, s.omega[ax])).coeffs,
-               s.mats[ax] @ (4 * s.k1 * tri[ax] + 6 * tri.xi)) for ax in AXES]
+               s.mats[ax] @ (4 * s.k1 * xi[k + 1] + 6 * xi[0]))
+              for k, ax in enumerate(AXES)]
     pairs += [(s.star_inv(wedge(wedge(s5, s.omega[ax]), s.omega[ax])).coeffs,
                -12 * ref.xi - 8 * s.k1 * ref[ax]) for ax in AXES]
     resid = max(float(np.linalg.norm(got - want))
@@ -760,7 +776,7 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
                          ((e,), (0, 1, 0)), ((E, e), (1, 1, 1))):
         t = sum((c for X, c in comps.items() if X not in drop),
                 MixedTorsion.zero(s.dim))
-        wc = wedge_criteria(DerivedFromDOmega.from_torsion(t, s), s)
+        wc = wedge_criteria(alternate5(t), s)
         ok = ok and tuple(wc.values()) == expect
     out.append(CheckResult("wedge-criteria-agreement", 0.0 if ok else 1.0,
                            0.5))
@@ -797,20 +813,20 @@ def check_schur_table(s: QuatStructure, table) -> list[CheckResult]:
     labels = list(PR.ComponentLabel)
     columns = [("col2", table2_rows(s)), ("col3", table2_rows(s))
                if s.n >= 3 else ("table3", table3_rows(s))]
+    labs, size, ds = table.samples
+    ctx = TF._Ctx(s, size, ds)
+    ctx.profile = np.array([[x if Y is X else 0.0 for Y in labels]
+                            for X, x in zip(labs, size)])
     own, outside, pairs = 0.0, np.inf, 0
-    for X, (size, ds, tri) in table.samples.items():
-        ctx = TF._Ctx(s, size, ds, tri)
-        ctx.profile = [size if Y is X else 0.0 for Y in labels]
-        for column, rows in columns:
-            for row, conds in zip(rows, getattr(table, column)):
-                v = max(TF._eval_cond(c, ctx) for c in conds) / size
-                if X in row.components:
-                    own = max(own, v)
-                else:
-                    outside = min(outside, v)
-                pairs += 1
+    for column, rows in columns:
+        for row, conds in zip(rows, getattr(table, column)):
+            v = RowResult.evaluate(row, conds, ctx).value
+            mine = np.array([X in row.components for X in labs])
+            own = max(own, float(v[mine].max(initial=0.0)))
+            outside = min(outside, float(v[~mine].min(initial=np.inf)))
+            pairs += len(labs)
     alpha2 = {X: (a * a, want) for X, a, want in
-              zip(labels, table.alpha, swann_alpha2(s.n)) if X in table.samples}
+              zip(labels, table.alpha, swann_alpha2(s.n)) if X in labs}
     return [CheckResult(
         "table2-pattern", max(own / 1e-12, 1e-3 / outside), 1.0,
         f"{pairs} (row, component) pairs in {', '.join(c for c, _ in columns)}"

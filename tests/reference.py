@@ -8,8 +8,8 @@ import numpy as np
 from aqh import projectors as PR
 from aqh import torsion as T
 from aqh.classify import RowResult, ctx_from_derived, ctx_from_torsion
-from aqh.exterior import (AltForm, _json_coeffs, _json_index, _json_n,
-                          tables)
+from aqh.exterior import (AltForm, MixedTorsion, _json_coeffs, _json_index,
+                          _json_n, alternate5, contract12, tables)
 from aqh.structure import insert
 from aqh.verify import dstar_on_W
 
@@ -97,12 +97,25 @@ def compound(A: np.ndarray, p: int) -> np.ndarray:
     return C
 
 
+def torsion_ctx(a, s):
+    """ctx_from_torsion of the one tensor a (no membership test)."""
+    return ctx_from_torsion(T.w_coords(a, s, check=False),
+                            contract12(a).coeffs, s, a.norm())
+
+
+def derived_ctx(x, s):
+    """ctx_from_derived at scale |x| of alternate5(x) when x is a tensor,
+    and of x when it is a 5-form."""
+    dOm = alternate5(x) if isinstance(x, MixedTorsion) else x
+    return ctx_from_derived(dOm.coeffs, s, x.norm())
+
+
 def col2(a, s, row) -> RowResult:
     """The covariant column of a row on the tensor a (no membership test)."""
-    return RowResult.evaluate(row, row.col2, ctx_from_torsion(a, s))
+    return RowResult.evaluate(row, row.col2, torsion_ctx(a, s))
 
 
-def col3(d, s, row) -> RowResult:
+def col3(x, s, row) -> RowResult:
     """The exterior-derivative column of a row, of Table 2 or of Table 3, on
-    d, a DerivedFromDOmega."""
-    return RowResult.evaluate(row, row.col3, ctx_from_derived(d, s))
+    derived_ctx(x, s)."""
+    return RowResult.evaluate(row, row.col3, derived_ctx(x, s))

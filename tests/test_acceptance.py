@@ -17,7 +17,6 @@ from aqh import (
     AltForm,
     ClassLabel,
     ComponentLabel,
-    DerivedFromDOmega,
     MetricLieAlgebra,
     MixedTorsion,
     alternate5,
@@ -327,8 +326,7 @@ def test_criterion_12_column_consistency(s3):
             nm = m + pool[outside]
             for t, member in ((m, True), (nm, False)):
                 v2 = col2(t, s3, row).value <= 1e-8
-                d = DerivedFromDOmega.from_torsion(t, s3)
-                v3 = col3(d, s3, row).value <= 1e-8
+                v3 = col3(t, s3, row).value <= 1e-8
                 checks += 1
                 disagreements += int(v2 != v3 or v2 != member)
     assert report(12, disagreements == 0,
@@ -343,14 +341,11 @@ def test_criterion_13_partial_table(s2, pool2):
     for row in table3_rows(s2):
         m = sum((pool2[X] for X in row.components),
                 start=MixedTorsion.zero(8))
-        d = DerivedFromDOmega.from_torsion(m, s2)
-        worst_member = max(worst_member, col3(d, s2, row).value)
+        worst_member = max(worst_member, col3(m, s2, row).value)
         outside = [X for X in labs if X not in row.components]
         if outside:
             nm = m + pool2[outside[0]]
-            nd = DerivedFromDOmega.from_torsion(nm, s2)
-            worst_reject = min(worst_reject,
-                               col3(nd, s2, row).value)
+            worst_reject = min(worst_reject, col3(nm, s2, row).value)
     ok = worst_member < 1e-8 and worst_reject > 1e-3
     assert report(13, ok, f"8 rows: members {worst_member:.1e}, "
                           f"non-members rejected above {worst_reject:.1e}")

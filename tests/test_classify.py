@@ -12,7 +12,6 @@ from aqh import (
     AltForm,
     ClassLabel,
     ComponentLabel,
-    DerivedFromDOmega,
     MixedTorsion,
     alternate5,
     classification_report,
@@ -28,7 +27,7 @@ from aqh import (
     xi_triple,
 )
 from aqh.structure import AXES
-from reference import col2, col3
+from reference import col2, col3, derived_ctx, torsion_ctx
 
 
 L3EH, KH, EH = ComponentLabel.L3EH, ComponentLabel.KH, ComponentLabel.EH
@@ -142,8 +141,7 @@ def test_table2_members_both_columns(s3, pool3):
     for row in table2_rows(s3):
         m = build(pool3, *row.components)
         assert col2(m, s3, row).value < 1e-8, row.key
-        d = DerivedFromDOmega.from_torsion(m, s3)
-        assert col3(d, s3, row).value < 1e-8, row.key
+        assert col3(m, s3, row).value < 1e-8, row.key
 
 
 def test_table2_rejects_non_members(s3, pool3):
@@ -172,14 +170,15 @@ def test_table2_zero_tensor(s2):
 def test_specific_rows_from_conditions(s3, pool3):
     # EH: the 5-form is a multiple of xi ^ Omega
     aE = pool3[EH]
-    d = DerivedFromDOmega.from_torsion(aE, s3)
-    lhs = d.dOmega.coeffs + (1.0 / s3.k1) * wedge1(d.xi, s3.Omega).coeffs
-    assert np.linalg.norm(lhs) / d.dOmega.norm() < 1e-8
+    d = derived_ctx(aE, s3)
+    dOm = d.f5["dOm"]
+    lhs = dOm + (1.0 / s3.k1) * wedge1(d.xi[0], s3.Omega).coeffs
+    assert np.linalg.norm(lhs) / np.linalg.norm(dOm) < 1e-8
     # KS3H: L(dOmega) = 0 and the contraction vanishes
     aK = pool3[KS3H]
-    dK = DerivedFromDOmega.from_torsion(aK, s3)
-    assert np.linalg.norm(s3.L_matrix(5) @ dK.dOmega.coeffs) / aK.norm() < 1e-8
-    assert dK.dstarOmega.norm() / aK.norm() < 1e-10
+    dK = derived_ctx(aK, s3)
+    assert np.linalg.norm(s3.L_matrix(5) @ dK.f5["dOm"]) / aK.norm() < 1e-8
+    assert np.linalg.norm(dK.dstar) / aK.norm() < 1e-10
 
 
 def test_column_agreement(s3, pool3):
@@ -193,8 +192,7 @@ def test_column_agreement(s3, pool3):
         nm = m + pool3[outside]
         for t, is_member in ((m, True), (nm, False)):
             v2 = col2(t, s3, row).value <= 1e-8
-            d = DerivedFromDOmega.from_torsion(t, s3)
-            v3 = col3(d, s3, row).value <= 1e-8
+            v3 = col3(t, s3, row).value <= 1e-8
             assert v2 == v3 == is_member, (row.key, is_member)
 
 
@@ -202,32 +200,30 @@ def test_table3(s2, pool2):
     labs = [X for X in ComponentLabel if not X.zero_at_n2]
     for row in table3_rows(s2):
         m = build(pool2, *row.components)
-        d = DerivedFromDOmega.from_torsion(m, s2)
-        assert col3(d, s2, row).value < 1e-8, row.key
+        assert col3(m, s2, row).value < 1e-8, row.key
         outside = [X for X in labs if X not in row.components]
         if outside:
             nm = m + pool2[outside[0]]
-            nd = DerivedFromDOmega.from_torsion(nm, s2)
-            assert col3(nd, s2, row).value > 1e-3, row.key
+            assert col3(nm, s2, row).value > 1e-3, row.key
 
 
 def test_table3_zero(s2):
-    d = DerivedFromDOmega.from_torsion(MixedTorsion.zero(8), s2)
+    z = MixedTorsion.zero(8)
     for row in table3_rows(s2):
-        assert col3(d, s2, row).value == 0.0
+        assert col3(z, s2, row).value == 0.0
 
 
 def test_derived_quantities_match_contraction_route(s2, s3):
     for s in (s2, s3):
         a = random_W_element(s, 31)
-        d = DerivedFromDOmega.from_torsion(a, s)
+        d = derived_ctx(a, s)
         ds = contract12(a)
         tri = xi_triple(ds, s)
-        assert np.linalg.norm(d.dstarOmega.coeffs - ds.coeffs) / ds.norm() < 1e-8
-        assert np.linalg.norm(d.xi - tri.xi) / max(
+        assert np.linalg.norm(d.dstar - ds.coeffs) / ds.norm() < 1e-8
+        assert np.linalg.norm(d.xi[0] - tri.xi) / max(
             np.linalg.norm(tri.xi), 1e-300) < 1e-8
-        for ax in AXES:
-            assert np.linalg.norm(d.xi_triple[ax] - tri[ax]) / max(
+        for k, ax in enumerate(AXES):
+            assert np.linalg.norm(d.xi[k + 1] - tri[ax]) / max(
                 np.linalg.norm(tri[ax]), 1e-300) < 1e-8
 
 
@@ -240,7 +236,7 @@ def test_wedge_criteria_match_projector_verdicts(s3, pool3):
         (MixedTorsion.zero(12), (True, True, True)),
     ]
     for a, expect in cases:
-        wc = wedge_criteria(DerivedFromDOmega.from_torsion(a, s3), s3)
+        wc = wedge_criteria(alternate5(a), s3)
         assert (wc["EH_zero"], wc["ES3H_zero"], wc["EHS3H_zero"]) == expect
 
 
@@ -297,13 +293,12 @@ def test_alternation_identities(s2, s3, rng):
 
     # the map that derives the dOmega column: the alternation of each
     # covariant field equals its image in the fields recovered from dOmega
-    from aqh.classify import _ALT_IMAGE, ctx_from_derived, ctx_from_torsion
+    from aqh.classify import _ALT_IMAGE
     from aqh.torsion import w_embed
 
     a = random_W_element(s3, 78)
-    cov = ctx_from_torsion(a, s3)
-    ext = ctx_from_derived(DerivedFromDOmega.from_torsion(a, s3), s3)
-    assert set(_ALT_IMAGE) == set(cov.w.make)
+    cov, ext = torsion_ctx(a, s3), derived_ctx(a, s3)
+    assert set(_ALT_IMAGE) == set(cov.w)
     for key, image in _ALT_IMAGE.items():
         got = alternate5(w_embed(cov.w[key].reshape(s3.dim, -1), s3)).coeffs
         want = sum(f * ext.f5[k] for k, f in image.items())
@@ -321,7 +316,7 @@ def test_report_independent_of_row_layout(s3):
 
 def _hodge_route(dOm, s):
     """d*Omega, xi, xi_A and the wedge forms of a 5-form by the per-vector
-    Hodge formulas of DerivedFromDOmega, one wedge and star at a time."""
+    Hodge formulas of ctx_from_derived, one wedge and star at a time."""
     n = s.n
     w = dOm if n == 2 else wedge(wedge_power(s.Omega, n - 2), dOm)
     dstar = s.star(w) * ((-1.0) ** n * 6 * (n - 1)
@@ -353,9 +348,8 @@ def test_dOmega_matrix_matches_hodge_route(s2, s3, rng):
         forms += [alternate5(random_W_element(s, seed)) for seed in (1, 2)]
         for k, dOm in enumerate(forms):
             want = _hodge_route(dOm, s)
-            d = DerivedFromDOmega.from_dOmega(dOm, s)
-            got = ([d.dstarOmega.coeffs, d.xi]
-                   + [d.xi_triple[a] for a in AXES])
+            d = derived_ctx(dOm, s)
+            got = [d.dstar, *d.xi]
             atol = 1e-12 * max(np.abs(w).max() for w in want)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=atol)
@@ -366,15 +360,15 @@ def test_dOmega_matrix_matches_hodge_route(s2, s3, rng):
             # on the alternation of W the wedge forms are the one-forms
             # -12 xi - 8 k1 xi_A and -12 k2 xi, and so are their norms
             wAA, wOm = want[5:8], want[8]
-            tri = d.xi_triple
-            for a, w in zip(AXES, wAA):
+            xi = d.xi
+            for xiA, w in zip(xi[1:], wAA):
                 np.testing.assert_allclose(
                     s.star_inv(AltForm(s.dim, s.dim - 1, w)).coeffs,
-                    -12 * tri.xi - 8 * s.k1 * tri[a], rtol=1e-12, atol=atol)
+                    -12 * xi[0] - 8 * s.k1 * xiA, rtol=1e-12, atol=atol)
             np.testing.assert_allclose(
                 s.star_inv(AltForm(s.dim, s.dim - 1, wOm)).coeffs,
-                -12 * s.k2 * tri.xi, rtol=1e-12, atol=atol)
-            norms = wedge_norms(d.dstarOmega.coeffs, tri, s.n)
+                -12 * s.k2 * xi[0], rtol=1e-12, atol=atol)
+            norms = wedge_norms(d.dstar, xi, s.n)
             lift = wedge(wedge_power(s.Omega, s.n - 2), dOm)
             direct = {"wOm0": np.linalg.norm(wOm),
                       "wAAeq": max(np.linalg.norm(wAA[0] - wAA[1]),
@@ -423,23 +417,15 @@ def _eager_fields(ds, xi, tri, dOm, s):
                 "xiOm": wedge1(xi, s.Omega).coeffs}
 
 
-def test_ctx_fields_on_demand(s2, s3):
-    from aqh.classify import RowResult, ctx_from_derived, ctx_from_torsion
+def test_ctx_fields_match_eager_formulas(s2, s3):
+    # each table of the torsion contexts holds exactly its fields, each
+    # equal to its direct formula
     from aqh.projectors import lcal_coords
     from aqh.threeform import r_matrix, torsion_embed
     from aqh.torsion import w_coords
 
     for s in (s2, s3):
         a = random_W_element(s, 91)
-        d = DerivedFromDOmega.from_torsion(a, s)
-        qk = table2_rows(s)[0]
-        cov, ext = ctx_from_torsion(a, s), ctx_from_derived(d, s)
-        RowResult.evaluate(qk, qk.col2, cov)
-        RowResult.evaluate(qk, qk.col3, ext)
-        # a row pays only for the fields it names
-        assert set(cov.w) == {"a"} and not cov.f3
-        assert set(ext.f5) == {"dOm"} and not ext.f3 and not ext.w
-
         ds = contract12(a).coeffs
         tri = xi_triple(contract12(a), s)
         f3, _ = _eager_fields(ds, tri.xi, tri, None, s)
@@ -450,14 +436,15 @@ def test_ctx_fields_on_demand(s2, s3):
                       "SEd": SE @ ds, "SELd": SE @ f3["Ldstar"],
                       "Q": SE @ f3["m"], "R": R @ tri.xi},
                 "f3": f3, "f5": {}}
-        f3d, f5d = _eager_fields(d.dstarOmega.coeffs, d.xi, d.xi_triple,
-                                 d.dOmega.coeffs, s)
-        for ctx, tables in ((ctx_from_torsion(a, s), want),
-                            (ctx_from_derived(d, s),
-                             {"w": {}, "f3": f3d, "f5": f5d})):
+        ext = derived_ctx(a, s)
+        trid = xi_triple(AltForm(s.dim, 3, ext.dstar), s)
+        f3d, f5d = _eager_fields(ext.dstar, trid.xi, trid,
+                                 alternate5(a).coeffs, s)
+        for ctx, tables in ((torsion_ctx(a, s), want),
+                            (ext, {"w": {}, "f3": f3d, "f5": f5d})):
             for tag, fields in tables.items():
                 table = getattr(ctx, tag)
-                assert set(table.make) == set(fields), tag
+                assert set(table) == set(fields), tag
                 for key, v in fields.items():
                     np.testing.assert_allclose(
                         table[key], v, rtol=1e-12,
@@ -465,17 +452,32 @@ def test_ctx_fields_on_demand(s2, s3):
 
 
 def test_report_leaves_no_reference_cycles(s2, s3):
-    # a lazily computed field must not tie its context, and through it the
-    # structure's caches, into a cycle that only the collector frees
+    # no context may tie itself, and through it the structure's caches, into
+    # a cycle that only the collector frees: not the report's, not the
+    # derived one of wedge_criteria, whose alternation check holds what it
+    # reads, and not the stacked ones of a verify sweep row
     import gc
 
+    from aqh import components
+    from aqh.verify import _row_sweep
+
+    sweeps = {2: (table3_rows(s2).by_id[frozenset({KH, KS3H})], ("table3",)),
+              3: (table2_rows(s3).by_id[frozenset({L3EH, KH, L3ES3H, KS3H})],
+                  ("col2", "col3"))}
     for s in (s2, s3):
         a = random_W_element(s, 5)
-        classification_report(a, s)
+        pool = components(a, s, check=False)
+        row, columns = sweeps[s.n]
+        calls = (lambda: classification_report(a, s),
+                 lambda: wedge_criteria(alternate5(a), s),
+                 lambda: list(_row_sweep(s, [row], [pool], columns)))
+        for call in calls:
+            call()
         gc.collect()
         gc.disable()
         try:
-            classification_report(a, s)
+            for call in calls:
+                call()
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -649,7 +651,7 @@ def test_bad_tol_raises_value_error(s2, tol):
     from aqh.torsion import F_map, from_nabla_omegas, is_in_W, w_coords
 
     a = random_W_element(s2, 7)
-    d = DerivedFromDOmega.from_torsion(a, s2)
+    dOm = alternate5(a)
     raw = np.random.default_rng(7).standard_normal((8, 8, 8))
     c = MixedTwoFormFamily(8, raw - raw.transpose(0, 2, 1))  # off the fiber
     calls = (lambda: classification_report(a, s2, tol),
@@ -659,8 +661,8 @@ def test_bad_tol_raises_value_error(s2, tol):
              lambda: from_nabla_omegas(c, c, c, s2, tol),
              lambda: classify_algebra(
                  MetricLieAlgebra(s2, np.zeros((8, 8, 8))), tol),
-             lambda: wedge_criteria(d, s2, tol),
-             lambda: perp_EH5_test(d.dOmega, s2, tol))
+             lambda: wedge_criteria(dOm, s2, tol),
+             lambda: perp_EH5_test(dOm, s2, tol))
     for call in calls:
         with pytest.raises(ValueError, match="tol") as exc:
             call()
@@ -697,6 +699,7 @@ def test_report_reads_no_five_form(s2, s3, pool2, pool3, monkeypatch):
     from aqh import classify as module
     from aqh import components
     from aqh.structure import random_rotation, rotate_adapted
+    from aqh.threeform import _Ctx
     rng = np.random.default_rng(3)
     cases = []
     for s, pool in ((s2, pool2), (s3, pool3)):
@@ -708,9 +711,11 @@ def test_report_reads_no_five_form(s2, s3, pool2, pool3, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the report read a 5-form")
 
-    for name in ("alternate5", "dOmega_op", "ctx_from_derived"):
+    # nor does it fill a table of fields
+    for name in ("alternate5", "dOmega_op", "ctx_from_derived",
+                 "ctx_from_torsion"):
         monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(DerivedFromDOmega, "from_dOmega", classmethod(refuse))
+    monkeypatch.setattr(_Ctx, "with_f3", refuse)
     for s, members in cases:
         assert len(members) == (16 if s.n == 2 else 64)
         for comps, m in members.items():
@@ -754,26 +759,25 @@ def check_schur_rows(t, comps, s, report):
     """Rows of the class comps on t by the report's Schur forms (through
     classification_report itself when report) against the direct routes,
     within 1e-12 |t|, and the report's wedge criteria against wedge_criteria."""
-    from aqh.classify import ctx_from_torsion, schur_table
+    from aqh.classify import schur_table
     from aqh.projectors import profile
 
     n = s.n
     row2 = table2_rows(s).by_id[comps]
     rows3 = [r for r in table3_rows(s) if comps <= r.components]
     row3 = min(rows3, key=lambda r: len(r.components)) if rows3 else None
-    d = DerivedFromDOmega.from_torsion(t, s)
     direct = {"table2": (row2, "col2", col2(t, s, row2))}
     if n >= 3:
-        direct["table2_dOmega"] = (row2, "col3", col3(d, s, row2))
+        direct["table2_dOmega"] = (row2, "col3", col3(t, s, row2))
     elif row3 is not None:
-        direct["table3"] = (row3, "table3", col3(d, s, row3))
+        direct["table3"] = (row3, "table3", col3(t, s, row3))
     if report:
         rep = classification_report(t, s)
-        assert rep["wedge_criteria"] == wedge_criteria(d, s)
+        assert rep["wedge_criteria"] == wedge_criteria(alternate5(t), s)
         got = {k: (rep[k]["value"], rep[k].get("residuals", []))
                for k in direct}
     else:
-        ctx = ctx_from_torsion(t, s)
+        ctx = torsion_ctx(t, s)
         ctx.profile = [profile(t, s).norms[X] for X in ComponentLabel]
         got = {}
         for k, (row, column, _) in direct.items():
@@ -794,13 +798,11 @@ def test_wedge_criteria_refuse_forms_off_the_alternation(s2, s3):
     rng = np.random.default_rng(8)
     f = AltForm(s3.dim, 5, rng.standard_normal(s3.tab.nforms(5)))
     with pytest.raises(ValueError, match="not the alternation"):
-        wedge_criteria(DerivedFromDOmega.from_dOmega(f, s3), s3)
+        wedge_criteria(f, s3)
     f2 = AltForm(s2.dim, 5, rng.standard_normal(s2.tab.nforms(5)))
-    assert set(wedge_criteria(DerivedFromDOmega.from_dOmega(f2, s2), s2)) \
-        == {"EH_zero", "ES3H_zero", "EHS3H_zero"}
-    zero = AltForm.zero(s3.dim, 5)
-    assert all(wedge_criteria(DerivedFromDOmega.from_dOmega(zero, s3),
-                              s3).values())
+    assert set(wedge_criteria(f2, s2)) == {"EH_zero", "ES3H_zero",
+                                           "EHS3H_zero"}
+    assert all(wedge_criteria(AltForm.zero(s3.dim, 5), s3).values())
 
 
 def _tags(conds):
@@ -820,19 +822,18 @@ def test_wedge_rows_refuse_forms_off_the_alternation(s2, s3):
 
     rng = np.random.default_rng(8)
     f = AltForm(s3.dim, 5, rng.standard_normal(s3.tab.nforms(5)))
-    d = DerivedFromDOmega.from_dOmega(f, s3)
     refused = 0
     for row in table2_rows(s3):
         if {"wAAeq", "wAA0"} & set(_tags(row.col3)):
             refused += 1
             with pytest.raises(ValueError, match="not the alternation"):
-                col3(d, s3, row)
+                col3(f, s3, row)
         else:
-            col3(d, s3, row)
+            col3(f, s3, row)
     assert refused == 2
-    assert wedge_norms(d.dstarOmega.coeffs, d.xi_triple, 3)["wOm0"] == \
+    d = derived_ctx(f, s3)
+    assert wedge_norms(d.dstar, d.xi, 3)["wOm0"] == \
         pytest.approx(wedge(s3.star(f), s3.Omega).norm(), rel=1e-12)
     f2 = AltForm(s2.dim, 5, rng.standard_normal(s2.tab.nforms(5)))
-    d2 = DerivedFromDOmega.from_dOmega(f2, s2)
     for row in table3_rows(s2):
-        col3(d2, s2, row)
+        col3(f2, s2, row)

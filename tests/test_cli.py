@@ -196,6 +196,39 @@ def test_classify_missing_file(capsys):
     assert main(["classify", "--input", "/nonexistent.json"]) == 2
 
 
+@pytest.mark.parametrize("cmd", [
+    ["classify", "--input"], ["liealg", "--input"],
+    ["inject", "--component", "EH", "--n", "2", "--out"]])
+def test_directory_paths_are_input_errors(tmp_path, capsys, cmd):
+    # a directory where a file belongs is refused by name, not with a
+    # traceback and the verification-failure code
+    assert main(cmd + [str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_classify_json_has_json_types(tmp_path, capsys):
+    # the reports serialise without a fallback: wedge criteria are JSON
+    # booleans and table values numbers, for a tensor and an algebra
+    out = tmp_path / "es3h.json"
+    assert main(["inject", "--component", "ES3H", "--n", "3", "--seed", "2",
+                 "--out", str(out)]) == 0
+    fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                           "liealg", "class_KH_EH.json")
+    capsys.readouterr()
+    for path in (str(out), fixture):
+        assert main(["classify", "--input", path, "--format", "json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        flags = rep["wedge_criteria"]
+        assert len(flags) == 3
+        assert all(type(v) is bool for v in flags.values())
+        tables = [rep[k] for k in ("table2", "table2_dOmega", "table3")
+                  if rep.get(k)]
+        assert tables
+        for table in tables:
+            assert type(table["value"]) is float
+            assert all(type(r) is float for r in table.get("residuals", []))
+
+
 def test_classify_malformed(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"n": 2, "something": 1}))

@@ -280,20 +280,24 @@ def test_classify_algebra_builds_no_dOmega_map(monkeypatch):
     # -star d star Omega: a report derives nothing from dOmega, so at n = 3,
     # where the report's constants need no 5-form, no d*Omega map is built
     from aqh import QuatStructure
-    from aqh.classify import DerivedFromDOmega
+    from aqh import classify as module
 
     s = standard_structure(3)
     fresh = QuatStructure(3, s.I, s.J)
     g = MetricLieAlgebra(fresh, two_step_nilpotent(3, 4).c)
     classify_algebra(g)  # the caches, and the report's constants
     calls = []
-    real = DerivedFromDOmega.from_dOmega.__func__
 
-    def counted(cls, *args, **kwargs):
-        calls.append(1)
-        return real(cls, *args, **kwargs)
+    def counted(name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(DerivedFromDOmega, "from_dOmega", classmethod(counted))
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("ctx_from_derived", "dOmega_op"):
+        monkeypatch.setattr(module, name, counted(name))
     rep = classify_algebra(g)
     assert not calls
     assert "dOmega" not in fresh._cache

@@ -225,6 +225,76 @@ def test_partial_table_sees_a_dropped_table3_term(monkeypatch):
     assert passed["class-conditions-members"]
 
 
+def test_classifier_sees_a_dropped_col2_term(monkeypatch):
+    # every 8th single term, in row order, dropped from a multi-term
+    # column-2 condition at n = 2 fails the classifier section.  Rows L3EH,
+    # L3ES3H and L3EH + L3ES3H are left out: both components are zero at
+    # n = 2, so those rows have no mixture to read the dropped term on
+    C.schur_table(standard_structure(2))    # built on the rows as they are
+    real = C._build_table2
+    rows = real(2)
+    empty = {frozenset({CL.L3EH}), frozenset({CL.L3ES3H}),
+             frozenset({CL.L3EH, CL.L3ES3H})}
+    drops = [(i, k, key) for i, row in enumerate(rows)
+             if row.components not in empty
+             for k, cond in enumerate(row.col2)
+             if cond[0] in ("w", "f3") and len(cond[1]) > 1 for key in cond[1]]
+    assert len(drops) == 186
+    missed = []
+    for i, k, key in drops[::8]:
+        tag, terms = rows[i].col2[k]
+        patched = list(rows)
+        patched[i] = _with_cond(rows[i], "col2", k, (tag, {
+            f: c for f, c in terms.items() if f != key}))
+        table = C._Rows(patched)
+        monkeypatch.setattr(C, "_build_table2", lambda n, table=table:
+                            table if n == 2 else real(n))
+        if all(_classifier_checks(2).values()):
+            missed.append((rows[i].key, k, key))
+    assert not missed
+
+
+def test_row_sweep_stacks_match_single_tensors():
+    # each row is read on one stacked context of its mixtures; every entry
+    # gives the residuals of its mixture on the mixture's own stack-of-one
+    # context, within 1e-14 of the mixture's norm
+    from aqh import MixedTorsion, alternate5, components, contract12
+    from aqh.torsion import random_W_element, w_coords
+
+    for n, tables in ((2, ((C.table2_rows, ("col2",)),
+                           (C.table3_rows, ("table3",)))),
+                      (3, ((C.table2_rows, ("col2", "col3")),))):
+        s = standard_structure(n)
+        pools = [components(random_W_element(s, 80 + k), s, check=False)
+                 for k in range(2)]
+        labs = [X for X in CL if PR.COMPONENT_DIMS[X](n)]
+        for table, columns in tables:
+            rows = [r for r in table(s) if r.components & set(labs)]
+            sweep = list(V._row_sweep(s, rows, pools, columns))
+            assert len(sweep) == len(rows)
+            for row, (member, results) in zip(rows, sweep):
+                comps = [X for X in labs if X in row.components]
+                outside = [X for X in labs if X not in row.components]
+                mixes = [sum((pool[X] for X in t), MixedTorsion.zero(s.dim))
+                         for pool in pools
+                         for t, _ in V._mixtures(comps, outside)]
+                assert len(mixes) == len(member)
+                for column, (rr, _) in zip(columns, results):
+                    for i, m in enumerate(mixes):
+                        scale = np.array([m.norm()])
+                        one = (C.ctx_from_torsion(
+                            w_coords(m, s, check=False)[None],
+                            contract12(m).coeffs[None], s, scale)
+                            if column == "col2" else C.ctx_from_derived(
+                                alternate5(m).coeffs[None], s, scale))
+                        conds = row.col2 if column == "col2" else row.col3
+                        single = C.RowResult.evaluate(row, conds, one)
+                        assert abs(rr.scale[i] - scale[0]) <= 1e-14 * scale[0]
+                        for x, y in zip(rr.residuals, single.residuals):
+                            assert abs(x[i] - y[0]) <= 1e-14 * scale[0], (
+                                row.key, column, i)
+
+
 def test_round_trip_reads_the_report(monkeypatch):
     # a report that names the class QK for every tensor: each of the 15
     # subsets at n = 2 comes back wrong
