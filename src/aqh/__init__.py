@@ -8,7 +8,6 @@ from .exterior import (
     MixedTwoFormFamily,
     alternate5,
     contract12,
-    hodge,
     inner,
     interior,
     wedge,

@@ -84,10 +84,6 @@ class ClassLabel:
     def aliases(self) -> tuple[str, ...]:
         return ALIASES.get(self.components, ())
 
-    def to_json(self) -> dict:
-        return {"key": self.key, "display": self.display,
-                "aliases": list(self.aliases)}
-
 
 def _label(prof, tol: float, n: int):
     """The components above tol * total, leaving out those that are zero at
@@ -386,19 +382,17 @@ def table3_rows(s: QuatStructure) -> tuple[Table2Row, ...]:
 # ---------------------------------------------------------------------------
 
 
-def wedge_criteria(dOm: AltForm, s: QuatStructure,
-                   tol: float = 1e-8) -> dict[str, bool]:
+def wedge_criteria(dOm: AltForm, s: QuatStructure) -> dict[str, bool]:
     """i) star(dOm)^Om = 0 iff the EH part vanishes; ii) the three
     star(dOm)^w_A^w_A agree iff the ES3H part vanishes; iii) all vanish iff
-    the E(H+S3H) part vanishes.  The wedges are read from the xi, xi_A of
-    the derived context (threeform.wedge_norms), so dOm must be the
-    alternation of a tensor in W: require_alternation raises ValueError
-    otherwise.  check_tol checks tol."""
-    check_tol(tol)
+    the E(H+S3H) part vanishes, each to 1e-8 |dOm|.  The wedges are read
+    from the xi, xi_A of the derived context (threeform.wedge_norms), so dOm
+    must be the alternation of a tensor in W: require_alternation raises
+    ValueError otherwise."""
     ctx = ctx_from_derived(dOm.coeffs, s, dOm.norm())
     ctx.alternation_check()
     return _wedge_flags(wedge_norms(ctx.dstar, ctx.xi, s.n),
-                        tol * ctx.scale)
+                        1e-8 * ctx.scale)
 
 
 def _wedge_flags(norms: dict, bound: float) -> dict[str, bool]:
@@ -407,16 +401,15 @@ def _wedge_flags(norms: dict, bound: float) -> dict[str, bool]:
             "EHS3H_zero": bool(norms["wAA0"] <= bound)}
 
 
-def perp_EH5_test(phi: AltForm, s: QuatStructure, tol: float = 1e-8) -> bool:
+def perp_EH5_test(phi: AltForm, s: QuatStructure) -> bool:
     """True iff phi is orthogonal to all a ^ w_A ^ w_B, tested through the
-    nine wedges star(phi) ^ w_A ^ w_B; check_tol checks tol."""
-    check_tol(tol)
+    nine wedges star(phi) ^ w_A ^ w_B, each held to 1e-8 |phi|."""
     sp = s.star(phi)
     scale = max(phi.norm(), 1e-300)
     worst = max(
         wedge(wedge(sp, s.omega[a]), s.omega[b]).norm()
         for a in AXES for b in AXES)
-    return worst <= tol * scale
+    return worst <= 1e-8 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +430,12 @@ class SchurTable:
     alpha_X = |alternate5(a_X)| / |a_X|.  Column 3 is the alternation of
     column 2, so its w conditions have alpha nu and the rest keep nu; the
     conditions of Table 3 (n = 2) are measured on the samples' 5-forms.  The
-    per-axis and wedge conditions are kept: they read the one-forms of d* a.
-    samples holds the components of nonzero dimension X and the stacks of
-    |a_X| and d* a_X in their order."""
+    per-axis and wedge conditions are kept: they read the one-forms of d* a."""
 
     alpha: np.ndarray
     col2: tuple
     col3: tuple
     table3: tuple
-    samples: tuple
 
     def evaluate(self, column: str, row: Table2Row, ctx: _Ctx) -> RowResult:
         """A row of col2, col3 or table3 at the profile of ctx."""
@@ -508,7 +498,7 @@ def _build_schur_table(s: QuatStructure) -> SchurTable:
     return SchurTable(
         alpha, compiled(rows2, "col2", nu),
         compiled(rows2, "col2", alt) if s.n >= 3 else (),
-        compiled(rows3, "col3", nu), (labs, size, ds))
+        compiled(rows3, "col3", nu))
 
 
 _SCHUR: dict[int, SchurTable] = {}

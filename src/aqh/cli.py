@@ -148,10 +148,10 @@ def cmd_inject(args) -> int:
         raise InputError(
             f"unknown component {args.component!r}; choose from "
             + ", ".join(c.value for c in ComponentLabel))
-    if args.n == 2 and X.zero_at_n2:
-        raise InputError(
-            f"component {X.value} is identically zero in dimension 8")
     s = _structure(args.n)
+    if COMPONENT_DIMS[X](args.n) == 0:
+        raise InputError(f"component {X.value} is identically zero in "
+                         f"dimension {s.dim}")
     a = component(random_W_element(s, args.seed), X, s, check=False)
     data = mixed_to_json(a)
     data["component"] = X.value

@@ -222,14 +222,6 @@ class AltForm:
         out[flat] = sign[:, None] * self.coeffs
         return out.reshape((self.dim,) * self.degree)
 
-    def __call__(self, *vectors: np.ndarray) -> float:
-        if len(vectors) != self.degree:
-            raise DegreeError("wrong number of arguments")
-        out = self.dense()
-        for v in vectors:
-            out = np.tensordot(np.asarray(v, dtype=float), out, axes=(0, 0))
-        return float(out)
-
     def norm(self) -> float:
         return math.sqrt(self.coeffs @ self.coeffs)
 
@@ -239,13 +231,6 @@ class AltForm:
     def __add__(self, other: "AltForm") -> "AltForm":
         self._check_same(other)
         return self._like(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "AltForm") -> "AltForm":
-        self._check_same(other)
-        return self._like(self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "AltForm":
-        return self._like(-self.coeffs)
 
     def __mul__(self, scalar: float) -> "AltForm":
         return self._like(self.coeffs * float(scalar))
@@ -390,12 +375,6 @@ def hodge_op(dim: int, p: int, vol_coeff: float) -> SparseOp:
     return SparseOp(comp, i, vol_coeff * sign, (len(comp), len(comp)))
 
 
-def hodge(a: AltForm, vol_coeff: float = 1.0) -> AltForm:
-    """Star of a (``hodge_op``)."""
-    return AltForm(a.dim, a.dim - a.degree,
-                   hodge_op(a.dim, a.degree, vol_coeff)(a.coeffs))
-
-
 # ---------------------------------------------------------------------------
 # mixed tensors: one covariant slot + alternating part
 # ---------------------------------------------------------------------------
@@ -423,9 +402,6 @@ class MixedTorsion:
     def zero(cls, dim: int) -> "MixedTorsion":
         return cls(dim, np.zeros((dim, math.comb(dim, 4))))
 
-    def row(self, x: int) -> AltForm:
-        return AltForm(self.dim, 4, self.rows[x].copy())
-
     def norm(self) -> float:
         return math.sqrt(self.rows.ravel() @ self.rows.ravel())
 
@@ -439,9 +415,6 @@ class MixedTorsion:
 
     def __sub__(self, other: "MixedTorsion") -> "MixedTorsion":
         return MixedTorsion(self.dim, self.rows - other.rows)
-
-    def __neg__(self) -> "MixedTorsion":
-        return MixedTorsion(self.dim, -self.rows)
 
     def __mul__(self, scalar: float) -> "MixedTorsion":
         return MixedTorsion(self.dim, self.rows * float(scalar))
@@ -461,29 +434,13 @@ class MixedTwoFormFamily:
         if self.mats.shape != (self.dim, self.dim, self.dim):
             raise DegreeError("mixed 2-form tensor needs (dim,dim,dim) array")
 
-    @classmethod
-    def zero(cls, dim: int) -> "MixedTwoFormFamily":
-        return cls(dim, np.zeros((dim, dim, dim)))
-
     def coeff_rows(self) -> np.ndarray:
         i, j = tables(self.dim).columns(2)
         return self.mats[:, i, j]
 
-    def row(self, x: int) -> AltForm:
-        return AltForm.from_dense(self.mats[x])
-
     def norm(self) -> float:
         # rows are antisymmetric matrices; the form norm counts each pair once
         return float(np.linalg.norm(self.coeff_rows()))
-
-    def __add__(self, other):
-        return MixedTwoFormFamily(self.dim, self.mats + other.mats)
-
-    def __sub__(self, other):
-        return MixedTwoFormFamily(self.dim, self.mats - other.mats)
-
-    def __neg__(self):
-        return MixedTwoFormFamily(self.dim, -self.mats)
 
     def __mul__(self, scalar: float):
         return MixedTwoFormFamily(self.dim, self.mats * float(scalar))

@@ -92,8 +92,8 @@ class MetricLieAlgebra:
     def dim(self) -> int:
         return self.structure.dim
 
-    def is_abelian(self, tol: float = 0.0) -> bool:
-        return float(np.abs(self.c).max()) <= tol
+    def is_abelian(self) -> bool:
+        return not self.c.any()
 
 
 def koszul(g: MetricLieAlgebra) -> np.ndarray:
@@ -199,8 +199,7 @@ def _gray_residual(A: np.ndarray, dw: np.ndarray, NA: np.ndarray,
     return float(np.abs(2.0 * nw - dw + At @ (dw @ A - NA)).max())
 
 
-def codiff_Omega(g: MetricLieAlgebra, G: np.ndarray | None = None,
-                 tol: float = 1e-9) -> dict:
+def codiff_Omega(g: MetricLieAlgebra, tol: float = 1e-9) -> dict:
     """The codifferential of the fundamental form by four routes:
 
     * contraction: -C12(nabla Omega);
@@ -216,7 +215,7 @@ def codiff_Omega(g: MetricLieAlgebra, G: np.ndarray | None = None,
     star_inv(star dOmega ^ w_A ^ w_A) (lie-pipeline)."""
     if math.isnan(tol):
         raise ValueError("tol must be a number, got nan")
-    s, G = g.structure, koszul(g) if G is None else G
+    s, G = g.structure, koszul(g)
     mats = np.stack([s.mats[a] for a in AXES])
     dw = d_omegas(g)
     # w[A, y] = <e_y hook dw_A, w_A>; u = <A . hook dw_A, w_A> = -A w
@@ -314,8 +313,8 @@ def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def two_step_nilpotent(n: int, seed: int, center: int = 4,
-                       scale: float = 1.0) -> MetricLieAlgebra:
+def two_step_nilpotent(n: int, seed: int,
+                       center: int = 4) -> MetricLieAlgebra:
     """Random two-step nilpotent algebra: brackets of the first 4n - center
     basis vectors land in the span of the last `center` ones (Jacobi holds
     identically)."""
@@ -324,7 +323,7 @@ def two_step_nilpotent(n: int, seed: int, center: int = 4,
     rng = np.random.default_rng(seed)
     c = np.zeros((dim,) * 3)
     base = dim - center
-    vals = rng.standard_normal((base, base, center)) * scale
+    vals = rng.standard_normal((base, base, center))
     for i in range(base):
         for j in range(i + 1, base):
             c[i, j, base:] = vals[i, j]

@@ -51,10 +51,6 @@ class ComponentLabel(Enum):
     def display(self) -> str:
         return _DISPLAY[self]
 
-    @property
-    def zero_at_n2(self) -> bool:
-        return self in (ComponentLabel.L3EH, ComponentLabel.L3ES3H)
-
 
 _DISPLAY = {
     ComponentLabel.L3EH: "Λ₀³EH",
@@ -167,20 +163,17 @@ def split_coords(C: np.ndarray, ds: np.ndarray,
                              v - h]))
 
 
-def _split(a: MixedTorsion, s: QuatStructure, tol: float,
-           check: bool) -> dict[ComponentLabel, np.ndarray]:
-    return split_coords(w_coords(a, s, tol, check), contract12(a).coeffs, s)
-
-
 def component(a: MixedTorsion, X: ComponentLabel, s: QuatStructure,
-              tol: float = 1e-8, check: bool = True) -> MixedTorsion:
-    return components(a, s, tol, check)[X]
+              check: bool = True) -> MixedTorsion:
+    return components(a, s, check)[X]
 
 
-def components(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
+def components(a: MixedTorsion, s: QuatStructure,
                check: bool = True) -> dict[ComponentLabel, MixedTorsion]:
-    """All six components, embedded back into V* (x) Lambda^4."""
-    return {X: w_embed(c, s) for X, c in _split(a, s, tol, check).items()}
+    """All six components, embedded back into V* (x) Lambda^4; with check, a
+    must lie within 1e-8 of W (require_in_W)."""
+    parts = split_coords(w_coords(a, s, check=check), contract12(a).coeffs, s)
+    return {X: w_embed(c, s) for X, c in parts.items()}
 
 
 @dataclass
@@ -204,7 +197,7 @@ class ComponentProfile:
         }
 
 
-def profile(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
+def profile(a: MixedTorsion, s: QuatStructure,
             check: bool = True) -> ComponentProfile:
     return ComponentProfile(component_norms(
-        w_coords(a, s, tol, check), contract12(a).coeffs, s), a.norm())
+        w_coords(a, s, check=check), contract12(a).coeffs, s), a.norm())

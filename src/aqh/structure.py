@@ -37,7 +37,6 @@ from .exterior import (
     MixedTorsion,
     SparseOp,
     _json_n,
-    hodge,
     hodge_op,
     tables,
     wedge,
@@ -138,7 +137,9 @@ class QuatStructure:
         return tables(self.dim)
 
     def star(self, a: AltForm) -> AltForm:
-        return hodge(a, self.vol_coeff)
+        """Hodge star of a relative to Vol (``hodge_op``)."""
+        return AltForm(self.dim, self.dim - a.degree,
+                       hodge_op(self.dim, a.degree, self.vol_coeff)(a.coeffs))
 
     def star_inv(self, a: AltForm) -> AltForm:
         """Inverse star, star(star_inv(a)) = a: the transposed star."""

@@ -82,15 +82,14 @@ def fiber_project(c: MixedTwoFormFamily, s: QuatStructure) -> MixedTwoFormFamily
     return MixedTwoFormFamily(c.dim, _fiber_project(c.mats, s))
 
 
-def F_map(c: MixedTwoFormFamily, s: QuatStructure, check: bool = True,
-          tol: float = 1e-8) -> MixedTorsion:
-    """F on the rows of c; with check, c must lie within tol*|c| of the
-    fiber (MembershipError otherwise, ValueError for a bad tol)."""
+def F_map(c: MixedTwoFormFamily, s: QuatStructure,
+          check: bool = True) -> MixedTorsion:
+    """F on the rows of c; with check, c must lie within 1e-8 |c| of the
+    fiber (MembershipError otherwise)."""
     if check:
-        check_tol(tol)
         scale = max(c.norm(), 1e-300)
         r1, r2 = fiber_residuals(c, s)
-        if max(r1, r2) > tol * scale:
+        if max(r1, r2) > 1e-8 * scale:
             raise MembershipError(
                 f"input is outside the fiber: residuals "
                 f"{r1 / scale:.2e}, {r2 / scale:.2e}")
@@ -112,12 +111,11 @@ def _w_project(a: MixedTorsion, s: QuatStructure) -> tuple[np.ndarray, float]:
     return C, float(np.linalg.norm(a.rows - C @ Q.T)) / max(a.norm(), 1e-300)
 
 
-def is_in_W(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8) -> tuple[bool, float]:
+def is_in_W(a: MixedTorsion, s: QuatStructure) -> tuple[bool, float]:
     """Membership as distance: the residual is |a - (aQ)Q^T| / |a|, the
-    relative distance of a from W = V* (x) span(Q).  check_tol checks tol."""
-    check_tol(tol)
+    relative distance of a from W = V* (x) span(Q), held to 1e-8."""
     resid = _w_project(a, s)[1]
-    return resid <= tol, resid
+    return resid <= 1e-8, resid
 
 
 def check_tol(tol: float) -> float:
@@ -152,12 +150,12 @@ def w_embed(C: np.ndarray, s: QuatStructure) -> MixedTorsion:
     return MixedTorsion(s.dim, C @ fiber_basis_matrix(s).T)
 
 
-def extract_cA(a: MixedTorsion, s: QuatStructure,
-               tol: float = 1e-8) -> dict[str, MixedTwoFormFamily]:
-    """The unique triple with a = sum_A c_A ^ w_A.  Row by row c_A is the
-    adjoint of ^ w_A applied to a, divided by 2n: the transpose of
-    ``reassemble`` up to that factor."""
-    require_in_W(a, s, tol)
+def extract_cA(a: MixedTorsion,
+               s: QuatStructure) -> dict[str, MixedTwoFormFamily]:
+    """The unique triple with a = sum_A c_A ^ w_A, for a within 1e-8 of W
+    (require_in_W).  Row by row c_A is the adjoint of ^ w_A applied to a,
+    divided by 2n: the transpose of ``reassemble`` up to that factor."""
+    require_in_W(a, s)
     rows = s.ae_factors(2)[0].T(a.rows).reshape(s.dim, 3, -1) / (2 * s.n)
     return {name: MixedTwoFormFamily(a.dim, _two_form_mats(rows[:, k], s))
             for k, name in enumerate(AXES)}
@@ -197,18 +195,17 @@ def reassemble(cA: dict[str, MixedTwoFormFamily], s: QuatStructure) -> MixedTors
 
 
 def from_nabla_omegas(dI: MixedTwoFormFamily, dJ: MixedTwoFormFamily,
-                      dK: MixedTwoFormFamily, s: QuatStructure,
-                      tol: float = 1e-6) -> MixedTorsion:
+                      dK: MixedTwoFormFamily,
+                      s: QuatStructure) -> MixedTorsion:
     """Assemble sum_A d_A ^ w_A from d_A = 2 nabla w_A, after validating the
-    two admissibility conditions i)', ii)' the d_A must satisfy.  check_tol
-    checks tol."""
-    check_tol(tol)
+    two admissibility conditions i)', ii)' the d_A must satisfy, to 1e-6
+    relative."""
     dA = {"I": dI, "J": dJ, "K": dK}
     scale = max(max(d.norm() for d in dA.values()), 1e-300)
     res_i, res_ii = _admissibility(dA, s)
     res_i = {k: v / scale for k, v in res_i.items()}
     res_ii /= scale
-    if max(max(res_i.values()), res_ii) > tol:
+    if max(max(res_i.values()), res_ii) > 1e-6:
         raise MembershipError(
             "input two-form families are not admissible: "
             + ", ".join(f"i)'[{k}]={v:.2e}" for k, v in res_i.items())

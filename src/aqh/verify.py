@@ -692,7 +692,7 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
         max(float(g.max()) for _, res in sweep for _, g in res), 1e-12,
         "report rows against the direct route on the mixtures above, "
         + ("columns 2 and 3" if s.n >= 3 else "column 2 and Table 3")))
-    out += check_schur_table(s, schur_table(s))
+    out += check_schur_table(s, schur_table(s), pool)
 
     # alternation identities
     a = T.random_W_element(s, 52_000)
@@ -804,17 +804,19 @@ def swann_alpha2(n: int) -> tuple:
             5 * (2 * n - 1) / (4 * n), (n - 2) / (4 * n), 5 / 4)
 
 
-def check_schur_table(s: QuatStructure, table) -> list[CheckResult]:
+def check_schur_table(s: QuatStructure, table, pool: dict) -> list[CheckResult]:
     """The constants the report reads.  table2-pattern: each row, in each
     column the report reads, vanishes on its own components (to 1e-12) and
-    not on any other, read on the table's unit samples, one per component.
+    not on any other, read on the components of pool of nonzero dimension.
     swann-alternation: alpha_X^2 against swann_alpha2, so the alternation
     kills KS3H alone at n = 2 and is injective on W for n >= 3."""
     labels = list(PR.ComponentLabel)
     columns = [("col2", table2_rows(s)), ("col3", table2_rows(s))
                if s.n >= 3 else ("table3", table3_rows(s))]
-    labs, size, ds = table.samples
-    ctx = TF._Ctx(s, size, ds)
+    labs = [X for X in labels if PR.COMPONENT_DIMS[X](s.n)]
+    size = np.array([pool[X].norm() for X in labs])
+    ctx = TF._Ctx(s, size, np.stack([contract12(pool[X]).coeffs
+                                     for X in labs]))
     ctx.profile = np.array([[x if Y is X else 0.0 for Y in labels]
                             for X, x in zip(labs, size)])
     own, outside, pairs = 0.0, np.inf, 0
@@ -934,7 +936,13 @@ def run_suite(n: int, seed: int = 0,
     for name, fn in SECTIONS:
         if sections and name not in sections:
             continue
-        rows = fn(s, rng)
+        try:
+            rows = fn(s, rng)
+        except Exception as exc:
+            # a check that cannot finish has failed, whatever it raised
+            raise LA.VerificationError(
+                f"verify section {name} aborted: {type(exc).__name__}: "
+                f"{exc}") from exc
         for row in rows:
             row.check = f"{name}/{row.check}"
         results.extend(rows)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from aqh import (
+    COMPONENT_DIMS,
     AltForm,
     ClassLabel,
     ComponentLabel,
@@ -295,7 +296,7 @@ def test_criterion_11_round_trip(s2, s3, pool2, pool3):
     total = 0
     for s, pool in ((s2, pool2), (s3, pool3)):
         labs = [X for X in ComponentLabel
-                if s.n > 2 or not X.zero_at_n2]
+                if s.n > 2 or COMPONENT_DIMS[X](2)]
         for r in range(1, len(labs) + 1):
             for sub in itertools.combinations(labs, r):
                 a = sum((pool[X] for X in sub),
@@ -335,7 +336,7 @@ def test_criterion_12_column_consistency(s3):
 
 
 def test_criterion_13_partial_table(s2, pool2):
-    labs = [X for X in ComponentLabel if not X.zero_at_n2]
+    labs = [X for X in ComponentLabel if COMPONENT_DIMS[X](2)]
     worst_member = 0.0
     worst_reject = np.inf
     for row in table3_rows(s2):
@@ -369,7 +370,7 @@ def test_criterion_14_lie_pipeline(s2):
         worst["nij"] = max(worst["nij"], max(
             float(np.abs(np.einsum("iix->x", nijenhuis(g, ax))).max())
             for ax in AXES))
-        out = codiff_Omega(g, G)
+        out = codiff_Omega(g)
         worst["cod"] = max(worst["cod"],
                            max(out["report"]["pairwise"].values()))
     ok = (ok and worst["alt"] < 1e-9 and worst["gray"] < 1e-10

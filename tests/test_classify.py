@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from aqh import (
+    COMPONENT_DIMS,
     AltForm,
     ClassLabel,
     ComponentLabel,
@@ -114,7 +115,7 @@ def test_class_display_names():
 
 
 def test_classify_round_trip_n2(s2, pool2):
-    labs = [X for X in ComponentLabel if not X.zero_at_n2]
+    labs = [X for X in ComponentLabel if COMPONENT_DIMS[X](2)]
     for r in range(1, 5):
         for sub in itertools.combinations(labs, r):
             rep = classification_report(build(pool2, *sub), s2)
@@ -156,7 +157,7 @@ def test_table2_rejects_non_members(s3, pool3):
 
 def test_table2_n2_members(s2, pool2):
     for row in table2_rows(s2):
-        comps = [X for X in row.components if not X.zero_at_n2]
+        comps = [X for X in row.components if COMPONENT_DIMS[X](2)]
         m = build(pool2, *comps)
         assert col2(m, s2, row).value < 1e-8, row.key
 
@@ -197,7 +198,7 @@ def test_column_agreement(s3, pool3):
 
 
 def test_table3(s2, pool2):
-    labs = [X for X in ComponentLabel if not X.zero_at_n2]
+    labs = [X for X in ComponentLabel if COMPONENT_DIMS[X](2)]
     for row in table3_rows(s2):
         m = build(pool2, *row.components)
         assert col3(m, s2, row).value < 1e-8, row.key
@@ -384,7 +385,6 @@ def test_covariant_column_reads_no_five_form(s2, s3, pool2, pool3,
     # the wedge norms of the covariant column come from the one-forms of
     # d* a, so no row alternates a or applies dOmega_op
     from aqh import classify as module
-    from aqh.projectors import COMPONENT_DIMS
 
     def refuse(*args, **kwargs):
         raise AssertionError("the covariant column read a 5-form")
@@ -646,23 +646,15 @@ def test_checks_assemble_no_full_row_operators():
 @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0, 1.0])
 def test_bad_tol_raises_value_error(s2, tol):
     # a tolerance must be finite with 0 < tol < 1; the error names tol and
-    # does not blame the tensor or the family (MembershipError)
-    from aqh import MetricLieAlgebra, MixedTwoFormFamily, classify_algebra
-    from aqh.torsion import F_map, from_nabla_omegas, is_in_W, w_coords
+    # does not blame the tensor (MembershipError)
+    from aqh import MetricLieAlgebra, classify_algebra
+    from aqh.torsion import w_coords
 
     a = random_W_element(s2, 7)
-    dOm = alternate5(a)
-    raw = np.random.default_rng(7).standard_normal((8, 8, 8))
-    c = MixedTwoFormFamily(8, raw - raw.transpose(0, 2, 1))  # off the fiber
     calls = (lambda: classification_report(a, s2, tol),
              lambda: w_coords(a, s2, tol),
-             lambda: is_in_W(a, s2, tol),
-             lambda: F_map(c, s2, tol=tol),
-             lambda: from_nabla_omegas(c, c, c, s2, tol),
              lambda: classify_algebra(
-                 MetricLieAlgebra(s2, np.zeros((8, 8, 8))), tol),
-             lambda: wedge_criteria(dOm, s2, tol),
-             lambda: perp_EH5_test(dOm, s2, tol))
+                 MetricLieAlgebra(s2, np.zeros((8, 8, 8))), tol))
     for call in calls:
         with pytest.raises(ValueError, match="tol") as exc:
             call()
@@ -672,8 +664,6 @@ def test_bad_tol_raises_value_error(s2, tol):
 def _members(s, pool):
     """A member of every class of Table 2 at s.n: the sum of the pool's
     components of the row, in declaration order."""
-    from aqh.projectors import COMPONENT_DIMS
-
     seen = {}
     for row in table2_rows(s):
         comps = frozenset(X for X in row.components if COMPONENT_DIMS[X](s.n))
@@ -730,7 +720,6 @@ def test_schur_constants_independent_of_frame(s2, s3, rng):
     # one, and there the report's rows match the direct routes
     from aqh import components
     from aqh.classify import _build_schur_table, schur_table
-    from aqh.projectors import COMPONENT_DIMS
     from aqh.structure import random_rotation, rotate_adapted
 
     for s in (s2, s3):

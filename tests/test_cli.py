@@ -400,6 +400,27 @@ def test_verification_failure_exits_1(monkeypatch, capsys):
     assert "codifferential routes disagree" in capsys.readouterr().err
 
 
+def test_verify_reports_an_aborted_section_as_a_failure(monkeypatch, capsys):
+    # a section that raises has failed its checks: exit 1, naming the
+    # section, not an input error; argument errors still exit 2
+    import aqh.verify
+    from aqh import StructureError, VerificationError
+
+    def fail(*args, **kwargs):
+        raise StructureError("fundamental form changed under rotation")
+
+    assert main(["verify", "--n", "2", "--seed", "-1"]) == 2
+    assert "expected non-negative integer" in capsys.readouterr().err
+    monkeypatch.setattr(aqh.verify, "rotate_adapted", fail)
+    assert main(["verify", "--n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "verification failure" in err and "section operators" in err
+    assert "fundamental form changed under rotation" in err
+    with pytest.raises(VerificationError) as exc:
+        aqh.verify.run_suite(2, sections=("operators",))
+    assert isinstance(exc.value.__cause__, StructureError)
+
+
 def test_verify_accepts_n4_and_refuses_n5():
     # the n=4 suite is not run here: it takes about 14 s and 430 MB
     from aqh.cli import build_parser

@@ -1,7 +1,8 @@
 """Every public function and method of the package is reached from what a
 user runs: the CLI (``cli.main``), the identity suite (``verify.run_suite``
 and its sections) and the names the benchmark workloads import.  A helper
-that only the tests call is dead code.
+that only the tests call is dead code, and so is an option, a defaulted
+parameter, that no call in the package or the workloads passes.
 
 The walk reads the source with ``ast``; it imports nothing.  A name is
 resolved through the module's own definitions and its imports (``import
@@ -21,6 +22,7 @@ FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 class _Module:
     def __init__(self, name: str, tree: ast.Module):
         self.name = name
+        self.tree = tree
         self.defs = {}      # top-level name -> its node
         self.methods = {}   # class name -> {method name: node}
         # local name -> ("module", mod) or ("name", mod, name)
@@ -90,6 +92,18 @@ def _resolve(mods: dict, mod: str, name: str):
     return None
 
 
+def _public_functions(m: _Module):
+    """(qualname, node, is a method) of the public functions and methods of
+    a module: those whose own name has no leading underscore."""
+    for name, fn in m.defs.items():
+        if isinstance(fn, FUNCS) and not name.startswith("_"):
+            yield name, fn, False
+    for cls, methods in m.methods.items():
+        for meth, fn in methods.items():
+            if not meth.startswith("_"):
+                yield f"{cls}.{meth}", fn, True
+
+
 def reachability(roots) -> tuple[set, set]:
     """(reached, public): the (module, qualname) pairs of the functions and
     methods reached from roots, and of every public one."""
@@ -140,13 +154,8 @@ def reachability(roots) -> tuple[set, set]:
                         reached.add(key)
                         visit(m.name, fn)
 
-    public = set()
-    for m in mods.values():
-        public |= {(m.name, name) for name, node in m.defs.items()
-                   if isinstance(node, FUNCS) and not name.startswith("_")}
-        for cls, methods in m.methods.items():
-            public |= {(m.name, f"{cls}.{meth}") for meth in methods
-                       if not meth.startswith("_")}
+    public = {(m.name, qual) for m in mods.values()
+              for qual, _, _ in _public_functions(m)}
     return reached, public
 
 
@@ -178,3 +187,85 @@ def test_every_public_function_is_reached():
     assert ("verify", "check_lie") in reached
     dead = sorted(f"{m}.{name}" for m, name in public - reached)
     assert not dead, "reached only from the tests: " + ", ".join(dead)
+
+
+def options(mods: dict) -> dict:
+    """{(module, qualname, parameter): (position, node)} for every
+    defaulted parameter of a public function or method: position counts the
+    arguments a call passes (self and cls left out) and is None for a
+    keyword-only parameter; node is the function's."""
+    out = {}
+    for m in mods.values():
+        for qual, fn, method in _public_functions(m):
+            a = fn.args
+            pos = (a.posonlyargs + a.args)[method:]     # self or cls left out
+            out.update({(m.name, qual, arg.arg): (i, fn) for i, arg in
+                        enumerate(pos) if i >= len(pos) - len(a.defaults)})
+            out.update({(m.name, qual, arg.arg): (None, fn) for arg, d in
+                        zip(a.kwonlyargs, a.kw_defaults) if d is not None})
+    return out
+
+
+def _calls(node, fn=None):
+    """(call, innermost enclosing function or None) of every call under
+    node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child, fn
+        yield from _calls(child, child if isinstance(child, FUNCS) else fn)
+
+
+def _passed(call: ast.Call, param: str, pos):
+    """The expression a call passes for a parameter, True when it passes
+    one through *args or **kwargs, or None."""
+    for kw in call.keywords:
+        if kw.arg == param:
+            return kw.value
+        if kw.arg is None:
+            return True
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return True
+        if i == pos:
+            return arg
+    return None
+
+
+def unset_options() -> list:
+    """The options that no call in the package or the workloads passes, by
+    keyword or by position, matching calls by name.  A call that passes an
+    option of its enclosing function on unchanged sets the option only if
+    some call sets that one."""
+    mods = _load_package()
+    opts = options(mods)
+    by_name, of_node = {}, {}
+    for key, (pos, fn) in opts.items():
+        by_name.setdefault(key[1].rpartition(".")[2], []).append((key, pos))
+        of_node[fn, key[2]] = key
+    trees = [m.tree for m in mods.values()]
+    trees.append(ast.parse(WORKLOADS.read_text()))
+    is_set, forwards = set(), []    # forwards: (from option, to option)
+    for tree in trees:
+        for call, fn in _calls(tree):
+            f = call.func
+            name = getattr(f, "id", None) or getattr(f, "attr", None)
+            for key, pos in by_name.get(name, ()):
+                value = _passed(call, key[2], pos)
+                source = of_node.get((fn, getattr(value, "id", None)))
+                if source is not None:
+                    forwards.append((source, key))
+                elif value is not None:
+                    is_set.add(key)
+    while new := {key for source, key in forwards if source in is_set} \
+            - is_set:
+        is_set |= new
+    return sorted(f"{m}.{qual}({param})" for m, qual, param in opts.keys()
+                  - is_set)
+
+
+def test_every_option_is_set_by_a_caller():
+    opts = options(_load_package())
+    assert ("projectors", "components", "check") in opts
+    assert ("liealg", "two_step_nilpotent", "center") in opts
+    unset = unset_options()
+    assert not unset, "options no caller sets: " + ", ".join(unset)

@@ -80,7 +80,7 @@ def test_conjugation_sum_eigenvalues(s2):
 
 
 def test_F_zero_and_validation(s2):
-    z = MixedTwoFormFamily.zero(8)
+    z = MixedTwoFormFamily(8, np.zeros((8, 8, 8)))
     assert F_map(z, s2).norm() == 0.0
     c = random_family(s2, 1)  # not in the fiber
     with pytest.raises(MembershipError):
