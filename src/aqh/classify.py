@@ -14,7 +14,9 @@ into dOmega_op (see ctx_from_derived).  The wedge norms are read from
 these one-forms (threeform.wedge_norms), so the covariant column reads
 no 5-form.  Each condition field is a cached linear map of C = aQ, d* a or
 dOmega (sparse ones through their nonzeros), applied to a whole stack of
-tensors when its context is made.
+tensors when its context is made.  The fields of a sum are the sums of the
+fields, so verify makes its contexts once, on the components of its pools,
+and sums each mixture's from them (_Ctx.mix).
 
 A row read on such a context (RowResult.evaluate on ctx_from_torsion or
 ctx_from_derived) and wedge_criteria are the direct routes, and verify runs
@@ -123,22 +125,22 @@ def ae(s: QuatStructure, x: np.ndarray) -> np.ndarray:
 
 def ctx_from_torsion(C: np.ndarray, ds: np.ndarray, s: QuatStructure,
                      scale) -> _Ctx:
-    """The covariant-column context of the tensors with W coordinates C
-    (..., dim, r) and d* a = ds (..., N3), at scale (...).  Its w fields are
-    W coordinates (..., dim*r): a, La, SEd, SELd, Q = SE m, R.  All of them
-    lie in W, so their norms are those of the 5-slot tensors."""
+    """The packed covariant-column context of the tensors with W coordinates
+    C (..., dim, r) and d* a = ds (..., N3), at scale (...).  Its w fields
+    are W coordinates (..., dim*r): a, La, SEd, SELd, Q = SE m, R.  All of
+    them lie in W, so their norms are those of the 5-slot tensors."""
     ctx = _Ctx(s, scale, ds).with_f3(s)
     flat, f3, xi = C.shape[:-2] + (-1,), ctx.f3, ctx.xi
     SE, R = (_w_core(s)[k] for k in ("SE", "R"))
     ctx.w = {"a": C.reshape(flat), "La": lcal_coords(C, s).reshape(flat),
              "SEd": ds @ SE.T, "SELd": f3["Ldstar"] @ SE.T,
              "Q": f3["m"] @ SE.T, "R": xi[..., 0, :] @ R.T}
-    return ctx
+    return ctx.packed()
 
 
 def ctx_from_derived(dOm: np.ndarray, s: QuatStructure, scale) -> _Ctx:
-    """The exterior-derivative context of the 5-forms dOm (..., N5), at
-    scale (...): d*Omega, xi and the xi_A triple from dOm alone.
+    """The packed exterior-derivative context of the 5-forms dOm (..., N5),
+    at scale (...): d*Omega, xi and the xi_A triple from dOm alone.
 
     d*Omega is recovered by the Hodge identity (dOmega_op)
       d*Omega = ((-1)^n 6(n-1)/(2n-1)!) * star(Omega^(n-2) ^ dOmega),
@@ -150,31 +152,42 @@ def ctx_from_derived(dOm: np.ndarray, s: QuatStructure, scale) -> _Ctx:
     of a member of W, or ce_d(g, Omega)), the identity threeform.wedge_norms
     reads: star_inv(star(dOmega) ^ w_A ^ w_A) = -12 xi - 8 k1 xi_A.  verify
     certifies all three.  The f5 fields are 5-forms: dOm, LdOm, AEd, AELd,
-    Q5 = AE m, xiOm; wAAeq and wAA0 run require_alternation first."""
+    Q5 = AE m, xiOm; the context also holds the misses of the last identity
+    (_alternation_miss), and wAAeq and wAA0 run require_alternation on it
+    first.  All of them are linear in dOm, so a mix of the context is the
+    context of the mixed 5-forms."""
     ctx = _Ctx(s, scale, dOmega_op(s)(dOm)).with_f3(s)
     f3, xi = ctx.f3, ctx.xi
     wedge_Omega = s.cache("wedge_Omega_1", lambda: wedge_op(s.Omega, 1))
     ctx.f5 = {"dOm": dOm, "LdOm": s.L_apply(5, dOm),
               "AEd": ae(s, f3["dstar"]), "AELd": ae(s, f3["Ldstar"]),
               "Q5": ae(s, f3["m"]), "xiOm": wedge_Omega(xi[..., 0, :])}
-    ctx.alternation_check = lambda: require_alternation(dOm, xi, s)
-    return ctx
+    ctx.miss = _alternation_miss(dOm, xi, s)
+    ctx.alternation_check = require_alternation
+    return ctx.packed()
 
 
-def require_alternation(dOm: np.ndarray, xi: np.ndarray,
-                        s: QuatStructure) -> None:
-    """ValueError unless star_inv(star(dOm) ^ w_I ^ w_I) is -12 xi -
-    8(n-1) xi_I within 1e-8 |dOm| on every entry of the stack dOm (..., N5),
-    with xi (..., 4, dim) its one-forms, as the wedge norms wAAeq and wAA0
-    read it (threeform.wedge_norms): true when dOm is the alternation of a
-    tensor in W, as alternate5(a) and ce_d(g, Omega) are, and at n = 2
-    always."""
-    dim, vol, w = s.dim, s.vol_coeff, s.omega["I"]
-    star_inv = hodge_op(dim, 1, vol).T
-    miss = _norm(star_inv(wedge_op(wedge(w, w), dim - 5)(
-        hodge_op(dim, 5, vol)(dOm))) + 12 * xi[..., 0, :]
-        + 8 * s.k1 * xi[..., 1, :])
-    if not np.all(miss <= 1e-8 * _norm(dOm)):
+def _alternation_miss(dOm: np.ndarray, xi: np.ndarray,
+                      s: QuatStructure) -> np.ndarray:
+    """star_inv(star(dOm) ^ w_I ^ w_I) + 12 xi + 8(n-1) xi_I (..., dim) of
+    the 5-forms dOm (..., N5) with one-forms xi (..., 4, dim): zero when dOm
+    is the alternation of a tensor in W, as alternate5(a) and ce_d(g, Omega)
+    are, and at n = 2 always."""
+    dim, vol = s.dim, s.vol_coeff
+    wII = s.cache("wedge_wII", lambda: wedge_op(
+        wedge(s.omega["I"], s.omega["I"]), dim - 5))
+    return (hodge_op(dim, 1, vol).T(wII(hodge_op(dim, 5, vol)(dOm)))
+            + 12 * xi[..., 0, :] + 8 * s.k1 * xi[..., 1, :])
+
+
+def require_alternation(ctx: _Ctx) -> None:
+    """ValueError unless every entry of the derived context ctx misses the
+    identity star_inv(star(dOm) ^ w_I ^ w_I) = -12 xi - 8(n-1) xi_I, which
+    the wedge norms wAAeq and wAA0 read (threeform.wedge_norms), by at most
+    1e-8 |dOm|.  The misses are linear in dOm, so on a mixed context they
+    are the mixed misses, and the test is that of the mixed 5-forms."""
+    miss = _norm(ctx.miss)
+    if not np.all(miss <= 1e-8 * _norm(ctx.f5["dOm"])):
         raise ValueError(f"dOmega is not the alternation of a tensor in W: "
                          f"the wedge identity misses by {miss.max():.2e}")
 
@@ -390,7 +403,7 @@ def wedge_criteria(dOm: AltForm, s: QuatStructure) -> dict[str, bool]:
     must be the alternation of a tensor in W: require_alternation raises
     ValueError otherwise."""
     ctx = ctx_from_derived(dOm.coeffs, s, dOm.norm())
-    ctx.alternation_check()
+    require_alternation(ctx)
     return _wedge_flags(wedge_norms(ctx.dstar, ctx.xi, s.n),
                         1e-8 * ctx.scale)
 

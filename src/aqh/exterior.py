@@ -483,9 +483,10 @@ def _json_index(where: str, i, dim: int) -> int:
 
 
 def _json_value(where: str, v) -> float:
+    """A JSON number (int or float, not bool or str) as a finite float."""
     try:
-        x = float(v)
-    except (TypeError, ValueError, OverflowError):
+        x = float(v) if type(v) in (int, float) else math.nan
+    except OverflowError:
         x = math.nan
     if not math.isfinite(x):
         raise InputFormatError(f"{where}: value {v!r} is not a finite number")
@@ -500,11 +501,11 @@ def _json_coeffs(data: dict, dim: int, p: int, lead: int):
         raise InputFormatError(f"key 'coeffs': {coeffs!r:.40} is not an object")
     idx, m = tables(dim).index(p), lead + p
     try:
-        # keys of nonempty digit fields (fromstring stops at a blank, "+" or
-        # "-" field) in one parse, each closed by a -1; a tuple is found by
-        # its flat code sum_k t_k dim^(p-1-k) among the sorted codes
-        keys = ",".join(coeffs)
-        if ",," in f",{keys}," or not keys.replace(",", "").isdigit():
+        # keys of nonempty ASCII digit fields (fromstring stops at a blank,
+        # "+" or "-" field) in one parse, each closed by a -1; a tuple is
+        # found by its flat code sum_k t_k dim^(p-1-k) among the sorted codes
+        keys = ",".join(coeffs).encode()
+        if keys.translate(None, b"0123456789,") or b",," in b",%b," % keys:
             raise ValueError
         T = np.fromstring(",-1,".join(coeffs) + ",-1", np.int64,
                           sep=",").reshape(len(coeffs), m + 1)
@@ -519,10 +520,13 @@ def _json_coeffs(data: dict, dim: int, p: int, lead: int):
             rows = T[:, :lead]
         else:
             T = [tuple(map(int, key.split(","))) for key in coeffs]
-            u = [idx[t[lead:]] for t in T]
+            u = np.array([idx[t[lead:]] for t in T], dtype=np.int64)
             rows = np.array([t[:lead] for t in T], dtype=np.int64)
+        # JSON numbers only: fromiter would read "1" and true as 1.0
+        ok = {*map(type, coeffs.values())} <= {int, float}
         vals = np.fromiter(coeffs.values(), float, len(coeffs))
-        ok = np.isfinite(vals).all() and ((rows >= 0) & (rows < dim)).all()
+        ok = (ok and np.isfinite(vals).all()
+              and ((rows >= 0) & (rows < dim)).all())
     except (KeyError, TypeError, ValueError, OverflowError):
         ok = False
     if ok:
@@ -530,7 +534,17 @@ def _json_coeffs(data: dict, dim: int, p: int, lead: int):
             if not np.isfinite(vals @ vals):
                 raise InputFormatError("key 'coeffs': the norm of the "
                                        "coefficients is not a finite number")
-        return rows.reshape(len(T), lead), u, vals
+        rows = rows.reshape(len(T), lead)
+        # keys such as "0,0,1,2,3" and "00,0,1,2,3" name one entry
+        code = np.ravel_multi_index((*rows.T, u), (dim,) * lead + (len(idx),))
+        if code.size and np.bincount(code).max() > 1:
+            seen = {}
+            for c, key in zip(code.tolist(), coeffs):
+                if c in seen:
+                    raise InputFormatError(f"coefficient keys {seen[c]!r} and "
+                                           f"{key!r} name the same entry")
+                seen[c] = key
+        return rows, u, vals
     # name the first offending key
     for key, v in coeffs.items():
         where = f"coefficient key {key!r}"

@@ -181,12 +181,6 @@ class QuatStructure:
 
         return self.cache(("deriv", p), build)
 
-    def i_axis(self, axis: str, a: AltForm) -> AltForm:
-        if a.degree == 0:
-            return a * 0.0
-        D = self.deriv_op(a.degree)(a.coeffs).reshape(3, -1)
-        return AltForm(self.dim, a.degree, -D[AXES.index(axis)])
-
     def L_apply(self, p: int, x: np.ndarray) -> np.ndarray:
         """L = 3p/2 - D^T D/2 on the last axis of degree-p coefficients, as
         sum_{i<j} A_(i)A_(j) = (i_A^2 + p)/2 on forms (pinned by tests)."""
@@ -306,8 +300,14 @@ def structure_from_json(data, n: int | None = None) -> QuatStructure:
         return standard_structure(own)
     mats = []
     for key in "IJ":
+        M = data.get(key)
         try:
-            mats.append(np.asarray(data.get(key), dtype=float))
+            # JSON numbers only: asarray would read "1" and true as 1.0
+            if not (isinstance(M, list) and all(
+                    isinstance(r, list) and {*map(type, r)} <= {int, float}
+                    for r in M)):
+                raise TypeError
+            mats.append(np.asarray(M, dtype=float))
         except (TypeError, ValueError, OverflowError):
             raise InputFormatError(f"key 'structure.{key}': not a matrix of "
                                    "numbers") from None

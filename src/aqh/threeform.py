@@ -29,6 +29,7 @@ no full-row matrix is assembled.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -168,18 +169,23 @@ class _Ctx:
     xi and (xi_I, xi_J, xi_K) of dstar.  with_f3 fills the table f3: the
     3-form dstar, Ldstar = L dstar, xiC = xi hook Omega and m = sum_A
     (A xi_A) ^ w_A; the torsion contexts (classify.ctx_from_*) also fill the
-    tables w and f5.  A report sets profile, the component norms (..., 6) its
-    Schur forms read, and fills no table."""
+    tables w and f5, and a derived one the alternation misses (miss) that
+    its alternation_check(ctx) reads.  A report sets profile, the component
+    norms (..., 6) its Schur forms read, and fills no table.
+
+    Every field is linear in the tensor.  A packed context holds all of its
+    fields as views of one array, fields (stack, F); mix(S, scale) is then
+    the context of the mixtures S @ stack in one product."""
 
     def __init__(self, s: QuatStructure, scale, dstar: np.ndarray):
         self.scale, self.n, self.dstar = np.maximum(scale, 1e-300), s.n, dstar
         xi = proj3_factors(s)[0]
         self.xi = (dstar @ xi.T).reshape(*dstar.shape[:-1], 4, s.dim)
         self.f3 = self.w = self.f5 = {}
-        self.profile = None
-        # run before a wedge norm that holds only on alternations of W; it
-        # holds what it reads, not the context: no reference cycle
-        self.alternation_check = lambda: None
+        self.profile = self.miss = None
+        # run before a wedge norm that holds only on alternations of W; a
+        # function of the context, not a closure over it: no reference cycle
+        self.alternation_check = None
 
     def with_f3(self, s: QuatStructure) -> "_Ctx":
         xi = self.xi
@@ -187,6 +193,53 @@ class _Ctx:
                    "xiC": xi[..., 0, :] @ hook_omega_matrix(s).T,
                    "m": xi[..., 1:, :].reshape(*xi.shape[:-2], -1)
                    @ m_matrix(s).T}
+        return self
+
+    def packed(self) -> "_Ctx":
+        """self with dstar, xi, miss and every table field views of one new
+        array, fields (stack, F), in the order of layout."""
+        lead = self.dstar.shape[:-1]
+        parts = {(None, k): getattr(self, k) for k in ("dstar", "xi", "miss")
+                 if getattr(self, k) is not None}
+        parts.update(((t, k), v) for t in ("f3", "w", "f5")
+                     for k, v in getattr(self, t).items())
+        self.layout = {k: v.shape[len(lead):] for k, v in parts.items()}
+        return self._view(np.concatenate(
+            [v.reshape(lead + (-1,)) for v in parts.values()], axis=-1))
+
+    def mix(self, S: np.ndarray, scale) -> "_Ctx":
+        """The context of the mixtures S @ stack, S (mixtures x stack), of a
+        packed context, at scale (mixtures,) and with no profile."""
+        out = copy.copy(self)
+        out.scale, out.profile = np.maximum(scale, 1e-300), None
+        return out._view(S @ self.fields)
+
+    @staticmethod
+    def stack(parts, size: int) -> "_Ctx":
+        """The packed context of the packed contexts parts stacked in order,
+        size entries in all; each part is copied into place as it comes, so
+        one part at a time is held."""
+        at = 0
+        for ctx in parts:
+            if not at:
+                out = copy.copy(ctx)
+                out.scale = np.empty(size)
+                fields = np.empty((size, ctx.fields.shape[-1]))
+            fields[at:at + len(ctx.scale)] = ctx.fields
+            out.scale[at:at + len(ctx.scale)] = ctx.scale
+            at += len(ctx.scale)
+        return out._view(fields)
+
+    def _view(self, fields: np.ndarray) -> "_Ctx":
+        self.fields, self.f3, self.w, self.f5, at = fields, {}, {}, {}, 0
+        for (table, key), shape in self.layout.items():
+            size = math.prod(shape)
+            v = fields[..., at:at + size].reshape(fields.shape[:-1] + shape)
+            at += size
+            if table:
+                getattr(self, table)[key] = v
+            else:
+                setattr(self, key, v)
         return self
 
 
@@ -243,8 +296,8 @@ def _eval_cond(cond, ctx: _Ctx):
     if tag == "xiA_eq":
         return _norm(ctx.xi[..., 1:3, :] - ctx.xi[..., 2:, :]).max(axis=-1)
     if tag in ("wOm0", "wAAeq", "wAA0", "wOmdeg0"):
-        if tag in ("wAAeq", "wAA0"):
-            ctx.alternation_check()
+        if tag in ("wAAeq", "wAA0") and ctx.alternation_check:
+            ctx.alternation_check(ctx)
         return wedge_norms(ctx.dstar, ctx.xi, ctx.n)[tag]
     if tag == "true":
         return 0.0 * ctx.scale

@@ -19,6 +19,7 @@ from .exterior import (
     MixedTorsion,
     alternate5,
     contract12,
+    hodge_op,
     inner,
     interior,
     wedge,
@@ -593,37 +594,58 @@ def _row_sweep(s: QuatStructure, rows, pools: list, columns: tuple):
     dimension: member flags the members, and per column of columns (col2,
     col3 or table3) come the direct-route RowResult and its gaps to the
     report's Schur forms at the mixtures' component norms, both read on one
-    context: ctx_from_torsion for col2, ctx_from_derived for col3 and
-    table3.  Each pool's components are split once into (C, d*, dOm)."""
+    context.  Every field is linear in the tensor, so the contexts are made
+    once, on the components of nonzero dimension of every pool, stacked
+    (ctx_from_torsion for col2, ctx_from_derived for col3 and table3), and a
+    row's context is their mix by the 0/1 selection S (mixtures x
+    components), one product.  Its scale and profile are read from the W
+    coordinates of the mixtures and of their components."""
     table, labels = schur_table(s), list(PR.ComponentLabel)
     labs = [X for X in labels if PR.COMPONENT_DIMS[X](s.n)]
-    split = [{X: (T.w_coords(pool[X], s, check=False),
-                  contract12(pool[X]).coeffs, alternate5(pool[X]).coeffs)
-              for X in labs} for pool in pools]
+    own = [labels.index(X) for X in labs]
+    C = np.stack([[T.w_coords(pool[X], s, check=False) for X in labs]
+                  for pool in pools])
+    sizes = np.linalg.norm(C, axis=(-2, -1))                # pools x labs
+
+    def stacked(make):
+        # made pool by pool: a sparse map on a stack of B entries holds B
+        # indices per nonzero, which on all the pools' 5-forms at once would
+        # outweigh the context they make three times over
+        return TF._Ctx.stack((make(k, pool) for k, pool in enumerate(pools)),
+                             sizes.size)
+
+    ctxs = {}
+    if "col2" in columns:
+        ctxs["col2"] = stacked(lambda k, pool: ctx_from_torsion(
+            C[k], np.stack([contract12(pool[X]).coeffs for X in labs]), s,
+            sizes[k]))
+    if {"col3", "table3"} & set(columns):
+        ctxs["col3"] = ctxs["table3"] = stacked(
+            lambda k, pool: ctx_from_derived(np.stack(
+                [alternate5(pool[X]).coeffs for X in labs]), s, sizes[k]))
+    flat = C.reshape(sizes.size, -1)
     for row in rows:
-        # summed in declaration order: a frozenset's follows the str hash
         comps = [X for X in labs if X in row.components]
         outside = [X for X in labs if X not in row.components]
         if not comps:
             continue
-        mixes = [(parts, t, member) for parts in split
-                 for t, member in _mixtures(comps, outside)]
-        C, ds, dOm = (np.stack([sum(parts[X][k] for X in t)
-                                for parts, t, _ in mixes]) for k in range(3))
-        profile = np.array([[np.linalg.norm(parts[X][0]) if X in t else 0.0
-                             for X in labels] for parts, t, _ in mixes])
-        scale = np.linalg.norm(C, axis=(-2, -1))
+        mixtures = _mixtures(comps, outside)
+        sel = np.array([[X in t for X in labs] for t, _ in mixtures], float)
+        # the row's mixtures of each pool in turn
+        S = np.kron(np.eye(len(pools)), sel)
+        profile = np.zeros((len(S), len(labels)))
+        profile[:, own] = (sel * sizes[:, None]).reshape(len(S), -1)
+        scale = np.linalg.norm(S @ flat, axis=-1)
         results = []
         for column in columns:
-            ctx = (ctx_from_torsion(C, ds, s, scale) if column == "col2" else
-                   ctx_from_derived(dOm, s, scale))
+            ctx = ctxs[column].mix(S, scale)
             rr = RowResult.evaluate(
                 row, row.col2 if column == "col2" else row.col3, ctx)
             ctx.profile = profile
             got = table.evaluate(column, row, ctx).residuals
             results.append((rr, np.abs(np.subtract(got, rr.residuals))
                             .max(axis=0) / rr.scale))
-        yield np.array([member for *_, member in mixes]), results
+        yield np.tile([member for _, member in mixtures], len(pools)), results
 
 
 def _member_checks(name: str, sweep: list, detail: str) -> list[CheckResult]:
@@ -711,37 +733,35 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
     out.append(CheckResult("alternation-identities", max(r1, r2, r3), 1e-9,
                            "the three conversion identities"))
 
-    # Hodge factors (outer star read as the inverse star)
-    k1, k2 = s.k1, s.k2
-    worst_estre = worst_astff = worst_estre1 = 0.0
-    for k in range(10):
-        zt = {ax: rng.standard_normal(s.dim) for ax in AXES}
-        z0 = rng.standard_normal(s.dim)
-        lhs = s.star_inv(wedge(s.star(wedge1(z0, s.Omega)), s.Omega)).coeffs
-        worst_estre = max(worst_estre, float(np.linalg.norm(
-            lhs - 12 * k1 * k2 * z0)) / np.linalg.norm(12 * k1 * k2 * z0))
-        three_total = AltForm.zero(s.dim, 3)
-        for bx in AXES:
-            three_total = three_total + wedge1(s.mats[bx] @ zt[bx],
-                                               s.omega[bx])
-        for ax in AXES:
-            acc = AltForm.zero(s.dim, s.dim - 1)
-            acc5 = AltForm.zero(s.dim, s.dim - 5)
-            for bx in AXES:
-                three = wedge1(s.mats[bx] @ zt[bx], s.omega[bx])
-                acc = acc + wedge(s.star(three), s.omega[ax])
-                acc5 = acc5 + s.star(wedge(s.i_axis(bx, three_total),
-                                           s.omega[bx]))
-            lhs1 = s.star_inv(acc).coeffs
-            want = (2 * k1 * (s.mats[ax] @ zt[ax])
-                    + s.mats[ax] @ (zt["I"] + zt["J"] + zt["K"]))
-            worst_estre1 = max(worst_estre1, float(np.linalg.norm(
-                lhs1 - want)) / max(np.linalg.norm(want), 1e-300))
-            lhs2 = s.star_inv(
-                wedge(wedge(acc5, s.omega[ax]), s.omega[ax])).coeffs
-            worst_astff = max(worst_astff, float(np.linalg.norm(
-                lhs2 + 4 * k1 * k2 * zt[ax]))
-                / np.linalg.norm(4 * k1 * k2 * zt[ax]))
+    # Hodge factors (outer star read as the inverse star), on a stack of
+    # 10 samples (z_I, z_J, z_K, z_0), each map one sparse product built once
+    k1, k2, dim, vol = s.k1, s.k2, s.dim, s.vol_coeff
+    star3, star5 = hodge_op(dim, 3, vol), hodge_op(dim, 5, vol)
+    star_inv = hodge_op(dim, 1, vol).T
+    w = {(ax, p): wedge_op(s.omega[ax], p)
+         for ax in AXES for p in (1, 3, dim - 5, dim - 3)}
+    Z = rng.standard_normal((10, 4, dim))
+
+    def worst(got, want):
+        return float((np.linalg.norm(got - want, axis=-1)
+                      / np.linalg.norm(want, axis=-1)).max())
+
+    z0 = Z[:, 3]
+    worst_estre = worst(star_inv(wedge_op(s.Omega, dim - 5)(
+        star5(wedge_op(s.Omega, 1)(z0)))), 12 * k1 * k2 * z0)
+    Az = np.stack([Z[:, k] @ s.mats[ax].T for k, ax in enumerate(AXES)], 1)
+    three = sum(w[ax, 1](Az[:, k]) for k, ax in enumerate(AXES))
+    # sum_B star(i_B(three) ^ w_B), i_B = -D_B
+    D = s.deriv_op(3)(three).reshape(10, 3, -1)
+    acc5 = star5(-sum(w[ax, 3](D[:, k]) for k, ax in enumerate(AXES)))
+    star_three, worst_estre1, worst_astff = star3(three), 0.0, 0.0
+    for k, ax in enumerate(AXES):
+        worst_estre1 = max(worst_estre1, worst(
+            star_inv(w[ax, dim - 3](star_three)),
+            2 * k1 * Az[:, k] + Z[:, :3].sum(axis=1) @ s.mats[ax].T))
+        worst_astff = max(worst_astff, worst(
+            star_inv(w[ax, dim - 3](w[ax, dim - 5](acc5))),
+            -4 * k1 * k2 * Z[:, k]))
     out.append(CheckResult("hodge-factor-single-wedge", worst_estre, 1e-9,
                            f"factor {12 * k1 * k2}"))
     out.append(CheckResult("hodge-factor-insertion-wedge", worst_astff, 1e-9,
@@ -783,9 +803,8 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
 
     # 5-form perpendicularity test against a built orthogonal complement
     phi = _rand_form(rng, s.dim, 5)
-    Mfam = np.stack([wedge(wedge1(e, s.omega[ax]), s.omega[bx]).coeffs
-                     for ax in AXES for bx in AXES for e in np.eye(s.dim)],
-                    axis=1)
+    Mfam = np.concatenate([w[bx, 3](w[ax, 1](np.eye(dim)))
+                           for ax in AXES for bx in AXES]).T
     U, sv, _ = np.linalg.svd(Mfam, full_matrices=False)
     proj = U[:, sv > sv[0] * 1e-10]
     perp = AltForm(s.dim, 5, phi.coeffs - proj @ (proj.T @ phi.coeffs))

@@ -10,8 +10,16 @@ from aqh import torsion as T
 from aqh.classify import RowResult, ctx_from_derived, ctx_from_torsion
 from aqh.exterior import (AltForm, MixedTorsion, _json_coeffs, _json_index,
                           _json_n, alternate5, contract12, tables)
-from aqh.structure import insert
+from aqh.structure import AXES, insert
 from aqh.verify import dstar_on_W
+
+
+def i_axis(s, axis, a):
+    """i_A a = -D_A a (QuatStructure.deriv_op), zero on degree 0."""
+    if a.degree == 0:
+        return a * 0.0
+    D = s.deriv_op(a.degree)(a.coeffs).reshape(3, -1)
+    return AltForm(s.dim, a.degree, -D[AXES.index(axis)])
 
 
 def component_matrices_on_W(s) -> dict:

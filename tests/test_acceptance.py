@@ -43,7 +43,7 @@ from aqh import (
 from aqh.structure import AXES
 from aqh.threeform import r_matrix
 from aqh.liealg import _gray_residual, codiff_Omega, nabla_omega, nijenhuis
-from reference import col2, col3, component_matrices_on_W
+from reference import col2, col3, component_matrices_on_W, i_axis
 
 
 def report(num, passed, desc):
@@ -200,7 +200,7 @@ def test_criterion_08_hodge_factors(s2, s3, rng):
                 acc5 = AltForm.zero(s.dim, s.dim - 5)
                 for bx in AXES:
                     acc5 = acc5 + s.star(
-                        wedge(s.i_axis(bx, three_total), s.omega[bx]))
+                        wedge(i_axis(s, bx, three_total), s.omega[bx]))
                 lhs2 = s.star_inv(wedge(wedge(acc5, s.omega[ax]),
                                         s.omega[ax])).coeffs
                 worst_astff = max(worst_astff, float(np.linalg.norm(
@@ -258,7 +258,7 @@ def test_criterion_09_alternation_identities(s2, s3, rng):
             b = AltForm(s.dim, 3,
                         rng.standard_normal(math.comb(s.dim, 3)))
             # AE b = sum_A i_A(b) ^ w_A, one wedge per axis
-            rhs5c = 2.0 * sum(wedge(s.i_axis(A, b), s.omega[A]).coeffs
+            rhs5c = 2.0 * sum(wedge(i_axis(s, A, b), s.omega[A]).coeffs
                               for A in AXES)
             worst = max(worst, float(np.linalg.norm(
                 alternate5(torsion_embed(b, s)).coeffs - rhs5c))

@@ -28,7 +28,7 @@ from aqh import (
     xi_triple,
 )
 from aqh.structure import AXES
-from reference import col2, col3, derived_ctx, torsion_ctx
+from reference import col2, col3, derived_ctx, i_axis, torsion_ctx
 
 
 L3EH, KH, EH = ComponentLabel.L3EH, ComponentLabel.KH, ComponentLabel.EH
@@ -62,7 +62,7 @@ def full_rows(f, s):
 
 def ae_wedges(s, b):
     """sum_A i_A(b) ^ w_A, one wedge per axis."""
-    return sum(wedge(s.i_axis(A, b), s.omega[A]).coeffs for A in AXES)
+    return sum(wedge(i_axis(s, A, b), s.omega[A]).coeffs for A in AXES)
 
 
 def test_classify_zero_is_qk(s2):

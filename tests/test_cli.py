@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from aqh.cli import main
@@ -256,7 +257,6 @@ def test_classify_tol_below_round_off_is_not_an_input_error(tmp_path,
     # a tensor file's membership in W is held to max(--tol, 1e-12): the
     # round-off residual of an injected KH (about 6e-16) passes at a --tol
     # of 1e-17, and a tensor 1e-6 off W is refused at that and the default
-    import numpy as np
     from aqh.exterior import MixedTorsion, mixed_from_json, mixed_to_json
 
     path = tmp_path / "kh.json"
@@ -352,6 +352,72 @@ def test_classify_rejects_invalid_json(tmp_path, capsys, name, data, where):
     err = capsys.readouterr().err
     assert where in err
     assert "outside [0, 8)" in err or "not a finite number" in err
+
+
+def _odd_value_doc(case):
+    """A document that loads as a valid input when "0" reads as 0, "-1" as
+    -1 and true as 1, and that the CLI accepts once it does: a member of W,
+    an algebra or a structure, with one value in JSON as a string or a
+    boolean; the key that names it."""
+    from aqh import random_W_element, standard_structure
+    from aqh.exterior import mixed_to_json
+
+    s = standard_structure(2)
+    if case in ("coeff-str", "coeff-bool"):
+        doc = mixed_to_json(random_W_element(s, 3))
+        key = next(k for k in ("0,0,1,2,3", "0,0,1,2,4")
+                   if k not in doc["coeffs"])
+        doc["coeffs"][key] = "0" if case == "coeff-str" else False
+        return doc, repr(key)
+    if case in ("bracket-str", "bracket-bool"):
+        return {"n": 2, "brackets": [[0, 1, 7, 1.0], [
+            0, 2, 7, "0" if case == "bracket-str" else False]]}, "brackets[1]"
+    M = {"I": s.I.tolist(), "J": s.J.tolist()}
+    if case == "structure-str":
+        name, (i, j) = "I", np.argwhere(s.I)[0]
+        M["I"][i][j] = str(int(s.I[i, j]))     # "-1"
+    else:
+        name, (i, j) = "J", np.argwhere(s.J > 0)[0]
+        M["J"][i][j] = True
+    return ({"n": 2, "brackets": [], "structure": dict(n=2, **M)},
+            f"'structure.{name}'")
+
+
+@pytest.mark.parametrize("case", ["coeff-str", "coeff-bool", "bracket-str",
+                                  "bracket-bool", "structure-str",
+                                  "structure-bool"])
+def test_json_strings_and_booleans_are_not_numbers(tmp_path, capsys, case):
+    # only JSON int and float are values: "0" and false are refused by name,
+    # exit 2, in tensor coefficients, bracket values and structure matrices
+    # alike (they loaded as numbers, and these documents then classified)
+    data, key = _odd_value_doc(case)
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(data))
+    cmd = "classify" if case.startswith("coeff") else "liealg"
+    assert main([cmd, "--input", str(p)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_two_keys_of_one_tensor_entry_are_refused(tmp_path, capsys):
+    # "0,0,1,2,3" and "00,0,1,2,3" name one coefficient: a member of W with
+    # one of its entries given twice, with the same value, is refused with
+    # both keys named, on the one-pass parse and on the per-key one (" 0");
+    # repeated bracket entries are summed
+    from aqh import algebra_from_json, random_W_element, standard_structure
+    from aqh.exterior import mixed_to_json
+
+    doc = mixed_to_json(random_W_element(standard_structure(2), 3))
+    key, value = next(iter(doc["coeffs"].items()))
+    p = tmp_path / "in.json"
+    for spelling in ("0" + key, " " + key):
+        p.write_text(json.dumps(dict(doc, coeffs={**doc["coeffs"],
+                                                  spelling: value})))
+        assert main(["classify", "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and repr(spelling) in err
+        assert "name the same entry" in err
+    g = algebra_from_json({"n": 2, "brackets": [[0, 1, 7, 1.0]] * 2})
+    assert g.c[0, 1, 7] == 2.0 and g.c[1, 0, 7] == -2.0
 
 
 @pytest.mark.parametrize("cmd, data, key", [

@@ -382,14 +382,14 @@ def _reference_coeffs(data, dim, p, lead):
 @pytest.mark.parametrize("n", [2, 3])
 def test_json_parser_matches_per_key_reference(n):
     # shuffled key order, and keys and values that only the per-key path
-    # reads: blanks, signs, leading zeros, numeric strings and booleans
+    # reads: blanks, signs, leading zeros, and integer and float values
     from aqh import random_W_element, standard_structure
 
     dim = 4 * n
     rng = np.random.default_rng(60 + n)
     docs = [mixed_to_json(random_W_element(standard_structure(n), 61)),
             form_to_json(rand_form(rng, dim, 3))]
-    odd = {"0, 1,2,3,4": "1.5", "+0,2,3,4,5": True, "01,2,3,4,5": "-2"}
+    odd = {"0, 1,2,3,4": 1.5, "+0,2,3,4,5": 1, "01,2,3,4,5": -2}
     for doc in docs:
         lead = 1 if doc["degree"] == 4 else 0
         items = list(doc["coeffs"].items())

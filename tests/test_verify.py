@@ -295,6 +295,78 @@ def test_row_sweep_stacks_match_single_tensors():
                                 row.key, column, i)
 
 
+def test_mixed_contexts_match_direct_ones():
+    # every field of a context mixed from the components' contexts (dstar,
+    # xi, f3, w, f5 and the alternation misses) equals the field of the
+    # context made directly on the mixed tensors, within 1e-13 relative to
+    # the field's largest entry, on 0/1 mixtures within and across pools
+    from aqh import MixedTorsion, alternate5, components, contract12
+    from aqh.torsion import random_W_element, w_coords
+
+    for n in (2, 3):
+        s = standard_structure(n)
+        pools = [components(random_W_element(s, 70 + k), s, check=False)
+                 for k in range(2)]
+        parts = [pool[X] for pool in pools for X in CL
+                 if PR.COMPONENT_DIMS[X](n)]
+        S = np.random.default_rng(n).integers(0, 2, (9, len(parts)))
+        mixes = [sum((a for a, x in zip(parts, row) if x),
+                     MixedTorsion.zero(s.dim)) for row in S]
+
+        def contexts(ts):
+            scale = np.array([t.norm() for t in ts])
+            return (C.ctx_from_torsion(
+                        np.stack([w_coords(t, s, check=False) for t in ts]),
+                        np.stack([contract12(t).coeffs for t in ts]), s,
+                        scale),
+                    C.ctx_from_derived(
+                        np.stack([alternate5(t).coeffs for t in ts]), s,
+                        scale))
+
+        scale = np.array([m.norm() for m in mixes])
+        mixed = [ctx.mix(S.astype(float), scale) for ctx in contexts(parts)]
+        direct = contexts(mixes)
+        for got, want in zip(mixed, direct):
+            assert (got.miss is None) == (want.miss is None)
+            fields = {"dstar": (got.dstar, want.dstar),
+                      "xi": (got.xi, want.xi)}
+            if want.miss is not None:
+                fields["miss"] = (got.miss, want.miss)
+            for tag in ("f3", "w", "f5"):
+                assert set(getattr(got, tag)) == set(getattr(want, tag)), tag
+                fields.update({f"{tag}.{k}": (getattr(got, tag)[k], v)
+                               for k, v in getattr(want, tag).items()})
+            for key, (x, y) in fields.items():
+                # the misses are round-off on alternations of W: they are
+                # read against the 5-forms, as the guard reads them
+                ref = want.f5["dOm"] if key == "miss" else y
+                assert x.shape == y.shape, key
+                gap = np.abs(x - y).max() / np.abs(ref).max()
+                assert gap <= 1e-13, (n, key, gap)
+
+
+def test_row_sweep_guards_the_alternation():
+    # Table-2 row L3EH + KH + L3ES3H + KS3H reads wAA0 in column 3, which
+    # holds only on alternations of W: a sweep whose pool has one tensor off
+    # W, so that its 5-form is off the alternation image, is refused on the
+    # mixed contexts; the same sweep without it passes
+    from aqh import MixedTorsion, components
+    from aqh.torsion import random_W_element
+
+    s = standard_structure(3)
+    row = C.table2_rows(s).by_id[frozenset({CL.L3EH, CL.KH, CL.L3ES3H,
+                                            CL.KS3H})]
+    pools = [components(random_W_element(s, 90 + k), s, check=False)
+             for k in range(2)]
+    [(member, [(rr, _)])] = V._row_sweep(s, [row], pools, ("col3",))
+    assert rr.value[member].max() <= 1e-8
+    rows = np.random.default_rng(4).standard_normal((s.dim, s.tab.nforms(4)))
+    off = dict(pools[1])
+    off[CL.KH] = off[CL.KH] + MixedTorsion(s.dim, 1e-3 * rows)
+    with pytest.raises(ValueError, match="not the alternation"):
+        list(V._row_sweep(s, [row], [pools[0], off], ("col3",)))
+
+
 def test_round_trip_reads_the_report(monkeypatch):
     # a report that names the class QK for every tensor: each of the 15
     # subsets at n = 2 comes back wrong
