@@ -69,7 +69,7 @@ from .liealg import (
     koszul,
     nabla_Omega,
     nabla_form,
-    nabla_omega,
+    nabla_omegas,
     nijenhuis,
     two_step_nilpotent,
 )

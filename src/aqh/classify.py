@@ -540,16 +540,17 @@ def classification_report(a: MixedTorsion, s: QuatStructure,
     """The class of a at label threshold tol; a must lie within
     max(tol, MEMBERSHIP_FLOOR) of W (MembershipError otherwise)."""
     check_tol(tol)
-    return _report(a, s, tol, w_coords(a, s, max(tol, MEMBERSHIP_FLOOR)))
+    C = w_coords(a, s, max(tol, MEMBERSHIP_FLOOR))
+    return _report(a, s, tol, C, contract12(a))
 
 
 def _report(a: MixedTorsion, s: QuatStructure, tol: float,
-            C: np.ndarray) -> dict:
-    # C = aQ after the one membership test; C and d* a are computed once,
-    # for the profile and for the context, which holds d* a, its one-forms
-    # and the profile and no field.  The rows are then Schur forms of the
-    # profile, and |dOm| is |alpha p|: no 5-form is formed.
-    ds, size = contract12(a).coeffs, a.norm()
+            C: np.ndarray, ds: AltForm) -> dict:
+    # C = aQ after the one membership test and ds = d* a; both are computed
+    # once, by the caller, for the profile and for the context, which holds
+    # d* a, its one-forms and the profile and no field.  The rows are then
+    # Schur forms of the profile, and |dOm| is |alpha p|: no 5-form is formed.
+    ds, size = ds.coeffs, a.norm()
     label, prof = _label(ComponentProfile(component_norms(C, ds, s), size),
                          tol, s.n)
     out = {

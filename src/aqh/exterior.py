@@ -442,11 +442,6 @@ class MixedTwoFormFamily:
         # rows are antisymmetric matrices; the form norm counts each pair once
         return float(np.linalg.norm(self.coeff_rows()))
 
-    def __mul__(self, scalar: float):
-        return MixedTwoFormFamily(self.dim, self.mats * float(scalar))
-
-    __rmul__ = __mul__
-
 
 def contract12(a: MixedTorsion) -> AltForm:
     """First-slot metric contraction with a minus sign:
@@ -578,6 +573,17 @@ def mixed_from_json(data: dict) -> MixedTorsion:
     return out
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The dict of one JSON object, whose keys must differ: json keeps the
+    last value of a key written twice."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise InputFormatError(f"key {key!r} is written twice in one object")
+    return out
+
+
 def load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)

@@ -30,7 +30,6 @@ from .exterior import (
     AltForm,
     InputFormatError,
     MixedTorsion,
-    MixedTwoFormFamily,
     SparseOp,
     _json_index,
     _json_n,
@@ -45,7 +44,7 @@ from .structure import (
     standard_structure,
     structure_from_json,
 )
-from .torsion import _w_project, check_tol, from_nabla_omegas
+from .torsion import MembershipError, _w_project, check_tol, from_nabla_omegas
 from .classify import _report
 
 
@@ -58,7 +57,7 @@ class VerificationError(Exception):
     the computation, not of the input."""
 
 
-# largest Jacobi residual a bracket table may have
+# largest Jacobi residual a bracket table may have, relative to max|c|^2
 JACOBI_TOL = 1e-12
 
 
@@ -67,8 +66,8 @@ class MetricLieAlgebra:
     """Structure constants c[i,j,k] with [e_i, e_j] = sum_k c[i,j,k] e_k in an
     orthonormal basis, plus a quaternionic structure on the same space.
 
-    The constructor antisymmetrises the bracket table but a Jacobi failure is
-    an error, never repaired."""
+    The constructor antisymmetrises the bracket table but a Jacobi failure,
+    a residual above JACOBI_TOL max|c|^2, is an error, never repaired."""
 
     structure: QuatStructure
     c: np.ndarray = field(repr=False)
@@ -85,7 +84,8 @@ class MetricLieAlgebra:
              @ self.c.reshape(dim, dim * dim)).reshape((dim,) * 4)
         jac = P + P.transpose(2, 0, 1, 3) + P.transpose(1, 2, 0, 3)
         resid = float(np.abs(jac).max())
-        if not resid <= JACOBI_TOL:
+        m = float(np.abs(self.c).max()) or 1.0
+        if not resid / m / m <= JACOBI_TOL:
             raise AlgebraError(f"Jacobi identity fails ({resid:.2e})")
 
     @property
@@ -101,11 +101,11 @@ def koszul(g: MetricLieAlgebra) -> np.ndarray:
     c = g.c
     G = 0.5 * (c - np.einsum("jki->ijk", c) + np.einsum("kij->ijk", c))
     # metric compatibility and torsion-freeness are structural here, but a
-    # cheap check guards against index slips
-    if not float(np.abs(G + G.transpose(0, 2, 1)).max()) <= 1e-12:
+    # cheap check, relative to max|c|, guards against index slips
+    tol = 1e-12 * float(np.abs(c).max())
+    if not float(np.abs(G + G.transpose(0, 2, 1)).max()) <= tol:
         raise AlgebraError("connection is not metric")
-    if not float(np.abs(G - G.transpose(1, 0, 2)
-                        - c.transpose(0, 1, 2)).max()) <= 1e-12:
+    if not float(np.abs(G - G.transpose(1, 0, 2) - c).max()) <= tol:
         raise AlgebraError("connection has torsion")
     return G
 
@@ -119,11 +119,13 @@ def nabla_form(g: MetricLieAlgebra, G: np.ndarray, w: AltForm) -> np.ndarray:
     return -(G.transpose(0, 2, 1).reshape(g.dim, -1) @ Y)
 
 
-def nabla_omega(g: MetricLieAlgebra, G: np.ndarray,
-                axis: str) -> MixedTwoFormFamily:
-    """nabla w_A as a mixed two-form family."""
-    A = g.structure.mats[axis]
-    return MixedTwoFormFamily(g.dim, -(G @ A + A @ G.transpose(0, 2, 1)))
+def nabla_omegas(g: MetricLieAlgebra, G: np.ndarray) -> np.ndarray:
+    """nabla w_I, nabla w_J, nabla w_K as one (3, dim, dim, dim) stack, row x
+    of axis A the 2-form nabla_{e_x} w_A = -(G[x] A + A G[x]^T): with
+    A^T = -A that is M^T - M for M = G[x] A, one product over the stack."""
+    dim = g.dim
+    M = (G.reshape(dim * dim, dim) @ g.structure.IJK).reshape(3, dim, dim, dim)
+    return M.transpose(0, 1, 3, 2) - M
 
 
 def nabla_Omega(g: MetricLieAlgebra, G: np.ndarray) -> MixedTorsion:
@@ -169,24 +171,29 @@ def ce_d(g: MetricLieAlgebra, b: AltForm) -> AltForm:
 
 def d_omegas(g: MetricLieAlgebra) -> np.ndarray:
     """Dense d w_I, d w_J, d w_K (3, dim, dim, dim): ce_d of the three
-    Kaehler forms side by side, one product of their ``_d_map``."""
+    Kaehler forms side by side, one product of their ``_d_map``, scattered
+    to every permutation image at once."""
     s = g.structure
-    d = _d_map(s, s.omegas)(g.c.ravel()).reshape(3, -1)
-    return np.stack([AltForm(s.dim, 3, x).dense() for x in d])
+    d = _d_map(s, s.omegas)(g.c.ravel()).reshape(3, 1, -1)
+    flat, sign = s.tab.dense_table(3)
+    out = np.zeros((3, s.dim ** 3))
+    out[:, flat] = sign[:, None] * d
+    return out.reshape((3,) + (s.dim,) * 3)
 
 
-def nijenhuis(g: MetricLieAlgebra, axis: str) -> np.ndarray:
-    """N_A(x, y, z) = <e_x, N_A(e_y, e_z)> with
-    N_A(Y, Z) = [Y,Z] + A[AY,Z] + A[Y,AZ] - [AY,AZ].
+def nijenhuis(g: MetricLieAlgebra) -> np.ndarray:
+    """N_I, N_J, N_K as one (3, dim, dim, dim) stack, N_A(x, y, z) =
+    <e_x, N_A(e_y, e_z)> with N_A(Y, Z) = [Y,Z] + A[AY,Z] + A[Y,AZ] - [AY,AZ].
 
-    Built in (y, z, x) order from P[y, z] = [A e_y, e_z] = tensordot(A, c):
-    A[AY,Z] is P A^T, A[Y,AZ] is its (y, z) transpose negated, and
-    [AY,AZ] is A^T P: one tensordot and two batched products."""
-    A = g.structure.mats[axis]
-    P = np.tensordot(A, g.c, (0, 0))
-    Q = P @ A.T
-    N = g.c + Q - Q.transpose(1, 0, 2) - A.T @ P
-    return N.transpose(2, 0, 1)
+    Built in (A, y, z, x) order from P[A, y, z] = [A e_y, e_z], the rows of
+    the stacked A^T times c: A[AY,Z] is P A^T, A[Y,AZ] is its (y, z)
+    transpose negated, and [AY,AZ] is A^T P: three batched products."""
+    c, dim = g.c, g.dim
+    At = g.structure.IJK.transpose(0, 2, 1)
+    P = (At.reshape(-1, dim) @ c.reshape(dim, -1)).reshape(3, dim, dim, dim)
+    Q = P @ At[:, None]
+    N = c + Q - Q.transpose(0, 2, 1, 3) - At[:, None] @ P
+    return N.transpose(0, 3, 1, 2)
 
 
 def _gray_residual(A: np.ndarray, dw: np.ndarray, NA: np.ndarray,
@@ -216,14 +223,13 @@ def codiff_Omega(g: MetricLieAlgebra, tol: float = 1e-9) -> dict:
     if math.isnan(tol):
         raise ValueError("tol must be a number, got nan")
     s, G = g.structure, koszul(g)
-    mats = np.stack([s.mats[a] for a in AXES])
+    mats = s.IJK
     dw = d_omegas(g)
     # w[A, y] = <e_y hook dw_A, w_A>; u = <A . hook dw_A, w_A> = -A w
     w = 0.5 * np.einsum("ayrs,ars->ay", dw, mats)
     u = -(mats @ w[..., None])[..., 0]
     # d* w_A = -(sum_r (nabla_{e_r} w_A)(e_r, .))
-    dstar_w = -np.einsum("arrz->az", np.stack(
-        [nabla_omega(g, G, a).mats for a in AXES]))
+    dstar_w = -np.einsum("arrz->az", nabla_omegas(g, G))
     # sum_A x_A ^ w_A for x = u, d* w_A: the stacked wedge of ae_factors(1)
     wu, wd = s.ae_factors(1)[0](np.stack([u.ravel(), dstar_w.ravel()]))
     # 2 sum_A dw_A(A., A., A.): A^T dw_A[x] A, then one product over (A, x)
@@ -231,7 +237,7 @@ def codiff_Omega(g: MetricLieAlgebra, tol: float = 1e-9) -> dict:
     act = 2.0 * AltForm.from_dense(
         np.tensordot(mats, AdA, ((0, 1), (0, 1)))).coeffs
     variants, pair = _codiff_routes(
-        g, nabla_Omega(g, G), tol,
+        g, contract12(nabla_Omega(g, G)), tol,
         structural=AltForm(s.dim, 3, act - 2.0 * wu),
         # same expression through the two-form codifferentials
         two_form_codiff=AltForm(s.dim, 3, 2.0 * wd + act))
@@ -244,13 +250,13 @@ def codiff_Omega(g: MetricLieAlgebra, tol: float = 1e-9) -> dict:
             "report": report}
 
 
-def _codiff_routes(g: MetricLieAlgebra, nOm: MixedTorsion, tol: float,
+def _codiff_routes(g: MetricLieAlgebra, ds: AltForm, tol: float,
                    **more: AltForm) -> tuple[dict, dict]:
-    """The routes to d*Omega, -C12(nabla Omega), -star d star Omega and more,
-    and |x - y| / |contraction| for each pair x, y of them;
-    VerificationError when one exceeds tol."""
+    """The routes to d*Omega, the contraction ds = -C12(nabla Omega),
+    -star d star Omega and more, and |x - y| / |contraction| for each pair
+    x, y of them; VerificationError when one exceeds tol."""
     s = g.structure
-    variants = {"contraction": contract12(nOm),
+    variants = {"contraction": ds,
                 "hodge": -1.0 * s.star(ce_d(g, s.star_Omega)), **more}
     scale = max(variants["contraction"].norm(), 1e-300)
     pair = {f"{x}|{y}": float(np.linalg.norm(
@@ -273,10 +279,11 @@ PIPELINE_TOL = 1e-8
 def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
     """End-to-end pipeline: connection, torsion, class, table residuals and
     the structural cross-identities, sharing nabla Omega, its W projection,
-    d w_A, nabla w_A and N_A.  nabla Omega lies in W by construction, so a
-    membership residual above PIPELINE_TOL, whatever tol, and a d*Omega =
-    -C12(nabla Omega) that differs from -star d star Omega by more than 1e-9
-    raise VerificationError.  A bad tol raises ValueError."""
+    d*Omega and the stacks of d w_A, nabla w_A and N_A.  nabla Omega lies in
+    W by construction, so a membership residual above PIPELINE_TOL, whatever
+    tol, nabla w_A that fail admissibility, and a d*Omega = -C12(nabla Omega)
+    that differs from -star d star Omega by more than 1e-9 raise
+    VerificationError.  A bad tol raises ValueError."""
     check_tol(tol)
     s = g.structure
     G = koszul(g)
@@ -286,23 +293,27 @@ def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
         raise VerificationError(f"nabla Omega is not in the torsion space "
                                 f"(residual {resid:.2e})")
     checks = {"torsion_membership": resid}
-    dw = d_omegas(g)
-    nw = {a: nabla_omega(g, G, a) for a in AXES}
-    NA = np.stack([nijenhuis(g, a) for a in AXES])
-    assembled = from_nabla_omegas(2.0 * nw["I"], 2.0 * nw["J"],
-                                  2.0 * nw["K"], s)
+    nw, NA = nabla_omegas(g, G), nijenhuis(g)
+    try:
+        assembled = from_nabla_omegas(2.0 * nw, s)
+    except MembershipError as exc:
+        raise VerificationError(f"2 nabla w_A: {exc}") from None
     scale = max(nOm.norm(), 1e-300)
     checks["product_rule"] = float(
         np.linalg.norm(assembled.rows - nOm.rows)) / scale
     checks["alternation_vs_differential"] = float(np.linalg.norm(
         alternate5(nOm).coeffs - ce_d(g, s.Omega).coeffs)) / scale
+    # each term of Gray's identity and of N_A is linear in the bracket
+    # table, through orthogonal A: |c| is their scale, also where they vanish
+    cscale = max(float(np.abs(g.c).max()), 1e-300)
     checks["gray_identity"] = _gray_residual(
-        np.stack([s.mats[a] for a in AXES]), dw, NA,
-        np.stack([nw[a].mats for a in AXES]))
-    checks["nijenhuis_trace"] = float(np.abs(np.einsum("aiix->ax", NA)).max())
+        s.IJK, d_omegas(g), NA, nw) / cscale
+    checks["nijenhuis_trace"] = float(
+        np.abs(np.einsum("aiix->ax", NA)).max()) / cscale
+    ds = contract12(nOm)
     checks["codifferential_pairwise"], = _codiff_routes(
-        g, nOm, 1e-9)[1].values()
-    report = _report(nOm, s, tol, C)
+        g, ds, 1e-9)[1].values()
+    report = _report(nOm, s, tol, C, ds)
     report["checks"] = checks
     report["abelian"] = g.is_abelian()
     return report

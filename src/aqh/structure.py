@@ -20,7 +20,7 @@ structure forms Omega^n; verify certifies the two readings agree.  Slot
 derivations are kept as the nonzeros of ``der_table``; the structure instance
 caches its operators, and through ``form_cache`` the maps of its own forms
 Omega, (w_I, w_J, w_K) and star Omega, and is otherwise immutable: it holds
-its own read-only copies of I, J, K and of the coefficients of those forms.
+its own read-only stack IJK of I, J, K and the coefficients of those forms.
 standard_structure returns one shared instance per n, so its caches live for
 the process.
 """
@@ -104,8 +104,10 @@ class QuatStructure:
             if not err <= 1e-12:
                 raise StructureError(
                     f"not a quaternionic structure: {name} fails ({err:.2e})")
-        self.I, self.J, self.K = I, J, K
-        self.mats = {"I": I, "J": J, "K": K}
+        self.IJK = np.array([I, J, K])
+        self.IJK.flags.writeable = False
+        self.I, self.J, self.K = self.IJK
+        self.mats = dict(zip(AXES, self.IJK))
         # Kaehler forms: w_A(e_i, e_j) = <e_i, A e_j> = A[i, j]
         self.omega = {a: AltForm.from_dense(m) for a, m in self.mats.items()}
         self.omegas = tuple(self.omega[a] for a in AXES)
@@ -113,8 +115,7 @@ class QuatStructure:
             (wedge(self.omega[a], self.omega[a]) for a in AXES),
             AltForm.zero(self.dim, 4),
         )
-        for x in (I, J, K, *(w.coeffs for w in self.omega.values()),
-                  self.Omega.coeffs):
+        for x in (*(w.coeffs for w in self.omega.values()), self.Omega.coeffs):
             x.flags.writeable = False
         self._cache: dict = {}
 

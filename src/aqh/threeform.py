@@ -78,7 +78,7 @@ def xi_maps(s: QuatStructure) -> np.ndarray:
     in the module docstring."""
 
     def build():
-        AV = np.stack([s.mats[a] for a in AXES]) @ _trace_matrices(s)
+        AV = s.IJK @ _trace_matrices(s)
         xi = AV.sum(axis=0) / (6 * s.k2)
         return np.concatenate([xi[None], (1.0 / (4 * s.k1)) * AV
                                - (3.0 / (2 * s.k1)) * xi])

@@ -42,8 +42,7 @@ def w_dim(n: int) -> int:
 
 def _traces(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
     """The traces <c, w_A> (..., 3) of a stack (..., dim, dim) of 2-forms."""
-    return 0.5 * np.einsum("...ij,aij->...a", mats,
-                           np.stack([s.mats[a] for a in AXES]))
+    return 0.5 * np.einsum("...ij,aij->...a", mats, s.IJK)
 
 
 def _conj_sum(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
@@ -150,67 +149,63 @@ def w_embed(C: np.ndarray, s: QuatStructure) -> MixedTorsion:
     return MixedTorsion(s.dim, C @ fiber_basis_matrix(s).T)
 
 
-def extract_cA(a: MixedTorsion,
-               s: QuatStructure) -> dict[str, MixedTwoFormFamily]:
-    """The unique triple with a = sum_A c_A ^ w_A, for a within 1e-8 of W
-    (require_in_W).  Row by row c_A is the adjoint of ^ w_A applied to a,
-    divided by 2n: the transpose of ``reassemble`` up to that factor."""
+def extract_cA(a: MixedTorsion, s: QuatStructure) -> np.ndarray:
+    """The unique triple with a = sum_A c_A ^ w_A, as a (3, dim, dim, dim)
+    stack, for a within 1e-8 of W (require_in_W).  Row by row c_A is the
+    adjoint of ^ w_A applied to a, divided by 2n: the transpose of
+    ``reassemble`` up to that factor."""
     require_in_W(a, s)
     rows = s.ae_factors(2)[0].T(a.rows).reshape(s.dim, 3, -1) / (2 * s.n)
-    return {name: MixedTwoFormFamily(a.dim, _two_form_mats(rows[:, k], s))
-            for k, name in enumerate(AXES)}
+    return _two_form_mats(rows.transpose(1, 0, 2), s)
 
 
-def _admissibility(fams: dict[str, MixedTwoFormFamily],
-                   s: QuatStructure) -> tuple[dict[str, float], float]:
+def _admissibility(c: np.ndarray,
+                   s: QuatStructure) -> tuple[np.ndarray, float]:
     """Norms of i) c_A(x; A., A.) + c_A, per axis, and of ii) the cyclic
-    mixed-insertion sum I_(2)J_(3)c_K + J_(2)K_(3)c_I + K_(2)I_(3)c_J."""
-    res_i = {}
-    for name in AXES:
-        A = s.mats[name]
-        res_i[name] = float(np.linalg.norm(
-            A.T @ fams[name].mats @ A + fams[name].mats))
-    I, J, K = s.I, s.J, s.K
-    mix = (I.T @ fams["K"].mats @ J + J.T @ fams["I"].mats @ K
-           + K.T @ fams["J"].mats @ I)
+    mixed-insertion sum I_(2)J_(3)c_K + J_(2)K_(3)c_I + K_(2)I_(3)c_J, on a
+    stack c (3, dim, dim, dim)."""
+    A = s.IJK[:, None]
+    At = A.transpose(0, 1, 3, 2)
+    res_i = np.linalg.norm((At @ c @ A + c).reshape(3, -1), axis=1)
+    # A_(2)B_(3)c_C over the cyclic moves (A, B, C) = (I, J, K), (J, K, I), ..
+    mix = (At @ c[[2, 0, 1]] @ A[[1, 2, 0]]).sum(axis=0)
     return res_i, float(np.linalg.norm(mix))
 
 
-def family_conditions(cA: dict[str, MixedTwoFormFamily],
-                      s: QuatStructure) -> dict[str, float]:
-    """Residuals of the three conditions satisfied by the c_A triple:
+def family_conditions(cA: np.ndarray, s: QuatStructure) -> dict[str, float]:
+    """Residuals of the three conditions satisfied by the c_A stack:
     i) c_A(x; A., A.) = -c_A, ii) the cyclic mixed-insertion sum vanishes,
     iii) all w_B traces vanish."""
     res_i, res_ii = _admissibility(cA, s)
-    res_iii = np.linalg.norm([_traces(cA[a].mats, s) for a in AXES])
-    return {"i": math.sqrt(sum(v ** 2 for v in res_i.values())),
-            "ii": res_ii, "iii": float(res_iii)}
+    return {"i": float(np.linalg.norm(res_i)), "ii": res_ii,
+            "iii": float(np.linalg.norm(_traces(cA, s)))}
 
 
-def reassemble(cA: dict[str, MixedTwoFormFamily], s: QuatStructure) -> MixedTorsion:
-    """sum_A c_A ^ w_A, the wedge acting on the form slots only: the W of
-    ``ae_factors(2)`` on the coefficient rows of the c_A side by side."""
-    rows = np.concatenate([cA[a].coeff_rows() for a in AXES], axis=-1)
+def reassemble(cA: np.ndarray, s: QuatStructure) -> MixedTorsion:
+    """sum_A c_A ^ w_A for a stack cA (3, dim, dim, dim), the wedge acting on
+    the form slots only: the W of ``ae_factors(2)`` on the coefficient rows
+    of the c_A side by side."""
+    i, j = s.tab.columns(2)
+    rows = cA[..., i, j].transpose(1, 0, 2).reshape(s.dim, -1)
     return MixedTorsion(s.dim, s.ae_factors(2)[0](rows))
 
 
-def from_nabla_omegas(dI: MixedTwoFormFamily, dJ: MixedTwoFormFamily,
-                      dK: MixedTwoFormFamily,
-                      s: QuatStructure) -> MixedTorsion:
-    """Assemble sum_A d_A ^ w_A from d_A = 2 nabla w_A, after validating the
-    two admissibility conditions i)', ii)' the d_A must satisfy, to 1e-6
-    relative."""
-    dA = {"I": dI, "J": dJ, "K": dK}
-    scale = max(max(d.norm() for d in dA.values()), 1e-300)
-    res_i, res_ii = _admissibility(dA, s)
-    res_i = {k: v / scale for k, v in res_i.items()}
+def from_nabla_omegas(d: np.ndarray, s: QuatStructure) -> MixedTorsion:
+    """Assemble sum_A d_A ^ w_A from the stack d (3, dim, dim, dim) of
+    d_A = 2 nabla w_A, after validating the two admissibility conditions
+    i)', ii)' the d_A must satisfy, to 1e-6 relative."""
+    # the 2-form norm counts each pair of an antisymmetric row once
+    scale = max(float(np.linalg.norm(d.reshape(3, -1), axis=1).max())
+                / math.sqrt(2.0), 1e-300)
+    res_i, res_ii = _admissibility(d, s)
+    res_i = res_i / scale
     res_ii /= scale
-    if max(max(res_i.values()), res_ii) > 1e-6:
+    if not max(res_i.max(), res_ii) <= 1e-6:
         raise MembershipError(
             "input two-form families are not admissible: "
-            + ", ".join(f"i)'[{k}]={v:.2e}" for k, v in res_i.items())
+            + ", ".join(f"i)'[{k}]={v:.2e}" for k, v in zip(AXES, res_i))
             + f", ii)'={res_ii:.2e}")
-    return reassemble(dA, s)
+    return reassemble(d, s)
 
 
 def _fiber_maps(s: QuatStructure) -> tuple[np.ndarray, np.ndarray]:

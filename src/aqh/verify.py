@@ -290,8 +290,8 @@ def check_torsion_space(s: QuatStructure, rng) -> list[CheckResult]:
     cA2 = T.extract_cA(a, s2)
     re2 = T.reassemble(cA2, s2)
     resid = float(np.linalg.norm(re2.rows - a.rows)) / max(a.norm(), 1e-300)
-    changed = max(float(np.linalg.norm(cA2[ax].mats - cA[ax].mats))
-                  for ax in AXES) / max(a.norm(), 1e-300)
+    changed = float(np.linalg.norm((cA2 - cA).reshape(3, -1), axis=1).max()
+                    ) / max(a.norm(), 1e-300)
     out.append(CheckResult("triple-extraction-covariance", resid, 1e-9,
                            f"reassembly basis-independent "
                            f"(triples move by {changed:.2f})"))

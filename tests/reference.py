@@ -1,6 +1,7 @@
 """Reference forms that only the tests use: dense matrices, dense tensors,
-compound matrices and the JSON form of a single alternating form, and the
-rows of Tables 2 and 3 read directly on a context, as verify reads them.
+compound matrices, the per-axis nabla w_A and N_A, and the JSON form of a
+single alternating form, and the rows of Tables 2 and 3 read directly on a
+context, as verify reads them.
 The tests compare the library's routes against these."""
 
 import numpy as np
@@ -55,6 +56,24 @@ def nabla_dense(g, G: np.ndarray, t: np.ndarray) -> np.ndarray:
     # G[x].T is the matrix of nabla_{e_x}: e_j -> sum_k G[x,j,k] e_k, and
     # its slot sum carries the minus sign of insert
     return np.stack([slot_sum(G[x].T, t) for x in range(g.dim)])
+
+
+def nabla_omega(g, G: np.ndarray, axis: str) -> np.ndarray:
+    """nabla w_A of one axis, (dim, dim, dim): row x is the 2-form
+    nabla_{e_x} w_A = -(G[x] A + A G[x]^T)."""
+    A = g.structure.mats[axis]
+    return -(G @ A + A @ G.transpose(0, 2, 1))
+
+
+def nijenhuis(g, axis: str) -> np.ndarray:
+    """N_A(x, y, z) = <e_x, N_A(e_y, e_z)> of one axis, with
+    N_A(Y, Z) = [Y,Z] + A[AY,Z] + A[Y,AZ] - [AY,AZ], from
+    P[y, z] = [A e_y, e_z] = tensordot(A, c) in (y, z, x) order."""
+    A = g.structure.mats[axis]
+    P = np.tensordot(A, g.c, (0, 0))
+    Q = P @ A.T
+    N = g.c + Q - Q.transpose(1, 0, 2) - A.T @ P
+    return N.transpose(2, 0, 1)
 
 
 def volume_form(s) -> AltForm:

@@ -420,6 +420,24 @@ def test_two_keys_of_one_tensor_entry_are_refused(tmp_path, capsys):
     assert g.c[0, 1, 7] == 2.0 and g.c[1, 0, 7] == -2.0
 
 
+@pytest.mark.parametrize("cmd, text, key", [
+    ("classify", '{"n": 2, "coeffs": {"0,0,1,2,3": 1.0, "0,0,1,2,3": 0.0}}',
+     "'0,0,1,2,3'"),
+    ("classify", '{"n": 2, "n": 3, "coeffs": {}}', "'n'"),
+    ("liealg", '{"n": 2, "brackets": [[0, 1, 7, 1.0]], "brackets": []}',
+     "'brackets'"),
+    ("liealg", '{"n": 2, "brackets": [], "structure": {"n": 2, "n": 2}}',
+     "'n'"),
+])
+def test_a_key_written_twice_is_refused(tmp_path, capsys, cmd, text, key):
+    # json keeps the last value of a repeated key, so the first file would
+    # classify as the zero tensor: the loader refuses it, naming the key
+    p = tmp_path / "in.json"
+    p.write_text(text)
+    assert main([cmd, "--input", str(p)]) == 2
+    assert f"key {key} is written twice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cmd, data, key", [
     ("classify", {"n": 2, "coeffs": [1]}, "'coeffs'"),
     ("classify", {"n": 2, "coeffs": None}, "'coeffs'"),

@@ -29,8 +29,10 @@ from aqh import (
 )
 from aqh.structure import AXES, insert
 from aqh.exterior import tables, wedge1
-from aqh.liealg import PIPELINE_CHECKS, _gray_residual, nabla_omega
+from aqh.liealg import PIPELINE_CHECKS, _gray_residual, d_omegas, nabla_omegas
 from reference import compound, nabla_dense
+from reference import nabla_omega as nabla_omega_ref
+from reference import nijenhuis as nijenhuis_ref
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                         "liealg")
@@ -171,8 +173,8 @@ def test_nabla_form_matches_dense(rng):
         for x in range(8):
             np.testing.assert_allclose(
                 rows[x], AltForm.from_dense(dense[x]).coeffs, atol=1e-12)
-    for ax in AXES:
-        np.testing.assert_allclose(nabla_omega(g, G, ax).mats,
+    for k, ax in enumerate(AXES):
+        np.testing.assert_allclose(nabla_omegas(g, G)[k],
                                    nabla_dense(g, G, s.mats[ax]), atol=1e-12)
 
 
@@ -215,10 +217,9 @@ def test_alternation_equals_differential():
 
 def test_nijenhuis():
     g0 = _abelian()
-    assert np.abs(nijenhuis(g0, "I")).max() == 0.0
+    assert np.abs(nijenhuis(g0)).max() == 0.0
     g = two_step_nilpotent(2, 8)
-    for ax in AXES:
-        N = nijenhuis(g, ax)
+    for N in nijenhuis(g):
         # antisymmetric in the last two slots, trace-free in the first two
         assert np.abs(N + N.transpose(0, 2, 1)).max() < 1e-12
         assert np.abs(np.einsum("iix->x", N)).max() < 1e-12
@@ -250,19 +251,37 @@ def test_nijenhuis_matches_bracket_definition(s3):
                 MetricLieAlgebra(rot, two_step_nilpotent(3, 26).c)]
     for g in algebras:
         atol = 1e-12 * np.abs(g.c).max()
-        for ax in AXES:
+        for ax, N in zip(AXES, nijenhuis(g)):
             want = _nijenhuis_from_brackets(g, g.structure.mats[ax])
-            np.testing.assert_allclose(nijenhuis(g, ax), want, rtol=0,
-                                       atol=atol, err_msg=ax)
+            np.testing.assert_allclose(N, want, rtol=0, atol=atol, err_msg=ax)
     # a generic almost-abelian algebra is not integrable: N_A is not zero
     g = algebras[0]
-    assert min(np.abs(nijenhuis(g, ax)).max() for ax in AXES) > 1e-2
+    assert np.abs(nijenhuis(g)).max(axis=(1, 2, 3)).min() > 1e-2
+
+
+def test_stacked_axes_match_the_per_axis_forms(frame3):
+    # nabla w_A and N_A of the three axes in one product each against the
+    # per-axis formulas, at n = 2 and 3 and in an O(12)-conjugated frame
+    g3, s = frame3
+    moved = [MetricLieAlgebra(s, np.einsum("ia,jb,kc,abc->ijk", g3, g3, g3,
+                                           alg.c))
+             for alg in (two_step_nilpotent(3, 61), _almost_abelian(3, 62))]
+    for g in [two_step_nilpotent(2, 63), _almost_abelian(2, 64),
+              two_step_nilpotent(3, 65), _almost_abelian(3, 66), *moved]:
+        G = koszul(g)
+        nw, NA = nabla_omegas(g, G), nijenhuis(g)
+        assert nw.shape == NA.shape == (3,) + (g.dim,) * 3
+        for k, ax in enumerate(AXES):
+            want = nabla_omega_ref(g, G, ax)
+            assert np.abs(nw[k] - want).max() <= 1e-13 * np.abs(want).max()
+            want = nijenhuis_ref(g, ax)
+            assert np.abs(NA[k] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_classify_algebra_computes_each_axis_once(monkeypatch):
     from aqh import liealg
 
-    calls = {"nijenhuis": 0, "nabla_omega": 0}
+    calls = {"nijenhuis": 0, "nabla_omegas": 0}
     for name in calls:
         def counted(*args, _f=getattr(liealg, name), _name=name):
             calls[_name] += 1
@@ -270,8 +289,9 @@ def test_classify_algebra_computes_each_axis_once(monkeypatch):
 
         monkeypatch.setattr(liealg, name, counted)
     rep = classify_algebra(two_step_nilpotent(2, 9))
-    # N_A and nabla w_A once per axis, shared by every check that reads them
-    assert calls == {"nijenhuis": 3, "nabla_omega": 3}
+    # the stacks of N_A and nabla w_A once, shared by every check that reads
+    # them
+    assert calls == {"nijenhuis": 1, "nabla_omegas": 1}
     assert rep["checks"]["gray_identity"] < 1e-10
 
 
@@ -377,14 +397,124 @@ def test_classify_algebra_refuses_a_broken_hodge_route(monkeypatch, tmp_path,
     assert "codifferential routes disagree" in capsys.readouterr().err
 
 
+def test_classify_algebra_refuses_inadmissible_nabla_omegas(monkeypatch,
+                                                            tmp_path, capsys):
+    # nabla w_J pushed off the admissible families: the product rule's
+    # admissibility check fails, a failure of the computation, so the report
+    # raises VerificationError and `aqh classify` exits 1, not 2
+    from aqh import liealg
+    from aqh.cli import main
+
+    real = liealg.nabla_omegas
+
+    def perturbed(g, G):
+        out = real(g, G).copy()
+        bump = np.random.default_rng(0).standard_normal(out[1].shape)
+        out[1] += 1e-3 * np.abs(out).max() * (bump - bump.transpose(0, 2, 1))
+        return out
+
+    g = two_step_nilpotent(3, 0)
+    monkeypatch.setattr(liealg, "nabla_omegas", perturbed)
+    with pytest.raises(VerificationError, match="not admissible"):
+        classify_algebra(g)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_algebra_json(g)))
+    assert main(["classify", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "verification failure" in err and "not admissible" in err
+
+
+def _scaled(g, scale):
+    return MetricLieAlgebra(g.structure, scale * g.c)
+
+
+def test_gray_and_nijenhuis_checks_are_relative(monkeypatch, tmp_path):
+    # both checks are held to the scale of the bracket table: a valid
+    # algebra passes at x1e8, where the plain max-abs residuals read about
+    # 3e-8 and 6e-8, and a wrong-sign Gray term or a traced N_A fails at
+    # every scale, also at x1e-12, where its plain residual is far below 1e-8
+    from aqh import liealg
+    from aqh.cli import main
+
+    g = two_step_nilpotent(3, 1)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_algebra_json(_scaled(g, 1e8))))
+    assert main(["liealg", "--input", str(path)]) == 0
+    for scale in (1e-12, 1e-6, 1.0, 1e8):
+        checks = classify_algebra(_scaled(g, scale))["checks"]
+        assert max(checks[k] for k in PIPELINE_CHECKS) <= 1e-14, scale
+    real = liealg.nijenhuis
+    with monkeypatch.context() as m:
+        # -A_(2) N_A with the wrong sign: N_A negated, its trace still zero
+        m.setattr(liealg, "nijenhuis", lambda g: -real(g))
+        for scale in (1e-12, 1e-6, 1e8):
+            checks = classify_algebra(_scaled(g, scale))["checks"]
+            assert checks["gray_identity"] > 1e-2, scale
+            assert checks["nijenhuis_trace"] <= 1e-14, scale
+
+    def traced(g):
+        out = real(g).copy()
+        out[2, :, :, 0] += 1e-3 * np.abs(g.c).max() * np.eye(g.dim)
+        return out
+
+    monkeypatch.setattr(liealg, "nijenhuis", traced)
+    for scale in (1e-12, 1e-6, 1e8):
+        checks = classify_algebra(_scaled(g, scale))["checks"]
+        assert checks["nijenhuis_trace"] > 1e-3, scale
+
+
+def _rotated_su2(n, seed):
+    """su(2) + R^(4n-3) in the frame of a random orthogonal matrix."""
+    dim = 4 * n
+    su2 = np.zeros((dim,) * 3)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        su2[i, j, k], su2[j, i, k] = 1.0, -1.0
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim,) * 2))
+    return MetricLieAlgebra(standard_structure(n),
+                            np.einsum("ia,jb,kc,abc->ijk", Q, Q, Q, su2))
+
+
+def test_large_algebras_pass_and_broken_tables_fail_at_every_scale(tmp_path):
+    # the Jacobi residual is held to max|c|^2 and the Koszul guards to
+    # max|c|: a rotated su(2) at x1e4 (Jacobi round-off about 8e-9) and an
+    # almost-abelian algebra with ad(e_0) of size 1e4 (torsion round-off
+    # above 1e-12) are Lie algebras, and `aqh liealg` classifies them; a
+    # random table and a bracket table that is not antisymmetric are
+    # refused at every scale
+    from aqh.cli import main
+
+    su2, aa = _scaled(_rotated_su2(2, 0), 1e4), _scaled(_almost_abelian(3, 1),
+                                                        1e4)
+    assert _jacobi_reference(su2.c) > 1e-12
+    G = koszul(aa)
+    assert np.abs(G - G.transpose(1, 0, 2) - aa.c).max() > 1e-12
+    for g in (su2, aa):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(_algebra_json(g)))
+        assert main(["liealg", "--input", str(path)]) == 0
+    s = standard_structure(2)
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal((8,) * 3)
+    sym = rng.standard_normal((8,) * 3)
+    sym = sym + sym.transpose(1, 0, 2)
+    for scale in (1e-14, 1e-8, 1e-6, 1.0, 1e8):
+        with pytest.raises(AlgebraError, match="Jacobi identity fails"):
+            MetricLieAlgebra(s, scale * c)
+        g = _scaled(two_step_nilpotent(2, 2), scale)
+        g.c = g.c + scale * sym  # not a bracket table: the guards refuse it
+        with pytest.raises(AlgebraError, match="connection"):
+            koszul(g)
+
+
 def test_gray_identity():
     for seed in (0, 1, 2):
         g = two_step_nilpotent(2, seed)
         s, G = g.structure, koszul(g)
-        for ax in AXES:
+        NA, nw = nijenhuis(g), nabla_omegas(g, G)
+        for k, ax in enumerate(AXES):
             assert _gray_residual(
-                s.mats[ax], ce_d(g, s.omega[ax]).dense(), nijenhuis(g, ax),
-                nabla_omega(g, G, ax).mats) < 1e-10
+                s.mats[ax], ce_d(g, s.omega[ax]).dense(), NA[k],
+                nw[k]) < 1e-10
 
 
 def _gray_reference(A, dw, NA, nw):
@@ -400,8 +530,9 @@ def test_gray_residual_matches_insert_formula(rng):
     for g in (two_step_nilpotent(2, 31), _almost_abelian(2, 32),
               two_step_nilpotent(3, 33), _almost_abelian(3, 34)):
         s, G = g.structure, koszul(g)
-        args = {a: (s.mats[a], ce_d(g, s.omega[a]).dense(), nijenhuis(g, a),
-                    nabla_omega(g, G, a).mats) for a in AXES}
+        args = {a: (s.mats[a], ce_d(g, s.omega[a]).dense(),
+                    nijenhuis_ref(g, a), nabla_omega_ref(g, G, a))
+                for a in AXES}
         scale = max(max(np.abs(x).max() for x in v[1:]) for v in
                     args.values()) + 1.0
         assert max(_gray_residual(*args[a]) for a in AXES) < 1e-12
@@ -430,7 +561,7 @@ def test_codiff_Omega_matches_wedge1_formulas():
         for a in AXES:
             A, dw = s.mats[a], ce_d(g, s.omega[a])
             w = 0.5 * np.einsum("yrs,rs->y", dw.dense(), A)
-            dstar_w = -np.einsum("rrz->z", nabla_omega(g, G, a).mats)
+            dstar_w = -np.einsum("rrz->z", nabla_omega_ref(g, G, a))
             act = AltForm(s.dim, 3, -2.0 * (compound(A, 3) @ dw.coeffs))
             structural = structural + act + -2.0 * wedge1(-(A @ w), s.omega[a])
             two_form = two_form + 2.0 * wedge1(dstar_w, s.omega[a]) + act
@@ -549,8 +680,6 @@ def test_codifferential_routes_refuse_nan_residuals(monkeypatch):
 
 
 def test_d_omegas_match_ce_d_per_axis():
-    from aqh.liealg import d_omegas
-
     for g in (two_step_nilpotent(2, 51), _almost_abelian(2, 52),
               two_step_nilpotent(3, 53), _almost_abelian(3, 54),
               _abelian()):

@@ -153,24 +153,22 @@ def test_extract_cA_conditions_and_reassembly(s2, s3):
 
 def test_extract_cA_zero(s2):
     cA = extract_cA(MixedTorsion.zero(8), s2)
-    assert all(v.norm() == 0.0 for v in cA.values())
+    assert cA.shape == (3, 8, 8, 8) and not cA.any()
 
 
 def test_from_nabla_omegas_validation(s2):
-    bad = random_family(s2, 7)
+    bad = random_family(s2, 7).mats
     with pytest.raises(MembershipError):
-        from_nabla_omegas(bad, bad, bad, s2)
+        from_nabla_omegas(np.stack([bad, bad, bad]), s2)
 
 
 def test_from_nabla_omegas_matches_direct_derivative(s2):
-    from aqh import koszul, nabla_Omega, nabla_omega, two_step_nilpotent
+    from aqh import koszul, nabla_Omega, nabla_omegas, two_step_nilpotent
 
     g = two_step_nilpotent(2, 11)
     G = koszul(g)
     direct = nabla_Omega(g, G)
-    nw = {a: nabla_omega(g, G, a) for a in AXES}
-    assembled = from_nabla_omegas(2.0 * nw["I"], 2.0 * nw["J"],
-                                  2.0 * nw["K"], s2)
+    assembled = from_nabla_omegas(2.0 * nabla_omegas(g, G), s2)
     assert np.linalg.norm(assembled.rows - direct.rows) / direct.norm() < 1e-12
 
 
@@ -178,9 +176,9 @@ def test_extracted_triple_traces_vanish(s2):
     # after extraction every row of c_I is trace-free against w_J, w_K
     a = random_W_element(s2, 8)
     cA = extract_cA(a, s2)
-    for name in AXES:
+    for k in range(3):
         for bname in AXES:
-            tr = 0.5 * np.einsum("xij,ij->x", cA[name].mats, s2.mats[bname])
+            tr = 0.5 * np.einsum("xij,ij->x", cA[k], s2.mats[bname])
             assert np.abs(tr).max() / a.norm() < 1e-9
 
 
@@ -263,8 +261,8 @@ def test_embedding_and_reassembly_match_six_term_wedge(s2, s3, frame3):
                    for A in (s.I, s.J, s.K))
         np.testing.assert_allclose(F_map(c, s, check=False).rows, want,
                                    rtol=0, atol=1e-12)
-        cA = {ax: random_family(s, 4 + k) for k, ax in enumerate(AXES)}
-        want = sum(wedge22_reference(cA[ax].mats, s.mats[ax]) for ax in AXES)
+        cA = np.stack([random_family(s, 4 + k).mats for k in range(3)])
+        want = sum(wedge22_reference(c, A) for c, A in zip(cA, s.IJK))
         np.testing.assert_allclose(reassemble(cA, s).rows, want,
                                    rtol=0, atol=1e-12)
 
