@@ -254,6 +254,11 @@ def wedge(a: AltForm, b: AltForm) -> AltForm:
     return AltForm(a.dim, p + q, out)
 
 
+# the most nonzeros one SparseOp pass gathers: a stack of B entries holds a
+# B x nnz index and two B x nnz value arrays, so larger stacks go in chunks
+_PASS_NNZ = 1 << 16
+
+
 class SparseOp(NamedTuple):
     """A fixed matrix kept as index triples: v[k] is added at (r[k], c[k])."""
 
@@ -263,8 +268,20 @@ class SparseOp(NamedTuple):
     shape: tuple[int, int]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """The product with x along its last axis, (..., n) -> (..., m)."""
-        return _accumulate(self.r, self.v * x.take(self.c, -1), self.shape[0])
+        """The product with x along its last axis, (..., n) -> (..., m).  A
+        stack is applied in chunks of rows of at most _PASS_NNZ nonzeros (one
+        row at least); each entry's bins are summed in the same order either
+        way, so the result does not depend on the chunking."""
+        lead, m = x.shape[:-1], self.shape[0]
+        rows = max(1, _PASS_NNZ // max(len(self.v), 1))
+        if math.prod(lead) <= rows:
+            return _accumulate(self.r, self.v * x.take(self.c, -1), m)
+        x = x.reshape(-1, x.shape[-1])
+        out = np.empty((len(x), m))
+        for i in range(0, len(x), rows):
+            out[i:i + rows] = _accumulate(
+                self.r, self.v * x[i:i + rows].take(self.c, -1), m)
+        return out.reshape(lead + (m,))
 
     @property
     def T(self) -> "SparseOp":

@@ -214,22 +214,6 @@ class _Ctx:
         out.scale, out.profile = np.maximum(scale, 1e-300), None
         return out._view(S @ self.fields)
 
-    @staticmethod
-    def stack(parts, size: int) -> "_Ctx":
-        """The packed context of the packed contexts parts stacked in order,
-        size entries in all; each part is copied into place as it comes, so
-        one part at a time is held."""
-        at = 0
-        for ctx in parts:
-            if not at:
-                out = copy.copy(ctx)
-                out.scale = np.empty(size)
-                fields = np.empty((size, ctx.fields.shape[-1]))
-            fields[at:at + len(ctx.scale)] = ctx.fields
-            out.scale[at:at + len(ctx.scale)] = ctx.scale
-            at += len(ctx.scale)
-        return out._view(fields)
-
     def _view(self, fields: np.ndarray) -> "_Ctx":
         self.fields, self.f3, self.w, self.f5, at = fields, {}, {}, {}, 0
         for (table, key), shape in self.layout.items():

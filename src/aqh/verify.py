@@ -461,7 +461,8 @@ def check_components(s: QuatStructure, rng) -> list[CheckResult]:
     labs = list(PR.ComponentLabel)
     # the six parts of an orthonormal stack of W coordinates, drawn from a
     # child of rng (rng's own stream is left as it is), and the six parts
-    # of each part; residuals are the largest norm over the stack
+    # of each part in turn, P_Y P_X V against delta_XY P_X V; residuals are
+    # the largest norm over the stack
     dst = dstar_on_W(s)
     V = np.linalg.qr(rng.spawn(1)[0].standard_normal((dst.shape[1], 32)))[0].T
 
@@ -471,11 +472,11 @@ def check_components(s: QuatStructure, rng) -> list[CheckResult]:
         return [parts[X].reshape(rows.shape) for X in labs]
 
     parts = split(V)
-    again = np.stack(split(np.concatenate(parts))).reshape(
-        len(labs), len(labs), *V.shape)     # [Y, X] = P_Y P_X V
-    expect = np.eye(len(labs))[:, :, None, None] * np.stack(parts)
-    worst = max(float(np.linalg.norm(again - expect, axis=-1).max()),
-                float(np.linalg.norm(sum(parts) - V, axis=-1).max()))
+    worst = float(np.linalg.norm(sum(parts) - V, axis=-1).max())
+    for X, P in zip(labs, parts):
+        for Y, PYP in zip(labs, split(P)):
+            worst = max(worst, float(np.linalg.norm(
+                PYP - P if Y == X else PYP, axis=-1).max()))
     out.append(CheckResult("component-projector-algebra", worst, 1e-8,
                            "idempotent, orthogonal, complete on W"))
 
@@ -595,35 +596,30 @@ def _row_sweep(s: QuatStructure, rows, pools: list, columns: tuple):
     col3 or table3) come the direct-route RowResult and its gaps to the
     report's Schur forms at the mixtures' component norms, both read on one
     context.  Every field is linear in the tensor, so the contexts are made
-    once, on the components of nonzero dimension of every pool, stacked
-    (ctx_from_torsion for col2, ctx_from_derived for col3 and table3), and a
-    row's context is their mix by the 0/1 selection S (mixtures x
-    components), one product.  Its scale and profile are read from the W
-    coordinates of the mixtures and of their components."""
+    once, in one call on the components of nonzero dimension of all the
+    pools (ctx_from_torsion for col2, ctx_from_derived for col3 and table3;
+    their sparse maps bound their own memory on the stack), and a row's
+    context is their mix by the 0/1 selection S (mixtures x components), one
+    product.  Its scale and profile are read from the W coordinates of the
+    mixtures and of their components."""
     table, labels = schur_table(s), list(PR.ComponentLabel)
     labs = [X for X in labels if PR.COMPONENT_DIMS[X](s.n)]
     own = [labels.index(X) for X in labs]
     C = np.stack([[T.w_coords(pool[X], s, check=False) for X in labs]
                   for pool in pools])
     sizes = np.linalg.norm(C, axis=(-2, -1))                # pools x labs
+    flat = C.reshape(sizes.size, -1)
 
-    def stacked(make):
-        # made pool by pool: a sparse map on a stack of B entries holds B
-        # indices per nonzero, which on all the pools' 5-forms at once would
-        # outweigh the context they make three times over
-        return TF._Ctx.stack((make(k, pool) for k, pool in enumerate(pools)),
-                             sizes.size)
+    def coeffs(form):
+        return np.stack([form(pool[X]).coeffs for pool in pools for X in labs])
 
     ctxs = {}
     if "col2" in columns:
-        ctxs["col2"] = stacked(lambda k, pool: ctx_from_torsion(
-            C[k], np.stack([contract12(pool[X]).coeffs for X in labs]), s,
-            sizes[k]))
+        ctxs["col2"] = ctx_from_torsion(C.reshape(sizes.size, *C.shape[-2:]),
+                                        coeffs(contract12), s, sizes.ravel())
     if {"col3", "table3"} & set(columns):
-        ctxs["col3"] = ctxs["table3"] = stacked(
-            lambda k, pool: ctx_from_derived(np.stack(
-                [alternate5(pool[X]).coeffs for X in labs]), s, sizes[k]))
-    flat = C.reshape(sizes.size, -1)
+        ctxs["col3"] = ctxs["table3"] = ctx_from_derived(
+            coeffs(alternate5), s, sizes.ravel())
     for row in rows:
         comps = [X for X in labs if X in row.components]
         outside = [X for X in labs if X not in row.components]

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from aqh.exterior import (
     FormTables,
     InputFormatError,
     SparseOp,
+    _accumulate,
     derivation_op,
     hodge_op,
     mixed_from_json,
@@ -32,7 +34,8 @@ from aqh.exterior import (
     tables,
     wedge_rows,
 )
-from aqh.structure import standard_structure
+from aqh.structure import random_rotation, rotate_adapted, standard_structure
+from aqh.torsion import fiber_basis_matrix
 from reference import form_from_json, form_to_json, slot_sum, volume_form
 
 
@@ -345,6 +348,24 @@ def test_sparse_op_product_matches_dense(rng):
     np.testing.assert_allclose(A(x), x @ A.dense().T, atol=1e-12)
     y = rng.standard_normal((2, 7))
     np.testing.assert_allclose(A.T(y), y @ A.dense(), atol=1e-12)
+
+
+def test_sparse_op_bounds_the_memory_of_a_stack(rng):
+    # a generic frame makes deriv_op(4) dense (14,940 nonzeros at n = 3);
+    # one pass over the 42 rows of Q^T held a 42 x nnz index and two value
+    # arrays, 10.05 MiB of tracemalloc
+    s = rotate_adapted(random_rotation(rng), standard_structure(3))
+    op, x = s.deriv_op(4), fiber_basis_matrix(s).T
+    want = _accumulate(op.r, op.v * x.take(op.c, -1), op.shape[0])
+    tracemalloc.start()
+    try:
+        got = op(x)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert np.array_equal(op(x.reshape(6, 7, -1)), want.reshape(6, 7, -1))
+    assert peak < 2.0, f"deriv_op(4) on 42 rows peaks at {peak:.2f} MiB"
 
 
 def test_json_round_trip(rng):

@@ -51,9 +51,11 @@ def test_components_section_forms_no_dense_W_matrix(monkeypatch):
     dense = [k for k, v in built[-1]._cache.items()
              if any(a.shape[-2:] == (D, D) for a in _arrays(v))]
     assert not dense
-    # 40.0 MiB with eight cached 504 x 504 matrices; about 24 MiB on row
-    # blocks, most of it the section's cold structure caches
-    assert peak < 30.0, f"components section peak {peak:.1f} MiB"
+    # 40.0 MiB with eight cached 504 x 504 matrices; 28.8 MiB on row blocks
+    # with a 6 x 6 stack of split parts and deriv_op(4) applied to all of
+    # Q^T in one pass; about 16 MiB with both streamed, most of it the
+    # section's cold structure caches
+    assert peak < 20.0, f"components section peak {peak:.1f} MiB"
 
 
 def _unit(x):
@@ -62,13 +64,14 @@ def _unit(x):
 
 @pytest.fixture(scope="module")
 def pieces():
-    """Unit W-coordinate vectors of a generic direction and of KH, EH and
-    KS3H at n = 3."""
+    """Unit W-coordinate vectors of a generic direction and of KH, EH, L3EH
+    and KS3H at n = 3."""
     s = standard_structure(3)
     rng = np.random.default_rng(5)
     C = rng.standard_normal((1, s.dim, w_dim(3) // s.dim))
     parts = PR.split_coords(C, C.reshape(1, -1) @ V.dstar_on_W(s).T, s)
-    out = {X: _unit(parts[X].ravel()) for X in (CL.KH, CL.EH, CL.KS3H)}
+    out = {X: _unit(parts[X].ravel())
+           for X in (CL.KH, CL.EH, CL.L3EH, CL.KS3H)}
     out["any"] = _unit(rng.standard_normal(w_dim(3)))
     return out
 
@@ -105,6 +108,21 @@ def test_component_traces_see_a_direction_moved_between_components(
     u = pieces[CL.KH]
     passed = _run_mutated(monkeypatch, [(CL.KH, -u, u), (CL.EH, u, u)])
     assert passed["component-projector-algebra"]
+    assert not passed["component-traces"]
+
+
+def test_component_traces_see_a_move_between_the_invisible_components(
+        monkeypatch, pieces):
+    # a unit vector u of L3EH moved into KS3H: d* kills both, so the
+    # contraction checks pass, and the eigen-split traces read Lcal, not the
+    # split; the component traces read L3EH=27 (and paper-route fails).  A
+    # route that read the traces through d* and HAT_W would miss this move
+    u = pieces[CL.L3EH]
+    passed = _run_mutated(monkeypatch, [(CL.L3EH, -u, u), (CL.KS3H, u, u)])
+    assert passed["component-projector-algebra"]
+    assert passed["eigen-split-traces"]
+    assert passed["contraction-kernel"]
+    assert passed["contraction-injective-on-visible"]
     assert not passed["component-traces"]
 
 
