@@ -29,24 +29,19 @@ from .torsion import (
     extract_cA,
     fiber_project,
     from_nabla_omegas,
-    is_in_W,
     random_W_element,
     w_dim,
 )
 from .threeform import (
-    OneFormTriple,
     hat_dstar,
     proj3,
     torsion_embed,
     table1_residuals,
-    xi,
-    xi_triple,
 )
 from .projectors import (
     COMPONENT_DIMS,
     ComponentLabel,
     ComponentProfile,
-    component,
     components,
     profile,
 )

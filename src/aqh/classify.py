@@ -39,7 +39,7 @@ from .projectors import (COMPONENT_DIMS, ComponentLabel, ComponentProfile,
                          _w_core, component_norms, lcal_coords, split_coords)
 from .structure import AXES, QuatStructure
 from .threeform import _cond, _Ctx, _eval_cond, _norm, wedge_norms
-from .torsion import check_tol, w_coords, w_dim, w_embed
+from .torsion import check_tol, require_in_W, w_dim, w_embed
 
 ALIASES = {
     frozenset(): ("QK", "quaternion-Kähler"),
@@ -540,7 +540,7 @@ def classification_report(a: MixedTorsion, s: QuatStructure,
     """The class of a at label threshold tol; a must lie within
     max(tol, MEMBERSHIP_FLOOR) of W (MembershipError otherwise)."""
     check_tol(tol)
-    C = w_coords(a, s, max(tol, MEMBERSHIP_FLOOR))
+    C = require_in_W(a, s, max(tol, MEMBERSHIP_FLOOR))
     return _report(a, s, tol, C, contract12(a))
 
 

@@ -21,7 +21,7 @@ from .classify import classification_report
 from .exterior import load_json, mixed_from_json, mixed_to_json
 from .liealg import (PIPELINE_CHECKS, PIPELINE_TOL, VerificationError,
                      algebra_from_json, classify_algebra)
-from .projectors import COMPONENT_DIMS, ComponentLabel, component
+from .projectors import COMPONENT_DIMS, ComponentLabel, components
 from .structure import MAX_N, StructureError, standard_structure
 from .torsion import check_tol, random_W_element, w_dim
 
@@ -82,9 +82,9 @@ def cmd_verify(args) -> int:
 
 def cmd_dims(args) -> int:
     s = _structure(args.n)
-    from .verify import component_traces
+    from .verify import component_traces, dstar_on_W
 
-    traces, _ = component_traces(s)
+    traces, _ = component_traces(s, dstar_on_W(s))
     rows = [{"component": X.value, "display": X.display, "trace": traces[X],
              "expected": COMPONENT_DIMS[X](args.n)} for X in ComponentLabel]
     total = sum(r["trace"] for r in rows)
@@ -152,7 +152,7 @@ def cmd_inject(args) -> int:
     if COMPONENT_DIMS[X](args.n) == 0:
         raise InputError(f"component {X.value} is identically zero in "
                          f"dimension {s.dim}")
-    a = component(random_W_element(s, args.seed), X, s, check=False)
+    a = components(random_W_element(s, args.seed), s, check=False)[X]
     data = mixed_to_json(a)
     data["component"] = X.value
     data["seed"] = args.seed

@@ -206,7 +206,7 @@ def _gray_residual(A: np.ndarray, dw: np.ndarray, NA: np.ndarray,
     return float(np.abs(2.0 * nw - dw + At @ (dw @ A - NA)).max())
 
 
-def codiff_Omega(g: MetricLieAlgebra, tol: float = 1e-9) -> dict:
+def codiff_Omega(g: MetricLieAlgebra) -> dict:
     """The codifferential of the fundamental form by four routes:
 
     * contraction: -C12(nabla Omega);
@@ -214,14 +214,11 @@ def codiff_Omega(g: MetricLieAlgebra, tol: float = 1e-9) -> dict:
     * structural: -2 sum_A <A . hook d w_A, w_A> ^ w_A + 2 sum_A d w_A(A., A., A.);
     * two_form_codiff: 2 sum_A (d* w_A ^ w_A + d w_A(A., A., A.)).
 
-    Raises VerificationError if the routes disagree beyond tol (relative),
-    ValueError if tol is NaN; tol = inf reports without raising.
-    The report also carries, per axis, the residual of
+    It reports |x - y| / |contraction| for each pair of routes and raises
+    nothing.  The report also carries, per axis, the residual of
     A d* w_A = -<. hook d w_A, w_A>.  classify_algebra checks the first two
     routes; verify certifies all four and the wedge-trace reading of
     star_inv(star dOmega ^ w_A ^ w_A) (lie-pipeline)."""
-    if math.isnan(tol):
-        raise ValueError("tol must be a number, got nan")
     s, G = g.structure, koszul(g)
     mats = s.IJK
     dw = d_omegas(g)
@@ -237,7 +234,7 @@ def codiff_Omega(g: MetricLieAlgebra, tol: float = 1e-9) -> dict:
     act = 2.0 * AltForm.from_dense(
         np.tensordot(mats, AdA, ((0, 1), (0, 1)))).coeffs
     variants, pair = _codiff_routes(
-        g, contract12(nabla_Omega(g, G)), tol,
+        g, contract12(nabla_Omega(g, G)),
         structural=AltForm(s.dim, 3, act - 2.0 * wu),
         # same expression through the two-form codifferentials
         two_form_codiff=AltForm(s.dim, 3, 2.0 * wd + act))
@@ -250,11 +247,11 @@ def codiff_Omega(g: MetricLieAlgebra, tol: float = 1e-9) -> dict:
             "report": report}
 
 
-def _codiff_routes(g: MetricLieAlgebra, ds: AltForm, tol: float,
+def _codiff_routes(g: MetricLieAlgebra, ds: AltForm,
                    **more: AltForm) -> tuple[dict, dict]:
     """The routes to d*Omega, the contraction ds = -C12(nabla Omega),
     -star d star Omega and more, and |x - y| / |contraction| for each pair
-    x, y of them; VerificationError when one exceeds tol."""
+    x, y of them."""
     s = g.structure
     variants = {"contraction": ds,
                 "hodge": -1.0 * s.star(ce_d(g, s.star_Omega)), **more}
@@ -262,10 +259,6 @@ def _codiff_routes(g: MetricLieAlgebra, ds: AltForm, tol: float,
     pair = {f"{x}|{y}": float(np.linalg.norm(
                 variants[x].coeffs - variants[y].coeffs)) / scale
             for x, y in itertools.combinations(variants, 2)}
-    if not max(pair.values()) <= tol:
-        raise VerificationError(
-            "codifferential routes disagree: "
-            + ", ".join(f"{k}={v:.2e}" for k, v in pair.items()))
     return variants, pair
 
 
@@ -311,8 +304,11 @@ def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
     checks["nijenhuis_trace"] = float(
         np.abs(np.einsum("aiix->ax", NA)).max()) / cscale
     ds = contract12(nOm)
-    checks["codifferential_pairwise"], = _codiff_routes(
-        g, ds, 1e-9)[1].values()
+    (key, gap), = _codiff_routes(g, ds)[1].items()
+    if not gap <= 1e-9:
+        raise VerificationError(
+            f"codifferential routes disagree: {key}={gap:.2e}")
+    checks["codifferential_pairwise"] = gap
     report = _report(nOm, s, tol, C, ds)
     report["checks"] = checks
     report["abelian"] = g.is_abelian()
@@ -358,6 +354,10 @@ def algebra_from_json(data: dict) -> MetricLieAlgebra:
                 raise InputFormatError(f"{where}: {entry!r} is not [i, j, k, value]")
             i, j, k = (_json_index(where, x, s.dim) for x in entry[:3])
             v = _json_value(where, entry[3])
+            if i == j and v:
+                # [e_i, e_i] = 0: the antisymmetric table would drop it
+                raise InputFormatError(f"{where}: [e_{i}, e_{i}] must be 0, "
+                                       f"got {v!r}")
             c[i, j, k] += v
             c[j, i, k] -= v
         norm2 = c.ravel() @ c.ravel()

@@ -3,7 +3,8 @@
 Everything here works on W coordinates.  W = V* (x) W4, and
 ``fiber_basis_matrix`` gives an orthonormal basis Q (N4 x r) of W4, so a
 tensor a has coordinates C = aQ (dim x r).  Membership is a distance: a lies
-in W exactly when a = C Q^T, and ``is_in_W`` reports |a - C Q^T| / |a|.
+in W exactly when a = C Q^T, and ``require_in_W`` holds |a - C Q^T| / |a| to
+a tolerance.
 
 W splits into (L3E + K + E)(H + S3H), and Lambda^3 into KH + EH + L3ES3H +
 ES3H, with multiplicity one each, so by Schur's lemma:
@@ -36,7 +37,7 @@ import numpy as np
 from .exterior import MixedTorsion, contract12
 from .structure import AXES, QuatStructure
 from .threeform import hat_factors, proj3_parts, r_matrix, se_core
-from .torsion import fiber_basis_matrix, w_coords, w_embed
+from .torsion import fiber_basis_matrix, require_in_W, w_coords, w_embed
 
 
 class ComponentLabel(Enum):
@@ -163,16 +164,12 @@ def split_coords(C: np.ndarray, ds: np.ndarray,
                              v - h]))
 
 
-def component(a: MixedTorsion, X: ComponentLabel, s: QuatStructure,
-              check: bool = True) -> MixedTorsion:
-    return components(a, s, check)[X]
-
-
 def components(a: MixedTorsion, s: QuatStructure,
                check: bool = True) -> dict[ComponentLabel, MixedTorsion]:
     """All six components, embedded back into V* (x) Lambda^4; with check, a
     must lie within 1e-8 of W (require_in_W)."""
-    parts = split_coords(w_coords(a, s, check=check), contract12(a).coeffs, s)
+    C = require_in_W(a, s) if check else w_coords(a, s)
+    parts = split_coords(C, contract12(a).coeffs, s)
     return {X: w_embed(c, s) for X, c in parts.items()}
 
 
@@ -197,7 +194,7 @@ class ComponentProfile:
         }
 
 
-def profile(a: MixedTorsion, s: QuatStructure,
-            check: bool = True) -> ComponentProfile:
+def profile(a: MixedTorsion, s: QuatStructure) -> ComponentProfile:
+    """The component norms of a, on w_coords (no membership test)."""
     return ComponentProfile(component_norms(
-        w_coords(a, s, check=check), contract12(a).coeffs, s), a.norm())
+        w_coords(a, s), contract12(a).coeffs, s), a.norm())

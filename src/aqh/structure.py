@@ -286,15 +286,15 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return Q
 
 
-def structure_from_json(data, n: int | None = None) -> QuatStructure:
+def structure_from_json(data, n: int) -> QuatStructure:
     """The structure of a JSON object {"n", "I", "J"}, the standard one when
-    I is absent.  n, when given, is the n of the enclosing file, and the
-    structure's own n must equal it."""
+    I is absent.  n is the n of the enclosing file, and the structure's own
+    n must equal it."""
     if not isinstance(data, dict):
         raise InputFormatError(f"key 'structure': {data!r:.40} is not an "
                                "object")
     own = _json_n(data, "structure.n")
-    if n is not None and own != n:
+    if own != n:
         raise InputFormatError(f"key 'structure.n': {own} differs from the "
                                f"file's n = {n}")
     if data.get("I") is None:

@@ -31,27 +31,12 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
 from .exterior import AltForm, DegreeError, MixedTorsion, wedge_op
 from .structure import AXES, QuatStructure
-
-
-@dataclass
-class OneFormTriple:
-    """The basis-dependent one-forms (xi_I, xi_J, xi_K) of a 3-form plus the
-    global xi."""
-
-    xi_I: np.ndarray
-    xi_J: np.ndarray
-    xi_K: np.ndarray
-    xi: np.ndarray
-
-    def __getitem__(self, axis: str) -> np.ndarray:
-        return {"I": self.xi_I, "J": self.xi_J, "K": self.xi_K}[axis]
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +60,8 @@ def _trace_matrices(s: QuatStructure) -> np.ndarray:
 def xi_maps(s: QuatStructure) -> np.ndarray:
     """The stack (4 x dim x N3) of the maps b -> xi_b, xi_{b;I}, xi_{b;J},
     xi_{b;K}: xi_b(x) = -(1/(6 k2)) sum_A <Ax hook b, w_A> and xi_{b;A} as
-    in the module docstring."""
+    in the module docstring.  The one-forms of b are the stack
+    xi_maps(s) @ b: row 0 is xi, rows 1-3 are xi_I, xi_J, xi_K."""
 
     def build():
         AV = s.IJK @ _trace_matrices(s)
@@ -84,19 +70,6 @@ def xi_maps(s: QuatStructure) -> np.ndarray:
                                - (3.0 / (2 * s.k1)) * xi])
 
     return s.cache("xi_maps", build)
-
-
-def xi(b: AltForm, s: QuatStructure) -> np.ndarray:
-    if b.degree != 3:
-        raise DegreeError("xi is defined on 3-forms")
-    return xi_maps(s)[0] @ b.coeffs
-
-
-def xi_triple(b: AltForm, s: QuatStructure) -> OneFormTriple:
-    if b.degree != 3:
-        raise DegreeError("xi_triple is defined on 3-forms")
-    x, xI, xJ, xK = xi_maps(s) @ b.coeffs
-    return OneFormTriple(xI, xJ, xK, x)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +102,10 @@ def m_matrix(s: QuatStructure) -> np.ndarray:
 
 def proj3_factors(s: QuatStructure) -> tuple:
     """The factors of the projectors of Lambda^3: the xi maps (4 dim x N3),
-    hook_omega, -2 M3 on (xi_I, xi_J, xi_K) and plus3 = (3 + L)/6."""
+    hook_omega, M3 on (xi_I, xi_J, xi_K) (m_matrix; -2 M3 is the E(H+S3H)
+    projector) and plus3 = (3 + L)/6."""
     return s.cache("proj3_factors", lambda: (
-        xi_maps(s).reshape(4 * s.dim, -1), hook_omega_matrix(s),
-        -2.0 * m_matrix(s),
+        xi_maps(s).reshape(4 * s.dim, -1), hook_omega_matrix(s), m_matrix(s),
         (3 * np.eye(s.tab.nforms(3)) + s.L_matrix(3)) / 6.0))
 
 
@@ -140,10 +113,10 @@ def proj3_parts(x: np.ndarray, s: QuatStructure) -> np.ndarray:
     """P_X x (..., 4, N3) on 3-form coefficients x (..., N3), for X = KH, EH,
     ES3H, L3ES3H: hook_omega xi_0 onto EH, -2 M3 (xi_I, xi_J, xi_K) onto
     EH + ES3H and plus3 onto KH + EH."""
-    xi, hook, m2, plus3 = proj3_factors(s)
+    xi, hook, m, plus3 = proj3_factors(s)
     y = x @ xi.T
     eh = y[..., :s.dim] @ hook.T
-    e = y[..., s.dim:] @ m2.T
+    e = -2.0 * (y[..., s.dim:] @ m.T)
     h = x @ plus3.T
     return np.stack([h - eh, eh, e - eh, x - h - e + eh], axis=-2)
 
@@ -372,8 +345,8 @@ def hat_factors(s: QuatStructure) -> tuple[np.ndarray, np.ndarray]:
     """(H3, H1), hat_dstar = SE H3 - R H1 (module docstring): H3 = L/18 -
     (2k1/3k2) M3 with -2 M3 the E(H+S3H) projector, H1 = c xi."""
     k1, k2 = s.k1, s.k2
-    xi, _hook, m2, _plus3 = proj3_factors(s)
-    return (s.L_matrix(3) / 18.0 + (k1 / (3.0 * k2)) * (m2 @ xi[s.dim:]),
+    xi, _hook, m, _plus3 = proj3_factors(s)
+    return (s.L_matrix(3) / 18.0 - (2.0 * k1 / (3.0 * k2)) * (m @ xi[s.dim:]),
             (4 * k1 ** 2 + k2 ** 2) / (12.0 * k1 * k2) * xi_maps(s)[0])
 
 

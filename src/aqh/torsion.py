@@ -50,12 +50,6 @@ def _conj_sum(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
     return sum(s.mats[a].T @ mats @ s.mats[a] for a in AXES)
 
 
-def fiber_residuals(c: MixedTwoFormFamily, s: QuatStructure) -> tuple[float, float]:
-    """Residual norms of the two fiber conditions, not normalised."""
-    res_i = float(np.linalg.norm(c.mats + _conj_sum(c.mats, s)))
-    return res_i / math.sqrt(2.0), float(np.linalg.norm(_traces(c.mats, s)))
-
-
 def _fiber_project(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
     """fiber_project on a stack (..., dim, dim) of antisymmetric matrices.
     The w_A are mutually orthogonal, so their traces go in one step."""
@@ -81,17 +75,9 @@ def fiber_project(c: MixedTwoFormFamily, s: QuatStructure) -> MixedTwoFormFamily
     return MixedTwoFormFamily(c.dim, _fiber_project(c.mats, s))
 
 
-def F_map(c: MixedTwoFormFamily, s: QuatStructure,
-          check: bool = True) -> MixedTorsion:
-    """F on the rows of c; with check, c must lie within 1e-8 |c| of the
-    fiber (MembershipError otherwise)."""
-    if check:
-        scale = max(c.norm(), 1e-300)
-        r1, r2 = fiber_residuals(c, s)
-        if max(r1, r2) > 1e-8 * scale:
-            raise MembershipError(
-                f"input is outside the fiber: residuals "
-                f"{r1 / scale:.2e}, {r2 / scale:.2e}")
+def F_map(c: MixedTwoFormFamily, s: QuatStructure) -> MixedTorsion:
+    """F on the rows of c, read on the fiber (fiber_project projects onto
+    it)."""
     return MixedTorsion(c.dim, 0.25 * c.coeff_rows() @ se_core(s).T)
 
 
@@ -104,17 +90,11 @@ def f_inverse_raw(a: MixedTorsion, s: QuatStructure) -> MixedTwoFormFamily:
 
 
 def _w_project(a: MixedTorsion, s: QuatStructure) -> tuple[np.ndarray, float]:
-    """(C, residual): the W coordinates C = aQ and |a - C Q^T| / |a|."""
+    """(C, residual): the W coordinates C = aQ and the relative distance
+    |a - C Q^T| / |a| of a from W = V* (x) span(Q)."""
     Q = fiber_basis_matrix(s)
     C = a.rows @ Q
     return C, float(np.linalg.norm(a.rows - C @ Q.T)) / max(a.norm(), 1e-300)
-
-
-def is_in_W(a: MixedTorsion, s: QuatStructure) -> tuple[bool, float]:
-    """Membership as distance: the residual is |a - (aQ)Q^T| / |a|, the
-    relative distance of a from W = V* (x) span(Q), held to 1e-8."""
-    resid = _w_project(a, s)[1]
-    return resid <= 1e-8, resid
 
 
 def check_tol(tol: float) -> float:
@@ -137,11 +117,10 @@ def require_in_W(a: MixedTorsion, s: QuatStructure,
     return C
 
 
-def w_coords(a: MixedTorsion, s: QuatStructure, tol: float = 1e-8,
-             check: bool = True) -> np.ndarray:
-    """Coordinates C = aQ (dim x r) of a in the orthonormal W basis, after
-    require_in_W when check is set."""
-    return require_in_W(a, s, tol) if check else a.rows @ fiber_basis_matrix(s)
+def w_coords(a: MixedTorsion, s: QuatStructure) -> np.ndarray:
+    """Coordinates C = aQ (dim x r) of a in the orthonormal W basis, with no
+    membership test (require_in_W is the checked route)."""
+    return a.rows @ fiber_basis_matrix(s)
 
 
 def w_embed(C: np.ndarray, s: QuatStructure) -> MixedTorsion:

@@ -1,7 +1,7 @@
 """Reference forms that only the tests use: dense matrices, dense tensors,
-compound matrices, the per-axis nabla w_A and N_A, and the JSON form of a
-single alternating form, and the rows of Tables 2 and 3 read directly on a
-context, as verify reads them.
+the fiber residuals, compound matrices, the per-axis nabla w_A and N_A, and
+the JSON form of a single alternating form, and the rows of Tables 2 and 3
+read directly on a context, as verify reads them.
 The tests compare the library's routes against these."""
 
 import numpy as np
@@ -13,6 +13,14 @@ from aqh.exterior import (AltForm, MixedTorsion, _json_coeffs, _json_index,
                           _json_n, alternate5, contract12, tables)
 from aqh.structure import AXES, insert
 from aqh.verify import dstar_on_W
+
+
+def fiber_residuals(c, s) -> tuple[float, float]:
+    """Norms of the two fiber conditions on the rows of a mixed 2-form
+    family c, i)* c_x + sum_A c_x(A., A.) and ii)* the traces <c_x, w_A>,
+    not normalised."""
+    res_i = float(np.linalg.norm(c.mats + T._conj_sum(c.mats, s)))
+    return res_i / np.sqrt(2.0), float(np.linalg.norm(T._traces(c.mats, s)))
 
 
 def i_axis(s, axis, a):
@@ -126,7 +134,7 @@ def compound(A: np.ndarray, p: int) -> np.ndarray:
 
 def torsion_ctx(a, s):
     """ctx_from_torsion of the one tensor a (no membership test)."""
-    return ctx_from_torsion(T.w_coords(a, s, check=False),
+    return ctx_from_torsion(T.w_coords(a, s),
                             contract12(a).coeffs, s, a.norm())
 
 

@@ -25,9 +25,9 @@ from aqh import (
     wedge1,
     wedge_criteria,
     wedge_power,
-    xi_triple,
 )
 from aqh.structure import AXES
+from aqh.threeform import xi_maps
 from reference import col2, col3, derived_ctx, i_axis, torsion_ctx
 
 
@@ -89,7 +89,7 @@ def test_n2_keys_name_no_empty_component(s2, tol):
     keys = [classify_algebra(algebra_from_json(load_json(path)), tol)["key"]]
     # a tensor's tol is also its membership tol, which round-off fails below
     # 1e-15: its label is read from its profile
-    keys += [_label(profile(random_W_element(s2, seed), s2, check=False),
+    keys += [_label(profile(random_W_element(s2, seed), s2),
                     tol, 2)[0].key for seed in range(3)]
     assert not [k for k in keys if "L3E" in k]
     assert "KH+EH+KS3H+ES3H" in keys
@@ -219,13 +219,12 @@ def test_derived_quantities_match_contraction_route(s2, s3):
         a = random_W_element(s, 31)
         d = derived_ctx(a, s)
         ds = contract12(a)
-        tri = xi_triple(ds, s)
+        xi = xi_maps(s) @ ds.coeffs
         assert np.linalg.norm(d.dstar - ds.coeffs) / ds.norm() < 1e-8
-        assert np.linalg.norm(d.xi[0] - tri.xi) / max(
-            np.linalg.norm(tri.xi), 1e-300) < 1e-8
-        for k, ax in enumerate(AXES):
-            assert np.linalg.norm(d.xi[k + 1] - tri[ax]) / max(
-                np.linalg.norm(tri[ax]), 1e-300) < 1e-8
+        # xi, then xi_I, xi_J, xi_K
+        for k in range(4):
+            assert np.linalg.norm(d.xi[k] - xi[k]) / max(
+                np.linalg.norm(xi[k]), 1e-300) < 1e-8
 
 
 def test_wedge_criteria_match_projector_verdicts(s3, pool3):
@@ -399,13 +398,15 @@ def test_covariant_column_reads_no_five_form(s2, s3, pool2, pool3,
             assert col2(m, s, row).value <= 1e-8, row.key
 
 
-def _eager_fields(ds, xi, tri, dOm, s):
+def _eager_fields(ds, xi, dOm, s):
     """Every context field by its direct formula (f3, and f5 when dOm is
-    given), each product formed on its own."""
+    given), each product formed on its own; xi is the stack of xi, xi_I,
+    xi_J, xi_K of ds."""
     from aqh.threeform import hook_omega_matrix
 
-    m = sum(wedge(AltForm(s.dim, 1, s.mats[a] @ tri[a]), s.omega[a]).coeffs
-            for a in AXES)
+    m = sum(wedge(AltForm(s.dim, 1, s.mats[a] @ xi[k + 1]), s.omega[a])
+            .coeffs for k, a in enumerate(AXES))
+    xi = xi[0]
     f3 = {"dstar": ds, "Ldstar": s.L_matrix(3) @ ds,
           "xiC": hook_omega_matrix(s) @ xi, "m": m}
     if dOm is None:
@@ -427,18 +428,17 @@ def test_ctx_fields_match_eager_formulas(s2, s3):
     for s in (s2, s3):
         a = random_W_element(s, 91)
         ds = contract12(a).coeffs
-        tri = xi_triple(contract12(a), s)
-        f3, _ = _eager_fields(ds, tri.xi, tri, None, s)
-        C = w_coords(a, s, check=False)
+        xi = xi_maps(s) @ ds
+        f3, _ = _eager_fields(ds, xi, None, s)
+        C = w_coords(a, s)
         SE = w_matrix(full_rows(torsion_embed, s), s)
         R = w_matrix(r_matrix(s), s)
         want = {"w": {"a": C.ravel(), "La": lcal_coords(C, s).ravel(),
                       "SEd": SE @ ds, "SELd": SE @ f3["Ldstar"],
-                      "Q": SE @ f3["m"], "R": R @ tri.xi},
+                      "Q": SE @ f3["m"], "R": R @ xi[0]},
                 "f3": f3, "f5": {}}
         ext = derived_ctx(a, s)
-        trid = xi_triple(AltForm(s.dim, 3, ext.dstar), s)
-        f3d, f5d = _eager_fields(ext.dstar, trid.xi, trid,
+        f3d, f5d = _eager_fields(ext.dstar, xi_maps(s) @ ext.dstar,
                                  alternate5(a).coeffs, s)
         for ctx, tables in ((torsion_ctx(a, s), want),
                             (ext, {"w": {}, "f3": f3d, "f5": f5d})):
@@ -648,11 +648,11 @@ def test_bad_tol_raises_value_error(s2, tol):
     # a tolerance must be finite with 0 < tol < 1; the error names tol and
     # does not blame the tensor (MembershipError)
     from aqh import MetricLieAlgebra, classify_algebra
-    from aqh.torsion import w_coords
+    from aqh.torsion import require_in_W
 
     a = random_W_element(s2, 7)
     calls = (lambda: classification_report(a, s2, tol),
-             lambda: w_coords(a, s2, tol),
+             lambda: require_in_W(a, s2, tol),
              lambda: classify_algebra(
                  MetricLieAlgebra(s2, np.zeros((8, 8, 8))), tol))
     for call in calls:

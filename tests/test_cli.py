@@ -354,6 +354,24 @@ def test_classify_rejects_invalid_json(tmp_path, capsys, name, data, where):
     assert "outside [0, 8)" in err or "not a finite number" in err
 
 
+def test_a_diagonal_bracket_is_refused(tmp_path, capsys):
+    # [e_i, e_i] = 0: a nonzero entry [i, i, k, v] cancelled in the
+    # antisymmetric table and the algebra read as abelian (QK, exit 0)
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps({"n": 2, "brackets": [[0, 0, 7, 1.0]]}))
+    for cmd in ("liealg", "classify"):
+        assert main([cmd, "--input", str(p)]) == 2
+        assert "brackets[0]: [e_0, e_0] must be 0" in capsys.readouterr().err
+    p.write_text(json.dumps({"n": 2, "brackets": [[0, 1, 7, 1.0],
+                                                  [2, 2, 5, -3.0]]}))
+    assert main(["liealg", "--input", str(p)]) == 2
+    assert "brackets[1]" in capsys.readouterr().err
+    # a zero on the diagonal says nothing false and is accepted
+    p.write_text(json.dumps({"n": 2, "brackets": [[3, 3, 2, 0.0]]}))
+    assert main(["liealg", "--input", str(p), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["abelian"] is True
+
+
 def _odd_value_doc(case):
     """A document that loads as a valid input when "0" reads as 0, "-1" as
     -1 and true as 1, and that the CLI accepts once it does: a member of W,
@@ -501,7 +519,7 @@ def test_verify_reports_an_aborted_section_as_a_failure(monkeypatch, capsys):
     assert "verification failure" in err and "section operators" in err
     assert "fundamental form changed under rotation" in err
     with pytest.raises(VerificationError) as exc:
-        aqh.verify.run_suite(2, sections=("operators",))
+        aqh.verify.run_suite(2, 0, sections=("operators",))
     assert isinstance(exc.value.__cause__, StructureError)
 
 
@@ -515,4 +533,4 @@ def test_verify_accepts_n4_and_refuses_n5():
         build_parser().parse_args(["verify", "--n", "5"])
     assert exc.value.code == 2
     with pytest.raises(ValueError, match="n = 2, 3 or 4"):
-        run_suite(5)
+        run_suite(5, 0)

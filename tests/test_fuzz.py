@@ -101,7 +101,9 @@ def test_fuzz_algebra_from_json(data):
 @FAST
 @given(mutations(STRUCTURE))
 def test_fuzz_structure_from_json(data):
-    _load(structure_from_json, data)
+    # at the document's own n, so the mutations reach I and J, and at n = 2
+    own = data.get("n") if isinstance(data, dict) else None
+    _load(lambda d: structure_from_json(d, own), data)
     _load(lambda d: structure_from_json(d, 2), data)
 
 

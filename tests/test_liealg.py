@@ -18,7 +18,6 @@ from aqh import (
     classify_algebra,
     codiff_Omega,
     contract12,
-    is_in_W,
     koszul,
     nabla_Omega,
     nabla_form,
@@ -28,6 +27,7 @@ from aqh import (
     VerificationError,
 )
 from aqh.structure import AXES, insert
+from aqh.torsion import require_in_W
 from aqh.exterior import tables, wedge1
 from aqh.liealg import PIPELINE_CHECKS, _gray_residual, d_omegas, nabla_omegas
 from reference import compound, nabla_dense
@@ -188,8 +188,7 @@ def test_torsion_membership_and_product_rule():
     g = two_step_nilpotent(2, 6)
     G = koszul(g)
     nOm = nabla_Omega(g, G)
-    ok, resid = is_in_W(nOm, g.structure)
-    assert ok, resid
+    require_in_W(nOm, g.structure)
     rep = classify_algebra(g)
     assert rep["checks"]["product_rule"] < 1e-12
 
@@ -389,8 +388,10 @@ def test_classify_algebra_refuses_a_broken_hodge_route(monkeypatch, tmp_path,
     g = two_step_nilpotent(3, 0)
     monkeypatch.setattr(liealg, "ce_d", broken)
     with pytest.raises(VerificationError,
-                       match="codifferential routes disagree"):
+                       match="codifferential routes disagree") as exc:
         classify_algebra(g)
+    # a failed cross-check is not an input error: it must not be a ValueError
+    assert not isinstance(exc.value, ValueError)
     path = tmp_path / "g.json"
     path.write_text(json.dumps(_algebra_json(g)))
     assert main(["classify", "--input", str(path)]) == 1
@@ -652,31 +653,19 @@ def test_wedge_trace_reading_check(s2):
     assert float(row.detail.rsplit(" ", 1)[1]) > 1e-2
 
 
-def test_codifferential_disagreement_is_verification_error():
-    # a failed cross-check is not an input error: it must not be a ValueError
-    with pytest.raises(VerificationError) as exc:
-        codiff_Omega(two_step_nilpotent(2, 0), tol=-1.0)
-    assert not isinstance(exc.value, ValueError)
-
-
-def test_codiff_Omega_refuses_nan_tol():
-    # NaN compares False with every residual, so it would pass any route
-    g = two_step_nilpotent(2, 0)
-    with pytest.raises(ValueError, match="nan"):
-        codiff_Omega(g, tol=math.nan)
-    assert max(codiff_Omega(g, tol=math.inf)["report"]["pairwise"].values()) \
-        < 1e-9
-
-
 def test_codifferential_routes_refuse_nan_residuals(monkeypatch):
-    # a NaN residual is a disagreement, not a pass
+    # a NaN residual is a disagreement, not a pass: codiff_Omega reports it
+    # and classify_algebra refuses it
     from aqh import liealg
 
     real = liealg.contract12
     monkeypatch.setattr(liealg, "contract12", lambda a: real(a) * math.nan)
+    g = two_step_nilpotent(2, 0)
+    assert all(math.isnan(v) for v in
+               codiff_Omega(g)["report"]["pairwise"].values())
     with pytest.raises(VerificationError,
                        match="codifferential routes disagree"):
-        codiff_Omega(two_step_nilpotent(2, 0))
+        classify_algebra(g)
 
 
 def test_d_omegas_match_ce_d_per_axis():

@@ -8,7 +8,6 @@ from aqh import (
     ComponentLabel,
     MembershipError,
     MixedTorsion,
-    component,
     components,
     contract12,
     profile,
@@ -45,12 +44,13 @@ def test_component_completeness_orthogonality(s2, pool2):
 def test_component_idempotency(s3, pool3):
     for X in ComponentLabel:
         c = pool3[X]
-        cc = component(c, X, s3, check=False)
+        parts = components(c, s3, check=False)
+        cc = parts[X]
         assert np.linalg.norm(cc.rows - c.rows) / max(c.norm(), 1e-30) < 1e-9
         for Y in ComponentLabel:
             if Y is X:
                 continue
-            cross = component(c, Y, s3, check=False)
+            cross = parts[Y]
             assert cross.norm() / max(c.norm(), 1e-30) < 1e-9
 
 
@@ -80,50 +80,52 @@ def test_contraction_kernel(s2, s3, pool2, pool3):
 
 def test_profile(s2, pool2):
     a = pool2[ComponentLabel.KH] + pool2[ComponentLabel.EH]
-    prof = profile(a, s2, check=False)
+    prof = profile(a, s2)
     assert prof.pythagoras_residual < 1e-8
     assert prof.norms[ComponentLabel.KH] == pytest.approx(
         pool2[ComponentLabel.KH].norm())
     assert prof.norms[ComponentLabel.ES3H] / prof.total < 1e-9
-    z = profile(MixedTorsion.zero(8), s2, check=False)
+    z = profile(MixedTorsion.zero(8), s2)
     assert z.total == 0.0 and all(v < 1e-300 for v in z.norms.values())
 
 
 def test_profile_pythagoras_many(s2):
     for k in range(10):
         a = random_W_element(s2, 700 + k)
-        assert profile(a, s2, check=False).pythagoras_residual < 1e-8
+        assert profile(a, s2).pythagoras_residual < 1e-8
 
 
 def test_membership_guard(s2):
     bad = MixedTorsion(8, np.tile(s2.Omega.coeffs, (8, 1)))
     with pytest.raises(MembershipError):
-        profile(bad, s2)
+        components(bad, s2)
 
 
 def test_pure_type_contraction_formula(s2, pool2):
     """Rows of a KH tensor are recovered from its contraction, and the
     associated one-forms collapse."""
-    from aqh import torsion_embed, xi_triple
+    from aqh import torsion_embed
+    from aqh.threeform import xi_maps
 
     aK = pool2[ComponentLabel.KH]
     ds = contract12(aK)
     rebuilt = torsion_embed(ds, s2) * (1.0 / 6.0)
     assert np.linalg.norm(rebuilt.rows - aK.rows) / aK.norm() < 1e-9
-    tri = xi_triple(ds, s2)
-    assert np.abs(tri.xi).max() / aK.norm() < 1e-9
-    assert np.abs(tri.xi_I - tri.xi_J).max() / aK.norm() < 1e-9
+    xi = xi_maps(s2) @ ds.coeffs
+    assert np.abs(xi[0]).max() / aK.norm() < 1e-9
+    assert np.abs(xi[1] - xi[2]).max() / aK.norm() < 1e-9
 
 
 def test_mixed_eigen_contraction_formula(s3, pool3):
-    from aqh import torsion_embed, xi
+    from aqh import torsion_embed
+    from aqh.threeform import xi_maps
 
     aM = pool3[ComponentLabel.L3EH] + pool3[ComponentLabel.L3ES3H]
     ds = contract12(aM)
     lhs = s3.lcal_raw(aM)
     rhs = MixedTorsion(12, 4 * aM.rows + torsion_embed(ds, s3).rows)
     assert np.linalg.norm(lhs.rows - rhs.rows) / aM.norm() < 1e-9
-    assert np.abs(xi(ds, s3)).max() / aM.norm() < 1e-9
+    assert np.abs(xi_maps(s3)[0] @ ds.coeffs).max() / aM.norm() < 1e-9
 
 
 def test_component_dims_closed_forms():
@@ -172,20 +174,18 @@ def test_core_matches_paper_route(s2, s3):
 
 
 def test_membership_is_distance_to_W(s2, s3):
-    from aqh import classification_report, is_in_W
-    from aqh.torsion import fiber_basis_matrix
+    from aqh import classification_report
+    from aqh.torsion import _w_project, fiber_basis_matrix
 
     for s in _frames(s2, s3):
         a = _mixture(components(random_W_element(s, 33), s), 34, s.dim)
-        ok, resid = is_in_W(a, s)
-        assert ok and resid < 1e-12
+        assert _w_project(a, s)[1] < 1e-12
         Q = fiber_basis_matrix(s)
         raw = np.random.default_rng(35).standard_normal(a.rows.shape)
         off = raw - (raw @ Q) @ Q.T
         bad = a + MixedTorsion(s.dim, off) * (1e-6 * a.norm()
                                               / np.linalg.norm(off))
-        ok, resid = is_in_W(bad, s)
-        assert not ok and resid == pytest.approx(1e-6, rel=1e-3)
+        assert _w_project(bad, s)[1] == pytest.approx(1e-6, rel=1e-3)
         for fn in (lambda: components(bad, s),
                    lambda: classification_report(bad, s)):
             with pytest.raises(MembershipError):
@@ -195,9 +195,10 @@ def test_membership_is_distance_to_W(s2, s3):
 def test_embeddings_land_in_W(s2, s3):
     """The covariant table column is evaluated on W coordinates, which needs
     the images of torsion_embed and of the zeta rows to lie in W."""
-    from aqh import is_in_W, torsion_embed
+    from aqh import torsion_embed
     from aqh.exterior import AltForm
     from aqh.threeform import r_matrix
+    from aqh.torsion import _w_project
 
     rng = np.random.default_rng(36)
     for s in _frames(s2, s3):
@@ -205,7 +206,7 @@ def test_embeddings_land_in_W(s2, s3):
         rz = MixedTorsion.from_flat(
             s.dim, r_matrix(s) @ rng.standard_normal(s.dim))
         for t in (torsion_embed(b, s), rz):
-            assert is_in_W(t, s)[1] <= 1e-12
+            assert _w_project(t, s)[1] <= 1e-12
 
 
 def _class_mixtures(s, seed):

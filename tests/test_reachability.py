@@ -2,7 +2,8 @@
 user runs: the CLI (``cli.main``), the identity suite (``verify.run_suite``
 and its sections) and the names the benchmark workloads import.  A helper
 that only the tests call is dead code, and so is an option, a defaulted
-parameter, that no call in the package or the workloads passes.
+parameter, that no call in the package or the workloads passes; an option
+that every such call passes serves one value, and its default is dead.
 
 The walk reads the source with ``ast``; it imports nothing.  A name is
 resolved through the module's own definitions and its imports (``import
@@ -231,11 +232,13 @@ def _passed(call: ast.Call, param: str, pos):
     return None
 
 
-def unset_options() -> list:
-    """The options that no call in the package or the workloads passes, by
-    keyword or by position, matching calls by name.  A call that passes an
-    option of its enclosing function on unchanged sets the option only if
-    some call sets that one."""
+def option_calls() -> tuple[set, set, set]:
+    """(options, set, defaulted): the options, those that some call in the
+    package or the workloads passes, by keyword or by position, and those
+    that some call leaves at their default, matching calls by name.  A call
+    that passes an option of its enclosing function on unchanged sets the
+    option only if some call sets that one, and leaves it at its default
+    only if some call leaves that one at its default."""
     mods = _load_package()
     opts = options(mods)
     by_name, of_node = {}, {}
@@ -244,7 +247,8 @@ def unset_options() -> list:
         of_node[fn, key[2]] = key
     trees = [m.tree for m in mods.values()]
     trees.append(ast.parse(WORKLOADS.read_text()))
-    is_set, forwards = set(), []    # forwards: (from option, to option)
+    is_set, defaulted = set(), set()
+    forwards = []    # (from option, to option)
     for tree in trees:
         for call, fn in _calls(tree):
             f = call.func
@@ -256,11 +260,37 @@ def unset_options() -> list:
                     forwards.append((source, key))
                 elif value is not None:
                     is_set.add(key)
-    while new := {key for source, key in forwards if source in is_set} \
-            - is_set:
-        is_set |= new
-    return sorted(f"{m}.{qual}({param})" for m, qual, param in opts.keys()
-                  - is_set)
+                else:
+                    defaulted.add(key)
+    for reached in (is_set, defaulted):
+        while new := {key for source, key in forwards
+                      if source in reached} - reached:
+            reached |= new
+    return set(opts), is_set, defaulted
+
+
+def _names(keys) -> list:
+    return sorted(f"{m}.{qual}({param})" for m, qual, param in keys)
+
+
+def unset_options() -> list:
+    """The options that no call in the package or the workloads passes."""
+    opts, is_set, _ = option_calls()
+    return _names(opts - is_set)
+
+
+def unused_defaults() -> list:
+    """The options whose default no call in the package or the workloads
+    relies on: every call passes a value."""
+    opts, _, defaulted = option_calls()
+    return _names(opts - defaulted)
+
+
+# An option every caller sets, kept: every call in the package passes
+# components(..., check=False), as do the benchmark workloads
+# (perfbench/workloads.py), which keep that signature; the checked default
+# is the route for a tensor from outside the package.
+UNUSED_DEFAULTS_KEPT = {"projectors.components(check)"}
 
 
 def test_every_option_is_set_by_a_caller():
@@ -269,3 +299,12 @@ def test_every_option_is_set_by_a_caller():
     assert ("liealg", "two_step_nilpotent", "center") in opts
     unset = unset_options()
     assert not unset, "options no caller sets: " + ", ".join(unset)
+
+
+def test_every_option_default_is_relied_on_by_a_caller():
+    # an option that every call sets serves one value: it should be a
+    # constant or a required argument
+    unused = unused_defaults()
+    assert UNUSED_DEFAULTS_KEPT <= set(unused), "kept but now relied on"
+    left = [o for o in unused if o not in UNUSED_DEFAULTS_KEPT]
+    assert not left, "options every caller sets: " + ", ".join(left)

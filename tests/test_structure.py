@@ -269,10 +269,10 @@ def test_structure_json_round_trip(s2):
     from aqh.structure import structure_from_json
 
     back = structure_from_json({"n": 2, "I": s2.I.tolist(),
-                                "J": s2.J.tolist()})
+                                "J": s2.J.tolist()}, 2)
     np.testing.assert_allclose(back.I, s2.I)
     np.testing.assert_allclose(back.K, s2.K)
-    shorthand = structure_from_json({"n": 3})
+    shorthand = structure_from_json({"n": 3}, 3)
     assert shorthand.n == 3
 
 

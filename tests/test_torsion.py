@@ -13,7 +13,6 @@ from aqh import (
     extract_cA,
     fiber_project,
     from_nabla_omegas,
-    is_in_W,
     random_W_element,
     w_dim,
 )
@@ -21,13 +20,14 @@ from aqh.structure import AXES
 from aqh.verify import dimension_certificate
 from aqh.torsion import (
     _fiber_maps,
+    _w_project,
     f_inverse_raw,
     family_conditions,
     fiber_basis_matrix,
-    fiber_residuals,
     reassemble,
     require_in_W,
 )
+from reference import fiber_residuals
 
 
 def random_family(s, seed):
@@ -79,12 +79,9 @@ def test_conjugation_sum_eigenvalues(s2):
     assert np.abs((ev - 3.0) * (ev + 1.0)).max() < 1e-9
 
 
-def test_F_zero_and_validation(s2):
+def test_F_zero(s2):
     z = MixedTwoFormFamily(8, np.zeros((8, 8, 8)))
     assert F_map(z, s2).norm() == 0.0
-    c = random_family(s2, 1)  # not in the fiber
-    with pytest.raises(MembershipError):
-        F_map(c, s2)
 
 
 def test_F_round_trips(s2, s3):
@@ -94,7 +91,7 @@ def test_F_round_trips(s2, s3):
             a = F_map(c, s)
             back = f_inverse_raw(a, s)
             assert np.linalg.norm(back.mats - c.mats) / c.norm() < 1e-9
-            again = F_map(back, s, check=False)
+            again = F_map(back, s)
             assert np.linalg.norm(again.rows - a.rows) / a.norm() < 1e-9
 
 
@@ -118,13 +115,11 @@ def test_embedded_rows_have_L_eigenvalue_two(s2):
     assert np.linalg.norm(a.rows @ L4.T - 2 * a.rows) / a.norm() < 1e-12
 
 
-def test_is_in_W(s2):
+def test_w_project_residual(s2):
     a = random_W_element(s2, 5)
-    ok, resid = is_in_W(a, s2)
-    assert ok and resid < 1e-12
+    assert _w_project(a, s2)[1] < 1e-12
     bad = MixedTorsion(8, np.tile(s2.Omega.coeffs, (8, 1)))
-    ok, resid = is_in_W(bad, s2)
-    assert not ok and resid > 1e-3
+    assert _w_project(bad, s2)[1] > 1e-3
 
 
 def test_checked_w_coords_are_the_membership_product(s2):
@@ -135,10 +130,12 @@ def test_checked_w_coords_are_the_membership_product(s2):
     # the coordinates the membership test formed, not a second product
     assert np.array_equal(require_in_W(a, s2), C)
     assert np.array_equal(w_coords(a, s2), C)
-    assert np.array_equal(w_coords(a, s2, check=False), C)
+    # w_coords is the plain product; require_in_W is the checked route
     bad = MixedTorsion(8, np.tile(s2.Omega.coeffs, (8, 1)))
+    assert np.array_equal(w_coords(bad, s2),
+                          bad.rows @ fiber_basis_matrix(s2))
     with pytest.raises(MembershipError):
-        w_coords(bad, s2)
+        require_in_W(bad, s2)
 
 
 def test_extract_cA_conditions_and_reassembly(s2, s3):
@@ -247,7 +244,7 @@ def test_fiber_basis_matches_per_column_build(s2, s3):
             mats = np.zeros((s.dim,) * 3)
             mats[0, i, j], mats[0, j, i] = 1.0, -1.0
             fam = fiber_project(MixedTwoFormFamily(s.dim, mats), s)
-            cols.append(F_map(fam, s, check=False).rows[0])
+            cols.append(F_map(fam, s).rows[0])
         u, sv, _ = np.linalg.svd(np.stack(cols, axis=1), full_matrices=False)
         ref = u[:, :Q.shape[1]]
         assert sv[Q.shape[1]] < 1e-10
@@ -259,7 +256,7 @@ def test_embedding_and_reassembly_match_six_term_wedge(s2, s3, frame3):
         c = random_family(s, 3)
         want = sum(0.25 * wedge22_reference(-(A.T @ c.mats + c.mats @ A), A)
                    for A in (s.I, s.J, s.K))
-        np.testing.assert_allclose(F_map(c, s, check=False).rows, want,
+        np.testing.assert_allclose(F_map(c, s).rows, want,
                                    rtol=0, atol=1e-12)
         cA = np.stack([random_family(s, 4 + k).mats for k in range(3)])
         want = sum(wedge22_reference(c, A) for c, A in zip(cA, s.IJK))
@@ -275,11 +272,10 @@ def test_random_W_element_is_F_of_fiber_projection(s2, s3):
             raw = np.random.default_rng(seed).standard_normal((s.dim,) * 3)
             fam = fiber_project(
                 MixedTwoFormFamily(s.dim, raw - raw.transpose(0, 2, 1)), s)
-            ref = F_map(fam, s, check=False)
+            ref = F_map(fam, s)
             assert (np.linalg.norm(a.rows - ref.rows)
                     <= 1e-14 * np.linalg.norm(ref.rows))
-            ok, resid = is_in_W(a, s)
-            assert ok and resid <= 1e-12
+            assert _w_project(a, s)[1] <= 1e-12
 
 
 def test_f_inverse_raw_matches_contraction(s2, s3):

@@ -301,7 +301,7 @@ def test_row_sweep_stacks_match_single_tensors():
                     for i, m in enumerate(mixes):
                         scale = np.array([m.norm()])
                         one = (C.ctx_from_torsion(
-                            w_coords(m, s, check=False)[None],
+                            w_coords(m, s)[None],
                             contract12(m).coeffs[None], s, scale)
                             if column == "col2" else C.ctx_from_derived(
                                 alternate5(m).coeffs[None], s, scale))
@@ -334,7 +334,7 @@ def test_mixed_contexts_match_direct_ones():
         def contexts(ts):
             scale = np.array([t.norm() for t in ts])
             return (C.ctx_from_torsion(
-                        np.stack([w_coords(t, s, check=False) for t in ts]),
+                        np.stack([w_coords(t, s) for t in ts]),
                         np.stack([contract12(t).coeffs for t in ts]), s,
                         scale),
                     C.ctx_from_derived(
