@@ -38,7 +38,8 @@ from .exterior import AltForm, MixedTorsion, SparseOp, alternate5, contract12, h
 from .projectors import (COMPONENT_DIMS, ComponentLabel, ComponentProfile,
                          _w_core, component_norms, lcal_coords, split_coords)
 from .structure import AXES, QuatStructure
-from .threeform import _cond, _Ctx, _eval_cond, _norm, wedge_norms
+from .threeform import (_cond, _Ctx, _eval_cond, _norm, require_alternation,
+                        wedge_norms)
 from .torsion import check_tol, require_in_W, w_dim, w_embed
 
 ALIASES = {
@@ -163,7 +164,6 @@ def ctx_from_derived(dOm: np.ndarray, s: QuatStructure, scale) -> _Ctx:
               "AEd": ae(s, f3["dstar"]), "AELd": ae(s, f3["Ldstar"]),
               "Q5": ae(s, f3["m"]), "xiOm": wedge_Omega(xi[..., 0, :])}
     ctx.miss = _alternation_miss(dOm, xi, s)
-    ctx.alternation_check = require_alternation
     return ctx.packed()
 
 
@@ -178,18 +178,6 @@ def _alternation_miss(dOm: np.ndarray, xi: np.ndarray,
         wedge(s.omega["I"], s.omega["I"]), dim - 5))
     return (hodge_op(dim, 1, vol).T(wII(hodge_op(dim, 5, vol)(dOm)))
             + 12 * xi[..., 0, :] + 8 * s.k1 * xi[..., 1, :])
-
-
-def require_alternation(ctx: _Ctx) -> None:
-    """ValueError unless every entry of the derived context ctx misses the
-    identity star_inv(star(dOm) ^ w_I ^ w_I) = -12 xi - 8(n-1) xi_I, which
-    the wedge norms wAAeq and wAA0 read (threeform.wedge_norms), by at most
-    1e-8 |dOm|.  The misses are linear in dOm, so on a mixed context they
-    are the mixed misses, and the test is that of the mixed 5-forms."""
-    miss = _norm(ctx.miss)
-    if not np.all(miss <= 1e-8 * _norm(ctx.f5["dOm"])):
-        raise ValueError(f"dOmega is not the alternation of a tensor in W: "
-                         f"the wedge identity misses by {miss.max():.2e}")
 
 
 @dataclass

@@ -16,12 +16,13 @@ as one coefficient row per first-slot basis vector.
 
 Every operator is read from one split table, ``wedge_table(p, q)``: each
 increasing (p+q)-tuple splits into a p-part and a q-part with a sign, and
-``wedge`` sums over the splits.  The other incidences are views of it:
+``wedge_op`` holds the nonzeros of the splits.  Only this module reads the
+tables; other modules apply the operators built here:
 
 * ``exp_table(p)`` is the (1, p-1) split (dropping entry r of p-tuple #u
-  leaves (p-1)-tuple #t, with a sign).  Interior products and contractions
-  accumulate into t, one-form wedges (``wedge_rows``) into u, and slot
-  derivations pair the rows through one t (``der_table``, by source);
+  leaves (p-1)-tuple #t, with a sign).  ``FormTables.hook(p)`` and
+  ``contraction(p)`` hold one entry per row, and slot derivations pair the
+  rows through one t (``der_table``, by source);
 * ``hodge_op(dim, p, .)`` reads the (p, dim-p) split of the top tuple: the
   complement of each p-tuple, with the sign of the concatenation.
 """
@@ -67,7 +68,8 @@ class FormTables:
         self._tuples: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._index: dict[int, dict[tuple[int, ...], int]] = {}
         self._columns: dict[int, np.ndarray] = {}
-        self._exp: dict[int, tuple[np.ndarray, ...]] = {}
+        self._hook: dict[int, SparseOp] = {}
+        self._contraction: dict[int, SparseOp] = {}
         self._wedge: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
         self._der: dict[int, tuple[np.ndarray, ...]] = {}
         self._dense: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -133,15 +135,30 @@ class FormTables:
         return self._wedge[key]
 
     def exp_table(self, p: int):
-        """Rows (u, m, r, t, sign): dropping position m (value r) from the
-        p-tuple #u leaves the (p-1)-tuple #t, with sign (-1)^m.  It is the
-        (1, p-1) split of ``wedge_table`` with the position m added.
+        """Rows (u, r, t, sign), the (1, p-1) split of ``wedge_table``:
+        dropping entry r, at position m, from the p-tuple #u leaves the
+        (p-1)-tuple #t, with sign (-1)^m; the p rows of #u run over m."""
+        return self.wedge_table(1, p - 1)
 
-        Drives every slot operator (see the module docstring)."""
-        if p not in self._exp:
-            u, r, t, sign = self.wedge_table(1, p - 1)
-            self._exp[p] = (u, np.arange(u.size) % p, r, t, sign)
-        return self._exp[p]
+    def hook(self, p: int) -> SparseOp:
+        """b -> (e_y hook b)_y from N_p to dim N_{p-1}, one ``exp_table(p)``
+        row an entry; its transpose is rows -> sum_y e^y ^ rows[y]."""
+        if p not in self._hook:
+            u, r, t, sign = self.exp_table(p)
+            N = self.nforms(p - 1)
+            self._hook[p] = SparseOp(r * N + t, u, sign,
+                                     (self.dim * N, self.nforms(p)))
+        return self._hook[p]
+
+    def contraction(self, p: int) -> SparseOp:
+        """rows -> -sum_y e_y hook rows[y] from dim N_p to N_{p-1}, one
+        ``exp_table(p)`` row an entry."""
+        if p not in self._contraction:
+            u, r, t, sign = self.exp_table(p)
+            N = self.nforms(p)
+            self._contraction[p] = SparseOp(t, r * N + u, -sign,
+                                            (self.nforms(p - 1), self.dim * N))
+        return self._contraction[p]
 
     def der_table(self, p: int):
         """Arrays (zr, t, sign) of shape (N_p, p (dim - p + 1)) so that the
@@ -150,7 +167,7 @@ class FormTables:
         pairs of ``exp_table(p)`` rows (s, z) and (t, r) through one
         (p-1)-tuple, zr = z dim + r, grouped by the source tuple s."""
         if p not in self._der:
-            u, _m, r, t, sign = self.exp_table(p)
+            u, r, t, sign = self.exp_table(p)
             # every (p-1)-tuple is reached from k = dim - p + 1 p-tuples:
             # pair[e] holds the k rows through the (p-1)-tuple of row e
             k = self.dim - p + 1
@@ -217,10 +234,7 @@ class AltForm:
 
     def dense(self) -> np.ndarray:
         """Full (0,p) tensor with all permutation images filled in."""
-        flat, sign = tables(self.dim).dense_table(self.degree)
-        out = np.zeros(self.dim ** self.degree)
-        out[flat] = sign[:, None] * self.coeffs
-        return out.reshape((self.dim,) * self.degree)
+        return dense_forms(self.coeffs, self.dim, self.degree)
 
     def norm(self) -> float:
         return math.sqrt(self.coeffs @ self.coeffs)
@@ -242,16 +256,23 @@ class AltForm:
             raise DegreeError("mismatched forms")
 
 
+def dense_forms(coeffs: np.ndarray, dim: int, p: int) -> np.ndarray:
+    """Full (0,p) tensors (..., dim, .., dim) of the p-form coefficients
+    (..., N_p), with all permutation images filled in."""
+    flat, sign = tables(dim).dense_table(p)
+    lead = coeffs.shape[:-1]
+    out = np.zeros(lead + (dim ** p,))
+    out[..., flat] = sign[:, None] * coeffs[..., None, :]
+    return out.reshape(lead + (dim,) * p)
+
+
 def wedge(a: AltForm, b: AltForm) -> AltForm:
     if a.dim != b.dim:
         raise DegreeError("forms live on different spaces")
     p, q = a.degree, b.degree
     if p + q > a.dim:
         raise DegreeError(f"wedge degree {p}+{q} exceeds dimension {a.dim}")
-    o, ai, bi, sign = tables(a.dim).wedge_table(p, q)
-    vals = sign * a.coeffs[ai] * b.coeffs[bi]
-    out = np.bincount(o, weights=vals, minlength=math.comb(a.dim, p + q))
-    return AltForm(a.dim, p + q, out)
+    return AltForm(a.dim, p + q, wedge_op(b, p)(a.coeffs))
 
 
 # the most nonzeros one SparseOp pass gathers: a stack of B entries holds a
@@ -316,22 +337,16 @@ def interior(x: np.ndarray, a: AltForm) -> AltForm:
     """x-slot contraction (x 'hook' a)(...) = a(x, ...)."""
     if a.degree < 1:
         raise DegreeError("cannot contract a 0-form")
-    x = np.asarray(x, dtype=float)
-    u, _m, r, t, sign = tables(a.dim).exp_table(a.degree)
-    out = _accumulate(t, sign * x[r] * a.coeffs[u],
-                      math.comb(a.dim, a.degree - 1))
-    return AltForm(a.dim, a.degree - 1, out)
+    hooks = tables(a.dim).hook(a.degree)(a.coeffs).reshape(a.dim, -1)
+    return AltForm(a.dim, a.degree - 1, np.asarray(x, dtype=float) @ hooks)
 
 
 def wedge1(x: np.ndarray, b: AltForm) -> AltForm:
-    """One-form wedge x^flat ^ b, using the same table as ``interior``."""
+    """One-form wedge x^flat ^ b, ``wedge_rows`` of the rows x_y b."""
     if b.degree + 1 > b.dim:
         raise DegreeError("wedge degree exceeds dimension")
-    x = np.asarray(x, dtype=float)
-    u, _m, r, t, sign = tables(b.dim).exp_table(b.degree + 1)
-    out = _accumulate(u, sign * x[r] * b.coeffs[t],
-                      math.comb(b.dim, b.degree + 1))
-    return AltForm(b.dim, b.degree + 1, out)
+    rows = np.outer(np.asarray(x, dtype=float), b.coeffs)
+    return AltForm(b.dim, b.degree + 1, wedge_rows(rows, b.degree))
 
 
 def _accumulate(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -350,8 +365,17 @@ def wedge_rows(rows: np.ndarray, p: int) -> np.ndarray:
     (..., dim, N_p), giving (..., N_{p+1})."""
     rows = np.asarray(rows, dtype=float)
     dim = rows.shape[-2]
-    u, _m, r, t, sign = tables(dim).exp_table(p + 1)
-    return _accumulate(u, sign * rows[..., r, t], math.comb(dim, p + 1))
+    return tables(dim).hook(p + 1).T(rows.reshape(rows.shape[:-2] + (-1,)))
+
+
+def wedge1_stack(rows: np.ndarray, dim: int, p: int) -> np.ndarray:
+    """The dense table (dim, k, N_{p+1}) of e^y ^ rows[j] for p-form rows
+    (k, N_p): each ``exp_table(p+1)`` row (u, y, t, sign) writes
+    sign rows[:, t] at (y, :, u), and (y, u) fixes t."""
+    u, y, t, sign = tables(dim).exp_table(p + 1)
+    out = np.zeros((dim, len(rows), math.comb(dim, p + 1)))
+    out[y, :, u] = sign[:, None] * rows.T[t]
+    return out
 
 
 def derivation_op(b) -> SparseOp:
@@ -375,6 +399,43 @@ def derivation_op(b) -> SparseOp:
     zr, t, sign = (a[k] for a in tables(dim).der_table(p))
     return SparseOp((j[:, None] * N + t).ravel(), zr.ravel(),
                     (sign * B[j, k, None]).ravel(), shape)
+
+
+def derivation_stack(mats: np.ndarray, p: int) -> SparseOp:
+    """The stack (k N_p x N_p) of the slot derivations b -> sum_i
+    b(.., M X_i, ..) on degree p for the k matrices M of mats (k, dim, dim),
+    b -> (D_1 b, .., D_k b): entry (zr, t, sign) of ``der_table`` row s
+    adds M.flat[zr] sign at (t, s) of D_M."""
+    zr, t, sign = tables(mats.shape[-1]).der_table(p)
+    N, R = zr.shape
+    v = np.stack([M.ravel()[zr.ravel()] * sign.ravel() for M in mats])
+    k, i = np.nonzero(v != 0)   # on a bool mask: 3x faster
+    return SparseOp(k * N + t.ravel()[i], i // R, v[k, i], (len(mats) * N, N))
+
+
+def koszul_op(b) -> SparseOp:
+    """b -> db for a form b of degree p >= 1, or forms of one degree side
+    by side, as a map on the bracket table c.ravel() (dim^3) of a Lie
+    algebra: d b = -(1/2) sum_k e^k ^ derivation(ad(e_k), b).
+
+    Entry (t, zr) of the ``derivation_op`` of b, zr = z dim + r, meets the
+    dim - p rows (u, k, t) of ``exp_table(p+1)`` that drop k from u and
+    leave t: -1/2 times their signs, at ad(e_k)[z, r] = c[k, r, z].  r lies
+    in t and k does not, and the entry of (u, r, u - r) and zr = z dim + k
+    has the same value at c[r, k, z] = -c[k, r, z]: the sum counts each
+    bracket twice, so the entries with k < r are kept, doubled."""
+    forms = (b,) if isinstance(b, AltForm) else tuple(b)
+    dim, p = forms[0].dim, forms[0].degree
+    D = derivation_op(forms)
+    N, N1 = math.comb(dim, p), math.comb(dim, p + 1)
+    u, k, t, sign = tables(dim).exp_table(p + 1)
+    e = np.argsort(t, kind="stable").reshape(N, dim - p)[D.r % N]
+    z, r = np.divmod(D.c[:, None], dim)
+    keep = k[e] < r
+    return SparseOp((u[e] + (D.r // N * N1)[:, None])[keep],
+                    ((k[e] * dim + r) * dim + z)[keep],
+                    -(sign[e] * D.v[:, None])[keep],
+                    (D.shape[0] // N * N1, dim ** 3))
 
 
 def inner(a: AltForm, b: AltForm) -> float:
@@ -463,9 +524,7 @@ class MixedTwoFormFamily:
 def contract12(a: MixedTorsion) -> AltForm:
     """First-slot metric contraction with a minus sign:
     out(y,z,u) = -sum_r a(e_r; e_r, y, z, u)."""
-    u, _m, r, t, sign = tables(a.dim).exp_table(4)
-    return AltForm(a.dim, 3, _accumulate(t, -sign * a.rows[r, u],
-                                         math.comb(a.dim, 3)))
+    return AltForm(a.dim, 3, tables(a.dim).contraction(4)(a.rows.ravel()))
 
 
 def alternate5(a: MixedTorsion) -> AltForm:
@@ -583,7 +642,13 @@ def mixed_to_json(a: MixedTorsion) -> dict:
 
 
 def mixed_from_json(data: dict) -> MixedTorsion:
+    """A tensor document; it is read in the standard frame, so its
+    structure, if given, must be "standard" and its degree 4."""
     dim = 4 * _json_n(data)
+    for key, want in (("structure", "standard"), ("degree", 4)):
+        if data.get(key, want) != want:
+            raise InputFormatError(f"key {key!r}: {data[key]!r:.40} is not "
+                                   f"{want!r}")
     out = MixedTorsion.zero(dim)
     rows, u, vals = _json_coeffs(data, dim, 4, 1)
     out.rows[rows[:, 0], u] = vals

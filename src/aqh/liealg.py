@@ -21,7 +21,6 @@ and the Nijenhuis tensor of each complex structure measures integrability.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,9 @@ from .exterior import (
     _json_value,
     alternate5,
     contract12,
+    dense_forms,
     derivation_op,
+    koszul_op,
 )
 from .structure import (
     AXES,
@@ -133,30 +134,8 @@ def nabla_Omega(g: MetricLieAlgebra, G: np.ndarray) -> MixedTorsion:
 
 
 def _d_map(s: QuatStructure, b) -> SparseOp:
-    """b -> db for a form b, or forms of one degree side by side, as a map
-    on the bracket table c.ravel(), kept by s for its own forms.
-
-    Entry (t, zr) of the ``derivation_op`` of b, zr = z dim + r, meets the
-    dim - p rows (u, k, t) of ``exp_table(p+1)`` that drop k from u and
-    leave t: -1/2 times their signs, at ad(e_k)[z, r] = c[k, r, z].  r lies
-    in t and k does not, and the entry of (u, r, u - r) and zr = z dim + k
-    has the same value at c[r, k, z] = -c[k, r, z]: the sum counts each
-    bracket twice, so the entries with k < r are kept, doubled."""
-
-    def build():
-        dim, p = s.dim, (b if isinstance(b, AltForm) else b[0]).degree
-        D = derivation_op(b)
-        N, N1 = math.comb(dim, p), math.comb(dim, p + 1)
-        u, _m, k, t, sign = s.tab.exp_table(p + 1)
-        e = np.argsort(t, kind="stable").reshape(N, dim - p)[D.r % N]
-        z, r = np.divmod(D.c[:, None], dim)
-        keep = k[e] < r
-        return SparseOp((u[e] + (D.r // N * N1)[:, None])[keep],
-                        ((k[e] * dim + r) * dim + z)[keep],
-                        -(sign[e] * D.v[:, None])[keep],
-                        (D.shape[0] // N * N1, dim ** 3))
-
-    return s.form_cache("d", b, build)
+    """exterior.koszul_op of b, kept by s for its own forms."""
+    return s.form_cache("d", b, lambda: koszul_op(b))
 
 
 def ce_d(g: MetricLieAlgebra, b: AltForm) -> AltForm:
@@ -174,11 +153,8 @@ def d_omegas(g: MetricLieAlgebra) -> np.ndarray:
     Kaehler forms side by side, one product of their ``_d_map``, scattered
     to every permutation image at once."""
     s = g.structure
-    d = _d_map(s, s.omegas)(g.c.ravel()).reshape(3, 1, -1)
-    flat, sign = s.tab.dense_table(3)
-    out = np.zeros((3, s.dim ** 3))
-    out[:, flat] = sign[:, None] * d
-    return out.reshape((3,) + (s.dim,) * 3)
+    return dense_forms(_d_map(s, s.omegas)(g.c.ravel()).reshape(3, -1),
+                       s.dim, 3)
 
 
 def nijenhuis(g: MetricLieAlgebra) -> np.ndarray:

@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .exterior import MixedTorsion, contract12
+from .exterior import MixedTorsion, contract12, wedge1_stack
 from .structure import AXES, QuatStructure
 from .threeform import hat_factors, proj3_parts, r_matrix, se_core
 from .torsion import fiber_basis_matrix, require_in_W, w_coords, w_embed
@@ -95,11 +95,10 @@ def _w_core(s: QuatStructure) -> dict:
         # deriv_op(4) on the rows of Q^T, chunked by SparseOp: about 1.5 MiB
         # of transient at n=3 in any frame, its 0.5 MiB result included
         D = s.deriv_op(4)(Q.T).reshape(len(Q.T), 3, -1)
-        # SE[y] = (Q^T se_core)(e_y hook .), one exp_table(3) row an entry
-        u, _m, r, t, sign = s.tab.exp_table(3)
-        SE = np.zeros((s.dim, len(Q.T), s.tab.nforms(3)))
-        SE[r, :, u] = sign[:, None] * (Q.T @ se_core(s)).T[t]
-        SE = SE.reshape(-1, s.tab.nforms(3))
+        # SE[y] = (Q^T se_core)(e_y hook .), row j the 3-form e^y ^ row j
+        # of Q^T se_core
+        SE = wedge1_stack(Q.T @ se_core(s), s.dim, 2).reshape(
+            -1, s.tab.nforms(3))
         R = (Q.T @ r_matrix(s).reshape(s.dim, -1, s.dim)).reshape(-1, s.dim)
         H3, H1 = hat_factors(s)
         hat_w = SE @ H3 - R @ H1

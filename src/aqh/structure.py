@@ -17,12 +17,12 @@ The unit volume form is Vol = ((-1)^(n+1) / (2n+1)!) Omega^n.  Its sign
 vol_coeff, which fixes the Hodge star, is read from the orientation of a
 frame (x_1, I x_1, .., x_2n, I x_2n) when a star first needs it, so no
 structure forms Omega^n; verify certifies the two readings agree.  Slot
-derivations are kept as the nonzeros of ``der_table``; the structure instance
-caches its operators, and through ``form_cache`` the maps of its own forms
-Omega, (w_I, w_J, w_K) and star Omega, and is otherwise immutable: it holds
-its own read-only stack IJK of I, J, K and the coefficients of those forms.
-standard_structure returns one shared instance per n, so its caches live for
-the process.
+derivations are kept as their nonzeros (``exterior.derivation_stack``); the
+structure instance caches its operators, and through ``form_cache`` the
+maps of its own forms Omega, (w_I, w_J, w_K) and star Omega, and is
+otherwise immutable: it holds its own read-only stack IJK of I, J, K and
+the coefficients of those forms.  standard_structure returns one shared
+instance per n, so its caches live for the process.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .exterior import (
     MixedTorsion,
     SparseOp,
     _json_n,
+    derivation_stack,
     hodge_op,
     tables,
     wedge,
@@ -168,19 +169,9 @@ class QuatStructure:
 
     def deriv_op(self, p: int) -> SparseOp:
         """The stack D (3 N_p x N_p) of the derivations D_A: b -> sum_i
-        b(.., A X_i, ..) on degree p, b -> (D_I b, D_J b, D_K b); entry k of
-        der_table row s, (zr, t, sign), adds A.flat[zr] sign at (t, s) of
-        D_A.  D_A^T = -D_A."""
-
-        def build():
-            zr, t, sign = self.tab.der_table(p)
-            N, R = zr.shape
-            v = np.stack([self.mats[a].ravel()[zr.ravel()] * sign.ravel()
-                          for a in AXES])
-            k, i = np.nonzero(v != 0)   # on a bool mask: 3x faster
-            return SparseOp(k * N + t.ravel()[i], i // R, v[k, i], (3 * N, N))
-
-        return self.cache(("deriv", p), build)
+        b(.., A X_i, ..) on degree p, b -> (D_I b, D_J b, D_K b)
+        (exterior.derivation_stack of IJK).  D_A^T = -D_A."""
+        return self.cache(("deriv", p), lambda: derivation_stack(self.IJK, p))
 
     def L_apply(self, p: int, x: np.ndarray) -> np.ndarray:
         """L = 3p/2 - D^T D/2 on the last axis of degree-p coefficients, as

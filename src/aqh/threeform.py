@@ -35,7 +35,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .exterior import AltForm, DegreeError, MixedTorsion, wedge_op
+from .exterior import (AltForm, DegreeError, MixedTorsion, wedge1_stack,
+                        wedge_op)
 from .structure import AXES, QuatStructure
 
 
@@ -44,27 +45,17 @@ from .structure import AXES, QuatStructure
 # ---------------------------------------------------------------------------
 
 
-def _trace_matrices(s: QuatStructure) -> np.ndarray:
-    """V (3 x dim x N3): (V[k] b)[y] = <e_y hook b, w_A>, A = AXES[k]: each
-    exp_table(3) row (u, r, t, sign) puts sign w_A[t] at its own (r, u)."""
-
-    def build():
-        u, _m, r, t, sign = s.tab.exp_table(3)
-        V = np.zeros((3, s.dim, s.tab.nforms(3)))
-        V[:, r, u] = sign * np.stack([s.omega[a].coeffs[t] for a in AXES])
-        return V
-
-    return s.cache("trace_matrices", build)
-
-
 def xi_maps(s: QuatStructure) -> np.ndarray:
     """The stack (4 x dim x N3) of the maps b -> xi_b, xi_{b;I}, xi_{b;J},
     xi_{b;K}: xi_b(x) = -(1/(6 k2)) sum_A <Ax hook b, w_A> and xi_{b;A} as
     in the module docstring.  The one-forms of b are the stack
-    xi_maps(s) @ b: row 0 is xi, rows 1-3 are xi_I, xi_J, xi_K."""
+    xi_maps(s) @ b: row 0 is xi, rows 1-3 are xi_I, xi_J, xi_K.  The
+    traces V_A b = (<e_y hook b, w_A>)_y are the transpose of
+    wedge_op(w_A, 1)."""
 
     def build():
-        AV = s.IJK @ _trace_matrices(s)
+        V = np.stack([wedge_op(s.omega[a], 1).dense().T for a in AXES])
+        AV = s.IJK @ V
         xi = AV.sum(axis=0) / (6 * s.k2)
         return np.concatenate([xi[None], (1.0 / (4 * s.k1)) * AV
                                - (3.0 / (2 * s.k1)) * xi])
@@ -84,14 +75,8 @@ PROJ3_LABELS = {"KH": [0], "EH": [1], "ES3H": [2], "L3ES3H": [3],
 def hook_omega_matrix(s: QuatStructure) -> np.ndarray:
     """K1 (N3 x dim): columns e_y hook Omega."""
 
-    def build():
-        # (t, r) fixes u, so the scatter writes each entry once
-        u, _m, r, t, sign = s.tab.exp_table(4)
-        K1 = np.zeros((s.tab.nforms(3), s.dim))
-        K1[t, r] = sign * s.Omega.coeffs[u]
-        return K1
-
-    return s.cache("hook_omega_matrix", build)
+    return s.cache("hook_omega_matrix", lambda:
+        s.tab.hook(4)(s.Omega.coeffs).reshape(s.dim, -1).T)
 
 
 def m_matrix(s: QuatStructure) -> np.ndarray:
@@ -143,8 +128,8 @@ class _Ctx:
     3-form dstar, Ldstar = L dstar, xiC = xi hook Omega and m = sum_A
     (A xi_A) ^ w_A; the torsion contexts (classify.ctx_from_*) also fill the
     tables w and f5, and a derived one the alternation misses (miss) that
-    its alternation_check(ctx) reads.  A report sets profile, the component
-    norms (..., 6) its Schur forms read, and fills no table.
+    require_alternation reads.  A report sets profile, the component norms
+    (..., 6) its Schur forms read, and fills no table.
 
     Every field is linear in the tensor.  A packed context holds all of its
     fields as views of one array, fields (stack, F); mix(S, scale) is then
@@ -154,11 +139,8 @@ class _Ctx:
         self.scale, self.n, self.dstar = np.maximum(scale, 1e-300), s.n, dstar
         xi = proj3_factors(s)[0]
         self.xi = (dstar @ xi.T).reshape(*dstar.shape[:-1], 4, s.dim)
-        self.f3 = self.w = self.f5 = {}
+        self.f3, self.w, self.f5 = {}, {}, {}
         self.profile = self.miss = None
-        # run before a wedge norm that holds only on alternations of W; a
-        # function of the context, not a closure over it: no reference cycle
-        self.alternation_check = None
 
     def with_f3(self, s: QuatStructure) -> "_Ctx":
         xi = self.xi
@@ -229,6 +211,18 @@ def _wedge_rows(c: float) -> np.ndarray:
                      [12, c, 0, 0], [12, 0, c, 0], [12, 0, 0, c]], float)
 
 
+def require_alternation(ctx: _Ctx) -> None:
+    """ValueError unless every entry of the derived context ctx misses the
+    identity star_inv(star(dOm) ^ w_I ^ w_I) = -12 xi - 8(n-1) xi_I, which
+    the wedge norms wAAeq and wAA0 read (wedge_norms), by at most
+    1e-8 |dOm|.  The misses are linear in dOm, so on a mixed context they
+    are the mixed misses, and the test is that of the mixed 5-forms."""
+    miss = _norm(ctx.miss)
+    if not np.all(miss <= 1e-8 * _norm(ctx.f5["dOm"])):
+        raise ValueError(f"dOmega is not the alternation of a tensor in W: "
+                         f"the wedge identity misses by {miss.max():.2e}")
+
+
 def _eval_cond(cond, ctx: _Ctx):
     """Residual norms of one condition, one per stack entry: a combination
     of the fields of one table (f3, or the w and f5 tables of a torsion
@@ -253,8 +247,8 @@ def _eval_cond(cond, ctx: _Ctx):
     if tag == "xiA_eq":
         return _norm(ctx.xi[..., 1:3, :] - ctx.xi[..., 2:, :]).max(axis=-1)
     if tag in ("wOm0", "wAAeq", "wAA0", "wOmdeg0"):
-        if tag in ("wAAeq", "wAA0") and ctx.alternation_check:
-            ctx.alternation_check(ctx)
+        if tag in ("wAAeq", "wAA0") and ctx.miss is not None:
+            require_alternation(ctx)
         return wedge_norms(ctx.dstar, ctx.xi, ctx.n)[tag]
     if tag == "true":
         return 0.0 * ctx.scale
@@ -328,15 +322,13 @@ def se_core(s: QuatStructure) -> np.ndarray:
 
 def r_matrix(s: QuatStructure) -> np.ndarray:
     """Matrix (dim*N4 x dim) of zeta -> rows
-    x ^ (zeta hook Omega) - zeta ^ (x hook Omega), from G[y, u, z] =
-    coefficient u of e_y ^ (e_z hook Omega)."""
+    x ^ (zeta hook Omega) - zeta ^ (x hook Omega), from G[y, z] =
+    e_y ^ (e_z hook Omega) (exterior.wedge1_stack)."""
 
     def build():
-        u, _m, r, t, sign = s.tab.exp_table(4)
-        G = np.zeros((s.dim, s.tab.nforms(4), s.dim))
-        G[r, u] = sign[:, None] * hook_omega_matrix(s)[t]
-        return (G - G.transpose(2, 1, 0)).reshape(s.dim * s.tab.nforms(4),
-                                                  s.dim)
+        G = wedge1_stack(hook_omega_matrix(s).T, s.dim, 3)
+        G = G - G.transpose(1, 0, 2)  # frees the table before the copy
+        return G.transpose(0, 2, 1).reshape(s.dim * s.tab.nforms(4), s.dim)
 
     return s.cache("r_matrix", build)
 
@@ -354,9 +346,7 @@ def torsion_embed(b: AltForm, s: QuatStructure) -> MixedTorsion:
     """rows x -> sum_A i_A(x hook b) ^ w_A: se_core on each x hook b."""
     if b.degree != 3:
         raise DegreeError("the embedding acts on 3-forms")
-    u, _m, r, t, sign = s.tab.exp_table(3)
-    X = np.zeros((s.dim, s.tab.nforms(2)))
-    X[r, t] = sign * b.coeffs[u]  # the rows x hook b
+    X = s.tab.hook(3)(b.coeffs).reshape(s.dim, -1)  # the rows x hook b
     return MixedTorsion(s.dim, X @ se_core(s).T)
 
 

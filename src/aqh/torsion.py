@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .exterior import MixedTorsion, MixedTwoFormFamily
+from .exterior import MixedTorsion, MixedTwoFormFamily, dense_forms
 from .structure import AXES, QuatStructure
 from .threeform import r_matrix, se_core
 
@@ -57,16 +57,6 @@ def _fiber_project(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
     tr = _traces(out, s) / (2 * s.n)
     return out - sum(tr[..., k, None, None] * s.mats[a]
                      for k, a in enumerate(AXES))
-
-
-def _two_form_mats(rows: np.ndarray, s: QuatStructure) -> np.ndarray:
-    """Antisymmetric matrices (..., dim, dim) of 2-form coefficient rows
-    (..., N2)."""
-    i, j = s.tab.columns(2)
-    mats = np.zeros(rows.shape[:-1] + (s.dim, s.dim))
-    mats[..., i, j] = rows
-    mats[..., j, i] = -rows
-    return mats
 
 
 def fiber_project(c: MixedTwoFormFamily, s: QuatStructure) -> MixedTwoFormFamily:
@@ -135,7 +125,7 @@ def extract_cA(a: MixedTorsion, s: QuatStructure) -> np.ndarray:
     ``reassemble`` up to that factor."""
     require_in_W(a, s)
     rows = s.ae_factors(2)[0].T(a.rows).reshape(s.dim, 3, -1) / (2 * s.n)
-    return _two_form_mats(rows.transpose(1, 0, 2), s)
+    return dense_forms(rows.transpose(1, 0, 2), s.dim, 2)
 
 
 def _admissibility(c: np.ndarray,
@@ -194,7 +184,7 @@ def _fiber_maps(s: QuatStructure) -> tuple[np.ndarray, np.ndarray]:
 
     def build():
         i, j = s.tab.columns(2)
-        basis = _fiber_project(_two_form_mats(np.eye(len(i)), s), s)
+        basis = _fiber_project(dense_forms(np.eye(len(i)), s.dim, 2), s)
         M = 0.25 * se_core(s) @ basis[:, i, j].T
         u, sv, _ = np.linalg.svd(M, full_matrices=False)
         r = w_dim(s.n) // s.dim

@@ -19,6 +19,7 @@ from .exterior import (
     MixedTorsion,
     alternate5,
     contract12,
+    dense_forms,
     hodge_op,
     inner,
     interior,
@@ -270,7 +271,7 @@ def check_torsion_space(s: QuatStructure, rng) -> list[CheckResult]:
 
     # conjugation-sum eigenvalues on 2-forms: T c = sum_A c(A., A.)
     i, j = s.tab.columns(2)
-    Tmat = T._conj_sum(T._two_form_mats(np.eye(len(i)), s), s)[:, i, j].T
+    Tmat = T._conj_sum(dense_forms(np.eye(len(i)), s.dim, 2), s)[:, i, j].T
     ev = np.linalg.eigvalsh(0.5 * (Tmat + Tmat.T))
     resid = float(np.abs((ev - 3.0) * (ev + 1.0)).max())
     out.append(CheckResult("conjugation-sum-eigenvalues", resid, 1e-9,
@@ -405,13 +406,11 @@ def check_threeforms(s: QuatStructure, rng) -> list[CheckResult]:
 
 
 def dstar_on_W(s: QuatStructure) -> np.ndarray:
-    """The contraction d* as a matrix (N3 x dim*r) on W coordinates: each
-    exp_table(4) row (u, r, t, sign) puts -sign Q[u] at (t, r)."""
+    """The contraction d* as a matrix (N3 x dim*r) on W coordinates: entry
+    (t, (y, j)) is -(e_y hook Q[:, j])[t]."""
     Q = T.fiber_basis_matrix(s)
-    u, _m, r, t, sign = s.tab.exp_table(4)
-    D = np.zeros((s.tab.nforms(3), s.dim, Q.shape[1]))
-    D[t, r] = -sign[:, None] * Q[u]
-    return D.reshape(len(D), -1)
+    H = s.tab.hook(4)(Q.T).reshape(Q.shape[1], s.dim, -1)
+    return -H.transpose(2, 1, 0).reshape(s.tab.nforms(3), -1)
 
 
 def component_traces(s: QuatStructure, dst: np.ndarray):

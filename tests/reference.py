@@ -1,7 +1,8 @@
 """Reference forms that only the tests use: dense matrices, dense tensors,
-the fiber residuals, compound matrices, the per-axis nabla w_A and N_A, and
-the JSON form of a single alternating form, and the rows of Tables 2 and 3
-read directly on a context, as verify reads them.
+the fiber residuals, compound matrices, interior products by slot slicing,
+the per-axis nabla w_A and N_A, and the JSON form of a single alternating
+form, and the rows of Tables 2 and 3 read directly on a context, as verify
+reads them.
 The tests compare the library's routes against these."""
 
 import numpy as np
@@ -117,12 +118,14 @@ def compound(A: np.ndarray, p: int) -> np.ndarray:
     d): the minors det A[S, T] over increasing p-tuples, by Laplace expansion
     along the first column T_0 of T = T_0 T':
     det A[S, T] = sum_m (-1)^m A[S_m, T_0] det A[S - S_m, T'],
-    the terms read off ``exp_table(q)`` for q = 2..p."""
+    the terms read off ``exp_table(q)`` for q = 2..p, whose q rows of a
+    tuple run over the position m."""
     A = np.asarray(A, dtype=float)
     tab = tables(A.shape[-1])
     C = A if p else np.ones(A.shape[:-2] + (1, 1))
     for q in range(2, p + 1):
-        u, m, r, t, sign = tab.exp_table(q)
+        u, r, t, sign = tab.exp_table(q)
+        m = np.arange(u.size) % q
         # T_0, T' of every q-tuple in order; the q rows of an S are adjacent
         T0, rest = r[m == 0], t[m == 0]
         a = (sign[:, None] * A.take(r, -2)).take(T0, -1)
@@ -130,6 +133,22 @@ def compound(A: np.ndarray, p: int) -> np.ndarray:
         c = C.take(t, -2).take(rest, -1).reshape(a.shape)
         C = np.einsum("...umj,...umj->...uj", a, c)
     return C
+
+
+def hooks(b: AltForm) -> np.ndarray:
+    """The rows e_y hook b (dim, N_{p-1}) by slot slicing: entry T of row y
+    is b(e_y, e_T), the entry (y, *T) of b.dense(), read without forming the
+    dense tensor: b at the sorted tuple times (-1)^m, m the number of
+    entries of T below y, and 0 when y is in T."""
+    tab = tables(b.dim)
+    idx = tab.index(b.degree)
+    out = np.zeros((b.dim, tab.nforms(b.degree - 1)))
+    for y in range(b.dim):
+        for k, T in enumerate(tab.tuples(b.degree - 1)):
+            if y not in T:
+                m = sum(x < y for x in T)
+                out[y, k] = (-1.0) ** m * b.coeffs[idx[T[:m] + (y,) + T[m:]]]
+    return out
 
 
 def torsion_ctx(a, s):

@@ -592,7 +592,7 @@ def test_cache_holds_one_xi_stack_and_no_merged_operators(s3, frame3):
     from aqh import components
     from aqh.liealg import MetricLieAlgebra, classify_algebra, \
         two_step_nilpotent
-    from aqh.threeform import _trace_matrices, xi_maps
+    from aqh.threeform import xi_maps
 
     for s in (s3, frame3[1]):
         pool = components(random_W_element(s, 12), s, check=False)
@@ -605,8 +605,12 @@ def test_cache_holds_one_xi_stack_and_no_merged_operators(s3, frame3):
                     if k in ("ae_op", "xi_matrix") or isinstance(k, tuple)
                     and k[0] in ("DtD", "xia_matrix")]
         # (A V_A b)[x] = -<Ax hook b, w_A>: the xi and xi_A formulas of the
-        # threeform module docstring
-        AV = [s.mats[a] @ V for a, V in zip(AXES, _trace_matrices(s))]
+        # threeform module docstring, (V_A b)[y] = <e_y hook b, w_A> read
+        # off the dense b
+        dense = [AltForm(s.dim, 3, e).dense() for e in np.eye(s.tab.nforms(3))]
+        V = np.array([[AltForm.from_dense(d[y]).coeffs for d in dense]
+                      for y in range(s.dim)])
+        AV = [s.mats[a] @ (V @ s.omega[a].coeffs) for a in AXES]
         want = (AV[0] + AV[1] + AV[2]) / (6 * s.k2)
         np.testing.assert_allclose(xi_maps(s)[0], want, rtol=0, atol=1e-13)
         for k in range(3):

@@ -170,6 +170,32 @@ def test_inject_classify_round_trip(tmp_path, capsys):
     assert "l.c.q.K." in rep["aliases"]
 
 
+def test_a_tensor_is_read_in_the_standard_frame_only(tmp_path, capsys):
+    # the tensor reader ignored "structure" and "degree": a tensor under a
+    # conjugated frame, a nonsense structure or a nonsense degree was
+    # classified in the standard frame with exit 0
+    from aqh import standard_structure
+
+    p = tmp_path / "t.json"
+    assert main(["inject", "--component", "KH", "--n", "2", "--out",
+                 str(p)]) == 0
+    base = json.loads(p.read_text())
+    s = standard_structure(2)
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 8)))[0]
+    frame = {"n": 2, "I": (q @ s.I @ q.T).tolist(),
+             "J": (q @ s.J @ q.T).tolist()}
+    for extra, key in (({"structure": frame}, "'structure'"),
+                       ({"structure": "nonsense"}, "'structure'"),
+                       ({"degree": "x"}, "'degree'"),
+                       ({"degree": 3}, "'degree'")):
+        p.write_text(json.dumps({**base, **extra}))
+        assert main(["classify", "--input", str(p)]) == 2
+        assert f"key {key}" in capsys.readouterr().err
+    p.write_text(json.dumps({**base, "structure": "standard", "degree": 4}))
+    assert main(["classify", "--input", str(p), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["key"] == "KH"
+
+
 def test_inject_deterministic(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

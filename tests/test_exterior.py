@@ -36,7 +36,7 @@ from aqh.exterior import (
 )
 from aqh.structure import random_rotation, rotate_adapted, standard_structure
 from aqh.torsion import fiber_basis_matrix
-from reference import form_from_json, form_to_json, slot_sum, volume_form
+from reference import form_from_json, form_to_json, hooks, slot_sum, volume_form
 
 
 def rand_form(rng, dim, p):
@@ -180,10 +180,35 @@ def test_contract12_and_alternate_zero(s2):
 def test_exp_table_matches_enumeration():
     tab = tables(8)
     for p in range(1, 9):
-        want = [(u, m, T[m], tab.index(p - 1)[T[:m] + T[m + 1:]], (-1.0) ** m)
+        want = [(u, T[m], tab.index(p - 1)[T[:m] + T[m + 1:]], (-1.0) ** m)
                 for u, T in enumerate(tab.tuples(p)) for m in range(p)]
         got = list(zip(*(a.tolist() for a in tab.exp_table(p))))
         assert got == want
+
+
+@pytest.mark.parametrize("dim", [8, 12])
+def test_hook_and_contraction_match_slot_slices(dim, rng):
+    # hook(p) against e_y hook b read off the dense tensor, its transpose
+    # as the adjoint, and contraction(p) as minus the trace of the hooks,
+    # for every degree
+    tab = tables(dim)
+    for p in range(1, dim + 1):
+        B = rng.standard_normal((3, tab.nforms(p)))
+        want = np.stack([hooks(AltForm(dim, p, b)) for b in B])
+        if 1 < p and dim ** p <= 1 << 21:
+            dense = [AltForm(dim, p, b).dense() for b in B]
+            np.testing.assert_array_equal(want, [[AltForm.from_dense(
+                d[y]).coeffs for y in range(dim)] for d in dense])
+        H = tab.hook(p)
+        assert H.shape == (dim * tab.nforms(p - 1), tab.nforms(p))
+        np.testing.assert_array_equal(H(B), want.reshape(3, -1))
+        R = rng.standard_normal((2, dim * tab.nforms(p - 1)))
+        np.testing.assert_allclose(H.T(R) @ B.T, R @ want.reshape(3, -1).T,
+                                   rtol=0, atol=1e-12 * dim ** 2)
+        rows = rng.standard_normal((dim, tab.nforms(p)))
+        trace = np.einsum("yyt->t", H(rows).reshape(dim, dim, -1))
+        np.testing.assert_allclose(tab.contraction(p)(rows.ravel()), -trace,
+                                   rtol=0, atol=1e-12 * dim)
 
 
 def test_wedge_table_matches_enumeration():

@@ -327,8 +327,9 @@ def test_classify_algebra_builds_each_form_map_once(monkeypatch):
     # the derivation matrix of Omega and the d maps of Omega, the w_A side
     # by side and star Omega are built in the first report on a fresh
     # structure, each from one derivation_op call (the one function that
-    # forms the dim^2 x N_p support tables); a second report builds none
-    from aqh import liealg
+    # forms the dim^2 x N_p support tables; the d maps call it through
+    # exterior.koszul_op); a second report builds none
+    from aqh import exterior, liealg
 
     s = standard_structure.__wrapped__(3)
     g = MetricLieAlgebra(s, two_step_nilpotent(3, 4).c)
@@ -340,6 +341,7 @@ def test_classify_algebra_builds_each_form_map_once(monkeypatch):
         return real(b)
 
     monkeypatch.setattr(liealg, "derivation_op", counted)
+    monkeypatch.setattr(exterior, "derivation_op", counted)
     first = classify_algebra(g)
     assert {k for k in s._cache if isinstance(k, tuple)
             and k[0] in ("derivation", "d")} == {

@@ -268,8 +268,8 @@ def test_report_reads_lcal_once(s3, pool3, monkeypatch):
         == "L3EH"
     assert len(calls) == 2
     # the proj3 parts are applied through their factors and the interior
-    # products read from exp_table(3): the dense N3 x N3 maps cached are L
-    # on 3-forms and the factor plus3 = (3 + L)/6
+    # products read from FormTables.hook(3): the dense N3 x N3 maps cached
+    # are L on 3-forms and the factor plus3 = (3 + L)/6
     s = standard_structure(3)
     for X in ComponentLabel:
         classification_report(pool3[X], s)

@@ -308,3 +308,27 @@ def test_every_option_default_is_relied_on_by_a_caller():
     assert UNUSED_DEFAULTS_KEPT <= set(unused), "kept but now relied on"
     left = [o for o in unused if o not in UNUSED_DEFAULTS_KEPT]
     assert not left, "options every caller sets: " + ", ".join(left)
+
+
+# the FormTables tables whose row layouts only aqh.exterior reads
+SPLIT_TABLES = {"exp_table", "der_table", "wedge_table", "dense_table"}
+
+
+def test_only_exterior_reads_the_split_tables():
+    # every other module applies the operators exterior builds from them,
+    # so a row layout is known to one module
+    readers = []
+    for m in _load_package().values():
+        if m.name == "exterior":
+            continue
+        defs = [(q, f) for q, f in m.defs.items() if isinstance(f, FUNCS)]
+        defs += [(f"{c}.{q}", f) for c, ms in m.methods.items()
+                 for q, f in ms.items()]
+        for qual, fn in defs:
+            for node in ast.walk(fn):
+                f = getattr(node, "func", None)
+                name = getattr(f, "attr", getattr(f, "id", None))
+                if name in SPLIT_TABLES:
+                    readers.append(f"{m.name}.{qual} ({name})")
+    assert not readers, "split tables read outside aqh.exterior: " + \
+        ", ".join(readers)

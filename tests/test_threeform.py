@@ -287,3 +287,26 @@ def test_xi_equivariance_under_rotation(s2, rng):
         old = old + wedge1(s2.mats[ax] @ t_old[k + 1], s2.omega[ax])
         new = new + wedge1(s_new.mats[ax] @ t_new[k + 1], s_new.omega[ax])
     np.testing.assert_allclose(new.coeffs, old.coeffs, atol=1e-10)
+
+
+def test_hook_readers_match_slot_slices(s2, s3, frame3, rng):
+    # the readers of FormTables.hook against e_y hook b read off the dense
+    # tensor: the columns e_y hook Omega, the rows x hook b of the
+    # embedding, and d* on W coordinates, entry (t, (y, j)) the t-th
+    # coefficient of -e_y hook Q[:, j]
+    from aqh.threeform import hook_omega_matrix, se_core, torsion_embed
+    from aqh.torsion import fiber_basis_matrix
+    from aqh.verify import dstar_on_W
+    from reference import hooks
+
+    for s in (s2, s3, frame3[1]):
+        np.testing.assert_array_equal(hook_omega_matrix(s),
+                                      hooks(s.Omega).T)
+        b = rand3(rng, s.dim)
+        np.testing.assert_allclose(torsion_embed(b, s).rows,
+                                   hooks(b) @ se_core(s).T, rtol=0,
+                                   atol=1e-13 * b.norm())
+        Q = fiber_basis_matrix(s)
+        want = -np.stack([hooks(AltForm(s.dim, 4, q)) for q in Q.T])
+        np.testing.assert_array_equal(dstar_on_W(s), want.transpose(
+            2, 1, 0).reshape(s.tab.nforms(3), -1))
