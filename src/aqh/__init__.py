@@ -5,7 +5,6 @@ from .exterior import (
     AltForm,
     DegreeError,
     MixedTorsion,
-    MixedTwoFormFamily,
     alternate5,
     contract12,
     inner,
@@ -24,10 +23,8 @@ from .structure import (
     standard_structure,
 )
 from .torsion import (
-    F_map,
     MembershipError,
     extract_cA,
-    fiber_project,
     from_nabla_omegas,
     random_W_element,
     w_dim,

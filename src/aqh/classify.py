@@ -88,12 +88,13 @@ class ClassLabel:
         return ALIASES.get(self.components, ())
 
 
-def _label(prof, tol: float, n: int):
+def _label(prof, tol: float, n: int, floor: float):
     """The components above tol * total, leaving out those that are zero at
-    n, whose norms are round-off."""
+    n, whose norms are round-off; no component when the total is below
+    floor."""
     keep = [X for X, v in prof.norms.items()
             if v > tol * prof.total and COMPONENT_DIMS[X](n)]
-    return ClassLabel(frozenset(keep if prof.total >= 1e-14 else ())), prof
+    return ClassLabel(frozenset(keep if prof.total >= floor else ())), prof
 
 
 def dOmega_op(s: QuatStructure) -> SparseOp:
@@ -522,6 +523,10 @@ def schur_table(s: QuatStructure) -> SchurTable:
 # label tol: the package's own W elements lie about 1e-15 off it
 MEMBERSHIP_FLOOR = 1e-12
 
+# a tensor report reads a tensor of norm below this as zero, of class QK;
+# an algebra report holds it relative to the bracket scale max|c|
+ZERO_FLOOR = 1e-14
+
 
 def classification_report(a: MixedTorsion, s: QuatStructure,
                           tol: float = 1e-8) -> dict:
@@ -529,18 +534,19 @@ def classification_report(a: MixedTorsion, s: QuatStructure,
     max(tol, MEMBERSHIP_FLOOR) of W (MembershipError otherwise)."""
     check_tol(tol)
     C = require_in_W(a, s, max(tol, MEMBERSHIP_FLOOR))
-    return _report(a, s, tol, C, contract12(a))
+    return _report(a, s, tol, C, contract12(a), ZERO_FLOOR)
 
 
 def _report(a: MixedTorsion, s: QuatStructure, tol: float,
-            C: np.ndarray, ds: AltForm) -> dict:
+            C: np.ndarray, ds: AltForm, floor: float) -> dict:
     # C = aQ after the one membership test and ds = d* a; both are computed
     # once, by the caller, for the profile and for the context, which holds
     # d* a, its one-forms and the profile and no field.  The rows are then
     # Schur forms of the profile, and |dOm| is |alpha p|: no 5-form is formed.
+    # A tensor of norm below floor has no component (_label).
     ds, size = ds.coeffs, a.norm()
     label, prof = _label(ComponentProfile(component_norms(C, ds, s), size),
-                         tol, s.n)
+                         tol, s.n, floor)
     out = {
         "class": label.display,
         "key": label.key,

@@ -15,9 +15,10 @@ Mixed tensors with one covariant slot followed by an alternating part are kept
 as one coefficient row per first-slot basis vector.
 
 Every operator is read from one split table, ``wedge_table(p, q)``: each
-increasing (p+q)-tuple splits into a p-part and a q-part with a sign, and
-``wedge_op`` holds the nonzeros of the splits.  Only this module reads the
-tables; other modules apply the operators built here:
+increasing (p+q)-tuple splits into a p-part and a q-part with a sign.
+``wedge`` sums the splits as they stand (``wedge_coeffs``, on stacks too),
+and ``wedge_op`` holds their nonzeros for a fixed factor.  Only this module
+reads the tables; other modules apply the operators built here:
 
 * ``exp_table(p)`` is the (1, p-1) split (dropping entry r of p-tuple #u
   leaves (p-1)-tuple #t, with a sign).  ``FormTables.hook(p)`` and
@@ -272,11 +273,24 @@ def wedge(a: AltForm, b: AltForm) -> AltForm:
     p, q = a.degree, b.degree
     if p + q > a.dim:
         raise DegreeError(f"wedge degree {p}+{q} exceeds dimension {a.dim}")
-    return AltForm(a.dim, p + q, wedge_op(b, p)(a.coeffs))
+    return AltForm(a.dim, p + q, wedge_coeffs(a.coeffs, b.coeffs, a.dim, p, q))
 
 
-# the most nonzeros one SparseOp pass gathers: a stack of B entries holds a
-# B x nnz index and two B x nnz value arrays, so larger stacks go in chunks
+def wedge_coeffs(a: np.ndarray, b: np.ndarray, dim: int, p: int,
+                 q: int) -> np.ndarray:
+    """Coefficients (..., N_{p+q}) of a ^ b for p-form coefficients a
+    (..., N_p) and q-form coefficients b (..., N_q) of one leading shape:
+    the ``wedge_table(p, q)`` rows summed as they stand, a[ai] b[bi] sign
+    into bin o, with no operator built (``wedge_op`` is the cached form for
+    a fixed factor, and gives the same bits)."""
+    tab = tables(dim)
+    o, ai, bi, sign = tab.wedge_table(p, q)
+    return _stack_pass(o, tab.nforms(p + q),
+                       lambda x, y: x[..., ai] * y[..., bi] * sign, a, b)
+
+
+# the most terms one pass of _stack_pass gathers: a stack of B entries holds
+# a B x nnz index and two B x nnz value arrays, so larger stacks go in chunks
 _PASS_NNZ = 1 << 16
 
 
@@ -289,20 +303,9 @@ class SparseOp(NamedTuple):
     shape: tuple[int, int]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """The product with x along its last axis, (..., n) -> (..., m).  A
-        stack is applied in chunks of rows of at most _PASS_NNZ nonzeros (one
-        row at least); each entry's bins are summed in the same order either
-        way, so the result does not depend on the chunking."""
-        lead, m = x.shape[:-1], self.shape[0]
-        rows = max(1, _PASS_NNZ // max(len(self.v), 1))
-        if math.prod(lead) <= rows:
-            return _accumulate(self.r, self.v * x.take(self.c, -1), m)
-        x = x.reshape(-1, x.shape[-1])
-        out = np.empty((len(x), m))
-        for i in range(0, len(x), rows):
-            out[i:i + rows] = _accumulate(
-                self.r, self.v * x[i:i + rows].take(self.c, -1), m)
-        return out.reshape(lead + (m,))
+        """The product with x along its last axis, (..., n) -> (..., m)."""
+        return _stack_pass(self.r, self.shape[0],
+                           lambda y: self.v * y.take(self.c, -1), x)
 
     @property
     def T(self) -> "SparseOp":
@@ -347,6 +350,24 @@ def wedge1(x: np.ndarray, b: AltForm) -> AltForm:
         raise DegreeError("wedge degree exceeds dimension")
     rows = np.outer(np.asarray(x, dtype=float), b.coeffs)
     return AltForm(b.dim, b.degree + 1, wedge_rows(rows, b.degree))
+
+
+def _stack_pass(idx: np.ndarray, n: int, terms, *xs: np.ndarray) -> np.ndarray:
+    """out[..., i] = sum of terms(*xs)[..., k] over k with idx[k] = i, for
+    stacks xs of one leading shape.  A stack goes in chunks of rows of at
+    most _PASS_NNZ terms (one row at least); each entry's bins are summed
+    in the same order either way, so the result does not depend on the
+    chunking."""
+    lead = xs[0].shape[:-1]
+    rows = max(1, _PASS_NNZ // max(len(idx), 1))
+    if math.prod(lead) <= rows:
+        return _accumulate(idx, terms(*xs), n)
+    xs = [x.reshape(-1, x.shape[-1]) for x in xs]
+    out = np.empty((len(xs[0]), n))
+    for i in range(0, len(out), rows):
+        out[i:i + rows] = _accumulate(
+            idx, terms(*(x[i:i + rows] for x in xs)), n)
+    return out.reshape(lead + (n,))
 
 
 def _accumulate(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -498,27 +519,6 @@ class MixedTorsion:
         return MixedTorsion(self.dim, self.rows * float(scalar))
 
     __rmul__ = __mul__
-
-
-@dataclass
-class MixedTwoFormFamily:
-    """Element of V* (x) Lambda^2 V*: row x kept as an antisymmetric matrix."""
-
-    dim: int
-    mats: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.mats = np.asarray(self.mats, dtype=float)
-        if self.mats.shape != (self.dim, self.dim, self.dim):
-            raise DegreeError("mixed 2-form tensor needs (dim,dim,dim) array")
-
-    def coeff_rows(self) -> np.ndarray:
-        i, j = tables(self.dim).columns(2)
-        return self.mats[:, i, j]
-
-    def norm(self) -> float:
-        # rows are antisymmetric matrices; the form norm counts each pair once
-        return float(np.linalg.norm(self.coeff_rows()))
 
 
 def contract12(a: MixedTorsion) -> AltForm:

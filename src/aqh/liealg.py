@@ -46,7 +46,7 @@ from .structure import (
     structure_from_json,
 )
 from .torsion import MembershipError, _w_project, check_tol, from_nabla_omegas
-from .classify import _report
+from .classify import ZERO_FLOOR, _report
 
 
 class AlgebraError(ValueError):
@@ -285,7 +285,9 @@ def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
         raise VerificationError(
             f"codifferential routes disagree: {key}={gap:.2e}")
     checks["codifferential_pairwise"] = gap
-    report = _report(nOm, s, tol, C, ds)
+    # nabla Omega is linear in c: scaling the brackets is a homothety, which
+    # keeps the class, so the zero floor scales with them
+    report = _report(nOm, s, tol, C, ds, ZERO_FLOOR * cscale)
     report["checks"] = checks
     report["abelian"] = g.is_abelian()
     return report

@@ -135,17 +135,23 @@ def lcal_hpart(C: np.ndarray, s: QuatStructure) -> np.ndarray:
 _ORDER = VISIBLE + (ComponentLabel.L3EH, ComponentLabel.KS3H)
 
 
-def component_norms(C: np.ndarray, ds: np.ndarray,
-                    s: QuatStructure) -> dict[ComponentLabel, float]:
-    """The six norms from W coordinates C (dim r, flat or not) and ds = d* a,
-    forming no visible component: c_X |P_X ds|, then the halves of v."""
-    core = _w_core(s)
+def component_norms(C: np.ndarray, ds: np.ndarray, s: QuatStructure) -> dict:
+    """The six norms from W coordinates C (dim r, flat or not) and ds = d* a
+    (N3), forming no visible component: c_X |P_X ds|, then the halves of v.
+    One tensor gives floats; a stack C (k, dim r) and ds (k, N3) gives
+    arrays (k,), equal to those of its tensors up to rounding (the stack's
+    products sum in another order)."""
+    core, lead = _w_core(s), ds.shape[:-1]
     parts = proj3_parts(ds, s)
-    v = (C.reshape(-1) - core["hat_w"] @ ds).reshape(s.dim, -1)
+    v = (C.reshape(*lead, -1) - ds @ core["hat_w"].T).reshape(
+        *lead, s.dim, -1)
     h = lcal_hpart(v, s)
-    return dict(zip(_ORDER, [
-        *map(float, core["c"] * np.linalg.norm(parts, axis=1)),
-        float(np.linalg.norm(h)), float(np.linalg.norm(v - h))]))
+    norms = [*(core["c"] * np.linalg.norm(parts, axis=-1)).T]
+    for x in (h, v - h):
+        # one dot product per tensor, as np.linalg.norm takes it of one
+        x = x.reshape(*lead, -1)
+        norms.append(np.sqrt(np.vecdot(x, x)))
+    return dict(zip(_ORDER, norms if lead else map(float, norms)))
 
 
 def split_coords(C: np.ndarray, ds: np.ndarray,

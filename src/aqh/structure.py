@@ -40,7 +40,7 @@ from .exterior import (
     derivation_stack,
     hodge_op,
     tables,
-    wedge,
+    wedge_coeffs,
     wedge_op,
 )
 
@@ -75,6 +75,40 @@ def _frame_sign(I: np.ndarray, J: np.ndarray, K: np.ndarray) -> float:
     return float(np.sign(np.linalg.det(B.reshape(dim, dim))))
 
 
+def quaternionic_K(I: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """K = IJ for stacks (..., dim, dim) of I and J; StructureError unless
+    every pair is a quaternionic structure: I^2 = J^2 = -1, IJ = -JI and I,
+    J orthogonal, each to 1e-12 over the whole stack."""
+    eye = np.eye(I.shape[-1])
+    # huge or non-finite entries give inf or nan residuals, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = I @ J
+        checks = {
+            "I^2 = -1": I @ I + eye,
+            "J^2 = -1": J @ J + eye,
+            "IJ = -JI": K + J @ I,
+            "I orthogonal": np.swapaxes(I, -1, -2) @ I - eye,
+            "J orthogonal": np.swapaxes(J, -1, -2) @ J - eye,
+        }
+    for name, resid in checks.items():
+        err = float(np.abs(resid).max())
+        if not err <= 1e-12:
+            raise StructureError(
+                f"not a quaternionic structure: {name} fails ({err:.2e})")
+    return K
+
+
+def fundamental_forms(IJK: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, Omega) of a stack IJK (..., 3, dim, dim) of triples: the Kaehler
+    forms w_A(e_i, e_j) = <e_i, A e_j> = A[i, j] (..., 3, N2) and
+    Omega = w_I ^ w_I + w_J ^ w_J + w_K ^ w_K (..., N4), one wedge_coeffs
+    pass over the stack."""
+    dim = IJK.shape[-1]
+    w = IJK[(..., *tables(dim).columns(2))]
+    sq = wedge_coeffs(w, w, dim, 2, 2)
+    return w, sq[..., 0, :] + sq[..., 1, :] + sq[..., 2, :]
+
+
 class QuatStructure:
     """Immutable triple (I, J, K) with derived forms and cached operators."""
 
@@ -89,35 +123,15 @@ class QuatStructure:
         J = np.array(J, dtype=float)
         if I.shape != (self.dim, self.dim) or J.shape != (self.dim, self.dim):
             raise StructureError("I, J must be 4n x 4n matrices")
-        eye = np.eye(self.dim)
-        # huge or non-finite entries give inf or nan residuals, refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            K = I @ J
-            checks = {
-                "I^2 = -1": I @ I + eye,
-                "J^2 = -1": J @ J + eye,
-                "IJ = -JI": K + J @ I,
-                "I orthogonal": I.T @ I - eye,
-                "J orthogonal": J.T @ J - eye,
-            }
-        for name, resid in checks.items():
-            err = float(np.abs(resid).max())
-            if not err <= 1e-12:
-                raise StructureError(
-                    f"not a quaternionic structure: {name} fails ({err:.2e})")
-        self.IJK = np.array([I, J, K])
+        self.IJK = np.array([I, J, quaternionic_K(I, J)])
         self.IJK.flags.writeable = False
         self.I, self.J, self.K = self.IJK
         self.mats = dict(zip(AXES, self.IJK))
-        # Kaehler forms: w_A(e_i, e_j) = <e_i, A e_j> = A[i, j]
-        self.omega = {a: AltForm.from_dense(m) for a, m in self.mats.items()}
+        w, Omega = fundamental_forms(self.IJK)
+        w.flags.writeable = Omega.flags.writeable = False
+        self.omega = {a: AltForm(self.dim, 2, x) for a, x in zip(AXES, w)}
         self.omegas = tuple(self.omega[a] for a in AXES)
-        self.Omega = sum(
-            (wedge(self.omega[a], self.omega[a]) for a in AXES),
-            AltForm.zero(self.dim, 4),
-        )
-        for x in (*(w.coeffs for w in self.omega.values()), self.Omega.coeffs):
-            x.flags.writeable = False
+        self.Omega = AltForm(self.dim, 4, Omega)
         self._cache: dict = {}
 
     @cached_property
@@ -251,6 +265,13 @@ def standard_structure(n: int) -> QuatStructure:
     return QuatStructure(n, I, J)
 
 
+def rotated_pair(q: np.ndarray, s: QuatStructure) -> list[np.ndarray]:
+    """(I', J') of the change of adapted basis by each q (..., 3, 3):
+    A'_i = sum_j q_ij A_j, as stacks (..., dim, dim)."""
+    return [sum(q[..., i, j, None, None] * s.IJK[j] for j in range(3))
+            for i in (0, 1)]
+
+
 def rotate_adapted(q: np.ndarray, s: QuatStructure) -> QuatStructure:
     """Change of adapted basis by q in SO(3): A'_i = sum_j q_ij A_j."""
     q = np.asarray(q, dtype=float)
@@ -258,23 +279,26 @@ def rotate_adapted(q: np.ndarray, s: QuatStructure) -> QuatStructure:
         raise StructureError("q must be a 3x3 orthogonal matrix")
     if np.linalg.det(q) < 0:
         raise StructureError("q must be special orthogonal (det +1)")
-    A = [s.I, s.J, s.K]
-    newI = sum(q[0, j] * A[j] for j in range(3))
-    newJ = sum(q[1, j] * A[j] for j in range(3))
-    out = QuatStructure(s.n, newI, newJ)
+    out = QuatStructure(s.n, *rotated_pair(q, s))
     if np.abs(out.Omega.coeffs - s.Omega.coeffs).max() > 1e-10:
         raise StructureError("fundamental form changed under rotation")
     return out
 
 
+def _haar_rotations(M: np.ndarray) -> np.ndarray:
+    """Haar-ish SO(3) matrices (..., 3, 3) from standard normal ones: Q of
+    the QR of each M with the diagonal of R made positive, its first two
+    columns swapped where det Q < 0."""
+    Q, R = np.linalg.qr(M)
+    Q = Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
+    flip = np.linalg.det(Q) < 0
+    Q[flip, :, :2] = Q[flip, :, 1::-1]
+    return Q
+
+
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random SO(3) matrix via QR with positive diagonal."""
-    M = rng.standard_normal((3, 3))
-    Q, R = np.linalg.qr(M)
-    Q = Q @ np.diag(np.sign(np.diag(R)))
-    if np.linalg.det(Q) < 0:
-        Q[:, [0, 1]] = Q[:, [1, 0]]
-    return Q
+    return _haar_rotations(rng.standard_normal((3, 3)))
 
 
 def structure_from_json(data, n: int) -> QuatStructure:

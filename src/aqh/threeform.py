@@ -342,18 +342,30 @@ def hat_factors(s: QuatStructure) -> tuple[np.ndarray, np.ndarray]:
             (4 * k1 ** 2 + k2 ** 2) / (12.0 * k1 * k2) * xi_maps(s)[0])
 
 
+def _embed_rows(x: np.ndarray, s: QuatStructure) -> np.ndarray:
+    """The rows (..., dim, N4) of torsion_embed of 3-form coefficients x
+    (..., N3): se_core on each x hook b."""
+    X = s.tab.hook(3)(x).reshape(*x.shape[:-1], s.dim, -1)
+    return X @ se_core(s).T
+
+
 def torsion_embed(b: AltForm, s: QuatStructure) -> MixedTorsion:
     """rows x -> sum_A i_A(x hook b) ^ w_A: se_core on each x hook b."""
     if b.degree != 3:
         raise DegreeError("the embedding acts on 3-forms")
-    X = s.tab.hook(3)(b.coeffs).reshape(s.dim, -1)  # the rows x hook b
-    return MixedTorsion(s.dim, X @ se_core(s).T)
+    return MixedTorsion(s.dim, _embed_rows(b.coeffs, s))
+
+
+def hat_rows(x: np.ndarray, s: QuatStructure) -> np.ndarray:
+    """The rows (..., dim, N4) of hat_dstar of 3-form coefficients x
+    (..., N3), hat_factors formed once for the stack."""
+    H3, H1 = hat_factors(s)
+    return _embed_rows(x @ H3.T, s) - (x @ H1.T @ r_matrix(s).T).reshape(
+        *x.shape[:-1], s.dim, -1)
 
 
 def hat_dstar(b: AltForm, s: QuatStructure) -> MixedTorsion:
     """SE H3 b - R H1 b on full rows, (H3, H1) = hat_factors."""
     if b.degree != 3:
         raise DegreeError("hat_dstar acts on 3-forms")
-    H3, H1 = hat_factors(s)
-    return (torsion_embed(AltForm(s.dim, 3, H3 @ b.coeffs), s)
-            - MixedTorsion.from_flat(s.dim, r_matrix(s) @ (H1 @ b.coeffs)))
+    return MixedTorsion(s.dim, hat_rows(b.coeffs, s))

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .exterior import MixedTorsion, MixedTwoFormFamily, dense_forms
+from .exterior import MixedTorsion, dense_forms
 from .structure import AXES, QuatStructure
 from .threeform import r_matrix, se_core
 
@@ -51,32 +51,30 @@ def _conj_sum(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
 
 
 def _fiber_project(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
-    """fiber_project on a stack (..., dim, dim) of antisymmetric matrices.
-    The w_A are mutually orthogonal, so their traces go in one step."""
+    """Orthogonal projection onto the fiber of a stack (..., dim, dim) of
+    antisymmetric matrices: with T c = sum_A c(A., A.) take (3c - Tc)/4,
+    then remove the w_A traces.  The w_A are mutually orthogonal, so their
+    traces go in one step."""
     out = (3.0 * mats - _conj_sum(mats, s)) / 4.0
     tr = _traces(out, s) / (2 * s.n)
     return out - sum(tr[..., k, None, None] * s.mats[a]
                      for k, a in enumerate(AXES))
 
 
-def fiber_project(c: MixedTwoFormFamily, s: QuatStructure) -> MixedTwoFormFamily:
-    """Row-wise orthogonal projection onto the fiber: with T = sum_A c(A., A.)
-    take (3c - Tc)/4, then remove the w_A traces."""
-    return MixedTwoFormFamily(c.dim, _fiber_project(c.mats, s))
+def F_rows(mats: np.ndarray, s: QuatStructure) -> np.ndarray:
+    """F on a stack (..., dim, dim, dim) of mixed 2-form families, each row
+    an antisymmetric matrix: the 4-form rows (..., dim, N4), read on the
+    fiber (_fiber_project projects onto it)."""
+    i, j = s.tab.columns(2)
+    return 0.25 * mats[..., i, j] @ se_core(s).T
 
 
-def F_map(c: MixedTwoFormFamily, s: QuatStructure) -> MixedTorsion:
-    """F on the rows of c, read on the fiber (fiber_project projects onto
-    it)."""
-    return MixedTorsion(c.dim, 0.25 * c.coeff_rows() @ se_core(s).T)
-
-
-def f_inverse_raw(a: MixedTorsion, s: QuatStructure) -> MixedTwoFormFamily:
-    """The contraction inverse of F, valid on W (no membership check):
-    c = -a R / (8n), R = r_matrix read as R[y, u, z]."""
+def f_inverse_mats(rows: np.ndarray, s: QuatStructure) -> np.ndarray:
+    """The contraction inverse of F on a stack (..., dim, N4) of rows, valid
+    on W (no membership check): the families c = -a R / (8n)
+    (..., dim, dim, dim), R = r_matrix read as R[y, u, z]."""
     R = r_matrix(s).reshape(s.dim, -1, s.dim)
-    return MixedTwoFormFamily(
-        a.dim, np.tensordot(a.rows, R, (1, 1)) / (-8 * s.n))
+    return np.tensordot(rows, R, (-1, 1)) / (-8 * s.n)
 
 
 def _w_project(a: MixedTorsion, s: QuatStructure) -> tuple[np.ndarray, float]:

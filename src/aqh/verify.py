@@ -32,9 +32,13 @@ from .structure import (
     AXES,
     MAX_N,
     QuatStructure,
+    _haar_rotations,
+    fundamental_forms,
     insert,
+    quaternionic_K,
     random_rotation,
     rotate_adapted,
+    rotated_pair,
     standard_structure,
 )
 from . import torsion as T
@@ -81,6 +85,17 @@ class CheckResult:
 
 def _rand_form(rng, dim, p) -> AltForm:
     return AltForm(dim, p, rng.standard_normal(math.comb(dim, p)))
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The norm of each entry of a stack x, as np.linalg.norm of one."""
+    flat = x.reshape(len(x), -1)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def _worst(x: np.ndarray, ref: np.ndarray) -> float:
+    """The largest |x_k| / |ref_k| over the entries of two stacks."""
+    return float((_norms(x) / np.maximum(_norms(ref), 1e-300)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +231,16 @@ def check_operators(s: QuatStructure, rng) -> list[CheckResult]:
     worst = max(worst, float(np.abs(val + dm).max()) / max(minus.norm(), 1e-300))
     out.append(CheckResult("eigenspace-slot-pair-identities", worst, 1e-9))
 
-    worst = 0.0
-    for _ in range(100):
-        q = random_rotation(rng)
-        s2 = rotate_adapted(q, s)
-        worst = max(worst,
-                    float(np.abs(s2.Omega.coeffs - s.Omega.coeffs).max()))
+    # the 100 rotations of one normal stack, drawn from rng as 100
+    # random_rotation calls draw them; the rotated triples pass the axioms
+    # of a structure (quaternionic_K raises otherwise) and give their 100
+    # Omega by the helpers QuatStructure uses
+    q = _haar_rotations(rng.standard_normal((100, 3, 3)))
+    I2, J2 = rotated_pair(q, s)
+    Om = fundamental_forms(np.stack([I2, J2, quaternionic_K(I2, J2)], 1))[1]
     out.append(CheckResult("fundamental-form-rotation-invariance",
-                           worst, 1e-10, "100 random rotations"))
+                           float(np.abs(Om - s.Omega.coeffs).max()), 1e-10,
+                           "100 random rotations"))
     return out
 
 
@@ -250,22 +267,18 @@ def dimension_certificate(s: QuatStructure, Q: np.ndarray,
 
 def check_torsion_space(s: QuatStructure, rng) -> list[CheckResult]:
     out = []
-    worst_fw = worst_bw = 0.0
-    for k in range(20):
-        a = T.random_W_element(s, 33_000 + k)
-        c = T.f_inverse_raw(a, s)
-        back = T.F_map(c, s)
-        worst_fw = max(worst_fw, np.linalg.norm(back.rows - a.rows)
-                       / max(a.norm(), 1e-300))
-        raw = np.random.default_rng(34_000 + k).standard_normal(
-            (s.dim,) * 3)
-        fam = T.fiber_project(
-            T.MixedTwoFormFamily(s.dim, raw - raw.transpose(0, 2, 1)), s)
-        c2 = T.f_inverse_raw(T.F_map(fam, s), s)
-        worst_bw = max(worst_bw, np.linalg.norm(c2.mats - fam.mats)
-                       / max(fam.norm(), 1e-300))
-    out.append(CheckResult("embedding-round-trip", max(worst_fw, worst_bw),
-                           1e-9, "F and its contraction inverse"))
+    # F F^-1 on 20 elements of W and F^-1 F on 20 fiber families, stacked;
+    # a family's norm counts each pair of its antisymmetric rows once
+    a = np.stack([T.random_W_element(s, 33_000 + k).rows for k in range(20)])
+    raw = np.stack([np.random.default_rng(34_000 + k).standard_normal(
+        (s.dim,) * 3) for k in range(20)])
+    fam = T._fiber_project(raw - np.swapaxes(raw, -1, -2), s)
+    i, j = s.tab.columns(2)
+    back = T.F_rows(T.f_inverse_mats(a, s), s)
+    c2 = T.f_inverse_mats(T.F_rows(fam, s), s)
+    out.append(CheckResult("embedding-round-trip", max(
+        _worst(back - a, a), _worst(c2 - fam, fam[..., i, j])), 1e-9,
+        "F and its contraction inverse"))
 
     out.append(dimension_certificate(s, *T._fiber_maps(s)))
 
@@ -316,14 +329,11 @@ def table1_prefix_free_residual(b: AltForm, s: QuatStructure) -> float:
 def check_threeforms(s: QuatStructure, rng) -> list[CheckResult]:
     dim = s.dim
     out = []
-    worst = 0.0
-    for k in range(20):
-        b = _rand_form(rng, dim, 3)
-        back = contract12(TF.hat_dstar(b, s))
-        worst = max(worst, np.linalg.norm(back.coeffs - b.coeffs)
-                    / max(b.norm(), 1e-300))
-    out.append(CheckResult("contraction-right-inverse", worst, 1e-9,
-                           "d* o hat-d* = id on 20 forms"))
+    # 20 forms of one draw, as 20 _rand_form calls draw them
+    b = rng.standard_normal((20, s.tab.nforms(3)))
+    back = s.tab.contraction(4)(TF.hat_rows(b, s).reshape(20, -1))
+    out.append(CheckResult("contraction-right-inverse", _worst(back - b, b),
+                           1e-9, "d* o hat-d* = id on 20 forms"))
 
     b = _rand_form(rng, dim, 3)
     h = TF.hat_dstar(b, s)
@@ -559,10 +569,14 @@ def check_components(s: QuatStructure, rng) -> list[CheckResult]:
                                resid / max(aM.norm(), 1e-300), 1e-9,
                                "Lcal = 4 + embed(d*) on the L3E parts"))
 
-    worst = 0.0
-    for k in range(50):
-        a = T.random_W_element(s, 41_000 + k)
-        worst = max(worst, PR.profile(a, s).pythagoras_residual)
+    # the profiles of 50 elements from one stack through component_norms
+    a = np.stack([T.random_W_element(s, 41_000 + k).rows for k in range(50)])
+    ds = s.tab.contraction(4)(a.reshape(50, -1))
+    norms = PR.component_norms(a @ T.fiber_basis_matrix(s), ds, s)
+    total = _norms(a)
+    worst = max(PR.ComponentProfile({X: v[k] for X, v in norms.items()},
+                                    total[k]).pythagoras_residual
+                for k in range(50))
     out.append(CheckResult("profile-pythagoras", worst, 1e-8,
                            "50 random elements"))
 

@@ -1,19 +1,86 @@
 """Reference forms that only the tests use: dense matrices, dense tensors,
-the fiber residuals, compound matrices, interior products by slot slicing,
+mixed 2-form families and F, F^-1 and the fiber projection on them, the
+component norms of one tensor, the fiber residuals, the per-rotation
+fundamental-form check, compound
+matrices, interior products by slot slicing,
 the per-axis nabla w_A and N_A, and the JSON form of a single alternating
 form, and the rows of Tables 2 and 3 read directly on a context, as verify
 reads them.
 The tests compare the library's routes against these."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from aqh import projectors as PR
+from aqh import threeform as TF
 from aqh import torsion as T
 from aqh.classify import RowResult, ctx_from_derived, ctx_from_torsion
-from aqh.exterior import (AltForm, MixedTorsion, _json_coeffs, _json_index,
-                          _json_n, alternate5, contract12, tables)
-from aqh.structure import AXES, insert
+from aqh.exterior import (AltForm, DegreeError, MixedTorsion, _json_coeffs,
+                          _json_index, _json_n, alternate5, contract12, tables)
+from aqh.structure import AXES, insert, rotate_adapted
 from aqh.verify import dstar_on_W
+
+
+@dataclass
+class MixedTwoFormFamily:
+    """Element of V* (x) Lambda^2 V*: row x kept as an antisymmetric matrix."""
+
+    dim: int
+    mats: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.mats = np.asarray(self.mats, dtype=float)
+        if self.mats.shape != (self.dim, self.dim, self.dim):
+            raise DegreeError("mixed 2-form tensor needs (dim,dim,dim) array")
+
+    def norm(self) -> float:
+        # rows are antisymmetric matrices; the form norm counts each pair once
+        i, j = tables(self.dim).columns(2)
+        return float(np.linalg.norm(self.mats[:, i, j]))
+
+
+def fiber_project(c, s) -> MixedTwoFormFamily:
+    """Row-wise orthogonal projection of a family onto the fiber."""
+    return MixedTwoFormFamily(c.dim, T._fiber_project(c.mats, s))
+
+
+def F_map(c, s) -> MixedTorsion:
+    """F on the rows of a family (torsion.F_rows)."""
+    return MixedTorsion(c.dim, T.F_rows(c.mats, s))
+
+
+def f_inverse_raw(a, s) -> MixedTwoFormFamily:
+    """The contraction inverse of F on one tensor (torsion.f_inverse_mats)."""
+    return MixedTwoFormFamily(a.dim, T.f_inverse_mats(a.rows, s))
+
+
+def rotation_invariance_loop(s, rng) -> float:
+    """The largest |Omega' - Omega| over 100 rotated structures built one by
+    one, each rotation Q of the QR of one normal draw with the diagonal of R
+    made positive and its first two columns swapped where det Q < 0."""
+    worst = 0.0
+    for _ in range(100):
+        Q, R = np.linalg.qr(rng.standard_normal((3, 3)))
+        Q = Q @ np.diag(np.sign(np.diag(R)))
+        if np.linalg.det(Q) < 0:
+            Q[:, [0, 1]] = Q[:, [1, 0]]
+        s2 = rotate_adapted(Q, s)
+        worst = max(worst,
+                    float(np.abs(s2.Omega.coeffs - s.Omega.coeffs).max()))
+    return worst
+
+
+def component_norms(C, ds, s) -> dict:
+    """projectors.component_norms of one tensor as it was before it took
+    stacks, each norm np.linalg.norm of one array."""
+    core = PR._w_core(s)
+    parts = TF.proj3_parts(ds, s)
+    v = (C.reshape(-1) - core["hat_w"] @ ds).reshape(s.dim, -1)
+    h = PR.lcal_hpart(v, s)
+    return dict(zip(PR._ORDER, [
+        *map(float, core["c"] * np.linalg.norm(parts, axis=1)),
+        float(np.linalg.norm(h)), float(np.linalg.norm(v - h))]))
 
 
 def fiber_residuals(c, s) -> tuple[float, float]:

@@ -80,7 +80,7 @@ def test_n2_keys_name_no_empty_component(s2, tol):
     # L3EH and L3ES3H are zero at n = 2: their norms are round-off, which a
     # tol below round-off would otherwise keep
     from aqh import classify_algebra
-    from aqh.classify import _label
+    from aqh.classify import ZERO_FLOOR, _label
     from aqh.cli import algebra_from_json, load_json
     from aqh.projectors import profile
 
@@ -90,7 +90,7 @@ def test_n2_keys_name_no_empty_component(s2, tol):
     # a tensor's tol is also its membership tol, which round-off fails below
     # 1e-15: its label is read from its profile
     keys += [_label(profile(random_W_element(s2, seed), s2),
-                    tol, 2)[0].key for seed in range(3)]
+                    tol, 2, ZERO_FLOOR)[0].key for seed in range(3)]
     assert not [k for k in keys if "L3E" in k]
     assert "KH+EH+KS3H+ES3H" in keys
 

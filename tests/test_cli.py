@@ -530,7 +530,8 @@ def test_verification_failure_exits_1(monkeypatch, capsys):
 
 def test_verify_reports_an_aborted_section_as_a_failure(monkeypatch, capsys):
     # a section that raises has failed its checks: exit 1, naming the
-    # section, not an input error; argument errors still exit 2
+    # section, not an input error; argument errors still exit 2.  The
+    # operators section refuses rotated triples that are not quaternionic
     import aqh.verify
     from aqh import StructureError, VerificationError
 
@@ -539,7 +540,7 @@ def test_verify_reports_an_aborted_section_as_a_failure(monkeypatch, capsys):
 
     assert main(["verify", "--n", "2", "--seed", "-1"]) == 2
     assert "expected non-negative integer" in capsys.readouterr().err
-    monkeypatch.setattr(aqh.verify, "rotate_adapted", fail)
+    monkeypatch.setattr(aqh.verify, "quaternionic_K", fail)
     assert main(["verify", "--n", "2"]) == 1
     err = capsys.readouterr().err
     assert "verification failure" in err and "section operators" in err

@@ -32,6 +32,8 @@ from aqh.exterior import (
     mixed_from_json,
     mixed_to_json,
     tables,
+    wedge_coeffs,
+    wedge_op,
     wedge_rows,
 )
 from aqh.structure import random_rotation, rotate_adapted, standard_structure
@@ -363,6 +365,27 @@ def test_wedge_rows_sums_one_form_wedges(rng):
     want = sum((wedge1(np.eye(8)[r], AltForm(8, 3, rows[r])) for r in range(8)),
                AltForm.zero(8, 4))
     np.testing.assert_allclose(wedge_rows(rows, 3), want.coeffs, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [8, 12])
+def test_wedge_sums_the_table_rows_as_wedge_op_applies_them(dim, rng):
+    # every (p, q) with p + q <= dim: the bits of the fixed-factor operator,
+    # whose entries skip the zeros of b; on a (2, 3) stack, the bits of the
+    # six wedges, in one pass or in chunks (at dim 12, p = q = 4 goes one
+    # entry a pass)
+    for p in range(dim + 1):
+        for q in range(dim + 1 - p):
+            a = rng.standard_normal((2, 3, math.comb(dim, p)))
+            b = rng.standard_normal((2, 3, math.comb(dim, q)))
+            b[0, 0, ::3] = 0.0
+            x, y = AltForm(dim, p, a[0, 0]), AltForm(dim, q, b[0, 0])
+            assert (wedge(x, y).coeffs.tobytes()
+                    == wedge_op(y, p)(x.coeffs).tobytes()), (p, q)
+            rows = [wedge(AltForm(dim, p, u), AltForm(dim, q, v)).coeffs
+                    for u, v in zip(a.reshape(6, -1), b.reshape(6, -1))]
+            got = wedge_coeffs(a, b, dim, p, q)
+            assert got.shape == (2, 3, math.comb(dim, p + q))
+            assert got.reshape(6, -1).tobytes() == np.array(rows).tobytes()
 
 
 def test_sparse_op_product_matches_dense(rng):

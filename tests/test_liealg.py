@@ -431,6 +431,35 @@ def _scaled(g, scale):
     return MetricLieAlgebra(g.structure, scale * g.c)
 
 
+def _flat_almost_abelian(n, seed):
+    """ad(e_0) = X^T, X skew, commuting with I, J, K and zero on H e_0: a
+    flat algebra, nabla Omega = 0, class QK."""
+    s = standard_structure(n)
+    Y = np.random.default_rng(seed).standard_normal((s.dim, s.dim))
+    Y -= Y.T
+    Y[[0, n, 2 * n, 3 * n]] = 0.0
+    Y[:, [0, n, 2 * n, 3 * n]] = 0.0
+    X = (Y - s.I @ Y @ s.I - s.J @ Y @ s.J - s.K @ Y @ s.K) / 4
+    c = np.zeros((s.dim,) * 3)
+    c[0], c[:, 0] = X.T, -X.T
+    return MetricLieAlgebra(s, c)
+
+
+def test_algebra_class_does_not_depend_on_the_bracket_scale():
+    # c -> 10^e c is a homothety of the metric, which keeps the class.  An
+    # absolute zero floor on |nabla Omega| read QK from x1e-16 down, and
+    # read the round-off nabla Omega of a flat algebra (3e-16 max|c| at
+    # n = 2) as KH+EH+KS3H+ES3H from x1e4 up
+    g = two_step_nilpotent(3, 1)
+    keys = {e: classify_algebra(_scaled(g, 10.0 ** e))["key"]
+            for e in (0, -10, -16, -40, -80)}
+    assert set(keys.values()) == {"L3EH+KH+EH+L3ES3H+KS3H+ES3H"}, keys
+    flat = _flat_almost_abelian(2, 3)
+    keys = {e: classify_algebra(_scaled(flat, 10.0 ** e))["key"]
+            for e in (-16, 0, 4, 8)}
+    assert set(keys.values()) == {"QK"}, keys
+
+
 def test_gray_and_nijenhuis_checks_are_relative(monkeypatch, tmp_path):
     # both checks are held to the scale of the bracket table: a valid
     # algebra passes at x1e8, where the plain max-abs residuals read about

@@ -298,3 +298,29 @@ def test_split_coords_stack_matches_single_calls(s2, s3):
             for X, c in one.items():
                 assert (np.abs(stack[X][k] - c).max()
                         <= 1e-14 * np.abs(C[k]).max()), (s.n, X)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_component_norms_of_a_stack_match_single_calls(n):
+    # 50 tensors as verify's profile-pythagoras stacks them: for one tensor
+    # the bits of the unstacked reading, which the report prints; for the
+    # stack arrays equal to 1e-15 of each norm (of the tensor's norm for the
+    # components of dimension 0 at n = 2, which are round-off)
+    from aqh.projectors import component_norms
+    from aqh.structure import standard_structure
+    from aqh.torsion import fiber_basis_matrix
+    import reference
+
+    s = standard_structure(n)
+    a = np.stack([random_W_element(s, 41_000 + k).rows for k in range(50)])
+    C = a @ fiber_basis_matrix(s)
+    ds = s.tab.contraction(4)(a.reshape(50, -1))
+    stack = component_norms(C, ds, s)
+    for k in range(50):
+        one = component_norms(C[k], ds[k], s)
+        assert one == reference.component_norms(C[k], ds[k], s)
+        assert list(one) == list(stack)
+        for X, v in one.items():
+            assert type(v) is float and stack[X].shape == (50,)
+            bound = v if COMPONENT_DIMS[X](n) else np.linalg.norm(a[k])
+            assert abs(stack[X][k] - v) <= 1e-15 * bound, (k, X)

@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from aqh import (
-    F_map,
     MembershipError,
     MixedTorsion,
-    MixedTwoFormFamily,
     extract_cA,
-    fiber_project,
     from_nabla_omegas,
     random_W_element,
     w_dim,
@@ -21,13 +18,18 @@ from aqh.verify import dimension_certificate
 from aqh.torsion import (
     _fiber_maps,
     _w_project,
-    f_inverse_raw,
     family_conditions,
     fiber_basis_matrix,
     reassemble,
     require_in_W,
 )
-from reference import fiber_residuals
+from reference import (
+    F_map,
+    MixedTwoFormFamily,
+    f_inverse_raw,
+    fiber_project,
+    fiber_residuals,
+)
 
 
 def random_family(s, seed):

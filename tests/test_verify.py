@@ -2,7 +2,10 @@
 matrix, and each of its projector checks fails on a projector family broken
 the way that check alone can see.  The Lie-pipeline section's route checks
 fail on a broken route, and the classifier section's row checks on a broken
-row or Schur constant."""
+row or Schur constant.  The stacked rotation check of the operators section
+reads as the per-rotation loop did and sees one broken Omega of its stack,
+and the full suite at n = 3 and n = 2 runs every check, in order, and
+passes."""
 
 import dataclasses
 import tracemalloc
@@ -395,3 +398,141 @@ def test_round_trip_reads_the_report(monkeypatch):
              if r.check == "classifier/classification-round-trip"]
     assert not row.passed
     assert (row.residual, row.detail) == (15.0, "0/15 subsets")
+
+
+class _DrawRecorder:
+    """An rng that records its state before each standard_normal draw."""
+
+    def __init__(self, seed):
+        self.rng, self.states = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def standard_normal(self, size=None):
+        self.states.append((size, self.rng.bit_generator.state))
+        return self.rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("seed", [0, 71])
+def test_rotation_check_matches_the_per_rotation_loop(seed):
+    # the stacked check against 100 structures built one by one from the
+    # same place in the stream
+    from reference import rotation_invariance_loop
+
+    s = standard_structure(3)
+    rng = _DrawRecorder(seed)
+    [row] = [r for r in V.check_operators(s, rng)
+             if r.check == "fundamental-form-rotation-invariance"]
+    [state] = [st for size, st in rng.states if size == (100, 3, 3)]
+    ref = np.random.default_rng()
+    ref.bit_generator.state = state
+    want = rotation_invariance_loop(s, ref)
+    assert row.passed and abs(row.residual - want) <= 1e-15
+
+
+def test_rotation_check_sees_one_perturbed_omega(monkeypatch):
+    # one Omega of the stack of 100 moved by 1e-8 in one coefficient
+    real = V.fundamental_forms
+
+    def perturbed(IJK):
+        w, Om = real(IJK)
+        if Om.ndim == 2:
+            Om = Om.copy()
+            Om[37, 5] += 1e-8
+        return w, Om
+
+    monkeypatch.setattr(V, "fundamental_forms", perturbed)
+    passed = {r.check.split("/")[1]: r.passed
+              for r in V.run_suite(3, 71, sections=("operators",))}
+    assert not passed.pop("fundamental-form-rotation-invariance")
+    assert all(passed.values())
+
+
+def test_rotation_check_refuses_a_non_quaternionic_pair(monkeypatch):
+    # one rotated I of the stack scaled by 1 + 1e-9: I^2 = -1 fails, the
+    # axiom helper raises, and the section aborts
+    from aqh.liealg import VerificationError
+    from aqh.structure import StructureError, quaternionic_K
+
+    s = standard_structure(3)
+    I, J = np.tile(s.I, (5, 1, 1)), np.tile(s.J, (5, 1, 1))
+    assert np.array_equal(quaternionic_K(I, J), np.tile(s.K, (5, 1, 1)))
+    I[3] *= 1 + 1e-9
+    with pytest.raises(StructureError, match="I\\^2 = -1"):
+        quaternionic_K(I, J)
+    real = V.rotated_pair
+
+    def broken(q, s):
+        I2, J2 = real(q, s)
+        I2[42] = I2[42] * (1 + 1e-9)
+        return I2, J2
+
+    monkeypatch.setattr(V, "rotated_pair", broken)
+    with pytest.raises(VerificationError, match="section operators"):
+        V.run_suite(3, 71, sections=("operators",))
+
+
+# the checks of run_suite(3, seed), in order; at n = 2 the suite adds
+# l3es3h-vanishes-dim8, has no mixed-eigen-contraction-formula and reads
+# the partial Table 3 in place of column agreement
+SUITE_N3 = {
+    "exterior": [
+        "hodge-pairing", "star-involution-sign",
+        "wedge-associativity-commutativity", "interior-wedge-adjoint",
+        "volume-normalization"],
+    "operators": [
+        "L-squared-on-threeforms", "L-matches-slot-definition",
+        "lcal-quadratic-relation", "L-on-torsion-rows",
+        "contraction-intertwines-lcal", "eigenspace-slot-pair-identities",
+        "fundamental-form-rotation-invariance"],
+    "torsion-space": [
+        "embedding-round-trip", "torsion-space-dimension",
+        "conjugation-sum-eigenvalues", "triple-extraction",
+        "triple-extraction-covariance"],
+    "three-forms": [
+        "contraction-right-inverse", "right-inverse-lands-in-torsion-space",
+        "threeform-projector-traces", "threeform-projector-algebra",
+        "membership-rows-members", "membership-rows-reject",
+        "membership-es3h-prefix-reading", "xi-rotation-invariance"],
+    "components": [
+        "component-projector-algebra", "component-traces",
+        "eigen-split-traces", "hat-isometry", "contraction-kernel",
+        "paper-route", "contraction-injective-on-visible",
+        "pure-type-contraction-formula", "mixed-eigen-contraction-formula",
+        "profile-pythagoras", "profile-rotation-invariance"],
+    "classifier": [
+        "classification-round-trip", "class-conditions-members",
+        "class-conditions-reject", "column-agreement", "schur-row-forms",
+        "table2-pattern", "swann-alternation", "alternation-identities",
+        "hodge-factor-single-wedge", "hodge-factor-insertion-wedge",
+        "hodge-triple-wedge-corrected", "exterior-derivative-recovery",
+        "wedge-criteria-agreement", "perp-five-form-test"],
+    "lie-pipeline": [
+        "abelian-is-integrable", "pipeline-alternation",
+        "pipeline-gray-identity", "pipeline-nijenhuis-trace",
+        "pipeline-codifferential-routes", "pipeline-product-rule",
+        "wedge-trace-reading", "two-form-codiff-identity",
+        "xi-hodge-vs-contraction", "synthetic-torsion-round-trip"],
+}
+
+
+def _suite_checks(n):
+    sections = {k: list(v) for k, v in SUITE_N3.items()}
+    if n == 2:
+        three = sections["three-forms"]
+        three.insert(three.index("threeform-projector-algebra") + 1,
+                     "l3es3h-vanishes-dim8")
+        sections["components"].remove("mixed-eigen-contraction-formula")
+        cls = sections["classifier"]
+        k = cls.index("column-agreement")
+        cls[k:k + 1] = ["partial-table-members", "partial-table-reject"]
+    return [f"{sec}/{c}" for sec, checks in sections.items() for c in checks]
+
+
+@pytest.mark.parametrize("n, seed", [(3, 71), (2, 0)])
+def test_suite_runs_every_check_and_passes(n, seed):
+    # a stacked check that is dropped, renamed, moved or failing shows here
+    rows = V.run_suite(n, seed)
+    assert [r.check for r in rows] == _suite_checks(n)
+    assert [r.check for r in rows if not r.passed] == []
