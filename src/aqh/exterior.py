@@ -61,65 +61,55 @@ class FormTables:
     """Index tables for increasing tuples of a fixed dimension.
 
     Everything here is pure combinatorics of subsets of {0..dim-1}; the tables
-    are built lazily per degree and shared process-wide through ``tables``.
+    are built lazily per degree, each once, in the one memo _built, and
+    shared process-wide through ``tables``.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._tuples: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._index: dict[int, dict[tuple[int, ...], int]] = {}
-        self._columns: dict[int, np.ndarray] = {}
-        self._hook: dict[int, SparseOp] = {}
-        self._contraction: dict[int, SparseOp] = {}
-        self._wedge: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-        self._der: dict[int, tuple[np.ndarray, ...]] = {}
-        self._dense: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._lut: np.ndarray | None = None
-        self._ranked: set[int] = set()
+        self._built: dict = {}
+
+    def _memo(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
 
     def nforms(self, p: int) -> int:
         return math.comb(self.dim, p)
 
-    def tuples(self, p: int):
-        if p not in self._tuples:
-            self._tuples[p] = tuple(itertools.combinations(range(self.dim), p))
-        return self._tuples[p]
-
     def columns(self, p: int) -> np.ndarray:
-        """The p-tuples as a read-only (p, N_p) integer array: row k holds
-        the k-th entry of every tuple."""
-        if p not in self._columns:
-            cols = np.asarray(self.tuples(p), dtype=np.int64).reshape(
-                self.nforms(p), p).T
-            cols = np.ascontiguousarray(cols)
-            cols.flags.writeable = False
-            self._columns[p] = cols
-        return self._columns[p]
+        """The p-tuples, in lexicographic order, as a read-only (p, N_p)
+        integer array: row k holds the k-th entry of every tuple."""
 
-    def index(self, p: int):
-        if p not in self._index:
-            self._index[p] = {T: i for i, T in enumerate(self.tuples(p))}
-        return self._index[p]
+        def build():
+            N = self.nforms(p)
+            flat = itertools.chain.from_iterable(
+                itertools.combinations(range(self.dim), p))
+            cols = np.fromiter(flat, np.int64, p * N).reshape(N, p).T.copy()
+            cols.flags.writeable = False
+            return cols
+
+        return self._memo(("columns", p), build)
 
     def _rank(self, p: int, masks: np.ndarray) -> np.ndarray:
         """Numbers of the p-tuples with the given bit masks (bit i set for
         entry i), read from one table lut[mask] of 2^dim entries: masks of
         different degrees differ in popcount, so all degrees share it."""
-        if self._lut is None:
-            self._lut = np.zeros(1 << self.dim, dtype=np.int64)
-        if p not in self._ranked:
-            self._lut[_BIT[self.columns(p)].sum(axis=0)] = np.arange(
-                self.nforms(p))
-            self._ranked.add(p)
-        return self._lut[masks]
+        lut = self._memo("lut", lambda: np.zeros(1 << self.dim, np.int64))
+
+        def fill():        # its memo entry, None, marks degree p as filled
+            lut[_BIT[self.columns(p)].sum(axis=0)] = np.arange(self.nforms(p))
+
+        self._memo(("ranked", p), fill)
+        return lut[masks]
 
     def wedge_table(self, p: int, q: int):
         """Rows (o, ai, bi, sign) with e_O = sum sign * e_A ^ e_B over all
         splits of the (p+q)-tuple #o into a p-part #ai and q-part #bi.  Rows
         run over o, then over the splits in lexicographic order of the
         p-part positions; that order is what every view below relies on."""
-        key = (p, q)
-        if key not in self._wedge:
+
+        def build():
             S = math.comb(p + q, p)
             pos = np.array(list(itertools.combinations(range(p + q), p)),
                            dtype=np.int64).reshape(S, p)
@@ -132,8 +122,9 @@ class FormTables:
             odd = (pos.sum(axis=1) - p * (p - 1) // 2) % 2
             o = np.repeat(np.arange(bits.shape[1]), S)
             sign = np.tile(np.where(odd, -1.0, 1.0), bits.shape[1])
-            self._wedge[key] = (o, self._rank(p, a), self._rank(q, b), sign)
-        return self._wedge[key]
+            return o, self._rank(p, a), self._rank(q, b), sign
+
+        return self._memo(("wedge", p, q), build)
 
     def exp_table(self, p: int):
         """Rows (u, r, t, sign), the (1, p-1) split of ``wedge_table``:
@@ -144,22 +135,25 @@ class FormTables:
     def hook(self, p: int) -> SparseOp:
         """b -> (e_y hook b)_y from N_p to dim N_{p-1}, one ``exp_table(p)``
         row an entry; its transpose is rows -> sum_y e^y ^ rows[y]."""
-        if p not in self._hook:
+
+        def build():
             u, r, t, sign = self.exp_table(p)
             N = self.nforms(p - 1)
-            self._hook[p] = SparseOp(r * N + t, u, sign,
-                                     (self.dim * N, self.nforms(p)))
-        return self._hook[p]
+            return SparseOp(r * N + t, u, sign, (self.dim * N, self.nforms(p)))
+
+        return self._memo(("hook", p), build)
 
     def contraction(self, p: int) -> SparseOp:
         """rows -> -sum_y e_y hook rows[y] from dim N_p to N_{p-1}, one
         ``exp_table(p)`` row an entry."""
-        if p not in self._contraction:
+
+        def build():
             u, r, t, sign = self.exp_table(p)
             N = self.nforms(p)
-            self._contraction[p] = SparseOp(t, r * N + u, -sign,
-                                            (self.nforms(p - 1), self.dim * N))
-        return self._contraction[p]
+            return SparseOp(t, r * N + u, -sign,
+                            (self.nforms(p - 1), self.dim * N))
+
+        return self._memo(("contraction", p), build)
 
     def der_table(self, p: int):
         """Arrays (zr, t, sign) of shape (N_p, p (dim - p + 1)) so that the
@@ -167,28 +161,32 @@ class FormTables:
         out[t] += M.flat[zr] * sign * b[s] over row s of each array: the
         pairs of ``exp_table(p)`` rows (s, z) and (t, r) through one
         (p-1)-tuple, zr = z dim + r, grouped by the source tuple s."""
-        if p not in self._der:
+
+        def build():
             u, r, t, sign = self.exp_table(p)
             # every (p-1)-tuple is reached from k = dim - p + 1 p-tuples:
             # pair[e] holds the k rows through the (p-1)-tuple of row e
             k = self.dim - p + 1
             pair = np.argsort(t, kind="stable").reshape(-1, k)[t]
-            self._der[p] = tuple(a.reshape(self.nforms(p), -1) for a in (
+            return tuple(a.reshape(self.nforms(p), -1) for a in (
                 r[:, None] * self.dim + r[pair], u[pair],
                 sign[:, None] * sign[pair]))
-        return self._der[p]
+
+        return self._memo(("der", p), build)
 
     def dense_table(self, p: int):
         """(flat, sign): flat[k] are the raveled positions of the k-th
         permutation image of every increasing tuple, sign[k] its parity."""
-        if p not in self._dense:
+
+        def build():
             perms = np.array(list(itertools.permutations(range(p))),
                              dtype=np.int64).reshape(math.factorial(p), p)
             flat = (self.columns(p)[perms]
                     * self.dim ** np.arange(p - 1, -1, -1)[:, None]).sum(1)
             inv = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum((1, 2))
-            self._dense[p] = (flat, (-1.0) ** inv)
-        return self._dense[p]
+            return flat, (-1.0) ** inv
+
+        return self._memo(("dense", p), build)
 
 
 @lru_cache(maxsize=None)
@@ -570,44 +568,40 @@ def _json_coeffs(data: dict, dim: int, p: int, lead: int):
     coeffs = data.get("coeffs", {})
     if not isinstance(coeffs, dict):
         raise InputFormatError(f"key 'coeffs': {coeffs!r:.40} is not an object")
-    idx, m = tables(dim).index(p), lead + p
+    m, cols = lead + p, tables(dim).columns(p)
     try:
-        # keys of nonempty ASCII digit fields (fromstring stops at a blank,
-        # "+" or "-" field) in one parse, each closed by a -1; a tuple is
-        # found by its flat code sum_k t_k dim^(p-1-k) among the sorted codes
+        # the key fields, each key closed by a -1: in one parse when every
+        # field is a nonempty run of ASCII digits (fromstring stops at a
+        # blank, "+" or "-" field), else field by field through int; a
+        # tuple is found by its flat code sum_k t_k dim^(p-1-k) among the
+        # sorted codes
         keys = ",".join(coeffs).encode()
         if keys.translate(None, b"0123456789,") or b",," in b",%b," % keys:
-            raise ValueError
-        T = np.fromstring(",-1,".join(coeffs) + ",-1", np.int64,
-                          sep=",").reshape(len(coeffs), m + 1)
-        codes = np.ravel_multi_index(tables(dim).columns(p), (dim,) * p)
+            T = np.array([int(f) for key in coeffs
+                          for f in (*key.split(","), -1)], np.int64)
+        else:
+            T = np.fromstring(",-1,".join(coeffs) + ",-1", np.int64, sep=",")
+        T = T.reshape(len(coeffs), m + 1)
+        codes = np.ravel_multi_index(cols, (dim,) * p)
         t = np.ravel_multi_index(T[:, lead:m].T, (dim,) * p)  # in [0, dim)
         u = codes.searchsorted(t)
-        fast = (codes[u] == t).all() and (T[:, m] == -1).all()
-    except (ValueError, IndexError):
-        fast = False
-    try:
-        if fast:
-            rows = T[:, :lead]
-        else:
-            T = [tuple(map(int, key.split(","))) for key in coeffs]
-            u = np.array([idx[t[lead:]] for t in T], dtype=np.int64)
-            rows = np.array([t[:lead] for t in T], dtype=np.int64)
+        rows = T[:, :lead]
         # JSON numbers only: fromiter would read "1" and true as 1.0
         ok = {*map(type, coeffs.values())} <= {int, float}
         vals = np.fromiter(coeffs.values(), float, len(coeffs))
-        ok = (ok and np.isfinite(vals).all()
+        ok = (ok and (codes[u] == t).all() and (T[:, m] == -1).all()
+              and np.isfinite(vals).all()
               and ((rows >= 0) & (rows < dim)).all())
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except (IndexError, TypeError, ValueError, OverflowError):
         ok = False
     if ok:
         with np.errstate(over="ignore"):
             if not np.isfinite(vals @ vals):
                 raise InputFormatError("key 'coeffs': the norm of the "
                                        "coefficients is not a finite number")
-        rows = rows.reshape(len(T), lead)
         # keys such as "0,0,1,2,3" and "00,0,1,2,3" name one entry
-        code = np.ravel_multi_index((*rows.T, u), (dim,) * lead + (len(idx),))
+        code = np.ravel_multi_index((*rows.T, u),
+                                    (dim,) * lead + cols.shape[1:])
         if code.size and np.bincount(code).max() > 1:
             seen = {}
             for c, key in zip(code.tolist(), coeffs):
@@ -625,19 +619,17 @@ def _json_coeffs(data: dict, dim: int, p: int, lead: int):
             raise InputFormatError(f"{where} is not a list of integers") from None
         for i in T:
             _json_index(where, i, dim)
-        if len(T) != lead + p or T[lead:] not in idx:
-            raise InputFormatError(f"{where}: needs {lead + p} indices, the "
+        if len(T) != m or any(x >= y for x, y in zip(T[lead:], T[lead + 1:])):
+            raise InputFormatError(f"{where}: needs {m} indices, the "
                                    f"last {p} increasing")
         _json_value(where, v)
 
 
 def mixed_to_json(a: MixedTorsion) -> dict:
-    tab = tables(a.dim)
-    coeffs = {}
-    for x in range(a.dim):
-        for T, v in zip(tab.tuples(4), a.rows[x]):
-            if v != 0.0:
-                coeffs[",".join(map(str, (x,) + T))] = float(v)
+    x, u = np.nonzero(a.rows)
+    keys = np.vstack([x, tables(a.dim).columns(4)[:, u]]).T.tolist()
+    coeffs = {",".join(map(str, k)): v
+              for k, v in zip(keys, a.rows[x, u].tolist())}
     return {"n": a.dim // 4, "degree": 4, "coeffs": coeffs}
 
 

@@ -182,6 +182,15 @@ def _gray_residual(A: np.ndarray, dw: np.ndarray, NA: np.ndarray,
     return float(np.abs(2.0 * nw - dw + At @ (dw @ A - NA)).max())
 
 
+def _floor(g: MetricLieAlgebra) -> float:
+    """ZERO_FLOOR max|c|, about 90 u max|c| (u = 2^-53): every term of the
+    algebra path is a linear image of c through orthogonal maps, with a
+    round-off of a few u max|c| (at most 47 u max|c| for flat algebras at
+    n <= 4).  Residuals relative to |nabla Omega| or |d*Omega| are held to
+    their tol or to this floor, whichever is larger."""
+    return ZERO_FLOOR * max(float(np.abs(g.c).max()), 1e-300)
+
+
 def codiff_Omega(g: MetricLieAlgebra) -> dict:
     """The codifferential of the fundamental form by four routes:
 
@@ -227,22 +236,24 @@ def _codiff_routes(g: MetricLieAlgebra, ds: AltForm,
                    **more: AltForm) -> tuple[dict, dict]:
     """The routes to d*Omega, the contraction ds = -C12(nabla Omega),
     -star d star Omega and more, and |x - y| / |contraction| for each pair
-    x, y of them."""
+    x, y of them, |contraction| raised to _floor(g) / CODIFF_TOL."""
     s = g.structure
     variants = {"contraction": ds,
                 "hodge": -1.0 * s.star(ce_d(g, s.star_Omega)), **more}
-    scale = max(variants["contraction"].norm(), 1e-300)
+    scale = max(ds.norm(), _floor(g) / CODIFF_TOL)
     pair = {f"{x}|{y}": float(np.linalg.norm(
                 variants[x].coeffs - variants[y].coeffs)) / scale
             for x, y in itertools.combinations(variants, 2)}
     return variants, pair
 
 
-# the checks of classify_algebra that `aqh liealg` holds to PIPELINE_TOL
+# the checks of classify_algebra that `aqh liealg` holds to PIPELINE_TOL;
+# classify_algebra holds the codifferential routes to CODIFF_TOL itself
 PIPELINE_CHECKS = ("product_rule", "alternation_vs_differential",
                    "gray_identity", "nijenhuis_trace",
                    "codifferential_pairwise")
 PIPELINE_TOL = 1e-8
+CODIFF_TOL = 1e-9
 
 
 def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
@@ -251,13 +262,17 @@ def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
     d*Omega and the stacks of d w_A, nabla w_A and N_A.  nabla Omega lies in
     W by construction, so a membership residual above PIPELINE_TOL, whatever
     tol, nabla w_A that fail admissibility, and a d*Omega = -C12(nabla Omega)
-    that differs from -star d star Omega by more than 1e-9 raise
-    VerificationError.  A bad tol raises ValueError."""
+    that differs from -star d star Omega by more than CODIFF_TOL, each
+    over the floor _floor(g), raise VerificationError.  A bad tol raises
+    ValueError."""
     check_tol(tol)
     s = g.structure
     G = koszul(g)
     nOm = nabla_Omega(g, G)
-    C, resid = _w_project(nOm, s)
+    # |nabla Omega| raised to the floor: PIPELINE_TOL of it is the floor
+    floor = _floor(g)
+    scale = max(nOm.norm(), floor / PIPELINE_TOL)
+    C, resid = _w_project(nOm, s, scale)
     if not resid <= PIPELINE_TOL:
         raise VerificationError(f"nabla Omega is not in the torsion space "
                                 f"(residual {resid:.2e})")
@@ -267,7 +282,6 @@ def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
         assembled = from_nabla_omegas(2.0 * nw, s)
     except MembershipError as exc:
         raise VerificationError(f"2 nabla w_A: {exc}") from None
-    scale = max(nOm.norm(), 1e-300)
     checks["product_rule"] = float(
         np.linalg.norm(assembled.rows - nOm.rows)) / scale
     checks["alternation_vs_differential"] = float(np.linalg.norm(
@@ -281,13 +295,13 @@ def classify_algebra(g: MetricLieAlgebra, tol: float = 1e-8) -> dict:
         np.abs(np.einsum("aiix->ax", NA)).max()) / cscale
     ds = contract12(nOm)
     (key, gap), = _codiff_routes(g, ds)[1].items()
-    if not gap <= 1e-9:
+    if not gap <= CODIFF_TOL:
         raise VerificationError(
             f"codifferential routes disagree: {key}={gap:.2e}")
     checks["codifferential_pairwise"] = gap
     # nabla Omega is linear in c: scaling the brackets is a homothety, which
     # keeps the class, so the zero floor scales with them
-    report = _report(nOm, s, tol, C, ds, ZERO_FLOOR * cscale)
+    report = _report(nOm, s, tol, C, ds, floor)
     report["checks"] = checks
     report["abelian"] = g.is_abelian()
     return report

@@ -225,10 +225,9 @@ class QuatStructure:
             ops = [wedge_op(self.omega[a], p) for a in AXES]
             r, c, v = (np.concatenate(x) for x in zip(
                 *((w.r, k * N + w.c, w.v) for k, w in enumerate(ops))))
-            W = SparseOp(r, c, v, (ops[0].shape[0], 3 * N))
-            return W, self.deriv_op(p)
+            return SparseOp(r, c, v, (ops[0].shape[0], 3 * N))
 
-        return self.cache(("ae", p), build)
+        return self.cache(("ae", p), build), self.deriv_op(p)
 
 
 # every subcommand and the verify suite build structures for n = 2 up to

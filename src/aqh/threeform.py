@@ -85,23 +85,15 @@ def m_matrix(s: QuatStructure) -> np.ndarray:
         [wedge_op(s.omega[a], 1).dense() @ s.mats[a] for a in AXES], axis=1))
 
 
-def proj3_factors(s: QuatStructure) -> tuple:
-    """The factors of the projectors of Lambda^3: the xi maps (4 dim x N3),
-    hook_omega, M3 on (xi_I, xi_J, xi_K) (m_matrix; -2 M3 is the E(H+S3H)
-    projector) and plus3 = (3 + L)/6."""
-    return s.cache("proj3_factors", lambda: (
-        xi_maps(s).reshape(4 * s.dim, -1), hook_omega_matrix(s), m_matrix(s),
-        (3 * np.eye(s.tab.nforms(3)) + s.L_matrix(3)) / 6.0))
-
-
 def proj3_parts(x: np.ndarray, s: QuatStructure) -> np.ndarray:
     """P_X x (..., 4, N3) on 3-form coefficients x (..., N3), for X = KH, EH,
     ES3H, L3ES3H: hook_omega xi_0 onto EH, -2 M3 (xi_I, xi_J, xi_K) onto
-    EH + ES3H and plus3 onto KH + EH."""
-    xi, hook, m, plus3 = proj3_factors(s)
-    y = x @ xi.T
-    eh = y[..., :s.dim] @ hook.T
-    e = -2.0 * (y[..., s.dim:] @ m.T)
+    EH + ES3H (m_matrix) and plus3 = (3 + L)/6 onto KH + EH."""
+    plus3 = s.cache("plus3", lambda: (3 * np.eye(s.tab.nforms(3))
+                                      + s.L_matrix(3)) / 6.0)
+    y = x @ xi_maps(s).reshape(4 * s.dim, -1).T
+    eh = y[..., :s.dim] @ hook_omega_matrix(s).T
+    e = -2.0 * (y[..., s.dim:] @ m_matrix(s).T)
     h = x @ plus3.T
     return np.stack([h - eh, eh, e - eh, x - h - e + eh], axis=-2)
 
@@ -137,7 +129,7 @@ class _Ctx:
 
     def __init__(self, s: QuatStructure, scale, dstar: np.ndarray):
         self.scale, self.n, self.dstar = np.maximum(scale, 1e-300), s.n, dstar
-        xi = proj3_factors(s)[0]
+        xi = xi_maps(s).reshape(4 * s.dim, -1)
         self.xi = (dstar @ xi.T).reshape(*dstar.shape[:-1], 4, s.dim)
         self.f3, self.w, self.f5 = {}, {}, {}
         self.profile = self.miss = None
@@ -336,10 +328,10 @@ def r_matrix(s: QuatStructure) -> np.ndarray:
 def hat_factors(s: QuatStructure) -> tuple[np.ndarray, np.ndarray]:
     """(H3, H1), hat_dstar = SE H3 - R H1 (module docstring): H3 = L/18 -
     (2k1/3k2) M3 with -2 M3 the E(H+S3H) projector, H1 = c xi."""
-    k1, k2 = s.k1, s.k2
-    xi, _hook, m, _plus3 = proj3_factors(s)
-    return (s.L_matrix(3) / 18.0 - (2.0 * k1 / (3.0 * k2)) * (m @ xi[s.dim:]),
-            (4 * k1 ** 2 + k2 ** 2) / (12.0 * k1 * k2) * xi_maps(s)[0])
+    k1, k2, xi = s.k1, s.k2, xi_maps(s)
+    M3 = m_matrix(s) @ xi[1:].reshape(3 * s.dim, -1)
+    return (s.L_matrix(3) / 18.0 - (2.0 * k1 / (3.0 * k2)) * M3,
+            (4 * k1 ** 2 + k2 ** 2) / (12.0 * k1 * k2) * xi[0])
 
 
 def _embed_rows(x: np.ndarray, s: QuatStructure) -> np.ndarray:

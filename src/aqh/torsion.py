@@ -77,12 +77,13 @@ def f_inverse_mats(rows: np.ndarray, s: QuatStructure) -> np.ndarray:
     return np.tensordot(rows, R, (-1, 1)) / (-8 * s.n)
 
 
-def _w_project(a: MixedTorsion, s: QuatStructure) -> tuple[np.ndarray, float]:
+def _w_project(a: MixedTorsion, s: QuatStructure,
+               size: float = 1e-300) -> tuple[np.ndarray, float]:
     """(C, residual): the W coordinates C = aQ and the relative distance
-    |a - C Q^T| / |a| of a from W = V* (x) span(Q)."""
+    |a - C Q^T| / max(|a|, size) of a from W = V* (x) span(Q)."""
     Q = fiber_basis_matrix(s)
     C = a.rows @ Q
-    return C, float(np.linalg.norm(a.rows - C @ Q.T)) / max(a.norm(), 1e-300)
+    return C, float(np.linalg.norm(a.rows - C @ Q.T)) / max(a.norm(), size)
 
 
 def check_tol(tol: float) -> float:

@@ -2,13 +2,16 @@
 mixed 2-form families and F, F^-1 and the fiber projection on them, the
 component norms of one tensor, the fiber residuals, the per-rotation
 fundamental-form check, compound
-matrices, interior products by slot slicing,
+matrices, interior products by slot slicing, the increasing tuples by
+itertools,
 the per-axis nabla w_A and N_A, and the JSON form of a single alternating
 form, and the rows of Tables 2 and 3 read directly on a context, as verify
 reads them.
 The tests compare the library's routes against these."""
 
+import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +23,19 @@ from aqh.exterior import (AltForm, DegreeError, MixedTorsion, _json_coeffs,
                           _json_index, _json_n, alternate5, contract12, tables)
 from aqh.structure import AXES, insert, rotate_adapted
 from aqh.verify import dstar_on_W
+
+
+@lru_cache(maxsize=None)
+def tuples(dim: int, p: int) -> tuple:
+    """The increasing p-tuples of range(dim) in lexicographic order, the
+    order of the coefficient vectors, enumerated by itertools."""
+    return tuple(itertools.combinations(range(dim), p))
+
+
+@lru_cache(maxsize=None)
+def tuple_index(dim: int, p: int) -> dict:
+    """p-tuple -> its position in ``tuples(dim, p)``."""
+    return {T: i for i, T in enumerate(tuples(dim, p))}
 
 
 @dataclass
@@ -160,10 +176,9 @@ def volume_form(s) -> AltForm:
 
 
 def form_to_json(a: AltForm) -> dict:
-    tab = tables(a.dim)
     coeffs = {
         ",".join(map(str, T)): float(v)
-        for T, v in zip(tab.tuples(a.degree), a.coeffs)
+        for T, v in zip(tuples(a.dim, a.degree), a.coeffs)
         if v != 0.0
     }
     return {"n": a.dim // 4, "degree": a.degree, "coeffs": coeffs}
@@ -207,11 +222,10 @@ def hooks(b: AltForm) -> np.ndarray:
     is b(e_y, e_T), the entry (y, *T) of b.dense(), read without forming the
     dense tensor: b at the sorted tuple times (-1)^m, m the number of
     entries of T below y, and 0 when y is in T."""
-    tab = tables(b.dim)
-    idx = tab.index(b.degree)
-    out = np.zeros((b.dim, tab.nforms(b.degree - 1)))
+    idx = tuple_index(b.dim, b.degree)
+    out = np.zeros((b.dim, tables(b.dim).nforms(b.degree - 1)))
     for y in range(b.dim):
-        for k, T in enumerate(tab.tuples(b.degree - 1)):
+        for k, T in enumerate(tuples(b.dim, b.degree - 1)):
             if y not in T:
                 m = sum(x < y for x in T)
                 out[y, k] = (-1.0) ** m * b.coeffs[idx[T[:m] + (y,) + T[m:]]]

@@ -464,6 +464,29 @@ def test_two_keys_of_one_tensor_entry_are_refused(tmp_path, capsys):
     assert g.c[0, 1, 7] == 2.0 and g.c[1, 0, 7] == -2.0
 
 
+@pytest.mark.parametrize("plain, odd", [
+    ("0,0,2,1,3", " 0,0,2,1,3"), ("0,0,2,1,3", "+0,0,2,1,3"),
+    ("0,0,1,2,99", "0,0,1,2,+99"), ("0,0,1,2,99", "0, 0,1,2,99"),
+    ("00,0,1,2,3", "+0,0,1,2,3"), ("00,0,1,2,3", "-0,0,1,2, 3"),
+])
+def test_keys_with_blanks_or_signs_are_refused_as_plain_ones(
+        tmp_path, capsys, plain, odd):
+    # keys with a blank or a sign take the per-key parse, through int: a key
+    # that is not increasing, one out of range and one naming the entry of
+    # the plain key "0,0,1,2,3" are refused, exit 2, with the message of
+    # their plain spellings
+    p = tmp_path / "in.json"
+    errs = []
+    for key in (plain, odd):
+        p.write_text(json.dumps({"n": 2, "coeffs": {"0,0,1,2,3": 1.0,
+                                                    key: 1.0}}))
+        assert main(["classify", "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err
+        errs.append(err.replace(repr(key), "KEY"))
+    assert errs[0] == errs[1]
+
+
 @pytest.mark.parametrize("cmd, text, key", [
     ("classify", '{"n": 2, "coeffs": {"0,0,1,2,3": 1.0, "0,0,1,2,3": 0.0}}',
      "'0,0,1,2,3'"),

@@ -38,7 +38,8 @@ from aqh.exterior import (
 )
 from aqh.structure import random_rotation, rotate_adapted, standard_structure
 from aqh.torsion import fiber_basis_matrix
-from reference import form_from_json, form_to_json, hooks, slot_sum, volume_form
+from reference import (form_from_json, form_to_json, hooks, slot_sum,
+                       tuple_index, tuples, volume_form)
 
 
 def rand_form(rng, dim, p):
@@ -48,7 +49,7 @@ def rand_form(rng, dim, p):
 def basis_form(dim, idx):
     """The form e^{i1} ^ ... ^ e^{ip} for an increasing tuple."""
     c = np.zeros(math.comb(dim, len(idx)))
-    c[tables(dim).index(len(idx))[tuple(idx)]] = 1.0
+    c[tuple_index(dim, len(idx))[tuple(idx)]] = 1.0
     return AltForm(dim, len(idx), c)
 
 
@@ -93,7 +94,7 @@ def test_wedge_bilinear_antisymmetric_oneforms(seed):
     b = AltForm(8, 1, y)
     ab = wedge(a, b)
     # coefficients are the 2x2 minors
-    for (i, j), v in zip(tables(8).tuples(2), ab.coeffs):
+    for (i, j), v in zip(tuples(8, 2), ab.coeffs):
         assert abs(v - (x[i] * y[j] - x[j] * y[i])) < 1e-12
 
 
@@ -123,7 +124,7 @@ def test_interior_brute_force(s2, rng):
     zo = interior(np.eye(8)[0], s2.Omega)
     dense = s2.Omega.dense()
     total = 0.0
-    for T in tables(8).tuples(3):
+    for T in tuples(8, 3):
         total += dense[(0,) + T] ** 2
     assert abs(inner(zo, zo) - total) < 1e-12
 
@@ -182,8 +183,9 @@ def test_contract12_and_alternate_zero(s2):
 def test_exp_table_matches_enumeration():
     tab = tables(8)
     for p in range(1, 9):
-        want = [(u, T[m], tab.index(p - 1)[T[:m] + T[m + 1:]], (-1.0) ** m)
-                for u, T in enumerate(tab.tuples(p)) for m in range(p)]
+        idx = tuple_index(8, p - 1)
+        want = [(u, T[m], idx[T[:m] + T[m + 1:]], (-1.0) ** m)
+                for u, T in enumerate(tuples(8, p)) for m in range(p)]
         got = list(zip(*(a.tolist() for a in tab.exp_table(p))))
         assert got == want
 
@@ -216,21 +218,21 @@ def test_hook_and_contraction_match_slot_slices(dim, rng):
 def test_wedge_table_matches_enumeration():
     # the tuple loop the vectorised build replaced, and the complement rule
     # of the Hodge star
-    tab = tables(8)
+    tab, idx = tables(8), lambda T: tuple_index(8, len(T))[T]
     for p in range(9):
         for q in range(9 - p):
             want = []
-            for o, O in enumerate(tab.tuples(p + q)):
+            for o, O in enumerate(tuples(8, p + q)):
                 for pos in itertools.combinations(range(p + q), p):
                     S = tuple(O[i] for i in pos)
                     T = tuple(O[i] for i in range(p + q) if i not in pos)
-                    want.append((o, tab.index(p)[S], tab.index(q)[T],
+                    want.append((o, idx(S), idx(T),
                                  (-1.0) ** (sum(pos) - p * (p - 1) // 2)))
             got = list(zip(*(a.tolist() for a in tab.wedge_table(p, q))))
             assert got == want
-        comp = [tab.index(8 - p)[tuple(i for i in range(8) if i not in S)]
-                for S in tab.tuples(p)]
-        sign = [(-1.0) ** (sum(S) - p * (p - 1) // 2) for S in tab.tuples(p)]
+        comp = [idx(tuple(i for i in range(8) if i not in S))
+                for S in tuples(8, p)]
+        sign = [(-1.0) ** (sum(S) - p * (p - 1) // 2) for S in tuples(8, p)]
         star = hodge_op(8, p, 1.0)
         assert star.c.tolist() == list(range(len(comp)))
         assert star.r.tolist() == comp
@@ -240,9 +242,8 @@ def test_wedge_table_matches_enumeration():
 def _slot_derivation_by_tuples(M, b):
     """sum_i b(.., M e_(t_i), ..) on every increasing tuple t, term by term:
     t_i replaced by each z, with the sign that sorts the new tuple."""
-    tab = tables(b.dim)
-    idx, out = tab.index(b.degree), np.zeros(b.coeffs.size)
-    for u, T in enumerate(tab.tuples(b.degree)):
+    idx, out = tuple_index(b.dim, b.degree), np.zeros(b.coeffs.size)
+    for u, T in enumerate(tuples(b.dim, b.degree)):
         for i, z in itertools.product(range(len(T)), range(b.dim)):
             S = T[:i] + (z,) + T[i + 1:]
             if z in T[:i] + T[i + 1:]:
@@ -332,6 +333,20 @@ def test_rank_lookup_matches_search():
             for x, y in zip(tab.wedge_table(*key),
                             tables(dim).wedge_table(*key)):
                 np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("dim", [8, 12, 16])
+def test_columns_are_the_lexicographic_tuples_and_rank_numbers_them(dim):
+    # columns(p) against the itertools enumeration, and _rank of the bit mask
+    # of each column is its position, for every degree
+    tab = FormTables(dim)
+    for p in range(dim + 1):
+        cols = tab.columns(p)
+        assert cols.dtype == np.int64 and not cols.flags.writeable
+        want = np.array(tuples(dim, p), np.int64).reshape(len(cols.T), p).T
+        np.testing.assert_array_equal(cols, want)
+        np.testing.assert_array_equal(tab._rank(p, (1 << cols).sum(axis=0)),
+                                      np.arange(math.comb(dim, p)))
 
 
 def test_der_table_rows_grouped_by_source():

@@ -30,7 +30,7 @@ from aqh.structure import AXES, insert
 from aqh.torsion import require_in_W
 from aqh.exterior import tables, wedge1
 from aqh.liealg import PIPELINE_CHECKS, _gray_residual, d_omegas, nabla_omegas
-from reference import compound, nabla_dense
+from reference import compound, nabla_dense, tuple_index, tuples
 from reference import nabla_omega as nabla_omega_ref
 from reference import nijenhuis as nijenhuis_ref
 
@@ -125,9 +125,9 @@ def _bracket_alternation(g, b):
     on increasing basis tuples."""
     dim, p = g.dim, b.degree
     tab = tables(dim)
-    idx_p = tab.index(p)
+    idx_p = tuple_index(dim, p)
     out = np.zeros(tab.nforms(p + 1))
-    for oi, T in enumerate(tab.tuples(p + 1)):
+    for oi, T in enumerate(tuples(dim, p + 1)):
         for i, j in itertools.combinations(range(p + 1), 2):
             rest = tuple(T[m] for m in range(p + 1) if m not in (i, j))
             for k in range(dim):
@@ -452,12 +452,60 @@ def test_algebra_class_does_not_depend_on_the_bracket_scale():
     # n = 2) as KH+EH+KS3H+ES3H from x1e4 up
     g = two_step_nilpotent(3, 1)
     keys = {e: classify_algebra(_scaled(g, 10.0 ** e))["key"]
-            for e in (0, -10, -16, -40, -80)}
+            for e in (60, 20, 0, -10, -16, -40, -60, -80)}
     assert set(keys.values()) == {"L3EH+KH+EH+L3ES3H+KS3H+ES3H"}, keys
     flat = _flat_almost_abelian(2, 3)
     keys = {e: classify_algebra(_scaled(flat, 10.0 ** e))["key"]
             for e in (-16, 0, 4, 8)}
     assert set(keys.values()) == {"QK"}, keys
+
+
+def test_flat_algebras_read_qk_at_every_scale(tmp_path, capsys):
+    # nabla Omega of a flat algebra is round-off, a few u max|c|, so its
+    # residuals relative to |nabla Omega| are round-off over round-off: held
+    # to PIPELINE_TOL or to the floor ZERO_FLOOR max|c|, whichever is
+    # larger, `aqh liealg` exits 0 with key QK (it exited 1 at n=3, "nabla
+    # Omega is not in the torsion space", residual 0.15 to 0.34)
+    from aqh.cli import main
+
+    for n, seed in ((2, 3), (3, 0), (3, 1), (3, 2)):
+        flat = _flat_almost_abelian(n, seed)
+        for e in (-12, -6, 0, 4, 8):
+            path = tmp_path / "g.json"
+            g = _scaled(flat, 10.0 ** e)
+            path.write_text(json.dumps(_algebra_json(g)))
+            code = main(["liealg", "--input", str(path), "--format", "json"])
+            assert code == 0, (n, seed, e)
+            assert json.loads(capsys.readouterr().out)["key"] == "QK"
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
+def test_floor_hides_no_fault_at_any_scale(monkeypatch, scale):
+    # the floor under the residuals is far below a fault of a genuine
+    # nabla Omega: a wrong-sign Gray term, a perturbed nabla w_J and a
+    # nabla Omega moved off W still fail at every scale
+    from aqh import liealg
+
+    g = _scaled(two_step_nilpotent(3, 1), scale)
+    real_N, real_nw = liealg.nijenhuis, liealg.nabla_omegas
+    with monkeypatch.context() as m:
+        m.setattr(liealg, "nijenhuis", lambda g: -real_N(g))
+        assert classify_algebra(g)["checks"]["gray_identity"] > 1e-2
+
+    def perturbed(g, G):
+        out = real_nw(g, G).copy()
+        bump = np.random.default_rng(0).standard_normal(out[1].shape)
+        out[1] += 1e-3 * np.abs(out).max() * (bump - bump.transpose(0, 2, 1))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(liealg, "nabla_omegas", perturbed)
+        with pytest.raises(VerificationError, match="not admissible"):
+            classify_algebra(g)
+    _pushed_off_W(monkeypatch)
+    with pytest.raises(VerificationError,
+                       match="nabla Omega is not in the torsion space"):
+        classify_algebra(g)
 
 
 def test_gray_and_nijenhuis_checks_are_relative(monkeypatch, tmp_path):

@@ -280,7 +280,7 @@ def test_report_reads_lcal_once(s3, pool3, monkeypatch):
         e if isinstance(e, tuple) else [e]) if isinstance(v, np.ndarray)]
     assert not [k for k, v in arrays if v.shape == (4 * N3, N3)]
     assert sorted(str(k) for k, v in arrays if v.shape[-2:] == (N3, N3)) \
-        == ["('L', 3)", "proj3_factors"]
+        == ["('L', 3)", "plus3"]
 
 
 def test_split_coords_stack_matches_single_calls(s2, s3):

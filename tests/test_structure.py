@@ -311,10 +311,55 @@ def test_structure_forms_no_power_of_Omega():
     code = ("import aqh\n"
             "from aqh.exterior import tables\n"
             "aqh.standard_structure(4)\n"
-            "print(max(max(k) for k in tables(16)._wedge))\n")
+            "print(max(max(k[1:]) for k in tables(16)._built\n"
+            "          if k[0] == 'wedge'))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(aqh.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert int(out) < 8
+
+
+def _leaves(value):
+    """The objects inside a cached value: arrays, and whatever is not a
+    dict, list or tuple; a SparseOp holds its three arrays."""
+    from aqh.exterior import SparseOp
+
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, SparseOp):
+        value = value[:3]
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+def test_each_cached_array_is_held_by_one_entry():
+    # a structure cache entry that re-held arrays of other entries would be
+    # counted twice by any per-entry inventory of the caches; the tuple
+    # table of FormTables is its int64 columns, with no Python tuples
+    from aqh.exterior import tables
+    from aqh.liealg import (MetricLieAlgebra, classify_algebra,
+                            two_step_nilpotent)
+    from aqh.verify import run_suite
+
+    s = standard_structure.__wrapped__(3)    # fresh: empty caches
+    classification_report(random_W_element(s, 5), s)
+    classify_algebra(MetricLieAlgebra(s, two_step_nilpotent(3, 1).c))
+    owners = {}
+    for key, value in s._cache.items():
+        for v in _leaves(value):
+            if isinstance(v, np.ndarray):
+                while isinstance(v.base, np.ndarray):
+                    v = v.base
+                owners.setdefault(id(v), set()).add(repr(key))
+    shared = sorted(sorted(keys) for keys in owners.values() if len(keys) > 1)
+    assert not shared, shared
+    run_suite(3, 0)
+    tab = vars(tables(12))
+    kinds = {type(v).__name__ for k in tab if k != "dim"
+             for v in _leaves(tab[k])}
+    assert kinds <= {"ndarray", "NoneType"}, kinds

@@ -29,6 +29,7 @@ from reference import (
     f_inverse_raw,
     fiber_project,
     fiber_residuals,
+    tuples,
 )
 
 
@@ -69,7 +70,7 @@ def test_fiber_projector_kills_kahler_rows(s2):
 def test_conjugation_sum_eigenvalues(s2):
     # T c = sum_A c(A., A.) has eigenvalues exactly {3, -1} on 2-forms
     N2 = s2.tab.nforms(2)
-    pairs = np.asarray(s2.tab.tuples(2))
+    pairs = np.asarray(tuples(8, 2))
     T = np.zeros((N2, N2))
     for col in range(N2):
         M = np.zeros((8, 8))
@@ -242,7 +243,7 @@ def test_fiber_basis_matches_per_column_build(s2, s3):
     for s in (s2, s3):
         Q = fiber_basis_matrix(s)
         cols = []
-        for i, j in s.tab.tuples(2):
+        for i, j in tuples(s.dim, 2):
             mats = np.zeros((s.dim,) * 3)
             mats[0, i, j], mats[0, j, i] = 1.0, -1.0
             fam = fiber_project(MixedTwoFormFamily(s.dim, mats), s)
