@@ -280,11 +280,22 @@ def wedge_coeffs(a: np.ndarray, b: np.ndarray, dim: int, p: int,
     (..., N_p) and q-form coefficients b (..., N_q) of one leading shape:
     the ``wedge_table(p, q)`` rows summed as they stand, a[ai] b[bi] sign
     into bin o, with no operator built (``wedge_op`` is the cached form for
-    a fixed factor, and gives the same bits)."""
+    a fixed factor, and gives the same bits).  Only the rows inside both
+    supports are summed, a support being the coefficients nonzero on some
+    entry of the stack; a dropped row adds a zero, so the bits are those of
+    the whole table."""
     tab = tables(dim)
     o, ai, bi, sign = tab.wedge_table(p, q)
+    if not (a.all() and b.all()):
+        keep = np.flatnonzero(_support(a)[ai] & _support(b)[bi])
+        o, ai, bi, sign = o[keep], ai[keep], bi[keep], sign[keep]
     return _stack_pass(o, tab.nforms(p + q),
                        lambda x, y: x[..., ai] * y[..., bi] * sign, a, b)
+
+
+def _support(x: np.ndarray) -> np.ndarray:
+    """The coefficients nonzero on some entry of a stack x (..., N)."""
+    return (x != 0).reshape(-1, x.shape[-1]).any(axis=0)
 
 
 # the most terms one pass of _stack_pass gathers: a stack of B entries holds

@@ -125,7 +125,7 @@ class _Ctx:
 
     Every field is linear in the tensor.  A packed context holds all of its
     fields as views of one array, fields (stack, F); mix(S, scale) is then
-    the context of the mixtures S @ stack in one product."""
+    the context of the mixtures S @ stack, block by block, in one product."""
 
     def __init__(self, s: QuatStructure, scale, dstar: np.ndarray):
         self.scale, self.n, self.dstar = np.maximum(scale, 1e-300), s.n, dstar
@@ -155,11 +155,16 @@ class _Ctx:
             [v.reshape(lead + (-1,)) for v in parts.values()], axis=-1))
 
     def mix(self, S: np.ndarray, scale) -> "_Ctx":
-        """The context of the mixtures S @ stack, S (mixtures x stack), of a
-        packed context, at scale (mixtures,) and with no profile."""
+        """The context of the mixtures of a packed context, at scale (one
+        per mixture) and with no profile.  S (..., mixtures, stack) mixes the
+        stack block by block: its leading axes split the stack into blocks
+        of S.shape[-1] entries, each mixed by its own S in one product, and
+        the mixtures come block-major (a 2-D S is one block)."""
         out = copy.copy(self)
         out.scale, out.profile = np.maximum(scale, 1e-300), None
-        return out._view(S @ self.fields)
+        F = self.fields.shape[-1]
+        blocks = self.fields.reshape(*S.shape[:-2], S.shape[-1], F)
+        return out._view((S @ blocks).reshape(-1, F))
 
     def _view(self, fields: np.ndarray) -> "_Ctx":
         self.fields, self.f3, self.w, self.f5, at = fields, {}, {}, {}, 0

@@ -87,6 +87,12 @@ def _rand_form(rng, dim, p) -> AltForm:
     return AltForm(dim, p, rng.standard_normal(math.comb(dim, p)))
 
 
+def _inverse(c: float, x: float) -> float:
+    """c / x for a measured residual x that must stay large; an exact zero
+    reads as inf, a failed row."""
+    return c / x if x else math.inf
+
+
 def _norms(x: np.ndarray) -> np.ndarray:
     """The norm of each entry of a stack x, as np.linalg.norm of one."""
     flat = x.reshape(len(x), -1)
@@ -392,7 +398,8 @@ def check_threeforms(s: QuatStructure, rng) -> list[CheckResult]:
                                / nm.norm())
     out.append(CheckResult("membership-rows-members", worst_member, 1e-9,
                            "all subspace rows on projected members"))
-    out.append(CheckResult("membership-rows-reject", 1e-3 / worst_reject,
+    out.append(CheckResult("membership-rows-reject",
+                           _inverse(1e-3, worst_reject),
                            1.0, f"smallest non-member residual "
                            f"{worst_reject:.2e}"))
 
@@ -425,13 +432,15 @@ def dstar_on_W(s: QuatStructure) -> np.ndarray:
 
 def component_traces(s: QuatStructure, dst: np.ndarray):
     """Exact traces of the six component projectors and of the H half
-    (Lcal + 2)/6, and the rows d* P_vis e_i (dim*r x N3), P_vis the
-    projector onto the four visible components: split_coords and lcal_hpart
-    applied to the identity on W coordinates in row blocks, so no
-    dim*r x dim*r matrix is formed.  dst is dstar_on_W(s)."""
+    (Lcal + 2)/6, and the Gram matrix G = dvis^T dvis (N3 x N3) of the rows
+    dvis = d* P_vis e_i (dim*r x N3), P_vis the projector onto the four
+    visible components: split_coords and lcal_hpart applied to the identity
+    on W coordinates in row blocks, each block's rows added into G, so
+    neither a dim*r x dim*r matrix nor dvis is formed.  dst is
+    dstar_on_W(s)."""
     D = dst.shape[1]
     traces = dict.fromkeys([*PR.ComponentLabel, "hpart"], 0.0)
-    dvis = np.empty((D, len(dst)))
+    gram = np.zeros((len(dst), len(dst)))
     # 64 rows a block: as fast as 128 at n = 3 and 7% slower at n = 4, with
     # about half the transient memory (7 MB at n = 3)
     block = 64
@@ -442,9 +451,9 @@ def component_traces(s: QuatStructure, dst: np.ndarray):
         parts["hpart"] = PR.lcal_hpart(C, s)
         for X, c in parts.items():
             traces[X] += float(np.trace(c.reshape(len(E), D), i))
-        dvis[i:i + len(E)] = sum(parts[X] for X in PR.VISIBLE).reshape(
-            len(E), D) @ dst.T
-    return traces, dvis
+        dvis = sum(parts[X] for X in PR.VISIBLE).reshape(len(E), D) @ dst.T
+        gram += dvis.T @ dvis
+    return traces, gram
 
 
 def paper_components(a: MixedTorsion, s: QuatStructure) -> dict:
@@ -488,7 +497,7 @@ def check_components(s: QuatStructure, rng) -> list[CheckResult]:
     out.append(CheckResult("component-projector-algebra", worst, 1e-8,
                            "idempotent, orthogonal, complete on W"))
 
-    traces, dvis = component_traces(s, dst)
+    traces, gram = component_traces(s, dst)
     worst = 0.0
     detail = []
     for X in labs:
@@ -537,12 +546,13 @@ def check_components(s: QuatStructure, rng) -> list[CheckResult]:
                            "components against paper_components"))
 
     # smallest singular value of d* on the span of the four visible ones:
-    # d* P_vis has those of d* on that span, rank P_vis of them nonzero
+    # d* P_vis has those of d* on that span, rank P_vis of them nonzero, and
+    # they are the square roots of the eigenvalues of its Gram matrix
     rank = round(sum(traces[X] for X in PR.VISIBLE))
-    sv = np.linalg.svd(dvis, compute_uv=False)[:rank]
+    sv = float(np.sqrt(max(np.linalg.eigvalsh(gram)[-rank], 0.0)))
     out.append(CheckResult("contraction-injective-on-visible",
-                           1e-6 / float(sv.min()), 1.0,
-                           f"smallest singular value {sv.min():.3f}"))
+                           _inverse(1e-6, sv), 1.0,
+                           f"smallest singular value {sv:.3f}"))
 
     # pure-type contraction identities
     aK = comps[PR.ComponentLabel.KH]
@@ -611,16 +621,17 @@ def _row_sweep(s: QuatStructure, rows, pools: list, columns: tuple):
     once, in one call on the components of nonzero dimension of all the
     pools (ctx_from_torsion for col2, ctx_from_derived for col3 and table3;
     their sparse maps bound their own memory on the stack), and a row's
-    context is their mix by the 0/1 selection S (mixtures x components), one
-    product.  Its scale and profile are read from the W coordinates of the
-    mixtures and of their components."""
+    context is their mix by the 0/1 selection sel (mixtures x components)
+    pool by pool, one product that skips the zero blocks between pools.
+    Its scale and profile are read from the W coordinates of the mixtures
+    and of their components, pool-major."""
     table, labels = schur_table(s), list(PR.ComponentLabel)
     labs = [X for X in labels if PR.COMPONENT_DIMS[X](s.n)]
     own = [labels.index(X) for X in labs]
     C = np.stack([[T.w_coords(pool[X], s) for X in labs]
                   for pool in pools])
     sizes = np.linalg.norm(C, axis=(-2, -1))                # pools x labs
-    flat = C.reshape(sizes.size, -1)
+    flat = C.reshape(*sizes.shape, -1)
 
     def coeffs(form):
         return np.stack([form(pool[X]).coeffs for pool in pools for X in labs])
@@ -640,10 +651,10 @@ def _row_sweep(s: QuatStructure, rows, pools: list, columns: tuple):
         mixtures = _mixtures(comps, outside)
         sel = np.array([[X in t for X in labs] for t, _ in mixtures], float)
         # the row's mixtures of each pool in turn
-        S = np.kron(np.eye(len(pools)), sel)
-        profile = np.zeros((len(S), len(labels)))
-        profile[:, own] = (sel * sizes[:, None]).reshape(len(S), -1)
-        scale = np.linalg.norm(S @ flat, axis=-1)
+        S = np.broadcast_to(sel, (len(pools), *sel.shape))
+        profile = np.zeros((len(pools) * len(sel), len(labels)))
+        profile[:, own] = (sel * sizes[:, None]).reshape(len(profile), -1)
+        scale = np.linalg.norm(S @ flat, axis=-1).ravel()
         results = []
         for column in columns:
             ctx = ctxs[column].mix(S, scale)
@@ -664,7 +675,7 @@ def _member_checks(name: str, sweep: list, detail: str) -> list[CheckResult]:
     reject = min((float(rr.value[~ok].min(initial=np.inf))
                   for ok, [(rr, _)] in sweep), default=np.inf)
     return [CheckResult(f"{name}-members", member, 1e-8, detail),
-            CheckResult(f"{name}-reject", 1e-3 / reject, 1.0,
+            CheckResult(f"{name}-reject", _inverse(1e-3, reject), 1.0,
                         f"smallest non-member residual {reject:.2e}")]
 
 
@@ -858,7 +869,7 @@ def check_schur_table(s: QuatStructure, table, pool: dict) -> list[CheckResult]:
     alpha2 = {X: (a * a, want) for X, a, want in
               zip(labels, table.alpha, swann_alpha2(s.n)) if X in labs}
     return [CheckResult(
-        "table2-pattern", max(own / 1e-12, 1e-3 / outside), 1.0,
+        "table2-pattern", max(own / 1e-12, _inverse(1e-3, outside)), 1.0,
         f"{pairs} (row, component) pairs in {', '.join(c for c, _ in columns)}"
         f": own components {own:.1e} (tol 1e-12), others >= {outside:.3f} "
         "(tol 1e-3)"),

@@ -4,9 +4,10 @@ component norms of one tensor, the fiber residuals, the per-rotation
 fundamental-form check, compound
 matrices, interior products by slot slicing, the increasing tuples by
 itertools,
-the per-axis nabla w_A and N_A, and the JSON form of a single alternating
-form, and the rows of Tables 2 and 3 read directly on a context, as verify
-reads them.
+the per-axis nabla w_A and N_A, the JSON form of a single alternating
+form, the wedge summed over its whole table, the contexts of the classifier
+sweep mixed as one block-diagonal product, and the rows of Tables 2 and 3
+read directly on a context, as verify reads them.
 The tests compare the library's routes against these."""
 
 import itertools
@@ -20,7 +21,8 @@ from aqh import threeform as TF
 from aqh import torsion as T
 from aqh.classify import RowResult, ctx_from_derived, ctx_from_torsion
 from aqh.exterior import (AltForm, DegreeError, MixedTorsion, _json_coeffs,
-                          _json_index, _json_n, alternate5, contract12, tables)
+                          _json_index, _json_n, _stack_pass, alternate5,
+                          contract12, tables)
 from aqh.structure import AXES, insert, rotate_adapted
 from aqh.verify import dstar_on_W
 
@@ -230,6 +232,27 @@ def hooks(b: AltForm) -> np.ndarray:
                 m = sum(x < y for x in T)
                 out[y, k] = (-1.0) ** m * b.coeffs[idx[T[:m] + (y,) + T[m:]]]
     return out
+
+
+def table_wedge(a, b, dim: int, p: int, q: int) -> np.ndarray:
+    """wedge_coeffs summed over every wedge_table(p, q) row, the rows where
+    a factor is zero included."""
+    tab = tables(dim)
+    o, ai, bi, sign = tab.wedge_table(p, q)
+    return _stack_pass(o, tab.nforms(p + q),
+                       lambda x, y: x[..., ai] * y[..., bi] * sign, a, b)
+
+
+# held here, so that kron_mix still reaches it when a test patches _Ctx.mix
+_mix = TF._Ctx.mix
+
+
+def kron_mix(ctx, S, scale):
+    """ctx.mix of the mixtures S (pools, mixtures, components), each pool
+    mixed by the same S[0], as one product with the block-diagonal
+    kron(eye(pools), S[0]) over the whole stack, zero blocks included."""
+    assert (S == S[0]).all()
+    return _mix(ctx, np.kron(np.eye(len(S)), S[0]), scale)
 
 
 def torsion_ctx(a, s):

@@ -383,7 +383,8 @@ def test_wedge_rows_sums_one_form_wedges(rng):
 
 
 @pytest.mark.parametrize("dim", [8, 12])
-def test_wedge_sums_the_table_rows_as_wedge_op_applies_them(dim, rng):
+def test_wedge_sums_the_table_rows_as_wedge_op_applies_them(dim, rng,
+                                                            monkeypatch):
     # every (p, q) with p + q <= dim: the bits of the fixed-factor operator,
     # whose entries skip the zeros of b; on a (2, 3) stack, the bits of the
     # six wedges, in one pass or in chunks (at dim 12, p = q = 4 goes one
@@ -401,6 +402,31 @@ def test_wedge_sums_the_table_rows_as_wedge_op_applies_them(dim, rng):
             got = wedge_coeffs(a, b, dim, p, q)
             assert got.shape == (2, 3, math.comb(dim, p + q))
             assert got.reshape(6, -1).tobytes() == np.array(rows).tobytes()
+
+    # the sparse factors of the structure, whose products wedge_coeffs sums
+    # over the supports alone: w_A, Omega, a stack of rotated w_I of one
+    # support, that stack with an all-zero entry, and zero; the bits of
+    # every table row summed, in one pass and in chunks
+    from reference import table_wedge
+
+    from aqh import exterior
+
+    s = standard_structure(dim // 4)
+    rot = np.stack([rotate_adapted(random_rotation(rng), s).omega["I"].coeffs
+                    for _ in range(3)])
+    holed = rot.copy()
+    holed[0] = 0.0
+    factors = [*((2, s.omega[A].coeffs) for A in "IJK"), (4, s.Omega.coeffs),
+               (2, rot), (2, holed), (2, np.zeros(math.comb(dim, 2)))]
+    for (p, x), (q, y) in itertools.product(factors, repeat=2):
+        if p + q > dim:
+            continue
+        lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+        x, y = (np.broadcast_to(v, lead + v.shape[-1:]) for v in (x, y))
+        for nnz in (exterior._PASS_NNZ, 64):
+            monkeypatch.setattr(exterior, "_PASS_NNZ", nnz)
+            assert (wedge_coeffs(x, y, dim, p, q).tobytes()
+                    == table_wedge(x, y, dim, p, q).tobytes()), (p, q, nnz)
 
 
 def test_sparse_op_product_matches_dense(rng):

@@ -321,18 +321,27 @@ def test_mixed_contexts_match_direct_ones():
     # xi, f3, w, f5 and the alternation misses) equals the field of the
     # context made directly on the mixed tensors, within 1e-13 relative to
     # the field's largest entry, on 0/1 mixtures within and across pools
+    # (a 2-D S) and on mixtures of each pool by its own block (a 3-D S)
     from aqh import MixedTorsion, alternate5, components, contract12
     from aqh.torsion import random_W_element, w_coords
 
-    for n in (2, 3):
+    def mixed(parts, S):
+        return [sum((a for a, x in zip(parts, row) if x),
+                    MixedTorsion.zero(s.dim)) for row in S]
+
+    for n, blocks in ((2, False), (3, False), (2, True), (3, True)):
         s = standard_structure(n)
         pools = [components(random_W_element(s, 70 + k), s, check=False)
                  for k in range(2)]
         parts = [pool[X] for pool in pools for X in CL
                  if PR.COMPONENT_DIMS[X](n)]
-        S = np.random.default_rng(n).integers(0, 2, (9, len(parts)))
-        mixes = [sum((a for a, x in zip(parts, row) if x),
-                     MixedTorsion.zero(s.dim)) for row in S]
+        if blocks:
+            L = len(parts) // 2
+            S = np.random.default_rng(n).integers(0, 2, (2, 4, L))
+            mixes = mixed(parts[:L], S[0]) + mixed(parts[L:], S[1])
+        else:
+            S = np.random.default_rng(n).integers(0, 2, (9, len(parts)))
+            mixes = mixed(parts, S)
 
         def contexts(ts):
             scale = np.array([t.norm() for t in ts])
@@ -345,9 +354,10 @@ def test_mixed_contexts_match_direct_ones():
                         scale))
 
         scale = np.array([m.norm() for m in mixes])
-        mixed = [ctx.mix(S.astype(float), scale) for ctx in contexts(parts)]
+        mixed_ctx = [ctx.mix(S.astype(float), scale)
+                     for ctx in contexts(parts)]
         direct = contexts(mixes)
-        for got, want in zip(mixed, direct):
+        for got, want in zip(mixed_ctx, direct):
             assert (got.miss is None) == (want.miss is None)
             fields = {"dstar": (got.dstar, want.dstar),
                       "xi": (got.xi, want.xi)}
@@ -364,6 +374,52 @@ def test_mixed_contexts_match_direct_ones():
                 assert x.shape == y.shape, key
                 gap = np.abs(x - y).max() / np.abs(ref).max()
                 assert gap <= 1e-13, (n, key, gap)
+
+
+def test_row_sweep_mixes_pool_by_pool_as_the_block_diagonal_product(
+        monkeypatch):
+    # the classifier section's sweep of both columns over its 10 pools at
+    # n = 3 (check_classifier), mixed pool by pool and as one product with
+    # the block-diagonal kron(eye(10), sel): the member flags, residuals and
+    # gaps are bitwise the same
+    from reference import kron_mix
+
+    from aqh.torsion import random_W_element
+
+    s = standard_structure(3)
+    rows = C.table2_rows(s)
+    rows = ([r for r in rows if len(r.components) == 1]
+            + [r for r in rows if 2 <= len(r.components) <= 4][:12])
+    pools = [PR.components(random_W_element(s, 51_000 + k), s, check=False)
+             for k in range(10)]
+
+    def sweep():
+        return [(member.tobytes(),
+                 [(np.array(rr.residuals).tobytes(), gap.tobytes())
+                  for rr, gap in results])
+                for member, results in V._row_sweep(s, rows, pools,
+                                                    ("col2", "col3"))]
+
+    got = sweep()
+    monkeypatch.setattr(C._Ctx, "mix", kron_mix)
+    assert sweep() == got
+
+
+def test_classifier_sweep_mixes_one_pool_at_a_time(monkeypatch):
+    # no mixture of the n = 3 classifier section is read off more than one
+    # pool's components: a block-diagonal S over the 10 pools (20 x 60)
+    # would multiply its zero blocks
+    real, seen = C._Ctx.mix, []
+
+    def spy(self, S, scale):
+        seen.append(S.shape)
+        return real(self, S, scale)
+
+    monkeypatch.setattr(C._Ctx, "mix", spy)
+    V.run_suite(3, 71, sections=("classifier",))
+    labs = [X for X in CL if PR.COMPONENT_DIMS[X](3)]
+    assert (10, 2, len(labs)) in seen
+    assert max(shape[-1] for shape in seen) <= len(labs)
 
 
 def test_row_sweep_guards_the_alternation():
@@ -398,6 +454,38 @@ def test_round_trip_reads_the_report(monkeypatch):
              if r.check == "classifier/classification-round-trip"]
     assert not row.passed
     assert (row.residual, row.detail) == (15.0, "0/15 subsets")
+
+
+def test_vanishing_conditions_fail_the_reject_rows(monkeypatch, capsys):
+    # every Table-2 condition scaled to 0, and every Table-1 residual: the
+    # smallest non-member residuals are exact zeros, which read as infinite
+    # residuals, failed rows, and the checks after them are still reported,
+    # in text and in JSON
+    import json
+
+    from aqh import threeform as TF
+    from aqh.cli import main
+
+    C.schur_table(standard_structure(3))    # built on the rows as they are
+    real, table1 = C._eval_cond, TF.table1_residuals
+    monkeypatch.setattr(C, "_eval_cond",
+                        lambda cond, ctx: 0.0 * real(cond, ctx))
+    monkeypatch.setattr(TF, "table1_residuals",
+                        lambda *args: [0.0 * r for r in table1(*args)])
+    rows = {r.check: r for r in V.run_suite(
+        3, 71, sections=("three-forms", "classifier"))}
+    assert list(rows) == [f"{name}/{check}"
+                          for name in ("three-forms", "classifier")
+                          for check in SUITE_N3[name]]
+    for check in ("three-forms/membership-rows-reject",
+                  "classifier/class-conditions-reject",
+                  "classifier/table2-pattern"):
+        assert rows[check].residual == np.inf and not rows[check].passed
+    assert main(["verify", "--n", "3", "--seed", "71",
+                 "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert [r["residual"] for r in data["checks"]
+            if r["check"] == "classifier/class-conditions-reject"] == [np.inf]
 
 
 class _DrawRecorder:
