@@ -84,7 +84,7 @@ def cmd_dims(args) -> int:
     s = _structure(args.n)
     from .verify import component_traces, dstar_on_W
 
-    traces, _ = component_traces(s, dstar_on_W(s))
+    traces = component_traces(s, dstar_on_W(s))
     rows = [{"component": X.value, "display": X.display, "trace": traces[X],
              "expected": COMPONENT_DIMS[X](args.n)} for X in ComponentLabel]
     total = sum(r["trace"] for r in rows)

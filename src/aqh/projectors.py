@@ -11,9 +11,12 @@ ES3H, with multiplicity one each, so by Schur's lemma:
 
 * d* kills exactly L3EH + KS3H, and HAT_W = SE_W H3 - R_W H1 (hat_dstar on
   W coordinates, threeform.hat_factors) is a right inverse, so HAT_W d* is
-  the orthogonal projector onto the visible sum: X = HAT_W P_X d* a, with
-  P_X from threeform.proj3_parts.  HAT_W is c_X times an isometry on each
-  piece, so |X| = c_X |P_X d* a|.
+  the orthogonal projector onto the visible sum: X = HAT_W P_X d* a.  The
+  pieces are read on one orthonormal basis U of Lambda^3
+  (threeform.piece_basis) whose column blocks span KH, EH, ES3H, L3ES3H,
+  so P_X = U_X U_X^T; the core holds B = HAT_W U, and with y = d* a U,
+  X = y_X B_X^T.  HAT_W is c_X times an isometry on each piece (B^T B =
+  blockdiag(c_X^2 I)), so |X| = c_X |y_X|.
 * The d*-kernel residual v = C - HAT_W d* a is L3EH + KS3H, whose halves
   are the 4 and -2 eigenspaces of the five-slot operator Lcal:
   L3EH = (Lcal v + 2 v)/6 (lcal_hpart) and KS3H = v - L3EH.  On coordinates
@@ -22,7 +25,8 @@ ES3H, with multiplicity one each, so by Schur's lemma:
 A profile (component_norms) forms no visible component.  Norms on
 coordinates are those of the tensors, as Q is orthonormal.  The paper's
 route on full rows (hat_dstar o proj3 o d*, with hat_dstar applied as
-SE H3 - R H1 without Q, and the Lcal eigen-split) is kept in
+SE H3 - R H1 without Q, proj3 through the factors of
+threeform.proj3_parts, and the Lcal eigen-split) is kept in
 ``verify.paper_components`` as the independent cross-check.
 """
 
@@ -36,7 +40,7 @@ import numpy as np
 
 from .exterior import MixedTorsion, contract12, wedge1_stack
 from .structure import AXES, QuatStructure
-from .threeform import hat_factors, proj3_parts, r_matrix, se_core
+from .threeform import hat_factors, piece_basis, piece_h3, r_matrix, se_core
 from .torsion import fiber_basis_matrix, require_in_W, w_coords, w_embed
 
 
@@ -87,8 +91,9 @@ VISIBLE = (ComponentLabel.KH, ComponentLabel.EH, ComponentLabel.ES3H,
 
 
 def _w_core(s: QuatStructure) -> dict:
-    """Cached operators on W coordinates: SE, R and HAT_W (dim r rows), the
-    c_X of the visible pieces and the blocks of Lcal (lcal_coords)."""
+    """Cached operators on W coordinates: SE and R (dim r rows), B = HAT_W U
+    (dim r x N3, U = threeform.piece_basis), the c_X of the visible pieces
+    and the blocks of Lcal (lcal_coords)."""
 
     def build():
         Q = fiber_basis_matrix(s)
@@ -100,18 +105,23 @@ def _w_core(s: QuatStructure) -> dict:
         SE = wedge1_stack(Q.T @ se_core(s), s.dim, 2).reshape(
             -1, s.tab.nforms(3))
         R = (Q.T @ r_matrix(s).reshape(s.dim, -1, s.dim)).reshape(-1, s.dim)
-        H3, H1 = hat_factors(s)
-        hat_w = SE @ H3 - R @ H1
-        # c_X = |HAT_W b| / |b| for the part b in X of a generic vector; 0
-        # on an empty piece
-        b = proj3_parts(np.sin(np.arange(s.tab.nforms(3)) ** 2.0), s)
-        nb = np.linalg.norm(b, axis=1)
+        # H3 is a scalar on each piece (piece_h3), so HAT_W U = SE U h -
+        # R H1 U costs what HAT_W = SE H3 - R H1 did
+        U, sizes = piece_basis(s)
+        B = (SE @ U) * np.repeat(piece_h3(s), sizes) - R @ (
+            hat_factors(s)[1] @ U)
+        blocks = [slice(e - k, e) for e, k in zip(np.cumsum(sizes), sizes)]
+        # B^T B = blockdiag(c_X^2 I); c_X = 0 on an empty piece
+        c = np.array([np.linalg.norm(B[:, b]) / math.sqrt(max(k, 1))
+                      for b, k in zip(blocks, sizes)])
         return {
             "SE": SE,
             "R": R,
-            "hat_w": hat_w,
-            "c": np.divide(np.linalg.norm(b @ hat_w.T, axis=1), nb,
-                           out=np.zeros(len(nb)), where=nb > 1e-8 * nb.max()),
+            "B": B,
+            "blocks": blocks,
+            "c": c,
+            # (y * y) S = (c_X^2 |y_X|^2)_X
+            "S": np.repeat(np.diag(c * c), sizes, axis=0),
             "lcal": (-np.concatenate([s.mats[ax] for ax in AXES], axis=1),
                      (D @ Q).reshape(len(Q.T), -1)),
         }
@@ -137,16 +147,16 @@ _ORDER = VISIBLE + (ComponentLabel.L3EH, ComponentLabel.KS3H)
 
 def component_norms(C: np.ndarray, ds: np.ndarray, s: QuatStructure) -> dict:
     """The six norms from W coordinates C (dim r, flat or not) and ds = d* a
-    (N3), forming no visible component: c_X |P_X ds|, then the halves of v.
-    One tensor gives floats; a stack C (k, dim r) and ds (k, N3) gives
-    arrays (k,), equal to those of its tensors up to rounding (the stack's
-    products sum in another order)."""
+    (N3), forming no visible component: with y = ds U (piece_basis), c_X
+    |y_X|, then the halves of v = C - y B^T.  One tensor gives floats; a
+    stack C (k, dim r) and ds (k, N3) gives arrays (k,), equal to those of
+    its tensors up to rounding (the stack's products sum in another
+    order)."""
     core, lead = _w_core(s), ds.shape[:-1]
-    parts = proj3_parts(ds, s)
-    v = (C.reshape(*lead, -1) - ds @ core["hat_w"].T).reshape(
-        *lead, s.dim, -1)
+    y = ds @ piece_basis(s)[0]
+    v = (C.reshape(*lead, -1) - y @ core["B"].T).reshape(*lead, s.dim, -1)
     h = lcal_hpart(v, s)
-    norms = [*(core["c"] * np.linalg.norm(parts, axis=-1)).T]
+    norms = [*np.sqrt((y * y) @ core["S"]).T]
     for x in (h, v - h):
         # one dot product per tensor, as np.linalg.norm takes it of one
         x = x.reshape(*lead, -1)
@@ -157,16 +167,15 @@ def component_norms(C: np.ndarray, ds: np.ndarray, s: QuatStructure) -> dict:
 def split_coords(C: np.ndarray, ds: np.ndarray,
                  s: QuatStructure) -> dict[ComponentLabel, np.ndarray]:
     """The six components' coordinates from W coordinates C (..., dim, r)
-    and ds = d* a (..., N3): HAT_W P_X ds, then the halves of v."""
-    lead = C.shape[:-2]
-    parts = proj3_parts(ds, s)
-    # one product for the whole stack, not one per leading index
-    vis = (parts.reshape(-1, parts.shape[-1]) @ _w_core(s)["hat_w"].T
-           ).reshape(*lead, len(VISIBLE), *C.shape[-2:])
-    v = C - vis.sum(axis=-3)
+    and ds = d* a (..., N3): with y = ds U (piece_basis), y_X B_X^T for
+    the visible X, then the halves of v, C minus their sum."""
+    core = _w_core(s)
+    y = ds @ piece_basis(s)[0]
+    vis = [(y[..., b] @ core["B"][:, b].T).reshape(C.shape)
+           for b in core["blocks"]]
+    v = C - sum(vis)
     h = lcal_hpart(v, s)
-    return dict(zip(_ORDER, [*(vis[..., k, :, :] for k in range(4)), h,
-                             v - h]))
+    return dict(zip(_ORDER, [*vis, h, v - h]))
 
 
 def components(a: MixedTorsion, s: QuatStructure,

@@ -1,7 +1,8 @@
 """Analysis of 3-forms: the one-forms xi and xi_A, the projectors onto the
-four pieces of Lambda^3, applied only through the factors the formulas below
+four pieces of Lambda^3, applied through the factors the formulas below
 show (proj3_parts), the fifteen membership conditions on the invariant
-subspaces of Lambda^3, and the right inverse of the torsion contraction.
+subspaces of Lambda^3, the right inverse of the torsion contraction, and
+an orthonormal basis of Lambda^3 adapted to the four pieces (piece_basis).
 The membership conditions are written in the condition language of the class
 tables, and _eval_cond is the one evaluator of Tables 1-3.
 
@@ -25,6 +26,7 @@ The right inverse hat_dstar of the torsion contraction sends a 3-form b to
 with k1 = n - 1, k2 = 2n + 1.  It is applied on full rows as SE H3 - R H1
 (hat_factors): SE takes each row x hook b through se_core, R is r_matrix, and
 no full-row matrix is assembled.
+On the basis U of the pieces (piece_basis), H3 is diagonal (piece_h3).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .exterior import (AltForm, DegreeError, MixedTorsion, wedge1_stack,
                         wedge_op)
-from .structure import AXES, QuatStructure
+from .structure import AXES, QuatStructure, StructureError
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +332,54 @@ def r_matrix(s: QuatStructure) -> np.ndarray:
     return s.cache("r_matrix", build)
 
 
+def _e_projector(s: QuatStructure) -> np.ndarray:
+    """P_E = -2 M3 (N3 x N3), the E(H+S3H) projector, M3 = m_matrix applied
+    to (xi_I, xi_J, xi_K)."""
+    return -2.0 * (m_matrix(s) @ xi_maps(s)[1:].reshape(3 * s.dim, -1))
+
+
 def hat_factors(s: QuatStructure) -> tuple[np.ndarray, np.ndarray]:
-    """(H3, H1), hat_dstar = SE H3 - R H1 (module docstring): H3 = L/18 -
-    (2k1/3k2) M3 with -2 M3 the E(H+S3H) projector, H1 = c xi."""
-    k1, k2, xi = s.k1, s.k2, xi_maps(s)
-    M3 = m_matrix(s) @ xi[1:].reshape(3 * s.dim, -1)
-    return (s.L_matrix(3) / 18.0 - (2.0 * k1 / (3.0 * k2)) * M3,
-            (4 * k1 ** 2 + k2 ** 2) / (12.0 * k1 * k2) * xi[0])
+    """(H3, H1), hat_dstar = SE H3 - R H1 (module docstring): H3 = L/18 +
+    (k1/3k2) P_E (_e_projector), H1 = c xi."""
+    k1, k2 = s.k1, s.k2
+    return (s.L_matrix(3) / 18.0 + (k1 / (3.0 * k2)) * _e_projector(s),
+            (4 * k1 ** 2 + k2 ** 2) / (12.0 * k1 * k2) * xi_maps(s)[0])
+
+
+def piece_h3(s: QuatStructure) -> np.ndarray:
+    """H3 of hat_factors on KH, EH, ES3H, L3ES3H, where it is a scalar:
+    L/18 is 1/6 on (K+E)H and -1/6 on (L3E+E)S3H, P_E is 1 on E(H+S3H)."""
+    e = s.k1 / (3.0 * s.k2)
+    return np.array([1 / 6, 1 / 6 + e, -1 / 6 + e, -1 / 6])
+
+
+def piece_basis(s: QuatStructure) -> tuple[np.ndarray, tuple]:
+    """(U, sizes): U (N3 x N3) orthonormal, its column blocks of sizes
+    (dim KH, dim EH, dim ES3H, dim L3ES3H) spanning those pieces, so
+    P_X = U_X U_X^T.  The blocks are the eigenspaces of L + P_E, of
+    eigenvalues 3, 4, -2, -3; StructureError unless every eigenvalue lies
+    within 1e-8 of one of them and every block has the dimension of its
+    piece (projectors.COMPONENT_DIMS; the L3ES3H block is empty at
+    n = 2)."""
+
+    def build():
+        # projectors imports this module when it loads
+        from .projectors import COMPONENT_DIMS, VISIBLE
+
+        A = s.L_matrix(3) + _e_projector(s)
+        w, V = np.linalg.eigh(0.5 * (A + A.T))
+        lam = np.array([3.0, 4.0, -2.0, -3.0])
+        piece = np.abs(w[:, None] - lam).argmin(axis=1)
+        sizes = tuple(int(k) for k in np.bincount(piece, minlength=4))
+        want = tuple(COMPONENT_DIMS[X](s.n) for X in VISIBLE)
+        miss = float(np.abs(w - lam[piece]).max())
+        if miss > 1e-8 or sizes != want:
+            raise StructureError(
+                "L + P_E has eigenvalues off (3, 4, -2, -3) by "
+                f"{miss:.1e} or eigenspaces of dimensions {sizes}, not {want}")
+        return V[:, np.argsort(piece, kind="stable")], sizes
+
+    return s.cache("piece_basis", build)
 
 
 def _embed_rows(x: np.ndarray, s: QuatStructure) -> np.ndarray:

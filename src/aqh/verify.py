@@ -365,10 +365,17 @@ def check_threeforms(s: QuatStructure, rng) -> list[CheckResult]:
     worst = max(float(np.abs(P @ P - P).max()) for P in mats.values())
     for x, y in itertools.combinations(mats, 2):
         worst = max(worst, float(np.abs(mats[x] @ mats[y]).max()))
-    worst = max(worst, float(np.abs(
-        sum(mats.values()) - np.eye(s.tab.nforms(3))).max()))
+    I3 = np.eye(s.tab.nforms(3))
+    worst = max(worst, float(np.abs(sum(mats.values()) - I3).max()))
+    # the basis the profile reads: orthonormal, its blocks spanning the
+    # pieces, U_X U_X^T = P_X
+    U, sizes = TF.piece_basis(s)
+    worst = max(worst, float(np.abs(U.T @ U - I3).max()), *(
+        float(np.abs(Ux @ Ux.T - P).max()) for Ux, P in zip(
+            np.split(U, np.cumsum(sizes)[:-1], axis=1), mats.values())))
     out.append(CheckResult("threeform-projector-algebra", worst, 1e-9,
-                           "idempotent, orthogonal, complete"))
+                           "idempotent, orthogonal, complete; "
+                           "the piece basis spans them"))
 
     if s.n == 2:
         resid = float(np.linalg.norm(mats["L3ES3H"]))
@@ -430,17 +437,13 @@ def dstar_on_W(s: QuatStructure) -> np.ndarray:
     return -H.transpose(2, 1, 0).reshape(s.tab.nforms(3), -1)
 
 
-def component_traces(s: QuatStructure, dst: np.ndarray):
-    """Exact traces of the six component projectors and of the H half
-    (Lcal + 2)/6, and the Gram matrix G = dvis^T dvis (N3 x N3) of the rows
-    dvis = d* P_vis e_i (dim*r x N3), P_vis the projector onto the four
-    visible components: split_coords and lcal_hpart applied to the identity
-    on W coordinates in row blocks, each block's rows added into G, so
-    neither a dim*r x dim*r matrix nor dvis is formed.  dst is
-    dstar_on_W(s)."""
+def split_identity(s: QuatStructure, dst: np.ndarray):
+    """split_coords and lcal_hpart applied to the identity on W coordinates
+    in row blocks, so no dim*r x dim*r matrix is formed: yields, per block
+    of rows e_i .. e_(i+k-1), the traces the block adds (a dict over the
+    six components and "hpart", the H half (Lcal + 2)/6) and its parts
+    (k, dim*r).  dst is dstar_on_W(s)."""
     D = dst.shape[1]
-    traces = dict.fromkeys([*PR.ComponentLabel, "hpart"], 0.0)
-    gram = np.zeros((len(dst), len(dst)))
     # 64 rows a block: as fast as 128 at n = 3 and 7% slower at n = 4, with
     # about half the transient memory (7 MB at n = 3)
     block = 64
@@ -449,11 +452,18 @@ def component_traces(s: QuatStructure, dst: np.ndarray):
         C = E.reshape(len(E), s.dim, -1)
         parts = PR.split_coords(C, dst[:, i:i + len(E)].T, s)
         parts["hpart"] = PR.lcal_hpart(C, s)
-        for X, c in parts.items():
-            traces[X] += float(np.trace(c.reshape(len(E), D), i))
-        dvis = sum(parts[X] for X in PR.VISIBLE).reshape(len(E), D) @ dst.T
-        gram += dvis.T @ dvis
-    return traces, gram
+        parts = {X: c.reshape(len(E), D) for X, c in parts.items()}
+        yield {X: float(np.trace(c, i)) for X, c in parts.items()}, parts
+
+
+def component_traces(s: QuatStructure, dst: np.ndarray) -> dict:
+    """Exact traces of the six component projectors and of the H half, from
+    split_identity."""
+    traces = dict.fromkeys([*PR.ComponentLabel, "hpart"], 0.0)
+    for tr, _ in split_identity(s, dst):
+        for X, t in tr.items():
+            traces[X] += t
+    return traces
 
 
 def paper_components(a: MixedTorsion, s: QuatStructure) -> dict:
@@ -497,7 +507,16 @@ def check_components(s: QuatStructure, rng) -> list[CheckResult]:
     out.append(CheckResult("component-projector-algebra", worst, 1e-8,
                            "idempotent, orthogonal, complete on W"))
 
-    traces, gram = component_traces(s, dst)
+    # the traces, and the Gram matrix G = dvis^T dvis (N3 x N3) of the rows
+    # dvis = d* P_vis e_i (dim*r x N3), P_vis the projector onto the four
+    # visible components, each block's rows added into G so dvis is not held
+    traces = dict.fromkeys([*PR.ComponentLabel, "hpart"], 0.0)
+    gram = np.zeros((len(dst), len(dst)))
+    for tr, block in split_identity(s, dst):
+        for X, t in tr.items():
+            traces[X] += t
+        dvis = sum(block[X] for X in PR.VISIBLE) @ dst.T
+        gram += dvis.T @ dvis
     worst = 0.0
     detail = []
     for X in labs:
@@ -517,14 +536,14 @@ def check_components(s: QuatStructure, rng) -> list[CheckResult]:
                            f"{want_h} / {2 * want_h}"))
 
     # the primitives of the profile: HAT_W is c_X times an isometry on each
-    # visible piece of Lambda^3 (all its singular values there are c_X, as
-    # HAT_W^T HAT_W P_X = c_X^2 P_X)
+    # visible piece of Lambda^3 (all its singular values there are c_X), so
+    # B = HAT_W U has B^T B = blockdiag(c_X^2 I) on the blocks of U
     core = PR._w_core(s)
-    G, worst = core["hat_w"].T @ core["hat_w"], 0.0
-    parts = np.moveaxis(TF.proj3_parts(np.eye(s.tab.nforms(3)), s), 0, -1)
-    for X, c, P in zip(PR.VISIBLE, core["c"], parts):
-        if PR.COMPONENT_DIMS[X](s.n):
-            worst = max(worst, float(np.abs(G @ P - c * c * P).max()) / c**2)
+    G, worst = core["B"].T @ core["B"], 0.0
+    for b, c in zip(core["blocks"], core["c"]):
+        if b.stop > b.start:
+            G[b, b] -= c * c * np.eye(b.stop - b.start)
+            worst = max(worst, float(np.abs(G[b]).max()) / c**2)
     out.append(CheckResult("hat-isometry", worst, 1e-12, "c_X " + ", ".join(
         f"{X.value}={c:.6f}" for X, c in zip(PR.VISIBLE, core["c"]))))
 
@@ -547,8 +566,9 @@ def check_components(s: QuatStructure, rng) -> list[CheckResult]:
 
     # smallest singular value of d* on the span of the four visible ones:
     # d* P_vis has those of d* on that span, rank P_vis of them nonzero, and
-    # they are the square roots of the eigenvalues of its Gram matrix
-    rank = round(sum(traces[X] for X in PR.VISIBLE))
+    # they are the square roots of the eigenvalues of its Gram matrix (at
+    # most N3 of them, whatever traces a broken split reads)
+    rank = min(round(sum(traces[X] for X in PR.VISIBLE)), len(gram))
     sv = float(np.sqrt(max(np.linalg.eigvalsh(gram)[-rank], 0.0)))
     out.append(CheckResult("contraction-injective-on-visible",
                            _inverse(1e-6, sv), 1.0,
@@ -823,8 +843,10 @@ def check_classifier(s: QuatStructure, rng) -> list[CheckResult]:
 
     # 5-form perpendicularity test against a built orthogonal complement
     phi = _rand_form(rng, s.dim, 5)
-    Mfam = np.concatenate([w[bx, 3](w[ax, 1](np.eye(dim)))
-                           for ax in AXES for bx in AXES]).T
+    # w_A ^ w_B = w_B ^ w_A, so the pairs A <= B span the family
+    Mfam = np.concatenate([
+        w[bx, 3](w[ax, 1](np.eye(dim)))
+        for ax, bx in itertools.combinations_with_replacement(AXES, 2)]).T
     U, sv, _ = np.linalg.svd(Mfam, full_matrices=False)
     proj = U[:, sv > sv[0] * 1e-10]
     perp = AltForm(s.dim, 5, phi.coeffs - proj @ (proj.T @ phi.coeffs))

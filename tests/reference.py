@@ -1,6 +1,6 @@
 """Reference forms that only the tests use: dense matrices, dense tensors,
-mixed 2-form families and F, F^-1 and the fiber projection on them, the
-component norms of one tensor, the fiber residuals, the per-rotation
+mixed 2-form families and F, F^-1 and the fiber projection on them, HAT_W
+and the component norms of one tensor by the factor route, the fiber residuals, the per-rotation
 fundamental-form check, compound
 matrices, interior products by slot slicing, the increasing tuples by
 itertools,
@@ -89,15 +89,31 @@ def rotation_invariance_loop(s, rng) -> float:
     return worst
 
 
-def component_norms(C, ds, s) -> dict:
-    """projectors.component_norms of one tensor as it was before it took
-    stacks, each norm np.linalg.norm of one array."""
+@lru_cache(maxsize=None)
+def hat_w(s) -> tuple:
+    """(HAT_W, c): HAT_W = SE H3 - R H1 on W coordinates (dim*r x N3), from
+    the SE and R of projectors._w_core and threeform.hat_factors, and c_X =
+    |HAT_W b| / |b| for the part b in X (proj3_parts) of a generic 3-form,
+    0 on an empty piece: the factor route, with no piece basis."""
     core = PR._w_core(s)
+    H3, H1 = TF.hat_factors(s)
+    W = core["SE"] @ H3 - core["R"] @ H1
+    b = TF.proj3_parts(np.sin(np.arange(s.tab.nforms(3)) ** 2.0), s)
+    nb = np.linalg.norm(b, axis=1)
+    return W, np.divide(np.linalg.norm(b @ W.T, axis=1), nb,
+                        out=np.zeros(len(nb)), where=nb > 1e-8 * nb.max())
+
+
+def component_norms(C, ds, s) -> dict:
+    """projectors.component_norms of one tensor by the factor route: c_X
+    |P_X ds| with P_X from proj3_parts, then the halves of C - HAT_W ds
+    (hat_w), each norm np.linalg.norm of one array."""
+    W, c = hat_w(s)
     parts = TF.proj3_parts(ds, s)
-    v = (C.reshape(-1) - core["hat_w"] @ ds).reshape(s.dim, -1)
+    v = (C.reshape(-1) - W @ ds).reshape(s.dim, -1)
     h = PR.lcal_hpart(v, s)
     return dict(zip(PR._ORDER, [
-        *map(float, core["c"] * np.linalg.norm(parts, axis=1)),
+        *map(float, c * np.linalg.norm(parts, axis=1)),
         float(np.linalg.norm(h)), float(np.linalg.norm(v - h))]))
 
 

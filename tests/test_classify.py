@@ -528,7 +528,7 @@ def test_sparse_builds_off_standard_frame(s2, pool2):
     from reference import compound
     from aqh.projectors import _w_core
     from aqh.structure import QuatStructure
-    from aqh.threeform import hat_dstar
+    from aqh.threeform import hat_dstar, piece_basis
 
     rng = np.random.default_rng(8)
     g, _ = np.linalg.qr(rng.standard_normal((8, 8)))
@@ -542,8 +542,8 @@ def test_sparse_builds_off_standard_frame(s2, pool2):
                                       compound(g, p))
     sg = QuatStructure(2, g @ s2.I @ g.T, g @ s2.J @ g.T)
     want = w_matrix(full_rows(hat_dstar, sg), sg)
-    np.testing.assert_allclose(_w_core(sg)["hat_w"], want, rtol=0,
-                               atol=1e-13 * np.abs(want).max())
+    np.testing.assert_allclose(_w_core(sg)["B"] @ piece_basis(sg)[0].T,
+                               want, rtol=0, atol=1e-13 * np.abs(want).max())
     b5 = rng.standard_normal((3, 56))
     for s in (sg, s2):
         np.testing.assert_allclose(s.L_apply(5, b5), b5 @ s.L_matrix(5).T,
@@ -556,12 +556,12 @@ def test_sparse_builds_off_standard_frame(s2, pool2):
 def test_builds_off_standard_frame_n3(s3, pool3, frame3):
     # the same at n = 3, where the Table-2 fields of 5-forms also apply
     from aqh.projectors import _w_core
-    from aqh.threeform import hat_dstar
+    from aqh.threeform import hat_dstar, piece_basis
 
     g, sg = frame3
     want = w_matrix(full_rows(hat_dstar, sg), sg)
-    np.testing.assert_allclose(_w_core(sg)["hat_w"], want, rtol=0,
-                               atol=1e-13 * np.abs(want).max())
+    np.testing.assert_allclose(_w_core(sg)["B"] @ piece_basis(sg)[0].T,
+                               want, rtol=0, atol=1e-13 * np.abs(want).max())
     rng = np.random.default_rng(9)
     for s in (s3, sg):
         check_ae_against_wedges(s, rng)

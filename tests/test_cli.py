@@ -20,6 +20,32 @@ def test_dims(capsys):
     assert "120" in out and "64" in out
 
 
+def test_dims_forms_no_gram_matrix(capsys, monkeypatch):
+    # dims reads the traces of the identity split; the Gram matrix of d* on
+    # the visible rows (N3 x N3), which the components section of verify
+    # reads, is not formed: no product through d* on W coordinates yields
+    # an N3 x N3 matrix
+    from aqh import verify as V
+
+    N3, grams = 220, []
+
+    class Spy(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kw):
+            if "out" in kw:
+                kw["out"] = tuple(np.asarray(o) for o in kw["out"])
+            out = getattr(ufunc, method)(*map(np.asarray, inputs), **kw)
+            if ufunc is np.matmul and out.shape[-2:] == (N3, N3):
+                grams.append(out.shape)
+            return out.view(Spy) if isinstance(out, np.ndarray) else out
+
+    real = V.dstar_on_W
+    monkeypatch.setattr(V, "dstar_on_W", lambda s: real(s).view(Spy))
+    assert main(["dims", "--n", "3", "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["total"] == pytest.approx(504, abs=1e-6)
+    assert not grams
+
+
 def test_dims_and_inject_from_n2_to_n4(tmp_path, capsys):
     assert main(["dims", "--n", "4", "--format", "json"]) == 0
     rep = json.loads(capsys.readouterr().out)

@@ -267,10 +267,11 @@ def test_report_reads_lcal_once(s3, pool3, monkeypatch):
     assert classification_report(pool3[ComponentLabel.L3EH], s3)["key"] \
         == "L3EH"
     assert len(calls) == 2
-    # the proj3 parts are applied through their factors and the interior
-    # products read from FormTables.hook(3): the dense N3 x N3 maps cached
-    # are L on 3-forms and the factor plus3 = (3 + L)/6
-    s = standard_structure(3)
+    # the profile reads d* a on the piece basis and the interior products
+    # from FormTables.hook(3): the dense N3 x N3 maps a fresh structure
+    # caches are L on 3-forms and the basis U; the factor plus3 of
+    # proj3_parts is not built
+    s = standard_structure.__wrapped__(3)
     for X in ComponentLabel:
         classification_report(pool3[X], s)
     N3 = s.tab.nforms(3)
@@ -280,7 +281,7 @@ def test_report_reads_lcal_once(s3, pool3, monkeypatch):
         e if isinstance(e, tuple) else [e]) if isinstance(v, np.ndarray)]
     assert not [k for k, v in arrays if v.shape == (4 * N3, N3)]
     assert sorted(str(k) for k, v in arrays if v.shape[-2:] == (N3, N3)) \
-        == ["('L', 3)", "plus3"]
+        == ["('L', 3)", "piece_basis"]
 
 
 def test_split_coords_stack_matches_single_calls(s2, s3):
@@ -303,12 +304,15 @@ def test_split_coords_stack_matches_single_calls(s2, s3):
 @pytest.mark.parametrize("n", [2, 3])
 def test_component_norms_of_a_stack_match_single_calls(n):
     # 50 tensors as verify's profile-pythagoras stacks them: for one tensor
-    # the bits of the unstacked reading, which the report prints; for the
-    # stack arrays equal to 1e-15 of each norm (of the tensor's norm for the
-    # components of dimension 0 at n = 2, which are round-off)
+    # the factor route of reference.component_norms, and for the stack the
+    # single calls, each to 1e-15 of each norm (of the tensor's norm for
+    # the components of dimension 0 at n = 2, which are round-off); the
+    # report prints the bits of the single call
+    from aqh import classification_report
+    from aqh.exterior import MixedTorsion, contract12
     from aqh.projectors import component_norms
     from aqh.structure import standard_structure
-    from aqh.torsion import fiber_basis_matrix
+    from aqh.torsion import fiber_basis_matrix, w_coords
     import reference
 
     s = standard_structure(n)
@@ -318,9 +322,55 @@ def test_component_norms_of_a_stack_match_single_calls(n):
     stack = component_norms(C, ds, s)
     for k in range(50):
         one = component_norms(C[k], ds[k], s)
-        assert one == reference.component_norms(C[k], ds[k], s)
-        assert list(one) == list(stack)
+        ref = reference.component_norms(C[k], ds[k], s)
+        assert list(one) == list(stack) == list(ref)
         for X, v in one.items():
             assert type(v) is float and stack[X].shape == (50,)
             bound = v if COMPONENT_DIMS[X](n) else np.linalg.norm(a[k])
             assert abs(stack[X][k] - v) <= 1e-15 * bound, (k, X)
+            assert abs(ref[X] - v) <= 1e-15 * np.linalg.norm(a[k]), (k, X)
+    for k in range(0, 50, 7):
+        t = MixedTorsion(s.dim, a[k])
+        rep = classification_report(t, s)["profile"]["norms"]
+        one = component_norms(w_coords(t, s), contract12(t).coeffs, s)
+        assert rep == {X.value: v for X, v in one.items()}
+
+
+def test_piece_basis_spans_the_pieces(s2, s3, frame3):
+    # U is orthonormal and U_X U_X^T is the factor projector P_X of
+    # proj3_parts, at n = 2, 3, 4, in a rotated adapted frame and in an
+    # O(12)-conjugated one; B = HAT_W U has B^T B = blockdiag(c_X^2 I)
+    from aqh.projectors import VISIBLE, _w_core
+    from aqh.structure import random_rotation, rotate_adapted, \
+        standard_structure
+    from aqh.threeform import piece_basis, proj3_parts
+
+    q = random_rotation(np.random.default_rng(37))
+    for s in (s2, s3, standard_structure(4), rotate_adapted(q, s3),
+              frame3[1]):
+        U, sizes = piece_basis(s)
+        I3 = np.eye(s.tab.nforms(3))
+        assert sizes == tuple(COMPONENT_DIMS[X](s.n) for X in VISIBLE)
+        assert np.abs(U.T @ U - I3).max() <= 1e-13
+        P = proj3_parts(I3, s)
+        Ux = np.split(U, np.cumsum(sizes)[:-1], axis=1)
+        for k in range(4):
+            assert np.abs(Ux[k] @ Ux[k].T - P[:, k].T).max() <= 1e-12, k
+        core = _w_core(s)
+        want = np.diag(np.repeat(core["c"] ** 2, sizes))
+        G = core["B"].T @ core["B"]
+        assert np.abs(G - want).max() <= 1e-13 * want.max(), s.n
+        assert (core["c"] > 0).sum() == (3 if s.n == 2 else 4)
+
+
+def test_piece_basis_refuses_a_wrong_spectrum(monkeypatch):
+    # without P_E the spectrum is {3, -3}: no eigenvalue 4 or -2, so the
+    # blocks miss the dimensions of EH and ES3H
+    from aqh import threeform as TF
+    from aqh.structure import StructureError, standard_structure
+
+    s = standard_structure.__wrapped__(2)
+    monkeypatch.setattr(TF, "_e_projector",
+                        lambda s: np.zeros((s.tab.nforms(3),) * 2))
+    with pytest.raises(StructureError, match="eigenspaces"):
+        TF.piece_basis(s)

@@ -141,6 +141,24 @@ def test_injectivity_sees_a_visible_direction_in_the_kernel(monkeypatch,
     assert not passed["contraction-injective-on-visible"]
 
 
+def test_piece_basis_checks_see_a_column_moved_between_blocks(monkeypatch):
+    # the last column of the KH block of U read as the first of the EH
+    # block: U is still orthonormal, but its blocks no longer span KH and
+    # EH, so the profile and split_coords, which read them, go wrong
+    from aqh import threeform as TF
+
+    U, (kh, eh, *rest) = TF.piece_basis(standard_structure.__wrapped__(3))
+    s = standard_structure.__wrapped__(3)
+    s.cache("piece_basis", lambda: (U, (kh - 1, eh + 1, *rest)))
+    monkeypatch.setattr(V, "standard_structure", lambda n: s)
+    passed = {r.check.split("/")[1]: r.passed for r in V.run_suite(
+        3, 71, sections=("three-forms", "components"))}
+    assert not passed["threeform-projector-algebra"]
+    assert not passed["hat-isometry"]
+    assert not passed["paper-route"]
+    assert passed["threeform-projector-traces"]
+
+
 def _lie_checks():
     return {r.check.split("/")[1]: r.passed
             for r in V.run_suite(3, 71, sections=("lie-pipeline",))}
